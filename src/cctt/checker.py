@@ -14,8 +14,8 @@ checking context built over it.
 from dataclasses import dataclass
 
 from .conversion import (
-    CompProblem, comp_eval, conv, conv_tm, conv_under_face, hfill, inst,
-    inst_under, subst1, subst_clock1, subst_ival1, subst_tick1, whnf,
+    CompProblem, boundary_equal, conv, conv_tm, conv_under_face, hfill,
+    inst, inst_under, subst1, subst_clock1, subst_ival1, subst_tick1, whnf,
     _clam_n, _forall_n, _nlam, _weaken_case,
 )
 from .errors import (
@@ -23,20 +23,21 @@ from .errors import (
     BoundaryNotCovering, CaseBoundaryMismatch, CaseMissing, ClockMismatch,
     DiamondOutsideForcing, EndpointMismatch, ForwardConstructorReference,
     FuelExhausted, IncompatibleOverlap, MotiveMismatch, NonProperEntry,
-    NotAFunction, NotALater, TubeMismatch, TypeMismatch, UnboundVariable,
+    NotAFunction, NotALater, TickEscape, TubeMismatch, TypeMismatch,
+    UnboundVariable,
 )
 from .interval import (
-    F0, FBOT, IVar, IZERO, IONE, face_and, face_clauses, face_entails,
-    face_is_false, face_map_vars, face_or, face_substitute, face_vars,
+    FBOT, IVar, IZERO, IONE, face_and, face_clauses, face_entails,
+    face_is_false, face_or, face_substitute, face_vars,
     iv_map_vars, iv_normalize, iv_vars,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
-    Context, DFix, EClock, EFace, EIVar, ETick, EVar, FACE, ForceApp,
+    Context, DFix, EClock, EFace, EIVar, ETick, EVar, ForceApp,
     Forall, Fst, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, TickApp, TickLam,
     TickVar, TopRef, Trans, U, Var, ZERO_DEPTH, _bump, _shift_map,
-    entry_sort, rename_term, weaken, weaken_face, weaken_iexpr,
+    rename_term, weaken, weaken_face,
 )
 from .ticks import (
     CClock, CForcedTick, CIVal, CTerm, _tick_vars, apply_mask,
@@ -90,9 +91,10 @@ class CheckState:
         return entry[0] if entry else None
 
     def promote(self, t, ctx):
-        """Weaken a prelude-scoped term into a context built over it."""
-        sorts = [entry_sort(e) for e in ctx.entries[len(PRELUDE.entries):]]
-        return weaken(t, sorts)
+        """Weaken a prelude-scoped term into a context built over it.  Its
+        only free variable is the prelude clock, which only the clocks
+        bound after the prelude move."""
+        return weaken(t, [CLOCK] * (ctx.count(CLOCK) - PRELUDE.count(CLOCK)))
 
     def add_definition(self, name, ty, body):
         check_is_type(self, PRELUDE, ty)
@@ -292,7 +294,6 @@ def _fix_premise(state, ctx, k, f):
 
 def _drop_one(t, sort):
     kw = {TERM: "term", TICK: "tick", IVAL: "ival", CLOCK: "clock"}[sort]
-    from .errors import TickEscape
     try:
         return rename_term(t, Renaming(**{kw: _shift_map(0, -1)}))
     except TickEscape:
@@ -664,7 +665,6 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
             for clause in face_clauses(overlap):
                 left = _bnd_assign(pieces[i][1], v, clause)
                 right = _bnd_assign(pieces[j][1], v, clause)
-                from .conversion import boundary_equal
                 if not boundary_equal(sig, left, right):
                     raise BoundaryIncompatible(
                         f"boundary pieces {i} and {j} of {ctor.label} "
@@ -772,8 +772,6 @@ def _splice_args(bctx, ty_w, cargs, q):
 def _bnd_assign(M, v, clause):
     """Substitute an endpoint assignment (over the constructor's interval
     binders) into a boundary term."""
-    from .conversion import open_inst
-
     table = {ix: (IONE if b else IZERO) for ix, b in clause.items()}
     entries = [EIVar()] * v
     comps = []
@@ -790,7 +788,7 @@ def _bnd_assign(M, v, clause):
         return face_substitute(phi, table)
 
     def on_term(t):
-        return open_inst(entries, comps, t) if v else t
+        return inst(None, entries, comps, t) if v else t
 
     def go(M):
         match M:
@@ -1113,7 +1111,6 @@ class _Interp:
         """A signature-scoped term (prelude clock, parameters, constructor
         arguments, nest inner binders) moved under the case context plus n
         fresh clocks."""
-        from .conversion import open_inst
         n, d, a, r = self.n, self.d, self.a, self.r
         outer = (self.case_ctx.count(CLOCK) - 1) + n
         comps = [CClock(outer)]
@@ -1124,7 +1121,7 @@ class _Interp:
         ]
         comps += [CTerm(Var(nest - 1 - s)) for s in range(nest)]
         entries = [EClock()] + [EVar(_DUMMY)] * (d + a + nest)
-        return open_inst(entries, comps, t)
+        return inst(None, entries, comps, t)
 
     def _embed(self, M, nest, ivd):
         """The raw (uninterpreted) boundary term under the clock binders."""
@@ -1224,16 +1221,3 @@ class _Interp:
         return Comp(motive_line, face,
                     self.interp(tube, nest, ivd + 1),
                     self.interp(base, nest, ivd))
-
-
-def boundary_interpret(state, case_ctx, sig, elim, ctor, boundary):
-    """Interpret a whole boundary system inside an eliminator case
-    context; the empty system maps to the empty system."""
-    a = len(ctor.args.types)
-    r = len(ctor.rec_arities)
-    v = ctor.ivar_count
-    case_sorts = [TERM] * (a + 2 * r) + [IVAL] * v
-    interp = _Interp(state, case_ctx, sig, elim, ctor, case_sorts)
-    return System(tuple(
-        (phi, interp.interp(piece, 0, 0)) for phi, piece in boundary
-    ))

@@ -13,12 +13,15 @@ budget this keeps conversion checking terminating in practice (no
 normalization theorem is available for the theory).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
-from .errors import ArityMismatch, CaseMissing, IllFormedRedex
+from .errors import (
+    ArityMismatch, CaseMissing, CcttError, FuelExhausted, IllFormedRedex,
+)
 from .interval import (
     FAnd, FEq, IVar, IJoin, IMeet, INeg, IZERO, IONE,
-    face_and, face_clauses, face_entails, face_is_true,
+    face_and, face_clauses, face_entails, face_is_true, face_map_vars,
     face_normalize, face_of_equation, face_or, face_equal, face_substitute,
     iv_equal, iv_is_one, iv_is_zero, iv_map_vars, iv_normalize,
 )
@@ -31,20 +34,9 @@ from .syntax import (
     rename_term, structural_equal, weaken, weaken_face, weaken_iexpr,
 )
 from .ticks import (
-    CClock, CForcedTick, CIVal, CTerm, CTick, Substitution, _comp_shift,
-    extend, identity_subst, push_binder, subst_apply, subst_face,
-    subst_ival,
+    CClock, CForcedTick, CIVal, CTerm, CTick, clause_subst, extend,
+    subst_apply, subst_face, subst_ival,
 )
-
-
-@dataclass(frozen=True)
-class WhnfResult:
-    term: Term
-    context: Context
-
-    @property
-    def is_neutral(self):
-        return is_neutral(self.term)
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,8 @@ _DUMMY = U(0)
 
 
 def inst(ctx, entries, comps, t):
-    """t is scoped in ctx plus `entries`; replace those by `comps`."""
+    """t is scoped in ctx plus `entries`; replace those by `comps`.  With
+    ctx None, t's other free variables are left as they are, unchecked."""
     return subst_apply(extend(ctx, entries, comps), t)
 
 
@@ -94,52 +87,7 @@ def subst_tick1(ctx, clock, body, u):
 def inst_under(ctx, old_entries, new_entries, comps, t):
     """t scoped in ctx+old_entries; rebuild it in ctx+new_entries, sending
     the old entries to `comps` (scoped in ctx+new_entries)."""
-    base = identity_subst(ctx)
-    shift = [entry_sort(e) for e in new_entries if entry_sort(e) != FACE]
-    comps0 = tuple(_comp_shift(c, shift) for c in base.comps)
-    dom = ctx
-    for e in new_entries:
-        dom = dom.push(e)
-    cod = ctx
-    for e in old_entries:
-        cod = cod.push(e)
-    return subst_apply(Substitution(dom, cod, comps0 + tuple(comps)), t)
-
-
-def _free_counts(t):
-    """Upper bound on the free index range of each sort."""
-    counts = {TERM: 0, CLOCK: 0, TICK: 0, IVAL: 0}
-
-    def mk(sort):
-        def go(ix):
-            counts[sort] = max(counts[sort], ix + 1)
-            return ix
-        return go
-
-    rename_term(t, Renaming(term=mk(TERM), clock=mk(CLOCK),
-                            tick=mk(TICK), ival=mk(IVAL)))
-    return counts
-
-
-def _ambient_for(terms, slack=4):
-    counts = {TERM: 0, CLOCK: 1, TICK: 0, IVAL: 0}
-    for t in terms:
-        for sort, n in _free_counts(t).items():
-            counts[sort] = max(counts[sort], n)
-    entries = (
-        [EClock()] * (counts[CLOCK] + slack)
-        + [EIVar()] * (counts[IVAL] + slack)
-        + [ETick(0)] * (counts[TICK] + slack)
-        + [EVar(_DUMMY)] * (counts[TERM] + slack)
-    )
-    return Context(tuple(entries))
-
-
-def open_inst(entries, comps, t):
-    """Substitute the innermost `entries` binders of t, treating every
-    other free variable as belonging to an opaque ambient scope."""
-    probes = [t] + [c.term for c in comps if isinstance(c, CTerm)]
-    return inst(_ambient_for(probes), entries, comps, t)
+    return subst_apply(extend(ctx, old_entries, comps, new_entries), t)
 
 
 def tube_at(ctx, tube, r):
@@ -308,10 +256,6 @@ def whnf(state, ctx, t):
                 return t
 
 
-def whnf_result(state, ctx, t):
-    return WhnfResult(whnf(state, ctx, t), ctx)
-
-
 def _pfix_unfold(state, ctx, fn):
     """(kappa.pfix f)[(k, <>)] applied to any path argument unfolds to
     (f (dfix f))[k/kappa]."""
@@ -325,8 +269,7 @@ def _pfix_unfold(state, ctx, fn):
 
 
 def _path_endpoint(state, ctx, fn, right):
-    from .checker import infer
-    from .errors import CcttError, FuelExhausted
+    from .checker import infer  # checker imports this module
     try:
         ty = whnf(state, ctx, infer(state, ctx, fn))
     except FuelExhausted:
@@ -633,11 +576,8 @@ def _embed(state, sig, sigma, bterm, params, recs):
             new_recs = []
             for k, sub in enumerate(crecs):
                 n = len(target.rec_arities[k].types)
-                inner_sigma = sigma
-                for _ in range(n):
-                    inner_sigma = push_binder(inner_sigma, EVar(_DUMMY))
                 body = _embed(
-                    state, sig, inner_sigma, sub,
+                    state, sig, sigma.under(TERM, n), sub,
                     [weaken(q, [TERM] * n) for q in params],
                     [weaken(r, [TERM] * n) for r in recs],
                 )
@@ -650,11 +590,10 @@ def _embed(state, sig, sigma, bterm, params, recs):
                 tuple(subst_ival(sigma, r) for r in civals),
             )
         case BHComp(face, tube, base):
-            inner_sigma = push_binder(sigma, EIVar())
             return HComp(
                 Hit(sig.name, tuple(params)),
                 subst_face(sigma, face),
-                _embed(state, sig, inner_sigma, tube,
+                _embed(state, sig, sigma.under(IVAL), tube,
                        [weaken(q, [IVAL]) for q in params],
                        [weaken(r, [IVAL]) for r in recs]),
                 _embed(state, sig, sigma, base, params, recs),
@@ -699,7 +638,7 @@ def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals):
     comps = [CTerm(a) for a in args] + [CIVal(r) for r in ivals]
 
     def inst_term(t):
-        return open_inst(entries, comps, t)
+        return inst(None, entries, comps, t)
 
     def go(M):
         match M:
@@ -748,11 +687,11 @@ def _bnd_plug(body, values, arity):
         match M:
             case BRec(j, uargs):
                 return BRec(j, tuple(
-                    open_inst(entries, comps, u) for u in uargs
+                    inst(None, entries, comps, u) for u in uargs
                 ))
             case BCon(label, cargs, crecs, civals):
                 return BCon(label,
-                            tuple(open_inst(entries, comps, a)
+                            tuple(inst(None, entries, comps, a)
                                   for a in cargs),
                             tuple(go(m) for m in crecs), civals)
             case BHComp(face, tube, base):
@@ -781,8 +720,6 @@ def boundary_reduce(sig, M):
 
 def _bnd_ival_subst(M, r):
     """Substitute r for the innermost interval variable of a tube payload."""
-    from .interval import face_map_vars
-
     def on_iv(e):
         return iv_normalize(iv_map_vars(
             e, lambda ix: r if ix == 0 else IVar(ix - 1)
@@ -794,7 +731,7 @@ def _bnd_ival_subst(M, r):
         ))
 
     def on_term(t):
-        return open_inst([EIVar()], [CIVal(r)], t)
+        return inst(None, [EIVar()], [CIVal(r)], t)
 
     def go(M):
         match M:
@@ -980,7 +917,7 @@ def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
     if not clauses:
         return True  # empty extent: vacuously equal
     for clause in clauses:
-        sigma = _clause_subst(ctx, clause)
+        sigma = clause_subst(ctx, clause)
         rctx = _clause_context(ctx, clause)
         if not _conv_clause(state, rctx,
                             subst_apply(sigma, ty),
@@ -988,17 +925,6 @@ def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
                             subst_apply(sigma, u)):
             return False
     return True
-
-
-def _clause_subst(ctx, clause):
-    sigma = identity_subst(ctx)
-    comps = list(sigma.comps)
-    for pos, entry in enumerate(ctx.entries):
-        if entry_sort(entry) == IVAL:
-            ix = ctx.index_at(pos)
-            if ix in clause:
-                comps[pos] = CIVal(IONE if clause[ix] else IZERO)
-    return Substitution(ctx, ctx, tuple(comps))
 
 
 def _clause_context(ctx, clause):
@@ -1195,7 +1121,6 @@ def _system_covers(state, ctx, p1, p2):
 
 
 def _split_clauses(phi):
-    from functools import reduce
     out = []
     for clause in face_clauses(phi):
         gens = [FEq(ix, b) for ix, b in clause.items()]

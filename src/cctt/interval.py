@@ -4,7 +4,7 @@ Interval expressions form the free De Morgan algebra on the interval
 variables in scope; equality is decided through a canonical disjunctive
 normal form (a join of meets of literals, kept as an antichain of clauses).
 Face formulas form the free distributive lattice on generators (i=0), (i=1)
-quotiented by (i=0) /\ (i=1) = 0.
+quotiented by (i=0) /\\ (i=1) = 0.
 
 Variables are de Bruijn indices of the interval sort.
 """
@@ -178,10 +178,6 @@ def iv_map_vars(r, fn):
             return r
 
 
-def iv_shift(r, cut, by):
-    return iv_map_vars(r, lambda ix: IVar(ix + by) if ix >= cut else IVar(ix))
-
-
 # --------------------------------------------------------------------------
 # Face formulas
 # --------------------------------------------------------------------------
@@ -339,12 +335,6 @@ def face_substitute(phi, assignment):
     """assignment maps variable indices to IntervalExprs (identity if absent)."""
     return face_map_vars(
         phi, lambda ix: assignment[ix] if ix in assignment else IVar(ix)
-    )
-
-
-def face_shift(phi, cut, by):
-    return face_map_vars(
-        phi, lambda ix: IVar(ix + by) if ix >= cut else IVar(ix)
     )
 
 

@@ -8,8 +8,9 @@ others.  Face entries bind no variables at all; they only restrict.
 """
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
-from .errors import IllFormedRedex, NonProperEntry, TickEscape
+from .errors import IllFormedRedex, TickEscape
 from .interval import (
     FaceFormula, IntervalExpr, face_normalize, face_map_vars, IVar,
     iv_map_vars, iv_normalize,
@@ -51,9 +52,6 @@ class Tirr(Tick):
 
     def __repr__(self):
         return f"tirr({self.left!r}, {self.right!r}, {self.at!r})"
-
-
-DIAMOND = Diamond()
 
 
 # --------------------------------------------------------------------------
@@ -554,17 +552,25 @@ def weaken(t, inserted, cut=None):
     """
     if not inserted:
         return t
-    amounts = {s: 0 for s in (TERM, CLOCK, TICK, IVAL)}
-    for s in inserted:
-        if s != FACE:
-            amounts[s] += 1
+    return rename_term(t, _weakening(inserted, cut))
+
+
+def _weakening(inserted, cut):
     cuts = cut or {}
-    ren = Renaming(**{
-        {TERM: "term", CLOCK: "clock", TICK: "tick", IVAL: "ival"}[s]:
-            _shift_map(cuts.get(s, 0), amounts[s])
-        for s in amounts
-    })
-    return rename_term(t, ren)
+    return _shift_renaming(
+        tuple(inserted.count(s) for s in (TERM, CLOCK, TICK, IVAL)),
+        tuple(cuts.get(s, 0) for s in (TERM, CLOCK, TICK, IVAL)),
+    )
+
+
+@lru_cache(maxsize=1024)
+def _shift_renaming(amounts, cuts):
+    """The renaming shifting each sort's indices from its cut on by its
+    amount; one object per shape, since weakening is on the hot path."""
+    term, clock, tick, ival = (
+        _shift_map(c, n) if n else None for n, c in zip(amounts, cuts)
+    )
+    return Renaming(term=term, clock=clock, tick=tick, ival=ival)
 
 
 def weaken_iexpr(r, inserted, cut=0):
@@ -580,17 +586,7 @@ def weaken_face(phi, inserted, cut=0):
 def weaken_tick(u, inserted, cut=None):
     if not inserted:
         return u
-    amounts = {s: 0 for s in (TERM, CLOCK, TICK, IVAL)}
-    for s in inserted:
-        if s != FACE:
-            amounts[s] += 1
-    cuts = cut or {}
-    ren = Renaming(**{
-        {TERM: "term", CLOCK: "clock", TICK: "tick", IVAL: "ival"}[s]:
-            _shift_map(cuts.get(s, 0), amounts[s])
-        for s in amounts
-    })
-    return rename_tick(u, ren, ZERO_DEPTH)
+    return rename_tick(u, _weakening(inserted, cut), ZERO_DEPTH)
 
 
 # --------------------------------------------------------------------------
@@ -701,24 +697,3 @@ class HitSignature:
             if c.label == label:
                 return k
         raise KeyError(label)
-
-
-def validate_telescope(state, ctx, tel):
-    """Check each entry's type in the accumulated prefix (term entries only
-    by construction; payloads must be types)."""
-    from .checker import check_is_type
-    if not isinstance(tel, Telescope):
-        raise NonProperEntry("telescopes contain term-variable entries only")
-    cur = ctx
-    for k, ty in enumerate(tel.types):
-        try:
-            check_is_type(state, cur, ty)
-        except Exception as exc:
-            from .errors import IllTypedEntry, CcttError
-            if isinstance(exc, CcttError):
-                raise IllTypedEntry(
-                    f"telescope entry {k} ill-typed: {exc}", position=k
-                ) from exc
-            raise
-        cur = cur.push(EVar(ty))
-    return True

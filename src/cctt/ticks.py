@@ -4,6 +4,15 @@ Covers the timeless filter TL, the trimming relation, the simple and
 forcing tick judgements (always returning the maximal residual context),
 and the simultaneous substitution calculus whose tick components decide
 whether a tick application stays simple or becomes a forcing application.
+
+Substitutions are de Bruijn explicit substitutions in shift-plus-explicit
+form (Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions", 1991):
+per sort, the components for the innermost substituted entries, and a
+shift for every entry outside them.  Walking under a binder only raises a
+per-sort depth, a variable lookup indexes a tuple, and a payload is
+weakened past the binders once, when a variable first reaches it.  A
+forcing tick component meeting a simple tick application turns it into a
+forcing application under a fresh clock.
 """
 
 from dataclasses import dataclass
@@ -12,13 +21,17 @@ from .errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
     NoCommonResidual, NotATick, TickEscape,
 )
-from .interval import IVar, face_map_vars, iv_map_vars, iv_normalize
+from .interval import (
+    IONE, IVar, IZERO, face_map_vars, iv_map_vars, iv_normalize,
+)
 from .syntax import (
     CLOCK, FACE, IVAL, TERM, TICK,
-    Context, Diamond, EClock, EFace, EIVar, ETick, EVar,
-    ForceApp, Renaming, Term, Tick, TickApp, TickVar, Tirr, Var,
-    ZERO_DEPTH, entry_sort, rename_face, rename_iexpr, rename_term,
-    rename_tick,
+    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
+    ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
+    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Term, Tick,
+    TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, ZERO_DEPTH,
+    entry_sort, rename_iexpr, rename_term, rename_tick, weaken,
+    weaken_iexpr, weaken_tick,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -203,43 +216,182 @@ _COMP_SORT = {
 }
 
 
-def comp_sort(c):
-    return _COMP_SORT[type(c)]
+# Variable sorts in the order of a substitution's per-sort tuples, and a
+# depth (or shift) that is zero for every sort.
+_SORTS = (TERM, CLOCK, TICK, IVAL)
+_SORT_IX = {TERM: 0, CLOCK: 1, TICK: 2, IVAL: 3}
+_ZERO = (0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
 class Substitution:
-    """sigma : dom <- cod, with one component per cod entry (left to right);
-    component payloads are scoped in dom."""
-    dom: Context
-    cod: Context
-    comps: tuple
+    """sigma : dom <- cod, in shift-plus-explicit form.
+
+    Per sort (term, clock, tick, interval, in that order):
+
+    - `block` holds the payloads for the innermost cod entries of the sort,
+      innermost first: terms, clock indices, tick components (`CTick` or
+      `CForcedTick`) and interval expressions, scoped in dom;
+    - a cod variable j entries past the block maps to dom variable
+      j + `shift`;
+    - `depth` counts the binders pushed while walking a term: they map to
+      themselves, and everything else moves past them.
+
+    `pairs` maps the block index of each forcing tick component to the block
+    index of the clock component it pairs with.  `outer` gives, per sort,
+    how many cod variables lie past the block; it is worked out from `cod`
+    when that is known, and with neither the variables past the block are
+    unbounded.  `dom` and `cod` are the contexts the substitution was built
+    between, when it was built from contexts; they leave out pushed
+    binders.
+    """
+
+    __slots__ = ("dom", "cod", "block", "shift", "pairs", "depth",
+                 "_outer", "_memo")
+
+    def __init__(self, dom, cod, block, shift=_ZERO, pairs=None,
+                 depth=_ZERO, outer=None):
+        self.dom = dom
+        self.cod = cod
+        self.block = block
+        self.shift = shift
+        self.pairs = pairs or {}
+        self.depth = depth
+        self._outer = outer
+        self._memo = {}   # (sort, block index, depth) -> weakened payload
+
+    def under(self, sort, n=1):
+        """The substitution lifted under n more binders of `sort`."""
+        depth = list(self.depth)
+        depth[_SORT_IX[sort]] += n
+        return Substitution(self.dom, self.cod, self.block, self.shift,
+                            self.pairs, tuple(depth), self._outer)
+
+    def outer_sizes(self):
+        """Per sort, the number of cod variables past the block (None when
+        unbounded)."""
+        if self._outer is None and self.cod is not None:
+            self._outer = tuple(
+                self.cod.count(s) - len(b)
+                for s, b in zip(_SORTS, self.block)
+            )
+        return self._outer
+
+    @property
+    def comps(self):
+        """One component per cod entry, left to right."""
+        seen = [0, 0, 0, 0]
+        out = []
+        for entry in reversed(self.cod.entries):
+            sort = entry_sort(entry)
+            if sort == FACE:
+                out.append(CFace())
+                continue
+            si = _SORT_IX[sort]
+            out.append(_as_comp(si, _image(self, si, seen[si], _ZERO)))
+            seen[si] += 1
+        return tuple(reversed(out))
 
     def component(self, sort, ix):
         """Component for the ix-th cod entry of the given sort (from the
         inside), together with its position in comps."""
-        seen = 0
-        for pos in range(len(self.comps) - 1, -1, -1):
-            if comp_sort(self.comps[pos]) == sort:
-                if seen == ix:
-                    return pos, self.comps[pos]
-                seen += 1
-        raise MalformedSubstitution(f"no component for {sort} variable {ix}")
+        try:
+            pos = self.cod.pos_of(sort, ix)
+        except IndexError:
+            raise MalformedSubstitution(
+                f"no component for {sort} variable {ix}"
+            ) from None
+        return pos, self.comps[pos]
+
+
+def _block(entries, comps):
+    """Per-sort payload tuples (innermost first) and forcing pairs for the
+    cod entries `entries`, sent to `comps`."""
+    if len(entries) != len(comps):
+        raise MalformedSubstitution("component count does not match context")
+    block = ([], [], [], [])
+    pairs = {}
+    for pos in range(len(comps) - 1, -1, -1):
+        comp = comps[pos]
+        cls = type(comp)
+        if _COMP_SORT[cls] != entry_sort(entries[pos]):
+            raise MalformedSubstitution(
+                f"component {comp!r} does not match entry {entries[pos]!r}"
+            )
+        if cls is CTerm:
+            block[0].append(comp.term)
+        elif cls is CClock:
+            block[1].append(comp.clock)
+        elif cls is CIVal:
+            block[3].append(comp.expr)
+        elif cls is not CFace:
+            if cls is CForcedTick and pos > 0 \
+                    and type(comps[pos - 1]) is CClock:
+                # The clock half is the next clock met going outwards.
+                pairs[len(block[2])] = len(block[1])
+            block[2].append(comp)
+    return tuple(map(tuple, block)), pairs
+
+
+def _weaken_payload(si, p, depth):
+    """A block payload moved past `depth` binders pushed in dom."""
+    if depth == _ZERO:
+        return p
+    if si == 1:
+        return p + depth[1]
+    if si == 3:
+        return weaken_iexpr(p, [IVAL] * depth[3])
+    sorts = ([TERM] * depth[0] + [CLOCK] * depth[1] + [TICK] * depth[2]
+             + [IVAL] * depth[3])
+    if si == 0:
+        return weaken(p, sorts)
+    tick = weaken_tick(p.tick, sorts)
+    if isinstance(p, CForcedTick):
+        return CForcedTick(p.clock + depth[1], tick)
+    return CTick(tick)
+
+
+def _image(sg, si, ix, depth):
+    """Where variable ix of sort si goes under sg at `depth`: the weakened
+    payload of a block component, or the index of a dom variable (clocks are
+    indices either way)."""
+    k = ix - depth[si]
+    if k < 0:
+        return ix
+    block = sg.block[si]
+    if k < len(block):
+        if si == 1:
+            return block[k] + depth[1]
+        key = (si, k, depth)
+        out = sg._memo.get(key)
+        if out is None:
+            out = sg._memo[key] = _weaken_payload(si, block[k], depth)
+        return out
+    j = k - len(block)
+    outer = sg.outer_sizes()
+    if outer is not None and j >= outer[si]:
+        raise MalformedSubstitution(
+            f"no component for {_SORTS[si]} variable {ix}"
+        )
+    return j + sg.shift[si] + depth[si]
+
+
+# Per sort: the payload naming dom variable ix, and the component wrapping
+# a payload.
+_VAR = (Var, int, lambda ix: CTick(TickVar(ix)), IVar)
+_WRAP = (CTerm, CClock, lambda comp: comp, CIVal)
+
+
+def _as_comp(si, x):
+    return _WRAP[si](_VAR[si](x) if type(x) is int else x)
 
 
 def validate_substitution(sigma):
-    if len(sigma.comps) != len(sigma.cod.entries):
-        raise MalformedSubstitution("component count does not match context")
-    for entry, comp in zip(sigma.cod.entries, sigma.comps):
-        if entry_sort(entry) != comp_sort(comp):
-            raise MalformedSubstitution(
-                f"component {comp!r} does not match entry {entry!r}"
-            )
+    comps = sigma.comps
     # Paired components must sit right of their clock half.
-    for pos, comp in enumerate(sigma.comps):
+    for pos, comp in enumerate(comps):
         if isinstance(comp, CForcedTick):
-            if pos == 0 or not isinstance(sigma.comps[pos - 1], CClock) \
-                    or sigma.comps[pos - 1].clock != comp.clock:
+            if pos == 0 or not isinstance(comps[pos - 1], CClock) \
+                    or comps[pos - 1].clock != comp.clock:
                 raise MalformedSubstitution(
                     "forcing tick component must pair with the preceding "
                     "clock component"
@@ -247,126 +399,93 @@ def validate_substitution(sigma):
     return True
 
 
-def identity_comp(entry):
-    match entry:
-        case EVar(_):
-            return CTerm(Var(0))
-        case EClock():
-            return CClock(0)
-        case ETick(_):
-            return CTick(TickVar(0))
-        case EIVar():
-            return CIVal(IVar(0))
-        case EFace(_):
-            return CFace()
-    raise MalformedSubstitution(f"unknown entry {entry!r}")
+def extend(ctx, added_entries, comps, fresh=()):
+    """Substitution for ctx extended by `added_entries`, sending the added
+    entries to `comps` and every entry of ctx to itself, in ctx extended by
+    the `fresh` entries.
+
+    With ctx None the scope outside the added entries is unknown: its
+    variables map to themselves, unchecked.
+    """
+    block, pairs = _block(added_entries, comps)
+    if ctx is None:
+        return Substitution(None, None, block, pairs=pairs)
+    dom = ctx
+    cod = Context(ctx.entries + tuple(added_entries))
+    shift = [0, 0, 0, 0]
+    for e in fresh:
+        dom = dom.push(e)
+        sort = entry_sort(e)
+        if sort != FACE:
+            shift[_SORT_IX[sort]] += 1
+    return Substitution(dom, cod, block, tuple(shift), pairs)
 
 
 def identity_subst(ctx):
-    comps = []
-    for pos, entry in enumerate(ctx.entries):
-        sort = entry_sort(entry)
-        if sort == FACE:
-            comps.append(CFace())
-            continue
-        ix = ctx.index_at(pos)
-        comps.append({
-            TERM: lambda: CTerm(Var(ix)),
-            CLOCK: lambda: CClock(ix),
-            TICK: lambda: CTick(TickVar(ix)),
-            IVAL: lambda: CIVal(IVar(ix)),
-        }[sort]())
-    return Substitution(ctx, ctx, tuple(comps))
+    return extend(ctx, (), ())
 
 
-def _comp_shift(comp, sorts):
-    """Weaken a component's payload after dom gained entries of `sorts`."""
-    from .syntax import weaken, weaken_iexpr, weaken_tick
-    match comp:
-        case CTerm(t):
-            return CTerm(weaken(t, sorts))
-        case CClock(k):
-            return CClock(k + sum(1 for s in sorts if s == CLOCK))
-        case CTick(u):
-            return CTick(weaken_tick(u, sorts))
-        case CForcedTick(k, u):
-            return CForcedTick(
-                k + sum(1 for s in sorts if s == CLOCK),
-                weaken_tick(u, sorts),
-            )
-        case CIVal(r):
-            return CIVal(weaken_iexpr(r, sorts))
-        case CFace():
-            return comp
-    raise MalformedSubstitution(repr(comp))
-
-
-def subst_entry(sigma, entry):
-    """Push a cod entry's payload through sigma (for extending dom)."""
-    match entry:
-        case EVar(ty):
-            return EVar(subst_apply(sigma, ty))
-        case EClock() | EIVar():
-            return entry
-        case ETick(clock):
-            # The stored clock is relative to the entry's prefix, which at
-            # push time is the whole cod.
-            _, comp = sigma.component(CLOCK, clock)
-            return ETick(comp.clock)
-        case EFace(phi):
-            return EFace(subst_face(sigma, phi))
-    raise MalformedSubstitution(repr(entry))
-
-
-def push_binder(sigma, entry):
-    new_entry = subst_entry(sigma, entry)
-    sort = entry_sort(entry)
-    shift = [] if sort == FACE else [sort]
-    comps = tuple(_comp_shift(c, shift) for c in sigma.comps)
-    return Substitution(
-        sigma.dom.push(new_entry),
-        sigma.cod.push(entry),
-        comps + (identity_comp(entry),),
+def clause_subst(ctx, clause):
+    """The identity on ctx, except that each interval variable ix of the
+    clause goes to the endpoint clause[ix]."""
+    n = min(max(clause, default=-1) + 1, ctx.count(IVAL))
+    ivals = tuple(
+        (IONE if clause[ix] else IZERO) if ix in clause else IVar(ix)
+        for ix in range(n)
     )
+    return Substitution(ctx, ctx, ((), (), (), ivals), (0, 0, 0, n))
 
 
-def extend(ctx, added_entries, comps):
-    """Substitution from ctx for a context extended by `added_entries`,
-    sending the added entries to `comps` and fixing everything else."""
-    sigma = identity_subst(ctx)
-    cod = ctx
-    for entry in added_entries:
-        cod = cod.push(entry)
-    return Substitution(ctx, cod, sigma.comps + tuple(comps))
+def _explicit(dom, cod, comps):
+    """The substitution with one given component per cod entry."""
+    block, pairs = _block(cod.entries, comps)
+    return Substitution(dom, cod, block, pairs=pairs)
 
 
 def subst_ival(sigma, r):
-    def on_var(ix):
-        _, comp = sigma.component(IVAL, ix)
-        return comp.expr
-    return iv_normalize(iv_map_vars(r, on_var))
+    return _ival(sigma, r, sigma.depth)
 
 
 def subst_face(sigma, phi):
-    def on_var(ix):
-        _, comp = sigma.component(IVAL, ix)
-        return comp.expr
-    return face_map_vars(phi, on_var)
+    return _face(sigma, phi, sigma.depth)
 
 
 def subst_tick(sigma, u):
+    return _tick(sigma, u, sigma.depth)
+
+
+def subst_apply(sigma, t):
+    """Apply sigma : dom <- cod to a term scoped in cod."""
+    return _go(sigma, t, sigma.depth)
+
+
+def _ival(sg, r, depth):
+    def on_var(ix):
+        x = _image(sg, 3, ix, depth)
+        return IVar(x) if type(x) is int else x
+    return iv_normalize(iv_map_vars(r, on_var))
+
+
+def _face(sg, phi, depth):
+    def on_var(ix):
+        x = _image(sg, 3, ix, depth)
+        return IVar(x) if type(x) is int else x
+    return face_map_vars(phi, on_var)
+
+
+def _tick(sg, u, depth):
     match u:
         case TickVar(ix):
-            _, comp = sigma.component(TICK, ix)
-            return comp.tick
+            x = _image(sg, 2, ix, depth)
+            return TickVar(x) if type(x) is int else x.tick
         case Diamond():
             return u
         case Tirr(l, r, at):
-            left = subst_tick(sigma, l)
-            right = subst_tick(sigma, r)
+            left = _tick(sg, l, depth)
+            right = _tick(sg, r, depth)
             if isinstance(left, Diamond) and isinstance(right, Diamond):
                 return Diamond()  # tirr(<>, <>, r) collapses eagerly
-            return Tirr(left, right, subst_ival(sigma, at))
+            return Tirr(left, right, _ival(sg, at, depth))
     raise NotATick(repr(u))
 
 
@@ -387,137 +506,149 @@ def _leftmost_tick_var(u):
     return max(tvs) if tvs else None
 
 
-def subst_apply(sigma, t):
-    """Apply sigma : dom <- cod to a term scoped in cod."""
-    from . import syntax as S
-
-    go = subst_apply
+def _go(sg, t, d):
+    """Apply sg at depth d (binders pushed per sort) to t."""
+    go = _go
     match t:
-        case S.Var(ix):
-            _, comp = sigma.component(TERM, ix)
-            return comp.term
-        case S.U(_) | S.TopRef(_):
+        case Var(ix):
+            if ix < d[0]:
+                return t
+            x = _image(sg, 0, ix, d)
+            return Var(x) if type(x) is int else x
+        case App(fn, arg):
+            return App(go(sg, fn, d), go(sg, arg, d))
+        case Lam(body):
+            return Lam(go(sg, body, (d[0] + 1, d[1], d[2], d[3])))
+        case U(_) | TopRef(_):
             return t
-        case S.Pi(dom, cod):
-            return S.Pi(go(sigma, dom),
-                        go(push_binder(sigma, EVar(dom)), cod))
-        case S.Lam(body):
-            return S.Lam(go(push_binder(sigma, EVar(S.U(0))), body))
-        case S.App(fn, arg):
-            return S.App(go(sigma, fn), go(sigma, arg))
-        case S.Sigma(fst, snd):
-            return S.Sigma(go(sigma, fst),
-                           go(push_binder(sigma, EVar(fst)), snd))
-        case S.Pair(fst, snd):
-            return S.Pair(go(sigma, fst), go(sigma, snd))
-        case S.Fst(arg):
-            return S.Fst(go(sigma, arg))
-        case S.Snd(arg):
-            return S.Snd(go(sigma, arg))
-        case S.PathT(ty, left, right):
-            return S.PathT(go(sigma, ty), go(sigma, left), go(sigma, right))
-        case S.PLam(body):
-            return S.PLam(go(push_binder(sigma, EIVar()), body))
-        case S.PApp(fn, arg):
-            return S.PApp(go(sigma, fn), subst_ival(sigma, arg))
-        case S.Forall(body):
-            return S.Forall(go(push_binder(sigma, EClock()), body))
-        case S.CLam(body):
-            return S.CLam(go(push_binder(sigma, EClock()), body))
-        case S.CApp(fn, clock):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.CApp(go(sigma, fn), comp.clock)
-        case S.Later(clock, ty):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.Later(
-                comp.clock, go(push_binder(sigma, ETick(clock)), ty)
-            )
-        case S.TickLam(clock, body):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.TickLam(
-                comp.clock, go(push_binder(sigma, ETick(clock)), body)
-            )
-        case S.TickApp(fn, tick):
-            return _subst_tick_app(sigma, fn, tick)
-        case S.ForceApp(fn, clock, tick):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.ForceApp(
-                go(push_binder(sigma, EClock()), fn),
-                comp.clock,
-                subst_tick(sigma, tick),
-            )
-        case S.DFix(clock, fn):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.DFix(comp.clock, go(sigma, fn))
-        case S.PFix(clock, fn):
-            _, comp = sigma.component(CLOCK, clock)
-            return S.PFix(comp.clock, go(sigma, fn))
-        case S.Comp(ty, face, tube, base):
-            under = push_binder(sigma, EIVar())
-            return S.Comp(go(under, ty), subst_face(sigma, face),
-                          go(under, tube), go(sigma, base))
-        case S.HComp(ty, face, tube, base):
-            under = push_binder(sigma, EIVar())
-            return S.HComp(go(sigma, ty), subst_face(sigma, face),
-                           go(under, tube), go(sigma, base))
-        case S.Trans(ty, face, base):
-            under = push_binder(sigma, EIVar())
-            return S.Trans(go(under, ty), subst_face(sigma, face),
-                           go(sigma, base))
-        case S.Hit(name, params):
-            return S.Hit(name, tuple(go(sigma, p) for p in params))
-        case S.Con(name, label, params, args, recs, ivals):
-            return S.Con(
+        case Pi(dom, cod):
+            return Pi(go(sg, dom, d),
+                      go(sg, cod, (d[0] + 1, d[1], d[2], d[3])))
+        case Sigma(fst, snd):
+            return Sigma(go(sg, fst, d),
+                         go(sg, snd, (d[0] + 1, d[1], d[2], d[3])))
+        case Pair(fst, snd):
+            return Pair(go(sg, fst, d), go(sg, snd, d))
+        case Fst(arg):
+            return Fst(go(sg, arg, d))
+        case Snd(arg):
+            return Snd(go(sg, arg, d))
+        case PathT(ty, left, right):
+            return PathT(go(sg, ty, d), go(sg, left, d), go(sg, right, d))
+        case PLam(body):
+            return PLam(go(sg, body, (d[0], d[1], d[2], d[3] + 1)))
+        case PApp(fn, arg):
+            return PApp(go(sg, fn, d), _ival(sg, arg, d))
+        case Forall(body):
+            return Forall(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
+        case CLam(body):
+            return CLam(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
+        case CApp(fn, clock):
+            k = _image(sg, 1, clock, d)
+            return CApp(go(sg, fn, d), k)
+        case Later(clock, ty):
+            k = _image(sg, 1, clock, d)
+            return Later(k, go(sg, ty, (d[0], d[1], d[2] + 1, d[3])))
+        case TickLam(clock, body):
+            k = _image(sg, 1, clock, d)
+            return TickLam(k, go(sg, body, (d[0], d[1], d[2] + 1, d[3])))
+        case TickApp(fn, tick):
+            return _tick_app(sg, fn, tick, d)
+        case ForceApp(fn, clock, tick):
+            k = _image(sg, 1, clock, d)
+            return ForceApp(go(sg, fn, (d[0], d[1] + 1, d[2], d[3])), k,
+                            _tick(sg, tick, d))
+        case DFix(clock, fn):
+            k = _image(sg, 1, clock, d)
+            return DFix(k, go(sg, fn, d))
+        case PFix(clock, fn):
+            k = _image(sg, 1, clock, d)
+            return PFix(k, go(sg, fn, d))
+        case Comp(ty, face, tube, base):
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return Comp(go(sg, ty, di), _face(sg, face, d),
+                        go(sg, tube, di), go(sg, base, d))
+        case HComp(ty, face, tube, base):
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return HComp(go(sg, ty, d), _face(sg, face, d),
+                         go(sg, tube, di), go(sg, base, d))
+        case Trans(ty, face, base):
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return Trans(go(sg, ty, di), _face(sg, face, d),
+                         go(sg, base, d))
+        case Hit(name, params):
+            return Hit(name, tuple(go(sg, p, d) for p in params))
+        case Con(name, label, params, args, recs, ivals):
+            return Con(
                 name, label,
-                tuple(go(sigma, p) for p in params),
-                tuple(go(sigma, a) for a in args),
-                tuple(go(sigma, a) for a in recs),
-                tuple(subst_ival(sigma, r) for r in ivals),
+                tuple(go(sg, p, d) for p in params),
+                tuple(go(sg, a, d) for a in args),
+                tuple(go(sg, a, d) for a in recs),
+                tuple(_ival(sg, r, d) for r in ivals),
             )
-        case S.ClockElim(name, n, params, motive, cases, arg):
-            return S.ClockElim(
+        case ClockElim(name, n, params, motive, cases, arg):
+            return ClockElim(
                 name, n,
-                tuple(go(sigma, p) for p in params),
-                go(push_binder(sigma, EVar(S.U(0))), motive),
-                tuple(_subst_case(sigma, c) for c in cases),
-                go(sigma, arg),
+                tuple(go(sg, p, d) for p in params),
+                go(sg, motive, (d[0] + 1, d[1], d[2], d[3])),
+                tuple(_subst_case(sg, c, d) for c in cases),
+                go(sg, arg, d),
             )
-        case S.System(parts):
-            return S.System(tuple(
-                (subst_face(sigma, phi), go(sigma, u)) for phi, u in parts
+        case System(parts):
+            return System(tuple(
+                (_face(sg, phi, d), go(sg, u, d)) for phi, u in parts
             ))
     raise MalformedSubstitution(f"not a term: {t!r}")
 
 
-def _subst_case(sigma, case):
-    from .syntax import ElimCase, U as Univ
-    inner = sigma
-    for _ in range(case.n_args + 2 * case.n_recs):
-        inner = push_binder(inner, EVar(Univ(0)))
-    for _ in range(case.n_ivars):
-        inner = push_binder(inner, EIVar())
+def _subst_case(sg, case, d):
+    inner = (d[0] + case.n_args + 2 * case.n_recs, d[1], d[2],
+             d[3] + case.n_ivars)
     return ElimCase(case.label, case.n_args, case.n_recs, case.n_ivars,
-                    subst_apply(inner, case.body))
+                    _go(sg, case.body, inner))
 
 
-def _subst_tick_app(sigma, fn, tick):
-    """The A.2 case analysis for (fn [tick]) under sigma."""
-    new_tick = subst_tick(sigma, tick)
+def _tick_app(sg, fn, tick, d):
+    """The A.2 case analysis for (fn [tick]) under sg."""
+    new_tick = _tick(sg, tick, d)
     leftmost = _leftmost_tick_var(tick)
-    if leftmost is None:
-        # No tick variables: only possible transiently for ill-scoped input.
-        return TickApp(subst_apply(sigma, fn), new_tick)
-    pos, comp = sigma.component(TICK, leftmost)
-    if isinstance(comp, CTick):
-        return TickApp(subst_apply(sigma, fn), new_tick)
-    # Paired clock-and-forcing-tick component: the simple application turns
-    # into a forcing application binding a fresh clock for the substituted
-    # clock entry.
-    shifted = [_comp_shift(c, [CLOCK]) for c in sigma.comps]
-    shifted[pos - 1] = CClock(0)
-    shifted[pos] = CTick(TickVar(0))  # unused: fn cannot mention the tick
-    inner = Substitution(sigma.dom.push(EClock()), sigma.cod, tuple(shifted))
-    return ForceApp(subst_apply(inner, fn), comp.clock, new_tick)
+    # No tick variables is only possible transiently for ill-scoped input.
+    if leftmost is not None:
+        k = leftmost - d[2]
+        ticks = sg.block[2]
+        if 0 <= k < len(ticks) and isinstance(ticks[k], CForcedTick):
+            # Paired clock-and-forcing-tick component: the simple
+            # application turns into a forcing application binding a fresh
+            # clock for the substituted clock entry.
+            clock = ticks[k].clock + d[1]
+            return ForceApp(_go(_fresh_clock(sg, k, d), fn, _ZERO), clock,
+                            new_tick)
+    return TickApp(_go(sg, fn, d), new_tick)
+
+
+def _fresh_clock(sg, k, d):
+    """sg at depth d, with dom extended by a fresh innermost clock that
+    takes the place of the clock paired with forcing tick component k."""
+    c = sg.pairs.get(k)
+    if c is None:
+        raise MalformedSubstitution(
+            "forcing tick component must pair with the preceding clock "
+            "component"
+        )
+    # Everything in dom moves past the pushed binders and the fresh clock;
+    # the pushed binders become explicit components.
+    wk = (d[0], d[1] + 1, d[2], d[3])
+    block = []
+    for si in range(4):
+        fresh = wk[si] - d[si]
+        block.append([_VAR[si](ix + fresh) for ix in range(d[si])]
+                     + [_weaken_payload(si, p, wk) for p in sg.block[si]])
+    block[1][d[1] + c] = 0
+    block[2][d[2] + k] = CTick(TickVar(0))  # unused: fn cannot mention it
+    pairs = {t + d[2]: c2 + d[1] for t, c2 in sg.pairs.items()}
+    shift = tuple(s + w for s, w in zip(sg.shift, wk))
+    return Substitution(None, None, tuple(map(tuple, block)), shift, pairs,
+                        outer=sg.outer_sizes())
 
 
 # --------------------------------------------------------------------------
@@ -548,17 +679,14 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
     def conv(comp):
         match comp:
             case CTerm(t):
-                from .syntax import weaken
                 return CTerm(weaken(rename_term(t, ren), extra_sorts))
             case CClock(k):
                 kk = ren.apply(CLOCK, k, ZERO_DEPTH)
                 return CClock(kk + sum(1 for s in extra_sorts if s == CLOCK))
             case CTick(u):
-                from .syntax import weaken_tick
                 return CTick(weaken_tick(rename_tick(u, ren, ZERO_DEPTH),
                                          extra_sorts))
             case CForcedTick(k, u):
-                from .syntax import weaken_tick
                 kk = ren.apply(CLOCK, k, ZERO_DEPTH)
                 return CForcedTick(
                     kk + sum(1 for s in extra_sorts if s == CLOCK),
@@ -573,14 +701,7 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
     comps = tuple(
         conv(c) for c, keep in zip(sigma.comps, cod_mask) if keep
     )
-    # Kept cod entries need their payloads restricted too.
-    kept = []
-    prefix = Context(())
-    for entry, keep in zip(sigma.cod.entries, cod_mask):
-        if keep:
-            kept.append(entry)
-    new_cod = apply_mask(sigma.cod, cod_mask)
-    return Substitution(new_dom, new_cod, comps)
+    return _explicit(new_dom, apply_mask(sigma.cod, cod_mask), comps)
 
 
 def residual(sigma, u, clock):
@@ -606,7 +727,7 @@ def residual(sigma, u, clock):
     if cod_mask[pos - 1]:
         comps[kept_before] = CClock(0)
     return Forced(apply_mask(sigma.dom, dom_mask),
-                  Substitution(sub.dom, sub.cod, tuple(comps)))
+                  _explicit(sub.dom, sub.cod, tuple(comps)))
 
 
 def bresidual(sigma, clock, u):

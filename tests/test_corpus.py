@@ -64,6 +64,19 @@ def test_unexpected_failure_sets_exit_code(tmp_path, capsys):
     assert "FAIL" in out and "TypeMismatch" in out
 
 
+def test_parse_error_pragma_only_counts_as_a_pragma(tmp_path, capsys):
+    src = tmp_path / "mention.cctt"
+    src.write_text(
+        "-- a file that must not parse starts with --expect-fail(ParseError)\n"
+        "def f (A : U0) (x : A) : A := x\n"
+    )
+    code = main(["check", str(src)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"PASS {src}:f" in out
+    assert "module" not in out
+
+
 def test_max_steps_flag_limits_conversion(tmp_path, capsys):
     src = tmp_path / "steps.cctt"
     src.write_text(

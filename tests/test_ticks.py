@@ -1,17 +1,19 @@
 import pytest
 
+from cctt.conversion import inst
 from cctt.errors import (
-    ClockMismatch, DiamondOutsideForcing, NoCommonResidual, NotATick,
-    TickEscape,
+    ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
+    NoCommonResidual, NotATick, TickEscape,
 )
-from cctt.interval import IVar
+from cctt.interval import FEq, F0, IMeet, IONE, IVar
 from cctt.syntax import (
-    App, CApp, CLam, Context, Diamond, EClock, EIVar, ETick, EVar,
-    ForceApp, Lam, Later, TickApp, TickLam, TickVar, Tirr, U, Var,
+    App, CApp, CLam, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
+    ForceApp, Lam, Later, PApp, PLam, System, TickApp, TickLam, TickVar,
+    Tirr, U, Var,
 )
 from cctt.ticks import (
-    CClock, CForcedTick, CTerm, CTick, Forced, Simple, bresidual, extend,
-    identity_subst, residual, subst_apply, tick_check_forcing,
+    CClock, CForcedTick, CIVal, CTerm, CTick, Forced, Simple, bresidual,
+    extend, identity_subst, residual, subst_apply, tick_check_forcing,
     tick_check_simple, timeless, trim_check, validate_substitution,
 )
 
@@ -143,6 +145,74 @@ class TestSubstitution:
         got = subst_apply(sigma, t)
         assert isinstance(got, ForceApp)
         assert got.tick == Diamond()
+
+
+class TestShiftedSubstitution:
+    """Binders pushed while walking a term, variables outside the
+    substituted block, and scope checks."""
+
+    FORCING_CTX = ctx_of(KAPPA, EVar(Later(0, U(0))))
+
+    @pytest.mark.parametrize("term, expected", [
+        # Under a term binder.
+        (Lam(TickApp(App(Var(1), Var(0)), TickVar(0))),
+         Lam(ForceApp(App(Var(1), Var(0)), 0, Diamond()))),
+        # Under a clock binder: the bound clock moves past the fresh one.
+        (CLam(TickApp(CApp(Var(0), 0), TickVar(0))),
+         CLam(ForceApp(CApp(Var(0), 1), 1, Diamond()))),
+        # The paired clock goes to the fresh clock, an outer one past it.
+        (CLam(TickApp(DFix(1, CApp(Var(0), 2)), TickVar(0))),
+         CLam(ForceApp(DFix(0, CApp(Var(0), 2)), 1, Diamond()))),
+        # Under a tick binder.
+        (TickLam(0, TickApp(TickApp(Var(0), TickVar(0)), TickVar(1))),
+         TickLam(0, ForceApp(TickApp(Var(0), TickVar(0)), 0, Diamond()))),
+        # Under an interval binder.
+        (PLam(TickApp(PApp(Var(0), IVar(0)), TickVar(0))),
+         PLam(ForceApp(PApp(Var(0), IVar(0)), 0, Diamond()))),
+    ])
+    def test_forcing_component_under_binders(self, term, expected):
+        sigma = extend(self.FORCING_CTX, [EClock(), ETick(0)],
+                       [CClock(0), CForcedTick(0, Diamond())])
+        assert subst_apply(sigma, term) == expected
+
+    @pytest.mark.parametrize("entries, comps, term, expected", [
+        ([EVar(U(0)), EIVar()],
+         [CTerm(App(Var(2), Var(0))), CIVal(IMeet(IVar(0), IVar(2)))],
+         Lam(App(App(Var(5), Var(1)), PApp(Var(0), IMeet(IVar(3), IVar(0))))),
+         Lam(App(App(Var(4), App(Var(3), Var(1))),
+                 PApp(Var(0), IMeet(IVar(0), IVar(2)))))),
+        ([EClock(), EVar(U(0))], [CClock(3), CTerm(Var(7))],
+         CLam(TickLam(3, TickApp(CApp(Var(4), 2), TickVar(0)))),
+         CLam(TickLam(2, TickApp(CApp(Var(3), 1), TickVar(0))))),
+        ([EIVar()], [CIVal(IONE)],
+         System(((FEq(2, 1), Var(1)), (FEq(0, 0), Var(3)))),
+         System(((FEq(1, 1), Var(1)), (F0(), Var(3))))),
+    ])
+    def test_free_variables_outside_the_block(self, entries, comps, term,
+                                              expected):
+        # No context: the variables past the block keep their own scope.
+        assert inst(None, entries, comps, term) == expected
+
+    @pytest.mark.parametrize("sigma, term, message", [
+        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), Var(2),
+         "term variable 2"),
+        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), Lam(Var(3)),
+         "term variable 3"),
+        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), CApp(Var(0), 1),
+         "clock variable 1"),
+        (identity_subst(FORCING_CTX), TickApp(Var(0), TickVar(0)),
+         "tick variable 0"),
+        (identity_subst(FORCING_CTX), PApp(Var(0), IVar(0)),
+         "ival variable 0"),
+    ])
+    def test_index_outside_the_context_raises(self, sigma, term, message):
+        with pytest.raises(MalformedSubstitution, match=message):
+            subst_apply(sigma, term)
+
+    def test_index_inside_the_context_is_kept(self):
+        sigma = extend(self.FORCING_CTX, [EVar(U(0))], [CTerm(U(0))])
+        assert subst_apply(sigma, Lam(App(Var(2), Var(1)))) == \
+            Lam(App(Var(1), U(0)))
 
 
 class TestResidualOperations:
