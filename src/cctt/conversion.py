@@ -11,6 +11,25 @@ induction-under-clocks eliminator.
 Fixed points unfold ONLY at a syntactic diamond; together with the step
 budget this keeps conversion checking terminating in practice (no
 normalization theorem is available for the theory).
+
+`whnf` is a Krivine-style environment machine (Krivine, "A call-by-name
+lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
+state is a term, the substitution pending on it (an environment, a
+`ticks.Substitution` whose term entries may be closures) and a stack of
+arguments.  An application pushes its argument, closed over the
+environment, and walks into its function, so a spine is walked in one
+loop; a lambda takes the top argument and a clock lambda the top clock
+into the environment, without touching the body; a variable bound to a
+closure continues in the closure's term and environment; unfolding a
+definition starts from an empty environment; and the constructor rule of
+the clock eliminator continues in the case body under an environment for
+the case's binders.  Every other head first applies the pending
+environment and then takes its rule.  A closure is materialised at most
+once, when it is part of what `whnf` returns (the head and arguments of a
+neutral term, or a canonical form), so callers see the terms eager
+substitution produced.  One step is counted per application walked,
+lambda taken and definition unfolded, as before; entering a variable's
+closure is not a step.
 """
 
 from dataclasses import dataclass
@@ -34,8 +53,8 @@ from .syntax import (
     rename_term, structural_equal, weaken, weaken_face, weaken_iexpr,
 )
 from .ticks import (
-    CClock, CForcedTick, CIVal, CTerm, CTick, clause_subst, extend,
-    subst_apply, subst_face, subst_ival,
+    CClock, CForcedTick, CIVal, CTerm, CTick, bind, clause_subst, close,
+    extend, force, lookup, lookup_clock, subst_apply, subst_face, subst_ival,
 )
 
 
@@ -128,35 +147,56 @@ def tick_has_diamond(u):
 # --------------------------------------------------------------------------
 
 def whnf(state, ctx, t):
+    """The weak-head normal form of t in ctx (see the module docstring)."""
+    env = None   # the substitution pending on t; None is the identity
+    spine = []   # arguments, innermost last: closures and clock indices
     while True:
+        # The machine's own cases run once per step: they test the type
+        # directly rather than through `match`.
+        cls = type(t)
+        if cls is Var and env is not None:
+            t, env = lookup(env, t.ix)  # not a step
+            continue
         state.step()
+        if cls is App:
+            spine.append(close(env, t.arg))
+            t = t.fn
+            continue
+        if cls is Lam and spine and type(spine[-1]) is not int:
+            env = bind(env, ctx, TERM, spine.pop())
+            t = t.body
+            continue
+        if cls is CApp:
+            k = t.clock
+            spine.append(k if env is None else lookup_clock(env, k))
+            t = t.fn
+            continue
+        if cls is CLam and spine and type(spine[-1]) is int:
+            env = bind(env, ctx, CLOCK, spine.pop())
+            t = t.body
+            continue
+        if cls is TopRef:
+            body = state.definition_body(t.name)
+            if body is None:
+                return _apply_spine(t, spine)
+            t, env = state.promote(body, ctx), None
+            continue
+        if env is not None:
+            t, env = subst_apply(env, t), None
         match t:
-            case TopRef(name):
-                body = state.definition_body(name)
-                if body is None:
-                    return t
-                t = state.promote(body, ctx)
-
-            case App(fn, arg):
-                fn = whnf(state, ctx, fn)
-                if isinstance(fn, Lam):
-                    t = subst1(ctx, fn.body, arg)
-                else:
-                    return App(fn, arg)
-
             case Fst(p):
                 p = whnf(state, ctx, p)
                 if isinstance(p, Pair):
                     t = p.fst
                 else:
-                    return Fst(p)
+                    return _apply_spine(Fst(p), spine)
 
             case Snd(p):
                 p = whnf(state, ctx, p)
                 if isinstance(p, Pair):
                     t = p.snd
                 else:
-                    return Snd(p)
+                    return _apply_spine(Snd(p), spine)
 
             case PApp(fn, r):
                 fn = whnf(state, ctx, fn)
@@ -173,14 +213,7 @@ def whnf(state, ctx, t):
                     if endpoint is not None:
                         t = endpoint
                         continue
-                return PApp(fn, r)
-
-            case CApp(fn, k):
-                fn = whnf(state, ctx, fn)
-                if isinstance(fn, CLam):
-                    t = subst_clock1(ctx, fn.body, k)
-                else:
-                    return CApp(fn, k)
+                return _apply_spine(PApp(fn, r), spine)
 
             case TickApp(fn, u):
                 u = tick_whnf(u)
@@ -188,7 +221,7 @@ def whnf(state, ctx, t):
                 if isinstance(fn, TickLam):
                     t = subst_tick1(ctx, fn.clock, fn.body, u)
                 else:
-                    return TickApp(fn, u)
+                    return _apply_spine(TickApp(fn, u), spine)
 
             case ForceApp(fn, k, u):
                 u = tick_whnf(u)
@@ -204,13 +237,13 @@ def whnf(state, ctx, t):
                     case DFix(0, f) if isinstance(u, Diamond):
                         t = subst_clock1(ctx, App(f, DFix(0, f)), k)
                     case _:
-                        return ForceApp(fn, k, u)
+                        return _apply_spine(ForceApp(fn, k, u), spine)
 
             case Comp(ty, face, tube, base):
                 reduced = comp_eval(state, ctx,
                                     CompProblem(ty, face, tube, base))
                 if reduced is None:
-                    return t
+                    return _apply_spine(t, spine)
                 t = reduced
 
             case HComp(ty, face, tube, base):
@@ -219,14 +252,14 @@ def whnf(state, ctx, t):
                     continue
                 head = whnf(state, ctx, ty)
                 if isinstance(head, (Hit, U)) or is_neutral(head):
-                    return HComp(head, face, tube, base)
+                    return _apply_spine(HComp(head, face, tube, base), spine)
                 # Other type heads: compose along the constant line.
                 t = Comp(weaken(head, [IVAL]), face, tube, base)
 
             case Trans(ty, face, base):
                 reduced = _trans_step(state, ctx, ty, face, base)
                 if reduced is None:
-                    return t
+                    return _apply_spine(t, spine)
                 t = reduced
 
             case Con(name, label, params, args, recs, ivals):
@@ -236,7 +269,7 @@ def whnf(state, ctx, t):
                     t = _boundary_fire(state, ctx, sig, ctor, params,
                                        args, recs, ivals)
                 else:
-                    return t
+                    return _apply_spine(t, spine)
 
             case System(parts):
                 for phi, u in parts:
@@ -244,16 +277,23 @@ def whnf(state, ctx, t):
                         t = u
                         break
                 else:
-                    return t
+                    return _apply_spine(t, spine)
 
             case ClockElim(_, _, _, _, _, _):
                 reduced = elim_reduce(state, ctx, t)
                 if reduced is None:
-                    return t
-                t = reduced
+                    return _apply_spine(t, spine)
+                t, env = reduced
 
             case _:
-                return t
+                return _apply_spine(t, spine)
+
+
+def _apply_spine(head, spine):
+    """head applied to the pending arguments, each one materialised."""
+    for arg in reversed(spine):
+        head = CApp(head, arg) if type(arg) is int else App(head, force(arg))
+    return head
 
 
 def _pfix_unfold(state, ctx, fn):
@@ -783,7 +823,8 @@ def boundary_equal(sig, M, N):
 
 def elim_reduce(state, ctx, elim):
     """Reduce an eliminator whose scrutinee is a clock-abstracted
-    constructor or hcomp; None when neutral."""
+    constructor or hcomp, to a term and the substitution pending on it (None
+    when there is none); None when neutral."""
     cur, cctx = elim.arg, ctx
     for _ in range(elim.n):
         cur = whnf(state, cctx, cur)
@@ -827,8 +868,9 @@ def _weaken_case(case, sorts):
 
 
 def _elim_con(state, ctx, elim, con):
-    """Constructor rule: instantiate the matching case with the
-    clock-abstracted arguments and the recursively eliminated calls."""
+    """Constructor rule: the matching case, in the environment sending its
+    binders to the clock-abstracted arguments, the recursively eliminated
+    calls and the interval arguments."""
     sig = state.signature(elim.name)
     ctor = sig.constructor(con.label)
     case = _case_for(elim, con.label)
@@ -856,7 +898,7 @@ def _elim_con(state, ctx, elim, con):
              + [CTerm(y) for y in ys] + [CIVal(r) for r in con.ivals])
     entries = ([EVar(_DUMMY)] * (len(gamma) + 2 * len(xs))
                + [EIVar()] * len(con.ivals))
-    return inst(ctx, entries, comps, case.body)
+    return case.body, extend(ctx, entries, comps)
 
 
 def _elim_hcomp(state, ctx, elim, hc):
@@ -887,7 +929,7 @@ def _elim_hcomp(state, ctx, elim, hc):
     )
     base = ClockElim(elim.name, n, elim.params, elim.motive, elim.cases,
                      base_abs)
-    return Comp(motive_line, hc.face, tube, base)
+    return Comp(motive_line, hc.face, tube, base), None
 
 
 # --------------------------------------------------------------------------

@@ -247,6 +247,8 @@ class ElimCase:
     n_ivars: int  # interval binders
     body: Term
 
+    __repr__ = Term.__repr__
+
 
 @_td
 class ClockElim(Term):
@@ -396,6 +398,16 @@ class Renaming:
             return ix
         return self.maps[sort](ix - depth[sort]) + depth[sort]
 
+    def iexpr(self, r, depth):
+        """The interval expression r, renamed."""
+        return iv_map_vars(r, lambda ix: IVar(self.apply(IVAL, ix, depth)))
+
+    def face(self, phi, depth):
+        """The face formula phi, renamed."""
+        return face_map_vars(
+            phi, lambda ix: IVar(self.apply(IVAL, ix, depth))
+        )
+
 
 def _shift_map(cut, by):
     def go(ix):
@@ -416,14 +428,6 @@ def _bump(depth, *sorts):
     return new
 
 
-def rename_iexpr(r, ren, depth):
-    return iv_map_vars(r, lambda ix: IVar(ren.apply(IVAL, ix, depth)))
-
-
-def rename_face(phi, ren, depth):
-    return face_map_vars(phi, lambda ix: IVar(ren.apply(IVAL, ix, depth)))
-
-
 def rename_tick(u, ren, depth):
     match u:
         case TickVar(ix):
@@ -434,7 +438,7 @@ def rename_tick(u, ren, depth):
             return Tirr(
                 rename_tick(l, ren, depth),
                 rename_tick(r, ren, depth),
-                rename_iexpr(at, ren, depth),
+                ren.iexpr(at, depth),
             )
     raise IllFormedRedex(f"not a tick: {u!r}")
 
@@ -467,7 +471,7 @@ def rename_term(t, ren, depth=None):
         case PLam(body):
             return PLam(go(body, ren, _bump(d, IVAL)))
         case PApp(fn, arg):
-            return PApp(go(fn, ren, d), rename_iexpr(arg, ren, d))
+            return PApp(go(fn, ren, d), ren.iexpr(arg, d))
         case Forall(body):
             return Forall(go(body, ren, _bump(d, CLOCK)))
         case CLam(body):
@@ -495,17 +499,17 @@ def rename_term(t, ren, depth=None):
         case Comp(ty, face, tube, base):
             di = _bump(d, IVAL)
             return Comp(
-                go(ty, ren, di), rename_face(face, ren, d),
+                go(ty, ren, di), ren.face(face, d),
                 go(tube, ren, di), go(base, ren, d),
             )
         case HComp(ty, face, tube, base):
             return HComp(
-                go(ty, ren, d), rename_face(face, ren, d),
+                go(ty, ren, d), ren.face(face, d),
                 go(tube, ren, _bump(d, IVAL)), go(base, ren, d),
             )
         case Trans(ty, face, base):
             return Trans(
-                go(ty, ren, _bump(d, IVAL)), rename_face(face, ren, d),
+                go(ty, ren, _bump(d, IVAL)), ren.face(face, d),
                 go(base, ren, d),
             )
         case Hit(name, params):
@@ -516,7 +520,7 @@ def rename_term(t, ren, depth=None):
                 tuple(go(p, ren, d) for p in params),
                 tuple(go(a, ren, d) for a in args),
                 tuple(go(a, ren, d) for a in recs),
-                tuple(rename_iexpr(r, ren, d) for r in ivals),
+                tuple(ren.iexpr(r, d) for r in ivals),
             )
         case ClockElim(name, n, params, motive, cases, arg):
             return ClockElim(
@@ -528,7 +532,7 @@ def rename_term(t, ren, depth=None):
             )
         case System(parts):
             return System(tuple(
-                (rename_face(phi, ren, d), go(u, ren, d)) for phi, u in parts
+                (ren.face(phi, d), go(u, ren, d)) for phi, u in parts
             ))
     raise IllFormedRedex(f"not a term: {t!r}")
 
@@ -593,33 +597,23 @@ def weaken_tick(u, inserted, cut=None):
 # Structural equality (alpha-equality plus leaf normalization)
 # --------------------------------------------------------------------------
 
-class _CanonRenaming(Renaming):
-    """Identity renaming used to drive a leaf-normalizing traversal."""
+class _LeafNormalizing(Renaming):
+    """The identity renaming, which also normalizes every interval and face
+    leaf it rebuilds."""
+
+    def iexpr(self, r, depth):
+        return iv_normalize(super().iexpr(r, depth))
+
+    def face(self, phi, depth):
+        return face_normalize(super().face(phi, depth))
+
+
+_LEAF_NORMALIZING = _LeafNormalizing()
 
 
 def canonical(t):
     """Normalize every interval and face leaf; indices are untouched."""
-    return rename_term(t, _CanonRenaming(), ZERO_DEPTH)
-
-
-# The renaming traversal rebuilds interval/face leaves through
-# rename_iexpr/rename_face; hook normalization in here.
-_orig_rename_iexpr = rename_iexpr
-_orig_rename_face = rename_face
-
-
-def rename_iexpr(r, ren, depth):  # noqa: F811
-    out = _orig_rename_iexpr(r, ren, depth)
-    if isinstance(ren, _CanonRenaming):
-        out = iv_normalize(out)
-    return out
-
-
-def rename_face(phi, ren, depth):  # noqa: F811
-    out = _orig_rename_face(phi, ren, depth)
-    if isinstance(ren, _CanonRenaming):
-        out = face_normalize(out)
-    return out
+    return rename_term(t, _LEAF_NORMALIZING, ZERO_DEPTH)
 
 
 def structural_equal(t, u):

@@ -13,6 +13,12 @@ per-sort depth, a variable lookup indexes a tuple, and a payload is
 weakened past the binders once, when a variable first reaches it.  A
 forcing tick component meeting a simple tick application turns it into a
 forcing application under a fresh clock.
+
+The same substitutions are the environments of the reduction machine in
+`conversion.whnf`: there a term payload may be a `Closure`, a term with the
+substitution pending on it, which is materialised once, when a
+substitution applied to a term reaches it.  `bind`, `close`, `lookup` and
+`lookup_clock` are the machine's environment operations.
 """
 
 from dataclasses import dataclass
@@ -30,7 +36,7 @@ from .syntax import (
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Term, Tick,
     TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, ZERO_DEPTH,
-    entry_sort, rename_iexpr, rename_term, rename_tick, weaken,
+    entry_sort, rename_term, rename_tick, weaken,
     weaken_iexpr, weaken_tick,
 )
 
@@ -229,8 +235,8 @@ class Substitution:
     Per sort (term, clock, tick, interval, in that order):
 
     - `block` holds the payloads for the innermost cod entries of the sort,
-      innermost first: terms, clock indices, tick components (`CTick` or
-      `CForcedTick`) and interval expressions, scoped in dom;
+      innermost first: terms or closures, clock indices, tick components
+      (`CTick` or `CForcedTick`) and interval expressions, scoped in dom;
     - a cod variable j entries past the block maps to dom variable
       j + `shift`;
     - `depth` counts the binders pushed while walking a term: they map to
@@ -239,10 +245,11 @@ class Substitution:
     `pairs` maps the block index of each forcing tick component to the block
     index of the clock component it pairs with.  `outer` gives, per sort,
     how many cod variables lie past the block; it is worked out from `cod`
-    when that is known, and with neither the variables past the block are
-    unbounded.  `dom` and `cod` are the contexts the substitution was built
-    between, when it was built from contexts; they leave out pushed
-    binders.
+    when that is known, else from `dom` (an environment, built by `bind`,
+    has no cod of its own: past its block, cod is dom), and with neither
+    the variables past the block are unbounded.  `dom` and `cod` are the
+    contexts the substitution was built between, when it was built from
+    contexts; they leave out pushed binders.
     """
 
     __slots__ = ("dom", "cod", "block", "shift", "pairs", "depth",
@@ -269,11 +276,17 @@ class Substitution:
     def outer_sizes(self):
         """Per sort, the number of cod variables past the block (None when
         unbounded)."""
-        if self._outer is None and self.cod is not None:
-            self._outer = tuple(
-                self.cod.count(s) - len(b)
-                for s, b in zip(_SORTS, self.block)
-            )
+        if self._outer is None:
+            if self.cod is not None:
+                self._outer = tuple(
+                    self.cod.count(s) - len(b)
+                    for s, b in zip(_SORTS, self.block)
+                )
+            elif self.dom is not None:
+                # An environment (see `bind`): past the block, cod is dom.
+                self._outer = tuple(
+                    self.dom.count(s) - n for s, n in zip(_SORTS, self.shift)
+                )
         return self._outer
 
     @property
@@ -333,7 +346,10 @@ def _block(entries, comps):
 
 
 def _weaken_payload(si, p, depth):
-    """A block payload moved past `depth` binders pushed in dom."""
+    """A block payload moved past `depth` binders pushed in dom; a closure
+    is materialised first."""
+    if type(p) is Closure:
+        p = p.force()
     if depth == _ZERO:
         return p
     if si == 1:
@@ -423,6 +439,82 @@ def extend(ctx, added_entries, comps, fresh=()):
 
 def identity_subst(ctx):
     return extend(ctx, (), ())
+
+
+# --------------------------------------------------------------------------
+# Environments
+# --------------------------------------------------------------------------
+
+_NO_BLOCK = ((), (), (), ())
+
+
+class Closure:
+    """A term together with the substitution pending on it, its
+    environment.  `force` applies the environment once and keeps the
+    result in `term`; it then drops the environment, so that a forced
+    closure holds on to no chain of environments."""
+
+    __slots__ = ("term", "env")
+
+    def __init__(self, term, env):
+        self.term = term
+        self.env = env
+
+    def force(self):
+        if self.env is not None:
+            self.term = subst_apply(self.env, self.term)
+            self.env = None
+        return self.term
+
+
+def force(x):
+    """The term an environment or argument entry stands for: a closure is
+    materialised, a term is itself."""
+    return x.force() if type(x) is Closure else x
+
+
+def bind(env, ctx, sort, payload):
+    """The environment of a term reduced in ctx, extended by an innermost
+    entry of `sort` sent to `payload`: a term, a closure or a clock index
+    scoped in ctx.  env None is the identity on ctx."""
+    si = _SORT_IX[sort]
+    if env is None:
+        block, shift, pairs = _NO_BLOCK, _ZERO, None
+    else:
+        block, shift, pairs = env.block, env.shift, env.pairs
+    block = block[:si] + ((payload,) + block[si],) + block[si + 1:]
+    return Substitution(ctx, None, block, shift, pairs)
+
+
+def close(env, t):
+    """The entry for t, scoped in env's cod, as an argument scoped in env's
+    dom: t itself when env is None, the entry a variable stands for, and
+    otherwise a closure."""
+    if env is None:
+        return t
+    if type(t) is Var:
+        block = env.block[0]
+        if t.ix < len(block):
+            return block[t.ix]
+        return Var(_image(env, 0, t.ix, _ZERO))
+    return Closure(t, env)
+
+
+def lookup(env, ix):
+    """What term variable ix of env's cod stands for, as a term and the
+    environment pending on it (None when there is none)."""
+    block = env.block[0]
+    if ix < len(block):
+        p = block[ix]
+        if type(p) is Closure:
+            return p.term, p.env
+        return p, None
+    return Var(_image(env, 0, ix, _ZERO)), None
+
+
+def lookup_clock(env, k):
+    """The clock of env's dom that clock k of env's cod stands for."""
+    return _image(env, 1, k, _ZERO)
 
 
 def clause_subst(ctx, clause):
@@ -693,7 +785,7 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
                     weaken_tick(rename_tick(u, ren, ZERO_DEPTH), extra_sorts),
                 )
             case CIVal(r):
-                return CIVal(rename_iexpr(r, ren, ZERO_DEPTH))
+                return CIVal(ren.iexpr(r, ZERO_DEPTH))
             case CFace():
                 return comp
         raise MalformedSubstitution(repr(comp))

@@ -1,18 +1,21 @@
+import random
+
 import pytest
 
 from cctt.conversion import (
     comp_eval, CompProblem, conv, conv_tm, conv_under_face, hfill,
     tick_whnf, whnf,
 )
-from cctt.errors import FuelExhausted
+from cctt.errors import FuelExhausted, MalformedSubstitution
 from cctt.interval import (
-    F1, FAnd, FEq, INeg, IVar, IZERO, IONE, face_or,
+    F0, F1, FAnd, FEq, INeg, IVar, IZERO, IONE, face_or,
 )
 from cctt.syntax import (
-    App, CApp, CLam, Comp, Context, DFix, Diamond, EClock, EFace, EIVar,
-    ETick, EVar, ForceApp, Forall, Fst, HComp, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Sigma, Snd, System, TickApp, TickLam, TickVar,
-    Tirr, Trans, U, Var,
+    TERM, App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
+    Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
+    Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam, Pair,
+    PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam, TickVar,
+    Tirr, Trans, U, Var, weaken,
 )
 
 
@@ -259,3 +262,175 @@ class TestConv:
         lhs = DFix(0, Var(0))
         rhs = TickLam(0, App(Var(0), DFix(0, Var(0))))
         assert not conv(st(), ctx, Later(0, U(0)), lhs, rhs)
+
+
+# --------------------------------------------------------------------------
+# The reduction machine: whnf returns the terms eager substitution gave
+# --------------------------------------------------------------------------
+
+def nat_signature():
+    return HitSignature("nat", Telescope(()), 0, (
+        Constructor("zero", Telescope(()), (), 0, F0(), ()),
+        Constructor("succ", Telescope(()), (Telescope(()),), 0, F0(), ()),
+    ))
+
+
+def node_signature():
+    # One constructor with an argument, a recursive argument and an
+    # interval binder; its face never holds, so it never fires a boundary.
+    return HitSignature("tree", Telescope(()), 0, (
+        Constructor("leaf", Telescope(()), (), 0, F0(), ()),
+        Constructor("node", Telescope((U(0),)), (Telescope(()),), 1, F0(),
+                    ()),
+    ))
+
+
+NAT = Hit("nat", ())
+ZERO = Con("nat", "zero", (), (), (), ())
+SC = Lam(Con("nat", "succ", (), (), (Var(0),), ()))
+
+
+def nat_num(n):
+    t = ZERO
+    for _ in range(n):
+        t = Con("nat", "succ", (), (), (t,), ())
+    return t
+
+
+def church(n):
+    body = Var(0)
+    for _ in range(n):
+        body = App(Var(1), body)
+    return Lam(Lam(body))
+
+
+# \m n s z. m s (n s z),  \m n s z. m (n s) z,  \n. mul n n
+ADD = Lam(Lam(Lam(Lam(App(App(Var(3), Var(1)),
+                          App(App(Var(2), Var(1)), Var(0)))))))
+MUL = Lam(Lam(Lam(Lam(App(App(Var(3), App(Var(2), Var(1))), Var(0))))))
+SQ = Lam(App(App(MUL, Var(0)), Var(0)))
+
+
+def church_expr(rng, depth):
+    """A random Church-numeral expression of at most `depth` operations, the
+    outermost always one, and its value."""
+    if depth == 0 or (depth < 3 and rng.random() < 0.3):
+        n = rng.randrange(4)
+        return church(n), n
+    op = rng.choice(("add", "mul", "sq"))
+    a, va = church_expr(rng, depth - 1)
+    if op == "sq":
+        return App(SQ, a), va * va
+    b, vb = church_expr(rng, depth - 1)
+    if op == "add":
+        return App(App(ADD, a), b), va + vb
+    return App(App(MUL, a), b), va * vb
+
+
+def nat_state():
+    state = StubState()
+    state.signatures["nat"] = nat_signature()
+    state.signatures["tree"] = node_signature()
+    return state
+
+
+class TestMachine:
+    # x0 : U0 -> U0 -> U0, x1 : U0 in the prelude.
+    CTX = PRELUDE.push(EVar(U(0))).push(EVar(Pi(U(0), Pi(U(0), U(0)))))
+
+    def test_partial_application_returns_the_rest_of_the_lambdas(self):
+        arg = App(Var(0), Var(1))
+        t = App(Lam(Lam(Lam(App(App(Var(2), Var(1)), Var(0))))), arg)
+        assert whnf(st(), self.CTX, t) == Lam(Lam(
+            App(App(App(Var(2), Var(3)), Var(1)), Var(0))
+        ))
+
+    def test_over_application_onto_a_neutral_head(self):
+        # (\a f. f a (\_. a)) A x0  with A = (\y. y) x1, left unreduced.
+        a = App(Lam(Var(0)), Var(1))
+        fn = Lam(Lam(App(App(Var(0), Var(1)), Lam(Var(2)))))
+        t = App(App(fn, a), Var(0))
+        assert whnf(st(), self.CTX, t) == App(
+            App(Var(0), App(Lam(Var(0)), Var(1))),
+            Lam(App(Lam(Var(0)), Var(2))),
+        )
+
+    def test_extra_arguments_of_a_stuck_projection_come_back(self):
+        t = App(App(Lam(App(Fst(Var(0)), Var(0))), Var(0)), U(1))
+        assert whnf(st(), self.CTX, t) == App(App(Fst(Var(0)), Var(0)), U(1))
+
+    def test_a_discarded_argument_is_never_reduced(self):
+        omega = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
+        const = Lam(Lam(Var(1)))
+        state = StubState(max_steps=100)
+        assert whnf(state, self.CTX, App(App(const, U(0)), omega)) == U(0)
+        assert state.steps == 5
+
+    def test_an_argument_reached_twice_is_reduced_twice(self):
+        # twice f z = f (f z) with f = \y. (\w. w) y
+        twice = Lam(Lam(App(Var(1), App(Var(1), Var(0)))))
+        f = Lam(App(Lam(Var(0)), Var(0)))
+        state = st()
+        assert whnf(state, self.CTX, App(App(twice, f), Var(1))) == Var(1)
+        assert state.steps == 13
+
+    def test_clock_application_inside_a_spine(self):
+        ctx = PRELUDE.push(EClock()).push(EVar(U(0))).push(EVar(U(0)))
+        fn = CLam(Lam(Later(0, App(Var(0), Var(2)))))
+        t = App(CApp(fn, 1), Var(1))
+        assert whnf(st(), ctx, t) == Later(1, App(Var(1), Var(1)))
+
+    def test_clock_elim_on_a_constructor(self):
+        # xs : forall k. tree; the node case uses its argument, the
+        # recursive argument, the recursive call and the interval variable.
+        ctx = PRELUDE.push(EVar(Forall(Hit("tree", ())))).push(EIVar())
+        cases = (
+            ElimCase("leaf", 0, 0, 0, U(0)),
+            ElimCase("node", 1, 1, 1, Lam(Pair(
+                Var(3), Pair(Var(2), PApp(Var(1), IVar(0)))
+            ))),
+        )
+        scrut = CLam(Con("tree", "node", (), (U(1),),
+                         (CApp(Var(0), 0),), (IVar(0),)))
+        t = ClockElim("tree", 1, (), U(1), cases, scrut)
+        rec_call = ClockElim("tree", 1, (), U(1), cases,
+                             CLam(CApp(Var(0), 0)))
+        assert whnf(nat_state(), ctx, t) == Lam(Pair(
+            CLam(U(1)),
+            Pair(CLam(CApp(Var(1), 0)),
+                 PApp(weaken(rec_call, [TERM]), IVar(0))),
+        ))
+
+    def test_a_variable_outside_the_context_is_rejected(self):
+        with pytest.raises(MalformedSubstitution):
+            whnf(st(), self.CTX, App(Lam(Var(3)), U(0)))
+        with pytest.raises(MalformedSubstitution):
+            whnf(st(), self.CTX, App(Lam(Pair(Var(0), Var(3))), U(0)))
+
+    def test_step_counts(self):
+        state = nat_state()
+        t = App(App(App(App(ADD, church(2)), church(3)), SC), ZERO)
+        assert whnf(state, PRELUDE, t) == Con(
+            "nat", "succ", (), (),
+            (App(SC, App(App(church(3), SC), ZERO)),), (),
+        )
+        assert state.steps == 15
+        assert conv(state, PRELUDE, NAT, t, nat_num(5))
+        assert state.steps == 54
+        sq = App(App(App(SQ, church(3)), SC), ZERO)
+        assert not conv(state, PRELUDE, NAT, sq, nat_num(8))
+        assert state.steps == 117
+        assert conv(state, PRELUDE, NAT, sq, nat_num(9))
+        assert state.steps == 182
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_church_arithmetic(self, seed):
+        rng = random.Random(seed)
+        term, value = church_expr(rng, 3)
+        while value > 40:
+            term, value = church_expr(rng, 3)
+        applied = App(App(term, SC), ZERO)
+        state = nat_state()
+        assert conv(state, PRELUDE, NAT, applied, nat_num(value))
+        other = value + 1 if value == 0 or rng.random() < 0.5 else value - 1
+        assert not conv(state, PRELUDE, NAT, applied, nat_num(other))

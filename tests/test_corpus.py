@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cctt.cli import main
+from cctt.cli import EXPECT_PARSE_ERROR, main
 from cctt.errors import UnboundVariable
 from cctt.parser import parse_module, print_module
 
@@ -35,7 +35,7 @@ def test_corpus_file_round_trips(path):
     except UnboundVariable:
         pytest.skip("file deliberately names something undeclared")
     except Exception:
-        if "--expect-fail(ParseError)" in text:
+        if EXPECT_PARSE_ERROR.search(text):
             pytest.skip("file deliberately fails to parse")
         raise
     assert parse_module(print_module(module)) == module
@@ -108,3 +108,14 @@ def test_no_input_is_a_usage_error(capsys):
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_conversion_trace_is_deterministic(capsys):
+    path = str(CORPUS / "05-induction-under-clocks" / "nat-add.cctt")
+    traces = []
+    for _ in range(2):
+        assert main(["check", "--trace-conv", path]) == 0
+        traces.append(capsys.readouterr().out)
+    assert "TRACE" in traces[0]
+    assert "object at" not in traces[0]
+    assert traces[0] == traces[1]
