@@ -11,8 +11,6 @@ binds one clock constant; `promote` weakens a prelude-scoped body into any
 checking context built over it.
 """
 
-from dataclasses import dataclass
-
 from .conversion import (
     CompProblem, boundary_equal, conv, conv_tm, conv_under_face, hfill,
     inst, inst_under, subst1, subst_clock1, subst_ival1, subst_tick1, whnf,
@@ -47,16 +45,6 @@ from .ticks import (
 PRELUDE = Context((EClock(),))
 
 _DUMMY = U(0)
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    error_class: str
-    message: str
-    span: tuple = None
-    expected: object = None
-    actual: object = None
-    hint: str = None
 
 
 class CheckState:

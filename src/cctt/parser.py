@@ -1,5 +1,13 @@
 """Surface syntax: tokenizer, parser, elaborator, and printer.
 
+`tokenize` is one pass of one regular expression whose every match is a
+token followed by the whitespace and comments after it, or a newline, so
+lines and columns are counted as it goes and nothing is built for the text
+it skips.  The parser is recursive descent over the token list with an
+index cursor.  Binary operators are parsed by precedence climbing, all left
+associative, from the loosest: `\\/` < `/\\` < `@` < application; interval
+expressions and faces have the two lattice operators only.
+
 The surface language uses named variables.  Elaboration resolves names to
 the sort-indexed de Bruijn representation of `syntax`, splitting
 constructor and eliminator spines using the data signatures declared
@@ -11,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ERROR_CLASSES, ParseError, UnboundVariable
 from .interval import (
@@ -31,45 +40,53 @@ RESERVED = {
 
 _UNIVERSE = re.compile(r"U([0-9]+)$")
 
+# Whitespace other than a newline, and comments: `--` not starting a pragma.
+_SKIP = r"(?:[^\S\n]+|--(?!expect-(?:not-conv|pass|fail|conv))[^\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+# One token and the skippable text after it.  A newline is a match of its
+# own so that lines are counted as they go by; any other character that
+# starts no token is `bad`.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<pragma>--expect-(?:not-conv|pass|fail|conv))
-    | (?P<comment>--[^\n]*)
+    r"""(?:
+      (?P<pragma>--expect-(?:not-conv|pass|fail|conv))
     | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
     | (?P<num>[0-9]+)
     | (?P<sym>->|:=|=>|/\\|\\/|\|>|<>|[()\[\]{}<>,.:=|^@~\\])
-    """,
+    | (?P<nl>\n)
+    | (?P<bad>\S)
+    )""" + _SKIP,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "pragma" | "ident" | "num" | "sym" | "eof"
     value: str
     line: int
     col: int
 
 
+# Builds a Token without the Python-level `__new__` of a NamedTuple.
+_token = tuple.__new__
+
+
 def tokenize(text):
     toks = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    append = toks.append
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end()):
+        kind = m.lastgroup
+        if kind == "nl":
+            line += 1
+            bol = m.start() + 1
+        elif kind == "bad":
+            pos = m.start()
             raise ParseError(
                 f"{line}:{pos - bol + 1}: unexpected character {text[pos]!r}"
             )
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, value, line, pos - bol + 1))
-        line += value.count("\n")
-        if "\n" in value:
-            bol = pos + value.rindex("\n") + 1
-        pos = m.end()
-    toks.append(Token("eof", "", line, len(text) - bol + 1))
+        else:
+            append(_token(Token, (kind, m[kind], line, m.start() - bol + 1)))
+    append(_token(Token, ("eof", "", line, len(text) - bol + 1)))
     return toks
 
 
@@ -316,425 +333,379 @@ class SConvD:
     line: int
 
 
+# Binary operators by token value: precedence and the node built.
+_LATTICE_OPS = {"\\/": (1, SJoin), "/\\": (2, SMeet)}
+_TERM_OPS = {**_LATTICE_OPS, "@": (3, SAt)}
+
+# Binder forms `\x y. t`, `/\k. t`, `<i j> t` and `forall k. A`, by their
+# first token: the node built for each name, and the token after the names.
+_BINDERS = {"\\": (SLam, "."), "/\\": (SCLam, "."), "<": (SPLam, ">"),
+            "forall": (SForall, ".")}
+
+
 class _Parser:
+    """Recursive descent over the tokens of `tokenize`.
+
+    The token list ends in `eof` and every lookahead stops there (it looks
+    past a token only when that is an identifier or `(`), so the cursor
+    reads the list by index.  A token's value tells its kind apart (an
+    identifier, a number, a symbol and a pragma never share one), so a
+    keyword or symbol is tested by its value alone.
+    """
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
 
     def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def advance(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def at(self, kind, value=None):
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
+    def at(self, value):
+        return self.toks[self.pos].value == value
 
-    def expect(self, kind, value=None):
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            self.fail(f"expected {want!r}")
-        return self.advance()
+    def expect(self, value):
+        tok = self.toks[self.pos]
+        if tok.value != value:
+            self.fail(f"expected {value!r}")
+        self.pos += 1
+        return tok
+
+    def expect_kind(self, kind):
+        tok = self.toks[self.pos]
+        if tok.kind != kind:
+            self.fail(f"expected {kind!r}")
+        self.pos += 1
+        return tok
 
     def fail(self, msg):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         got = tok.value or "end of input"
         raise ParseError(f"{tok.line}:{tok.col}: {msg}, found {got!r}")
 
     # -- names -------------------------------------------------------------
 
+    def at_name(self, k=0):
+        tok = self.toks[self.pos + k]
+        return tok.kind == "ident" and tok.value not in RESERVED
+
     def name(self):
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value in RESERVED:
+        if not self.at_name():
             self.fail("expected a name")
         return self.advance().value
 
     def names1(self):
         out = [self.name()]
-        while self.peek().kind == "ident" and self.peek().value not in RESERVED:
+        while self.at_name():
             out.append(self.advance().value)
         return out
 
     # -- terms -------------------------------------------------------------
 
     def term(self):
-        tok = self.peek()
-        if tok.kind == "sym" and tok.value == "\\":
-            self.advance()
+        value = self.toks[self.pos].value
+        binder = _BINDERS.get(value)
+        if binder is not None:
+            node, close = binder
+            self.pos += 1
             names = self.names1()
-            self.expect("sym", ".")
+            self.expect(close)
             body = self.term()
             for nm in reversed(names):
-                body = SLam(nm, body)
+                body = node(nm, body)
             return body
-        if tok.kind == "sym" and tok.value == "/\\":
-            self.advance()
-            names = self.names1()
-            self.expect("sym", ".")
-            body = self.term()
-            for nm in reversed(names):
-                body = SCLam(nm, body)
-            return body
-        if tok.kind == "sym" and tok.value == "<":
-            self.advance()
-            names = self.names1()
-            self.expect("sym", ">")
-            body = self.term()
-            for nm in reversed(names):
-                body = SPLam(nm, body)
-            return body
-        if tok.kind == "ident" and tok.value == "forall":
-            self.advance()
-            names = self.names1()
-            self.expect("sym", ".")
-            body = self.term()
-            for nm in reversed(names):
-                body = SForall(nm, body)
-            return body
-        if tok.kind == "ident" and tok.value == "tick":
-            self.advance()
+        if value == "tick":
+            self.pos += 1
             nm = self.name()
-            self.expect("sym", ":")
+            self.expect(":")
             clock = self.name()
-            self.expect("sym", ".")
+            self.expect(".")
             return STickLam(nm, clock, self.term())
-        return self.arrow()
-
-    def _at_binder_group(self):
-        if not self.at("sym", "("):
-            return False
-        k = 1
-        seen = 0
-        while (self.peek(k).kind == "ident"
-               and self.peek(k).value not in RESERVED):
-            k += 1
-            seen += 1
-        return seen > 0 and self.peek(k).kind == "sym" \
-            and self.peek(k).value == ":"
-
-    def binder_groups(self):
-        groups = []
-        while self._at_binder_group():
-            self.expect("sym", "(")
-            names = self.names1()
-            self.expect("sym", ":")
-            ty = self.term()
-            self.expect("sym", ")")
-            for nm in names:
-                groups.append((nm, ty))
-        return groups
-
-    def arrow(self):
         if self._at_binder_group():
             groups = self.binder_groups()
-            self.expect("sym", "->")
+            self.expect("->")
             cod = self.term()
             for nm, ty in reversed(groups):
                 cod = SPi(nm, ty, cod)
             return cod
-        left = self.join_level()
-        if self.at("sym", "->"):
-            self.advance()
+        left = self.binary(self.app, _TERM_OPS)
+        if self.at("->"):
+            self.pos += 1
             return SPi(None, left, self.term())
         return left
 
-    def join_level(self):
-        t = self.meet_level()
-        while self.at("sym", "\\/"):
-            self.advance()
-            t = SJoin(t, self.meet_level())
-        return t
+    def _at_binder_group(self):
+        if not self.at("("):
+            return False
+        k = 1
+        while self.at_name(k):
+            k += 1
+        return k > 1 and self.peek(k).value == ":"
 
-    def meet_level(self):
-        t = self.at_level()
-        while self.at("sym", "/\\"):
-            self.advance()
-            t = SMeet(t, self.at_level())
-        return t
+    def binder_groups(self):
+        groups = []
+        while self._at_binder_group():
+            self.pos += 1
+            names = self.names1()
+            self.expect(":")
+            ty = self.term()
+            self.expect(")")
+            groups += [(nm, ty) for nm in names]
+        return groups
 
-    def at_level(self):
-        t = self.app()
-        while self.at("sym", "@"):
-            self.advance()
-            t = SAt(t, self.iatom())
-        return t
+    def binary(self, operand, ops, min_prec=1):
+        """Operands joined by the operators of `ops` that bind at least as
+        tightly as `min_prec`, by precedence climbing.  The right operand of
+        `@` is an interval atom."""
+        left = operand()
+        while True:
+            op = ops.get(self.toks[self.pos].value)
+            if op is None or op[0] < min_prec:
+                return left
+            self.pos += 1
+            prec, node = op
+            if node is SAt:
+                left = SAt(left, self.iatom())
+            else:
+                left = node(left, self.binary(operand, ops, prec + 1))
 
     def _at_arg_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            return True
+        tok = self.toks[self.pos]
         if tok.kind == "ident":
-            return tok.value not in RESERVED or _UNIVERSE.match(tok.value)
-        return tok.kind == "sym" and tok.value in ("(", "~")
+            return tok.value not in RESERVED
+        return tok.kind == "num" or tok.value == "(" or tok.value == "~"
 
     def app(self):
         t = self.atom()
         while True:
             if self._at_arg_atom():
                 t = SApp(t, self.atom())
-            elif self.at("sym", "{"):
-                self.advance()
+                continue
+            value = self.toks[self.pos].value
+            if value == "{":
+                self.pos += 1
                 clock = self.name()
-                self.expect("sym", "}")
+                self.expect("}")
                 t = SCApp(t, clock)
-            elif self.at("sym", "["):
+            elif value == "[":
                 t = self.tick_suffix(t)
             else:
                 return t
 
     def tick_suffix(self, t):
-        self.expect("sym", "[")
+        self.expect("[")
         first = self.tick_expr()
-        if self.at("sym", ","):
-            self.advance()
+        if self.at(","):
+            self.pos += 1
             if not isinstance(first, SVar):
                 self.fail("expected a clock name before ','")
             u = self.tick_expr()
-            self.expect("sym", "]")
+            self.expect("]")
             if isinstance(t, SClockBind):
                 return SForce(t.name, t.body, first.name, u)
             return SForce(None, t, first.name, u)
-        self.expect("sym", "]")
+        self.expect("]")
         if isinstance(t, SClockBind):
             self.fail("a clock binder must be applied to '[clock, tick]'")
         return STickApp(t, first)
 
     def tick_expr(self):
-        if self.at("sym", "<>"):
-            self.advance()
+        if self.at("<>"):
+            self.pos += 1
             return SDiamond()
-        if self.at("ident", "tirr"):
-            self.advance()
-            self.expect("sym", "(")
+        if self.at("tirr"):
+            self.pos += 1
+            self.expect("(")
             u = self.tick_expr()
-            self.expect("sym", ",")
+            self.expect(",")
             v = self.tick_expr()
-            self.expect("sym", ",")
+            self.expect(",")
             r = self.iexpr()
-            self.expect("sym", ")")
+            self.expect(")")
             return STirr(u, v, r)
         return SVar(self.name())
 
-    # -- interval expressions ---------------------------------------------
+    # -- interval expressions and faces ------------------------------------
 
     def iexpr(self):
-        t = self.imeet()
-        while self.at("sym", "\\/"):
-            self.advance()
-            t = SJoin(t, self.imeet())
-        return t
-
-    def imeet(self):
-        t = self.iatom()
-        while self.at("sym", "/\\"):
-            self.advance()
-            t = SMeet(t, self.iatom())
-        return t
+        return self.binary(self.iatom, _LATTICE_OPS)
 
     def iatom(self):
-        if self.at("sym", "~"):
-            self.advance()
-            return SNeg(self.iatom())
         tok = self.peek()
+        if tok.value == "~":
+            self.pos += 1
+            return SNeg(self.iatom())
         if tok.kind == "num":
-            self.advance()
+            self.pos += 1
             return SNum(int(tok.value))
-        if self.at("sym", "("):
-            self.advance()
+        if tok.value == "(":
+            self.pos += 1
             t = self.iexpr()
-            self.expect("sym", ")")
+            self.expect(")")
             return t
         return SVar(self.name())
 
-    # -- faces -------------------------------------------------------------
-
     def face(self):
-        t = self.face_meet()
-        while self.at("sym", "\\/"):
-            self.advance()
-            t = SJoin(t, self.face_meet())
-        return t
-
-    def face_meet(self):
-        t = self.face_atom()
-        while self.at("sym", "/\\"):
-            self.advance()
-            t = SMeet(t, self.face_atom())
-        return t
+        return self.binary(self.face_atom, _LATTICE_OPS)
 
     def face_atom(self):
         tok = self.peek()
         if tok.kind == "num":
-            self.advance()
+            self.pos += 1
             return SNum(int(tok.value))
-        self.expect("sym", "(")
-        if (self.peek().kind == "ident"
-                and self.peek(1).kind == "sym" and self.peek(1).value == "="):
-            nm = self.name()
-            self.expect("sym", "=")
-            end = int(self.expect("num").value)
-            if end not in (0, 1):
-                self.fail("a face equation ends in 0 or 1")
-            self.expect("sym", ")")
-            return SFEq(nm, end)
+        self.expect("(")
+        if self.peek().kind == "ident" and self.peek(1).value == "=":
+            return self.face_eq(self.name())
         t = self.face()
-        self.expect("sym", ")")
+        self.expect(")")
         return t
+
+    def face_eq(self, name):
+        """The rest of `(name = 0)` or `(name = 1)`, after the name."""
+        self.expect("=")
+        end = int(self.expect_kind("num").value)
+        if end not in (0, 1):
+            self.fail("a face equation ends in 0 or 1")
+        self.expect(")")
+        return SFEq(name, end)
 
     def bracket_parts(self):
         """[phi -> t, ...]; entries without '->' carry face only."""
-        self.expect("sym", "[")
+        self.expect("[")
         parts = []
-        if self.at("sym", "]"):
-            self.advance()
+        if self.at("]"):
+            self.pos += 1
             return tuple(parts)
         while True:
             phi = self.face()
-            if self.at("sym", "->"):
-                self.advance()
+            if self.at("->"):
+                self.pos += 1
                 parts.append((phi, self.term()))
             else:
                 parts.append((phi, None))
-            if self.at("sym", ","):
-                self.advance()
+            if self.at(","):
+                self.pos += 1
                 continue
-            self.expect("sym", "]")
+            self.expect("]")
             return tuple(parts)
 
     # -- atoms -------------------------------------------------------------
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return SNum(int(tok.value))
-        if tok.kind == "sym" and tok.value == "~":
-            self.advance()
+        kind, value = tok.kind, tok.value
+        if kind == "ident":
+            if value not in RESERVED:
+                self.pos += 1
+                m = _UNIVERSE.match(value)
+                return SU(int(m[1])) if m else SVar(value)
+            if value == "Path":
+                self.pos += 1
+                return SPath(self.atom(), self.atom(), self.atom())
+            if value == "tirr":
+                return self.tick_expr()
+            if value in ("dfix", "pfix"):
+                self.pos += 1
+                clock = self.name()
+                fn = self.atom()
+                return (SDFix if value == "dfix" else SPFix)(clock, fn)
+            if value in ("comp", "hcomp"):
+                self.pos += 1
+                self.expect("^")
+                iv = self.name()
+                ty = None if self.at("[") else self.atom()
+                parts = self.bracket_parts()
+                base = self.atom()
+                cls = SComp if value == "comp" else SHComp
+                return cls(iv, ty, parts, base)
+            if value == "trans":
+                self.pos += 1
+                self.expect("^")
+                iv = self.name()
+                ty = self.atom()
+                face = None
+                if self.at("["):
+                    self.pos += 1
+                    face = self.face()
+                    self.expect("]")
+                return STrans(iv, ty, face, self.atom())
+            if value == "clockelim":
+                return self.clockelim()
+            if value == "I":
+                self.pos += 1
+                return SVar("I")
+            self.fail(f"keyword {value!r} cannot start a term here")
+        if kind == "num":
+            self.pos += 1
+            return SNum(int(value))
+        if value == "~":
+            self.pos += 1
             return SNeg(self.atom())
-        if tok.kind == "sym" and tok.value == "(":
+        if value == "(":
             return self.paren()
-        if tok.kind == "sym" and tok.value == "[":
+        if value == "[":
             parts = self.bracket_parts()
             for phi, t in parts:
                 if t is None:
                     self.fail("a system component needs '-> term'")
             return SSystem(parts)
-        if tok.kind == "sym" and tok.value == "|>":
-            self.advance()
-            self.expect("sym", "(")
+        if value == "|>":
+            self.pos += 1
+            self.expect("(")
             nm = self.name()
-            self.expect("sym", ":")
+            self.expect(":")
             clock = self.name()
-            self.expect("sym", ")")
+            self.expect(")")
             return SLater(nm, clock, self.atom())
-        if tok.kind == "ident":
-            m = _UNIVERSE.match(tok.value)
-            if m:
-                self.advance()
-                return SU(int(m.group(1)))
-            if tok.value == "Path":
-                self.advance()
-                return SPath(self.atom(), self.atom(), self.atom())
-            if tok.value == "tirr":
-                self.advance()
-                self.expect("sym", "(")
-                u = self.tick_expr()
-                self.expect("sym", ",")
-                v = self.tick_expr()
-                self.expect("sym", ",")
-                r = self.iexpr()
-                self.expect("sym", ")")
-                return STirr(u, v, r)
-            if tok.value in ("dfix", "pfix"):
-                self.advance()
-                clock = self.name()
-                fn = self.atom()
-                cls = SDFix if tok.value == "dfix" else SPFix
-                return cls(clock, fn)
-            if tok.value in ("comp", "hcomp"):
-                self.advance()
-                self.expect("sym", "^")
-                iv = self.name()
-                ty = None if self.at("sym", "[") else self.atom()
-                parts = self.bracket_parts()
-                base = self.atom()
-                cls = SComp if tok.value == "comp" else SHComp
-                return cls(iv, ty, parts, base)
-            if tok.value == "trans":
-                self.advance()
-                self.expect("sym", "^")
-                iv = self.name()
-                ty = self.atom()
-                face = None
-                if self.at("sym", "["):
-                    self.advance()
-                    face = self.face()
-                    self.expect("sym", "]")
-                return STrans(iv, ty, face, self.atom())
-            if tok.value == "clockelim":
-                return self.clockelim()
-            if tok.value == "I":
-                self.advance()
-                return SVar("I")
-            if tok.value in RESERVED:
-                self.fail(f"keyword {tok.value!r} cannot start a term here")
-            self.advance()
-            return SVar(tok.value)
         self.fail("expected a term")
 
     def paren(self):
-        self.expect("sym", "(")
-        if (self.peek().kind == "ident"
-                and self.peek().value not in RESERVED
-                and self.peek(1).kind == "sym" and self.peek(1).value == "."):
+        self.expect("(")
+        if self.at_name() and self.peek(1).value == ".":
             nm = self.name()
-            self.expect("sym", ".")
+            self.expect(".")
             body = self.term()
-            self.expect("sym", ")")
+            self.expect(")")
             return SClockBind(nm, body)
         t = self.term()
-        if self.at("sym", "="):
+        if self.at("="):
             if not isinstance(t, SVar):
                 self.fail("a face equation applies to a variable")
-            self.advance()
-            end = int(self.expect("num").value)
-            if end not in (0, 1):
-                self.fail("a face equation ends in 0 or 1")
-            self.expect("sym", ")")
-            return SFEq(t.name, end)
-        self.expect("sym", ")")
+            return self.face_eq(t.name)
+        self.expect(")")
         return t
 
     def clockelim(self):
-        self.expect("ident", "clockelim")
-        self.expect("sym", "^")
-        n = int(self.expect("num").value)
+        self.expect("clockelim")
+        self.expect("^")
+        n = int(self.expect_kind("num").value)
         hit = self.name()
         spine = []
-        while not self.at("ident", "into"):
+        while not self.at("into"):
             if not self._at_arg_atom():
                 self.fail("expected an argument or 'into'")
             spine.append(self.atom())
         if not spine:
             self.fail("clockelim needs a scrutinee")
-        self.expect("ident", "into")
-        self.expect("sym", "(")
+        self.expect("into")
+        self.expect("(")
         hvar = self.name()
-        self.expect("sym", ".")
+        self.expect(".")
         motive = self.term()
-        self.expect("sym", ")")
-        self.expect("ident", "with")
+        self.expect(")")
+        self.expect("with")
         cases = []
-        while self.at("sym", "|"):
-            self.advance()
+        while self.at("|"):
+            self.pos += 1
             label = self.name()
             names = []
-            while not self.at("sym", "=>"):
+            while not self.at("=>"):
                 names.append(self.name())
-            self.expect("sym", "=>")
+            self.expect("=>")
             cases.append(SCase(label, tuple(names), self.term()))
         return SClockElim(hit, n, tuple(spine[:-1]), spine[-1],
                           hvar, motive, tuple(cases))
@@ -744,16 +715,18 @@ class _Parser:
     def module(self):
         decls = []
         pending = None
-        while not self.at("eof"):
+        while True:
             tok = self.peek()
             if tok.kind == "pragma":
                 pending = self.pragma(decls, pending)
-            elif self.at("ident", "def"):
+            elif tok.value == "def":
                 decls.append(self.def_decl(pending))
                 pending = None
-            elif self.at("ident", "data"):
+            elif tok.value == "data":
                 decls.append(self.data_decl(pending))
                 pending = None
+            elif tok.kind == "eof":
+                break
             else:
                 self.fail("expected a declaration")
         if pending is not None:
@@ -764,9 +737,9 @@ class _Parser:
         tok = self.advance()
         if tok.value in ("--expect-conv", "--expect-not-conv"):
             lhs = self.term()
-            self.expect("sym", "=")
+            self.expect("=")
             rhs = self.term()
-            self.expect("sym", ":")
+            self.expect(":")
             ty = self.term()
             decls.append(SConvD(lhs, rhs, ty,
                                 tok.value == "--expect-conv", tok.line))
@@ -775,9 +748,9 @@ class _Parser:
             self.fail("duplicate expectation pragma")
         if tok.value == "--expect-pass":
             return ("pass",)
-        self.expect("sym", "(")
-        cls = self.expect("ident").value
-        self.expect("sym", ")")
+        self.expect("(")
+        cls = self.expect_kind("ident").value
+        self.expect(")")
         if cls not in ERROR_CLASSES:
             raise ParseError(
                 f"{tok.line}:{tok.col}: unknown error class {cls!r}"
@@ -785,34 +758,34 @@ class _Parser:
         return ("fail", cls)
 
     def def_decl(self, expect):
-        line = self.expect("ident", "def").line
+        line = self.expect("def").line
         name = self.name()
         binders = tuple(self.binder_groups())
-        self.expect("sym", ":")
+        self.expect(":")
         ty = self.term()
-        self.expect("sym", ":=")
+        self.expect(":=")
         body = self.term()
         return SDefD(name, binders, ty, body, expect, line)
 
     def data_decl(self, expect):
-        line = self.expect("ident", "data").line
+        line = self.expect("data").line
         name = self.name()
         params = tuple(self.binder_groups())
         level = 0
-        if self.at("sym", ":"):
-            self.advance()
-            tok = self.expect("ident")
+        if self.at(":"):
+            self.pos += 1
+            tok = self.expect_kind("ident")
             m = _UNIVERSE.match(tok.value)
             if not m:
                 self.fail("expected a universe after ':'")
             level = int(m.group(1))
-        self.expect("ident", "where")
+        self.expect("where")
         ctors = []
-        while self.at("sym", "|"):
-            self.advance()
+        while self.at("|"):
+            self.pos += 1
             label = self.name()
             binders = tuple(self.binder_groups())
-            boundary = self.bracket_parts() if self.at("sym", "[") else ()
+            boundary = self.bracket_parts() if self.at("[") else ()
             ctors.append(SCtorD(label, binders, boundary))
         return SDataD(name, params, level, tuple(ctors), expect, line)
 
@@ -821,20 +794,26 @@ class _Parser:
 # Elaboration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Scope:
-    entries: tuple  # ((name, sort), ...), innermost last
+    """The names in scope, innermost first, and the sort of each."""
+
+    __slots__ = ("names", "sorts")
+
+    def __init__(self, names, sorts):
+        self.names = names
+        self.sorts = sorts
 
     def push(self, name, sort):
-        return _Scope(self.entries + ((name, sort),))
+        return _Scope((name,) + self.names, (sort,) + self.sorts)
 
     def lookup(self, name):
-        counts = {}
-        for nm, sort in reversed(self.entries):
-            if nm == name:
-                return sort, counts.get(sort, 0)
-            counts[sort] = counts.get(sort, 0) + 1
-        return None
+        """The sort of the innermost `name` and its de Bruijn index among
+        the names of that sort, or None when it is not in scope."""
+        if name not in self.names:
+            return None
+        pos = self.names.index(name)
+        sort = self.sorts[pos]
+        return sort, self.sorts[:pos].count(sort)
 
 
 def _face_shift1(phi):
@@ -916,7 +895,7 @@ class Elaborator:
         self.conv_count = 0
 
     def base_scope(self):
-        return _Scope(((AMBIENT_CLOCK, CLOCK),))
+        return _Scope((AMBIENT_CLOCK,), (CLOCK,))
 
     def decl(self, d):
         match d:

@@ -7,7 +7,7 @@ from the inside out, so inserting an entry of one sort never renumbers the
 others.  Face entries bind no variables at all; they only restrict.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .errors import IllFormedRedex, TickEscape
@@ -310,9 +310,16 @@ def entry_sort(entry):
 @dataclass(frozen=True)
 class Context:
     entries: tuple = ()
+    # The number of entries of each sort: worked out by the first `count`
+    # and carried along by `push`, so that counting is O(1).
+    counts: dict = field(default=None, compare=False, repr=False)
 
     def push(self, entry):
-        return Context(self.entries + (entry,))
+        counts = self.counts
+        if counts is not None:
+            counts = counts.copy()
+            counts[entry_sort(entry)] += 1
+        return Context(self.entries + (entry,), counts)
 
     def __len__(self):
         return len(self.entries)
@@ -324,7 +331,12 @@ class Context:
         return [entry_sort(e) for e in self.entries]
 
     def count(self, sort):
-        return sum(1 for e in self.entries if entry_sort(e) == sort)
+        if self.counts is None:
+            counts = dict.fromkeys(_ENTRY_SORT.values(), 0)
+            for e in self.entries:
+                counts[entry_sort(e)] += 1
+            object.__setattr__(self, "counts", counts)
+        return self.counts[sort]
 
     def pos_of(self, sort, ix):
         """Absolute position (0 = outermost) of the ix-th entry of `sort`

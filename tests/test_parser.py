@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cctt.errors import ParseError, UnboundVariable
 from cctt.interval import F0, FEq, FOr, I0, IVar
 from cctt.parser import (
-    ConvCheck, DataDefinition, Definition, Module, parse_module,
-    print_module, tokenize,
+    RESERVED, ConvCheck, DataDefinition, Definition, Module, SApp, SVar,
+    parse_module, print_module, surface_module, tokenize,
 )
 from cctt.syntax import (
     App, BCon, BRec, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
@@ -244,6 +245,73 @@ class TestPragmas:
     def test_dangling_pragma(self):
         with pytest.raises(ParseError):
             parse_module("--expect-pass")
+
+
+# Malformed inputs and the exact messages they are reported with.
+PARSE_ERRORS = [
+    ("def f : U0 :=\t?", "1:15: unexpected character '?'"),
+    ("def f : U0 :=\r\n\t x ?", "2:5: unexpected character '?'"),
+    ("-- a comment\n  def ? f", "2:7: unexpected character '?'"),
+    ("def f : U0 := (x y", "1:19: expected ')', found 'end of input'"),
+    ("def f : U0 := succ (succ (zero)",
+     "1:32: expected ')', found 'end of input'"),
+    ("--expect-pass", "expectation pragma not attached to a declaration"),
+    ("def f : U0 := x\n--expect-fail(TypeMismatch)",
+     "expectation pragma not attached to a declaration"),
+    ("--expect-pass\n--expect-pass\ndef f : U0 := x",
+     "3:1: duplicate expectation pragma, found 'def'"),
+    ("def f : U0 := [(x = 2) -> y]",
+     "1:22: a face equation ends in 0 or 1, found ')'"),
+    ("def f : U0 := (x = 2)",
+     "1:21: a face equation ends in 0 or 1, found ')'"),
+    ("def f : U0 := where",
+     "1:15: keyword 'where' cannot start a term here, found 'where'"),
+    ("def f : U0 := x\ndata", "2:5: expected a name, found 'end of input'"),
+    ("def f (x : A) := x", "1:15: expected ':', found ':='"),
+    ("def f : U0 := p @ i x", "1:21: expected a declaration, found 'x'"),
+    ("def f : U0 := tirr(a, b, i @ j)", "1:28: expected ')', found '@'"),
+]
+
+
+@pytest.mark.parametrize("src, message", PARSE_ERRORS)
+def test_parse_error_message(src, message):
+    with pytest.raises(ParseError) as err:
+        surface_module(src)
+    assert str(err.value) == message
+
+
+def test_deep_nat_literal_parses():
+    depth = 150
+    src = "def big : nat := " + "succ (" * depth + "zero" + ")" * depth
+    t = surface_module(src)[0].body
+    for _ in range(depth):
+        assert isinstance(t, SApp) and t.fn == SVar("succ")
+        t = t.arg
+    assert t == SVar("zero")
+
+
+# Token values the tokenizer can produce, and starts that put a stream in
+# term, face and declaration positions.
+TOKEN_VOCABULARY = sorted(RESERVED) + [
+    "x", "y", "k0", "U0", "succ", "TypeMismatch", "0", "1", "2",
+    "->", ":=", "=>", "/\\", "\\/", "|>", "<>", "(", ")", "[", "]", "{", "}",
+    "<", ">", ",", ".", ":", "=", "|", "^", "@", "~", "\\",
+    "--expect-pass", "--expect-fail", "--expect-conv", "--expect-not-conv",
+]
+STREAM_STARTS = ["", "def f : U0 := ", "def f (x : U0) : ",
+                 "data d : U0 where | c ", "--expect-conv ",
+                 "def f : U0 := [", "def f : U0 := comp^i A ["]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(STREAM_STARTS),
+       st.lists(st.sampled_from(TOKEN_VOCABULARY), max_size=40),
+       st.sampled_from([" ", "\n"]))
+def test_random_token_streams_never_crash(start, words, sep):
+    try:
+        surface_module(start + sep.join(words))
+    except ParseError:
+        pass
 
 
 ROUND_TRIP_SOURCES = [

@@ -1,11 +1,15 @@
-"""The package sources compile without warnings."""
+"""The package sources compile without warnings, and every function the
+benchmark's tracer wraps exists."""
 
+import importlib
+import importlib.util
 import warnings
 from pathlib import Path
 
 import cctt.cli
 
 SOURCES = sorted(Path(cctt.cli.__file__).resolve().parent.glob("*.py"))
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
 def test_sources_compile_without_warnings():
@@ -14,3 +18,19 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+def test_traced_functions_exist():
+    # A renamed function would otherwise only fail a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for layer, qualnames in layers.TARGETS.items():
+        module = importlib.import_module(f"cctt.{layer}")
+        for qualname in qualnames:
+            owner = module
+            *path, attr = qualname.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            assert callable(vars(owner).get(attr)), f"cctt.{layer}.{qualname}"
