@@ -188,6 +188,9 @@ def main(argv=None):
     if args.command != "check":
         parser.print_usage(sys.stderr)
         return 2
+    if args.max_steps < 0:
+        print("error: --max-steps must not be negative", file=sys.stderr)
+        return 2
     report = Report(trace=args.trace_conv)
     try:
         files = gather_files(args.files, args.corpus)
@@ -196,6 +199,10 @@ def main(argv=None):
                 text = path.read_text(encoding="utf-8")
             except OSError as err:
                 raise IoError(f"cannot read {path}: {err}") from err
+            except UnicodeDecodeError as err:
+                report.record("FAIL", str(path), "module",
+                              f"ParseError: {err}")
+                continue
             check_file(str(path), text, args.max_steps, report,
                        trace=args.trace_conv)
     except IoError as err:

@@ -12,6 +12,13 @@ Fixed points unfold ONLY at a syntactic diamond; together with the step
 budget this keeps conversion checking terminating in practice (no
 normalization theorem is available for the theory).
 
+Conversion asks syntactic equality first (`syntax.structural_equal`, as the
+quick check of Lean 4's `is_def_eq` does): most comparisons the checker
+makes are between terms that are already equal, and they are answered
+without reducing anything or spending a step.  `conv` asks on entry;
+`conv_tm`, which compares weak-head forms part by part, does not, since
+there the test would cost more than it saves.
+
 `whnf` is a Krivine-style environment machine (Krivine, "A call-by-name
 lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
 state is a term, the substitution pending on it (an environment, a
@@ -29,7 +36,9 @@ once, when it is part of what `whnf` returns (the head and arguments of a
 neutral term, or a canonical form), so callers see the terms eager
 substitution produced.  One step is counted per application walked,
 lambda taken and definition unfolded, as before; entering a variable's
-closure is not a step.
+closure is not a step.  A term whose class is head-normal with no argument
+pending (a variable, universe, type former, abstraction, pair, `dfix` or
+`pfix`) is returned at once, for the one step the machine would count.
 """
 
 from dataclasses import dataclass
@@ -146,8 +155,18 @@ def tick_has_diamond(u):
 # Weak-head normalization
 # --------------------------------------------------------------------------
 
+# Classes whose terms are weak-head normal when no argument is pending.
+_HEAD_NORMAL = frozenset({
+    Var, U, Pi, Sigma, Lam, Pair, PLam, CLam, TickLam, PathT, Forall, Later,
+    Hit, DFix, PFix,
+})
+
+
 def whnf(state, ctx, t):
     """The weak-head normal form of t in ctx (see the module docstring)."""
+    if type(t) in _HEAD_NORMAL:
+        state.step()
+        return t
     env = None   # the substitution pending on t; None is the identity
     spine = []   # arguments, innermost last: closures and clock indices
     while True:
@@ -938,6 +957,8 @@ def _elim_hcomp(state, ctx, elim, hc):
 
 def conv(state, ctx, ty, t, u):
     """Type-directed conversion under the context's face restrictions."""
+    if structural_equal(t, u):
+        return True
     faces = ctx.restriction_faces()
     if not faces:
         return _conv_clause(state, ctx, ty, t, u)

@@ -609,27 +609,49 @@ def weaken_tick(u, inserted, cut=None):
 # Structural equality (alpha-equality plus leaf normalization)
 # --------------------------------------------------------------------------
 
-class _LeafNormalizing(Renaming):
-    """The identity renaming, which also normalizes every interval and face
-    leaf it rebuilds."""
-
-    def iexpr(self, r, depth):
-        return iv_normalize(super().iexpr(r, depth))
-
-    def face(self, phi, depth):
-        return face_normalize(super().face(phi, depth))
-
-
-_LEAF_NORMALIZING = _LeafNormalizing()
-
-
-def canonical(t):
-    """Normalize every interval and face leaf; indices are untouched."""
-    return rename_term(t, _LEAF_NORMALIZING, ZERO_DEPTH)
+# Compared field by field: every term class, eliminator cases and ticks.
+_NODES = frozenset(Term.__subclasses__()) | {ElimCase, TickVar, Diamond, Tirr}
+_IEXPRS = frozenset(IntervalExpr.__subclasses__())
+_FACES = frozenset(FaceFormula.__subclasses__())
 
 
 def structural_equal(t, u):
-    return canonical(t) == canonical(u)
+    """Whether t and u are equal once every interval and face leaf is
+    normalized: alpha-equality, since variables are de Bruijn indices.  It
+    implies definitional equality, so conversion asks it first.
+
+    Both terms are walked together on one explicit stack, so depth costs no
+    Python frames and nothing is built; two leaves are normalized only when
+    they differ syntactically."""
+    stack = [t, u]
+    pop, push = stack.pop, stack.append
+    while stack:
+        b = pop()
+        a = pop()
+        cls = type(a)
+        if cls in _NODES:
+            if type(b) is not cls:
+                return False
+            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+                if x is not y:
+                    push(x)
+                    push(y)
+        elif cls is tuple:
+            if type(b) is not tuple or len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                if x is not y:
+                    push(x)
+                    push(y)
+        elif cls in _IEXPRS:
+            if a != b and iv_normalize(a) != iv_normalize(b):
+                return False
+        elif cls in _FACES:
+            if a != b and face_normalize(a) != face_normalize(b):
+                return False
+        elif a != b:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------

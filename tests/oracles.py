@@ -8,6 +8,9 @@ assignment.
 
 Face formulas are evaluated under three-state valuations: each variable is
 set to 0, set to 1, or left unconstrained.
+
+Structural equality of terms is decided by rebuilding both terms with every
+interval and face leaf normalized and comparing the results.
 """
 
 from itertools import product
@@ -15,8 +18,9 @@ from itertools import product
 from cctt.interval import (
     F0, F1, FAnd, FEq, FOr,
     I0, I1, IJoin, IMeet, INeg, IVar,
-    face_vars, iv_vars,
+    face_normalize, face_vars, iv_normalize, iv_vars,
 )
+from cctt.syntax import ZERO_DEPTH, Renaming, rename_term
 
 # DM4 elements as pairs ordered componentwise; the involution reverses the
 # order and swaps the components, fixing (0,1) and (1,0).
@@ -94,3 +98,22 @@ def face_entails_oracle(phi, psi):
 
 def face_equal_oracle(phi, psi):
     return face_entails_oracle(phi, psi) and face_entails_oracle(psi, phi)
+
+
+class _LeafNormalizing(Renaming):
+    """The identity renaming, which also normalizes every interval and face
+    leaf it rebuilds."""
+
+    def iexpr(self, r, depth):
+        return iv_normalize(super().iexpr(r, depth))
+
+    def face(self, phi, depth):
+        return face_normalize(super().face(phi, depth))
+
+
+_LEAF_NORMALIZING = _LeafNormalizing()
+
+
+def canonical(t):
+    """Normalize every interval and face leaf; indices are untouched."""
+    return rename_term(t, _LEAF_NORMALIZING, ZERO_DEPTH)

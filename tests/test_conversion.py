@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from cctt.checker import CheckState
 from cctt.conversion import (
     comp_eval, CompProblem, conv, conv_tm, conv_under_face, hfill,
     tick_whnf, whnf,
@@ -10,13 +12,17 @@ from cctt.errors import FuelExhausted, MalformedSubstitution
 from cctt.interval import (
     F0, F1, FAnd, FEq, INeg, IVar, IZERO, IONE, face_or,
 )
+from cctt.parser import DataDefinition, Elaborator, surface_module
 from cctt.syntax import (
     TERM, App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
     Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
     Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam, TickVar,
-    Tirr, Trans, U, Var, weaken,
+    Tirr, TopRef, Trans, U, Var, weaken,
 )
+
+FUEL_FILE = (Path(__file__).resolve().parent.parent / "corpus" / "neg"
+             / "fuel-exhausted.cctt")
 
 
 class StubState:
@@ -434,3 +440,48 @@ class TestMachine:
         assert conv(state, PRELUDE, NAT, applied, nat_num(value))
         other = value + 1 if value == 0 or rng.random() < 0.5 else value - 1
         assert not conv(state, PRELUDE, NAT, applied, nat_num(other))
+
+
+def fuel_file_state(max_steps):
+    """The definitions of `fuel-exhausted.cctt` (all but `spin`), with a
+    fresh step count under the given budget."""
+    state = CheckState()
+    elab = Elaborator()
+    for sdecl in surface_module(FUEL_FILE.read_text(encoding="utf-8")):
+        decl = elab.decl(sdecl)
+        if isinstance(decl, DataDefinition):
+            state.add_signature(decl.sig)
+        elif decl.name != "spin":
+            state.add_definition(decl.name, decl.ty, decl.body)
+    state.steps, state.max_steps = 0, max_steps
+    return state
+
+
+def s5_idf_zero():
+    return App(App(TopRef("s5"), TopRef("idf")), ZERO)
+
+
+class TestFastPaths:
+    def test_equal_terms_convert_without_reducing(self):
+        # Reducing s5 idf zero takes over a million steps.
+        state = fuel_file_state(max_steps=100)
+        assert conv(state, PRELUDE, NAT, s5_idf_zero(), s5_idf_zero())
+        assert state.steps == 0
+
+    def test_unequal_terms_still_reduce(self):
+        state = fuel_file_state(max_steps=10_000)
+        ctx = PRELUDE.push(EVar(Pi(NAT, U(0))))
+        with pytest.raises(FuelExhausted):
+            conv(state, ctx, U(0), App(Var(0), ZERO),
+                 App(Var(0), s5_idf_zero()))
+
+    @pytest.mark.parametrize("t", [
+        Var(0), U(0), Pi(U(0), U(0)), Sigma(U(0), U(0)), Lam(Var(0)),
+        Pair(Var(0), Var(1)), PLam(Var(0)), CLam(Var(0)),
+        TickLam(0, Var(0)), PathT(U(0), Var(0), Var(0)), Forall(U(0)),
+        Later(0, U(0)), NAT, DFix(0, Var(0)), PFix(0, Var(0)),
+    ], ids=lambda t: type(t).__name__)
+    def test_head_normal_input_costs_one_step(self, t):
+        state = st()
+        assert whnf(state, TestMachine.CTX, t) is t
+        assert state.steps == 1

@@ -95,6 +95,28 @@ def test_max_steps_flag_limits_conversion(tmp_path, capsys):
     assert "FuelExhausted" in out
 
 
+def test_negative_max_steps_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "f.cctt"
+    src.write_text("def f (A : U0) (x : A) : A := x\n")
+    code = main(["check", "--max-steps", "-5", str(src)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--max-steps" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+def test_file_not_in_utf8_fails_and_the_next_is_checked(tmp_path, capsys):
+    bad = tmp_path / "bad.cctt"
+    bad.write_bytes(b"def f (A : U0) (x : A) : A := x\n-- \xff\n")
+    good = tmp_path / "good.cctt"
+    good.write_text("def g (A : U0) (x : A) : A := x\n")
+    code = main(["check", str(bad), str(good)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"FAIL {bad}:module  [ParseError: " in out
+    assert f"PASS {good}:g" in out
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.cctt")])
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
-"""The package sources compile without warnings, and every function the
-benchmark's tracer wraps exists."""
+"""The package sources compile without warnings and import only at module
+level, and every function the benchmark's tracer wraps exists."""
 
+import ast
 import importlib
 import importlib.util
 import warnings
@@ -18,6 +19,23 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+# (module, function) pairs allowed an import inside the function: the only
+# one breaks a real cycle, since the checker imports conversion.
+LOCAL_IMPORTS = {("conversion.py", "_path_endpoint")}
+
+
+def test_no_function_local_imports():
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found.add((path.name, fn.name))
+    assert found <= LOCAL_IMPORTS, sorted(found - LOCAL_IMPORTS)
 
 
 def test_traced_functions_exist():

@@ -1,9 +1,13 @@
-from cctt.interval import FEq, IMeet, INeg, IVar, IZERO
+import random
+
+from cctt.interval import FAnd, FEq, FOr, IMeet, INeg, IVar, IZERO, iv_map_vars
 from cctt.syntax import (
-    App, CLOCK, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
-    Later, PApp, PLam, Pi, TERM, TICK, TickApp, TickLam, TickVar, U, Var,
-    structural_equal, weaken,
+    App, CLOCK, Comp, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
+    Later, PApp, PLam, Pi, Renaming, TERM, TICK, TickApp, TickLam, TickVar,
+    U, Var, rename_term, structural_equal, weaken,
 )
+from oracles import canonical
+from test_acceptance import _instances
 
 i0 = IVar(0)
 
@@ -43,6 +47,71 @@ def test_structural_equal_normalizes_interval_leaves():
 def test_structural_equal_is_syntactic_on_binders():
     assert structural_equal(Lam(Var(0)), Lam(Var(0)))
     assert not structural_equal(Lam(Var(0)), Lam(Var(1)))
+
+
+class _LeafRewriting(Renaming):
+    """The identity renaming, except that each interval variable becomes a
+    random expression (most of them equal to it) and each face disjunction
+    is swapped."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+
+    def iexpr(self, r, depth):
+        return iv_map_vars(r, self._variable)
+
+    def _variable(self, ix):
+        i = IVar(ix)
+        return self.rng.choice(
+            (i, INeg(INeg(i)), IMeet(i, i), INeg(i), IMeet(i, INeg(i)))
+        )
+
+    def face(self, phi, depth):
+        return _swap_disjuncts(phi)
+
+
+def _swap_disjuncts(phi):
+    if isinstance(phi, FOr):
+        return FOr(_swap_disjuncts(phi.right), _swap_disjuncts(phi.left))
+    if isinstance(phi, FAnd):
+        return FAnd(_swap_disjuncts(phi.left), _swap_disjuncts(phi.right))
+    return phi
+
+
+def test_structural_equal_agrees_with_canonical_forms():
+    rng = random.Random(5)
+    ends = FOr(FEq(0, 0), FOr(FEq(0, 1), FAnd(FEq(1, 0), FEq(0, 1))))
+    terms = []
+    for _ in range(40):
+        for _, t, ty in _instances(rng):
+            # The instance, its weakenings, and a composition that gives it
+            # a face and an interval binder; then copies of each with their
+            # leaves rewritten.
+            group = [t, weaken(t, [TERM]), weaken(t, [IVAL]),
+                     Comp(weaken(ty, [IVAL]), ends, weaken(t, [IVAL]), t)]
+            group += [rename_term(u, _LeafRewriting(rng)) for u in group]
+            terms.append(group)
+    seen = set()
+    for group in terms:
+        others = [u for g in rng.sample(terms, 3) for u in g]
+        for t in group:
+            for u in group + others:
+                want = canonical(t) == canonical(u)
+                assert structural_equal(t, u) == want, (t, u)
+                seen.add((want, t is u))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_structural_equal_walks_deep_spines():
+    def spines(head, depth):
+        fn = arg = head
+        for _ in range(depth):
+            fn, arg = App(fn, Var(1)), App(Var(1), arg)
+        return App(fn, arg)
+
+    assert structural_equal(spines(Var(0), 5000), spines(Var(0), 5000))
+    assert not structural_equal(spines(Var(0), 5000), spines(Var(2), 5000))
 
 
 def test_context_positions_and_types():
