@@ -25,9 +25,8 @@ from .errors import (
     UnboundVariable,
 )
 from .interval import (
-    FBOT, IVar, IZERO, IONE, face_and, face_clauses, face_entails,
-    face_is_false, face_or, face_substitute, face_vars,
-    iv_map_vars, iv_normalize, iv_vars,
+    FAnd, IVar, IZERO, IONE, face_entails, face_is_false, face_join,
+    face_substitute, face_vars, iv_map_vars, iv_normalize, iv_vars,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
@@ -462,7 +461,7 @@ def check_system(state, ctx, parts, ty):
         check(state, ctx.push(EFace(phi)), u, ty)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            overlap = face_and(parts[i][0], parts[j][0])
+            overlap = FAnd(parts[i][0], parts[j][0])
             if face_is_false(overlap):
                 continue
             if not conv_under_face(state, ctx, overlap, ty,
@@ -498,9 +497,7 @@ def _check_tube(state, ictx, face, tube, line):
     rctx = ictx.push(EFace(face_w))
     head = whnf(state, rctx, tube) if not face_is_false(face) else tube
     if isinstance(tube, System):
-        covering = FBOT
-        for phi, _ in tube.parts:
-            covering = face_or(covering, phi)
+        covering = face_join(phi for phi, _ in tube.parts)
         if not face_entails(face_w, covering):
             raise TubeMismatch("tube system does not cover the extent",
                                face=face)
@@ -631,16 +628,15 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
     for _ in range(v):
         ictx = ictx.push(EIVar())
 
-    covering = FBOT
     for phi, piece in ctor.boundary:
         for ix in face_vars(phi):
             if ix >= v:
                 raise NonProperEntry(
                     f"boundary face of {ctor.label} is out of scope"
                 )
-        covering = face_or(covering, phi)
         _check_boundary_term(state, sig, earlier, ctor, ictx, piece)
     if ctor.boundary or not face_is_false(ctor.face):
+        covering = face_join(phi for phi, _ in ctor.boundary)
         if not face_entails(ctor.face, covering):
             raise BoundaryNotCovering(
                 f"boundary of {ctor.label} does not cover its face",
@@ -651,8 +647,8 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
     pieces = list(ctor.boundary)
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            overlap = face_and(pieces[i][0], pieces[j][0])
-            for clause in face_clauses(overlap):
+            overlap = FAnd(pieces[i][0], pieces[j][0])
+            for clause in overlap:
                 left = _bnd_assign(pieces[i][1], v, clause)
                 right = _bnd_assign(pieces[j][1], v, clause)
                 if not boundary_equal(sig, left, right):
@@ -760,14 +756,11 @@ def _splice_args(bctx, ty_w, cargs, q):
 
 
 def _bnd_assign(M, v, clause):
-    """Substitute an endpoint assignment (over the constructor's interval
-    binders) into a boundary term."""
-    table = {ix: (IONE if b else IZERO) for ix, b in clause.items()}
-    entries = [EIVar()] * v
-    comps = []
-    for j in range(v):
-        ix = v - 1 - j
-        comps.append(CIVal(table.get(ix, IVar(ix))))
+    """Substitute an endpoint assignment (a face clause over the
+    constructor's interval binders) into a boundary term.  The substitution
+    for term arguments is built when the first one is met."""
+    table = {ix: (IONE if b else IZERO) for ix, b in clause}
+    subst = None
 
     def on_iv(e):
         return iv_normalize(iv_map_vars(
@@ -778,16 +771,21 @@ def _bnd_assign(M, v, clause):
         return face_substitute(phi, table)
 
     def on_term(t):
-        return inst(None, entries, comps, t) if v else t
+        nonlocal subst
+        if not v:
+            return t
+        if subst is None:
+            subst = ([EIVar()] * v, [CIVal(table.get(ix, IVar(ix)))
+                                     for ix in reversed(range(v))])
+        return inst(None, *subst, t)
 
     def go(M):
         match M:
             case BRec(j, uargs):
-                return BRec(j, tuple(on_term(u) for u in uargs))
+                return BRec(j, tuple(map(on_term, uargs)))
             case BCon(label, cargs, crecs, civals):
-                return BCon(label, tuple(on_term(a) for a in cargs),
-                            tuple(go(m) for m in crecs),
-                            tuple(on_iv(e) for e in civals))
+                return BCon(label, tuple(map(on_term, cargs)),
+                            tuple(map(go, crecs)), tuple(map(on_iv, civals)))
             case BHComp(face, tube, base):
                 return BHComp(on_face(face), go(tube), go(base))
         raise NonProperEntry(repr(M))

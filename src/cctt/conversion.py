@@ -42,15 +42,14 @@ pending (a variable, universe, type former, abstraction, pair, `dfix` or
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (
     ArityMismatch, CaseMissing, CcttError, FuelExhausted, IllFormedRedex,
 )
 from .interval import (
-    FAnd, FEq, IVar, IJoin, IMeet, INeg, IZERO, IONE,
-    face_and, face_clauses, face_entails, face_is_true, face_map_vars,
-    face_normalize, face_of_equation, face_or, face_equal, face_substitute,
+    FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
+    face_clauses, face_entails, face_is_true, face_map_vars,
+    face_of_equation, face_split, face_substitute,
     iv_equal, iv_is_one, iv_is_zero, iv_map_vars, iv_normalize,
 )
 from .syntax import (
@@ -284,7 +283,8 @@ def whnf(state, ctx, t):
             case Con(name, label, params, args, recs, ivals):
                 sig = state.signature(name)
                 ctor = sig.constructor(label)
-                if face_is_true(_ctor_face(ctor, ivals)):
+                # A point constructor (empty face) never fires a boundary.
+                if ctor.face and face_is_true(_ctor_face(ctor, ivals)):
                     t = _boundary_fire(state, ctx, sig, ctor, params,
                                        args, recs, ivals)
                 else:
@@ -355,7 +355,7 @@ def _fill_fwd(ctx, line, face, tube, base, r):
         (face_of_equation(weaken_iexpr(r, [IVAL]), 0),
          weaken(base, [IVAL])),
     ))
-    total = face_or(face, face_of_equation(r, 0))
+    total = FOr(face, face_of_equation(r, 0))
     return Comp(line_cut, total, sys, base)
 
 
@@ -364,7 +364,7 @@ def _fill_bwd(ctx, line, face, goal, r):
     constant on `face`."""
     rj = IJoin(weaken_iexpr(r, [IVAL]), INeg(IVar(0)))
     line_cut = inst_under(ctx, [EIVar()], [EIVar()], [CIVal(rj)], line)
-    phi = face_or(face, face_of_equation(r, 1))
+    phi = FOr(face, face_of_equation(r, 1))
     return Comp(line_cut, phi, weaken(goal, [IVAL]), goal)
 
 
@@ -381,7 +381,7 @@ def hfill(ctx, ty, face, tube, base, j):
         (face_of_equation(weaken_iexpr(j, [IVAL]), 0),
          weaken(base, [IVAL])),
     ))
-    total = face_or(face, face_of_equation(j, 0))
+    total = FOr(face, face_of_equation(j, 0))
     return HComp(ty, total, sys, base)
 
 
@@ -450,8 +450,8 @@ def comp_eval(state, ctx, p):
                 (FEq(1, 1), weaken(right, [IVAL], cut={IVAL: 1})),
             ))
             base = PApp(weaken(p.base, [IVAL]), IVar(0))
-            total = face_or(weaken_face(p.face, [IVAL]),
-                            face_or(FEq(0, 0), FEq(0, 1)))
+            total = FOr(weaken_face(p.face, [IVAL]),
+                        FOr(FEq(0, 0), FEq(0, 1)))
             return PLam(Comp(ln, total, sys, base))
 
         case Later(clock, body_ty):
@@ -511,7 +511,7 @@ def hit_comp_decompose(state, ctx, hit_line, face, tube, base):
         [CIVal(IJoin(IVar(1), IVar(0)))],
         hit_line,
     )
-    v = Trans(vk_line, face_or(weaken_face(face, [IVAL]), FEq(0, 1)), tube)
+    v = Trans(vk_line, FOr(weaken_face(face, [IVAL]), FEq(0, 1)), tube)
     return HComp(line_at_one, face, v, Trans(hit_line, face, base))
 
 
@@ -765,6 +765,8 @@ def boundary_reduce(sig, M):
     match M:
         case BCon(label, cargs, crecs, civals):
             ctor = sig.constructor(label)
+            if not ctor.face:
+                return None
             assignment = _ival_assignment(civals)
             if face_is_true(face_substitute(ctor.face, assignment)):
                 for phi, piece in ctor.boundary:
@@ -785,9 +787,9 @@ def _bnd_ival_subst(M, r):
         ))
 
     def on_face(phi):
-        return face_normalize(face_map_vars(
+        return face_map_vars(
             phi, lambda ix: r if ix == 0 else IVar(ix - 1)
-        ))
+        )
 
     def on_term(t):
         return inst(None, [EIVar()], [CIVal(r)], t)
@@ -830,7 +832,7 @@ def boundary_equal(sig, M, N):
                 and all(iv_equal(x, y) for x, y in zip(v1, v2))
             )
         case (BHComp(f1, t1, b1), BHComp(f2, t2, b2)):
-            return (face_equal(f1, f2)
+            return (f1 == f2
                     and boundary_equal(sig, t1, t2)
                     and boundary_equal(sig, b1, b2))
     return False
@@ -964,7 +966,7 @@ def conv(state, ctx, ty, t, u):
         return _conv_clause(state, ctx, ty, t, u)
     restriction = faces[0]
     for phi in faces[1:]:
-        restriction = face_and(restriction, phi)
+        restriction = FAnd(restriction, phi)
     return conv_under_face(state, ctx, restriction, ty, t, u,
                            _already_restricted=True)
 
@@ -973,7 +975,7 @@ def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
     """Split phi into clauses and compare under each endpoint assignment."""
     if not _already_restricted:
         for psi in ctx.restriction_faces():
-            phi = face_and(phi, psi)
+            phi = FAnd(phi, psi)
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
     clauses = face_clauses(phi)
@@ -1123,7 +1125,7 @@ def conv_tm(state, ctx, t, u):
             return _conv_comp(state, ctx, (ty1, f1, tu1, b1),
                               (ty2, f2, tu2, b2), hom=True)
         case (Trans(ty1, f1, b1), Trans(ty2, f2, b2)):
-            return (face_equal(f1, f2)
+            return (f1 == f2
                     and conv_tm(state, ctx.push(EIVar()), ty1, ty2)
                     and conv_tm(state, ctx, b1, b2))
         case (System(p1), System(p2)):
@@ -1159,7 +1161,7 @@ def conv_tm(state, ctx, t, u):
 def _conv_comp(state, ctx, a, b, hom):
     ty1, f1, tu1, b1 = a
     ty2, f2, tu2, b2 = b
-    if not face_equal(f1, f2):
+    if f1 != f2:
         return False
     ty_ctx = ctx if hom else ctx.push(EIVar())
     if not conv_tm(state, ty_ctx, ty1, ty2):
@@ -1173,7 +1175,7 @@ def _conv_comp(state, ctx, a, b, hom):
 
 def _system_covers(state, ctx, p1, p2):
     for phi, v in p1:
-        for clause in _split_clauses(phi):
+        for clause in face_split(phi):
             if not any(
                 face_entails(clause, psi)
                 and conv_under_face(state, ctx, clause, U(0), v, w)
@@ -1181,14 +1183,6 @@ def _system_covers(state, ctx, p1, p2):
             ):
                 return False
     return True
-
-
-def _split_clauses(phi):
-    out = []
-    for clause in face_clauses(phi):
-        gens = [FEq(ix, b) for ix, b in clause.items()]
-        out.append(reduce(FAnd, gens) if gens else face_normalize(phi))
-    return out
 
 
 def tick_conv(u, v):

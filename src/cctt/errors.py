@@ -27,7 +27,6 @@ class CcttError(Exception):
 # --- telescope / context formation ---------------------------------------
 
 class NonProperEntry(CcttError): pass
-class IllTypedEntry(CcttError): pass
 
 
 # --- ticks and clocks ------------------------------------------------------

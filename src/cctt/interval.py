@@ -3,8 +3,17 @@
 Interval expressions form the free De Morgan algebra on the interval
 variables in scope; equality is decided through a canonical disjunctive
 normal form (a join of meets of literals, kept as an antichain of clauses).
+
 Face formulas form the free distributive lattice on generators (i=0), (i=1)
-quotiented by (i=0) /\\ (i=1) = 0.
+quotiented by (i=0) /\\ (i=1) = 0.  A face *is* its normal form, as in
+cubicaltt: a `Face` is a frozenset of clauses, each a frozenset of
+(ix, end) literals read as their meet, the face being their join.  No
+clause sets a variable to both ends and none contains another.  The
+builders `FEq`, `FAnd`, `FOr` and `face_join` drop inconsistent clauses and
+absorb once, when the face is built, and so does a substitution
+(`face_map_vars`); a renaming (`face_rename`) maps literals one to one and
+absorbs nothing.  So two faces are equal iff they are `==`, the hash is
+cached by the frozenset, and entailment compares clauses by subset.
 
 Variables are de Bruijn indices of the interval sort.
 """
@@ -78,13 +87,14 @@ _TOP = frozenset([frozenset()])
 _BOT = frozenset()
 
 
-def _absorb(clauses):
-    """Drop clauses strictly containing another clause (absorption law)."""
+def _absorb(clauses, into=frozenset):
+    """Drop repeated clauses and clauses strictly containing another
+    (absorption law); the survivors are collected with `into`."""
     kept = []
     for c in sorted(clauses, key=len):
         if not any(k <= c for k in kept):
             kept.append(c)
-    return frozenset(kept)
+    return into(kept)
 
 
 def _dnf_join(a, b):
@@ -182,117 +192,85 @@ def iv_map_vars(r, fn):
 # Face formulas
 # --------------------------------------------------------------------------
 
-class FaceFormula:
+class Face(frozenset):
+    """A face formula in normal form: the join of its clauses, each the
+    meet of its (ix, end) literals.  Build faces with `FEq`, `FAnd`, `FOr`
+    and `face_join`, which keep the clauses consistent and absorbed."""
+
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class F0(FaceFormula):
     def __repr__(self):
-        return "0F"
+        return face_show(self, lambda ix, end: f"(i{ix}={end})", "0F", "1F")
 
 
-@dataclass(frozen=True)
-class F1(FaceFormula):
-    def __repr__(self):
-        return "1F"
+FBOT = Face()
+FTOP = Face((frozenset(),))
 
 
-@dataclass(frozen=True)
-class FEq(FaceFormula):
-    ix: int
-    end: int  # 0 or 1
-
-    def __repr__(self):
-        return f"(i{self.ix}={self.end})"
-
-
-@dataclass(frozen=True)
-class FAnd(FaceFormula):
-    left: "FaceFormula"
-    right: "FaceFormula"
-
-    def __repr__(self):
-        return f"({self.left!r} /\\ {self.right!r})"
+def face_show(phi, literal, bot, top):
+    """phi as text: its clauses in `_clause_key` order, each the meet of
+    its literals (`literal(ix, end)`) in order, nested to the left."""
+    if not phi:
+        return bot
+    if phi == FTOP:
+        return top
+    joins = []
+    for clause in sorted(phi, key=_clause_key):
+        lits = [literal(ix, end) for ix, end in sorted(clause)]
+        joins.append(reduce(lambda l, r: f"({l} /\\ {r})", lits))
+    return reduce(lambda l, r: f"({l} \\/ {r})", joins)
 
 
-@dataclass(frozen=True)
-class FOr(FaceFormula):
-    left: "FaceFormula"
-    right: "FaceFormula"
-
-    def __repr__(self):
-        return f"({self.left!r} \\/ {self.right!r})"
+def _consistent(clause):
+    return len({ix for ix, _ in clause}) == len(clause)
 
 
-FBOT = F0()
-FTOP = F1()
+def FEq(ix, end):
+    """The generator (i=end), end being 0 or 1."""
+    return Face((frozenset(((ix, end),)),))
 
 
-def _face_clause_consistent(clause):
-    seen = {}
-    for ix, end in clause:
-        if seen.setdefault(ix, end) != end:
-            return False
-    return True
+def FAnd(phi, psi):
+    """The meet of two faces."""
+    if phi == psi or psi == FTOP or not phi:
+        return phi
+    if phi == FTOP or not psi:
+        return psi
+    return _absorb((u for c in phi for d in psi if _consistent(u := c | d)),
+                   Face)
+
+
+def FOr(phi, psi):
+    """The join of two faces."""
+    if phi == psi or not psi or phi == FTOP:
+        return phi
+    if not phi or psi == FTOP:
+        return psi
+    return _absorb(phi | psi, Face)
+
+
+def face_join(faces):
+    """The join of any number of faces, absorbed once."""
+    return _absorb((c for phi in faces for c in phi), Face)
 
 
 def face_dnf(phi):
-    match phi:
-        case F0():
-            return _BOT
-        case F1():
-            return _TOP
-        case FEq(ix, end):
-            return frozenset([frozenset([(ix, end)])])
-        case FAnd(l, r):
-            raw = _dnf_meet(face_dnf(l), face_dnf(r))
-            return _absorb(frozenset(c for c in raw if _face_clause_consistent(c)))
-        case FOr(l, r):
-            return _dnf_join(face_dnf(l), face_dnf(r))
-    raise TypeError(f"not a face formula: {phi!r}")
-
-
-def face_from_dnf(clauses):
-    if not clauses:
-        return FBOT
-    if clauses == _TOP:
-        return FTOP
-    joins = []
-    for clause in sorted(clauses, key=_clause_key):
-        gens = [FEq(ix, end) for ix, end in sorted(clause)]
-        joins.append(reduce(FAnd, gens))
-    return reduce(FOr, joins)
-
-
-def face_normalize(phi):
-    return face_from_dnf(face_dnf(phi))
-
-
-def face_equal(phi, psi):
-    return face_dnf(phi) == face_dnf(psi)
+    """The clauses of phi: the face itself, a frozenset of clauses."""
+    return phi
 
 
 def face_entails(phi, psi):
-    """True iff every admissible valuation satisfying phi satisfies psi."""
-    pd, qd = face_dnf(phi), face_dnf(psi)
-    return all(any(q <= c for q in qd) for c in pd)
+    """True iff every admissible valuation satisfying phi satisfies psi:
+    each clause of phi contains a clause of psi."""
+    return all(any(q <= c for q in psi) for c in phi)
 
 
 def face_is_true(phi):
-    return face_dnf(phi) == _TOP
+    return phi == FTOP
 
 
 def face_is_false(phi):
-    return face_dnf(phi) == _BOT
-
-
-def face_and(phi, psi):
-    return face_from_dnf(face_dnf(FAnd(phi, psi)))
-
-
-def face_or(phi, psi):
-    return face_from_dnf(face_dnf(FOr(phi, psi)))
+    return not phi
 
 
 def face_of_equation(r, b):
@@ -308,27 +286,42 @@ def face_of_equation(r, b):
             return face_of_equation(arg, 1 - b)
         case IMeet(l, rr):
             if b == 1:
-                return face_and(face_of_equation(l, 1), face_of_equation(rr, 1))
-            return face_or(face_of_equation(l, 0), face_of_equation(rr, 0))
+                return FAnd(face_of_equation(l, 1), face_of_equation(rr, 1))
+            return FOr(face_of_equation(l, 0), face_of_equation(rr, 0))
         case IJoin(l, rr):
             if b == 0:
-                return face_and(face_of_equation(l, 0), face_of_equation(rr, 0))
-            return face_or(face_of_equation(l, 1), face_of_equation(rr, 1))
+                return FAnd(face_of_equation(l, 0), face_of_equation(rr, 0))
+            return FOr(face_of_equation(l, 1), face_of_equation(rr, 1))
     raise TypeError(f"not an interval expression: {r!r}")
 
 
 def face_map_vars(phi, fn):
-    """Replace each generator (i=b) by face_of_equation(fn(i), b); normalized."""
-    match phi:
-        case F0() | F1():
-            return phi
-        case FEq(ix, end):
-            return face_of_equation(fn(ix), end)
-        case FAnd(l, r):
-            return face_and(face_map_vars(l, fn), face_map_vars(r, fn))
-        case FOr(l, r):
-            return face_or(face_map_vars(l, fn), face_map_vars(r, fn))
-    raise TypeError(f"not a face formula: {phi!r}")
+    """Replace each generator (i=b) by face_of_equation(fn(i), b).  fn is
+    called once per variable.  Only when fn is not an injective renaming
+    can clauses meet, vanish or contain others, so only then is the result
+    absorbed again."""
+    image = {}
+    for clause in phi:
+        for ix, _ in clause:
+            if ix not in image:
+                image[ix] = fn(ix)
+    targets = {r.ix for r in image.values() if type(r) is IVar}
+    if len(targets) == len(image):
+        return face_rename(phi, lambda ix: image[ix].ix)
+    clauses = []
+    for clause in phi:
+        meet = FTOP
+        for ix, end in clause:
+            meet = FAnd(meet, face_of_equation(image[ix], end))
+        clauses.extend(meet)
+    return _absorb(clauses, Face)
+
+
+def face_rename(phi, fn):
+    """phi with each variable ix renamed to fn(ix).  fn must be injective
+    on phi's variables, as a weakening or strengthening is; then clauses
+    map one to one and nothing needs absorbing again."""
+    return Face(frozenset((fn(ix), end) for ix, end in c) for c in phi)
 
 
 def face_substitute(phi, assignment):
@@ -339,18 +332,18 @@ def face_substitute(phi, assignment):
 
 
 def face_vars(phi):
-    match phi:
-        case FEq(ix, _):
-            return {ix}
-        case FAnd(l, r) | FOr(l, r):
-            return face_vars(l) | face_vars(r)
-        case _:
-            return set()
+    return {ix for clause in phi for ix, _ in clause}
+
+
+def face_split(phi):
+    """The clauses of phi, each as a face of its own, in print order."""
+    return [Face((c,)) for c in sorted(phi, key=_clause_key)]
 
 
 def face_clauses(phi):
-    """The normalized clauses of phi, each as a dict from variable to endpoint.
+    """The clauses of phi in print order, each as a dict from variable to
+    endpoint.
 
     Useful for case-splitting a restriction: phi holds iff one clause holds.
     """
-    return [dict(sorted(c)) for c in sorted(face_dnf(phi), key=_clause_key)]
+    return [dict(sorted(c)) for c in sorted(phi, key=_clause_key)]

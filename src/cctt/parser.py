@@ -23,14 +23,15 @@ from typing import NamedTuple
 
 from .errors import ERROR_CLASSES, ParseError, UnboundVariable
 from .interval import (
-    F0, F1, FAnd, FEq, FOr, I0, I1, IJoin, IMeet, INeg, IVar,
+    FAnd, FBOT, FEq, FOr, FTOP, Face, I0, I1, IJoin, IMeet, INeg, IVar,
+    face_join, face_rename, face_show,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, ClockElim, Comp, Con, Constructor,
     DFix, Diamond, ElimCase, ForceApp, Forall, HComp, Hit, HitSignature,
     Lam, Later, PApp, PFix, PLam, PathT, Pi, System, Telescope, TickApp,
     TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, TERM, TICK,
+    CLOCK, IVAL, TERM, TICK, weaken_face,
 )
 
 RESERVED = {
@@ -816,39 +817,11 @@ class _Scope:
         return sort, self.sorts[:pos].count(sort)
 
 
-def _face_shift1(phi):
-    match phi:
-        case F0() | F1():
-            return phi
-        case FEq(ix, end):
-            return FEq(ix + 1, end)
-        case FAnd(left, right):
-            return FAnd(_face_shift1(left), _face_shift1(right))
-        case FOr(left, right):
-            return FOr(_face_shift1(left), _face_shift1(right))
-    raise TypeError(f"not a face: {phi!r}")
-
-
-def _face_unshift1(phi):
-    match phi:
-        case F0() | F1():
-            return phi
-        case FEq(ix, end):
-            if ix == 0:
-                raise ValueError("face mentions the bound interval variable")
-            return FEq(ix - 1, end)
-        case FAnd(left, right):
-            return FAnd(_face_unshift1(left), _face_unshift1(right))
-        case FOr(left, right):
-            return FOr(_face_unshift1(left), _face_unshift1(right))
-    raise TypeError(f"not a face: {phi!r}")
-
-
-def _join_faces(faces):
-    out = None
-    for phi in faces:
-        out = phi if out is None else FOr(out, phi)
-    return F0() if out is None else out
+def _unshift1(ix):
+    """Index map out of a tube's binder, for a face that must not use it."""
+    if ix == 0:
+        raise ValueError("face mentions the bound interval variable")
+    return ix - 1
 
 
 # Elaborated declarations -------------------------------------------------
@@ -1007,17 +980,17 @@ class Elaborator:
                     raise ParseError("comp needs a type annotation")
                 sci = sc.push(ivar, IVAL)
                 faces, tube = self.tube_parts(sc, sci, parts)
-                return Comp(self.term(sci, ty), _join_faces(faces),
+                return Comp(self.term(sci, ty), face_join(faces),
                             System(tube), self.term(sc, base))
             case SHComp(ivar, ty, parts, base):
                 if ty is None:
                     raise ParseError("hcomp needs a type annotation")
                 sci = sc.push(ivar, IVAL)
                 faces, tube = self.tube_parts(sc, sci, parts)
-                return HComp(self.term(sc, ty), _join_faces(faces),
+                return HComp(self.term(sc, ty), face_join(faces),
                              System(tube), self.term(sc, base))
             case STrans(ivar, ty, face, base):
-                phi = F0() if face is None else self.face(sc, face)
+                phi = FBOT if face is None else self.face(sc, face)
                 return Trans(self.term(sc.push(ivar, IVAL), ty), phi,
                              self.term(sc, base))
             case SSystem(parts):
@@ -1046,7 +1019,7 @@ class Elaborator:
                 raise ParseError("a tube component needs '-> term'")
             f = self.face(sc, phi)
             faces.append(f)
-            tube.append((_face_shift1(f), self.term(sci, t)))
+            tube.append((weaken_face(f, [IVAL]), self.term(sci, t)))
         return faces, tuple(tube)
 
     def head(self, sc, name, spine):
@@ -1155,9 +1128,9 @@ class Elaborator:
     def face(self, sc, s):
         match s:
             case SNum(0):
-                return F0()
+                return FBOT
             case SNum(1):
-                return F1()
+                return FTOP
             case SFEq(name, end):
                 hit = sc.lookup(name)
                 if hit is None or hit[0] != IVAL:
@@ -1294,14 +1267,9 @@ class Elaborator:
                     )
                 afaces.append(phi)
                 arrows.append((phi, self.bnd(sc_b, recmap, arities, bS)))
-        if not arrows and bare is None:
-            face = F0()
-        elif not arrows:
-            face = bare
-        else:
-            face = _join_faces(afaces)
-            if bare is not None:
-                face = FOr(face, bare)
+        if bare is not None:
+            afaces.append(bare)
+        face = face_join(afaces)
         return Constructor(c.label, Telescope(tuple(atypes)), tuple(recs),
                            len(ivnames), face, tuple(arrows))
 
@@ -1535,10 +1503,10 @@ class _Printer:
         entries = []
         outer = []
         for phi, u in tube.parts:
-            phi0 = _face_unshift1(phi)
+            phi0 = face_rename(phi, _unshift1)
             outer.append(phi0)
             entries.append(f"{self.face(env, phi0)} -> {self.term(env2, u)}")
-        if _join_faces(outer) != face:
+        if face_join(outer) != face:
             raise ValueError(f"{kw} extent has no surface syntax")
         ty_env = env2 if ty_under_ivar else env
         return f"{kw}^{nm} {self.atom(ty_env, ty)}" \
@@ -1592,20 +1560,10 @@ class _Printer:
         return s  # meets/joins are already parenthesized
 
     def face(self, env, phi):
-        match phi:
-            case F0():
-                return "0"
-            case F1():
-                return "1"
-            case FEq(ix, end):
-                return f"({self.lookup(env, IVAL, ix)} = {end})"
-            case FAnd(left, right):
-                return f"({self.face(env, left)} /\\" \
-                    f" {self.face(env, right)})"
-            case FOr(left, right):
-                return f"({self.face(env, left)} \\/" \
-                    f" {self.face(env, right)})"
-        raise ValueError(f"not a face: {phi!r}")
+        return face_show(
+            phi, lambda ix, end: f"({self.lookup(env, IVAL, ix)} = {end})",
+            "0", "1",
+        )
 
 
 def _base_env():
@@ -1690,20 +1648,16 @@ def _print_ctor(pr, env, sig, ctor):
         parts.append(f"({nm} : I)")
         env = pr.push(env, IVAL, nm)
     entries = []
-    afaces = []
     for phi, b in ctor.boundary:
-        afaces.append(phi)
         entries.append(f"{pr.face(env, phi)} ->"
                        f" {_print_bnd(pr, env, recnames, sig, b)}")
-    if not ctor.boundary:
-        if ctor.face != F0():
-            entries.append(pr.face(env, ctor.face))
-    else:
-        afold = _join_faces(afaces)
-        if ctor.face != afold:
-            if not (isinstance(ctor.face, FOr) and ctor.face.left == afold):
-                raise ValueError("constructor face has no surface syntax")
-            entries.append(pr.face(env, ctor.face.right))
+    # The bare entry is what the face has beyond the arrows' faces.
+    afold = face_join(phi for phi, _ in ctor.boundary)
+    bare = Face(ctor.face - afold)
+    if FOr(afold, bare) != ctor.face:
+        raise ValueError("constructor face has no surface syntax")
+    if bare:
+        entries.append(pr.face(env, bare))
     if entries:
         parts.append(f"[{', '.join(entries)}]")
     return " ".join(parts)

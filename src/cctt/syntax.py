@@ -8,12 +8,11 @@ others.  Face entries bind no variables at all; they only restrict.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import IllFormedRedex, TickEscape
 from .interval import (
-    FaceFormula, IntervalExpr, face_normalize, face_map_vars, IVar,
-    iv_map_vars, iv_normalize,
+    Face, IntervalExpr, IVar, face_rename, iv_map_vars, iv_normalize,
 )
 
 # Entry sorts.
@@ -201,7 +200,7 @@ class PFix(Term):
 class Comp(Term):
     """comp^i ty [face -> tube] base; ty and tube bind the interval variable."""
     ty: Term
-    face: FaceFormula
+    face: Face
     tube: Term
     base: Term
 
@@ -210,7 +209,7 @@ class Comp(Term):
 class HComp(Term):
     """Homogeneous composition at a fixed type; tube binds the line variable."""
     ty: Term
-    face: FaceFormula
+    face: Face
     tube: Term
     base: Term
 
@@ -219,7 +218,7 @@ class HComp(Term):
 class Trans(Term):
     """Transport along a type line (binds the line variable) under a face."""
     ty: Term
-    face: FaceFormula
+    face: Face
     base: Term
 
 
@@ -263,7 +262,7 @@ class ClockElim(Term):
 
 @_td
 class System(Term):
-    parts: tuple  # of (FaceFormula, Term)
+    parts: tuple  # of (Face, Term)
 
 
 @_td
@@ -297,7 +296,7 @@ class EIVar:
 
 @dataclass(frozen=True)
 class EFace:
-    face: FaceFormula
+    face: Face
 
 
 _ENTRY_SORT = {EVar: TERM, EClock: CLOCK, ETick: TICK, EIVar: IVAL, EFace: FACE}
@@ -384,7 +383,7 @@ class Context:
                     1 for x in self.entries[pos + 1:]
                     if entry_sort(x) == IVAL
                 )
-                out.append(face_map_vars(e.face, lambda ix: IVar(ix + shift)))
+                out.append(face_rename(e.face, lambda ix: ix + shift))
         return out
 
 
@@ -415,10 +414,8 @@ class Renaming:
         return iv_map_vars(r, lambda ix: IVar(self.apply(IVAL, ix, depth)))
 
     def face(self, phi, depth):
-        """The face formula phi, renamed."""
-        return face_map_vars(
-            phi, lambda ix: IVar(self.apply(IVAL, ix, depth))
-        )
+        """The face formula phi, renamed (every map is injective)."""
+        return face_rename(phi, lambda ix: self.apply(IVAL, ix, depth))
 
 
 def _shift_map(cut, by):
@@ -596,7 +593,7 @@ def weaken_iexpr(r, inserted, cut=0):
 
 def weaken_face(phi, inserted, cut=0):
     by = sum(1 for s in inserted if s == IVAL)
-    return face_map_vars(phi, lambda ix: IVar(ix + by) if ix >= cut else IVar(ix))
+    return face_rename(phi, lambda ix: ix + by if ix >= cut else ix)
 
 
 def weaken_tick(u, inserted, cut=None):
@@ -606,23 +603,23 @@ def weaken_tick(u, inserted, cut=None):
 
 
 # --------------------------------------------------------------------------
-# Structural equality (alpha-equality plus leaf normalization)
+# Structural equality (alpha-equality plus interval-leaf normalization)
 # --------------------------------------------------------------------------
 
 # Compared field by field: every term class, eliminator cases and ticks.
 _NODES = frozenset(Term.__subclasses__()) | {ElimCase, TickVar, Diamond, Tirr}
 _IEXPRS = frozenset(IntervalExpr.__subclasses__())
-_FACES = frozenset(FaceFormula.__subclasses__())
 
 
 def structural_equal(t, u):
-    """Whether t and u are equal once every interval and face leaf is
-    normalized: alpha-equality, since variables are de Bruijn indices.  It
-    implies definitional equality, so conversion asks it first.
+    """Whether t and u are equal once every interval leaf is normalized:
+    alpha-equality, since variables are de Bruijn indices.  It implies
+    definitional equality, so conversion asks it first.  Faces are normal
+    forms already and compare with `==`.
 
     Both terms are walked together on one explicit stack, so depth costs no
-    Python frames and nothing is built; two leaves are normalized only when
-    they differ syntactically."""
+    Python frames and nothing is built; two interval leaves are normalized
+    only when they differ syntactically."""
     stack = [t, u]
     pop, push = stack.pop, stack.append
     while stack:
@@ -645,9 +642,6 @@ def structural_equal(t, u):
                     push(y)
         elif cls in _IEXPRS:
             if a != b and iv_normalize(a) != iv_normalize(b):
-                return False
-        elif cls in _FACES:
-            if a != b and face_normalize(a) != face_normalize(b):
                 return False
         elif a != b:
             return False
@@ -692,7 +686,7 @@ class BCon(BoundaryTerm):
 
 @dataclass(frozen=True)
 class BHComp(BoundaryTerm):
-    face: FaceFormula
+    face: Face
     tube: BoundaryTerm  # binds one interval variable
     base: BoundaryTerm
 
@@ -703,8 +697,8 @@ class Constructor:
     args: Telescope       # over (ambient, Delta)
     rec_arities: tuple    # Telescopes over (ambient, Delta, args)
     ivar_count: int
-    face: FaceFormula     # over the constructor's interval variables
-    boundary: tuple       # of (FaceFormula, BoundaryTerm)
+    face: Face            # over the constructor's interval variables
+    boundary: tuple       # of (Face, BoundaryTerm)
 
 
 @dataclass(frozen=True)
@@ -714,14 +708,14 @@ class HitSignature:
     level: int
     constructors: tuple
 
+    @cached_property
+    def _by_label(self):
+        # Built in reverse, so that the first of two equal labels wins.
+        return {c.label: (k, c)
+                for k, c in reversed(tuple(enumerate(self.constructors)))}
+
     def constructor(self, label):
-        for c in self.constructors:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        return self._by_label[label][1]
 
     def index_of(self, label):
-        for k, c in enumerate(self.constructors):
-            if c.label == label:
-                return k
-        raise KeyError(label)
+        return self._by_label[label][0]

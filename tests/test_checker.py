@@ -7,11 +7,12 @@ from cctt.checker import (
 )
 from cctt.conversion import CompProblem, conv, conv_tm, whnf
 from cctt.errors import (
-    BaseBoundaryMismatch, BoundaryNotCovering, CaseBoundaryMismatch,
+    BaseBoundaryMismatch, BoundaryIncompatible, BoundaryNotCovering, CaseBoundaryMismatch,
     ClockMismatch, EndpointMismatch, ForwardConstructorReference,
     IncompatibleOverlap, TickEscape, TypeMismatch, UnboundVariable,
 )
-from cctt.interval import F0, FEq, FOr, IVar, IZERO, IONE
+from cctt.interval import FBOT, FEq, FOr, IVar, IZERO, IONE
+from cctt.parser import parse_module, print_module
 from cctt.syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
@@ -210,7 +211,7 @@ class TestSystemsAndComposition:
 
     def test_empty_extent_any_tube(self):
         ctx = self._ctx()
-        problem = CompProblem(Var(5), F0(), Var(3), Var(4))
+        problem = CompProblem(Var(5), FBOT, Var(3), Var(4))
         assert check_comp(st(), ctx, problem) == Var(5)
 
 
@@ -220,8 +221,8 @@ class TestSystemsAndComposition:
 
 def nat_signature():
     return HitSignature("nat", Telescope(()), 0, (
-        Constructor("zero", Telescope(()), (), 0, F0(), ()),
-        Constructor("succ", Telescope(()), (Telescope(()),), 0, F0(), ()),
+        Constructor("zero", Telescope(()), (), 0, FBOT, ()),
+        Constructor("succ", Telescope(()), (Telescope(()),), 0, FBOT, ()),
     ))
 
 
@@ -229,7 +230,7 @@ def circle_signature():
     from cctt.syntax import BCon
     ends = FOr(FEq(0, 0), FEq(0, 1))
     return HitSignature("s1", Telescope(()), 0, (
-        Constructor("base", Telescope(()), (), 0, F0(), ()),
+        Constructor("base", Telescope(()), (), 0, FBOT, ()),
         Constructor("loop", Telescope(()), (), 1, ends, (
             (FEq(0, 0), BCon("base", (), (), ())),
             (FEq(0, 1), BCon("base", (), (), ())),
@@ -241,7 +242,7 @@ def trunc_signature():
     from cctt.syntax import BRec
     ends = FOr(FEq(0, 0), FEq(0, 1))
     return HitSignature("trunc", Telescope((U(0),)), 0, (
-        Constructor("in", Telescope((Var(0),)), (), 0, F0(), ()),
+        Constructor("in", Telescope((Var(0),)), (), 0, FBOT, ()),
         Constructor("squash", Telescope(()),
                     (Telescope(()), Telescope(())), 1, ends, (
                         (FEq(0, 0), BRec(0, ())),
@@ -256,8 +257,8 @@ def pushout_signature():
     params = Telescope((U(0), U(0), U(0),
                         Pi(Var(0), Var(3)), Pi(Var(1), Var(3))))
     return HitSignature("po", params, 0, (
-        Constructor("inl", Telescope((Var(4),)), (), 0, F0(), ()),
-        Constructor("inr", Telescope((Var(3),)), (), 0, F0(), ()),
+        Constructor("inl", Telescope((Var(4),)), (), 0, FBOT, ()),
+        Constructor("inr", Telescope((Var(3),)), (), 0, FBOT, ()),
         Constructor("push", Telescope((Var(2),)), (), 1, ends, (
             (FEq(0, 0), BCon("inl", (App(Var(2), Var(0)),), (), ())),
             (FEq(0, 1), BCon("inr", (App(Var(1), Var(0)),), (), ())),
@@ -269,10 +270,10 @@ def powerset_signature():
     from cctt.syntax import BCon, BRec
     ends = FOr(FEq(0, 0), FEq(0, 1))
     return HitSignature("pf", Telescope((U(0),)), 0, (
-        Constructor("empty", Telescope(()), (), 0, F0(), ()),
-        Constructor("sing", Telescope((Var(0),)), (), 0, F0(), ()),
+        Constructor("empty", Telescope(()), (), 0, FBOT, ()),
+        Constructor("sing", Telescope((Var(0),)), (), 0, FBOT, ()),
         Constructor("union", Telescope(()),
-                    (Telescope(()), Telescope(())), 0, F0(), ()),
+                    (Telescope(()), Telescope(())), 0, FBOT, ()),
         Constructor("idem", Telescope(()), (Telescope(()),), 1, ends, (
             (FEq(0, 0), BCon("union", (),
                              (BRec(0, ()), BRec(0, ())), ())),
@@ -303,7 +304,7 @@ class TestHitSignatures:
             Constructor("early", Telescope(()), (), 1, FEq(0, 0), (
                 (FEq(0, 0), BCon("late", (), (), ())),
             )),
-            Constructor("late", Telescope(()), (), 0, F0(), ()),
+            Constructor("late", Telescope(()), (), 0, FBOT, ()),
         ))
         with pytest.raises(ForwardConstructorReference):
             check_hit_signature(st(), bad)
@@ -311,7 +312,7 @@ class TestHitSignatures:
     def test_non_covering_boundary_rejected(self):
         from cctt.syntax import BCon
         bad = HitSignature("bad", Telescope(()), 0, (
-            Constructor("pt", Telescope(()), (), 0, F0(), ()),
+            Constructor("pt", Telescope(()), (), 0, FBOT, ()),
             Constructor("half", Telescope(()), (), 1,
                         FOr(FEq(0, 0), FEq(0, 1)), (
                             (FEq(0, 0), BCon("pt", (), (), ())),
@@ -319,6 +320,55 @@ class TestHitSignatures:
         ))
         with pytest.raises(BoundaryNotCovering):
             check_hit_signature(st(), bad)
+
+
+def _cube_source(pieces, bare=""):
+    """A 6-cube `cell` over the points `pt` and `qt`, with one boundary
+    piece per (coordinate, end), coordinates listed in a shuffled order."""
+    entries = ", ".join(f"({v} = {e}) -> {rhs}" for v, e, rhs in pieces)
+    binders = " ".join(f"(i{k} : I)" for k in range(6))
+    return (f"data cube : U0 where | pt | qt"
+            f" | cell {binders} [{entries}{bare}]")
+
+
+_CUBE_PIECES = [(f"i{k}", e, "pt") for k in (3, 0, 5, 1, 4, 2)
+                for e in (0, 1)]
+
+
+def _cube(pieces, bare=""):
+    return parse_module(_cube_source(pieces, bare)).decls[0].sig
+
+
+class TestBoundaryVerdicts:
+    """Verdicts of HIT boundary checking, each as the tree-form face
+    lattice gave it."""
+
+    def test_six_cube_passes(self):
+        assert check_hit_signature(st(), _cube(_CUBE_PIECES))
+
+    def test_changed_piece_names_the_pair(self):
+        pieces = list(_CUBE_PIECES)
+        pieces[7] = ("i5", 1, "qt")
+        with pytest.raises(BoundaryIncompatible) as info:
+            check_hit_signature(st(), _cube(pieces))
+        assert str(info.value) == (
+            "boundary pieces 0 and 7 of cell disagree on their overlap"
+            " [face=((i0=1) /\\ (i2=0))]"
+        )
+
+    def test_uncovered_face(self):
+        with pytest.raises(BoundaryNotCovering):
+            check_hit_signature(st(), _cube(_CUBE_PIECES[2:], ", (i3 = 1)"))
+
+    def test_bare_face_entry_round_trips(self):
+        src = ("data sq : U0 where | pt"
+               " | cell (i : I) (j : I) [(i = 0) -> pt, (j = 1) \\/ (i = 1)]")
+        module = parse_module(src)
+        printed = print_module(module)
+        assert printed.endswith(
+            "[(i0 = 0) -> pt, ((i1 = 1) \\/ (i0 = 1))]\n"
+        )
+        assert parse_module(printed) == module
 
 
 class TestConstructors:

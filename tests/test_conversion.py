@@ -3,22 +3,23 @@ from pathlib import Path
 
 import pytest
 
+from cctt import conversion
 from cctt.checker import CheckState
 from cctt.conversion import (
-    comp_eval, CompProblem, conv, conv_tm, conv_under_face, hfill,
-    tick_whnf, whnf,
+    boundary_reduce, comp_eval, CompProblem, conv, conv_tm, conv_under_face,
+    hfill, tick_whnf, whnf,
 )
 from cctt.errors import FuelExhausted, MalformedSubstitution
 from cctt.interval import (
-    F0, F1, FAnd, FEq, INeg, IVar, IZERO, IONE, face_or,
+    FAnd, FBOT, FEq, FTOP, INeg, IVar, IZERO, IONE,
 )
 from cctt.parser import DataDefinition, Elaborator, surface_module
 from cctt.syntax import (
-    TERM, App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
-    Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
-    Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam, Pair,
-    PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam, TickVar,
-    Tirr, TopRef, Trans, U, Var, weaken,
+    TERM, App, BCon, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
+    DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp,
+    Forall, Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam,
+    Pair, PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam,
+    TickVar, Tirr, TopRef, Trans, U, Var, weaken,
 )
 
 FUEL_FILE = (Path(__file__).resolve().parent.parent / "corpus" / "neg"
@@ -147,17 +148,17 @@ class TestTicksAndFixpoints:
 
 class TestSystemsAndComp:
     def test_system_picks_true_part(self):
-        t = System(((FEq(0, 0), U(0)), (F1(), U(1))))
+        t = System(((FEq(0, 0), U(0)), (FTOP, U(1))))
         assert whnf(st(), PRELUDE.push(EIVar()), t) == U(1)
 
     def test_comp_on_true_face_is_tube_at_one(self):
         ctx = PRELUDE.push(EVar(U(0)))
-        t = Comp(U(0), F1(), Var(0), Var(0))
+        t = Comp(U(0), FTOP, Var(0), Var(0))
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_hcomp_on_true_face_is_tube_at_one(self):
         ctx = PRELUDE.push(EVar(U(0)))
-        t = HComp(U(0), F1(), Var(0), Var(0))
+        t = HComp(U(0), FTOP, Var(0), Var(0))
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_trans_constant_line_is_identity(self):
@@ -178,29 +179,26 @@ class TestSystemsAndComp:
                .push(EVar(PathT(U(0), Var(1), Var(0)))))
         line = Pi(PApp(Var(0), IVar(0)), U(1))
         base = Lam(U(0))
-        from cctt.interval import F0
-        got = comp_eval(st(), ctx, CompProblem(line, F0(), base, base))
+        got = comp_eval(st(), ctx, CompProblem(line, FBOT, base, base))
         assert isinstance(got, Lam)
         assert isinstance(got.body, Comp)
 
     def test_comp_at_sigma_is_a_pair(self):
         ctx = PRELUDE.push(EVar(U(0)))
-        from cctt.interval import F0
         line = Sigma(PApp(PLam(Var(0)), IVar(0)), Var(1))
         got = comp_eval(st(), ctx, CompProblem(
-            line, F0(), Pair(Var(0), Var(0)), Pair(Var(0), Var(0))
+            line, FBOT, Pair(Var(0), Var(0)), Pair(Var(0), Var(0))
         ))
         assert isinstance(got, Pair)
 
     def test_hfill_endpoints(self):
         ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
-        from cctt.interval import F0
         ty, base = Var(1), Var(0)
         tube = Var(0)
         state = st()
-        at0 = hfill(ctx, ty, F0(), tube, base, IZERO)
+        at0 = hfill(ctx, ty, FBOT, tube, base, IZERO)
         assert whnf(state, ctx, at0) == base
-        at1 = hfill(ctx, ty, F0(), tube, base, IONE)
+        at1 = hfill(ctx, ty, FBOT, tube, base, IONE)
         got = whnf(state, ctx, at1)
         assert isinstance(got, HComp)
 
@@ -276,8 +274,8 @@ class TestConv:
 
 def nat_signature():
     return HitSignature("nat", Telescope(()), 0, (
-        Constructor("zero", Telescope(()), (), 0, F0(), ()),
-        Constructor("succ", Telescope(()), (Telescope(()),), 0, F0(), ()),
+        Constructor("zero", Telescope(()), (), 0, FBOT, ()),
+        Constructor("succ", Telescope(()), (Telescope(()),), 0, FBOT, ()),
     ))
 
 
@@ -285,8 +283,8 @@ def node_signature():
     # One constructor with an argument, a recursive argument and an
     # interval binder; its face never holds, so it never fires a boundary.
     return HitSignature("tree", Telescope(()), 0, (
-        Constructor("leaf", Telescope(()), (), 0, F0(), ()),
-        Constructor("node", Telescope((U(0),)), (Telescope(()),), 1, F0(),
+        Constructor("leaf", Telescope(()), (), 0, FBOT, ()),
+        Constructor("node", Telescope((U(0),)), (Telescope(()),), 1, FBOT,
                     ()),
     ))
 
@@ -338,6 +336,35 @@ def nat_state():
     state.signatures["nat"] = nat_signature()
     state.signatures["tree"] = node_signature()
     return state
+
+
+class TestPointConstructors:
+    """A constructor with the empty face never fires a boundary, so it is
+    answered without reading its face."""
+
+    @pytest.fixture
+    def faces_unread(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a point constructor's face was read")
+        for name in ("_ctor_face", "face_substitute", "face_is_true"):
+            monkeypatch.setattr(conversion, name, unread)
+
+    def test_whnf_returns_point_constructor(self, faces_unread):
+        for t in (ZERO, nat_num(1)):
+            state = nat_state()
+            assert whnf(state, PRELUDE, t) is t
+            assert state.steps == 1
+
+    def test_boundary_reduce_stops_at_point_constructor(self, faces_unread):
+        zero = BCon("zero", (), (), ())
+        assert boundary_reduce(nat_signature(), zero) is None
+
+    def test_signature_lookup_by_label(self):
+        sig = node_signature()
+        assert sig.constructor("node") is sig.constructors[1]
+        assert sig.index_of("leaf") == 0
+        with pytest.raises(KeyError):
+            sig.constructor("twig")
 
 
 class TestMachine:

@@ -1,14 +1,21 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cctt.interval import (
-    F0, F1, FAnd, FEq, FOr, FBOT, FTOP,
+    FAnd, FEq, FOr, FBOT, FTOP,
     I0, I1, IJoin, IMeet, INeg, IVar, IZERO, IONE,
-    face_clauses, face_dnf, face_entails, face_equal, face_is_false,
-    face_is_true, face_normalize, face_of_equation, face_substitute,
-    iv_equal, iv_is_one, iv_is_zero, iv_normalize,
+    face_clauses, face_dnf, face_entails, face_is_false,
+    face_is_true, face_of_equation, face_substitute, face_vars,
+    iv_equal, iv_is_one, iv_is_zero, iv_normalize, iv_vars,
 )
-from oracles import dm4_equal, face_entails_oracle, face_equal_oracle
+from cctt.syntax import IVAL, weaken_face
+from oracles import (
+    TBOT, TTOP, dm4_equal, dm4_eval, face_clauses_oracle, face_entails_oracle,
+    face_equal_oracle, face_eval, face_eval_under, face_tree, face_valuations,
+    kernel_face,
+)
 
 i, j, k = IVar(0), IVar(1), IVar(2)
 
@@ -27,14 +34,12 @@ def ivexprs(max_vars=3):
 
 
 def faces(max_vars=3):
-    gens = [FEq(n, b) for n in range(max_vars) for b in (0, 1)]
-    leaves = st.sampled_from([FBOT, FTOP] + gens)
+    """Face formulas as the oracle's trees; `kernel_face` builds each."""
+    gens = [("eq", n, b) for n in range(max_vars) for b in (0, 1)]
+    leaves = st.sampled_from([TBOT, TTOP] + gens)
     return st.recursive(
         leaves,
-        lambda sub: st.one_of(
-            st.tuples(sub, sub).map(lambda p: FAnd(*p)),
-            st.tuples(sub, sub).map(lambda p: FOr(*p)),
-        ),
+        lambda sub: st.tuples(st.sampled_from(("and", "or")), sub, sub),
         max_leaves=12,
     )
 
@@ -94,20 +99,22 @@ class TestFaceNormalize:
 
     def test_lattice_units(self):
         phi = FOr(FEq(0, 0), FEq(1, 1))
-        assert face_normalize(FOr(phi, FBOT)) == face_normalize(phi)
-        assert face_normalize(FAnd(phi, FTOP)) == face_normalize(phi)
+        assert FOr(phi, FBOT) == phi
+        assert FAnd(phi, FTOP) == phi
 
     def test_absorption(self):
         phi = FAnd(FOr(FEq(0, 0), FEq(1, 1)), FEq(0, 0))
-        assert face_normalize(phi) == FEq(0, 0)
+        assert phi == FEq(0, 0)
 
     @given(faces())
-    def test_idempotent(self, phi):
-        assert face_normalize(face_normalize(phi)) == face_normalize(phi)
+    def test_idempotent(self, tree):
+        # Building a face again from its own clauses gives the same face.
+        phi = kernel_face(tree)
+        assert kernel_face(face_tree(phi)) == phi
 
     @given(faces(), faces())
-    def test_equal_agrees_with_oracle(self, phi, psi):
-        assert face_equal(phi, psi) == face_equal_oracle(phi, psi)
+    def test_equal_agrees_with_oracle(self, p, q):
+        assert (kernel_face(p) == kernel_face(q)) == face_equal_oracle(p, q)
 
     def test_clauses_are_consistent(self):
         phi = FOr(FAnd(FEq(0, 0), FEq(0, 1)), FEq(1, 0))
@@ -125,8 +132,9 @@ class TestFaceEntails:
         assert not face_entails(FOr(FEq(0, 0), FEq(0, 1)), FEq(1, 0))
 
     @given(faces(), faces())
-    def test_agrees_with_valuation_oracle(self, phi, psi):
-        assert face_entails(phi, psi) == face_entails_oracle(phi, psi)
+    def test_agrees_with_valuation_oracle(self, p, q):
+        assert (face_entails(kernel_face(p), kernel_face(q))
+                == face_entails_oracle(p, q))
 
 
 class TestFaceOfEquation:
@@ -144,16 +152,14 @@ class TestFaceOfEquation:
     @given(ivexprs(), st.sampled_from([0, 1]))
     def test_agrees_with_endpoint_valuations(self, r, b):
         # For 0/1 valuations, r evaluates to b iff the face holds.
-        from itertools import product as iproduct
-        from oracles import dm4_eval, face_eval
-        from cctt.interval import iv_vars, face_vars
         phi = face_of_equation(r, b)
         vs = sorted(iv_vars(r) | face_vars(phi))
         const = {0: (0, 0), 1: (1, 1)}
-        for bits in iproduct((0, 1), repeat=len(vs)):
+        for bits in product((0, 1), repeat=len(vs)):
             val = dict(zip(vs, bits))
             env = {v: const[x] for v, x in val.items()}
-            assert (dm4_eval(r, env) == const[b]) == face_eval(phi, val)
+            assert ((dm4_eval(r, env) == const[b])
+                    == face_eval(face_tree(phi), val))
 
 
 class TestFaceSubstitute:
@@ -164,13 +170,71 @@ class TestFaceSubstitute:
 
     def test_join_substitution(self):
         got = face_substitute(FEq(0, 1), {0: IJoin(j, k)})
-        assert face_equal(got, FOr(FEq(1, 1), FEq(2, 1)))
+        assert got == FOr(FEq(1, 1), FEq(2, 1))
 
     @given(faces())
-    def test_commutes_with_normalize(self, phi):
+    def test_commutes_with_normalize(self, tree):
+        # Substituting into the normal form agrees with substituting into
+        # the tree it was built from.
         sub = {0: IMeet(IVar(3), IVar(4)), 1: INeg(IVar(3)), 2: IONE}
-        assert face_substitute(phi, sub) == face_substitute(face_normalize(phi), sub)
+        got = face_tree(face_substitute(kernel_face(tree), sub))
+        for v in face_valuations(range(5)):
+            assert face_eval(got, v) == face_eval_under(tree, sub, v)
 
     def test_identity_substitution(self):
         phi = FOr(FAnd(FEq(0, 0), FEq(1, 1)), FEq(2, 0))
-        assert face_substitute(phi, {}) == face_normalize(phi)
+        assert face_substitute(phi, {}) == phi
+
+
+# -- the kernel's faces against the oracle's trees --------------------------
+
+VARS = 4
+
+
+def _images(max_vars):
+    """Interval expressions a face variable may be replaced by."""
+    leaves = st.sampled_from(
+        [IZERO, IONE] + [IVar(n) for n in range(max_vars)]
+    )
+    return st.one_of(
+        leaves,
+        leaves.map(INeg),
+        st.tuples(leaves, leaves).map(lambda p: IMeet(*p)),
+        st.tuples(leaves, leaves).map(lambda p: IJoin(*p)),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(faces(VARS), faces(VARS),
+       st.fixed_dictionaries({n: _images(VARS + 1) for n in range(VARS)}),
+       st.integers(0, VARS), st.integers(1, 2))
+def test_kernel_faces_agree_with_tree_oracle(p, q, sub, cut, by):
+    kp, kq = kernel_face(p), kernel_face(q)
+    assert set(kp) == face_clauses_oracle(p, range(VARS))
+    assert (kp == kq) == face_equal_oracle(p, q)
+    assert face_entails(kp, kq) == face_entails_oracle(p, q)
+    assert face_is_true(kp) == face_equal_oracle(p, TTOP)
+    assert face_is_false(kp) == face_equal_oracle(p, TBOT)
+    meet, join = face_tree(FAnd(kp, kq)), face_tree(FOr(kp, kq))
+    substituted = face_tree(face_substitute(kp, sub))
+    weakened = face_tree(weaken_face(kp, [IVAL] * by, cut))
+    shift = {n: IVar(n + by if n >= cut else n) for n in range(VARS)}
+    for v in face_valuations(range(VARS + by)):
+        at_p, at_q = face_eval(p, v), face_eval(q, v)
+        assert face_eval(meet, v) == (at_p and at_q)
+        assert face_eval(join, v) == (at_p or at_q)
+        assert face_eval(substituted, v) == face_eval_under(p, sub, v)
+        assert face_eval(weakened, v) == face_eval_under(p, shift, v)
+
+
+def test_substitution_by_reversal_and_meet():
+    # (i=1)[~i/i] is (i=0); (i=0)[i /\ j/i] is (i=0) \/ (j=0).
+    assert face_substitute(FEq(0, 1), {0: INeg(i)}) == FEq(0, 0)
+    assert (face_substitute(FEq(0, 0), {0: IMeet(i, j)})
+            == FOr(FEq(0, 0), FEq(1, 0)))
+    # A clause the substitution makes inconsistent is dropped:
+    # ((i=0) /\ (j=0))[~i/j] is (i=0) /\ (i=1), which is empty.
+    assert face_is_false(face_substitute(FAnd(FEq(0, 0), FEq(1, 0)),
+                                         {1: INeg(i)}))
+    assert (face_substitute(FOr(FAnd(FEq(0, 0), FEq(1, 0)), FEq(2, 1)),
+                            {1: INeg(i)}) == FEq(2, 1))

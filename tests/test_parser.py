@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cctt.errors import ParseError, UnboundVariable
-from cctt.interval import F0, FEq, FOr, I0, IVar
+from cctt.interval import FEq, FOr, I0, IVar
 from cctt.parser import (
     RESERVED, ConvCheck, DataDefinition, Definition, Module, SApp, SVar,
     parse_module, print_module, surface_module, tokenize,

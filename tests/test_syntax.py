@@ -1,6 +1,8 @@
 import random
 
-from cctt.interval import FAnd, FEq, FOr, IMeet, INeg, IVar, IZERO, iv_map_vars
+from cctt.interval import (
+    FAnd, FBOT, FEq, FOr, FTOP, IMeet, INeg, IVar, IZERO, iv_map_vars,
+)
 from cctt.syntax import (
     App, CLOCK, Comp, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
     Later, PApp, PLam, Pi, Renaming, TERM, TICK, TickApp, TickLam, TickVar,
@@ -51,8 +53,8 @@ def test_structural_equal_is_syntactic_on_binders():
 
 class _LeafRewriting(Renaming):
     """The identity renaming, except that each interval variable becomes a
-    random expression (most of them equal to it) and each face disjunction
-    is swapped."""
+    random expression (most of them equal to it) and each face is built
+    again with its joins and meets taken in reverse order."""
 
     def __init__(self, rng):
         super().__init__()
@@ -68,15 +70,17 @@ class _LeafRewriting(Renaming):
         )
 
     def face(self, phi, depth):
-        return _swap_disjuncts(phi)
+        return _rebuilt_backwards(phi)
 
 
-def _swap_disjuncts(phi):
-    if isinstance(phi, FOr):
-        return FOr(_swap_disjuncts(phi.right), _swap_disjuncts(phi.left))
-    if isinstance(phi, FAnd):
-        return FAnd(_swap_disjuncts(phi.left), _swap_disjuncts(phi.right))
-    return phi
+def _rebuilt_backwards(phi):
+    out = FBOT
+    for clause in sorted(phi, key=sorted, reverse=True):
+        meet = FTOP
+        for ix, end in sorted(clause, reverse=True):
+            meet = FAnd(meet, FEq(ix, end))
+        out = FOr(out, meet)
+    return out
 
 
 def test_structural_equal_agrees_with_canonical_forms():

@@ -5,7 +5,7 @@ from cctt.errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
     NoCommonResidual, NotATick, TickEscape,
 )
-from cctt.interval import FEq, F0, IMeet, IONE, IVar
+from cctt.interval import FBOT, FEq, IMeet, IONE, IVar
 from cctt.syntax import (
     App, CApp, CLam, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
     ForceApp, Lam, Later, PApp, PLam, System, TickApp, TickLam, TickVar,
@@ -186,7 +186,7 @@ class TestShiftedSubstitution:
          CLam(TickLam(2, TickApp(CApp(Var(3), 1), TickVar(0))))),
         ([EIVar()], [CIVal(IONE)],
          System(((FEq(2, 1), Var(1)), (FEq(0, 0), Var(3)))),
-         System(((FEq(1, 1), Var(1)), (F0(), Var(3))))),
+         System(((FEq(1, 1), Var(1)), (FBOT, Var(3))))),
     ])
     def test_free_variables_outside_the_block(self, entries, comps, term,
                                               expected):
