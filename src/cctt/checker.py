@@ -12,21 +12,22 @@ checking context built over it.
 """
 
 from .conversion import (
-    CompProblem, boundary_equal, conv, conv_tm, conv_under_face, hfill,
-    inst, inst_under, subst1, subst_clock1, subst_ival1, subst_tick1, whnf,
-    _clam_n, _forall_n, _nlam, _weaken_case,
+    CompProblem, boundary_apply, boundary_equal, conv, conv_tm,
+    conv_under_face, hfill, signature_subst, subst1, subst_clock1,
+    subst_force1, subst_ival1, subst_tick1, whnf,
+    _ONE_IVAL, _clam_n, _forall_n, _nlam, _weaken_case,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
-    BoundaryNotCovering, CaseBoundaryMismatch, CaseMissing, ClockMismatch,
-    DiamondOutsideForcing, EndpointMismatch, ForwardConstructorReference,
-    FuelExhausted, IncompatibleOverlap, MotiveMismatch, NonProperEntry,
-    NotAFunction, NotALater, TickEscape, TubeMismatch, TypeMismatch,
-    UnboundVariable,
+    BoundaryNotCovering, CaseBoundaryMismatch, CaseMissing, CcttError,
+    ClockMismatch, DiamondOutsideForcing, EndpointMismatch,
+    ForwardConstructorReference, FuelExhausted, IncompatibleOverlap,
+    MotiveMismatch, NonProperEntry, NotAFunction, NotALater, TickEscape,
+    TubeMismatch, TypeMismatch, UnboundVariable,
 )
 from .interval import (
     FAnd, IVar, IZERO, IONE, face_entails, face_is_false, face_join,
-    face_substitute, face_vars, iv_map_vars, iv_normalize, iv_vars,
+    face_vars, iv_vars,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
@@ -37,13 +38,11 @@ from .syntax import (
     rename_term, structural_equal, weaken, weaken_face,
 )
 from .ticks import (
-    CClock, CForcedTick, CIVal, CTerm, _tick_vars, apply_mask,
-    mask_renaming, residual_mask, strengthen_term, weakening_renaming,
+    _tick_vars, apply_mask, mask_renaming, residual_mask, shape,
+    strengthen_term, subst, subst_apply, weakening_renaming,
 )
 
 PRELUDE = Context((EClock(),))
-
-_DUMMY = U(0)
 
 
 class CheckState:
@@ -312,7 +311,7 @@ def _infer_tick_app(state, ctx, fn, u):
         )
     body = rename_term(lty.ty, weakening_renaming(ctx, mask),
                        _bump(ZERO_DEPTH, TICK))
-    return subst_tick1(ctx, clock, body, u)
+    return subst_tick1(ctx, body, u)
 
 
 def _infer_force_app(state, ctx, fn, k, u):
@@ -331,8 +330,7 @@ def _infer_force_app(state, ctx, fn, k, u):
         )
     body = rename_term(lty.ty, weakening_renaming(ctx, mask),
                        _bump(ZERO_DEPTH, CLOCK, TICK))
-    return inst(ctx, [EClock(), ETick(0)],
-                [CClock(k), CForcedTick(k, u)], body)
+    return subst_force1(ctx, body, k, u)
 
 
 # --------------------------------------------------------------------------
@@ -544,13 +542,8 @@ def _check_trans(state, ctx, ty, face, base):
 def _hit_param_type(state, ctx, sig, p, params):
     """Type of the p-th parameter, instantiated at the given earlier
     parameter values (terms in ctx)."""
-    outer = ctx.count(CLOCK) - 1
-    return inst(
-        ctx,
-        [EClock()] + [EVar(_DUMMY)] * p,
-        [CClock(outer)] + [CTerm(q) for q in params[:p]],
-        sig.params.types[p],
-    )
+    return subst_apply(signature_subst(ctx, params[:p]),
+                       sig.params.types[p])
 
 
 def _check_hit_params(state, ctx, sig, params):
@@ -575,7 +568,7 @@ def check_hit_signature(state, sig):
             check_is_type(state, bctx, ty)
         except FuelExhausted:
             raise
-        except Exception as exc:
+        except CcttError as exc:
             raise NonProperEntry(
                 f"parameter {p} of {sig.name} is not a type: {exc}"
             ) from exc
@@ -590,7 +583,7 @@ def check_hit_signature(state, sig):
                 check_is_type(state, cctx, ty)
             except FuelExhausted:
                 raise
-            except Exception as exc:
+            except CcttError as exc:
                 raise NonProperEntry(
                     f"argument {j} of {ctor.label} is not a type: {exc}"
                 ) from exc
@@ -602,7 +595,7 @@ def check_hit_signature(state, sig):
                     check_is_type(state, acx, ty)
                 except FuelExhausted:
                     raise
-                except Exception as exc:
+                except CcttError as exc:
                     raise NonProperEntry(
                         f"recursive arity {k}.{q} of {ctor.label} is not a "
                         f"type: {exc}"
@@ -649,8 +642,8 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
         for j in range(i + 1, len(pieces)):
             overlap = FAnd(pieces[i][0], pieces[j][0])
             for clause in overlap:
-                left = _bnd_assign(pieces[i][1], v, clause)
-                right = _bnd_assign(pieces[j][1], v, clause)
+                left = _bnd_assign(sig, pieces[i][1], v, clause)
+                right = _bnd_assign(sig, pieces[j][1], v, clause)
                 if not boundary_equal(sig, left, right):
                     raise BoundaryIncompatible(
                         f"boundary pieces {i} and {j} of {ctor.label} "
@@ -678,14 +671,12 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
             # Arity types are scoped over (prelude, parameters, arguments);
             # weaken past everything pushed since, then feed earlier
             # arguments in.
-            base_terms = 1 + d + len(ctor.args.types)  # prelude has none
             extra_terms = bctx.count(TERM) - (d + len(ctor.args.types))
             extra_ivals = bctx.count(IVAL)
             for q, ty in enumerate(arity.types):
                 ty_w = weaken(ty, [TERM] * extra_terms
                               + [IVAL] * extra_ivals, cut={TERM: q})
-                ty_i = inst(bctx, [EVar(_DUMMY)] * q,
-                            [CTerm(u) for u in uargs[:q]], ty_w)
+                ty_i = subst_apply(subst(bctx, terms=uargs[:q]), ty_w)
                 check(state, bctx, uargs[q], ty_i)
             return
         case BCon(label, cargs, crecs, civals):
@@ -721,8 +712,7 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
                     + [IVAL] * extra_ivals,
                     cut={TERM: q},
                 )
-                ty_i = inst(bctx, [EVar(_DUMMY)] * q,
-                            [CTerm(u) for u in cargs[:q]], ty_w)
+                ty_i = subst_apply(subst(bctx, terms=cargs[:q]), ty_w)
                 check(state, bctx, cargs[q], ty_i)
             for k, sub in enumerate(crecs):
                 arity = target.rec_arities[k]
@@ -734,7 +724,7 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
                         + [IVAL] * extra_ivals,
                         cut={TERM: q},
                     )
-                    ty_i = _splice_args(inner, ty_w, cargs, q)
+                    ty_i = subst_apply(subst(inner, terms=cargs[:q]), ty_w)
                     inner = inner.push(EVar(ty_i))
                 _check_boundary_term(state, sig, earlier, ctor, inner, sub)
             for r in civals:
@@ -749,48 +739,18 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
     raise NonProperEntry(f"not a boundary term: {M!r}")
 
 
-def _splice_args(bctx, ty_w, cargs, q):
-    """Instantiate the first q target-argument references of ty_w."""
-    return inst(bctx, [EVar(_DUMMY)] * q,
-                [CTerm(u) for u in cargs[:q]], ty_w)
-
-
-def _bnd_assign(M, v, clause):
+def _bnd_assign(sig, M, v, clause):
     """Substitute an endpoint assignment (a face clause over the
-    constructor's interval binders) into a boundary term.  The substitution
-    for term arguments is built when the first one is met."""
-    table = {ix: (IONE if b else IZERO) for ix, b in clause}
-    subst = None
-
-    def on_iv(e):
-        return iv_normalize(iv_map_vars(
-            e, lambda ix: table.get(ix, IVar(ix))
-        ))
-
-    def on_face(phi):
-        return face_substitute(phi, table)
-
-    def on_term(t):
-        nonlocal subst
-        if not v:
-            return t
-        if subst is None:
-            subst = ([EIVar()] * v, [CIVal(table.get(ix, IVar(ix)))
-                                     for ix in reversed(range(v))])
-        return inst(None, *subst, t)
-
-    def go(M):
-        match M:
-            case BRec(j, uargs):
-                return BRec(j, tuple(map(on_term, uargs)))
-            case BCon(label, cargs, crecs, civals):
-                return BCon(label, tuple(map(on_term, cargs)),
-                            tuple(map(go, crecs)), tuple(map(on_iv, civals)))
-            case BHComp(face, tube, base):
-                return BHComp(on_face(face), go(tube), go(base))
-        raise NonProperEntry(repr(M))
-
-    return go(M)
+    constructor's interval binders) into a boundary term."""
+    if not v:
+        return M
+    table = dict(clause)
+    ends = tuple(
+        (IONE if table[ix] else IZERO) if ix in table else IVar(ix)
+        for ix in reversed(range(v))
+    )
+    return boundary_apply(sig, subst(None, ivals=ends, fresh=(0, 0, 0, v)),
+                          M)
 
 
 # --------------------------------------------------------------------------
@@ -803,7 +763,6 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
         ctor = sig.constructor(label)
     except KeyError:
         raise UnboundVariable(f"{sig.name} has no constructor {label}")
-    d = len(sig.params.types)
     if len(args) != len(ctor.args.types):
         raise ArityMismatch(
             f"{label} expects {len(ctor.args.types)} arguments, got "
@@ -820,14 +779,9 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
             f"{len(ivals)}"
         )
     _check_hit_params(state, ctx, sig, params)
-    outer = ctx.count(CLOCK) - 1
     for j, ty in enumerate(ctor.args.types):
-        ty_i = inst(
-            ctx,
-            [EClock()] + [EVar(_DUMMY)] * (d + j),
-            [CClock(outer)] + [CTerm(q) for q in params]
-            + [CTerm(a) for a in args[:j]],
-            ty,
+        ty_i = subst_apply(
+            signature_subst(ctx, tuple(params) + tuple(args[:j])), ty
         )
         check(state, ctx, args[j], ty_i)
     for k, arity in enumerate(ctor.rec_arities):
@@ -841,19 +795,13 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
 def _rec_fn_type(state, ctx, sig, arity, params, args):
     """The type of a recursive argument: a function from the instantiated
     arity telescope into the data type."""
-    d = len(sig.params.types)
-    a = len(args)
     m = len(arity.types)
     cur = ctx
     tys = []
     for q in range(m):
-        outer = cur.count(CLOCK) - 1
-        comps = [CClock(outer)]
-        comps += [CTerm(weaken(x, [TERM] * q)) for x in params]
-        comps += [CTerm(weaken(x, [TERM] * q)) for x in args]
-        comps += [CTerm(Var(q - 1 - s)) for s in range(q)]
-        ty_i = inst(cur, [EClock()] + [EVar(_DUMMY)] * (d + a + q), comps,
-                    arity.types[q])
+        terms = [weaken(x, [TERM] * q) for x in (*params, *args)]
+        terms += [Var(q - 1 - s) for s in range(q)]
+        ty_i = subst_apply(signature_subst(cur, terms), arity.types[q])
         tys.append(ty_i)
         cur = cur.push(EVar(ty_i))
     ret = Hit(sig.name, tuple(weaken(p, [TERM] * m) for p in params))
@@ -889,14 +837,10 @@ def check_clock_elim(state, ctx, elim):
 
     # Parameters: each is clock-abstracted n times over its telescope type.
     ctx_n = _push_clocks(ctx, n)
-    outer_n = ctx_n.count(CLOCK) - 1
     for p, ty in enumerate(sig.params.types):
-        comps = [CClock(outer_n)]
-        comps += [
-            CTerm(_capp_n(weaken(elim.params[q], [CLOCK] * n), n))
-            for q in range(p)
-        ]
-        body = inst(ctx_n, [EClock()] + [EVar(_DUMMY)] * p, comps, ty)
+        terms = [_capp_n(weaken(elim.params[q], [CLOCK] * n), n)
+                 for q in range(p)]
+        body = subst_apply(signature_subst(ctx_n, terms), ty)
         check(state, ctx, elim.params[p], _forall_n(n, body))
 
     hit_params_n = tuple(
@@ -909,7 +853,7 @@ def check_clock_elim(state, ctx, elim):
         check_is_type(state, ctx.push(EVar(scrut_ty)), elim.motive)
     except FuelExhausted:
         raise
-    except Exception as exc:
+    except CcttError as exc:
         raise MotiveMismatch(f"motive is not a type: {exc}") from exc
 
     labels = {case.label for case in elim.cases}
@@ -941,7 +885,6 @@ def check_clock_elim(state, ctx, elim):
 
 def _check_case(state, ctx, sig, ctor, elim, case):
     n = elim.n
-    d = len(sig.params.types)
     a = len(ctor.args.types)
     r = len(ctor.rec_arities)
     v = ctor.ivar_count
@@ -949,16 +892,11 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     cur = ctx
     # gamma binders.
     for j in range(a):
-        cur_n = _push_clocks(cur, n)
-        outer_n = cur_n.count(CLOCK) - 1
-        comps = [CClock(outer_n)]
-        comps += [
-            CTerm(_capp_n(weaken(p, [TERM] * j + [CLOCK] * n), n))
-            for p in elim.params
-        ]
-        comps += [CTerm(_capp_n(Var(j - 1 - i), n)) for i in range(j)]
-        body = inst(cur_n, [EClock()] + [EVar(_DUMMY)] * (d + j), comps,
-                    ctor.args.types[j])
+        terms = [_capp_n(weaken(p, [TERM] * j + [CLOCK] * n), n)
+                 for p in elim.params]
+        terms += [_capp_n(Var(j - 1 - i), n) for i in range(j)]
+        body = subst_apply(signature_subst(_push_clocks(cur, n), terms),
+                           ctor.args.types[j])
         cur = cur.push(EVar(_forall_n(n, body)))
 
     # x binders (clock-abstracted recursive values).
@@ -966,22 +904,17 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         arity = ctor.rec_arities[k]
         m = len(arity.types)
         shift = a + k
-        cur_n = _push_clocks(cur, n)
-        outer_n = cur_n.count(CLOCK) - 1
         params_n = [
             _capp_n(weaken(p, [TERM] * shift + [CLOCK] * n), n)
             for p in elim.params
         ]
         gammas_n = [_capp_n(Var(a - 1 - j + k), n) for j in range(a)]
-        inner = cur_n
+        inner = _push_clocks(cur, n)
         tys = []
         for q in range(m):
-            comps = [CClock(outer_n)]
-            comps += [CTerm(weaken(p, [TERM] * q)) for p in params_n]
-            comps += [CTerm(weaken(g, [TERM] * q)) for g in gammas_n]
-            comps += [CTerm(Var(q - 1 - s)) for s in range(q)]
-            ty_i = inst(inner, [EClock()] + [EVar(_DUMMY)] * (d + a + q),
-                        comps, arity.types[q])
+            terms = [weaken(x, [TERM] * q) for x in params_n + gammas_n]
+            terms += [Var(q - 1 - s) for s in range(q)]
+            ty_i = subst_apply(signature_subst(inner, terms), arity.types[q])
             tys.append(ty_i)
             inner = inner.push(EVar(ty_i))
         ret = Hit(sig.name, tuple(weaken(p, [TERM] * m) for p in params_n))
@@ -994,18 +927,14 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         arity = ctor.rec_arities[k]
         m = len(arity.types)
         shift = a + r + k
-        outer = cur.count(CLOCK) - 1
         params_w = [weaken(p, [TERM] * shift) for p in elim.params]
         gammas = [Var(a - 1 - j + r + k) for j in range(a)]
         inner = cur
         tys = []
         for q in range(m):
-            comps = [CClock(outer)]
-            comps += [CTerm(weaken(p, [TERM] * q)) for p in params_w]
-            comps += [CTerm(weaken(g, [TERM] * q)) for g in gammas]
-            comps += [CTerm(Var(q - 1 - s)) for s in range(q)]
-            ty_i = inst(inner, [EClock()] + [EVar(_DUMMY)] * (d + a + q),
-                        comps, arity.types[q])
+            terms = [weaken(x, [TERM] * q) for x in params_w + gammas]
+            terms += [Var(q - 1 - s) for s in range(q)]
+            ty_i = subst_apply(signature_subst(inner, terms), arity.types[q])
             tys.append(ty_i)
             inner = inner.push(EVar(ty_i))
         if n > 0:
@@ -1016,7 +945,7 @@ def _check_case(state, ctx, sig, ctor, elim, case):
                 scrut = App(scrut, Var(m - 1 - s))
         motive_w = weaken(elim.motive, [TERM] * (shift + m),
                           cut={TERM: 1})
-        ret = inst(inner, [EVar(_DUMMY)], [CTerm(scrut)], motive_w)
+        ret = subst1(inner, motive_w, scrut)
         for ty_i in reversed(tys):
             ret = Pi(ty_i, ret)
         cur = cur.push(EVar(ret))
@@ -1028,12 +957,11 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     case_sorts = [TERM] * (a + 2 * r) + [IVAL] * v
     scrut_full = _case_scrutinee(elim, sig, ctor, case_ctx, case_sorts)
     motive_w = weaken(elim.motive, case_sorts, cut={TERM: 1})
-    expected = inst(case_ctx, [EVar(_DUMMY)], [CTerm(scrut_full)],
-                    motive_w)
+    expected = subst1(case_ctx, motive_w, scrut_full)
     check(state, case_ctx, case.body, expected)
 
     for phi, piece in ctor.boundary:
-        interp = _Interp(state, case_ctx, sig, elim, ctor, case_sorts)
+        interp = _Interp(case_ctx, sig, elim, ctor, case_sorts)
         interpreted = interp.interp(piece, 0, 0)
         rctx = case_ctx.push(EFace(phi))
         if not conv(state, rctx, expected, case.body, interpreted):
@@ -1065,26 +993,19 @@ class _Interp:
     constructor boundary term to the term the case body must match on the
     corresponding face."""
 
-    def __init__(self, state, case_ctx, sig, elim, ctor, case_sorts):
-        self.state = state
-        self.case_ctx = case_ctx
+    def __init__(self, case_ctx, sig, elim, ctor, case_sorts):
+        self.case_shape = shape(case_ctx)
         self.sig = sig
         self.elim = elim
-        self.ctor = ctor
         self.case_sorts = list(case_sorts)
         self.n = elim.n
-        self.d = len(sig.params.types)
         self.a = len(ctor.args.types)
         self.r = len(ctor.rec_arities)
-        self.v = ctor.ivar_count
 
-    def _local_ctx(self, nest, ivd):
-        ctx = self.case_ctx
-        for _ in range(nest):
-            ctx = ctx.push(EVar(_DUMMY))
-        for _ in range(ivd):
-            ctx = ctx.push(EIVar())
-        return ctx
+    def _local(self, nest, ivd, clocks=0):
+        """The shape of the case context plus nest term binders, ivd
+        interval binders and `clocks` clocks."""
+        return shape(self.case_shape, terms=nest, clocks=clocks, ivals=ivd)
 
     def _params_n(self, nest, ivd):
         """delta applied to the bound clocks, scoped in the case context
@@ -1099,17 +1020,14 @@ class _Interp:
         """A signature-scoped term (prelude clock, parameters, constructor
         arguments, nest inner binders) moved under the case context plus n
         fresh clocks."""
-        n, d, a, r = self.n, self.d, self.a, self.r
-        outer = (self.case_ctx.count(CLOCK) - 1) + n
-        comps = [CClock(outer)]
-        comps += [CTerm(p) for p in self._params_n(nest, ivd)]
-        comps += [
-            CTerm(_capp_n(Var(2 * r + a - 1 - j + nest), n))
-            for j in range(a)
-        ]
-        comps += [CTerm(Var(nest - 1 - s)) for s in range(nest)]
-        entries = [EClock()] + [EVar(_DUMMY)] * (d + a + nest)
-        return inst(None, entries, comps, t)
+        n, a, r = self.n, self.a, self.r
+        terms = self._params_n(nest, ivd)
+        terms += [_capp_n(Var(2 * r + a - 1 - j + nest), n)
+                  for j in range(a)]
+        terms += [Var(nest - 1 - s) for s in range(nest)]
+        return subst_apply(
+            signature_subst(self._local(nest, ivd, n), terms), t
+        )
 
     def _embed(self, M, nest, ivd):
         """The raw (uninterpreted) boundary term under the clock binders."""
@@ -1143,7 +1061,7 @@ class _Interp:
         raise NonProperEntry(repr(M))
 
     def interp(self, M, nest, ivd):
-        n, r = self.n, self.r
+        r = self.r
         match M:
             case BRec(j, uargs):
                 out = Var(r - 1 - j + nest)
@@ -1177,22 +1095,18 @@ class _Interp:
             ys.append(_nlam(m2, self.interp(sub, nest + m2, ivd)))
         sorts = self.case_sorts + [TERM] * nest + [IVAL] * ivd
         case2_w = _weaken_case(case2, sorts)
-        entries = ([EVar(_DUMMY)] * (case2.n_args + 2 * case2.n_recs)
-                   + [EIVar()] * case2.n_ivars)
-        comps = ([CTerm(g) for g in gammas] + [CTerm(x) for x in xs]
-                 + [CTerm(y) for y in ys] + [CIVal(e) for e in civals])
-        return inst(self._local_ctx(nest, ivd), entries, comps,
-                    case2_w.body)
+        sigma = subst(self._local(nest, ivd), terms=gammas + xs + ys,
+                      ivals=civals)
+        return subst_apply(sigma, case2_w.body)
 
     def _interp_hcomp(self, face, tube, base, nest, ivd):
         n = self.n
-        local = self._local_ctx(nest, ivd)
         a_n = _forall_n(n, Hit(self.sig.name,
                                tuple(self._params_n(nest, ivd))))
         raw_tube = _clam_n(n, self._embed(tube, nest, ivd + 1))
         raw_base = _clam_n(n, self._embed(base, nest, ivd))
         v_line = hfill(
-            local.push(EIVar()),
+            self._local(nest, ivd + 1),
             weaken(a_n, [IVAL]),
             weaken_face(face, [IVAL]),
             weaken(raw_tube, [IVAL], cut={IVAL: 1}),
@@ -1204,8 +1118,10 @@ class _Interp:
             self.case_sorts + [TERM] * nest + [IVAL] * ivd,
             cut={TERM: 1},
         )
-        motive_line = inst_under(local, [EVar(_DUMMY)], [EIVar()],
-                                 [CTerm(v_line)], motive_w)
+        motive_line = subst_apply(
+            subst(self._local(nest, ivd), terms=(v_line,), fresh=_ONE_IVAL),
+            motive_w,
+        )
         return Comp(motive_line, face,
                     self.interp(tube, nest, ivd + 1),
                     self.interp(base, nest, ivd))

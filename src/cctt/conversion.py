@@ -39,6 +39,16 @@ lambda taken and definition unfolded, as before; entering a variable's
 closure is not a step.  A term whose class is head-normal with no argument
 pending (a variable, universe, type former, abstraction, pair, `dfix` or
 `pfix`) is returned at once, for the one step the machine would count.
+
+Substitutions are built with `ticks.subst` from payloads per sort (terms,
+clock indices, ticks and interval expressions) and a count per sort of
+fresh binders; it checks them against the shape of the scope they map into
+(per sort, the number of variables), read off a context, or given as a
+shape (`ticks.shape`) where there is no typing context to read it from.
+`subst1`, `subst_ival1`, `subst_clock1` and `subst_tick1` instantiate one
+variable; `subst_force1` is the forcing beta rule, shared with the checker;
+`signature_subst` instantiates a term scoped in a data type's telescope
+(prelude clock, parameters, arguments, interval binders).
 """
 
 from dataclasses import dataclass
@@ -48,9 +58,8 @@ from .errors import (
 )
 from .interval import (
     FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
-    face_clauses, face_entails, face_is_true, face_map_vars,
-    face_of_equation, face_split, face_substitute,
-    iv_equal, iv_is_one, iv_is_zero, iv_map_vars, iv_normalize,
+    face_clauses, face_entails, face_is_true, face_of_equation, face_split,
+    face_substitute, iv_equal, iv_is_one, iv_is_zero, iv_normalize,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
@@ -61,8 +70,8 @@ from .syntax import (
     rename_term, structural_equal, weaken, weaken_face, weaken_iexpr,
 )
 from .ticks import (
-    CClock, CForcedTick, CIVal, CTerm, CTick, bind, clause_subst, close,
-    extend, force, lookup, lookup_clock, subst_apply, subst_face, subst_ival,
+    CForcedTick, bind, clause_subst, close, force, lookup, lookup_clock,
+    shape, subst, subst_apply, subst_face, subst_ival,
 )
 
 
@@ -86,39 +95,41 @@ def is_neutral(t):
 # Substitution helpers
 # --------------------------------------------------------------------------
 
-_DUMMY = U(0)
-
-
-def inst(ctx, entries, comps, t):
-    """t is scoped in ctx plus `entries`; replace those by `comps`.  With
-    ctx None, t's other free variables are left as they are, unchecked."""
-    return subst_apply(extend(ctx, entries, comps), t)
+# Per sort, the count of one fresh interval binder.
+_ONE_IVAL = (0, 0, 0, 1)
 
 
 def subst1(ctx, body, arg):
-    return inst(ctx, [EVar(_DUMMY)], [CTerm(arg)], body)
+    return subst_apply(subst(ctx, terms=(arg,)), body)
 
 
 def subst_ival1(ctx, body, r):
-    return inst(ctx, [EIVar()], [CIVal(r)], body)
+    return subst_apply(subst(ctx, ivals=(r,)), body)
 
 
 def subst_clock1(ctx, body, k):
-    return inst(ctx, [EClock()], [CClock(k)], body)
+    return subst_apply(subst(ctx, clocks=(k,)), body)
 
 
-def subst_tick1(ctx, clock, body, u):
-    return inst(ctx, [ETick(clock)], [CTick(u)], body)
+def subst_tick1(ctx, body, u):
+    return subst_apply(subst(ctx, ticks=(u,)), body)
 
 
-def inst_under(ctx, old_entries, new_entries, comps, t):
-    """t scoped in ctx+old_entries; rebuild it in ctx+new_entries, sending
-    the old entries to `comps` (scoped in ctx+new_entries)."""
-    return subst_apply(extend(ctx, old_entries, comps, new_entries), t)
+def subst_force1(ctx, body, k, u):
+    """body, scoped in ctx plus a clock and a tick on it, at the clock k
+    and the forcing tick (k, u): the forcing beta rule."""
+    return subst_apply(
+        subst(ctx, clocks=(k,), ticks=(CForcedTick(0, u),)), body
+    )
 
 
-def tube_at(ctx, tube, r):
-    return subst_ival1(ctx, tube, r)
+def signature_subst(scope, terms, ivals=()):
+    """The substitution for a term scoped in a signature telescope: the
+    prelude clock goes to the outermost clock of `scope`, then parameters
+    and arguments to `terms` and interval binders to `ivals`, all scoped
+    in `scope` (a context or a shape)."""
+    return subst(scope, terms=terms, clocks=(shape(scope)[1] - 1,),
+                 ivals=ivals)
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +248,7 @@ def whnf(state, ctx, t):
                 u = tick_whnf(u)
                 fn = whnf(state, ctx, fn)
                 if isinstance(fn, TickLam):
-                    t = subst_tick1(ctx, fn.clock, fn.body, u)
+                    t = subst_tick1(ctx, fn.body, u)
                 else:
                     return _apply_spine(TickApp(fn, u), spine)
 
@@ -250,8 +261,7 @@ def whnf(state, ctx, t):
                 fn = whnf(state, ctx.push(EClock()), fn)
                 match fn:
                     case TickLam(_, body):
-                        t = inst(ctx, [EClock(), ETick(0)],
-                                 [CClock(k), CForcedTick(k, u)], body)
+                        t = subst_force1(ctx, body, k, u)
                     case DFix(0, f) if isinstance(u, Diamond):
                         t = subst_clock1(ctx, App(f, DFix(0, f)), k)
                     case _:
@@ -266,7 +276,7 @@ def whnf(state, ctx, t):
 
             case HComp(ty, face, tube, base):
                 if face_is_true(face):
-                    t = tube_at(ctx, tube, IONE)
+                    t = subst_ival1(ctx, tube, IONE)
                     continue
                 head = whnf(state, ctx, ty)
                 if isinstance(head, (Hit, U)) or is_neutral(head):
@@ -344,12 +354,14 @@ def _path_endpoint(state, ctx, fn, right):
 # Fillers
 # --------------------------------------------------------------------------
 
-def _fill_fwd(ctx, line, face, tube, base, r):
+def _fill_fwd(scope, line, face, tube, base, r):
     """Filler value at level r: equals base at r=0 and follows tube on
-    `face`.  line and tube bind the line variable; face, base, r do not."""
-    rj = IMeet(weaken_iexpr(r, [IVAL]), IVar(0))
-    line_cut = inst_under(ctx, [EIVar()], [EIVar()], [CIVal(rj)], line)
-    tube_cut = inst_under(ctx, [EIVar()], [EIVar()], [CIVal(rj)], tube)
+    `face`.  line and tube bind the line variable; face, base, r do not.
+    `scope` is a context or a shape."""
+    sigma = subst(scope, ivals=(IMeet(weaken_iexpr(r, [IVAL]), IVar(0)),),
+                  fresh=_ONE_IVAL)
+    line_cut = subst_apply(sigma, line)
+    tube_cut = subst_apply(sigma, tube)
     sys = System((
         (weaken_face(face, [IVAL]), tube_cut),
         (face_of_equation(weaken_iexpr(r, [IVAL]), 0),
@@ -359,21 +371,22 @@ def _fill_fwd(ctx, line, face, tube, base, r):
     return Comp(line_cut, total, sys, base)
 
 
-def _fill_bwd(ctx, line, face, goal, r):
+def _fill_bwd(scope, line, face, goal, r):
     """Backward transport: value at level r, equal to `goal` at r=1 and
     constant on `face`."""
     rj = IJoin(weaken_iexpr(r, [IVAL]), INeg(IVar(0)))
-    line_cut = inst_under(ctx, [EIVar()], [EIVar()], [CIVal(rj)], line)
+    line_cut = subst_apply(subst(scope, ivals=(rj,), fresh=_ONE_IVAL), line)
     phi = FOr(face, face_of_equation(r, 1))
     return Comp(line_cut, phi, weaken(goal, [IVAL]), goal)
 
 
-def hfill(ctx, ty, face, tube, base, j):
+def hfill(scope, ty, face, tube, base, j):
     """Filling from hcomp by a connection: equal to base at j=0, to the
-    full hcomp at j=1, and to the tube on `face`.  tube binds one ivar."""
-    tube_cut = inst_under(
-        ctx, [EIVar()], [EIVar()],
-        [CIVal(IMeet(weaken_iexpr(j, [IVAL]), IVar(0)))],
+    full hcomp at j=1, and to the tube on `face`.  tube binds one ivar;
+    `scope` is a context or a shape."""
+    tube_cut = subst_apply(
+        subst(scope, ivals=(IMeet(weaken_iexpr(j, [IVAL]), IVar(0)),),
+              fresh=_ONE_IVAL),
         tube,
     )
     sys = System((
@@ -392,33 +405,32 @@ def hfill(ctx, ty, face, tube, base, j):
 def comp_eval(state, ctx, p):
     """One reduction of a comp problem, or None when stuck."""
     if face_is_true(p.face):
-        return tube_at(ctx, p.tube, IONE)
+        return subst_ival1(ctx, p.tube, IONE)
 
     ictx = ctx.push(EIVar())
     head = whnf(state, ictx, p.ty)
 
     if not _mentions_ival0(head):
         # Constant line: the problem is homogeneous.
-        dropped = inst_under(ctx, [EIVar()], [], [CIVal(IZERO)], head)
+        dropped = subst_ival1(ctx, head, IZERO)
         return HComp(dropped, p.face, p.tube, p.base)
 
     match head:
         case Pi(dom, cod):
             # \v. comp^i cod[w(i)/x] [face -> tube (w i)] (base (w 0))
-            vctx = ctx.push(EVar(subst_ival1(ctx, dom, IONE)))
+            v_scope = shape(ctx, terms=1)
             dom_v = weaken(dom, [TERM])                 # (ctx, v, i)
-            ivctx = vctx.push(EIVar())
             line_i = weaken(dom, [TERM, IVAL], cut={IVAL: 1})
-            w_i = _fill_bwd(ivctx, line_i,
+            w_i = _fill_bwd(shape(v_scope, ivals=1), line_i,
                             weaken_face(p.face, [IVAL]),
                             Var(0), IVar(0))
-            cod_line = inst_under(
-                vctx, [EIVar(), EVar(_DUMMY)], [EIVar()],
-                [CIVal(IVar(0)), CTerm(w_i)],
+            cod_line = subst_apply(
+                subst(v_scope, terms=(w_i,), ivals=(IVar(0),),
+                      fresh=_ONE_IVAL),
                 weaken(cod, [TERM], cut={TERM: 1}),
             )
             tube_v = App(weaken(p.tube, [TERM]), w_i)
-            w_0 = _fill_bwd(vctx, dom_v, p.face, Var(0), IZERO)
+            w_0 = _fill_bwd(v_scope, dom_v, p.face, Var(0), IZERO)
             base_v = App(weaken(p.base, [TERM]), w_0)
             return Lam(Comp(cod_line, p.face, tube_v, base_v))
 
@@ -432,9 +444,8 @@ def comp_eval(state, ctx, p):
                 IVar(0),
             )
             first = Comp(fst, p.face, Fst(p.tube), Fst(p.base))
-            snd_line = inst_under(
-                ctx, [EIVar(), EVar(_DUMMY)], [EIVar()],
-                [CIVal(IVar(0)), CTerm(c1)],
+            snd_line = subst_apply(
+                subst(ctx, terms=(c1,), ivals=(IVar(0),), fresh=_ONE_IVAL),
                 snd,
             )
             second = Comp(snd_line, p.face, Snd(p.tube), Snd(p.base))
@@ -454,25 +465,18 @@ def comp_eval(state, ctx, p):
                         FOr(FEq(0, 0), FEq(0, 1)))
             return PLam(Comp(ln, total, sys, base))
 
+        # Under the later's tick or the quantified clock, the type line
+        # keeps its indices: the tick (or clock) and the line variable are
+        # of different sorts, so their order does not matter.
         case Later(clock, body_ty):
-            line = inst_under(
-                ctx, [EIVar(), ETick(clock)], [ETick(clock), EIVar()],
-                [CIVal(IVar(0)), CTick(TickVar(0))],
-                body_ty,
-            )
             tube = TickApp(weaken(p.tube, [TICK]), TickVar(0))
             base = TickApp(weaken(p.base, [TICK]), TickVar(0))
-            return TickLam(clock, Comp(line, p.face, tube, base))
+            return TickLam(clock, Comp(body_ty, p.face, tube, base))
 
         case Forall(body_ty):
-            line = inst_under(
-                ctx, [EIVar(), EClock()], [EClock(), EIVar()],
-                [CIVal(IVar(0)), CClock(0)],
-                body_ty,
-            )
             tube = CApp(weaken(p.tube, [CLOCK]), 0)
             base = CApp(weaken(p.base, [CLOCK]), 0)
-            return CLam(Comp(line, p.face, tube, base))
+            return CLam(Comp(body_ty, p.face, tube, base))
 
         case Hit(_, _):
             return hit_comp_decompose(state, ctx, head, p.face, p.tube,
@@ -506,9 +510,8 @@ def hit_comp_decompose(state, ctx, hit_line, face, tube, base):
     over the transported base."""
     line_at_one = subst_ival1(ctx, hit_line, IONE)
     # v, scoped in (ctx, j): trans^k H(delta[j \/ k]) (face \/ j=1) (tube j)
-    vk_line = inst_under(
-        ctx, [EIVar()], [EIVar(), EIVar()],
-        [CIVal(IJoin(IVar(1), IVar(0)))],
+    vk_line = subst_apply(
+        subst(ctx, ivals=(IJoin(IVar(1), IVar(0)),), fresh=(0, 0, 0, 2)),
         hit_line,
     )
     v = Trans(vk_line, FOr(weaken_face(face, [IVAL]), FEq(0, 1)), tube)
@@ -565,11 +568,9 @@ def _ctrans_args(state, ctx, ctor, params_line, face, args):
     results = []
     for m, ty in enumerate(ctor.args.types):
         # ty is scoped (prelude clock, Delta, args<m).
-        comps = [CClock(ictx.count(CLOCK) - 1)]
-        comps += [CTerm(q) for q in params_line]
-        comps += [CTerm(a) for a in fills[:m]]
-        entries = [EClock()] + [EVar(_DUMMY)] * (len(params_line) + m)
-        line = inst(ictx, entries, comps, ty)
+        line = subst_apply(
+            signature_subst(ictx, params_line + tuple(fills[:m])), ty
+        )
         fills.append(_fill_fwd(
             ictx,
             weaken(line, [IVAL], cut={IVAL: 1}),
@@ -604,22 +605,10 @@ def _ctor_face(ctor, ivals):
     return face_substitute(ctor.face, _ival_assignment(ivals))
 
 
-def ctor_instance_subst(ctx, params, args, ivals):
-    """Substitution from ctx for signature terms scoped in
-    (prelude clock, Delta, constructor args, constructor ivars)."""
-    comps = [CClock(ctx.count(CLOCK) - 1)]
-    comps += [CTerm(q) for q in params]
-    comps += [CTerm(a) for a in args]
-    comps += [CIVal(r) for r in ivals]
-    entries = ([EClock()] + [EVar(_DUMMY)] * (len(params) + len(args))
-               + [EIVar()] * len(ivals))
-    return extend(ctx, entries, comps)
-
-
 def embed_boundary(state, ctx, sig, ctor, bterm, params, args, recs, ivals):
     """Interpret a boundary term as an ordinary term at a constructor
     instance."""
-    sigma = ctor_instance_subst(ctx, params, args, ivals)
+    sigma = signature_subst(ctx, tuple(params) + tuple(args), ivals)
     return _embed(state, sig, sigma, bterm, params, recs)
 
 
@@ -693,71 +682,65 @@ def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals):
             f"expected {len(target_ctor.rec_arities)} recursive payloads"
         )
 
-    entries = [EVar(_DUMMY)] * len(args) + [EIVar()] * len(ivals)
-    comps = [CTerm(a) for a in args] + [CIVal(r) for r in ivals]
-
-    def inst_term(t):
-        return inst(None, entries, comps, t)
-
-    def go(M):
+    def go(sigma, M):
         match M:
             case BRec(j, uargs):
                 arity = target_ctor.rec_arities[j]
-                return _bnd_plug(rec_bodies[j],
-                                 [inst_term(u) for u in uargs],
-                                 len(arity.types))
+                return _bnd_plug(sig, rec_bodies[j],
+                                 [subst_apply(sigma, u) for u in uargs],
+                                 len(arity.types), sigma.depth)
             case BCon(label, cargs, crecs, civals):
+                arities = sig.constructor(label).rec_arities
                 return BCon(
                     label,
-                    tuple(inst_term(a) for a in cargs),
-                    tuple(go(m) for m in crecs),
-                    tuple(_inst_ival(r, ivals) for r in civals),
+                    tuple(subst_apply(sigma, a) for a in cargs),
+                    tuple(go(sigma.under(TERM, len(arity.types)), m)
+                          for arity, m in zip(arities, crecs)),
+                    tuple(subst_ival(sigma, r) for r in civals),
                 )
             case BHComp(face, tube, base):
-                return BHComp(_inst_face(face, ivals), go(tube), go(base))
+                return BHComp(subst_face(sigma, face),
+                              go(sigma.under(IVAL), tube), go(sigma, base))
         raise IllFormedRedex(repr(M))
 
-    return go(N)
+    return go(subst(None, terms=args, ivals=ivals), N)
 
 
-def _inst_ival(r, ivals):
-    table = _ival_assignment(ivals)
-    return iv_normalize(
-        iv_map_vars(r, lambda ix: table.get(ix, IVar(ix)))
-    )
+def boundary_apply(sig, sigma, M):
+    """sigma applied to the terms, interval expressions and faces of the
+    boundary term M, lifted under the binders its parts sit under: the
+    telescope of a recursive argument and the interval variable of a
+    tube."""
+    match M:
+        case BRec(j, uargs):
+            return BRec(j, tuple(subst_apply(sigma, u) for u in uargs))
+        case BCon(label, cargs, crecs, civals):
+            arities = sig.constructor(label).rec_arities
+            return BCon(
+                label,
+                tuple(subst_apply(sigma, a) for a in cargs),
+                tuple(
+                    boundary_apply(sig, sigma.under(TERM, len(a.types)), m)
+                    for a, m in zip(arities, crecs)
+                ),
+                tuple(subst_ival(sigma, r) for r in civals),
+            )
+        case BHComp(face, tube, base):
+            return BHComp(subst_face(sigma, face),
+                          boundary_apply(sig, sigma.under(IVAL), tube),
+                          boundary_apply(sig, sigma, base))
+    raise IllFormedRedex(f"not a boundary term: {M!r}")
 
 
-def _inst_face(phi, ivals):
-    return face_substitute(phi, _ival_assignment(ivals))
-
-
-def _bnd_plug(body, values, arity):
+def _bnd_plug(sig, body, values, arity, depth):
     """Plug term values for the bound telescope variables of a recursive
-    boundary payload."""
+    boundary payload, met under `depth` binders (a count per sort), past
+    which the rest of the payload moves."""
     if arity != len(values):
         raise ArityMismatch("recursive payload arity mismatch")
-    if arity == 0:
+    if arity == 0 and not any(depth):
         return body
-
-    entries = [EVar(_DUMMY)] * arity
-    comps = [CTerm(v) for v in values]
-
-    def go(M):
-        match M:
-            case BRec(j, uargs):
-                return BRec(j, tuple(
-                    inst(None, entries, comps, u) for u in uargs
-                ))
-            case BCon(label, cargs, crecs, civals):
-                return BCon(label,
-                            tuple(inst(None, entries, comps, a)
-                                  for a in cargs),
-                            tuple(go(m) for m in crecs), civals)
-            case BHComp(face, tube, base):
-                return BHComp(face, go(tube), go(base))
-        raise IllFormedRedex(repr(M))
-
-    return go(body)
+    return boundary_apply(sig, subst(None, terms=values, fresh=depth), body)
 
 
 def boundary_reduce(sig, M):
@@ -775,38 +758,9 @@ def boundary_reduce(sig, M):
                                               crecs, civals)
         case BHComp(face, tube, base):
             if face_is_true(face):
-                return _bnd_ival_subst(tube, IONE)
+                # The tube at 1.
+                return boundary_apply(sig, subst(None, ivals=(IONE,)), tube)
     return None
-
-
-def _bnd_ival_subst(M, r):
-    """Substitute r for the innermost interval variable of a tube payload."""
-    def on_iv(e):
-        return iv_normalize(iv_map_vars(
-            e, lambda ix: r if ix == 0 else IVar(ix - 1)
-        ))
-
-    def on_face(phi):
-        return face_map_vars(
-            phi, lambda ix: r if ix == 0 else IVar(ix - 1)
-        )
-
-    def on_term(t):
-        return inst(None, [EIVar()], [CIVal(r)], t)
-
-    def go(M):
-        match M:
-            case BRec(j, uargs):
-                return BRec(j, tuple(on_term(u) for u in uargs))
-            case BCon(label, cargs, crecs, civals):
-                return BCon(label, tuple(on_term(a) for a in cargs),
-                            tuple(go(m) for m in crecs),
-                            tuple(on_iv(e) for e in civals))
-            case BHComp(face, tube, base):
-                return BHComp(on_face(face), go(tube), go(base))
-        raise IllFormedRedex(repr(M))
-
-    return go(M)
 
 
 def boundary_equal(sig, M, N):
@@ -915,11 +869,7 @@ def _elim_con(state, ctx, elim, con):
         )
         ys.append(_nlam(m, sub))
 
-    comps = ([CTerm(g) for g in gamma] + [CTerm(x) for x in xs]
-             + [CTerm(y) for y in ys] + [CIVal(r) for r in con.ivals])
-    entries = ([EVar(_DUMMY)] * (len(gamma) + 2 * len(xs))
-               + [EIVar()] * len(con.ivals))
-    return case.body, extend(ctx, entries, comps)
+    return case.body, subst(ctx, terms=gamma + xs + ys, ivals=con.ivals)
 
 
 def _elim_hcomp(state, ctx, elim, hc):
@@ -938,8 +888,8 @@ def _elim_hcomp(state, ctx, elim, hc):
                    weaken(tube_abs, [IVAL], cut={IVAL: 1}),
                    weaken(base_abs, [IVAL]),
                    IVar(0))
-    motive_line = inst_under(
-        ctx, [EVar(_DUMMY)], [EIVar()], [CTerm(v_line)], elim.motive
+    motive_line = subst_apply(
+        subst(ctx, terms=(v_line,), fresh=_ONE_IVAL), elim.motive
     )
     tube = ClockElim(
         elim.name, n,
@@ -1047,6 +997,11 @@ def _conv_clause(state, ctx, ty, t, u):
             )
         case _:
             return conv_tm(state, ctx, t, u)
+
+
+# The type of a term variable bound where untyped comparison has no type to
+# give.
+_DUMMY = U(0)
 
 
 def conv_tm(state, ctx, t, u):

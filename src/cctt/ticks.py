@@ -1,17 +1,25 @@
 """Context discipline for ticks and clocks.
 
-Covers the timeless filter TL, the trimming relation, the simple and
-forcing tick judgements (always returning the maximal residual context),
-and the simultaneous substitution calculus whose tick components decide
-whether a tick application stays simple or becomes a forcing application.
+Covers the timeless filter TL, the trimming relation, the mask of the
+maximal residual context of a simple or forcing tick, strengthening into
+it, and the simultaneous substitution calculus whose forcing tick payloads
+turn simple tick applications into forcing applications.
+
+A substitution is sort-indexed, as in the calculus: each term, clock, tick
+and interval variable goes to a payload of its own sort.  `subst` builds
+one from the payloads per sort and a per-sort count of fresh binders, and
+checks it against the shape of the scope it maps into (per sort, the
+number of variables; `shape` reads it off a context), or leaves it
+unchecked.  A forcing tick payload names the substituted clock it pairs
+with.
 
 Substitutions are de Bruijn explicit substitutions in shift-plus-explicit
 form (Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions", 1991):
-per sort, the components for the innermost substituted entries, and a
-shift for every entry outside them.  Walking under a binder only raises a
-per-sort depth, a variable lookup indexes a tuple, and a payload is
+per sort, the payloads for the innermost substituted variables, and a
+shift for every variable outside them.  Walking under a binder only raises
+a per-sort depth, a variable lookup indexes a tuple, and a payload is
 weakened past the binders once, when a variable first reaches it.  A
-forcing tick component meeting a simple tick application turns it into a
+forcing tick payload meeting a simple tick application turns it into a
 forcing application under a fresh clock.
 
 The same substitutions are the environments of the reduction machine in
@@ -32,12 +40,11 @@ from .interval import (
 )
 from .syntax import (
     CLOCK, FACE, IVAL, TERM, TICK,
-    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
+    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Term, Tick,
-    TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, ZERO_DEPTH,
-    entry_sort, rename_term, rename_tick, weaken,
-    weaken_iexpr, weaken_tick,
+    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Tick, TickApp,
+    TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
+    weaken, weaken_iexpr, weaken_tick,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -108,18 +115,6 @@ def _tick_mask(ctx, u, clock, forcing):
     raise NotATick(f"not a tick: {u!r}")
 
 
-def tick_check_simple(ctx, u, clock):
-    """Maximal residual context for a simple tick u on `clock`."""
-    return apply_mask(ctx, _tick_mask(ctx, u, clock, forcing=False))
-
-
-def tick_check_forcing(ctx, clock, u):
-    """Maximal residual for a forcing tick (clock, u)."""
-    if not (0 <= clock < ctx.count(CLOCK)):
-        raise ClockMismatch(f"clock {clock} is not in scope")
-    return apply_mask(ctx, _tick_mask(ctx, u, clock, forcing=True))
-
-
 def residual_mask(ctx, u, clock, forcing=False):
     return _tick_mask(ctx, u, clock, forcing)
 
@@ -185,41 +180,12 @@ def weakening_renaming(ctx, mask):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CTerm:
-    term: Term
-
-
-@dataclass(frozen=True)
-class CClock:
-    clock: int
-
-
-@dataclass(frozen=True)
-class CTick:
-    tick: Tick
-
-
-@dataclass(frozen=True)
 class CForcedTick:
-    """Tick half of a paired clock-and-forcing-tick component."""
+    """A forcing tick payload: the tick variable goes to `tick` and is
+    paired with the substituted clock variable `clock` (an index among the
+    substitution's clock payloads, from the inside)."""
     clock: int
     tick: Tick
-
-
-@dataclass(frozen=True)
-class CIVal:
-    expr: object
-
-
-@dataclass(frozen=True)
-class CFace:
-    pass
-
-
-_COMP_SORT = {
-    CTerm: TERM, CClock: CLOCK, CTick: TICK, CForcedTick: TICK,
-    CIVal: IVAL, CFace: FACE,
-}
 
 
 # Variable sorts in the order of a substitution's per-sort tuples, and a
@@ -229,125 +195,77 @@ _SORT_IX = {TERM: 0, CLOCK: 1, TICK: 2, IVAL: 3}
 _ZERO = (0, 0, 0, 0)
 
 
+def shape(scope, terms=0, clocks=0, ticks=0, ivals=0):
+    """Per sort (term, clock, tick, interval), the number of variables of
+    `scope`, a context or a shape already, extended by the given numbers of
+    binders; None (an unchecked scope) stays None."""
+    if scope is None:
+        return None
+    if type(scope) is Context:
+        scope = tuple(scope.count(s) for s in _SORTS)
+    return (scope[0] + terms, scope[1] + clocks, scope[2] + ticks,
+            scope[3] + ivals)
+
+
 class Substitution:
-    """sigma : dom <- cod, in shift-plus-explicit form.
+    """A simultaneous substitution in shift-plus-explicit form.
 
     Per sort (term, clock, tick, interval, in that order):
 
-    - `block` holds the payloads for the innermost cod entries of the sort,
-      innermost first: terms or closures, clock indices, tick components
-      (`CTick` or `CForcedTick`) and interval expressions, scoped in dom;
-    - a cod variable j entries past the block maps to dom variable
-      j + `shift`;
+    - `block` holds the payloads for the innermost variables of the sort,
+      innermost first: terms or closures, clock indices, ticks (a
+      `CForcedTick` for a forcing tick) and interval expressions;
+    - the variable j places past the block maps to variable j + `shift`
+      of the scope;
     - `depth` counts the binders pushed while walking a term: they map to
       themselves, and everything else moves past them.
 
-    `pairs` maps the block index of each forcing tick component to the block
-    index of the clock component it pairs with.  `outer` gives, per sort,
-    how many cod variables lie past the block; it is worked out from `cod`
-    when that is known, else from `dom` (an environment, built by `bind`,
-    has no cod of its own: past its block, cod is dom), and with neither
-    the variables past the block are unbounded.  `dom` and `cod` are the
-    contexts the substitution was built between, when it was built from
-    contexts; they leave out pushed binders.
+    `scope` is the scope the substitution maps into, leaving out pushed
+    binders: a context, whose counts are read when first needed, its
+    shape, or None when variables past the block are not checked.  A
+    variable mapped past the scope raises `MalformedSubstitution`.
     """
 
-    __slots__ = ("dom", "cod", "block", "shift", "pairs", "depth",
-                 "_outer", "_memo")
+    __slots__ = ("scope", "block", "shift", "depth", "_memo")
 
-    def __init__(self, dom, cod, block, shift=_ZERO, pairs=None,
-                 depth=_ZERO, outer=None):
-        self.dom = dom
-        self.cod = cod
+    def __init__(self, scope, block, shift=_ZERO, depth=_ZERO):
+        self.scope = scope
         self.block = block
         self.shift = shift
-        self.pairs = pairs or {}
         self.depth = depth
-        self._outer = outer
         self._memo = {}   # (sort, block index, depth) -> weakened payload
 
     def under(self, sort, n=1):
         """The substitution lifted under n more binders of `sort`."""
         depth = list(self.depth)
         depth[_SORT_IX[sort]] += n
-        return Substitution(self.dom, self.cod, self.block, self.shift,
-                            self.pairs, tuple(depth), self._outer)
+        return Substitution(self.scope, self.block, self.shift,
+                            tuple(depth))
 
-    def outer_sizes(self):
-        """Per sort, the number of cod variables past the block (None when
-        unbounded)."""
-        if self._outer is None:
-            if self.cod is not None:
-                self._outer = tuple(
-                    self.cod.count(s) - len(b)
-                    for s, b in zip(_SORTS, self.block)
-                )
-            elif self.dom is not None:
-                # An environment (see `bind`): past the block, cod is dom.
-                self._outer = tuple(
-                    self.dom.count(s) - n for s, n in zip(_SORTS, self.shift)
-                )
-        return self._outer
-
-    @property
-    def comps(self):
-        """One component per cod entry, left to right."""
-        seen = [0, 0, 0, 0]
-        out = []
-        for entry in reversed(self.cod.entries):
-            sort = entry_sort(entry)
-            if sort == FACE:
-                out.append(CFace())
-                continue
-            si = _SORT_IX[sort]
-            out.append(_as_comp(si, _image(self, si, seen[si], _ZERO)))
-            seen[si] += 1
-        return tuple(reversed(out))
-
-    def component(self, sort, ix):
-        """Component for the ix-th cod entry of the given sort (from the
-        inside), together with its position in comps."""
-        try:
-            pos = self.cod.pos_of(sort, ix)
-        except IndexError:
-            raise MalformedSubstitution(
-                f"no component for {sort} variable {ix}"
-            ) from None
-        return pos, self.comps[pos]
+    def sizes(self):
+        """The shape of the scope, or None when it is unchecked."""
+        if type(self.scope) is Context:
+            self.scope = shape(self.scope)
+        return self.scope
 
 
-def _block(entries, comps):
-    """Per-sort payload tuples (innermost first) and forcing pairs for the
-    cod entries `entries`, sent to `comps`."""
-    if len(entries) != len(comps):
-        raise MalformedSubstitution("component count does not match context")
-    block = ([], [], [], [])
-    pairs = {}
-    for pos in range(len(comps) - 1, -1, -1):
-        comp = comps[pos]
-        cls = type(comp)
-        if _COMP_SORT[cls] != entry_sort(entries[pos]):
-            raise MalformedSubstitution(
-                f"component {comp!r} does not match entry {entries[pos]!r}"
-            )
-        if cls is CTerm:
-            block[0].append(comp.term)
-        elif cls is CClock:
-            block[1].append(comp.clock)
-        elif cls is CIVal:
-            block[3].append(comp.expr)
-        elif cls is not CFace:
-            if cls is CForcedTick and pos > 0 \
-                    and type(comps[pos - 1]) is CClock:
-                # The clock half is the next clock met going outwards.
-                pairs[len(block[2])] = len(block[1])
-            block[2].append(comp)
-    return tuple(map(tuple, block)), pairs
+def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=_ZERO):
+    """The substitution sending the innermost variables of each sort to the
+    given payloads, outermost first, and every other variable to itself,
+    moved past `fresh` binders (a count per sort).  The payloads are scoped
+    in `scope` (a context, a shape, or None for unchecked) extended by the
+    fresh binders."""
+    if fresh != _ZERO:
+        scope = shape(scope, *fresh)
+    return Substitution(scope, (tuple(reversed(terms)),
+                                tuple(reversed(clocks)),
+                                tuple(reversed(ticks)),
+                                tuple(reversed(ivals))), fresh)
 
 
 def _weaken_payload(si, p, depth):
-    """A block payload moved past `depth` binders pushed in dom; a closure
-    is materialised first."""
+    """A block payload moved past `depth` binders pushed in the scope; a
+    closure is materialised first."""
     if type(p) is Closure:
         p = p.force()
     if depth == _ZERO:
@@ -360,16 +278,15 @@ def _weaken_payload(si, p, depth):
              + [IVAL] * depth[3])
     if si == 0:
         return weaken(p, sorts)
-    tick = weaken_tick(p.tick, sorts)
-    if isinstance(p, CForcedTick):
-        return CForcedTick(p.clock + depth[1], tick)
-    return CTick(tick)
+    if type(p) is CForcedTick:
+        return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
+    return weaken_tick(p, sorts)
 
 
 def _image(sg, si, ix, depth):
     """Where variable ix of sort si goes under sg at `depth`: the weakened
-    payload of a block component, or the index of a dom variable (clocks are
-    indices either way)."""
+    payload of the block, or the index of a variable of the scope (clocks
+    are indices either way)."""
     k = ix - depth[si]
     if k < 0:
         return ix
@@ -382,63 +299,21 @@ def _image(sg, si, ix, depth):
         if out is None:
             out = sg._memo[key] = _weaken_payload(si, block[k], depth)
         return out
-    j = k - len(block)
-    outer = sg.outer_sizes()
-    if outer is not None and j >= outer[si]:
+    x = k - len(block) + sg.shift[si]
+    sizes = sg.sizes()
+    if sizes is not None and x >= sizes[si]:
         raise MalformedSubstitution(
-            f"no component for {_SORTS[si]} variable {ix}"
+            f"{_SORTS[si]} variable {ix} is outside the scope"
         )
-    return j + sg.shift[si] + depth[si]
+    return x + depth[si]
 
 
-# Per sort: the payload naming dom variable ix, and the component wrapping
-# a payload.
-_VAR = (Var, int, lambda ix: CTick(TickVar(ix)), IVar)
-_WRAP = (CTerm, CClock, lambda comp: comp, CIVal)
-
-
-def _as_comp(si, x):
-    return _WRAP[si](_VAR[si](x) if type(x) is int else x)
-
-
-def validate_substitution(sigma):
-    comps = sigma.comps
-    # Paired components must sit right of their clock half.
-    for pos, comp in enumerate(comps):
-        if isinstance(comp, CForcedTick):
-            if pos == 0 or not isinstance(comps[pos - 1], CClock) \
-                    or comps[pos - 1].clock != comp.clock:
-                raise MalformedSubstitution(
-                    "forcing tick component must pair with the preceding "
-                    "clock component"
-                )
-    return True
-
-
-def extend(ctx, added_entries, comps, fresh=()):
-    """Substitution for ctx extended by `added_entries`, sending the added
-    entries to `comps` and every entry of ctx to itself, in ctx extended by
-    the `fresh` entries.
-
-    With ctx None the scope outside the added entries is unknown: its
-    variables map to themselves, unchecked.
-    """
-    block, pairs = _block(added_entries, comps)
-    if ctx is None:
-        return Substitution(None, None, block, pairs=pairs)
-    dom = ctx
-    cod = Context(ctx.entries + tuple(added_entries))
-    shift = [0, 0, 0, 0]
-    for e in fresh:
-        dom = dom.push(e)
-        sort = entry_sort(e)
-        if sort != FACE:
-            shift[_SORT_IX[sort]] += 1
-    return Substitution(dom, cod, block, tuple(shift), pairs)
+# Per sort, the payload naming variable ix of the scope.
+_VAR = (Var, int, TickVar, IVar)
 
 
 def identity_subst(ctx):
-    return extend(ctx, (), ())
+    return subst(ctx)
 
 
 # --------------------------------------------------------------------------
@@ -475,15 +350,15 @@ def force(x):
 
 def bind(env, ctx, sort, payload):
     """The environment of a term reduced in ctx, extended by an innermost
-    entry of `sort` sent to `payload`: a term, a closure or a clock index
-    scoped in ctx.  env None is the identity on ctx."""
+    variable of `sort` sent to `payload`: a term, a closure or a clock
+    index scoped in ctx.  env None is the identity on ctx."""
     si = _SORT_IX[sort]
     if env is None:
-        block, shift, pairs = _NO_BLOCK, _ZERO, None
+        block, shift = _NO_BLOCK, _ZERO
     else:
-        block, shift, pairs = env.block, env.shift, env.pairs
+        block, shift = env.block, env.shift
     block = block[:si] + ((payload,) + block[si],) + block[si + 1:]
-    return Substitution(ctx, None, block, shift, pairs)
+    return Substitution(ctx, block, shift)
 
 
 def close(env, t):
@@ -525,13 +400,7 @@ def clause_subst(ctx, clause):
         (IONE if clause[ix] else IZERO) if ix in clause else IVar(ix)
         for ix in range(n)
     )
-    return Substitution(ctx, ctx, ((), (), (), ivals), (0, 0, 0, n))
-
-
-def _explicit(dom, cod, comps):
-    """The substitution with one given component per cod entry."""
-    block, pairs = _block(cod.entries, comps)
-    return Substitution(dom, cod, block, pairs=pairs)
+    return Substitution(ctx, ((), (), (), ivals), (0, 0, 0, n))
 
 
 def subst_ival(sigma, r):
@@ -542,12 +411,8 @@ def subst_face(sigma, phi):
     return _face(sigma, phi, sigma.depth)
 
 
-def subst_tick(sigma, u):
-    return _tick(sigma, u, sigma.depth)
-
-
 def subst_apply(sigma, t):
-    """Apply sigma : dom <- cod to a term scoped in cod."""
+    """Apply sigma to a term."""
     return _go(sigma, t, sigma.depth)
 
 
@@ -569,7 +434,9 @@ def _tick(sg, u, depth):
     match u:
         case TickVar(ix):
             x = _image(sg, 2, ix, depth)
-            return TickVar(x) if type(x) is int else x.tick
+            if type(x) is int:
+                return TickVar(x)
+            return x.tick if type(x) is CForcedTick else x
         case Diamond():
             return u
         case Tirr(l, r, at):
@@ -708,27 +575,27 @@ def _tick_app(sg, fn, tick, d):
     if leftmost is not None:
         k = leftmost - d[2]
         ticks = sg.block[2]
-        if 0 <= k < len(ticks) and isinstance(ticks[k], CForcedTick):
-            # Paired clock-and-forcing-tick component: the simple
-            # application turns into a forcing application binding a fresh
-            # clock for the substituted clock entry.
-            clock = ticks[k].clock + d[1]
-            return ForceApp(_go(_fresh_clock(sg, k, d), fn, _ZERO), clock,
-                            new_tick)
+        if 0 <= k < len(ticks) and type(ticks[k]) is CForcedTick:
+            # A forcing tick payload: the simple application turns into a
+            # forcing application binding a fresh clock for the paired
+            # clock variable.
+            c = ticks[k].clock
+            if not 0 <= c < len(sg.block[1]):
+                raise MalformedSubstitution(
+                    "a forcing tick payload must pair with a substituted "
+                    "clock"
+                )
+            return ForceApp(_go(_fresh_clock(sg, k, c, d), fn, _ZERO),
+                            sg.block[1][c] + d[1], new_tick)
     return TickApp(_go(sg, fn, d), new_tick)
 
 
-def _fresh_clock(sg, k, d):
-    """sg at depth d, with dom extended by a fresh innermost clock that
-    takes the place of the clock paired with forcing tick component k."""
-    c = sg.pairs.get(k)
-    if c is None:
-        raise MalformedSubstitution(
-            "forcing tick component must pair with the preceding clock "
-            "component"
-        )
-    # Everything in dom moves past the pushed binders and the fresh clock;
-    # the pushed binders become explicit components.
+def _fresh_clock(sg, k, c, d):
+    """sg at depth d, with its scope extended by a fresh innermost clock
+    that takes the place of clock variable c, which forcing tick payload k
+    pairs with."""
+    # Everything in the scope moves past the pushed binders and the fresh
+    # clock; the pushed binders become explicit payloads.
     wk = (d[0], d[1] + 1, d[2], d[3])
     block = []
     for si in range(4):
@@ -736,100 +603,11 @@ def _fresh_clock(sg, k, d):
         block.append([_VAR[si](ix + fresh) for ix in range(d[si])]
                      + [_weaken_payload(si, p, wk) for p in sg.block[si]])
     block[1][d[1] + c] = 0
-    block[2][d[2] + k] = CTick(TickVar(0))  # unused: fn cannot mention it
-    pairs = {t + d[2]: c2 + d[1] for t, c2 in sg.pairs.items()}
+    # The clock payloads moved d[1] places out; tick payload k itself is
+    # unused, since fn cannot mention its variable.
+    block[2] = [CForcedTick(p.clock + d[1], p.tick)
+                if type(p) is CForcedTick else p for p in block[2]]
+    block[2][d[2] + k] = TickVar(0)
     shift = tuple(s + w for s, w in zip(sg.shift, wk))
-    return Substitution(None, None, tuple(map(tuple, block)), shift, pairs,
-                        outer=sg.outer_sizes())
-
-
-# --------------------------------------------------------------------------
-# Residual operations on substitutions (Operations 1 and 2)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Simple:
-    context: Context
-    subst: Substitution
-
-
-@dataclass(frozen=True)
-class Forced:
-    context: Context
-    subst: Substitution  # valid under context, kappa'' : clock
-
-
-def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
-    """Restrict sigma to the masked cod, strengthening payloads into the
-    masked dom (optionally extended by fresh entries)."""
-    new_dom = apply_mask(sigma.dom, dom_mask)
-    for e in extra_dom:
-        new_dom = new_dom.push(e)
-    ren = mask_renaming(sigma.dom, dom_mask)
-    extra_sorts = [entry_sort(e) for e in extra_dom]
-
-    def conv(comp):
-        match comp:
-            case CTerm(t):
-                return CTerm(weaken(rename_term(t, ren), extra_sorts))
-            case CClock(k):
-                kk = ren.apply(CLOCK, k, ZERO_DEPTH)
-                return CClock(kk + sum(1 for s in extra_sorts if s == CLOCK))
-            case CTick(u):
-                return CTick(weaken_tick(rename_tick(u, ren, ZERO_DEPTH),
-                                         extra_sorts))
-            case CForcedTick(k, u):
-                kk = ren.apply(CLOCK, k, ZERO_DEPTH)
-                return CForcedTick(
-                    kk + sum(1 for s in extra_sorts if s == CLOCK),
-                    weaken_tick(rename_tick(u, ren, ZERO_DEPTH), extra_sorts),
-                )
-            case CIVal(r):
-                return CIVal(ren.iexpr(r, ZERO_DEPTH))
-            case CFace():
-                return comp
-        raise MalformedSubstitution(repr(comp))
-
-    comps = tuple(
-        conv(c) for c, keep in zip(sigma.comps, cod_mask) if keep
-    )
-    return _explicit(new_dom, apply_mask(sigma.cod, cod_mask), comps)
-
-
-def residual(sigma, u, clock):
-    """Operation 1: the residual data of sigma against a simple tick u on
-    `clock` (clock index in sigma.cod)."""
-    cod_mask = _tick_mask(sigma.cod, u, clock, forcing=False)
-    leftmost = _leftmost_tick_var(u)
-    pos, comp = sigma.component(TICK, leftmost)
-    new_tick = subst_tick(sigma, u)
-    if isinstance(comp, CTick):
-        _, kcomp = sigma.component(CLOCK, clock)
-        dom_mask = _tick_mask(sigma.dom, new_tick, kcomp.clock, forcing=False)
-        return Simple(apply_mask(sigma.dom, dom_mask),
-                      restrict_subst(sigma, cod_mask, dom_mask))
-    # Forced: the fresh clock kappa'' replaces the substituted clock pair.
-    kprime = comp.clock
-    dom_mask = _tick_mask(sigma.dom, new_tick, kprime, forcing=True)
-    sub = restrict_subst(sigma, cod_mask, dom_mask, extra_dom=(EClock(),))
-    # Remap the paired clock component (if it survives the cod mask) to the
-    # fresh innermost clock.
-    comps = list(sub.comps)
-    kept_before = sum(1 for k in cod_mask[:pos - 1] if k)
-    if cod_mask[pos - 1]:
-        comps[kept_before] = CClock(0)
-    return Forced(apply_mask(sigma.dom, dom_mask),
-                  _explicit(sub.dom, sub.cod, tuple(comps)))
-
-
-def bresidual(sigma, clock, u):
-    """Operation 2: residual data for a forcing tick (clock, u)."""
-    cod_mask = _tick_mask(sigma.cod, u, clock, forcing=True)
-    new_tick = subst_tick(sigma, u)
-    _, kcomp = sigma.component(CLOCK, clock)
-    if not _tick_vars(new_tick):
-        dom_mask = [True] * len(sigma.dom.entries)
-    else:
-        dom_mask = _tick_mask(sigma.dom, new_tick, kcomp.clock, forcing=True)
-    return (apply_mask(sigma.dom, dom_mask),
-            restrict_subst(sigma, cod_mask, dom_mask))
+    return Substitution(shape(sg.sizes(), *wk), tuple(map(tuple, block)),
+                        shift)

@@ -18,16 +18,37 @@ an endpoint on a face exactly when its Kleene value is that endpoint.
 
 Structural equality of terms is decided by rebuilding both terms with every
 interval leaf normalized and comparing the results.
+
+Substitution has two references.  `naive_subst` does what the kernel's
+`ticks.subst` builder does, one variable at a time, by plain recursion over
+the term, with no shifts or explicit substitutions.  The residual
+operations on substitutions (Operations 1 and 2) keep a substitution of
+their own, `Explicit`: its domain and codomain contexts and one component
+per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
+("forced", k, u) for a forcing tick on domain clock k, ("ival", r) and
+("face",).
 """
 
+from dataclasses import dataclass
 from itertools import product
 
+from cctt.errors import MalformedSubstitution, NotATick
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP,
     I0, I1, IJoin, IMeet, INeg, IVar,
-    iv_normalize, iv_vars,
+    face_map_vars, iv_map_vars, iv_normalize, iv_vars,
 )
-from cctt.syntax import ZERO_DEPTH, Renaming, rename_term
+from cctt.syntax import (
+    CLOCK, FACE, IVAL, TERM, TICK, ZERO_DEPTH,
+    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
+    ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
+    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TickApp, TickLam,
+    TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
+    rename_tick, weaken, weaken_iexpr, weaken_tick,
+)
+from cctt.ticks import (
+    CForcedTick, apply_mask, mask_renaming, residual_mask,
+)
 
 # DM4 elements as pairs ordered componentwise; the involution reverses the
 # order and swaps the components, fixing (0,1) and (1,0).
@@ -201,3 +222,401 @@ _LEAF_NORMALIZING = _LeafNormalizing()
 def canonical(t):
     """Normalize every interval leaf; indices are untouched."""
     return rename_term(t, _LEAF_NORMALIZING, ZERO_DEPTH)
+
+
+# --------------------------------------------------------------------------
+# Substitution, one variable at a time
+# --------------------------------------------------------------------------
+
+_SORTS = (TERM, CLOCK, TICK, IVAL)
+
+
+def _sorts_of(depth):
+    return [s for s in _SORTS for _ in range(depth[s])]
+
+
+def _tick_vars(u):
+    match u:
+        case TickVar(ix):
+            return {ix}
+        case Diamond():
+            return set()
+        case Tirr(l, r, _):
+            return _tick_vars(l) | _tick_vars(r)
+    raise NotATick(repr(u))
+
+
+class _Subst1:
+    """Replace variable `ix` of `sort` (seen from outside every binder) by
+    `payload`, scoped past it, and move the variables of the sort outside
+    it in by one.  A clock payload is an index; a tick payload a tick or a
+    `CForcedTick`, whose clock is an index of the scope."""
+
+    def __init__(self, sort, ix, payload):
+        self.sort = sort
+        self.ix = ix
+        self.payload = payload
+
+    def _var(self, sort, ix, d):
+        """The index ix of sort, or None for the substituted variable."""
+        if sort != self.sort or ix < d[sort] + self.ix:
+            return ix
+        if ix == d[sort] + self.ix:
+            return None
+        return ix - 1
+
+    def _at(self, d):
+        """The payload moved under the binders d."""
+        p = _weakened(self.sort, self.payload, d)
+        return p.tick if type(p) is CForcedTick else p
+
+    def clock(self, k, d):
+        x = self._var(CLOCK, k, d)
+        return self._at(d) if x is None else x
+
+    def ival(self, r, d):
+        def on_var(ix):
+            x = self._var(IVAL, ix, d)
+            return self._at(d) if x is None else IVar(x)
+        return iv_map_vars(r, on_var)
+
+    def face(self, phi, d):
+        def on_var(ix):
+            x = self._var(IVAL, ix, d)
+            return self._at(d) if x is None else IVar(x)
+        return face_map_vars(phi, on_var)
+
+    def tick(self, u, d):
+        match u:
+            case TickVar(ix):
+                x = self._var(TICK, ix, d)
+                return self._at(d) if x is None else TickVar(x)
+            case Diamond():
+                return u
+            case Tirr(l, r, at):
+                left, right = self.tick(l, d), self.tick(r, d)
+                if type(left) is Diamond and type(right) is Diamond:
+                    return Diamond()
+                return Tirr(left, right, self.ival(at, d))
+        raise NotATick(repr(u))
+
+    def term(self, t, d):
+        go = self.term
+
+        def under(*sorts):
+            inner = dict(d)
+            for s in sorts:
+                inner[s] += 1
+            return inner
+
+        match t:
+            case Var(ix):
+                x = self._var(TERM, ix, d)
+                return self._at(d) if x is None else Var(x)
+            case U(_) | TopRef(_):
+                return t
+            case Pi(dom, cod):
+                return Pi(go(dom, d), go(cod, under(TERM)))
+            case Lam(body):
+                return Lam(go(body, under(TERM)))
+            case App(fn, arg):
+                return App(go(fn, d), go(arg, d))
+            case Sigma(fst, snd):
+                return Sigma(go(fst, d), go(snd, under(TERM)))
+            case Pair(fst, snd):
+                return Pair(go(fst, d), go(snd, d))
+            case Fst(arg):
+                return Fst(go(arg, d))
+            case Snd(arg):
+                return Snd(go(arg, d))
+            case PathT(ty, left, right):
+                return PathT(go(ty, d), go(left, d), go(right, d))
+            case PLam(body):
+                return PLam(go(body, under(IVAL)))
+            case PApp(fn, r):
+                return PApp(go(fn, d), self.ival(r, d))
+            case Forall(body):
+                return Forall(go(body, under(CLOCK)))
+            case CLam(body):
+                return CLam(go(body, under(CLOCK)))
+            case CApp(fn, k):
+                return CApp(go(fn, d), self.clock(k, d))
+            case Later(k, ty):
+                return Later(self.clock(k, d), go(ty, under(TICK)))
+            case TickLam(k, body):
+                return TickLam(self.clock(k, d), go(body, under(TICK)))
+            case TickApp(fn, u):
+                if (type(self.payload) is CForcedTick
+                        and max(_tick_vars(u), default=None)
+                        == d[TICK] + self.ix):
+                    return self._force(fn, u, d)
+                return TickApp(go(fn, d), self.tick(u, d))
+            case ForceApp(fn, k, u):
+                return ForceApp(go(fn, under(CLOCK)), self.clock(k, d),
+                                self.tick(u, d))
+            case DFix(k, fn):
+                return DFix(self.clock(k, d), go(fn, d))
+            case PFix(k, fn):
+                return PFix(self.clock(k, d), go(fn, d))
+            case Comp(ty, phi, tube, base):
+                return Comp(go(ty, under(IVAL)), self.face(phi, d),
+                            go(tube, under(IVAL)), go(base, d))
+            case HComp(ty, phi, tube, base):
+                return HComp(go(ty, d), self.face(phi, d),
+                             go(tube, under(IVAL)), go(base, d))
+            case Trans(ty, phi, base):
+                return Trans(go(ty, under(IVAL)), self.face(phi, d),
+                             go(base, d))
+            case Hit(name, params):
+                return Hit(name, tuple(go(p, d) for p in params))
+            case Con(name, label, params, args, recs, ivals):
+                return Con(name, label, tuple(go(p, d) for p in params),
+                           tuple(go(a, d) for a in args),
+                           tuple(go(a, d) for a in recs),
+                           tuple(self.ival(r, d) for r in ivals))
+            case ClockElim(name, n, params, motive, cases, arg):
+                def case_body(c):
+                    binders = ([TERM] * (c.n_args + 2 * c.n_recs)
+                               + [IVAL] * c.n_ivars)
+                    return go(c.body, under(*binders))
+                return ClockElim(
+                    name, n, tuple(go(p, d) for p in params),
+                    go(motive, under(TERM)),
+                    tuple(ElimCase(c.label, c.n_args, c.n_recs, c.n_ivars,
+                                   case_body(c)) for c in cases),
+                    go(arg, d),
+                )
+            case System(parts):
+                return System(tuple((self.face(phi, d), go(u, d))
+                                    for phi, u in parts))
+        raise TypeError(t)
+
+    def _force(self, fn, u, d):
+        """fn [u] where u's leftmost tick variable is the forcing tick
+        substituted: a forcing application, whose function binds a fresh
+        clock in place of the paired clock."""
+        paired = self.payload.clock + d[CLOCK]
+        here = d[TICK] + self.ix
+
+        def clock(j):
+            return 0 if j == paired else j + 1
+
+        def tick(ix):
+            if ix == here:
+                raise ValueError("the forced function mentions its tick")
+            return ix - 1 if ix > here else ix
+
+        fn = rename_term(fn, Renaming(clock=clock, tick=tick))
+        return ForceApp(fn, paired, self.tick(u, d))
+
+
+def naive_subst(t, terms=(), clocks=(), ticks=(), ivals=(),
+                fresh=(0, 0, 0, 0)):
+    """t under the substitution the kernel builds with
+    `subst(scope, terms, clocks, ticks, ivals, fresh)`.
+
+    t's variables past the payloads are moved past the fresh binders; then
+    the payloads go in one variable at a time, outermost first, each
+    weakened past the payload variables still left inside it.  Ticks go in
+    before clocks, so that a forcing tick finds its paired clock still a
+    variable, and outermost first, so that a tick application is forced
+    only when its leftmost tick variable is (a simple tick payload has a
+    tick variable, so the variables it replaces stay leftmost)."""
+    payloads = dict(zip(_SORTS, (terms, clocks, ticks, ivals)))
+    left = {s: len(payloads[s]) for s in _SORTS}
+    t = weaken(t, [s for s, n in zip(_SORTS, fresh) for _ in range(n)],
+               cut=dict(left))
+    for sort in (TICK, TERM, IVAL, CLOCK):
+        for p in payloads[sort]:
+            left[sort] -= 1
+            t = _Subst1(sort, left[sort], _weakened(sort, p, left)).term(
+                t, dict(ZERO_DEPTH))
+    return t
+
+
+def _weakened(sort, p, depth):
+    """A payload of `sort` moved past `depth` binders, a count per sort."""
+    if sort == CLOCK:
+        return p + depth[CLOCK]
+    if sort == IVAL:
+        return weaken_iexpr(p, [IVAL] * depth[IVAL])
+    sorts = _sorts_of(depth)
+    if sort == TICK:
+        if type(p) is CForcedTick:
+            return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
+        return weaken_tick(p, sorts)
+    return weaken(p, sorts)
+
+
+# --------------------------------------------------------------------------
+# Residual operations on substitutions (Operations 1 and 2)
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Explicit:
+    """sigma : dom <- cod, one component per cod entry, left to right,
+    each scoped in dom (see the module docstring)."""
+    dom: Context
+    cod: Context
+    comps: tuple
+
+
+_COMP_SORT = {"term": TERM, "clock": CLOCK, "tick": TICK, "forced": TICK,
+              "ival": IVAL, "face": FACE}
+
+
+_IDENTITY = {
+    TERM: lambda ix: ("term", Var(ix)),
+    CLOCK: lambda ix: ("clock", ix),
+    TICK: lambda ix: ("tick", TickVar(ix)),
+    IVAL: lambda ix: ("ival", IVar(ix)),
+    FACE: lambda ix: ("face",),
+}
+
+
+def explicit(ctx, entries, comps):
+    """The substitution for ctx extended by `entries`, sending the added
+    entries to `comps` and every entry of ctx to itself."""
+    ident = tuple(_IDENTITY[entry_sort(e)](ctx.index_at(pos))
+                  for pos, e in enumerate(ctx.entries))
+    return Explicit(ctx, Context(ctx.entries + tuple(entries)),
+                    ident + tuple(comps))
+
+
+def validate_substitution(sigma):
+    comps = sigma.comps
+    if len(comps) != len(sigma.cod.entries):
+        raise MalformedSubstitution("component count does not match context")
+    for comp, entry in zip(comps, sigma.cod.entries):
+        if _COMP_SORT[comp[0]] != entry_sort(entry):
+            raise MalformedSubstitution(
+                f"component {comp!r} does not match entry {entry!r}"
+            )
+    # Paired components must sit right of their clock half.
+    for pos, comp in enumerate(comps):
+        if comp[0] == "forced":
+            if pos == 0 or comps[pos - 1][0] != "clock" \
+                    or comps[pos - 1][1] != comp[1]:
+                raise MalformedSubstitution(
+                    "forcing tick component must pair with the preceding "
+                    "clock component"
+                )
+    return True
+
+
+def component(sigma, sort, ix):
+    """Component for the ix-th cod entry of `sort` (from the inside),
+    with its position in comps."""
+    try:
+        pos = sigma.cod.pos_of(sort, ix)
+    except IndexError:
+        raise MalformedSubstitution(
+            f"no component for {sort} variable {ix}"
+        ) from None
+    return pos, sigma.comps[pos]
+
+
+def _explicit_ival(sigma, r):
+    return iv_normalize(iv_map_vars(
+        r, lambda ix: component(sigma, IVAL, ix)[1][1]
+    ))
+
+
+def subst_tick(sigma, u):
+    match u:
+        case TickVar(ix):
+            comp = component(sigma, TICK, ix)[1]
+            return comp[1] if comp[0] == "tick" else comp[2]
+        case Diamond():
+            return u
+        case Tirr(l, r, at):
+            left, right = subst_tick(sigma, l), subst_tick(sigma, r)
+            if type(left) is Diamond and type(right) is Diamond:
+                return Diamond()
+            return Tirr(left, right, _explicit_ival(sigma, at))
+    raise NotATick(repr(u))
+
+
+@dataclass(frozen=True)
+class Simple:
+    context: Context
+    subst: Explicit
+
+
+@dataclass(frozen=True)
+class Forced:
+    context: Context
+    subst: Explicit  # valid under context, kappa'' : clock
+
+
+def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
+    """Restrict sigma to the masked cod, strengthening components into the
+    masked dom (optionally extended by fresh entries)."""
+    new_dom = apply_mask(sigma.dom, dom_mask)
+    for e in extra_dom:
+        new_dom = new_dom.push(e)
+    ren = mask_renaming(sigma.dom, dom_mask)
+    extra = [entry_sort(e) for e in extra_dom]
+    extra_clocks = extra.count(CLOCK)
+
+    def conv(comp):
+        match comp:
+            case ("term", t):
+                return ("term", weaken(rename_term(t, ren), extra))
+            case ("clock", k):
+                return ("clock", ren.apply(CLOCK, k, ZERO_DEPTH)
+                        + extra_clocks)
+            case ("tick", u):
+                return ("tick", weaken_tick(
+                    rename_tick(u, ren, ZERO_DEPTH), extra))
+            case ("forced", k, u):
+                return ("forced",
+                        ren.apply(CLOCK, k, ZERO_DEPTH) + extra_clocks,
+                        weaken_tick(rename_tick(u, ren, ZERO_DEPTH), extra))
+            case ("ival", r):
+                return ("ival", ren.iexpr(r, ZERO_DEPTH))
+            case ("face",):
+                return comp
+        raise MalformedSubstitution(repr(comp))
+
+    comps = tuple(
+        conv(c) for c, keep in zip(sigma.comps, cod_mask) if keep
+    )
+    return Explicit(new_dom, apply_mask(sigma.cod, cod_mask), comps)
+
+
+def residual(sigma, u, clock):
+    """Operation 1: the residual data of sigma against a simple tick u on
+    `clock` (clock index in sigma.cod)."""
+    cod_mask = residual_mask(sigma.cod, u, clock)
+    pos, comp = component(sigma, TICK, max(_tick_vars(u)))
+    new_tick = subst_tick(sigma, u)
+    if comp[0] == "tick":
+        _, kcomp = component(sigma, CLOCK, clock)
+        dom_mask = residual_mask(sigma.dom, new_tick, kcomp[1])
+        return Simple(apply_mask(sigma.dom, dom_mask),
+                      restrict_subst(sigma, cod_mask, dom_mask))
+    # Forced: the fresh clock kappa'' replaces the substituted clock pair.
+    dom_mask = residual_mask(sigma.dom, new_tick, comp[1], forcing=True)
+    sub = restrict_subst(sigma, cod_mask, dom_mask, extra_dom=(EClock(),))
+    # Remap the paired clock component (if it survives the cod mask) to the
+    # fresh innermost clock.
+    comps = list(sub.comps)
+    if cod_mask[pos - 1]:
+        comps[sum(1 for k in cod_mask[:pos - 1] if k)] = ("clock", 0)
+    return Forced(apply_mask(sigma.dom, dom_mask),
+                  Explicit(sub.dom, sub.cod, tuple(comps)))
+
+
+def bresidual(sigma, clock, u):
+    """Operation 2: residual data for a forcing tick (clock, u)."""
+    cod_mask = residual_mask(sigma.cod, u, clock, forcing=True)
+    new_tick = subst_tick(sigma, u)
+    _, kcomp = component(sigma, CLOCK, clock)
+    if not _tick_vars(new_tick):
+        dom_mask = [True] * len(sigma.dom.entries)
+    else:
+        dom_mask = residual_mask(sigma.dom, new_tick, kcomp[1],
+                                 forcing=True)
+    return (apply_mask(sigma.dom, dom_mask),
+            restrict_subst(sigma, cod_mask, dom_mask))

@@ -1,5 +1,6 @@
 import pytest
 
+from cctt import checker
 from cctt.checker import (
     CheckState, PRELUDE, check, check_clock_elim, check_comp,
     check_constructor_app, check_hit_signature, check_is_type,
@@ -360,6 +361,31 @@ class TestBoundaryVerdicts:
         with pytest.raises(BoundaryNotCovering):
             check_hit_signature(st(), _cube(_CUBE_PIECES[2:], ", (i3 = 1)"))
 
+    @pytest.mark.parametrize("pieces, ok", [
+        # On j = 0 the hcomp's face holds, so the piece is its tube at 1,
+        # seg 1 = b: the endpoint for j must not land on the tube
+        # variable k.
+        ("| sq (j : I) [(j = 0) -> hcomp^k [(j = 0) -> seg k] a,"
+         " (j = 0) -> a]", False),
+        ("| sq (j : I) [(j = 0) -> hcomp^k [(j = 0) -> seg k] a,"
+         " (j = 0) -> b]", True),
+        # w x 0 is x through a tube, so w (seg l) 0 is seg l: the
+        # recursive payload seg l, met in the tube, must move past it.
+        ("| w (x : t) (j : I) [(j = 0) -> hcomp^k [(j = 0) -> x] x]"
+         " | sq (i : I) (l : I) [(i = 0) -> w (seg l) 0, (i = 0) -> seg l]",
+         True),
+    ], ids=("endpoint-a", "endpoint-b", "payload-in-tube"))
+    def test_boundary_hcomp_tube_keeps_its_binder(self, pieces, ok):
+        sig = parse_module(
+            "data t : U0 where | a | b"
+            " | seg (i : I) [(i = 0) -> a, (i = 1) -> b] " + pieces
+        ).decls[0].sig
+        if ok:
+            assert check_hit_signature(st(), sig)
+        else:
+            with pytest.raises(BoundaryIncompatible):
+                check_hit_signature(st(), sig)
+
     def test_bare_face_entry_round_trips(self):
         src = ("data sq : U0 where | pt"
                " | cell (i : I) (j : I) [(i = 0) -> pt, (j = 1) \\/ (i = 1)]")
@@ -556,3 +582,24 @@ class TestClockElim:
         got = whnf(state, ctx, term)
         want = Con("trunc", "in", (Var(1),), (Var(0),), (), ())
         assert conv_tm(state, ctx, got, want)
+
+
+class TestKernelErrors:
+    """A kernel bug propagates; only checking errors become verdicts."""
+
+    @pytest.fixture
+    def broken_is_type(self, monkeypatch):
+        def broken(*args):
+            raise AttributeError("a kernel bug")
+        monkeypatch.setattr(checker, "check_is_type", broken)
+
+    def test_signature_check_lets_kernel_errors_through(self,
+                                                        broken_is_type):
+        with pytest.raises(AttributeError):
+            check_hit_signature(st(), trunc_signature())
+
+    def test_motive_check_lets_kernel_errors_through(self, broken_is_type):
+        state = st()
+        state.signatures["nat"] = nat_signature()
+        with pytest.raises(AttributeError):
+            check_clock_elim(state, PRELUDE, nat_add(nat_num(1), nat_num(1)))

@@ -6,16 +6,18 @@ import pytest
 from cctt import conversion
 from cctt.checker import CheckState
 from cctt.conversion import (
-    boundary_reduce, comp_eval, CompProblem, conv, conv_tm, conv_under_face,
-    hfill, tick_whnf, whnf,
+    boundary_equal, boundary_reduce, comp_eval, CompProblem, conv, conv_tm,
+    conv_under_face, hfill, tick_whnf, whnf,
 )
 from cctt.errors import FuelExhausted, MalformedSubstitution
 from cctt.interval import (
     FAnd, FBOT, FEq, FTOP, INeg, IVar, IZERO, IONE,
 )
-from cctt.parser import DataDefinition, Elaborator, surface_module
+from cctt.parser import (
+    DataDefinition, Elaborator, parse_module, surface_module,
+)
 from cctt.syntax import (
-    TERM, App, BCon, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
+    TERM, App, BCon, BHComp, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
     DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp,
     Forall, Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam,
     Pair, PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam,
@@ -365,6 +367,33 @@ class TestPointConstructors:
         assert sig.index_of("leaf") == 0
         with pytest.raises(KeyError):
             sig.constructor("twig")
+
+
+class TestBoundaryTubes:
+    """Substituting into a boundary hcomp leaves its tube's own interval
+    variable alone."""
+
+    @staticmethod
+    def sig():
+        return parse_module(
+            "data t : U0 where | a | b"
+            " | seg (i : I) [(i = 0) -> a, (i = 1) -> b]"
+            " | sq (i : I) [(i = 0) -> hcomp^k [(i = 0) -> seg k] a]"
+        ).decls[0].sig
+
+    def test_constructor_endpoint_keeps_the_tube_variable(self):
+        # sq 0 = hcomp^k [1 -> seg k] a = seg 1 = b.
+        sig = self.sig()
+        sq0 = BCon("sq", (), (), (IZERO,))
+        assert boundary_equal(sig, sq0, BCon("b", (), (), ()))
+        assert not boundary_equal(sig, sq0, BCon("a", (), (), ()))
+
+    def test_nested_tube_keeps_its_variable(self):
+        sig = self.sig()
+        a = BCon("a", (), (), ())
+        seg_l = BCon("seg", (), (), (IVar(0),))
+        outer = BHComp(FTOP, BHComp(FEq(0, 1), seg_l, a), a)
+        assert boundary_reduce(sig, outer) == BHComp(FTOP, seg_l, a)
 
 
 class TestMachine:

@@ -52,3 +52,42 @@ def test_traced_functions_exist():
             for part in path:
                 owner = getattr(owner, part)
             assert callable(vars(owner).get(attr)), f"cctt.{layer}.{qualname}"
+
+
+# Top-level definitions no other package code names, each with the reason
+# it stays.
+UNREFERENCED = {
+    "parse_module": "the tests' entry point to the parser",
+    "print_module": "the printer of the print/parse round trip",
+}
+
+
+def test_no_dead_definitions():
+    # A top-level function or class must be named (as an AST Name or
+    # Attribute) by package code outside its own definition, be traced by
+    # the benchmark, or be listed above.
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    traced = {qualname.split(".")[0] for qualnames in layers.TARGETS.values()
+              for qualname in qualnames}
+    defined = {}   # name -> module, for each top-level definition
+    named = {}     # name -> the top-level definitions naming it
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = (path.name, top.name)
+                defined[top.name] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    named.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    named.setdefault(node.attr, set()).add(owner)
+    dead = sorted(
+        f"{module}:{name}" for name, module in defined.items()
+        if not named.get(name, set()) - {(module, name)}
+        and name not in traced and name not in UNREFERENCED
+    )
+    assert not dead, dead

@@ -1,20 +1,27 @@
+import random
+
 import pytest
 
-from cctt.conversion import inst
+from cctt.checker import CheckState, infer
 from cctt.errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
-    NoCommonResidual, NotATick, TickEscape,
+    NotATick, TickEscape,
 )
-from cctt.interval import FBOT, FEq, IMeet, IONE, IVar
+from cctt.interval import (
+    FAnd, FBOT, FEq, FOr, IJoin, IMeet, INeg, IONE, IVar, IZERO,
+)
 from cctt.syntax import (
-    App, CApp, CLam, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
-    ForceApp, Lam, Later, PApp, PLam, System, TickApp, TickLam, TickVar,
-    Tirr, U, Var,
+    App, CApp, CLam, Comp, Context, DFix, Diamond, EClock, EIVar, ETick,
+    EVar, ForceApp, Forall, HComp, Lam, Later, PApp, PLam, Pi, System,
+    TickApp, TickLam, TickVar, Tirr, U, Var,
 )
 from cctt.ticks import (
-    CClock, CForcedTick, CIVal, CTerm, CTick, Forced, Simple, bresidual,
-    extend, identity_subst, residual, subst_apply, tick_check_forcing,
-    tick_check_simple, timeless, trim_check, validate_substitution,
+    CForcedTick, apply_mask, identity_subst, residual_mask, subst,
+    subst_apply, timeless, trim_check,
+)
+from oracles import (
+    Forced, Simple, bresidual, canonical, explicit, naive_subst, residual,
+    restrict_subst, validate_substitution,
 )
 
 KAPPA = EClock()
@@ -22,6 +29,21 @@ KAPPA = EClock()
 
 def ctx_of(*entries):
     return Context(tuple(entries))
+
+
+def simple_residual(ctx, u, clock):
+    """The maximal residual context for a simple tick u on `clock`."""
+    return apply_mask(ctx, residual_mask(ctx, u, clock))
+
+
+def forcing_residual(ctx, clock, u):
+    """The maximal residual context for a forcing tick (clock, u)."""
+    return apply_mask(ctx, residual_mask(ctx, u, clock, forcing=True))
+
+
+# The substitution of the forcing beta rule: the clock and the tick
+# innermost in the scope go to clock 0 and the forcing tick (0, <>).
+FORCE_DIAMOND = dict(clocks=(0,), ticks=(CForcedTick(0, Diamond()),))
 
 
 class TestTimelessAndTrim:
@@ -44,12 +66,12 @@ class TestTickJudgements:
     def test_simple_tick_drops_itself_and_later_terms(self):
         # kappa, alpha : kappa, x : A |- alpha gives residual kappa.
         ctx = ctx_of(KAPPA, ETick(0), EVar(U(0)))
-        residual_ctx = tick_check_simple(ctx, TickVar(0), 0)
+        residual_ctx = simple_residual(ctx, TickVar(0), 0)
         assert residual_ctx.entries == (KAPPA,)
 
     def test_simple_tick_keeps_left_part(self):
         ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EVar(U(0)), EIVar())
-        residual_ctx = tick_check_simple(ctx, TickVar(0), 0)
+        residual_ctx = simple_residual(ctx, TickVar(0), 0)
         assert residual_ctx.entries == (KAPPA, EVar(U(0)), EIVar())
 
     def test_simple_tick_wrong_clock(self):
@@ -57,58 +79,59 @@ class TestTickJudgements:
         # The tick is on the inner clock (index 0 at its binder => index 0
         # seen from the end as well); asking for clock 1 must fail.
         with pytest.raises(ClockMismatch):
-            tick_check_simple(ctx, TickVar(0), 1)
+            simple_residual(ctx, TickVar(0), 1)
 
     def test_diamond_rejected_in_simple_position(self):
         ctx = ctx_of(KAPPA)
         with pytest.raises(DiamondOutsideForcing):
-            tick_check_simple(ctx, Diamond(), 0)
+            simple_residual(ctx, Diamond(), 0)
 
     def test_diamond_allowed_in_forcing_position(self):
         ctx = ctx_of(KAPPA, EVar(U(0)))
-        assert tick_check_forcing(ctx, 0, Diamond()).entries == ctx.entries
+        assert forcing_residual(ctx, 0, Diamond()).entries == ctx.entries
 
     def test_forcing_unknown_clock(self):
+        # The checker rejects the clock before it asks for the residual.
         with pytest.raises(ClockMismatch):
-            tick_check_forcing(ctx_of(KAPPA), 3, Diamond())
+            infer(CheckState(), ctx_of(KAPPA),
+                  ForceApp(Var(0), 3, Diamond()))
 
     def test_tirr_intersects_residuals(self):
         ctx = ctx_of(KAPPA, ETick(0), EVar(U(0)), ETick(0))
         # tirr of the two ticks: residual is everything left of the outer
         # tick (just kappa).
-        got = tick_check_simple(ctx, Tirr(TickVar(1), TickVar(0), IVar(0)), 0)
+        got = simple_residual(ctx, Tirr(TickVar(1), TickVar(0), IVar(0)), 0)
         assert got.entries == (KAPPA,)
 
     def test_not_a_tick(self):
         with pytest.raises(NotATick):
-            tick_check_simple(ctx_of(KAPPA), TickVar(5), 0)
+            simple_residual(ctx_of(KAPPA), TickVar(5), 0)
 
 
 class TestSubstitution:
     def test_identity_is_identity(self):
         ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar())
-        sigma = identity_subst(ctx)
-        validate_substitution(sigma)
+        validate_substitution(explicit(ctx, (), ()))
         t = TickApp(CApp(Var(0), 0), TickVar(0))
-        assert subst_apply(sigma, t) == t
+        assert subst_apply(identity_subst(ctx), t) == t
 
     def test_beta_substitution(self):
         ctx = ctx_of(EVar(U(0)))
-        sigma = extend(ctx, [EVar(U(0))], [CTerm(Var(0))])
+        sigma = subst(ctx, terms=(Var(0),))
         body = App(Var(0), Var(1))
         assert subst_apply(sigma, body) == App(Var(0), Var(0))
 
     def test_binders_shift_payloads(self):
         ctx = ctx_of(EVar(U(0)))
-        sigma = extend(ctx, [EVar(U(0))], [CTerm(Var(0))])
+        sigma = subst(ctx, terms=(Var(0),))
         body = Lam(App(Var(1), Var(2)))
         assert subst_apply(sigma, body) == Lam(App(Var(1), Var(1)))
 
     def test_simple_tick_component_keeps_simple_application(self):
         ctx = ctx_of(KAPPA, ETick(0))
-        sigma = extend(ctx, [ETick(0)], [CTick(TickVar(0))])
+        sigma = subst(ctx, ticks=(TickVar(0),))
         t = TickApp(Var(0), TickVar(0))  # ill-scoped Var irrelevant here
-        with pytest.raises(Exception):
+        with pytest.raises(MalformedSubstitution):
             # no term component exists: Var(0) has nothing to map to
             subst_apply(sigma, t)
 
@@ -116,9 +139,7 @@ class TestSubstitution:
         # t [alpha] under [(<> : kappa') / (alpha : kappa)] becomes
         # (kappa. t') [(kappa', <>)].
         ctx = ctx_of(KAPPA, EVar(Later(0, U(0))))
-        cod_extension = [EClock(), ETick(0)]
-        sigma = extend(ctx, cod_extension,
-                       [CClock(0), CForcedTick(0, Diamond())])
+        sigma = subst(ctx, **FORCE_DIAMOND)
         t = TickApp(Var(0), TickVar(0))
         got = subst_apply(sigma, t)
         assert isinstance(got, ForceApp)
@@ -131,16 +152,19 @@ class TestSubstitution:
 
     def test_forced_tick_validation(self):
         ctx = ctx_of(KAPPA)
-        sigma = extend(ctx, [EClock(), ETick(0)],
-                       [CClock(0), CForcedTick(0, Diamond())])
-        validate_substitution(sigma)
+        validate_substitution(explicit(
+            ctx, (EClock(), ETick(0)),
+            (("clock", 0), ("forced", 0, Diamond())),
+        ))
+        # The kernel's forcing tick names its clock: one with no clock
+        # payload to pair with cannot be promoted.
+        sigma = subst(ctx, ticks=(CForcedTick(0, Diamond()),))
+        with pytest.raises(MalformedSubstitution, match="pair"):
+            subst_apply(sigma, TickApp(DFix(0, U(0)), TickVar(0)))
 
     def test_tirr_diamond_collapse(self):
         ctx = ctx_of(KAPPA, EVar(U(0)))
-        sigma = extend(
-            ctx, [EClock(), ETick(0)],
-            [CClock(0), CForcedTick(0, Diamond())],
-        )
+        sigma = subst(ctx, **FORCE_DIAMOND)
         t = TickApp(Var(0), Tirr(TickVar(0), TickVar(0), IVar(0)))
         got = subst_apply(sigma, t)
         assert isinstance(got, ForceApp)
@@ -171,34 +195,31 @@ class TestShiftedSubstitution:
          PLam(ForceApp(PApp(Var(0), IVar(0)), 0, Diamond()))),
     ])
     def test_forcing_component_under_binders(self, term, expected):
-        sigma = extend(self.FORCING_CTX, [EClock(), ETick(0)],
-                       [CClock(0), CForcedTick(0, Diamond())])
+        sigma = subst(self.FORCING_CTX, **FORCE_DIAMOND)
         assert subst_apply(sigma, term) == expected
 
-    @pytest.mark.parametrize("entries, comps, term, expected", [
-        ([EVar(U(0)), EIVar()],
-         [CTerm(App(Var(2), Var(0))), CIVal(IMeet(IVar(0), IVar(2)))],
+    @pytest.mark.parametrize("payloads, term, expected", [
+        (dict(terms=(App(Var(2), Var(0)),),
+              ivals=(IMeet(IVar(0), IVar(2)),)),
          Lam(App(App(Var(5), Var(1)), PApp(Var(0), IMeet(IVar(3), IVar(0))))),
          Lam(App(App(Var(4), App(Var(3), Var(1))),
                  PApp(Var(0), IMeet(IVar(0), IVar(2)))))),
-        ([EClock(), EVar(U(0))], [CClock(3), CTerm(Var(7))],
+        (dict(clocks=(3,), terms=(Var(7),)),
          CLam(TickLam(3, TickApp(CApp(Var(4), 2), TickVar(0)))),
          CLam(TickLam(2, TickApp(CApp(Var(3), 1), TickVar(0))))),
-        ([EIVar()], [CIVal(IONE)],
+        (dict(ivals=(IONE,)),
          System(((FEq(2, 1), Var(1)), (FEq(0, 0), Var(3)))),
          System(((FEq(1, 1), Var(1)), (FBOT, Var(3))))),
-    ])
-    def test_free_variables_outside_the_block(self, entries, comps, term,
+    ], ids=("terms-and-ivals", "clocks-and-terms", "ival-endpoint"))
+    def test_free_variables_outside_the_block(self, payloads, term,
                                               expected):
-        # No context: the variables past the block keep their own scope.
-        assert inst(None, entries, comps, term) == expected
+        # No scope: the variables past the block keep their own scope.
+        assert subst_apply(subst(None, **payloads), term) == expected
 
     @pytest.mark.parametrize("sigma, term, message", [
-        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), Var(2),
-         "term variable 2"),
-        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), Lam(Var(3)),
-         "term variable 3"),
-        (extend(FORCING_CTX, [EVar(U(0))], [CTerm(U(0))]), CApp(Var(0), 1),
+        (subst(FORCING_CTX, terms=(U(0),)), Var(2), "term variable 2"),
+        (subst(FORCING_CTX, terms=(U(0),)), Lam(Var(3)), "term variable 3"),
+        (subst(FORCING_CTX, terms=(U(0),)), CApp(Var(0), 1),
          "clock variable 1"),
         (identity_subst(FORCING_CTX), TickApp(Var(0), TickVar(0)),
          "tick variable 0"),
@@ -210,7 +231,7 @@ class TestShiftedSubstitution:
             subst_apply(sigma, term)
 
     def test_index_inside_the_context_is_kept(self):
-        sigma = extend(self.FORCING_CTX, [EVar(U(0))], [CTerm(U(0))])
+        sigma = subst(self.FORCING_CTX, terms=(U(0),))
         assert subst_apply(sigma, Lam(App(Var(2), Var(1)))) == \
             Lam(App(Var(1), U(0)))
 
@@ -220,7 +241,7 @@ class TestResidualOperations:
         # cod = (kappa, alpha:kappa, x:A); identity substitution; residual
         # against alpha drops alpha and x on both sides.
         cod = ctx_of(KAPPA, ETick(0), EVar(U(0)))
-        sigma = identity_subst(cod)
+        sigma = explicit(cod, (), ())
         out = residual(sigma, TickVar(0), 0)
         assert isinstance(out, Simple)
         assert out.context.entries == (KAPPA,)
@@ -229,8 +250,8 @@ class TestResidualOperations:
     def test_residual_forced(self):
         # sigma maps alpha to the forcing tick diamond.
         cod_base = ctx_of(KAPPA)
-        sigma = extend(cod_base, [EClock(), ETick(0)],
-                       [CClock(0), CForcedTick(0, Diamond())])
+        sigma = explicit(cod_base, (EClock(), ETick(0)),
+                         (("clock", 0), ("forced", 0, Diamond())))
         out = residual(sigma, TickVar(0), 0)
         assert isinstance(out, Forced)
         # Forced residual substitutions target the context extended by a
@@ -239,7 +260,7 @@ class TestResidualOperations:
 
     def test_bresidual_diamond(self):
         ctx = ctx_of(KAPPA, EVar(U(0)))
-        sigma = identity_subst(ctx)
+        sigma = explicit(ctx, (), ())
         res_ctx, sub = bresidual(sigma, 0, Diamond())
         assert res_ctx.entries == ctx.entries
         assert sub.cod.entries == ctx.entries
@@ -248,11 +269,188 @@ class TestResidualOperations:
 class TestStrengthening:
     def test_escaping_variable_raises(self):
         ctx = ctx_of(KAPPA, ETick(0), EVar(U(0)))
-        sigma = identity_subst(ctx)
-        from cctt.ticks import _tick_mask, restrict_subst
-        mask = _tick_mask(ctx, TickVar(0), 0, forcing=False)
+        mask = residual_mask(ctx, TickVar(0), 0)
         with pytest.raises(TickEscape):
             # A component mentioning the dropped term variable cannot be
             # restricted.
-            bad = extend(ctx, [EVar(U(0))], [CTerm(Var(0))])
+            bad = explicit(ctx, (EVar(U(0)),), (("term", Var(0)),))
             restrict_subst(bad, mask + [True], mask)
+
+
+# --------------------------------------------------------------------------
+# The builder against the one-variable-at-a-time reference
+# --------------------------------------------------------------------------
+
+def _ival(rng, n, depth=2):
+    """A random interval expression over n interval variables."""
+    if depth == 0 or rng.random() < 0.4:
+        if n and rng.random() < 0.8:
+            return IVar(rng.randrange(n))
+        return rng.choice((IZERO, IONE))
+    match rng.randrange(3):
+        case 0:
+            return INeg(_ival(rng, n, depth - 1))
+        case 1:
+            return IMeet(_ival(rng, n, depth - 1), _ival(rng, n, depth - 1))
+    return IJoin(_ival(rng, n, depth - 1), _ival(rng, n, depth - 1))
+
+
+def _face(rng, n):
+    if not n:
+        return FBOT
+    phi = FEq(rng.randrange(n), rng.randrange(2))
+    if rng.random() < 0.5:
+        psi = FEq(rng.randrange(n), rng.randrange(2))
+        phi = FAnd(phi, psi) if rng.random() < 0.5 else FOr(phi, psi)
+    return phi
+
+
+class _Terms:
+    """Random terms over a scope of n = [terms, clocks, ticks, ivals]
+    variables.  The tick variables in `forced` go to forcing ticks, and
+    tick applications on them are frequent; the function applied to a tick
+    whose leftmost variable is one of them does not mention that
+    variable, since it is typed in a residual without it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def tick(self, n, avoid, first=None):
+        """A tick variable, or a tirr of two, whose leftmost variable is
+        `first` when given."""
+        rng = self.rng
+        choices = [ix for ix in range(n[2]) if ix not in avoid]
+        if first is None:
+            if not choices:
+                return None
+            first = rng.choice(choices)
+        u = TickVar(first)
+        if rng.random() < 0.3:
+            other = rng.choice([ix for ix in choices if ix <= first]
+                               or [first])
+            u = Tirr(u, TickVar(other), _ival(rng, n[3]))
+        return u
+
+    def term(self, n, forced=frozenset(), avoid=frozenset(), depth=5):
+        rng = self.rng
+
+        def go(m=n, forced=forced, avoid=avoid):
+            return self.term(m, forced, avoid, depth - 1)
+
+        def bump(sort):
+            m = list(n)
+            m[sort] += 1
+            return m
+
+        def up(ixs):
+            return frozenset(ix + 1 for ix in ixs)
+
+        leaves = [U(0)]
+        if n[0]:
+            leaves += [Var(rng.randrange(n[0]))] * 3
+        live = sorted(forced - avoid)
+        if depth == 0:
+            return rng.choice(leaves)
+        if live and rng.random() < 0.3:
+            f = rng.choice(live)
+            return TickApp(go(avoid=avoid | {f}), self.tick(n, avoid, f))
+        kind = rng.randrange(15)
+        if kind == 0:
+            return rng.choice(leaves)
+        if kind == 1:
+            return Lam(go(bump(0)))
+        if kind == 2:
+            return Pi(go(), go(bump(0)))
+        if kind == 3:
+            return App(go(), go())
+        if kind == 4:
+            return CLam(go(bump(1)))
+        if kind == 5 and n[1]:
+            return CApp(go(), rng.randrange(n[1]))
+        if kind == 6 and n[1]:
+            cls = rng.choice((Later, TickLam))
+            return cls(rng.randrange(n[1]),
+                       go(bump(2), up(forced), up(avoid)))
+        if kind == 7:
+            u = self.tick(n, avoid)
+            if u is not None:
+                f = u.left.ix if isinstance(u, Tirr) else u.ix
+                return TickApp(go(avoid=avoid | ({f} & forced)), u)
+        if kind == 8 and n[1]:
+            u = self.tick(n, avoid) if rng.random() < 0.5 else None
+            return ForceApp(go(bump(1)), rng.randrange(n[1]),
+                            u or Diamond())
+        if kind == 9:
+            return PLam(go(bump(3)))
+        if kind == 10:
+            return PApp(go(), _ival(rng, n[3]))
+        if kind == 11 and n[1]:
+            return DFix(rng.randrange(n[1]), go())
+        if kind == 12:
+            return Forall(go(bump(1)))
+        if kind == 13:
+            return HComp(go(), _face(rng, n[3]), go(bump(3)), go())
+        if kind == 14:
+            inner = bump(3)
+            return Comp(go(inner), _face(rng, n[3]),
+                        System(((_face(rng, inner[3]), go(inner)),)), go())
+        return rng.choice(leaves)
+
+
+SEEDS = range(200)
+
+
+def generated_case(seed):
+    """A term over a scope outside a block of substituted variables, and
+    payloads for the block scoped past some fresh binders.  Some tick
+    payloads are forcing ticks, each paired with a clock of its own; a
+    simple tick payload has a tick variable, as a simple tick does."""
+    rng = random.Random(seed)
+    gen = _Terms(rng)
+    outer = [rng.randrange(3) for _ in range(4)]
+    outer[1] += 1   # a clock and a tick to build payloads from
+    outer[2] += 1
+    n_block = [rng.randrange(3), rng.randrange(4), rng.randrange(4),
+               rng.randrange(3)]
+    fresh = tuple(rng.randrange(2) for _ in range(4))
+    scope = [o + f for o, f in zip(outer, fresh)]
+    pairs = list(range(n_block[1]))
+    rng.shuffle(pairs)
+    ticks = []
+    for _ in range(n_block[2]):
+        if pairs and rng.random() < 0.6:
+            u = gen.tick(scope, frozenset()) if rng.random() < 0.4 else None
+            ticks.append(CForcedTick(pairs.pop(), u or Diamond()))
+        else:
+            ticks.append(gen.tick(scope, frozenset()))
+    payloads = dict(
+        terms=tuple(gen.term(scope, depth=2) for _ in range(n_block[0])),
+        clocks=tuple(rng.randrange(scope[1]) for _ in range(n_block[1])),
+        ticks=tuple(ticks),
+        ivals=tuple(_ival(rng, scope[3]) for _ in range(n_block[3])),
+    )
+    forced = frozenset(ix for ix, p in enumerate(reversed(ticks))
+                       if isinstance(p, CForcedTick))
+    t = gen.term([o + b for o, b in zip(outer, n_block)], forced)
+    return t, subst(tuple(outer), fresh=fresh, **payloads), \
+        dict(fresh=fresh, **payloads)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_builder_agrees_with_naive_substitution(seed):
+    t, sigma, payloads = generated_case(seed)
+    assert canonical(subst_apply(sigma, t)) == \
+        canonical(naive_subst(t, **payloads))
+
+
+def test_generated_cases_cover_every_sort_and_the_forcing_rule():
+    payload_sorts = set()
+    promoted = 0
+    for seed in SEEDS:
+        t, sigma, payloads = generated_case(seed)
+        payload_sorts |= {k for k in ("terms", "clocks", "ticks", "ivals")
+                          if payloads[k]}
+        got = repr(subst_apply(sigma, t))
+        promoted += got.count("ForceApp") > repr(t).count("ForceApp")
+    assert len(payload_sorts) == 4
+    assert promoted >= 10
