@@ -27,7 +27,7 @@ from .errors import (
 )
 from .interval import (
     FAnd, IVar, IZERO, IONE, face_entails, face_is_false, face_join,
-    face_vars, iv_vars,
+    iv_vars,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
@@ -35,7 +35,7 @@ from .syntax import (
     Forall, Fst, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, TickApp, TickLam,
     TickVar, TopRef, Trans, U, Var, ZERO_DEPTH, _bump, _shift_map,
-    rename_term, structural_equal, weaken, weaken_face,
+    rename_term, structural_equal, weaken, weaken_iv,
 )
 from .ticks import (
     _tick_vars, apply_mask, mask_renaming, residual_mask, shape,
@@ -96,16 +96,11 @@ class CheckState:
 # Scope checks for interval expressions and faces
 # --------------------------------------------------------------------------
 
-def _check_ival(ctx, r):
+def _check_iv(ctx, x):
+    """x, an interval expression or a face, mentions only variables of
+    ctx."""
     bound = ctx.count(IVAL)
-    for ix in iv_vars(r):
-        if ix >= bound:
-            raise UnboundVariable(f"interval variable {ix} is not in scope")
-
-
-def _check_face(ctx, phi):
-    bound = ctx.count(IVAL)
-    for ix in face_vars(phi):
+    for ix in iv_vars(x):
         if ix >= bound:
             raise UnboundVariable(f"interval variable {ix} is not in scope")
 
@@ -181,7 +176,7 @@ def infer(state, ctx, t):
             return subst1(ctx, pty.snd, Fst(p))
 
         case PApp(fn, r):
-            _check_ival(ctx, r)
+            _check_iv(ctx, r)
             fty = whnf(state, ctx, infer(state, ctx, fn))
             if not isinstance(fty, PathT):
                 raise NotAFunction(
@@ -455,7 +450,7 @@ def _subtype(state, ctx, a, b):
 
 def check_system(state, ctx, parts, ty):
     for phi, u in parts:
-        _check_face(ctx, phi)
+        _check_iv(ctx, phi)
         check(state, ctx.push(EFace(phi)), u, ty)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -474,7 +469,7 @@ def check_comp(state, ctx, p):
     """Validate a composition problem; returns its type (the line at 1)."""
     ictx = ctx.push(EIVar())
     check_is_type(state, ictx, p.ty)
-    _check_face(ctx, p.face)
+    _check_iv(ctx, p.face)
     try:
         _check_tube(state, ictx, p.face, p.tube, p.ty)
     except TypeMismatch as exc:
@@ -491,9 +486,8 @@ def check_comp(state, ctx, p):
 
 
 def _check_tube(state, ictx, face, tube, line):
-    face_w = weaken_face(face, [IVAL])
+    face_w = weaken_iv(face, [IVAL])
     rctx = ictx.push(EFace(face_w))
-    head = whnf(state, rctx, tube) if not face_is_false(face) else tube
     if isinstance(tube, System):
         covering = face_join(phi for phi, _ in tube.parts)
         if not face_entails(face_w, covering):
@@ -506,7 +500,7 @@ def _check_tube(state, ictx, face, tube, line):
 
 def _check_hcomp(state, ctx, ty, face, tube, base):
     check_is_type(state, ctx, ty)
-    _check_face(ctx, face)
+    _check_iv(ctx, face)
     ictx = ctx.push(EIVar())
     try:
         _check_tube(state, ictx, face, tube, weaken(ty, [IVAL]))
@@ -524,10 +518,10 @@ def _check_hcomp(state, ctx, ty, face, tube, base):
 def _check_trans(state, ctx, ty, face, base):
     ictx = ctx.push(EIVar())
     check_is_type(state, ictx, ty)
-    _check_face(ctx, face)
+    _check_iv(ctx, face)
     ty0 = subst_ival1(ctx, ty, IZERO)
     # The line must be constant on the extent.
-    if not conv_under_face(state, ictx, weaken_face(face, [IVAL]), U(0),
+    if not conv_under_face(state, ictx, weaken_iv(face, [IVAL]), U(0),
                            ty, weaken(ty0, [IVAL])):
         raise TubeMismatch("transport line is not constant on its extent",
                            face=face)
@@ -603,7 +597,7 @@ def check_hit_signature(state, sig):
                 acx = acx.push(EVar(ty))
         if ctor.ivar_count < 0:
             raise NonProperEntry("negative interval arity")
-        for ix in face_vars(ctor.face):
+        for ix in iv_vars(ctor.face):
             if ix >= ctor.ivar_count:
                 raise NonProperEntry(
                     f"face of {ctor.label} mentions interval variable {ix} "
@@ -622,7 +616,7 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
         ictx = ictx.push(EIVar())
 
     for phi, piece in ctor.boundary:
-        for ix in face_vars(phi):
+        for ix in iv_vars(phi):
             if ix >= v:
                 raise NonProperEntry(
                     f"boundary face of {ctor.label} is out of scope"
@@ -644,7 +638,8 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
             for clause in overlap:
                 left = _bnd_assign(sig, pieces[i][1], v, clause)
                 right = _bnd_assign(sig, pieces[j][1], v, clause)
-                if not boundary_equal(sig, left, right):
+                if not boundary_equal(sig, left, right,
+                                      (len(ctor.args.types), 0, 0, v)):
                     raise BoundaryIncompatible(
                         f"boundary pieces {i} and {j} of {ctor.label} "
                         "disagree on their overlap",
@@ -728,10 +723,10 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
                     inner = inner.push(EVar(ty_i))
                 _check_boundary_term(state, sig, earlier, ctor, inner, sub)
             for r in civals:
-                _check_ival(bctx, r)
+                _check_iv(bctx, r)
             return
         case BHComp(face, tube, base):
-            _check_face(bctx, face)
+            _check_iv(bctx, face)
             _check_boundary_term(state, sig, earlier, ctor,
                                  bctx.push(EIVar()), tube)
             _check_boundary_term(state, sig, earlier, ctor, bctx, base)
@@ -788,7 +783,7 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
         rty = _rec_fn_type(state, ctx, sig, arity, params, args)
         check(state, ctx, recs[k], rty)
     for r in ivals:
-        _check_ival(ctx, r)
+        _check_iv(ctx, r)
     return Hit(sig.name, tuple(params))
 
 
@@ -1108,7 +1103,7 @@ class _Interp:
         v_line = hfill(
             self._local(nest, ivd + 1),
             weaken(a_n, [IVAL]),
-            weaken_face(face, [IVAL]),
+            weaken_iv(face, [IVAL]),
             weaken(raw_tube, [IVAL], cut={IVAL: 1}),
             weaken(raw_base, [IVAL]),
             IVar(0),

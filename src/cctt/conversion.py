@@ -59,7 +59,7 @@ from .errors import (
 from .interval import (
     FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
     face_clauses, face_entails, face_is_true, face_of_equation, face_split,
-    face_substitute, iv_equal, iv_is_one, iv_is_zero, iv_normalize,
+    iv_substitute,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
@@ -67,11 +67,11 @@ from .syntax import (
     FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, Term,
     TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
-    rename_term, structural_equal, weaken, weaken_face, weaken_iexpr,
+    rename_term, structural_equal, weaken, weaken_iv,
 )
 from .ticks import (
     CForcedTick, bind, clause_subst, close, force, lookup, lookup_clock,
-    shape, subst, subst_apply, subst_face, subst_ival,
+    shape, subst, subst_apply, subst_iv,
 )
 
 
@@ -140,13 +140,13 @@ def tick_whnf(u):
     match u:
         case Tirr(l, r, at):
             left, right = tick_whnf(l), tick_whnf(r)
-            if iv_is_zero(at):
+            if at == IZERO:
                 return left
-            if iv_is_one(at):
+            if at == IONE:
                 return right
             if isinstance(left, Diamond) and isinstance(right, Diamond):
                 return Diamond()
-            return Tirr(left, right, iv_normalize(at))
+            return Tirr(left, right, at)
         case _:
             return u
 
@@ -236,9 +236,8 @@ def whnf(state, ctx, t):
                 if unfolded is not None:
                     t = unfolded
                     continue
-                r = iv_normalize(r)
-                if iv_is_zero(r) or iv_is_one(r):
-                    endpoint = _path_endpoint(state, ctx, fn, iv_is_one(r))
+                if r == IZERO or r == IONE:
+                    endpoint = _path_endpoint(state, ctx, fn, r == IONE)
                     if endpoint is not None:
                         t = endpoint
                         continue
@@ -358,13 +357,13 @@ def _fill_fwd(scope, line, face, tube, base, r):
     """Filler value at level r: equals base at r=0 and follows tube on
     `face`.  line and tube bind the line variable; face, base, r do not.
     `scope` is a context or a shape."""
-    sigma = subst(scope, ivals=(IMeet(weaken_iexpr(r, [IVAL]), IVar(0)),),
+    sigma = subst(scope, ivals=(IMeet(weaken_iv(r, [IVAL]), IVar(0)),),
                   fresh=_ONE_IVAL)
     line_cut = subst_apply(sigma, line)
     tube_cut = subst_apply(sigma, tube)
     sys = System((
-        (weaken_face(face, [IVAL]), tube_cut),
-        (face_of_equation(weaken_iexpr(r, [IVAL]), 0),
+        (weaken_iv(face, [IVAL]), tube_cut),
+        (face_of_equation(weaken_iv(r, [IVAL]), 0),
          weaken(base, [IVAL])),
     ))
     total = FOr(face, face_of_equation(r, 0))
@@ -374,7 +373,7 @@ def _fill_fwd(scope, line, face, tube, base, r):
 def _fill_bwd(scope, line, face, goal, r):
     """Backward transport: value at level r, equal to `goal` at r=1 and
     constant on `face`."""
-    rj = IJoin(weaken_iexpr(r, [IVAL]), INeg(IVar(0)))
+    rj = IJoin(weaken_iv(r, [IVAL]), INeg(IVar(0)))
     line_cut = subst_apply(subst(scope, ivals=(rj,), fresh=_ONE_IVAL), line)
     phi = FOr(face, face_of_equation(r, 1))
     return Comp(line_cut, phi, weaken(goal, [IVAL]), goal)
@@ -385,13 +384,13 @@ def hfill(scope, ty, face, tube, base, j):
     full hcomp at j=1, and to the tube on `face`.  tube binds one ivar;
     `scope` is a context or a shape."""
     tube_cut = subst_apply(
-        subst(scope, ivals=(IMeet(weaken_iexpr(j, [IVAL]), IVar(0)),),
+        subst(scope, ivals=(IMeet(weaken_iv(j, [IVAL]), IVar(0)),),
               fresh=_ONE_IVAL),
         tube,
     )
     sys = System((
-        (weaken_face(face, [IVAL]), tube_cut),
-        (face_of_equation(weaken_iexpr(j, [IVAL]), 0),
+        (weaken_iv(face, [IVAL]), tube_cut),
+        (face_of_equation(weaken_iv(j, [IVAL]), 0),
          weaken(base, [IVAL])),
     ))
     total = FOr(face, face_of_equation(j, 0))
@@ -422,7 +421,7 @@ def comp_eval(state, ctx, p):
             dom_v = weaken(dom, [TERM])                 # (ctx, v, i)
             line_i = weaken(dom, [TERM, IVAL], cut={IVAL: 1})
             w_i = _fill_bwd(shape(v_scope, ivals=1), line_i,
-                            weaken_face(p.face, [IVAL]),
+                            weaken_iv(p.face, [IVAL]),
                             Var(0), IVar(0))
             cod_line = subst_apply(
                 subst(v_scope, terms=(w_i,), ivals=(IVar(0),),
@@ -438,7 +437,7 @@ def comp_eval(state, ctx, p):
             c1 = _fill_fwd(
                 ictx,
                 weaken(fst, [IVAL], cut={IVAL: 1}),
-                weaken_face(p.face, [IVAL]),
+                weaken_iv(p.face, [IVAL]),
                 Fst(weaken(p.tube, [IVAL], cut={IVAL: 1})),
                 Fst(weaken(p.base, [IVAL])),
                 IVar(0),
@@ -454,14 +453,14 @@ def comp_eval(state, ctx, p):
         case PathT(a, left, right):
             # <k> comp^i a [face -> tube@k, k=0 -> a0, k=1 -> a1] (base@k)
             ln = weaken(a, [IVAL], cut={IVAL: 1})       # (ctx, k, i)
-            phi2 = weaken_face(p.face, [IVAL, IVAL])
+            phi2 = weaken_iv(p.face, [IVAL, IVAL])
             sys = System((
                 (phi2, PApp(weaken(p.tube, [IVAL], cut={IVAL: 1}), IVar(1))),
                 (FEq(1, 0), weaken(left, [IVAL], cut={IVAL: 1})),
                 (FEq(1, 1), weaken(right, [IVAL], cut={IVAL: 1})),
             ))
             base = PApp(weaken(p.base, [IVAL]), IVar(0))
-            total = FOr(weaken_face(p.face, [IVAL]),
+            total = FOr(weaken_iv(p.face, [IVAL]),
                         FOr(FEq(0, 0), FEq(0, 1)))
             return PLam(Comp(ln, total, sys, base))
 
@@ -514,7 +513,7 @@ def hit_comp_decompose(state, ctx, hit_line, face, tube, base):
         subst(ctx, ivals=(IJoin(IVar(1), IVar(0)),), fresh=(0, 0, 0, 2)),
         hit_line,
     )
-    v = Trans(vk_line, FOr(weaken_face(face, [IVAL]), FEq(0, 1)), tube)
+    v = Trans(vk_line, FOr(weaken_iv(face, [IVAL]), FEq(0, 1)), tube)
     return HComp(line_at_one, face, v, Trans(hit_line, face, base))
 
 
@@ -574,7 +573,7 @@ def _ctrans_args(state, ctx, ctor, params_line, face, args):
         fills.append(_fill_fwd(
             ictx,
             weaken(line, [IVAL], cut={IVAL: 1}),
-            weaken_face(face, [IVAL]),
+            weaken_iv(face, [IVAL]),
             weaken(args[m], [IVAL, IVAL]),
             weaken(args[m], [IVAL]),
             IVar(0),
@@ -587,7 +586,7 @@ def _trans_hcomp(state, ctx, hit_line, face, hc):
     """trans commutes with hcomp."""
     at_one = subst_ival1(ctx, hit_line, IONE)
     tube = Trans(weaken(hit_line, [IVAL], cut={IVAL: 1}),
-                 weaken_face(face, [IVAL]), hc.tube)
+                 weaken_iv(face, [IVAL]), hc.tube)
     return HComp(at_one, hc.face, tube, Trans(hit_line, face, hc.base))
 
 
@@ -602,7 +601,7 @@ def _ival_assignment(ivals):
 
 
 def _ctor_face(ctor, ivals):
-    return face_substitute(ctor.face, _ival_assignment(ivals))
+    return iv_substitute(ctor.face, _ival_assignment(ivals))
 
 
 def embed_boundary(state, ctx, sig, ctor, bterm, params, args, recs, ivals):
@@ -635,12 +634,12 @@ def _embed(state, sig, sigma, bterm, params, recs):
                 tuple(params),
                 tuple(subst_apply(sigma, a) for a in cargs),
                 tuple(new_recs),
-                tuple(subst_ival(sigma, r) for r in civals),
+                tuple(subst_iv(sigma, r) for r in civals),
             )
         case BHComp(face, tube, base):
             return HComp(
                 Hit(sig.name, tuple(params)),
-                subst_face(sigma, face),
+                subst_iv(sigma, face),
                 _embed(state, sig, sigma.under(IVAL), tube,
                        [weaken(q, [IVAL]) for q in params],
                        [weaken(r, [IVAL]) for r in recs]),
@@ -659,7 +658,7 @@ def _boundary_fire(state, ctx, sig, ctor, params, args, recs, ivals):
     """The constructor's face is satisfied: reduce to the boundary piece."""
     assignment = _ival_assignment(ivals)
     for phi, bterm in ctor.boundary:
-        if face_is_true(face_substitute(phi, assignment)):
+        if face_is_true(iv_substitute(phi, assignment)):
             return embed_boundary(state, ctx, sig, ctor, bterm, params,
                                   args, recs, ivals)
     raise IllFormedRedex(
@@ -672,11 +671,13 @@ def _boundary_fire(state, ctx, sig, ctor, params, args, recs, ivals):
 # Boundary-term calculus
 # --------------------------------------------------------------------------
 
-def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals):
+def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals, past):
     """Instantiate a constructor application into the boundary term N: its
     term slots get `args` and `ivals` plugged for the target constructor's
     telescope and interval binders, and each recursive variable call is
-    replaced by the matching boundary payload."""
+    replaced by the matching boundary payload.  The application sits in a
+    scope holding `past` variables past the parameters (a count per sort),
+    so N's parameters move past them."""
     if len(rec_bodies) != len(target_ctor.rec_arities):
         raise ArityMismatch(
             f"expected {len(target_ctor.rec_arities)} recursive payloads"
@@ -696,14 +697,14 @@ def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals):
                     tuple(subst_apply(sigma, a) for a in cargs),
                     tuple(go(sigma.under(TERM, len(arity.types)), m)
                           for arity, m in zip(arities, crecs)),
-                    tuple(subst_ival(sigma, r) for r in civals),
+                    tuple(subst_iv(sigma, r) for r in civals),
                 )
             case BHComp(face, tube, base):
-                return BHComp(subst_face(sigma, face),
+                return BHComp(subst_iv(sigma, face),
                               go(sigma.under(IVAL), tube), go(sigma, base))
         raise IllFormedRedex(repr(M))
 
-    return go(subst(None, terms=args, ivals=ivals), N)
+    return go(subst(None, terms=args, ivals=ivals, fresh=past), N)
 
 
 def boundary_apply(sig, sigma, M):
@@ -723,10 +724,10 @@ def boundary_apply(sig, sigma, M):
                     boundary_apply(sig, sigma.under(TERM, len(a.types)), m)
                     for a, m in zip(arities, crecs)
                 ),
-                tuple(subst_ival(sigma, r) for r in civals),
+                tuple(subst_iv(sigma, r) for r in civals),
             )
         case BHComp(face, tube, base):
-            return BHComp(subst_face(sigma, face),
+            return BHComp(subst_iv(sigma, face),
                           boundary_apply(sig, sigma.under(IVAL), tube),
                           boundary_apply(sig, sigma, base))
     raise IllFormedRedex(f"not a boundary term: {M!r}")
@@ -743,19 +744,20 @@ def _bnd_plug(sig, body, values, arity, depth):
     return boundary_apply(sig, subst(None, terms=values, fresh=depth), body)
 
 
-def boundary_reduce(sig, M):
-    """One head reduction of a boundary term, or None."""
+def boundary_reduce(sig, M, past):
+    """One head reduction of a boundary term, or None.  M's scope holds
+    `past` variables past the parameters, a count per sort."""
     match M:
         case BCon(label, cargs, crecs, civals):
             ctor = sig.constructor(label)
             if not ctor.face:
                 return None
             assignment = _ival_assignment(civals)
-            if face_is_true(face_substitute(ctor.face, assignment)):
+            if face_is_true(iv_substitute(ctor.face, assignment)):
                 for phi, piece in ctor.boundary:
-                    if face_is_true(face_substitute(phi, assignment)):
+                    if face_is_true(iv_substitute(phi, assignment)):
                         return boundary_subst(sig, ctor, piece, cargs,
-                                              crecs, civals)
+                                              crecs, civals, past)
         case BHComp(face, tube, base):
             if face_is_true(face):
                 # The tube at 1.
@@ -763,32 +765,39 @@ def boundary_reduce(sig, M):
     return None
 
 
-def boundary_equal(sig, M, N):
-    """Congruence closure of the boundary reduction rules."""
-    M2 = boundary_reduce(sig, M)
+def boundary_equal(sig, M, N, past):
+    """Congruence closure of the boundary reduction rules, for M and N in a
+    scope holding `past` variables past the parameters, a count per
+    sort."""
+    M2 = boundary_reduce(sig, M, past)
     if M2 is not None:
-        return boundary_equal(sig, M2, N)
-    N2 = boundary_reduce(sig, N)
+        return boundary_equal(sig, M2, N, past)
+    N2 = boundary_reduce(sig, N, past)
     if N2 is not None:
-        return boundary_equal(sig, M, N2)
+        return boundary_equal(sig, M, N2, past)
+    terms, clocks, ticks, ivals = past
     match (M, N):
         case (BRec(j1, a1), BRec(j2, a2)):
             return j1 == j2 and len(a1) == len(a2) and all(
                 structural_equal(x, y) for x, y in zip(a1, a2)
             )
         case (BCon(l1, a1, r1, v1), BCon(l2, a2, r2, v2)):
+            if l1 != l2 or len(a1) != len(a2) or len(r1) != len(r2):
+                return False
+            arities = sig.constructor(l1).rec_arities
             return (
-                l1 == l2
-                and len(a1) == len(a2) and len(r1) == len(r2)
-                and len(v1) == len(v2)
+                v1 == v2
                 and all(structural_equal(x, y) for x, y in zip(a1, a2))
-                and all(boundary_equal(sig, x, y) for x, y in zip(r1, r2))
-                and all(iv_equal(x, y) for x, y in zip(v1, v2))
+                and all(boundary_equal(
+                            sig, x, y,
+                            (terms + len(arity.types), clocks, ticks, ivals))
+                        for arity, x, y in zip(arities, r1, r2))
             )
         case (BHComp(f1, t1, b1), BHComp(f2, t2, b2)):
             return (f1 == f2
-                    and boundary_equal(sig, t1, t2)
-                    and boundary_equal(sig, b1, b2))
+                    and boundary_equal(sig, t1, t2,
+                                       (terms, clocks, ticks, ivals + 1))
+                    and boundary_equal(sig, b1, b2, past))
     return False
 
 
@@ -884,7 +893,7 @@ def _elim_hcomp(state, ctx, elim, hc):
     base_abs = _clam_n(n, hc.base)
     v_line = hfill(ctx.push(EIVar()),
                    weaken(big_ty, [IVAL]),
-                   weaken_face(hc.face, [IVAL]),
+                   weaken_iv(hc.face, [IVAL]),
                    weaken(tube_abs, [IVAL], cut={IVAL: 1}),
                    weaken(base_abs, [IVAL]),
                    IVar(0))
@@ -953,7 +962,7 @@ def _clause_context(ctx, clause):
                 ix - shift: (IONE if b else IZERO)
                 for ix, b in clause.items() if ix >= shift
             }
-            entries.append(EFace(face_substitute(entry.face, local)))
+            entries.append(EFace(iv_substitute(entry.face, local)))
         else:
             entries.append(entry)
     return Context(tuple(entries))
@@ -1050,7 +1059,7 @@ def conv_tm(state, ctx, t, u):
         case (Fst(p1), Fst(p2)) | (Snd(p1), Snd(p2)):
             return conv_tm(state, ctx, p1, p2)
         case (PApp(f1, r1), PApp(f2, r2)):
-            return conv_tm(state, ctx, f1, f2) and iv_equal(r1, r2)
+            return conv_tm(state, ctx, f1, f2) and r1 == r2
         case (CApp(f1, k1), CApp(f2, k2)):
             return k1 == k2 and conv_tm(state, ctx, f1, f2)
         case (TickApp(f1, u1), TickApp(f2, u2)):
@@ -1071,7 +1080,7 @@ def conv_tm(state, ctx, t, u):
                 and len(v1) == len(v2)
                 and all(conv_tm(state, ctx, x, y) for x, y in zip(a1, a2))
                 and all(conv_tm(state, ctx, x, y) for x, y in zip(r1, r2))
-                and all(iv_equal(x, y) for x, y in zip(v1, v2))
+                and v1 == v2
             )
         case (Comp(ty1, f1, tu1, b1), Comp(ty2, f2, tu2, b2)):
             return _conv_comp(state, ctx, (ty1, f1, tu1, b1),
@@ -1124,7 +1133,7 @@ def _conv_comp(state, ctx, a, b, hom):
     if not conv_tm(state, ctx, b1, b2):
         return False
     inner = ctx.push(EIVar())
-    return conv_under_face(state, inner, weaken_face(f1, [IVAL]),
+    return conv_under_face(state, inner, weaken_iv(f1, [IVAL]),
                            U(0), tu1, tu2)
 
 
@@ -1149,7 +1158,7 @@ def tick_conv(u, v):
             return True
         case (Tirr(l1, r1, a1), Tirr(l2, r2, a2)):
             return (tick_conv(l1, l2) and tick_conv(r1, r2)
-                    and iv_equal(a1, a2))
+                    and a1 == a2)
     return False
 
 

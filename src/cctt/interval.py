@@ -1,228 +1,83 @@
-"""The interval and the face lattice.
+"""The interval and the face lattice, each element held as its normal form.
 
 Interval expressions form the free De Morgan algebra on the interval
-variables in scope; equality is decided through a canonical disjunctive
-normal form (a join of meets of literals, kept as an antichain of clauses).
+variables in scope, and face formulas the free distributive lattice on
+generators (i=0), (i=1) quotiented by (i=0) /\\ (i=1) = 0.  Both are held
+the same way, as cubicaltt holds faces: an element *is* its disjunctive
+normal form, a frozenset of clauses, each a frozenset of (ix, end) literals
+read as their meet, the element being their join.  No clause contains
+another.  The literal (ix, 1) is the variable ix, or the generator (i=1),
+and (ix, 0) its reversal ~ix, or the generator (i=0).  An `IExpr` clause
+may hold a variable and its reversal together; a `Face` drops such a
+clause, so the face on which r equals 1 is the consistent part of r.
 
-Face formulas form the free distributive lattice on generators (i=0), (i=1)
-quotiented by (i=0) /\\ (i=1) = 0.  A face *is* its normal form, as in
-cubicaltt: a `Face` is a frozenset of clauses, each a frozenset of
-(ix, end) literals read as their meet, the face being their join.  No
-clause sets a variable to both ends and none contains another.  The
-builders `FEq`, `FAnd`, `FOr` and `face_join` drop inconsistent clauses and
-absorb once, when the face is built, and so does a substitution
-(`face_map_vars`); a renaming (`face_rename`) maps literals one to one and
-absorbs nothing.  So two faces are equal iff they are `==`, the hash is
-cached by the frozenset, and entailment compares clauses by subset.
+The builders (`IVar`, `INeg`, `IMeet`, `IJoin` and `IZERO`, `IONE`; `FEq`,
+`FAnd`, `FOr`, `face_join` and `FBOT`, `FTOP`) absorb once, when an element
+is built, and so does a substitution (`iv_map_vars`); a renaming
+(`iv_rename`) maps literals one to one and absorbs nothing.  So two
+elements are equal iff they are `==`, the hash is cached by the frozenset,
+and face entailment compares clauses by subset.
 
 Variables are de Bruijn indices of the interval sort.
 """
 
-from dataclasses import dataclass
-from functools import reduce
 
+class IExpr(frozenset):
+    """An interval expression in normal form.  Build it with `IVar`,
+    `INeg`, `IMeet` and `IJoin`, which keep the clauses absorbed."""
 
-# --------------------------------------------------------------------------
-# Interval expressions
-# --------------------------------------------------------------------------
-
-class IntervalExpr:
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class I0(IntervalExpr):
-    def __repr__(self):
-        return "0"
-
-
-@dataclass(frozen=True)
-class I1(IntervalExpr):
-    def __repr__(self):
-        return "1"
-
-
-@dataclass(frozen=True)
-class IVar(IntervalExpr):
-    ix: int
+    @staticmethod
+    def order(literal):
+        """Print order of literals: by variable, a variable before its
+        reversal."""
+        return literal[0], -literal[1]
 
     def __repr__(self):
-        return f"i{self.ix}"
+        return iv_show(self, lambda ix, end: f"i{ix}" if end else f"~i{ix}")
 
-
-@dataclass(frozen=True)
-class INeg(IntervalExpr):
-    arg: "IntervalExpr"
-
-    def __repr__(self):
-        return f"~{self.arg!r}"
-
-
-@dataclass(frozen=True)
-class IMeet(IntervalExpr):
-    left: "IntervalExpr"
-    right: "IntervalExpr"
-
-    def __repr__(self):
-        return f"({self.left!r} /\\ {self.right!r})"
-
-
-@dataclass(frozen=True)
-class IJoin(IntervalExpr):
-    left: "IntervalExpr"
-    right: "IntervalExpr"
-
-    def __repr__(self):
-        return f"({self.left!r} \\/ {self.right!r})"
-
-
-IZERO = I0()
-IONE = I1()
-
-# A literal is (variable index, negated?); a clause is a frozenset of
-# literals (their meet); a DNF is a frozenset of clauses (their join).
-# No clauses at all is 0; the single empty clause is 1.
-
-_TOP = frozenset([frozenset()])
-_BOT = frozenset()
-
-
-def _absorb(clauses, into=frozenset):
-    """Drop repeated clauses and clauses strictly containing another
-    (absorption law); the survivors are collected with `into`."""
-    kept = []
-    for c in sorted(clauses, key=len):
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return into(kept)
-
-
-def _dnf_join(a, b):
-    return _absorb(a | b)
-
-
-def _dnf_meet(a, b):
-    return _absorb(frozenset(ca | cb for ca in a for cb in b))
-
-
-def iv_dnf(r, positive=True):
-    match r:
-        case I0():
-            return _BOT if positive else _TOP
-        case I1():
-            return _TOP if positive else _BOT
-        case IVar(ix):
-            return frozenset([frozenset([(ix, not positive)])])
-        case INeg(arg):
-            return iv_dnf(arg, not positive)
-        case IMeet(l, rr):
-            op = _dnf_meet if positive else _dnf_join
-            return op(iv_dnf(l, positive), iv_dnf(rr, positive))
-        case IJoin(l, rr):
-            op = _dnf_join if positive else _dnf_meet
-            return op(iv_dnf(l, positive), iv_dnf(rr, positive))
-    raise TypeError(f"not an interval expression: {r!r}")
-
-
-def _lit_term(lit):
-    ix, neg = lit
-    return INeg(IVar(ix)) if neg else IVar(ix)
-
-
-def _clause_key(clause):
-    return (len(clause), sorted(clause))
-
-
-def iv_from_dnf(clauses):
-    if not clauses:
-        return IZERO
-    if clauses == _TOP:
-        return IONE
-    joins = []
-    for clause in sorted(clauses, key=_clause_key):
-        lits = [_lit_term(l) for l in sorted(clause)]
-        joins.append(reduce(IMeet, lits))
-    return reduce(IJoin, joins)
-
-
-def iv_normalize(r):
-    return iv_from_dnf(iv_dnf(r))
-
-
-def iv_equal(r, s):
-    return iv_dnf(r) == iv_dnf(s)
-
-
-def iv_is_zero(r):
-    return iv_dnf(r) == _BOT
-
-
-def iv_is_one(r):
-    return iv_dnf(r) == _TOP
-
-
-def iv_vars(r):
-    match r:
-        case IVar(ix):
-            return {ix}
-        case INeg(arg):
-            return iv_vars(arg)
-        case IMeet(l, rr) | IJoin(l, rr):
-            return iv_vars(l) | iv_vars(rr)
-        case _:
-            return set()
-
-
-def iv_map_vars(r, fn):
-    """Replace every variable ix by the expression fn(ix)."""
-    match r:
-        case IVar(ix):
-            return fn(ix)
-        case INeg(arg):
-            return INeg(iv_map_vars(arg, fn))
-        case IMeet(l, rr):
-            return IMeet(iv_map_vars(l, fn), iv_map_vars(rr, fn))
-        case IJoin(l, rr):
-            return IJoin(iv_map_vars(l, fn), iv_map_vars(rr, fn))
-        case _:
-            return r
-
-
-# --------------------------------------------------------------------------
-# Face formulas
-# --------------------------------------------------------------------------
 
 class Face(frozenset):
-    """A face formula in normal form: the join of its clauses, each the
-    meet of its (ix, end) literals.  Build faces with `FEq`, `FAnd`, `FOr`
+    """A face formula in normal form.  Build it with `FEq`, `FAnd`, `FOr`
     and `face_join`, which keep the clauses consistent and absorbed."""
 
     __slots__ = ()
 
+    @staticmethod
+    def order(literal):
+        """Print order of literals: by variable, (i=0) before (i=1)."""
+        return literal
+
     def __repr__(self):
-        return face_show(self, lambda ix, end: f"(i{ix}={end})", "0F", "1F")
+        return iv_show(self, lambda ix, end: f"(i{ix}={end})", "0F", "1F")
 
 
+# No clauses at all is 0; the single empty clause is 1.
+_TOP = frozenset((frozenset(),))
+IZERO = IExpr()
+IONE = IExpr(_TOP)
 FBOT = Face()
-FTOP = Face((frozenset(),))
+FTOP = Face(_TOP)
 
 
-def face_show(phi, literal, bot, top):
-    """phi as text: its clauses in `_clause_key` order, each the meet of
-    its literals (`literal(ix, end)`) in order, nested to the left."""
-    if not phi:
-        return bot
-    if phi == FTOP:
-        return top
-    joins = []
-    for clause in sorted(phi, key=_clause_key):
-        lits = [literal(ix, end) for ix, end in sorted(clause)]
-        joins.append(reduce(lambda l, r: f"({l} /\\ {r})", lits))
-    return reduce(lambda l, r: f"({l} \\/ {r})", joins)
+def _absorb(cls, clauses):
+    """The element of cls with these clauses, less repeated clauses and
+    clauses strictly containing another (absorption law)."""
+    kept = []
+    for c in sorted(clauses, key=len):
+        if not any(k <= c for k in kept):
+            kept.append(c)
+    return cls(kept)
 
 
 def _consistent(clause):
     return len({ix for ix, _ in clause}) == len(clause)
+
+
+def IVar(ix):
+    """The variable ix."""
+    return IExpr((frozenset(((ix, 1),)),))
 
 
 def FEq(ix, end):
@@ -230,28 +85,48 @@ def FEq(ix, end):
     return Face((frozenset(((ix, end),)),))
 
 
-def FAnd(phi, psi):
-    """The meet of two faces."""
-    if phi == psi or psi == FTOP or not phi:
-        return phi
-    if phi == FTOP or not psi:
-        return psi
-    return _absorb((u for c in phi for d in psi if _consistent(u := c | d)),
-                   Face)
+def meet(x, y):
+    """The meet of two interval expressions, or of two faces."""
+    if x == y or y == _TOP or not x:
+        return x
+    if x == _TOP or not y:
+        return y
+    clauses = (c | d for c in x for d in y)
+    if type(x) is Face:
+        clauses = filter(_consistent, clauses)
+    return _absorb(type(x), clauses)
 
 
-def FOr(phi, psi):
-    """The join of two faces."""
-    if phi == psi or not psi or phi == FTOP:
-        return phi
-    if not phi or psi == FTOP:
-        return psi
-    return _absorb(phi | psi, Face)
+def join(x, y):
+    """The join of two interval expressions, or of two faces."""
+    if x == y or not y or x == _TOP:
+        return x
+    if not x or y == _TOP:
+        return y
+    return _absorb(type(x), x | y)
+
+
+IMeet = FAnd = meet
+IJoin = FOr = join
+
+
+def INeg(r):
+    """The reversal ~r: by De Morgan, the meet over r's clauses of the
+    join of their reversed literals."""
+    out = IONE
+    for c in r:
+        out = meet(out, IExpr(frozenset(((ix, 1 - end),)) for ix, end in c))
+    return out
+
+
+def iv_normalize(r):
+    """r itself: an interval expression is its normal form."""
+    return r
 
 
 def face_join(faces):
     """The join of any number of faces, absorbed once."""
-    return _absorb((c for phi in faces for c in phi), Face)
+    return _absorb(Face, (c for phi in faces for c in phi))
 
 
 def face_dnf(phi):
@@ -274,70 +149,104 @@ def face_is_false(phi):
 
 
 def face_of_equation(r, b):
-    """The face on which the interval expression r equals the endpoint b."""
-    match r:
-        case I0():
-            return FTOP if b == 0 else FBOT
-        case I1():
-            return FTOP if b == 1 else FBOT
-        case IVar(ix):
-            return FEq(ix, b)
-        case INeg(arg):
-            return face_of_equation(arg, 1 - b)
-        case IMeet(l, rr):
-            if b == 1:
-                return FAnd(face_of_equation(l, 1), face_of_equation(rr, 1))
-            return FOr(face_of_equation(l, 0), face_of_equation(rr, 0))
-        case IJoin(l, rr):
-            if b == 0:
-                return FAnd(face_of_equation(l, 0), face_of_equation(rr, 0))
-            return FOr(face_of_equation(l, 1), face_of_equation(rr, 1))
-    raise TypeError(f"not an interval expression: {r!r}")
+    """The face on which the interval expression r equals the endpoint b:
+    the consistent clauses of r, or of ~r when b is 0."""
+    return Face(filter(_consistent, r if b else INeg(r)))
 
 
-def face_map_vars(phi, fn):
-    """Replace each generator (i=b) by face_of_equation(fn(i), b).  fn is
-    called once per variable.  Only when fn is not an injective renaming
-    can clauses meet, vanish or contain others, so only then is the result
-    absorbed again."""
+# --------------------------------------------------------------------------
+# Clause operations shared by interval expressions and faces
+# --------------------------------------------------------------------------
+
+def iv_vars(x):
+    """The variables of an interval expression or a face."""
+    return {ix for clause in x for ix, _ in clause}
+
+
+def iv_rename(x, fn):
+    """x with each variable ix renamed to fn(ix).  fn must be injective on
+    x's variables, as a weakening or strengthening is; then clauses map one
+    to one and nothing needs absorbing again."""
+    return type(x)(frozenset((fn(ix), end) for ix, end in c) for c in x)
+
+
+def iv_map_vars(x, fn):
+    """x, an interval expression or a face, with each variable ix replaced
+    by fn(ix): an index renames it, an interval expression is substituted
+    for it.  fn is called once per variable.  Only when some image is an
+    expression, or two variables meet in one index, can clauses meet,
+    vanish or contain others, so only then is the result absorbed again;
+    a face keeps its consistent part."""
     image = {}
-    for clause in phi:
+    for clause in x:
         for ix, _ in clause:
             if ix not in image:
                 image[ix] = fn(ix)
-    targets = {r.ix for r in image.values() if type(r) is IVar}
-    if len(targets) == len(image):
-        return face_rename(phi, lambda ix: image[ix].ix)
+    if (all(type(y) is int for y in image.values())
+            and len(set(image.values())) == len(image)):
+        return iv_rename(x, image.__getitem__)
+    literal = {}   # (ix, end) -> its image, an interval expression
     clauses = []
-    for clause in phi:
-        meet = FTOP
-        for ix, end in clause:
-            meet = FAnd(meet, face_of_equation(image[ix], end))
-        clauses.extend(meet)
-    return _absorb(clauses, Face)
+    for clause in x:
+        m = IONE
+        for lit in clause:
+            y = literal.get(lit)
+            if y is None:
+                ix, end = lit
+                y = image[ix]
+                if type(y) is int:
+                    y = IExpr((frozenset(((y, end),)),))
+                elif not end:
+                    y = INeg(y)
+                literal[lit] = y
+            m = meet(m, y)
+            if not m:
+                break
+        if m == _TOP:
+            return type(x)(_TOP)   # a true clause absorbs every other
+        clauses.extend(m)
+    if type(x) is Face:
+        clauses = filter(_consistent, clauses)
+    return _absorb(type(x), clauses)
 
 
-def face_rename(phi, fn):
-    """phi with each variable ix renamed to fn(ix).  fn must be injective
-    on phi's variables, as a weakening or strengthening is; then clauses
-    map one to one and nothing needs absorbing again."""
-    return Face(frozenset((fn(ix), end) for ix, end in c) for c in phi)
+def iv_substitute(x, assignment):
+    """x with each variable ix in `assignment` replaced by assignment[ix],
+    an interval expression; the others stay."""
+    return iv_map_vars(x, lambda ix: assignment.get(ix, ix))
 
 
-def face_substitute(phi, assignment):
-    """assignment maps variable indices to IntervalExprs (identity if absent)."""
-    return face_map_vars(
-        phi, lambda ix: assignment[ix] if ix in assignment else IVar(ix)
-    )
+def _in_print_order(x):
+    """x's clauses, fewer literals first, then by their literals in the
+    order `type(x).order` gives."""
+    order = type(x).order
+    return sorted(x, key=lambda c: (len(c), sorted(map(order, c))))
 
 
-def face_vars(phi):
-    return {ix for clause in phi for ix, _ in clause}
+def iv_show(x, literal, bot="0", top="1"):
+    """x as text: its clauses in print order, each the meet of its
+    literals (`literal(ix, end)`) in print order, nested to the left."""
+    if not x:
+        return bot
+    if x == _TOP:
+        return top
+    joins = []
+    for clause in _in_print_order(x):
+        lits = [literal(ix, end)
+                for ix, end in sorted(clause, key=type(x).order)]
+        text = lits[0]
+        for lit in lits[1:]:
+            text = f"({text} /\\ {lit})"
+        joins.append(text)
+    text = joins[0]
+    for clause in joins[1:]:
+        text = f"({text} \\/ {clause})"
+    return text
 
 
 def face_split(phi):
     """The clauses of phi, each as a face of its own, in print order."""
-    return [Face((c,)) for c in sorted(phi, key=_clause_key)]
+    return [Face((c,)) for c in _in_print_order(phi)]
 
 
 def face_clauses(phi):
@@ -346,4 +255,4 @@ def face_clauses(phi):
 
     Useful for case-splitting a restriction: phi holds iff one clause holds.
     """
-    return [dict(sorted(c)) for c in sorted(phi, key=_clause_key)]
+    return [dict(sorted(c)) for c in _in_print_order(phi)]

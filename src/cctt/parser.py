@@ -12,7 +12,9 @@ The surface language uses named variables.  Elaboration resolves names to
 the sort-indexed de Bruijn representation of `syntax`, splitting
 constructor and eliminator spines using the data signatures declared
 earlier in the module.  The printer emits surface text that reparses to
-the same kernel declarations.
+the same kernel declarations.  Interval expressions and faces elaborate
+to their normal forms (`interval`) and print as them, so `~~i` prints as
+`i`.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from typing import NamedTuple
 
 from .errors import ERROR_CLASSES, ParseError, UnboundVariable
 from .interval import (
-    FAnd, FBOT, FEq, FOr, FTOP, Face, I0, I1, IJoin, IMeet, INeg, IVar,
-    face_join, face_rename, face_show,
+    FAnd, FBOT, FEq, FOr, FTOP, Face, IJoin, IMeet, INeg, IONE, IVar, IZERO,
+    face_join, iv_rename, iv_show,
 )
 from .syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, ClockElim, Comp, Con, Constructor,
     DFix, Diamond, ElimCase, ForceApp, Forall, HComp, Hit, HitSignature,
     Lam, Later, PApp, PFix, PLam, PathT, Pi, System, Telescope, TickApp,
     TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, TERM, TICK, weaken_face,
+    CLOCK, IVAL, TERM, TICK, weaken_iv,
 )
 
 RESERVED = {
@@ -1019,7 +1021,7 @@ class Elaborator:
                 raise ParseError("a tube component needs '-> term'")
             f = self.face(sc, phi)
             faces.append(f)
-            tube.append((weaken_face(f, [IVAL]), self.term(sci, t)))
+            tube.append((weaken_iv(f, [IVAL]), self.term(sci, t)))
         return faces, tuple(tube)
 
     def head(self, sc, name, spine):
@@ -1107,9 +1109,9 @@ class Elaborator:
     def ival(self, sc, s):
         match s:
             case SNum(0):
-                return I0()
+                return IZERO
             case SNum(1):
-                return I1()
+                return IONE
             case SVar(name):
                 hit = sc.lookup(name)
                 if hit is None or hit[0] != IVAL:
@@ -1418,7 +1420,7 @@ class _Printer:
                 nm = self.fresh("i")
                 return f"<{nm}> {self.term(self.push(env, IVAL, nm), body)}"
             case PApp(fn, arg):
-                return f"{self.atom(env, fn)} @ {self.ival(env, arg)}"
+                return f"{self.atom(env, fn)} @ {self.iv(env, arg)}"
             case Forall(body):
                 nm = self.fresh("k")
                 return f"forall {nm}." \
@@ -1464,7 +1466,7 @@ class _Printer:
                 nm = self.fresh("i")
                 env2 = self.push(env, IVAL, nm)
                 return f"trans^{nm} {self.atom(env2, ty)}" \
-                    f" [{self.face(env, face)}] {self.atom(env, base)}"
+                    f" [{self.iv(env, face)}] {self.atom(env, base)}"
             case Hit(name, params):
                 if not params:
                     return name
@@ -1475,7 +1477,7 @@ class _Printer:
                 parts += [self.atom(env, x) for x in params]
                 parts += [self.atom(env, x) for x in args]
                 parts += [self.atom(env, x) for x in recs]
-                parts += [self.ival_atom(env, x) for x in ivals]
+                parts += [self.iv(env, x) for x in ivals]
                 return " ".join(parts)
             case ClockElim(name, n, params, motive, cases, arg):
                 nm = self.fresh("h")
@@ -1489,7 +1491,7 @@ class _Printer:
                 return " ".join(out)
             case System(parts):
                 inner = ", ".join(
-                    f"{self.face(env, phi)} -> {self.term(env, u)}"
+                    f"{self.iv(env, phi)} -> {self.term(env, u)}"
                     for phi, u in parts
                 )
                 return f"[{inner}]"
@@ -1503,9 +1505,9 @@ class _Printer:
         entries = []
         outer = []
         for phi, u in tube.parts:
-            phi0 = face_rename(phi, _unshift1)
+            phi0 = iv_rename(phi, _unshift1)
             outer.append(phi0)
-            entries.append(f"{self.face(env, phi0)} -> {self.term(env2, u)}")
+            entries.append(f"{self.iv(env, phi0)} -> {self.term(env2, u)}")
         if face_join(outer) != face:
             raise ValueError(f"{kw} extent has no surface syntax")
         ty_env = env2 if ty_under_ivar else env
@@ -1534,36 +1536,18 @@ class _Printer:
                 return "<>"
             case Tirr(left, right, at):
                 return f"tirr({self.tick(env, left)}," \
-                    f" {self.tick(env, right)}, {self.ival(env, at)})"
+                    f" {self.tick(env, right)}, {self.iv(env, at)})"
         raise ValueError(f"not a tick: {u!r}")
 
-    def ival(self, env, r):
-        match r:
-            case I0():
-                return "0"
-            case I1():
-                return "1"
-            case IVar(ix):
-                return self.lookup(env, IVAL, ix)
-            case INeg(arg):
-                return f"~{self.ival_atom(env, arg)}"
-            case IMeet(left, right):
-                return f"({self.ival(env, left)} /\\" \
-                    f" {self.ival(env, right)})"
-            case IJoin(left, right):
-                return f"({self.ival(env, left)} \\/" \
-                    f" {self.ival(env, right)})"
-        raise ValueError(f"not an interval expression: {r!r}")
-
-    def ival_atom(self, env, r):
-        s = self.ival(env, r)
-        return s  # meets/joins are already parenthesized
-
-    def face(self, env, phi):
-        return face_show(
-            phi, lambda ix, end: f"({self.lookup(env, IVAL, ix)} = {end})",
-            "0", "1",
-        )
+    def iv(self, env, x):
+        """An interval expression or a face; meets and joins come
+        parenthesized."""
+        def literal(ix, end):
+            name = self.lookup(env, IVAL, ix)
+            if type(x) is Face:
+                return f"({name} = {end})"
+            return name if end else f"~{name}"
+        return iv_show(x, literal)
 
 
 def _base_env():
@@ -1649,7 +1633,7 @@ def _print_ctor(pr, env, sig, ctor):
         env = pr.push(env, IVAL, nm)
     entries = []
     for phi, b in ctor.boundary:
-        entries.append(f"{pr.face(env, phi)} ->"
+        entries.append(f"{pr.iv(env, phi)} ->"
                        f" {_print_bnd(pr, env, recnames, sig, b)}")
     # The bare entry is what the face has beyond the arrows' faces.
     afold = face_join(phi for phi, _ in ctor.boundary)
@@ -1657,7 +1641,7 @@ def _print_ctor(pr, env, sig, ctor):
     if FOr(afold, bare) != ctor.face:
         raise ValueError("constructor face has no surface syntax")
     if bare:
-        entries.append(pr.face(env, bare))
+        entries.append(pr.iv(env, bare))
     if entries:
         parts.append(f"[{', '.join(entries)}]")
     return " ".join(parts)
@@ -1683,12 +1667,12 @@ def _print_bnd(pr, env, recnames, sig, b, atom=False):
                             "boundary term has no surface syntax"
                         )
                     parts.append(recnames[x.rec])
-            parts += [pr.ival_atom(env, x) for x in ivals]
+            parts += [pr.iv(env, x) for x in ivals]
         case BHComp(face, tube, base):
             nm = pr.fresh("i")
             env2 = pr.push(env, IVAL, nm)
             parts = [
-                f"hcomp^{nm} [{pr.face(env, face)} ->"
+                f"hcomp^{nm} [{pr.iv(env, face)} ->"
                 f" {_print_bnd(pr, env2, recnames, sig, tube)}]",
                 _print_bnd(pr, env, recnames, sig, base, atom=True),
             ]

@@ -5,15 +5,17 @@ variables, clocks, ticks, interval variables, and face restrictions.  A
 variable of a given sort is an index counting binders of that same sort
 from the inside out, so inserting an entry of one sort never renumbers the
 others.  Face entries bind no variables at all; they only restrict.
+
+Interval expressions and faces are held as their normal forms
+(`cctt.interval`), so alpha-equality (`structural_equal`) compares them
+with `==`, and a renaming maps their literals (`Renaming.iv`).
 """
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 from .errors import IllFormedRedex, TickEscape
-from .interval import (
-    Face, IntervalExpr, IVar, face_rename, iv_map_vars, iv_normalize,
-)
+from .interval import Face, IExpr, iv_rename
 
 # Entry sorts.
 TERM, CLOCK, TICK, IVAL, FACE = "term", "clock", "tick", "ival", "face"
@@ -47,7 +49,7 @@ class Diamond(Tick):
 class Tirr(Tick):
     left: Tick
     right: Tick
-    at: IntervalExpr
+    at: IExpr
 
     def __repr__(self):
         return f"tirr({self.left!r}, {self.right!r}, {self.at!r})"
@@ -139,7 +141,7 @@ class PLam(Term):
 @_td
 class PApp(Term):
     fn: Term
-    arg: IntervalExpr
+    arg: IExpr
 
 
 @_td
@@ -383,7 +385,7 @@ class Context:
                     1 for x in self.entries[pos + 1:]
                     if entry_sort(x) == IVAL
                 )
-                out.append(face_rename(e.face, lambda ix: ix + shift))
+                out.append(iv_rename(e.face, lambda ix: ix + shift))
         return out
 
 
@@ -409,13 +411,10 @@ class Renaming:
             return ix
         return self.maps[sort](ix - depth[sort]) + depth[sort]
 
-    def iexpr(self, r, depth):
-        """The interval expression r, renamed."""
-        return iv_map_vars(r, lambda ix: IVar(self.apply(IVAL, ix, depth)))
-
-    def face(self, phi, depth):
-        """The face formula phi, renamed (every map is injective)."""
-        return face_rename(phi, lambda ix: self.apply(IVAL, ix, depth))
+    def iv(self, x, depth):
+        """The interval expression or face x, renamed (every map is
+        injective)."""
+        return iv_rename(x, lambda ix: self.apply(IVAL, ix, depth))
 
 
 def _shift_map(cut, by):
@@ -447,7 +446,7 @@ def rename_tick(u, ren, depth):
             return Tirr(
                 rename_tick(l, ren, depth),
                 rename_tick(r, ren, depth),
-                ren.iexpr(at, depth),
+                ren.iv(at, depth),
             )
     raise IllFormedRedex(f"not a tick: {u!r}")
 
@@ -480,7 +479,7 @@ def rename_term(t, ren, depth=None):
         case PLam(body):
             return PLam(go(body, ren, _bump(d, IVAL)))
         case PApp(fn, arg):
-            return PApp(go(fn, ren, d), ren.iexpr(arg, d))
+            return PApp(go(fn, ren, d), ren.iv(arg, d))
         case Forall(body):
             return Forall(go(body, ren, _bump(d, CLOCK)))
         case CLam(body):
@@ -508,17 +507,17 @@ def rename_term(t, ren, depth=None):
         case Comp(ty, face, tube, base):
             di = _bump(d, IVAL)
             return Comp(
-                go(ty, ren, di), ren.face(face, d),
+                go(ty, ren, di), ren.iv(face, d),
                 go(tube, ren, di), go(base, ren, d),
             )
         case HComp(ty, face, tube, base):
             return HComp(
-                go(ty, ren, d), ren.face(face, d),
+                go(ty, ren, d), ren.iv(face, d),
                 go(tube, ren, _bump(d, IVAL)), go(base, ren, d),
             )
         case Trans(ty, face, base):
             return Trans(
-                go(ty, ren, _bump(d, IVAL)), ren.face(face, d),
+                go(ty, ren, _bump(d, IVAL)), ren.iv(face, d),
                 go(base, ren, d),
             )
         case Hit(name, params):
@@ -529,7 +528,7 @@ def rename_term(t, ren, depth=None):
                 tuple(go(p, ren, d) for p in params),
                 tuple(go(a, ren, d) for a in args),
                 tuple(go(a, ren, d) for a in recs),
-                tuple(ren.iexpr(r, d) for r in ivals),
+                tuple(ren.iv(r, d) for r in ivals),
             )
         case ClockElim(name, n, params, motive, cases, arg):
             return ClockElim(
@@ -541,7 +540,7 @@ def rename_term(t, ren, depth=None):
             )
         case System(parts):
             return System(tuple(
-                (ren.face(phi, d), go(u, ren, d)) for phi, u in parts
+                (ren.iv(phi, d), go(u, ren, d)) for phi, u in parts
             ))
     raise IllFormedRedex(f"not a term: {t!r}")
 
@@ -586,14 +585,11 @@ def _shift_renaming(amounts, cuts):
     return Renaming(term=term, clock=clock, tick=tick, ival=ival)
 
 
-def weaken_iexpr(r, inserted, cut=0):
+def weaken_iv(x, inserted, cut=0):
+    """The interval expression or face x, weakened past the interval
+    binders among `inserted`, `cut` binders in."""
     by = sum(1 for s in inserted if s == IVAL)
-    return iv_map_vars(r, lambda ix: IVar(ix + by) if ix >= cut else IVar(ix))
-
-
-def weaken_face(phi, inserted, cut=0):
-    by = sum(1 for s in inserted if s == IVAL)
-    return face_rename(phi, lambda ix: ix + by if ix >= cut else ix)
+    return iv_rename(x, lambda ix: ix + by if ix >= cut else ix)
 
 
 def weaken_tick(u, inserted, cut=None):
@@ -603,23 +599,21 @@ def weaken_tick(u, inserted, cut=None):
 
 
 # --------------------------------------------------------------------------
-# Structural equality (alpha-equality plus interval-leaf normalization)
+# Structural equality (alpha-equality)
 # --------------------------------------------------------------------------
 
 # Compared field by field: every term class, eliminator cases and ticks.
 _NODES = frozenset(Term.__subclasses__()) | {ElimCase, TickVar, Diamond, Tirr}
-_IEXPRS = frozenset(IntervalExpr.__subclasses__())
 
 
 def structural_equal(t, u):
-    """Whether t and u are equal once every interval leaf is normalized:
-    alpha-equality, since variables are de Bruijn indices.  It implies
-    definitional equality, so conversion asks it first.  Faces are normal
-    forms already and compare with `==`.
+    """Whether t and u are equal: alpha-equality, since variables are de
+    Bruijn indices and interval expressions and faces are normal forms.
+    It implies definitional equality, so conversion asks it first.
 
     Both terms are walked together on one explicit stack, so depth costs no
-    Python frames and nothing is built; two interval leaves are normalized
-    only when they differ syntactically."""
+    Python frames and nothing is built, and pairs that are the same object
+    are skipped."""
     stack = [t, u]
     pop, push = stack.pop, stack.append
     while stack:
@@ -640,9 +634,6 @@ def structural_equal(t, u):
                 if x is not y:
                     push(x)
                     push(y)
-        elif cls in _IEXPRS:
-            if a != b and iv_normalize(a) != iv_normalize(b):
-                return False
         elif a != b:
             return False
     return True
@@ -681,7 +672,7 @@ class BCon(BoundaryTerm):
     label: str
     args: tuple   # Terms
     recs: tuple   # BoundaryTerms, each binding the rec arity's telescope
-    ivals: tuple  # IntervalExprs
+    ivals: tuple  # interval expressions
 
 
 @dataclass(frozen=True)

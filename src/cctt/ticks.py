@@ -35,16 +35,14 @@ from .errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
     NoCommonResidual, NotATick, TickEscape,
 )
-from .interval import (
-    IONE, IVar, IZERO, face_map_vars, iv_map_vars, iv_normalize,
-)
+from .interval import IONE, IVar, IZERO, iv_map_vars
 from .syntax import (
     CLOCK, FACE, IVAL, TERM, TICK,
     App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Tick, TickApp,
     TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
-    weaken, weaken_iexpr, weaken_tick,
+    weaken, weaken_iv, weaken_tick,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -273,7 +271,7 @@ def _weaken_payload(si, p, depth):
     if si == 1:
         return p + depth[1]
     if si == 3:
-        return weaken_iexpr(p, [IVAL] * depth[3])
+        return weaken_iv(p, [IVAL] * depth[3])
     sorts = ([TERM] * depth[0] + [CLOCK] * depth[1] + [TICK] * depth[2]
              + [IVAL] * depth[3])
     if si == 0:
@@ -403,12 +401,9 @@ def clause_subst(ctx, clause):
     return Substitution(ctx, ((), (), (), ivals), (0, 0, 0, n))
 
 
-def subst_ival(sigma, r):
-    return _ival(sigma, r, sigma.depth)
-
-
-def subst_face(sigma, phi):
-    return _face(sigma, phi, sigma.depth)
+def subst_iv(sigma, x):
+    """Apply sigma to an interval expression or a face."""
+    return _iv(sigma, x, sigma.depth)
 
 
 def subst_apply(sigma, t):
@@ -416,18 +411,8 @@ def subst_apply(sigma, t):
     return _go(sigma, t, sigma.depth)
 
 
-def _ival(sg, r, depth):
-    def on_var(ix):
-        x = _image(sg, 3, ix, depth)
-        return IVar(x) if type(x) is int else x
-    return iv_normalize(iv_map_vars(r, on_var))
-
-
-def _face(sg, phi, depth):
-    def on_var(ix):
-        x = _image(sg, 3, ix, depth)
-        return IVar(x) if type(x) is int else x
-    return face_map_vars(phi, on_var)
+def _iv(sg, x, depth):
+    return iv_map_vars(x, lambda ix: _image(sg, 3, ix, depth))
 
 
 def _tick(sg, u, depth):
@@ -444,7 +429,7 @@ def _tick(sg, u, depth):
             right = _tick(sg, r, depth)
             if isinstance(left, Diamond) and isinstance(right, Diamond):
                 return Diamond()  # tirr(<>, <>, r) collapses eagerly
-            return Tirr(left, right, _ival(sg, at, depth))
+            return Tirr(left, right, _iv(sg, at, depth))
     raise NotATick(repr(u))
 
 
@@ -497,7 +482,7 @@ def _go(sg, t, d):
         case PLam(body):
             return PLam(go(sg, body, (d[0], d[1], d[2], d[3] + 1)))
         case PApp(fn, arg):
-            return PApp(go(sg, fn, d), _ival(sg, arg, d))
+            return PApp(go(sg, fn, d), _iv(sg, arg, d))
         case Forall(body):
             return Forall(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
         case CLam(body):
@@ -525,15 +510,15 @@ def _go(sg, t, d):
             return PFix(k, go(sg, fn, d))
         case Comp(ty, face, tube, base):
             di = (d[0], d[1], d[2], d[3] + 1)
-            return Comp(go(sg, ty, di), _face(sg, face, d),
+            return Comp(go(sg, ty, di), _iv(sg, face, d),
                         go(sg, tube, di), go(sg, base, d))
         case HComp(ty, face, tube, base):
             di = (d[0], d[1], d[2], d[3] + 1)
-            return HComp(go(sg, ty, d), _face(sg, face, d),
+            return HComp(go(sg, ty, d), _iv(sg, face, d),
                          go(sg, tube, di), go(sg, base, d))
         case Trans(ty, face, base):
             di = (d[0], d[1], d[2], d[3] + 1)
-            return Trans(go(sg, ty, di), _face(sg, face, d),
+            return Trans(go(sg, ty, di), _iv(sg, face, d),
                          go(sg, base, d))
         case Hit(name, params):
             return Hit(name, tuple(go(sg, p, d) for p in params))
@@ -543,7 +528,7 @@ def _go(sg, t, d):
                 tuple(go(sg, p, d) for p in params),
                 tuple(go(sg, a, d) for a in args),
                 tuple(go(sg, a, d) for a in recs),
-                tuple(_ival(sg, r, d) for r in ivals),
+                tuple(_iv(sg, r, d) for r in ivals),
             )
         case ClockElim(name, n, params, motive, cases, arg):
             return ClockElim(
@@ -555,7 +540,7 @@ def _go(sg, t, d):
             )
         case System(parts):
             return System(tuple(
-                (_face(sg, phi, d), go(sg, u, d)) for phi, u in parts
+                (_iv(sg, phi, d), go(sg, u, d)) for phi, u in parts
             ))
     raise MalformedSubstitution(f"not a term: {t!r}")
 

@@ -1,23 +1,23 @@
 """Independent reference semantics used to cross-check the kernel.
 
-Interval expressions are evaluated into DM4, the four-element De Morgan
-algebra on the lattice 2x2 whose two middle elements are fixed by the
-involution.  DM4 generates the variety of De Morgan algebras, so two
-expressions are equal in the free algebra iff they agree under every DM4
-assignment.
+The kernel keeps interval expressions and faces as their normal forms, so
+the oracles keep trees of their own.  Interval trees are the tuples TZERO,
+TONE, ("var", ix), ("neg", t), ("meet", l, r) and ("join", l, r);
+`kernel_iv` builds the kernel's expression from a tree, and `iv_tree`
+reads a kernel expression back as one (the join of its clauses).  They are
+evaluated into DM4, the four-element De Morgan algebra on the lattice 2x2
+whose two middle elements are fixed by the involution.  DM4 generates the
+variety of De Morgan algebras, so two expressions are equal in the free
+algebra iff they agree under every DM4 assignment.
 
 Face formulas are evaluated under three-state valuations: each variable is
-set to 0, set to 1, or left unconstrained.  The kernel keeps a face as its
-normal form, so the oracle keeps faces as trees of its own: the tuples
-TBOT, TTOP, ("eq", ix, end), ("and", l, r) and ("or", l, r).
-`kernel_face` builds the kernel's face from a tree, and `face_tree` reads a
-kernel face back as one (the join of its clauses).  Substituting interval
-expressions into a face is checked by evaluating each expression under the
-valuation in strong Kleene logic (`iv_kleene`): an expression is forced to
-an endpoint on a face exactly when its Kleene value is that endpoint.
-
-Structural equality of terms is decided by rebuilding both terms with every
-interval leaf normalized and comparing the results.
+set to 0, set to 1, or left unconstrained.  Faces are the trees TBOT, TTOP,
+("eq", ix, end), ("and", l, r) and ("or", l, r); `kernel_face` and
+`face_tree` go between them and the kernel's faces.  Substituting interval
+expressions into a face is checked by evaluating each expression's tree
+under the valuation in strong Kleene logic (`iv_kleene`): an expression is
+forced to an endpoint on a face exactly when its Kleene value is that
+endpoint.
 
 Substitution has two references.  `naive_subst` does what the kernel's
 `ticks.subst` builder does, one variable at a time, by plain recursion over
@@ -30,13 +30,13 @@ per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from cctt.errors import MalformedSubstitution, NotATick
 from cctt.interval import (
-    FAnd, FBOT, FEq, FOr, FTOP,
-    I0, I1, IJoin, IMeet, INeg, IVar,
-    face_map_vars, iv_map_vars, iv_normalize, iv_vars,
+    FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IONE, IVar, IZERO,
+    iv_map_vars,
 )
 from cctt.syntax import (
     CLOCK, FACE, IVAL, TERM, TICK, ZERO_DEPTH,
@@ -44,7 +44,7 @@ from cctt.syntax import (
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TickApp, TickLam,
     TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
-    rename_tick, weaken, weaken_iexpr, weaken_tick,
+    rename_tick, weaken, weaken_iv, weaken_tick,
 )
 from cctt.ticks import (
     CForcedTick, apply_mask, mask_renaming, residual_mask,
@@ -67,31 +67,116 @@ def dm4_join(x, y):
     return (max(x[0], y[0]), max(x[1], y[1]))
 
 
-def dm4_eval(r, env):
-    match r:
-        case I0():
+TZERO = ("zero",)
+TONE = ("one",)
+
+
+def iv_tree_vars(tree):
+    match tree:
+        case ("var", ix):
+            return {ix}
+        case ("neg", arg):
+            return iv_tree_vars(arg)
+        case ("meet", l, r) | ("join", l, r):
+            return iv_tree_vars(l) | iv_tree_vars(r)
+    return set()
+
+
+def kernel_iv(tree):
+    """The kernel's interval expression for a tree, built with the
+    kernel's builders."""
+    match tree:
+        case ("zero",):
+            return IZERO
+        case ("one",):
+            return IONE
+        case ("var", ix):
+            return IVar(ix)
+        case ("neg", arg):
+            return INeg(kernel_iv(arg))
+        case ("meet", l, r):
+            return IMeet(kernel_iv(l), kernel_iv(r))
+        case ("join", l, r):
+            return IJoin(kernel_iv(l), kernel_iv(r))
+    raise TypeError(tree)
+
+
+def iv_tree(r):
+    """A kernel interval expression read back as a tree: the join of its
+    clauses, each the meet of its literals."""
+    out = TZERO
+    for clause in r:
+        meet = TONE
+        for ix, end in clause:
+            lit = ("var", ix)
+            meet = ("meet", meet, lit if end else ("neg", lit))
+        out = ("join", out, meet)
+    return out
+
+
+def dm4_eval(tree, env):
+    match tree:
+        case ("zero",):
             return (0, 0)
-        case I1():
+        case ("one",):
             return (1, 1)
-        case IVar(ix):
+        case ("var", ix):
             return env[ix]
-        case INeg(arg):
+        case ("neg", arg):
             return dm4_neg(dm4_eval(arg, env))
-        case IMeet(l, rr):
-            return dm4_meet(dm4_eval(l, env), dm4_eval(rr, env))
-        case IJoin(l, rr):
-            return dm4_join(dm4_eval(l, env), dm4_eval(rr, env))
-    raise TypeError(r)
+        case ("meet", l, r):
+            return dm4_meet(dm4_eval(l, env), dm4_eval(r, env))
+        case ("join", l, r):
+            return dm4_join(dm4_eval(l, env), dm4_eval(r, env))
+    raise TypeError(tree)
+
+
+@lru_cache(maxsize=None)
+def _dm4_columns(n):
+    """For n variables, the value of each under every assignment of
+    `product(DM4, repeat=n)`, as two bit masks: bit a of the first (second)
+    is the first (second) component of its value under assignment a; and
+    the mask with a bit for every assignment."""
+    rows = list(product(DM4, repeat=n))
+    columns = [tuple(sum(1 << a for a, row in enumerate(rows) if row[p][c])
+                     for c in (0, 1))
+               for p in range(n)]
+    return columns, (1 << len(rows)) - 1
+
+
+def dm4_table(tree, vs):
+    """`dm4_eval` of the tree under every assignment to the variables vs at
+    once, as bit masks laid out as in `_dm4_columns`."""
+    columns, full = _dm4_columns(len(vs))
+    env = dict(zip(vs, columns))
+
+    def go(t):
+        match t:
+            case ("zero",):
+                return 0, 0
+            case ("one",):
+                return full, full
+            case ("var", ix):
+                return env[ix]
+            case ("neg", arg):
+                a, b = go(arg)
+                return full ^ b, full ^ a
+            case ("meet", l, r):
+                (a, b), (c, d) = go(l), go(r)
+                return a & c, b & d
+            case ("join", l, r):
+                (a, b), (c, d) = go(l), go(r)
+                return a | c, b | d
+        raise TypeError(t)
+
+    return go(tree)
 
 
 def dm4_equal(r, s):
-    """Oracle for equality in the free De Morgan algebra."""
-    vs = sorted(iv_vars(r) | iv_vars(s))
-    for values in product(DM4, repeat=len(vs)):
-        env = dict(zip(vs, values))
-        if dm4_eval(r, env) != dm4_eval(s, env):
-            return False
-    return True
+    """Oracle for equality in the free De Morgan algebra, on trees: r and s
+    agree under every DM4 assignment."""
+    vs = sorted(iv_tree_vars(r) | iv_tree_vars(s))
+    return dm4_table(r, vs) == dm4_table(s, vs)
 
 
 TBOT = ("bot",)
@@ -151,31 +236,32 @@ def face_tree(phi):
     return out
 
 
-def iv_kleene(r, valuation):
-    """r under a three-state valuation in strong Kleene logic: 0, 1, or
-    None when the valuation does not force it."""
-    match r:
-        case I0():
+def iv_kleene(tree, valuation):
+    """An interval tree under a three-state valuation in strong Kleene
+    logic: 0, 1, or None when the valuation does not force it."""
+    match tree:
+        case ("zero",):
             return 0
-        case I1():
+        case ("one",):
             return 1
-        case IVar(ix):
+        case ("var", ix):
             return valuation.get(ix)
-        case INeg(arg):
+        case ("neg", arg):
             x = iv_kleene(arg, valuation)
             return None if x is None else 1 - x
-        case IMeet(l, rr):
-            x, y = iv_kleene(l, valuation), iv_kleene(rr, valuation)
+        case ("meet", l, r):
+            x, y = iv_kleene(l, valuation), iv_kleene(r, valuation)
             return 0 if 0 in (x, y) else 1 if x == y == 1 else None
-        case IJoin(l, rr):
-            x, y = iv_kleene(l, valuation), iv_kleene(rr, valuation)
+        case ("join", l, r):
+            x, y = iv_kleene(l, valuation), iv_kleene(r, valuation)
             return 1 if 1 in (x, y) else 0 if x == y == 0 else None
-    raise TypeError(r)
+    raise TypeError(tree)
 
 
 def face_eval_under(tree, assignment, valuation):
-    """The tree with each variable ix replaced by the interval expression
-    assignment[ix] (every variable of the tree has one), under valuation."""
+    """The face tree with each variable ix replaced by the interval tree
+    assignment[ix] (every variable of the face has one), under
+    valuation."""
     pulled = {ix: iv_kleene(r, valuation) for ix, r in assignment.items()}
     return face_eval(tree, pulled)
 
@@ -206,22 +292,6 @@ def face_entails_oracle(phi, psi):
 
 def face_equal_oracle(phi, psi):
     return face_entails_oracle(phi, psi) and face_entails_oracle(psi, phi)
-
-
-class _LeafNormalizing(Renaming):
-    """The identity renaming, which also normalizes every interval leaf it
-    rebuilds (faces are normal forms already)."""
-
-    def iexpr(self, r, depth):
-        return iv_normalize(super().iexpr(r, depth))
-
-
-_LEAF_NORMALIZING = _LeafNormalizing()
-
-
-def canonical(t):
-    """Normalize every interval leaf; indices are untouched."""
-    return rename_term(t, _LEAF_NORMALIZING, ZERO_DEPTH)
 
 
 # --------------------------------------------------------------------------
@@ -274,17 +344,12 @@ class _Subst1:
         x = self._var(CLOCK, k, d)
         return self._at(d) if x is None else x
 
-    def ival(self, r, d):
+    def iv(self, x, d):
+        """An interval expression or a face."""
         def on_var(ix):
-            x = self._var(IVAL, ix, d)
-            return self._at(d) if x is None else IVar(x)
-        return iv_map_vars(r, on_var)
-
-    def face(self, phi, d):
-        def on_var(ix):
-            x = self._var(IVAL, ix, d)
-            return self._at(d) if x is None else IVar(x)
-        return face_map_vars(phi, on_var)
+            y = self._var(IVAL, ix, d)
+            return self._at(d) if y is None else y
+        return iv_map_vars(x, on_var)
 
     def tick(self, u, d):
         match u:
@@ -297,7 +362,7 @@ class _Subst1:
                 left, right = self.tick(l, d), self.tick(r, d)
                 if type(left) is Diamond and type(right) is Diamond:
                     return Diamond()
-                return Tirr(left, right, self.ival(at, d))
+                return Tirr(left, right, self.iv(at, d))
         raise NotATick(repr(u))
 
     def term(self, t, d):
@@ -334,7 +399,7 @@ class _Subst1:
             case PLam(body):
                 return PLam(go(body, under(IVAL)))
             case PApp(fn, r):
-                return PApp(go(fn, d), self.ival(r, d))
+                return PApp(go(fn, d), self.iv(r, d))
             case Forall(body):
                 return Forall(go(body, under(CLOCK)))
             case CLam(body):
@@ -359,13 +424,13 @@ class _Subst1:
             case PFix(k, fn):
                 return PFix(self.clock(k, d), go(fn, d))
             case Comp(ty, phi, tube, base):
-                return Comp(go(ty, under(IVAL)), self.face(phi, d),
+                return Comp(go(ty, under(IVAL)), self.iv(phi, d),
                             go(tube, under(IVAL)), go(base, d))
             case HComp(ty, phi, tube, base):
-                return HComp(go(ty, d), self.face(phi, d),
+                return HComp(go(ty, d), self.iv(phi, d),
                              go(tube, under(IVAL)), go(base, d))
             case Trans(ty, phi, base):
-                return Trans(go(ty, under(IVAL)), self.face(phi, d),
+                return Trans(go(ty, under(IVAL)), self.iv(phi, d),
                              go(base, d))
             case Hit(name, params):
                 return Hit(name, tuple(go(p, d) for p in params))
@@ -373,7 +438,7 @@ class _Subst1:
                 return Con(name, label, tuple(go(p, d) for p in params),
                            tuple(go(a, d) for a in args),
                            tuple(go(a, d) for a in recs),
-                           tuple(self.ival(r, d) for r in ivals))
+                           tuple(self.iv(r, d) for r in ivals))
             case ClockElim(name, n, params, motive, cases, arg):
                 def case_body(c):
                     binders = ([TERM] * (c.n_args + 2 * c.n_recs)
@@ -387,7 +452,7 @@ class _Subst1:
                     go(arg, d),
                 )
             case System(parts):
-                return System(tuple((self.face(phi, d), go(u, d))
+                return System(tuple((self.iv(phi, d), go(u, d))
                                     for phi, u in parts))
         raise TypeError(t)
 
@@ -439,7 +504,7 @@ def _weakened(sort, p, depth):
     if sort == CLOCK:
         return p + depth[CLOCK]
     if sort == IVAL:
-        return weaken_iexpr(p, [IVAL] * depth[IVAL])
+        return weaken_iv(p, [IVAL] * depth[IVAL])
     sorts = _sorts_of(depth)
     if sort == TICK:
         if type(p) is CForcedTick:
@@ -517,9 +582,7 @@ def component(sigma, sort, ix):
 
 
 def _explicit_ival(sigma, r):
-    return iv_normalize(iv_map_vars(
-        r, lambda ix: component(sigma, IVAL, ix)[1][1]
-    ))
+    return iv_map_vars(r, lambda ix: component(sigma, IVAL, ix)[1][1])
 
 
 def subst_tick(sigma, u):
@@ -574,7 +637,7 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
                         ren.apply(CLOCK, k, ZERO_DEPTH) + extra_clocks,
                         weaken_tick(rename_tick(u, ren, ZERO_DEPTH), extra))
             case ("ival", r):
-                return ("ival", ren.iexpr(r, ZERO_DEPTH))
+                return ("ival", ren.iv(r, ZERO_DEPTH))
             case ("face",):
                 return comp
         raise MalformedSubstitution(repr(comp))

@@ -13,9 +13,7 @@ from cctt.cli import Report, check_file, main
 from cctt.conversion import boundary_reduce, boundary_subst, conv, whnf
 from cctt.errors import FuelExhausted
 from cctt.interval import (
-    FAnd, FEq, FTOP,
-    I0, I1, IJoin, IMeet, INeg, IVar, IZERO, IONE,
-    face_entails, face_is_false, iv_equal,
+    FAnd, FEq, FTOP, INeg, IVar, IZERO, IONE, face_entails, face_is_false,
 )
 from cctt.syntax import (
     App, BCon, BHComp, BRec, CApp, CLam, ClockElim, Con, DFix, Diamond,
@@ -24,7 +22,8 @@ from cctt.syntax import (
     Var, IVAL, TERM, weaken,
 )
 from oracles import (
-    TBOT, TTOP, dm4_equal, face_entails_oracle, kernel_face,
+    TBOT, TONE, TTOP, TZERO, dm4_equal, face_entails_oracle, iv_tree,
+    kernel_face, kernel_iv,
 )
 from test_checker import (
     circle_signature, nat_add, nat_num, nat_signature, powerset_signature,
@@ -50,44 +49,51 @@ def all_pass(rep):
 
 # -- criterion 1: interval equality against the De Morgan oracle -----------
 
+# Expressions are drawn as the oracle's trees; the kernel builds its own
+# normal form from each tree.
+
 def _iv_pool(depth, n_vars):
-    pool = [IZERO, IONE] + [IVar(n) for n in range(n_vars)]
+    pool = [TZERO, TONE] + [("var", n) for n in range(n_vars)]
     for _ in range(depth):
         prev = list(pool)
-        pool += [INeg(r) for r in prev[:40]]
-        pool += [IMeet(a, b) for a, b in product(prev[:12], prev[:12])]
-        pool += [IJoin(a, b) for a, b in product(prev[:12], prev[:12])]
+        pool += [("neg", r) for r in prev[:40]]
+        pool += [("meet", a, b) for a, b in product(prev[:12], prev[:12])]
+        pool += [("join", a, b) for a, b in product(prev[:12], prev[:12])]
     return pool
 
 
 def _iv_random(rng, depth, n_vars):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(
-            [IZERO, IONE] + [IVar(n) for n in range(n_vars)]
+            [TZERO, TONE] + [("var", n) for n in range(n_vars)]
         )
     match rng.randrange(3):
         case 0:
-            return INeg(_iv_random(rng, depth - 1, n_vars))
+            return ("neg", _iv_random(rng, depth - 1, n_vars))
         case 1:
-            return IMeet(_iv_random(rng, depth - 1, n_vars),
-                         _iv_random(rng, depth - 1, n_vars))
+            return ("meet", _iv_random(rng, depth - 1, n_vars),
+                    _iv_random(rng, depth - 1, n_vars))
         case _:
-            return IJoin(_iv_random(rng, depth - 1, n_vars),
-                         _iv_random(rng, depth - 1, n_vars))
+            return ("join", _iv_random(rng, depth - 1, n_vars),
+                    _iv_random(rng, depth - 1, n_vars))
+
+
+def _iv_agrees(r, s):
+    # Equal normal forms iff equal in DM4; each normal form equals its tree.
+    kr, ks = kernel_iv(r), kernel_iv(s)
+    return ((kr == ks) == dm4_equal(r, s)
+            and dm4_equal(r, iv_tree(kr)) and dm4_equal(s, iv_tree(ks)))
 
 
 def test_criterion_1_interval_oracle():
     start = time.perf_counter()
     small = _iv_pool(1, 2)
-    ok = all(
-        iv_equal(r, s) == dm4_equal(r, s)
-        for r, s in product(small, repeat=2)
-    )
+    ok = all(_iv_agrees(r, s) for r, s in product(small, repeat=2))
     rng = random.Random(11)
     for _ in range(30_000):
         r = _iv_random(rng, 4, 3)
         s = _iv_random(rng, 4, 3)
-        if iv_equal(r, s) != dm4_equal(r, s):
+        if not _iv_agrees(r, s):
             ok = False
             break
     elapsed = time.perf_counter() - start
@@ -323,25 +329,28 @@ def test_criterion_8_boundary_calculus():
     piece0 = idem.boundary[0][1]  # union of the recursive argument
     piece1 = idem.boundary[1][1]  # the recursive argument itself
 
-    # Identity instantiation returns each piece unchanged.
-    ident = boundary_subst(sig, idem, piece0, (), [BRec(0, ())], (IVar(0),))
+    # Identity instantiation, in idem's own scope (its one interval
+    # binder past the parameters), returns each piece unchanged.
+    own = (0, 0, 0, 1)
+    ident = boundary_subst(sig, idem, piece0, (), [BRec(0, ())], (IVar(0),),
+                           own)
     ok = ident == piece0
     ok = ok and boundary_subst(
-        sig, idem, piece1, (), [BRec(0, ())], (IVar(0),)
+        sig, idem, piece1, (), [BRec(0, ())], (IVar(0),), own
     ) == piece1
 
     # Endpoint reductions of the idempotence constructor.
     got0 = boundary_reduce(
-        sig, BCon("idem", (), (BRec(0, ()),), (IZERO,))
+        sig, BCon("idem", (), (BRec(0, ()),), (IZERO,)), own
     )
     ok = ok and got0 == BCon("union", (), (BRec(0, ()), BRec(0, ())), ())
     got1 = boundary_reduce(
-        sig, BCon("idem", (), (BRec(0, ()),), (IONE,))
+        sig, BCon("idem", (), (BRec(0, ()),), (IONE,)), own
     )
     ok = ok and got1 == BRec(0, ())
 
     # A boundary hcomp on a true face reduces to its tube at 1.
-    got = boundary_reduce(sig, BHComp(FTOP, BRec(0, ()), BRec(1, ())))
+    got = boundary_reduce(sig, BHComp(FTOP, BRec(0, ()), BRec(1, ())), own)
     ok = ok and got == BRec(0, ())
 
     # The same endpoint laws hold judgementally for constructor values.

@@ -386,6 +386,23 @@ class TestBoundaryVerdicts:
             with pytest.raises(BoundaryIncompatible):
                 check_hit_signature(st(), sig)
 
+    @pytest.mark.parametrize("params, last, ok", [
+        # seg 0 is pt a: a parameter, read past sq's argument y.
+        ("(A : U0) (a : A)", "pt a", True),
+        ("(A : U0) (a : A) (b : A)", "pt b", False),
+    ], ids=("same-parameter", "other-parameter"))
+    def test_boundary_parameters_past_arguments(self, params, last, ok):
+        sig = parse_module(
+            f"data d {params} : U0 where | pt (x : A)"
+            " | seg (i : I) [(i = 0) -> pt a, (i = 1) -> pt a]"
+            f" | sq (y : A) (j : I) [(j = 0) -> seg 0, (j = 0) -> {last}]"
+        ).decls[0].sig
+        if ok:
+            assert check_hit_signature(st(), sig)
+        else:
+            with pytest.raises(BoundaryIncompatible):
+                check_hit_signature(st(), sig)
+
     def test_bare_face_entry_round_trips(self):
         src = ("data sq : U0 where | pt"
                " | cell (i : I) (j : I) [(i = 0) -> pt, (j = 1) \\/ (i = 1)]")

@@ -348,7 +348,7 @@ class TestPointConstructors:
     def faces_unread(self, monkeypatch):
         def unread(*args):
             raise AssertionError("a point constructor's face was read")
-        for name in ("_ctor_face", "face_substitute", "face_is_true"):
+        for name in ("_ctor_face", "iv_substitute", "face_is_true"):
             monkeypatch.setattr(conversion, name, unread)
 
     def test_whnf_returns_point_constructor(self, faces_unread):
@@ -359,7 +359,7 @@ class TestPointConstructors:
 
     def test_boundary_reduce_stops_at_point_constructor(self, faces_unread):
         zero = BCon("zero", (), (), ())
-        assert boundary_reduce(nat_signature(), zero) is None
+        assert boundary_reduce(nat_signature(), zero, (0, 0, 0, 0)) is None
 
     def test_signature_lookup_by_label(self):
         sig = node_signature()
@@ -385,15 +385,17 @@ class TestBoundaryTubes:
         # sq 0 = hcomp^k [1 -> seg k] a = seg 1 = b.
         sig = self.sig()
         sq0 = BCon("sq", (), (), (IZERO,))
-        assert boundary_equal(sig, sq0, BCon("b", (), (), ()))
-        assert not boundary_equal(sig, sq0, BCon("a", (), (), ()))
+        own = (0, 0, 0, 1)   # sq's interval binder
+        assert boundary_equal(sig, sq0, BCon("b", (), (), ()), own)
+        assert not boundary_equal(sig, sq0, BCon("a", (), (), ()), own)
 
     def test_nested_tube_keeps_its_variable(self):
         sig = self.sig()
         a = BCon("a", (), (), ())
         seg_l = BCon("seg", (), (), (IVar(0),))
         outer = BHComp(FTOP, BHComp(FEq(0, 1), seg_l, a), a)
-        assert boundary_reduce(sig, outer) == BHComp(FTOP, seg_l, a)
+        assert (boundary_reduce(sig, outer, (0, 0, 0, 1))
+                == BHComp(FTOP, seg_l, a))
 
 
 class TestMachine:

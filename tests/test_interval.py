@@ -5,29 +5,32 @@ from hypothesis import given, settings, strategies as st
 
 from cctt.interval import (
     FAnd, FEq, FOr, FBOT, FTOP,
-    I0, I1, IJoin, IMeet, INeg, IVar, IZERO, IONE,
+    IJoin, IMeet, INeg, IVar, IZERO, IONE,
     face_clauses, face_dnf, face_entails, face_is_false,
-    face_is_true, face_of_equation, face_substitute, face_vars,
-    iv_equal, iv_is_one, iv_is_zero, iv_normalize, iv_vars,
+    face_is_true, face_of_equation, iv_substitute, iv_vars,
 )
-from cctt.syntax import IVAL, weaken_face
+from cctt.syntax import IVAL, weaken_iv
 from oracles import (
-    TBOT, TTOP, dm4_equal, dm4_eval, face_clauses_oracle, face_entails_oracle,
-    face_equal_oracle, face_eval, face_eval_under, face_tree, face_valuations,
-    kernel_face,
+    DM4, TBOT, TONE, TTOP, TZERO, dm4_equal, dm4_eval, dm4_table,
+    face_clauses_oracle, face_entails_oracle, face_equal_oracle, face_eval,
+    face_eval_under, face_tree, face_valuations, iv_tree, iv_tree_vars,
+    kernel_face, kernel_iv,
 )
 
 i, j, k = IVar(0), IVar(1), IVar(2)
 
 
 def ivexprs(max_vars=3):
-    leaves = st.sampled_from([IZERO, IONE] + [IVar(n) for n in range(max_vars)])
+    """Interval expressions as the oracle's trees; `kernel_iv` builds
+    each."""
+    leaves = st.sampled_from([TZERO, TONE]
+                             + [("var", n) for n in range(max_vars)])
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
-            sub.map(INeg),
-            st.tuples(sub, sub).map(lambda p: IMeet(*p)),
-            st.tuples(sub, sub).map(lambda p: IJoin(*p)),
+            sub.map(lambda t: ("neg", t)),
+            st.tuples(sub, sub).map(lambda p: ("meet", *p)),
+            st.tuples(sub, sub).map(lambda p: ("join", *p)),
         ),
         max_leaves=12,
     )
@@ -45,52 +48,74 @@ def faces(max_vars=3):
 
 
 class TestIntervalNormalize:
+    # An interval expression is its normal form, so equality is `==`.
+
     def test_involution(self):
-        assert iv_normalize(INeg(INeg(i))) == i
+        assert INeg(INeg(i)) == i
 
     def test_units(self):
-        assert iv_normalize(IMeet(i, IONE)) == i
-        assert iv_normalize(IJoin(i, IZERO)) == i
-        assert iv_normalize(IMeet(i, IZERO)) == IZERO
-        assert iv_normalize(IJoin(i, IONE)) == IONE
+        assert IMeet(i, IONE) == i
+        assert IJoin(i, IZERO) == i
+        assert IMeet(i, IZERO) == IZERO
+        assert IJoin(i, IONE) == IONE
 
     def test_distribution_agrees(self):
         lhs = IMeet(IJoin(i, j), INeg(i))
         rhs = IJoin(IMeet(j, INeg(i)), IMeet(i, INeg(i)))
-        assert iv_normalize(lhs) == iv_normalize(rhs)
+        assert lhs == rhs
 
     def test_de_morgan_law(self):
-        assert iv_equal(INeg(IMeet(i, j)), IJoin(INeg(i), INeg(j)))
+        assert INeg(IMeet(i, j)) == IJoin(INeg(i), INeg(j))
 
     def test_meet_with_reversal_not_zero(self):
         # The interval is not a Boolean algebra.
-        assert not iv_equal(IMeet(i, INeg(i)), IZERO)
-        assert not iv_equal(IJoin(i, INeg(i)), IONE)
+        assert IMeet(i, INeg(i)) != IZERO
+        assert IJoin(i, INeg(i)) != IONE
 
     def test_absorption(self):
-        assert iv_equal(IJoin(i, IMeet(i, j)), i)
-        assert iv_equal(IMeet(i, IJoin(i, j)), i)
+        assert IJoin(i, IMeet(i, j)) == i
+        assert IMeet(i, IJoin(i, j)) == i
 
     @given(ivexprs())
-    def test_idempotent(self, r):
-        assert iv_normalize(iv_normalize(r)) == iv_normalize(r)
+    def test_idempotent(self, tree):
+        # Building an expression again from its own clauses gives the same
+        # expression.
+        r = kernel_iv(tree)
+        assert kernel_iv(iv_tree(r)) == r
 
     @given(ivexprs())
-    def test_normal_form_is_equal(self, r):
-        assert dm4_equal(r, iv_normalize(r))
+    def test_normal_form_is_equal(self, tree):
+        assert dm4_equal(tree, iv_tree(kernel_iv(tree)))
+
+    @given(ivexprs())
+    def test_dm4_table_is_every_valuation(self, tree):
+        # The oracle's all-at-once evaluation against one valuation at a
+        # time.
+        vs = sorted(iv_tree_vars(tree))
+        first, second = dm4_table(tree, vs)
+        for a, values in enumerate(product(DM4, repeat=len(vs))):
+            got = (first >> a & 1, second >> a & 1)
+            assert got == dm4_eval(tree, dict(zip(vs, values)))
 
     @given(ivexprs(), ivexprs())
     def test_agrees_with_dm4_oracle(self, r, s):
-        assert iv_equal(r, s) == dm4_equal(r, s)
+        assert (kernel_iv(r) == kernel_iv(s)) == dm4_equal(r, s)
 
     def test_commutativity(self):
-        assert iv_equal(IMeet(i, j), IMeet(j, i))
-        assert iv_equal(IJoin(i, j), IJoin(j, i))
+        assert IMeet(i, j) == IMeet(j, i)
+        assert IJoin(i, j) == IJoin(j, i)
 
     def test_zero_one_detection(self):
-        assert iv_is_zero(IMeet(IZERO, i))
-        assert iv_is_one(IJoin(IONE, i))
-        assert not iv_is_zero(IMeet(i, INeg(i)))
+        assert IMeet(IZERO, i) == IZERO
+        assert IJoin(IONE, i) == IONE
+        assert IMeet(i, INeg(i)) != IZERO
+
+    def test_prints_in_normal_form_order(self):
+        # A variable before its reversal, fewer literals first.
+        assert repr(IMeet(INeg(i), i)) == "(i0 /\\ ~i0)"
+        assert repr(IJoin(IMeet(j, k), INeg(i))) == "(~i0 \\/ (i1 /\\ i2))"
+        assert repr(IJoin(INeg(j), j)) == "(i1 \\/ ~i1)"
+        assert (repr(IZERO), repr(IONE), repr(INeg(k))) == ("0", "1", "~i2")
 
 
 class TestFaceNormalize:
@@ -152,8 +177,8 @@ class TestFaceOfEquation:
     @given(ivexprs(), st.sampled_from([0, 1]))
     def test_agrees_with_endpoint_valuations(self, r, b):
         # For 0/1 valuations, r evaluates to b iff the face holds.
-        phi = face_of_equation(r, b)
-        vs = sorted(iv_vars(r) | face_vars(phi))
+        phi = face_of_equation(kernel_iv(r), b)
+        vs = sorted(iv_tree_vars(r) | iv_vars(phi))
         const = {0: (0, 0), 1: (1, 1)}
         for bits in product((0, 1), repeat=len(vs)):
             val = dict(zip(vs, bits))
@@ -164,26 +189,28 @@ class TestFaceOfEquation:
 
 class TestFaceSubstitute:
     def test_endpoint_substitution(self):
-        assert face_is_true(face_substitute(FEq(0, 0), {0: IZERO}))
-        got = face_substitute(FOr(FEq(0, 0), FEq(1, 1)), {0: IONE})
+        assert face_is_true(iv_substitute(FEq(0, 0), {0: IZERO}))
+        got = iv_substitute(FOr(FEq(0, 0), FEq(1, 1)), {0: IONE})
         assert got == FEq(1, 1)
 
     def test_join_substitution(self):
-        got = face_substitute(FEq(0, 1), {0: IJoin(j, k)})
+        got = iv_substitute(FEq(0, 1), {0: IJoin(j, k)})
         assert got == FOr(FEq(1, 1), FEq(2, 1))
 
     @given(faces())
     def test_commutes_with_normalize(self, tree):
         # Substituting into the normal form agrees with substituting into
         # the tree it was built from.
-        sub = {0: IMeet(IVar(3), IVar(4)), 1: INeg(IVar(3)), 2: IONE}
-        got = face_tree(face_substitute(kernel_face(tree), sub))
+        sub = {0: ("meet", ("var", 3), ("var", 4)),
+               1: ("neg", ("var", 3)), 2: TONE}
+        kernel_sub = {n: kernel_iv(r) for n, r in sub.items()}
+        got = face_tree(iv_substitute(kernel_face(tree), kernel_sub))
         for v in face_valuations(range(5)):
             assert face_eval(got, v) == face_eval_under(tree, sub, v)
 
     def test_identity_substitution(self):
         phi = FOr(FAnd(FEq(0, 0), FEq(1, 1)), FEq(2, 0))
-        assert face_substitute(phi, {}) == phi
+        assert iv_substitute(phi, {}) == phi
 
 
 # -- the kernel's faces against the oracle's trees --------------------------
@@ -192,15 +219,15 @@ VARS = 4
 
 
 def _images(max_vars):
-    """Interval expressions a face variable may be replaced by."""
+    """Interval trees a face variable may be replaced by."""
     leaves = st.sampled_from(
-        [IZERO, IONE] + [IVar(n) for n in range(max_vars)]
+        [TZERO, TONE] + [("var", n) for n in range(max_vars)]
     )
     return st.one_of(
         leaves,
-        leaves.map(INeg),
-        st.tuples(leaves, leaves).map(lambda p: IMeet(*p)),
-        st.tuples(leaves, leaves).map(lambda p: IJoin(*p)),
+        leaves.map(lambda t: ("neg", t)),
+        st.tuples(leaves, leaves).map(lambda p: ("meet", *p)),
+        st.tuples(leaves, leaves).map(lambda p: ("join", *p)),
     )
 
 
@@ -216,9 +243,10 @@ def test_kernel_faces_agree_with_tree_oracle(p, q, sub, cut, by):
     assert face_is_true(kp) == face_equal_oracle(p, TTOP)
     assert face_is_false(kp) == face_equal_oracle(p, TBOT)
     meet, join = face_tree(FAnd(kp, kq)), face_tree(FOr(kp, kq))
-    substituted = face_tree(face_substitute(kp, sub))
-    weakened = face_tree(weaken_face(kp, [IVAL] * by, cut))
-    shift = {n: IVar(n + by if n >= cut else n) for n in range(VARS)}
+    kernel_sub = {n: kernel_iv(r) for n, r in sub.items()}
+    substituted = face_tree(iv_substitute(kp, kernel_sub))
+    weakened = face_tree(weaken_iv(kp, [IVAL] * by, cut))
+    shift = {n: ("var", n + by if n >= cut else n) for n in range(VARS)}
     for v in face_valuations(range(VARS + by)):
         at_p, at_q = face_eval(p, v), face_eval(q, v)
         assert face_eval(meet, v) == (at_p and at_q)
@@ -229,12 +257,12 @@ def test_kernel_faces_agree_with_tree_oracle(p, q, sub, cut, by):
 
 def test_substitution_by_reversal_and_meet():
     # (i=1)[~i/i] is (i=0); (i=0)[i /\ j/i] is (i=0) \/ (j=0).
-    assert face_substitute(FEq(0, 1), {0: INeg(i)}) == FEq(0, 0)
-    assert (face_substitute(FEq(0, 0), {0: IMeet(i, j)})
+    assert iv_substitute(FEq(0, 1), {0: INeg(i)}) == FEq(0, 0)
+    assert (iv_substitute(FEq(0, 0), {0: IMeet(i, j)})
             == FOr(FEq(0, 0), FEq(1, 0)))
     # A clause the substitution makes inconsistent is dropped:
     # ((i=0) /\ (j=0))[~i/j] is (i=0) /\ (i=1), which is empty.
-    assert face_is_false(face_substitute(FAnd(FEq(0, 0), FEq(1, 0)),
-                                         {1: INeg(i)}))
-    assert (face_substitute(FOr(FAnd(FEq(0, 0), FEq(1, 0)), FEq(2, 1)),
-                            {1: INeg(i)}) == FEq(2, 1))
+    assert face_is_false(iv_substitute(FAnd(FEq(0, 0), FEq(1, 0)),
+                                       {1: INeg(i)}))
+    assert (iv_substitute(FOr(FAnd(FEq(0, 0), FEq(1, 0)), FEq(2, 1)),
+                          {1: INeg(i)}) == FEq(2, 1))

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cctt.errors import ParseError, UnboundVariable
-from cctt.interval import FEq, FOr, I0, IVar
+from cctt.interval import FEq, FOr, IVar, IZERO
 from cctt.parser import (
     RESERVED, ConvCheck, DataDefinition, Definition, Module, SApp, SVar,
     parse_module, print_module, surface_module, tokenize,
@@ -12,6 +14,8 @@ from cctt.syntax import (
     ForceApp, Forall, Hit, Lam, Later, PApp, PLam, PathT, Pi, System,
     TickApp, TickLam, TickVar, Tirr, TopRef, U, Var,
 )
+from oracles import kernel_iv
+from test_acceptance import _iv_random
 
 
 def one_def(src):
@@ -59,7 +63,7 @@ class TestTerms:
             "def r (A : U0) (x : A) (p : Path A x x) : A := p @ 0"
         )
         assert d.ty.cod.cod.dom == PathT(Var(1), Var(0), Var(0))
-        assert d.body.body.body.body == PApp(Var(0), I0())
+        assert d.body.body.body.body == PApp(Var(0), IZERO)
 
     def test_path_lambda_interval_ops(self):
         d = one_def(
@@ -105,7 +109,7 @@ class TestTerms:
             " /\\k'. tick b : k'. (k. x {k}) [k', tirr(<>, b, 0)]"
         )
         inner = d.body.body.body.body.body
-        assert inner.tick == Tirr(Diamond(), TickVar(0), I0())
+        assert inner.tick == Tirr(Diamond(), TickVar(0), IZERO)
 
     def test_dfix(self):
         d = one_def(
@@ -349,3 +353,21 @@ class TestRoundTrip:
         mod = parse_module(src)
         printed = print_module(mod)
         assert parse_module(printed) == mod
+
+
+def test_generated_interval_expressions_round_trip():
+    # Normal forms of random oracle trees over three variables, each placed
+    # as p @ r under three path binders and as a constructor's interval
+    # argument under them.
+    rng = random.Random(17)
+    decls = list(parse_module(
+        "data line : U0 where | pt | seg (i : I)"
+    ).decls)
+    for n in range(300):
+        r = kernel_iv(_iv_random(rng, 4, 3))
+        at = Lam(PLam(PLam(PLam(PApp(Var(0), r)))))
+        seg = PLam(PLam(PLam(Con("line", "seg", (), (), (), (r,)))))
+        decls.append(Definition(f"at{n}", U(0), at, None))
+        decls.append(Definition(f"seg{n}", U(0), seg, None))
+    module = Module(tuple(decls))
+    assert parse_module(print_module(module)) == module

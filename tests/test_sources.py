@@ -38,13 +38,19 @@ def test_no_function_local_imports():
     assert found <= LOCAL_IMPORTS, sorted(found - LOCAL_IMPORTS)
 
 
-def test_traced_functions_exist():
-    # A renamed function would otherwise only fail a traced benchmark run.
+def _targets():
+    """The benchmark tracer's `TARGETS`: layer -> traced qualified names."""
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    assert layers.TARGETS
-    for layer, qualnames in layers.TARGETS.items():
+    return layers.TARGETS
+
+
+def test_traced_functions_exist():
+    # A renamed function would otherwise only fail a traced benchmark run.
+    targets = _targets()
+    assert targets
+    for layer, qualnames in targets.items():
         module = importlib.import_module(f"cctt.{layer}")
         for qualname in qualnames:
             owner = module
@@ -61,18 +67,23 @@ UNREFERENCED = {
     "print_module": "the printer of the print/parse round trip",
 }
 
+# Top-level definitions kept only because the benchmark traces them: no
+# package code may use them, and each must still be traced.
+TRACED_ONLY = {
+    "identity_subst": "traced as ticks.identity_subst; the checker builds "
+                      "substitutions with ticks.subst",
+    "face_dnf": "traced as interval.face_dnf; a face is its own clause set",
+    "iv_normalize": "traced as interval.iv_normalize; an interval "
+                    "expression is its own normal form",
+}
 
-def test_no_dead_definitions():
-    # A top-level function or class must be named (as an AST Name or
-    # Attribute) by package code outside its own definition, be traced by
-    # the benchmark, or be listed above.
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    traced = {qualname.split(".")[0] for qualnames in layers.TARGETS.values()
-              for qualname in qualnames}
-    defined = {}   # name -> module, for each top-level definition
-    named = {}     # name -> the top-level definitions naming it
+
+def _definitions():
+    """Each top-level definition's module, and for each name the top-level
+    definitions of package code naming it (as an AST Name or Attribute;
+    None for code outside any definition)."""
+    defined = {}
+    named = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for top in tree.body:
@@ -85,9 +96,27 @@ def test_no_dead_definitions():
                     named.setdefault(node.id, set()).add(owner)
                 elif isinstance(node, ast.Attribute):
                     named.setdefault(node.attr, set()).add(owner)
+    return defined, named
+
+
+def test_no_dead_definitions():
+    # A top-level function or class must be named by package code outside
+    # its own definition, or be listed above.
+    defined, named = _definitions()
     dead = sorted(
         f"{module}:{name}" for name, module in defined.items()
         if not named.get(name, set()) - {(module, name)}
-        and name not in traced and name not in UNREFERENCED
+        and name not in UNREFERENCED and name not in TRACED_ONLY
     )
     assert not dead, dead
+
+
+def test_traced_only_definitions_are_traced_and_unused():
+    defined, named = _definitions()
+    traced = {qualname.split(".")[0] for qualnames in _targets().values()
+              for qualname in qualnames}
+    for name in TRACED_ONLY:
+        assert name in defined, name
+        assert name in traced, f"{name} is no longer traced"
+        users = named.get(name, set()) - {(defined[name], name)}
+        assert not users, f"{name} is used by {sorted(users, key=str)}"
