@@ -82,6 +82,11 @@ class CheckState:
         bound after the prelude move."""
         return weaken(t, [CLOCK] * (ctx.count(CLOCK) - PRELUDE.count(CLOCK)))
 
+    def infer(self, ctx, t):
+        """The type of t in ctx, for `conversion`, which the checker
+        imports."""
+        return infer(self, ctx, t)
+
     def add_definition(self, name, ty, body):
         check_is_type(self, PRELUDE, ty)
         check(self, PRELUDE, body, ty)

@@ -337,9 +337,8 @@ def _pfix_unfold(state, ctx, fn):
 
 
 def _path_endpoint(state, ctx, fn, right):
-    from .checker import infer  # checker imports this module
     try:
-        ty = whnf(state, ctx, infer(state, ctx, fn))
+        ty = whnf(state, ctx, state.infer(ctx, fn))
     except FuelExhausted:
         raise
     except CcttError:

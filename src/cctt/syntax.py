@@ -9,10 +9,25 @@ others.  Face entries bind no variables at all; they only restrict.
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
 with `==`, and a renaming maps their literals (`Renaming.iv`).
+
+Every term has a loose-variable bound (`loose_bound`), as Lean 4's kernel
+keeps a loose bound-variable range on every expression (de Moura and
+Ullrich, "The Lean 4 Theorem Prover and Programming Language", CADE 2021):
+per sort (term, clock, tick, interval), one more than the largest free
+index, so 0 when the term has no free variable of the sort.  It is worked
+out on first use, without Python recursion, and kept on the term, where
+`==`, `hash`, `repr` and `structural_equal` do not see it.  A renaming
+(`rename_term`, `weaken`, `weaken_tick`) returns a subterm as it is when
+no free variable of it can move: per sort, the bound is at most the
+binders walked under, plus the indices the renaming leaves in place
+(`Renaming.fixed`: all of them for a sort it maps by identity, a shift's
+cut, none for a renaming that checks its variables, so that its check
+still fires).  `ticks` skips the same way when it substitutes.
 """
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from math import inf
 
 from .errors import IllFormedRedex, TickEscape
 from .interval import Face, IExpr, iv_rename
@@ -62,6 +77,11 @@ class Tirr(Tick):
 class Term:
     __slots__ = ()
 
+    # The loose-variable bound, once `loose_bound` has worked it out: it is
+    # then set on the instance, past the dataclass fields.  The leaves know
+    # theirs from the start.
+    _loose = None
+
     def __repr__(self):
         parts = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
         return f"{type(self).__name__}({parts})"
@@ -75,6 +95,10 @@ def _td(cls):
 class Var(Term):
     ix: int
 
+    @property
+    def _loose(self):
+        return (self.ix + 1, 0, 0, 0)
+
     def __repr__(self):
         return f"x{self.ix}"
 
@@ -82,6 +106,8 @@ class Var(Term):
 @_td
 class U(Term):
     level: int
+
+    _loose = (0, 0, 0, 0)
 
     def __repr__(self):
         return f"U{self.level}"
@@ -271,6 +297,8 @@ class System(Term):
 class TopRef(Term):
     name: str
 
+    _loose = (0, 0, 0, 0)
+
 
 # --------------------------------------------------------------------------
 # Contexts
@@ -390,14 +418,158 @@ class Context:
 
 
 # --------------------------------------------------------------------------
+# Loose-variable bounds
+# --------------------------------------------------------------------------
+
+# Per sort (term, clock, tick, interval): the binders a term former puts
+# around a subterm, and the bound of a closed term.
+_NONE = (0, 0, 0, 0)
+_T1, _C1, _K1, _I1 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+# The bound of anything that is not a well-formed term: no walk skips it,
+# so the walker meets it and reports it as it always has.
+_WILD = (inf, inf, inf, inf)
+# A bound's position of each sort that binds variables.
+_POS = {TERM: 0, CLOCK: 1, TICK: 2, IVAL: 3}
+
+
+def _iv_bound(x):
+    """The interval bound of an interval expression or a face."""
+    return max((ix for clause in x for ix, _ in clause), default=-1) + 1
+
+
+def _tick_bound(u):
+    match u:
+        case TickVar(ix):
+            return (0, 0, ix + 1, 0)
+        case Diamond():
+            return _NONE
+        case Tirr(l, r, at):
+            left, right = _tick_bound(l), _tick_bound(r)
+            return (0, 0, max(left[2], right[2]),
+                    max(left[3], right[3], _iv_bound(at)))
+    return _WILD
+
+
+def _parts(t):
+    """The bound of what t, not a leaf, holds directly (clocks, a tick,
+    interval expressions and faces), and t's subterms, each with the
+    binders t puts around it."""
+    match t:
+        case Pi(a, b) | Sigma(a, b):
+            return _NONE, ((a, _NONE), (b, _T1))
+        case Lam(body):
+            return _NONE, ((body, _T1),)
+        case App(a, b) | Pair(a, b):
+            return _NONE, ((a, _NONE), (b, _NONE))
+        case Fst(a) | Snd(a):
+            return _NONE, ((a, _NONE),)
+        case PathT(a, left, right):
+            return _NONE, ((a, _NONE), (left, _NONE), (right, _NONE))
+        case PLam(body):
+            return _NONE, ((body, _I1),)
+        case PApp(fn, r):
+            return (0, 0, 0, _iv_bound(r)), ((fn, _NONE),)
+        case Forall(body) | CLam(body):
+            return _NONE, ((body, _C1),)
+        case CApp(fn, k) | DFix(k, fn) | PFix(k, fn):
+            return (0, k + 1, 0, 0), ((fn, _NONE),)
+        case Later(k, body) | TickLam(k, body):
+            return (0, k + 1, 0, 0), ((body, _K1),)
+        case TickApp(fn, u):
+            return _tick_bound(u), ((fn, _NONE),)
+        case ForceApp(fn, k, u):
+            _, _, ticks, ivals = _tick_bound(u)
+            return (0, k + 1, ticks, ivals), ((fn, _C1),)
+        case Comp(ty, face, tube, base):
+            return (0, 0, 0, _iv_bound(face)), \
+                ((ty, _I1), (tube, _I1), (base, _NONE))
+        case HComp(ty, face, tube, base):
+            return (0, 0, 0, _iv_bound(face)), \
+                ((ty, _NONE), (tube, _I1), (base, _NONE))
+        case Trans(ty, face, base):
+            return (0, 0, 0, _iv_bound(face)), ((ty, _I1), (base, _NONE))
+        case Hit(_, params):
+            return _NONE, tuple((p, _NONE) for p in params)
+        case Con(_, _, params, args, recs, ivals):
+            return (0, 0, 0, max(map(_iv_bound, ivals), default=0)), \
+                tuple((u, _NONE) for u in (*params, *args, *recs))
+        case ClockElim(_, _, params, motive, cases, arg):
+            return _NONE, (
+                *((p, _NONE) for p in params),
+                (motive, _T1),
+                *((c.body, (c.n_args + 2 * c.n_recs, 0, 0, c.n_ivars))
+                  for c in cases),
+                (arg, _NONE),
+            )
+        case System(parts):
+            return (0, 0, 0, max((_iv_bound(phi) for phi, _ in parts),
+                                 default=0)), \
+                tuple((u, _NONE) for _, u in parts)
+    return _WILD, ()
+
+
+def loose_bound(t):
+    """t's loose-variable bound: per sort (term, clock, tick, interval),
+    one more than the largest free index of that sort.  It is worked out
+    once, on an explicit stack, and kept on t and on each subterm."""
+    b = getattr(t, "_loose", _WILD)
+    if b is not None:
+        return b
+    # Each entry is a term and, once its subterms are on the stack above
+    # it, its parts; a subterm shared with one done already is skipped.
+    stack = [(t, None)]
+    while stack:
+        u, parts = stack.pop()
+        if u._loose is not None:
+            continue
+        if parts is None:
+            parts = _parts(u)
+            pending = [(c, None) for c, _ in parts[1]
+                       if getattr(c, "_loose", _WILD) is None]
+            if pending:
+                stack.append((u, parts))
+                stack += pending
+                continue
+        (tm, ck, tk, iv), subterms = parts
+        for c, (bt, bc, bk, bi) in subterms:
+            ct, cc, ckk, ci = getattr(c, "_loose", _WILD)
+            if ct - bt > tm:
+                tm = ct - bt
+            if cc - bc > ck:
+                ck = cc - bc
+            if ckk - bk > tk:
+                tk = ckk - bk
+            if ci - bi > iv:
+                iv = ci - bi
+        object.__setattr__(u, "_loose", (tm, ck, tk, iv))
+    return t._loose
+
+
+def _moves(b, inserted, cut):
+    """Whether inserting entries of the sorts `inserted`, `cut` entries
+    in per sort, moves a free variable of a term whose bound is b."""
+    for s in inserted:
+        pos = _POS.get(s)   # a face entry binds no variable
+        if pos is not None and b[pos] > (cut.get(s, 0) if cut else 0):
+            return True
+    return False
+
+
+# --------------------------------------------------------------------------
 # Generic renaming (weakening / strengthening)
 # --------------------------------------------------------------------------
 
 class Renaming:
     """Per-sort index maps; each map takes an index *relative to the outer
-    context* (binder-local indices are handled by the traversal)."""
+    context* (binder-local indices are handled by the traversal).
 
-    def __init__(self, term=None, clock=None, tick=None, ival=None):
+    `fixed` gives, per sort (term, clock, tick, interval), how many of the
+    outer indices, from 0, the maps leave in place (a shift's cut, say);
+    by default all of them for a sort mapped by identity and none for any
+    other."""
+
+    def __init__(self, term=None, clock=None, tick=None, ival=None,
+                 fixed=None):
         ident = lambda ix: ix
         self.maps = {
             TERM: term or ident,
@@ -405,6 +577,8 @@ class Renaming:
             TICK: tick or ident,
             IVAL: ival or ident,
         }
+        self.fixed = fixed or tuple(inf if m is None else 0
+                                    for m in (term, clock, tick, ival))
 
     def apply(self, sort, ix, depth):
         if ix < depth[sort]:
@@ -454,6 +628,13 @@ def rename_tick(u, ren, depth):
 def rename_term(t, ren, depth=None):
     d = ZERO_DEPTH if depth is None else depth
     go = rename_term
+
+    # A term none of whose free variables can move is its own image.
+    b = getattr(t, "_loose", None) or loose_bound(t)
+    f = ren.fixed
+    if (b[0] <= d[TERM] + f[0] and b[1] <= d[CLOCK] + f[1]
+            and b[2] <= d[TICK] + f[2] and b[3] <= d[IVAL] + f[3]):
+        return t
 
     match t:
         case Var(ix):
@@ -562,7 +743,7 @@ def weaken(t, inserted, cut=None):
     how many innermost entries sit between the term and the insertion point
     (all zero when inserting at the inner end).
     """
-    if not inserted:
+    if not inserted or not _moves(loose_bound(t), inserted, cut):
         return t
     return rename_term(t, _weakening(inserted, cut))
 
@@ -582,7 +763,9 @@ def _shift_renaming(amounts, cuts):
     term, clock, tick, ival = (
         _shift_map(c, n) if n else None for n, c in zip(amounts, cuts)
     )
-    return Renaming(term=term, clock=clock, tick=tick, ival=ival)
+    fixed = tuple(c if n else inf for n, c in zip(amounts, cuts))
+    return Renaming(term=term, clock=clock, tick=tick, ival=ival,
+                    fixed=fixed)
 
 
 def weaken_iv(x, inserted, cut=0):
@@ -593,7 +776,7 @@ def weaken_iv(x, inserted, cut=0):
 
 
 def weaken_tick(u, inserted, cut=None):
-    if not inserted:
+    if not inserted or not _moves(_tick_bound(u), inserted, cut):
         return u
     return rename_tick(u, _weakening(inserted, cut), ZERO_DEPTH)
 
@@ -602,8 +785,11 @@ def weaken_tick(u, inserted, cut=None):
 # Structural equality (alpha-equality)
 # --------------------------------------------------------------------------
 
-# Compared field by field: every term class, eliminator cases and ticks.
-_NODES = frozenset(Term.__subclasses__()) | {ElimCase, TickVar, Diamond, Tirr}
+# Compared field by field: every term class, eliminator cases and ticks,
+# each with its field names.
+_FIELDS = {cls: tuple(f.name for f in fields(cls))
+           for cls in (*Term.__subclasses__(), ElimCase, TickVar, Diamond,
+                       Tirr)}
 
 
 def structural_equal(t, u):
@@ -620,10 +806,15 @@ def structural_equal(t, u):
         b = pop()
         a = pop()
         cls = type(a)
-        if cls in _NODES:
+        names = _FIELDS.get(cls)
+        if names is not None:
             if type(b) is not cls:
                 return False
-            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+            # The fields only: a cached loose-variable bound is no part of
+            # the term.
+            da, db = a.__dict__, b.__dict__
+            for name in names:
+                x, y = da[name], db[name]
                 if x is not y:
                     push(x)
                     push(y)

@@ -22,6 +22,14 @@ weakened past the binders once, when a variable first reaches it.  A
 forcing tick payload meeting a simple tick application turns it into a
 forcing application under a fresh clock.
 
+Applying a substitution returns a subterm as it is when the substitution
+cannot change it, read off the subterm's cached loose-variable bound
+(`syntax.loose_bound`): per sort, every free variable is one of the binders
+walked under, or the substitution leaves the sort alone (no payloads, no
+shift) and the variable lies inside the checked scope.  Any other subterm
+is walked, so a variable outside the scope still raises
+`MalformedSubstitution`.
+
 The same substitutions are the environments of the reduction machine in
 `conversion.whnf`: there a term payload may be a `Closure`, a term with the
 substitution pending on it, which is materialised once, when a
@@ -30,6 +38,7 @@ substitution applied to a term reaches it.  `bind`, `close`, `lookup` and
 """
 
 from dataclasses import dataclass
+from math import inf
 
 from .errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
@@ -41,8 +50,8 @@ from .syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, Tick, TickApp,
-    TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
-    weaken, weaken_iv, weaken_tick,
+    TickLam, TickVar, Tirr, Trans, Var, entry_sort, loose_bound,
+    rename_term, weaken, weaken_iv, weaken_tick,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -200,7 +209,8 @@ def shape(scope, terms=0, clocks=0, ticks=0, ivals=0):
     if scope is None:
         return None
     if type(scope) is Context:
-        scope = tuple(scope.count(s) for s in _SORTS)
+        count = scope.count
+        scope = (count(TERM), count(CLOCK), count(TICK), count(IVAL))
     return (scope[0] + terms, scope[1] + clocks, scope[2] + ticks,
             scope[3] + ivals)
 
@@ -222,15 +232,21 @@ class Substitution:
     binders: a context, whose counts are read when first needed, its
     shape, or None when variables past the block are not checked.  A
     variable mapped past the scope raises `MalformedSubstitution`.
+
+    `slack` is worked out when the substitution is first applied: per
+    sort, how many variables past the pushed binders it leaves in place
+    (the scope's, or unboundedly many for an unchecked scope, when the
+    sort has no payloads and no shift; none otherwise).
     """
 
-    __slots__ = ("scope", "block", "shift", "depth", "_memo")
+    __slots__ = ("scope", "block", "shift", "depth", "slack", "_memo")
 
     def __init__(self, scope, block, shift=_ZERO, depth=_ZERO):
         self.scope = scope
         self.block = block
         self.shift = shift
         self.depth = depth
+        self.slack = None
         self._memo = {}   # (sort, block index, depth) -> weakened payload
 
     def under(self, sort, n=1):
@@ -245,6 +261,15 @@ class Substitution:
         if type(self.scope) is Context:
             self.scope = shape(self.scope)
         return self.scope
+
+    def ready(self):
+        """The substitution, with its slack worked out."""
+        if self.slack is None:
+            (bt, bc, bk, bi), (st, sc, sk, si) = self.block, self.shift
+            nt, nc, nk, ni = self.sizes() or (inf, inf, inf, inf)
+            self.slack = (0 if bt or st else nt, 0 if bc or sc else nc,
+                          0 if bk or sk else nk, 0 if bi or si else ni)
+        return self
 
 
 def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=_ZERO):
@@ -408,7 +433,7 @@ def subst_iv(sigma, x):
 
 def subst_apply(sigma, t):
     """Apply sigma to a term."""
-    return _go(sigma, t, sigma.depth)
+    return _go(sigma.ready(), t, sigma.depth)
 
 
 def _iv(sg, x, depth):
@@ -451,20 +476,27 @@ def _leftmost_tick_var(u):
 
 
 def _go(sg, t, d):
-    """Apply sg at depth d (binders pushed per sort) to t."""
+    """Apply sg, its slack worked out, at depth d (binders pushed per sort)
+    to t."""
     go = _go
+    if type(t) is Var:
+        ix = t.ix
+        if ix < d[0]:
+            return t
+        x = _image(sg, 0, ix, d)
+        return Var(x) if type(x) is int else x
+    # A term sg cannot change is its own image; closed terms, U and TopRef
+    # among them, all end here.
+    b = getattr(t, "_loose", None) or loose_bound(t)
+    s = sg.slack
+    if (b[0] <= d[0] + s[0] and b[1] <= d[1] + s[1]
+            and b[2] <= d[2] + s[2] and b[3] <= d[3] + s[3]):
+        return t
     match t:
-        case Var(ix):
-            if ix < d[0]:
-                return t
-            x = _image(sg, 0, ix, d)
-            return Var(x) if type(x) is int else x
         case App(fn, arg):
             return App(go(sg, fn, d), go(sg, arg, d))
         case Lam(body):
             return Lam(go(sg, body, (d[0] + 1, d[1], d[2], d[3])))
-        case U(_) | TopRef(_):
-            return t
         case Pi(dom, cod):
             return Pi(go(sg, dom, d),
                       go(sg, cod, (d[0] + 1, d[1], d[2], d[3])))
@@ -570,7 +602,8 @@ def _tick_app(sg, fn, tick, d):
                     "a forcing tick payload must pair with a substituted "
                     "clock"
                 )
-            return ForceApp(_go(_fresh_clock(sg, k, c, d), fn, _ZERO),
+            return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn,
+                                _ZERO),
                             sg.block[1][c] + d[1], new_tick)
     return TickApp(_go(sg, fn, d), new_tick)
 

@@ -27,6 +27,10 @@ their own, `Explicit`: its domain and codomain contexts and one component
 per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
 ("forced", k, u) for a forcing tick on domain clock k, ("ival", r) and
 ("face",).
+
+`free_indices` collects a term's free indices per sort by a plain
+recursive walk; `bound_of` reads off it the loose-variable bound that
+`syntax.loose_bound` caches on the term.
 """
 
 from dataclasses import dataclass
@@ -511,6 +515,125 @@ def _weakened(sort, p, depth):
             return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
         return weaken_tick(p, sorts)
     return weaken(p, sorts)
+
+
+# --------------------------------------------------------------------------
+# Free variables, by brute force
+# --------------------------------------------------------------------------
+
+def free_indices(t):
+    """Per sort (term, clock, tick, interval), the set of t's free indices,
+    collected by a plain recursive walk that keeps no bounds."""
+    found = {s: set() for s in _SORTS}
+
+    def var(sort, ix, d):
+        if ix >= d[sort]:
+            found[sort].add(ix - d[sort])
+
+    def iv(x, d):
+        for clause in x:
+            for ix, _ in clause:
+                var(IVAL, ix, d)
+
+    def tick(u, d):
+        match u:
+            case TickVar(ix):
+                var(TICK, ix, d)
+            case Tirr(l, r, at):
+                tick(l, d)
+                tick(r, d)
+                iv(at, d)
+
+    def under(d, *sorts):
+        inner = dict(d)
+        for s in sorts:
+            inner[s] += 1
+        return inner
+
+    def go(t, d):
+        match t:
+            case Var(ix):
+                var(TERM, ix, d)
+            case U(_) | TopRef(_):
+                pass
+            case Pi(a, b) | Sigma(a, b):
+                go(a, d)
+                go(b, under(d, TERM))
+            case Lam(body):
+                go(body, under(d, TERM))
+            case App(a, b) | Pair(a, b):
+                go(a, d)
+                go(b, d)
+            case Fst(a) | Snd(a):
+                go(a, d)
+            case PathT(a, left, right):
+                for u in (a, left, right):
+                    go(u, d)
+            case PLam(body):
+                go(body, under(d, IVAL))
+            case PApp(fn, r):
+                go(fn, d)
+                iv(r, d)
+            case Forall(body) | CLam(body):
+                go(body, under(d, CLOCK))
+            case CApp(fn, k) | DFix(k, fn) | PFix(k, fn):
+                go(fn, d)
+                var(CLOCK, k, d)
+            case Later(k, body) | TickLam(k, body):
+                var(CLOCK, k, d)
+                go(body, under(d, TICK))
+            case TickApp(fn, u):
+                go(fn, d)
+                tick(u, d)
+            case ForceApp(fn, k, u):
+                go(fn, under(d, CLOCK))
+                var(CLOCK, k, d)
+                tick(u, d)
+            case Comp(ty, phi, tube, base):
+                go(ty, under(d, IVAL))
+                iv(phi, d)
+                go(tube, under(d, IVAL))
+                go(base, d)
+            case HComp(ty, phi, tube, base):
+                go(ty, d)
+                iv(phi, d)
+                go(tube, under(d, IVAL))
+                go(base, d)
+            case Trans(ty, phi, base):
+                go(ty, under(d, IVAL))
+                iv(phi, d)
+                go(base, d)
+            case Hit(_, params):
+                for p in params:
+                    go(p, d)
+            case Con(_, _, params, args, recs, ivals):
+                for u in (*params, *args, *recs):
+                    go(u, d)
+                for r in ivals:
+                    iv(r, d)
+            case ClockElim(_, _, params, motive, cases, arg):
+                for p in params:
+                    go(p, d)
+                go(motive, under(d, TERM))
+                for c in cases:
+                    go(c.body, under(d, *[TERM] * (c.n_args + 2 * c.n_recs),
+                                     *[IVAL] * c.n_ivars))
+                go(arg, d)
+            case System(parts):
+                for phi, u in parts:
+                    iv(phi, d)
+                    go(u, d)
+            case _:
+                raise TypeError(t)
+
+    go(t, dict(ZERO_DEPTH))
+    return found
+
+
+def bound_of(t):
+    """The loose-variable bound `syntax.loose_bound` should give t."""
+    found = free_indices(t)
+    return tuple(max(found[s], default=-1) + 1 for s in _SORTS)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from cctt import conversion
-from cctt.checker import CheckState
+from cctt.checker import CheckState, infer
 from cctt.conversion import (
     boundary_equal, boundary_reduce, comp_eval, CompProblem, conv, conv_tm,
     conv_under_face, hfill, tick_whnf, whnf,
@@ -29,8 +29,9 @@ FUEL_FILE = (Path(__file__).resolve().parent.parent / "corpus" / "neg"
 
 
 class StubState:
-    """Just enough checker state for reduction: a fuel counter and empty
-    definition/signature tables."""
+    """Just enough checker state for reduction: a fuel counter, empty
+    definition/signature tables, and the checker's inference, which a path
+    endpoint asks for."""
 
     def __init__(self, max_steps=200_000):
         self.max_steps = max_steps
@@ -51,6 +52,9 @@ class StubState:
 
     def promote(self, body, ctx):
         return body
+
+    def infer(self, ctx, t):
+        return infer(self, ctx, t)
 
 
 PRELUDE = Context((EClock(),))

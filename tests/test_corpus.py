@@ -1,13 +1,19 @@
-"""The bundled corpus: every expectation holds and every file that
-elaborates survives a parse-print-parse round trip."""
+"""The bundled corpus: every expectation holds, every file that
+elaborates survives a parse-print-parse round trip, and the loose-variable
+bound of every term it elaborates to agrees with its free indices."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from cctt.cli import EXPECT_PARSE_ERROR, main
-from cctt.errors import UnboundVariable
-from cctt.parser import parse_module, print_module
+from cctt.errors import CcttError, UnboundVariable
+from cctt.parser import (
+    ConvCheck, DataDefinition, Definition, parse_module, print_module,
+)
+from cctt.syntax import ElimCase, Term, loose_bound
+from oracles import bound_of
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILES = sorted(CORPUS.rglob("*.cctt"))
@@ -39,6 +45,54 @@ def test_corpus_file_round_trips(path):
             pytest.skip("file deliberately fails to parse")
         raise
     assert parse_module(print_module(module)) == module
+
+
+def _elaborated_terms():
+    """Every type and body the corpus files elaborate to."""
+    for path in FILES:
+        try:
+            module = parse_module(path.read_text())
+        except CcttError:
+            continue
+        for decl in module.decls:
+            match decl:
+                case Definition(_, ty, body, _):
+                    yield ty
+                    yield body
+                case ConvCheck(_, ty, lhs, rhs, _):
+                    yield from (ty, lhs, rhs)
+                case DataDefinition(sig, _):
+                    yield from sig.params
+                    for ctor in sig.constructors:
+                        yield from ctor.args
+                        for arity in ctor.rec_arities:
+                            yield from arity
+
+
+def _subterms(t):
+    """t and every term inside it."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Term):
+            yield u
+            stack += (getattr(u, f.name) for f in fields(u))
+        elif isinstance(u, ElimCase):
+            stack.append(u.body)
+        elif type(u) is tuple:
+            stack += u
+
+
+def test_loose_bounds_of_the_corpus_agree_with_free_indices():
+    terms = list(_elaborated_terms())
+    assert len(terms) > 150
+    checked = 0
+    for t in terms:
+        loose_bound(t)   # worked out from the root, kept on every subterm
+        for u in _subterms(t):
+            assert loose_bound(u) == bound_of(u), (t, u)
+            checked += 1
+    assert checked > 1000
 
 
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):

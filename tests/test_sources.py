@@ -21,11 +21,6 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
-# (module, function) pairs allowed an import inside the function: the only
-# one breaks a real cycle, since the checker imports conversion.
-LOCAL_IMPORTS = {("conversion.py", "_path_endpoint")}
-
-
 def test_no_function_local_imports():
     found = set()
     for path in SOURCES:
@@ -35,7 +30,7 @@ def test_no_function_local_imports():
                 for node in ast.walk(fn):
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.add((path.name, fn.name))
-    assert found <= LOCAL_IMPORTS, sorted(found - LOCAL_IMPORTS)
+    assert not found, sorted(found)
 
 
 def _targets():

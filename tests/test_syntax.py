@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IVar, IZERO, iv_map_vars,
@@ -6,7 +7,7 @@ from cctt.interval import (
 from cctt.syntax import (
     App, CLOCK, Comp, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
     Later, PApp, PLam, Pi, Renaming, TERM, TICK, TickApp, TickLam, TickVar,
-    U, Var, rename_term, structural_equal, weaken,
+    U, Var, loose_bound, rename_term, structural_equal, weaken,
 )
 from test_acceptance import _instances
 
@@ -56,7 +57,9 @@ class _LeafRewriting(Renaming):
     again with its joins and meets taken in reverse order."""
 
     def __init__(self, rng):
-        super().__init__()
+        # It rewrites bound interval variables too, so no subterm may be
+        # skipped as one the renaming leaves in place.
+        super().__init__(fixed=(-inf, -inf, -inf, -inf))
         self.rng = rng
 
     def iv(self, x, depth):
@@ -116,6 +119,32 @@ def test_structural_equal_walks_deep_spines():
 
     assert structural_equal(spines(Var(0), 5000), spines(Var(0), 5000))
     assert not structural_equal(spines(Var(0), 5000), spines(Var(2), 5000))
+
+
+def test_cached_bound_is_no_part_of_the_term():
+    def build():
+        return Lam(App(PApp(Var(1), IMeet(i0, IVar(2))),
+                       TickApp(Var(0), TickVar(0))))
+
+    cached, fresh = build(), build()
+    shown = repr(cached)
+    assert loose_bound(cached) == (1, 0, 1, 3)
+    assert vars(cached) != vars(fresh)   # only one holds its bound
+    assert structural_equal(cached, fresh)
+    assert structural_equal(fresh, cached)
+    assert cached == fresh and fresh == cached
+    assert hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) == shown
+    assert not structural_equal(cached, build().body)
+
+
+def test_weaken_returns_a_term_it_cannot_move():
+    t = Lam(App(Var(0), PApp(Var(1), IVar(0))))
+    assert weaken(t, [CLOCK, TICK]) is t
+    assert weaken(t, [TERM], cut={TERM: 1}) is t
+    assert weaken(t, [TERM]) == Lam(App(Var(0), PApp(Var(2), IVar(0))))
+    assert weaken(t, [IVAL], cut={IVAL: 1}) is t
+    assert weaken(t, [IVAL]) == Lam(App(Var(0), PApp(Var(1), IVar(1))))
 
 
 def test_context_positions_and_types():

@@ -11,17 +11,20 @@ from cctt.interval import (
     FAnd, FBOT, FEq, FOr, IJoin, IMeet, INeg, IONE, IVar, IZERO,
 )
 from cctt.syntax import (
-    App, CApp, CLam, Comp, Context, DFix, Diamond, EClock, EIVar, ETick,
-    EVar, ForceApp, Forall, HComp, Lam, Later, PApp, PLam, Pi, System,
-    TickApp, TickLam, TickVar, Tirr, U, Var,
+    CLOCK, IVAL, TERM, TICK,
+    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
+    EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam,
+    Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, Term,
+    TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, loose_bound,
+    weaken,
 )
 from cctt.ticks import (
-    CForcedTick, apply_mask, identity_subst, residual_mask, subst,
-    subst_apply, timeless, trim_check,
+    CForcedTick, apply_mask, identity_subst, residual_mask, strengthen_term,
+    subst, subst_apply, timeless, trim_check,
 )
 from oracles import (
-    Forced, Simple, bresidual, explicit, naive_subst, residual,
-    restrict_subst, validate_substitution,
+    Forced, Simple, bound_of, bresidual, explicit, free_indices,
+    naive_subst, residual, restrict_subst, validate_substitution,
 )
 
 KAPPA = EClock()
@@ -225,6 +228,18 @@ class TestShiftedSubstitution:
          "tick variable 0"),
         (identity_subst(FORCING_CTX), PApp(Var(0), IVar(0)),
          "ival variable 0"),
+        # Under binders, in a sort the substitution leaves alone: the
+        # subterm holding the variable is walked, not skipped.
+        (identity_subst(FORCING_CTX), Lam(Pi(U(0), Var(9))),
+         "term variable 9"),
+        (subst(FORCING_CTX, ticks=(TickVar(0),)), Lam(Pi(U(0), Var(3))),
+         "term variable 3"),
+        (identity_subst(FORCING_CTX), CLam(Lam(CApp(Var(0), 2))),
+         "clock variable 2"),
+        (subst(FORCING_CTX, terms=(U(0),)),
+         TickLam(0, Lam(TickApp(Var(2), TickVar(1)))), "tick variable 1"),
+        (subst(FORCING_CTX, clocks=(0,)),
+         PLam(Lam(PApp(Var(0), IVar(1)))), "ival variable 1"),
     ])
     def test_index_outside_the_context_raises(self, sigma, term, message):
         with pytest.raises(MalformedSubstitution, match=message):
@@ -267,6 +282,26 @@ class TestResidualOperations:
 
 
 class TestStrengthening:
+    # The residual of alpha in (kappa, alpha : kappa, x : A) drops alpha
+    # and x.
+    CTX = ctx_of(KAPPA, ETick(0), EVar(U(0)))
+
+    @pytest.mark.parametrize("term", [
+        Lam(App(Var(0), Var(1))),
+        CLam(TickLam(1, TickApp(U(0), TickVar(1)))),
+        PLam(Pi(U(0), App(Var(1), Var(0)))),
+    ], ids=("term-under-lam", "tick-under-ticklam", "term-under-pi"))
+    def test_variable_escaping_under_binders_raises(self, term):
+        mask = residual_mask(self.CTX, TickVar(0), 0)
+        with pytest.raises(TickEscape):
+            strengthen_term(self.CTX, mask, term)
+
+    def test_variable_kept_under_binders_is_renamed(self):
+        ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EVar(U(0)))
+        mask = residual_mask(ctx, TickVar(0), 0)
+        assert strengthen_term(ctx, mask, Lam(App(Var(0), Var(2)))) == \
+            Lam(App(Var(0), Var(1)))
+
     def test_escaping_variable_raises(self):
         ctx = ctx_of(KAPPA, ETick(0), EVar(U(0)))
         mask = residual_mask(ctx, TickVar(0), 0)
@@ -440,6 +475,20 @@ def generated_case(seed):
 def test_builder_agrees_with_naive_substitution(seed):
     t, sigma, payloads = generated_case(seed)
     assert subst_apply(sigma, t) == naive_subst(t, **payloads)
+    # Again on a new copy, every subterm's bound worked out before the
+    # walk reads it.
+    t, sigma, payloads = generated_case(seed)
+    for u in (t, *payloads["terms"]):
+        loose_bound(u)
+    assert subst_apply(sigma, t) == naive_subst(t, **payloads)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_loose_bound_agrees_with_free_indices(seed):
+    t, sigma, payloads = generated_case(seed)
+    for u in (t, *payloads["terms"], subst_apply(sigma, t),
+              naive_subst(t, **payloads)):
+        assert loose_bound(u) == bound_of(u), u
 
 
 def test_generated_cases_cover_every_sort_and_the_forcing_rule():
@@ -453,3 +502,73 @@ def test_generated_cases_cover_every_sort_and_the_forcing_rule():
         promoted += got.count("ForceApp") > repr(t).count("ForceApp")
     assert len(payload_sorts) == 4
     assert promoted >= 10
+
+
+# --------------------------------------------------------------------------
+# Every term former through every walker
+# --------------------------------------------------------------------------
+
+# A small instance of each term class, with free variables of every sort
+# its former can hold, some of them under its binders.
+INSTANCES = {
+    Var: Var(1),
+    U: U(0),
+    TopRef: TopRef("f"),
+    Pi: Pi(Var(0), Var(1)),
+    Lam: Lam(Var(1)),
+    App: App(Var(0), Var(1)),
+    Sigma: Sigma(Var(0), Var(1)),
+    Pair: Pair(Var(0), Var(1)),
+    Fst: Fst(Var(0)),
+    Snd: Snd(Var(1)),
+    PathT: PathT(Var(0), Var(1), Var(0)),
+    PLam: PLam(PApp(Var(0), IMeet(IVar(0), IVar(1)))),
+    PApp: PApp(Var(0), IVar(0)),
+    Forall: Forall(CApp(Var(0), 1)),
+    CLam: CLam(CApp(Var(0), 1)),
+    CApp: CApp(Var(0), 0),
+    Later: Later(0, TickApp(Var(0), TickVar(1))),
+    TickLam: TickLam(0, TickApp(Var(0), TickVar(1))),
+    TickApp: TickApp(Var(0), Tirr(TickVar(0), TickVar(0), IVar(0))),
+    ForceApp: ForceApp(CApp(Var(0), 1), 0, TickVar(0)),
+    DFix: DFix(0, Var(0)),
+    PFix: PFix(0, Var(1)),
+    Comp: Comp(PApp(Var(0), IVar(1)), FEq(0, 1),
+               System(((FEq(1, 0), PApp(Var(1), IVar(0))),)), Var(0)),
+    HComp: HComp(Var(0), FEq(0, 0), PApp(Var(1), IVar(1)), Var(0)),
+    Trans: Trans(PApp(Var(0), IVar(1)), FEq(0, 1), Var(1)),
+    Hit: Hit("h", (Var(0),)),
+    Con: Con("h", "c", (Var(0),), (Var(1),), (Var(0),), (IVar(0),)),
+    ClockElim: ClockElim(
+        "h", 0, (Var(0),), App(Var(0), Var(1)),
+        (ElimCase("c", 1, 1, 1, PApp(App(Var(3), Var(4)), IVar(1))),),
+        Var(1)),
+    System: System(((FEq(0, 1), Var(0)), (FEq(0, 0), CApp(Var(1), 0)))),
+}
+
+# Payloads for the innermost variable of every sort, past one fresh
+# binder of every sort.
+EVERY_SORT = dict(terms=(App(Var(3), Var(0)),), clocks=(2,),
+                  ticks=(TickVar(1),), ivals=(IVar(2),), fresh=(1, 1, 1, 1))
+
+
+def test_every_term_class_has_an_instance():
+    assert set(INSTANCES) == set(Term.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(INSTANCES), ids=lambda c: c.__name__)
+def test_every_walker_takes_every_term_former(cls):
+    t = INSTANCES[cls]
+    # The bound, against the brute-force collector.
+    found = free_indices(t)
+    assert loose_bound(t) == bound_of(t)
+    # Renaming: weakening past one entry of every sort moves every free
+    # variable out by one.
+    moved = weaken(t, [TERM, CLOCK, TICK, IVAL])
+    assert free_indices(moved) == {s: {ix + 1 for ix in found[s]}
+                                   for s in found}
+    assert (moved is t) == (bound_of(t) == (0, 0, 0, 0))
+    # Substitution, against the one-variable-at-a-time reference.
+    got = subst_apply(subst(None, **EVERY_SORT), t)
+    assert got == naive_subst(t, **EVERY_SORT)
+    assert loose_bound(got) == bound_of(got)
