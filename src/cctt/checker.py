@@ -15,7 +15,7 @@ from .conversion import (
     CompProblem, boundary_apply, boundary_equal, conv, conv_tm,
     conv_under_face, hfill, signature_subst, subst1, subst_clock1,
     subst_force1, subst_ival1, subst_tick1, whnf,
-    _ONE_IVAL, _clam_n, _forall_n, _nlam, _weaken_case,
+    _ONE_IVAL, _case_for, _clam_n, _forall_n, _nlam, _weaken_case,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
@@ -38,8 +38,8 @@ from .syntax import (
     rename_term, structural_equal, weaken, weaken_iv,
 )
 from .ticks import (
-    _tick_vars, apply_mask, mask_renaming, residual_mask, shape,
-    strengthen_term, subst, subst_apply, weakening_renaming,
+    _tick_vars, apply_mask, clause_subst, mask_renaming, residual_mask,
+    shape, strengthen_term, subst, subst_apply, weakening_renaming,
 )
 
 PRELUDE = Context((EClock(),))
@@ -641,8 +641,11 @@ def _check_boundary(state, sig, earlier, idx, ctor, cctx):
         for j in range(i + 1, len(pieces)):
             overlap = FAnd(pieces[i][0], pieces[j][0])
             for clause in overlap:
-                left = _bnd_assign(sig, pieces[i][1], v, clause)
-                right = _bnd_assign(sig, pieces[j][1], v, clause)
+                # The clause's endpoints, put for the constructor's
+                # interval binders.
+                sigma = clause_subst(None, dict(clause))
+                left = boundary_apply(sig, sigma, pieces[i][1])
+                right = boundary_apply(sig, sigma, pieces[j][1])
                 if not boundary_equal(sig, left, right,
                                       (len(ctor.args.types), 0, 0, v)):
                     raise BoundaryIncompatible(
@@ -737,20 +740,6 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
             _check_boundary_term(state, sig, earlier, ctor, bctx, base)
             return
     raise NonProperEntry(f"not a boundary term: {M!r}")
-
-
-def _bnd_assign(sig, M, v, clause):
-    """Substitute an endpoint assignment (a face clause over the
-    constructor's interval binders) into a boundary term."""
-    if not v:
-        return M
-    table = dict(clause)
-    ends = tuple(
-        (IONE if table[ix] else IZERO) if ix in table else IVar(ix)
-        for ix in reversed(range(v))
-    )
-    return boundary_apply(sig, subst(None, ivals=ends, fresh=(0, 0, 0, v)),
-                          M)
 
 
 # --------------------------------------------------------------------------
@@ -1075,16 +1064,10 @@ class _Interp:
                 return self._interp_hcomp(face, tube, base, nest, ivd)
         raise NonProperEntry(repr(M))
 
-    def _case_for(self, label):
-        for case in self.elim.cases:
-            if case.label == label:
-                return case
-        raise CaseMissing(f"no case for constructor {label}")
-
     def _interp_con(self, label, cargs, crecs, civals, nest, ivd):
         n = self.n
         target = self.sig.constructor(label)
-        case2 = self._case_for(label)
+        case2 = _case_for(self.elim, label)
         gammas = [_clam_n(n, self._mapped(s, nest, ivd)) for s in cargs]
         xs, ys = [], []
         for k, sub in enumerate(crecs):

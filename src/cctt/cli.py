@@ -19,7 +19,7 @@ from .checker import CheckState, PRELUDE, check, check_is_type
 from .conversion import conv, whnf
 from .errors import CcttError, IoError, ParseError, UnboundVariable
 from .parser import (
-    ConvCheck, DataDefinition, Definition, Elaborator, surface_module,
+    ConvCheck, DataDefinition, Definition, surface_module,
 )
 from .syntax import ClockElim, Con, Hit, TopRef
 
@@ -101,32 +101,29 @@ def check_file(path, text, max_steps, report, trace=False):
                       "expected a parse error, but the file parsed")
         return
     try:
-        sdecls = surface_module(text)
+        decls = surface_module(text)
     except ParseError as err:
         report.record("FAIL", path, "module", str(err))
         return
     state = CheckState(max_steps=max_steps)
-    elab = Elaborator()
     failed = set()
-    for sdecl in sdecls:
-        name = elab.decl_name(sdecl)
-        expect = getattr(sdecl, "expect", None)
-        err = None
+    for name, expect, decl in decls:
+        # A declaration that did not elaborate stands for its error.
+        err = decl if isinstance(decl, CcttError) else None
         skip = False
         conv_ok = None
-        try:
-            decl = elab.decl(sdecl)
-            if failed and referenced_names(decl) & failed:
-                skip = True
-            else:
-                conv_ok = _run_decl(state, report, path, name, decl, trace)
-        except UnboundVariable as e:
-            if e.payload.get("name") in failed:
-                skip = True
-            else:
+        if err is None:
+            try:
+                if failed and referenced_names(decl) & failed:
+                    skip = True
+                else:
+                    conv_ok = _run_decl(state, report, path, name, decl,
+                                        trace)
+            except CcttError as e:
                 err = e
-        except CcttError as e:
-            err = e
+        if isinstance(err, UnboundVariable) \
+                and err.payload.get("name") in failed:
+            skip = True
         if skip:
             report.record("SKIP", path, name)
             failed.add(name)

@@ -1,20 +1,23 @@
-"""Surface syntax: tokenizer, parser, elaborator, and printer.
+"""Surface syntax: tokenizer, parser to kernel syntax, and printer.
 
 `tokenize` is one pass of one regular expression whose every match is a
 token followed by the whitespace and comments after it, or a newline, so
 lines and columns are counted as it goes and nothing is built for the text
-it skips.  The parser is recursive descent over the token list with an
-index cursor.  Binary operators are parsed by precedence climbing, all left
-associative, from the loosest: `\\/` < `/\\` < `@` < application; interval
-expressions and faces have the two lattice operators only.
+it skips.  The parser, `Elaborator`, is recursive descent over the token
+list with an index cursor.  Binary operators are parsed by precedence
+climbing, all left associative, from the loosest: `\\/` < `/\\` < `@` <
+application; interval expressions and faces have the two lattice operators
+only.
 
-The surface language uses named variables.  Elaboration resolves names to
-the sort-indexed de Bruijn representation of `syntax`, splitting
-constructor and eliminator spines using the data signatures declared
-earlier in the module.  The printer emits surface text that reparses to
-the same kernel declarations.  Interval expressions and faces elaborate
-to their normal forms (`interval`) and print as them, so `~~i` prints as
-`i`.
+The surface language uses named variables.  The parser reads a module in
+one pass straight to the sort-indexed de Bruijn representation of
+`syntax`: each method resolves the names it reads in the scope it is
+given, and splits constructor and data type spines using the data
+signatures declared earlier in the module.  A syntax error fails the
+whole module; any other error fails only its declaration.  The printer
+emits surface text that reparses to the same kernel declarations.
+Interval expressions and faces are read as their normal forms
+(`interval`) and print as them, so `~~i` prints as `i`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ERROR_CLASSES, ParseError, UnboundVariable
+from .errors import ERROR_CLASSES, CcttError, ParseError, UnboundVariable
 from .interval import (
     FAnd, FBOT, FEq, FOr, FTOP, Face, IJoin, IMeet, INeg, IONE, IVar, IZERO,
     face_join, iv_rename, iv_show,
@@ -33,7 +36,7 @@ from .syntax import (
     DFix, Diamond, ElimCase, ForceApp, Forall, HComp, Hit, HitSignature,
     Lam, Later, PApp, PFix, PLam, PathT, Pi, System, Telescope, TickApp,
     TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, TERM, TICK, weaken_iv,
+    CLOCK, IVAL, TERM, TICK, weaken, weaken_iv,
 )
 
 RESERVED = {
@@ -94,707 +97,7 @@ def tokenize(text):
 
 
 # --------------------------------------------------------------------------
-# Surface terms
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class SU:
-    level: int
-
-
-@dataclass(frozen=True)
-class SNum:
-    value: int
-
-
-@dataclass(frozen=True)
-class SPi:
-    name: str | None
-    dom: object
-    cod: object
-
-
-@dataclass(frozen=True)
-class SLam:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SPLam:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SCLam:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SForall:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SLater:
-    tick: str
-    clock: str
-    body: object
-
-
-@dataclass(frozen=True)
-class STickLam:
-    tick: str
-    clock: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SApp:
-    fn: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class SAt:
-    fn: object
-    arg: object
-
-
-@dataclass(frozen=True)
-class SCApp:
-    fn: object
-    clock: str
-
-
-@dataclass(frozen=True)
-class STickApp:
-    fn: object
-    tick: object
-
-
-@dataclass(frozen=True)
-class SForce:
-    bind: str | None
-    fn: object
-    clock: str
-    tick: object
-
-
-@dataclass(frozen=True)
-class SPath:
-    ty: object
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SDFix:
-    clock: str
-    fn: object
-
-
-@dataclass(frozen=True)
-class SPFix:
-    clock: str
-    fn: object
-
-
-@dataclass(frozen=True)
-class SComp:
-    ivar: str
-    ty: object | None
-    parts: tuple
-    base: object
-
-
-@dataclass(frozen=True)
-class SHComp:
-    ivar: str
-    ty: object | None
-    parts: tuple
-    base: object
-
-
-@dataclass(frozen=True)
-class STrans:
-    ivar: str
-    ty: object
-    face: object | None
-    base: object
-
-
-@dataclass(frozen=True)
-class SSystem:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class SMeet:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SJoin:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class SNeg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class SFEq:
-    name: str
-    end: int
-
-
-@dataclass(frozen=True)
-class SDiamond:
-    pass
-
-
-@dataclass(frozen=True)
-class STirr:
-    left: object
-    right: object
-    at: object
-
-
-@dataclass(frozen=True)
-class SClockBind:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class SCase:
-    label: str
-    names: tuple
-    body: object
-
-
-@dataclass(frozen=True)
-class SClockElim:
-    hit: str
-    n: int
-    params: tuple
-    scrut: object
-    hvar: str
-    motive: object
-    cases: tuple
-
-
-# --------------------------------------------------------------------------
-# Surface declarations
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SDefD:
-    name: str
-    binders: tuple  # ((name, surface type), ...)
-    ty: object
-    body: object
-    expect: tuple | None
-    line: int
-
-
-@dataclass(frozen=True)
-class SCtorD:
-    label: str
-    binders: tuple
-    boundary: tuple  # ((surface face, surface term | None), ...)
-
-
-@dataclass(frozen=True)
-class SDataD:
-    name: str
-    params: tuple
-    level: int
-    ctors: tuple
-    expect: tuple | None
-    line: int
-
-
-@dataclass(frozen=True)
-class SConvD:
-    lhs: object
-    rhs: object
-    ty: object
-    want_equal: bool
-    line: int
-
-
-# Binary operators by token value: precedence and the node built.
-_LATTICE_OPS = {"\\/": (1, SJoin), "/\\": (2, SMeet)}
-_TERM_OPS = {**_LATTICE_OPS, "@": (3, SAt)}
-
-# Binder forms `\x y. t`, `/\k. t`, `<i j> t` and `forall k. A`, by their
-# first token: the node built for each name, and the token after the names.
-_BINDERS = {"\\": (SLam, "."), "/\\": (SCLam, "."), "<": (SPLam, ">"),
-            "forall": (SForall, ".")}
-
-
-class _Parser:
-    """Recursive descent over the tokens of `tokenize`.
-
-    The token list ends in `eof` and every lookahead stops there (it looks
-    past a token only when that is an identifier or `(`), so the cursor
-    reads the list by index.  A token's value tells its kind apart (an
-    identifier, a number, a symbol and a pragma never share one), so a
-    keyword or symbol is tested by its value alone.
-    """
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self, k=0):
-        return self.toks[self.pos + k]
-
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, value):
-        return self.toks[self.pos].value == value
-
-    def expect(self, value):
-        tok = self.toks[self.pos]
-        if tok.value != value:
-            self.fail(f"expected {value!r}")
-        self.pos += 1
-        return tok
-
-    def expect_kind(self, kind):
-        tok = self.toks[self.pos]
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}")
-        self.pos += 1
-        return tok
-
-    def fail(self, msg):
-        tok = self.toks[self.pos]
-        got = tok.value or "end of input"
-        raise ParseError(f"{tok.line}:{tok.col}: {msg}, found {got!r}")
-
-    # -- names -------------------------------------------------------------
-
-    def at_name(self, k=0):
-        tok = self.toks[self.pos + k]
-        return tok.kind == "ident" and tok.value not in RESERVED
-
-    def name(self):
-        if not self.at_name():
-            self.fail("expected a name")
-        return self.advance().value
-
-    def names1(self):
-        out = [self.name()]
-        while self.at_name():
-            out.append(self.advance().value)
-        return out
-
-    # -- terms -------------------------------------------------------------
-
-    def term(self):
-        value = self.toks[self.pos].value
-        binder = _BINDERS.get(value)
-        if binder is not None:
-            node, close = binder
-            self.pos += 1
-            names = self.names1()
-            self.expect(close)
-            body = self.term()
-            for nm in reversed(names):
-                body = node(nm, body)
-            return body
-        if value == "tick":
-            self.pos += 1
-            nm = self.name()
-            self.expect(":")
-            clock = self.name()
-            self.expect(".")
-            return STickLam(nm, clock, self.term())
-        if self._at_binder_group():
-            groups = self.binder_groups()
-            self.expect("->")
-            cod = self.term()
-            for nm, ty in reversed(groups):
-                cod = SPi(nm, ty, cod)
-            return cod
-        left = self.binary(self.app, _TERM_OPS)
-        if self.at("->"):
-            self.pos += 1
-            return SPi(None, left, self.term())
-        return left
-
-    def _at_binder_group(self):
-        if not self.at("("):
-            return False
-        k = 1
-        while self.at_name(k):
-            k += 1
-        return k > 1 and self.peek(k).value == ":"
-
-    def binder_groups(self):
-        groups = []
-        while self._at_binder_group():
-            self.pos += 1
-            names = self.names1()
-            self.expect(":")
-            ty = self.term()
-            self.expect(")")
-            groups += [(nm, ty) for nm in names]
-        return groups
-
-    def binary(self, operand, ops, min_prec=1):
-        """Operands joined by the operators of `ops` that bind at least as
-        tightly as `min_prec`, by precedence climbing.  The right operand of
-        `@` is an interval atom."""
-        left = operand()
-        while True:
-            op = ops.get(self.toks[self.pos].value)
-            if op is None or op[0] < min_prec:
-                return left
-            self.pos += 1
-            prec, node = op
-            if node is SAt:
-                left = SAt(left, self.iatom())
-            else:
-                left = node(left, self.binary(operand, ops, prec + 1))
-
-    def _at_arg_atom(self):
-        tok = self.toks[self.pos]
-        if tok.kind == "ident":
-            return tok.value not in RESERVED
-        return tok.kind == "num" or tok.value == "(" or tok.value == "~"
-
-    def app(self):
-        t = self.atom()
-        while True:
-            if self._at_arg_atom():
-                t = SApp(t, self.atom())
-                continue
-            value = self.toks[self.pos].value
-            if value == "{":
-                self.pos += 1
-                clock = self.name()
-                self.expect("}")
-                t = SCApp(t, clock)
-            elif value == "[":
-                t = self.tick_suffix(t)
-            else:
-                return t
-
-    def tick_suffix(self, t):
-        self.expect("[")
-        first = self.tick_expr()
-        if self.at(","):
-            self.pos += 1
-            if not isinstance(first, SVar):
-                self.fail("expected a clock name before ','")
-            u = self.tick_expr()
-            self.expect("]")
-            if isinstance(t, SClockBind):
-                return SForce(t.name, t.body, first.name, u)
-            return SForce(None, t, first.name, u)
-        self.expect("]")
-        if isinstance(t, SClockBind):
-            self.fail("a clock binder must be applied to '[clock, tick]'")
-        return STickApp(t, first)
-
-    def tick_expr(self):
-        if self.at("<>"):
-            self.pos += 1
-            return SDiamond()
-        if self.at("tirr"):
-            self.pos += 1
-            self.expect("(")
-            u = self.tick_expr()
-            self.expect(",")
-            v = self.tick_expr()
-            self.expect(",")
-            r = self.iexpr()
-            self.expect(")")
-            return STirr(u, v, r)
-        return SVar(self.name())
-
-    # -- interval expressions and faces ------------------------------------
-
-    def iexpr(self):
-        return self.binary(self.iatom, _LATTICE_OPS)
-
-    def iatom(self):
-        tok = self.peek()
-        if tok.value == "~":
-            self.pos += 1
-            return SNeg(self.iatom())
-        if tok.kind == "num":
-            self.pos += 1
-            return SNum(int(tok.value))
-        if tok.value == "(":
-            self.pos += 1
-            t = self.iexpr()
-            self.expect(")")
-            return t
-        return SVar(self.name())
-
-    def face(self):
-        return self.binary(self.face_atom, _LATTICE_OPS)
-
-    def face_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.pos += 1
-            return SNum(int(tok.value))
-        self.expect("(")
-        if self.peek().kind == "ident" and self.peek(1).value == "=":
-            return self.face_eq(self.name())
-        t = self.face()
-        self.expect(")")
-        return t
-
-    def face_eq(self, name):
-        """The rest of `(name = 0)` or `(name = 1)`, after the name."""
-        self.expect("=")
-        end = int(self.expect_kind("num").value)
-        if end not in (0, 1):
-            self.fail("a face equation ends in 0 or 1")
-        self.expect(")")
-        return SFEq(name, end)
-
-    def bracket_parts(self):
-        """[phi -> t, ...]; entries without '->' carry face only."""
-        self.expect("[")
-        parts = []
-        if self.at("]"):
-            self.pos += 1
-            return tuple(parts)
-        while True:
-            phi = self.face()
-            if self.at("->"):
-                self.pos += 1
-                parts.append((phi, self.term()))
-            else:
-                parts.append((phi, None))
-            if self.at(","):
-                self.pos += 1
-                continue
-            self.expect("]")
-            return tuple(parts)
-
-    # -- atoms -------------------------------------------------------------
-
-    def atom(self):
-        tok = self.peek()
-        kind, value = tok.kind, tok.value
-        if kind == "ident":
-            if value not in RESERVED:
-                self.pos += 1
-                m = _UNIVERSE.match(value)
-                return SU(int(m[1])) if m else SVar(value)
-            if value == "Path":
-                self.pos += 1
-                return SPath(self.atom(), self.atom(), self.atom())
-            if value == "tirr":
-                return self.tick_expr()
-            if value in ("dfix", "pfix"):
-                self.pos += 1
-                clock = self.name()
-                fn = self.atom()
-                return (SDFix if value == "dfix" else SPFix)(clock, fn)
-            if value in ("comp", "hcomp"):
-                self.pos += 1
-                self.expect("^")
-                iv = self.name()
-                ty = None if self.at("[") else self.atom()
-                parts = self.bracket_parts()
-                base = self.atom()
-                cls = SComp if value == "comp" else SHComp
-                return cls(iv, ty, parts, base)
-            if value == "trans":
-                self.pos += 1
-                self.expect("^")
-                iv = self.name()
-                ty = self.atom()
-                face = None
-                if self.at("["):
-                    self.pos += 1
-                    face = self.face()
-                    self.expect("]")
-                return STrans(iv, ty, face, self.atom())
-            if value == "clockelim":
-                return self.clockelim()
-            if value == "I":
-                self.pos += 1
-                return SVar("I")
-            self.fail(f"keyword {value!r} cannot start a term here")
-        if kind == "num":
-            self.pos += 1
-            return SNum(int(value))
-        if value == "~":
-            self.pos += 1
-            return SNeg(self.atom())
-        if value == "(":
-            return self.paren()
-        if value == "[":
-            parts = self.bracket_parts()
-            for phi, t in parts:
-                if t is None:
-                    self.fail("a system component needs '-> term'")
-            return SSystem(parts)
-        if value == "|>":
-            self.pos += 1
-            self.expect("(")
-            nm = self.name()
-            self.expect(":")
-            clock = self.name()
-            self.expect(")")
-            return SLater(nm, clock, self.atom())
-        self.fail("expected a term")
-
-    def paren(self):
-        self.expect("(")
-        if self.at_name() and self.peek(1).value == ".":
-            nm = self.name()
-            self.expect(".")
-            body = self.term()
-            self.expect(")")
-            return SClockBind(nm, body)
-        t = self.term()
-        if self.at("="):
-            if not isinstance(t, SVar):
-                self.fail("a face equation applies to a variable")
-            return self.face_eq(t.name)
-        self.expect(")")
-        return t
-
-    def clockelim(self):
-        self.expect("clockelim")
-        self.expect("^")
-        n = int(self.expect_kind("num").value)
-        hit = self.name()
-        spine = []
-        while not self.at("into"):
-            if not self._at_arg_atom():
-                self.fail("expected an argument or 'into'")
-            spine.append(self.atom())
-        if not spine:
-            self.fail("clockelim needs a scrutinee")
-        self.expect("into")
-        self.expect("(")
-        hvar = self.name()
-        self.expect(".")
-        motive = self.term()
-        self.expect(")")
-        self.expect("with")
-        cases = []
-        while self.at("|"):
-            self.pos += 1
-            label = self.name()
-            names = []
-            while not self.at("=>"):
-                names.append(self.name())
-            self.expect("=>")
-            cases.append(SCase(label, tuple(names), self.term()))
-        return SClockElim(hit, n, tuple(spine[:-1]), spine[-1],
-                          hvar, motive, tuple(cases))
-
-    # -- declarations ------------------------------------------------------
-
-    def module(self):
-        decls = []
-        pending = None
-        while True:
-            tok = self.peek()
-            if tok.kind == "pragma":
-                pending = self.pragma(decls, pending)
-            elif tok.value == "def":
-                decls.append(self.def_decl(pending))
-                pending = None
-            elif tok.value == "data":
-                decls.append(self.data_decl(pending))
-                pending = None
-            elif tok.kind == "eof":
-                break
-            else:
-                self.fail("expected a declaration")
-        if pending is not None:
-            raise ParseError("expectation pragma not attached to a declaration")
-        return tuple(decls)
-
-    def pragma(self, decls, pending):
-        tok = self.advance()
-        if tok.value in ("--expect-conv", "--expect-not-conv"):
-            lhs = self.term()
-            self.expect("=")
-            rhs = self.term()
-            self.expect(":")
-            ty = self.term()
-            decls.append(SConvD(lhs, rhs, ty,
-                                tok.value == "--expect-conv", tok.line))
-            return pending
-        if pending is not None:
-            self.fail("duplicate expectation pragma")
-        if tok.value == "--expect-pass":
-            return ("pass",)
-        self.expect("(")
-        cls = self.expect_kind("ident").value
-        self.expect(")")
-        if cls not in ERROR_CLASSES:
-            raise ParseError(
-                f"{tok.line}:{tok.col}: unknown error class {cls!r}"
-            )
-        return ("fail", cls)
-
-    def def_decl(self, expect):
-        line = self.expect("def").line
-        name = self.name()
-        binders = tuple(self.binder_groups())
-        self.expect(":")
-        ty = self.term()
-        self.expect(":=")
-        body = self.term()
-        return SDefD(name, binders, ty, body, expect, line)
-
-    def data_decl(self, expect):
-        line = self.expect("data").line
-        name = self.name()
-        params = tuple(self.binder_groups())
-        level = 0
-        if self.at(":"):
-            self.pos += 1
-            tok = self.expect_kind("ident")
-            m = _UNIVERSE.match(tok.value)
-            if not m:
-                self.fail("expected a universe after ':'")
-            level = int(m.group(1))
-        self.expect("where")
-        ctors = []
-        while self.at("|"):
-            self.pos += 1
-            label = self.name()
-            binders = tuple(self.binder_groups())
-            boundary = self.bracket_parts() if self.at("[") else ()
-            ctors.append(SCtorD(label, binders, boundary))
-        return SDataD(name, params, level, tuple(ctors), expect, line)
-
-
-# --------------------------------------------------------------------------
-# Elaboration
+# Parsing to kernel syntax
 # --------------------------------------------------------------------------
 
 class _Scope:
@@ -826,7 +129,7 @@ def _unshift1(ix):
     return ix - 1
 
 
-# Elaborated declarations -------------------------------------------------
+# Declarations ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Definition:
@@ -857,497 +160,1042 @@ class Module:
 
 
 AMBIENT_CLOCK = "k0"
+_BASE_SCOPE = _Scope((AMBIENT_CLOCK,), (CLOCK,))
+
+# What a term's tokens are read as, besides a term (TERM) and an interval
+# expression (IVAL, a constructor's interval arguments): a boundary term,
+# and a constructor binder's type, which is a recursive argument's when it
+# ends in the data type being declared.
+_BOUNDARY = "boundary"
+_REC_TYPE = "rec-type"
+
+# The end of a recursive argument's type: the data type, applied.
+_RECURSIVE = object()
+
+_IV_IN_TERM = "interval or face expression used in term position"
+# The error for a construct that a position of the mode cannot hold, where
+# it differs from the construct's error in term position.
+_MISPLACED = {
+    IVAL: "expected an interval expression",
+    _BOUNDARY: "a boundary term is a recursive argument, a constructor, or"
+               " an hcomp",
+}
+# What a construct with an error is read as, so that the parse goes on.
+_PLACEHOLDER = {TERM: U(0), _REC_TYPE: U(0), IVAL: IZERO,
+                _BOUNDARY: BRec(0, ())}
+_ARTICLE = {CLOCK: "a clock", IVAL: "an interval", TICK: "a tick"}
+
+# Binary operators by token value, with their precedence.
+_LATTICE_OPS = {"\\/": 1, "/\\": 2}
+_TERM_OPS = {**_LATTICE_OPS, "@": 3}
+# Tokens that continue a term past an application's argument atoms, as far
+# as they are read ahead: an operator, a suffix, or an atom whose end is
+# not known ahead.
+_CONTINUES = frozenset(("@", "/\\", "\\/", "->", "{", "[", "(", "~"))
+
+# Binder forms `\x y. t`, `/\k. t`, `<i j> t` and `forall k. A`, by their
+# first token: the term built for each name, its sort, and the token after
+# the names.
+_BINDERS = {"\\": (Lam, TERM, "."), "/\\": (CLam, CLOCK, "."),
+            "<": (PLam, IVAL, ">"), "forall": (Forall, CLOCK, ".")}
+
+
+def _matching_parens(toks):
+    """For each '(' token, the index of its ')', or None if it has none."""
+    close = [None] * len(toks)
+    opened = []
+    for i, tok in enumerate(toks):
+        if tok.value == "(":
+            opened.append(i)
+        elif tok.value == ")" and opened:
+            close[opened.pop()] = i
+    return close
 
 
 class Elaborator:
-    """Resolves one surface declaration at a time, accumulating the names
-    of earlier definitions and data signatures."""
+    """Recursive descent over the tokens of `tokenize`, straight to kernel
+    syntax.
 
-    def __init__(self):
+    The token list ends in `eof` and every lookahead stops there, so the
+    cursor reads the list by index.  A token's value tells its kind apart
+    (an identifier, a number, a symbol and a pragma never share one), so a
+    keyword or symbol is tested by its value alone.
+
+    Each method reads one construct in the `_Scope` it is given and returns
+    its kernel form, resolving names against the scope and against the
+    definitions and data types declared before; `mode` says what a term's
+    tokens are read as.  Where a spine's reading depends on what follows
+    its head, the parser looks ahead over the tokens: a parenthesis's match
+    is computed once per module, so an argument atom is skipped in O(1).
+
+    A syntax error raises `ParseError` for the whole module.  Any other
+    error (a name out of scope or of the wrong sort, a misplaced construct)
+    is kept, with its token, while the parse goes on: the declaration then
+    stands for the earliest such error in it.
+    """
+
+    def __init__(self, toks):
+        self.toks = toks
+        self.pos = 0
+        self.close = _matching_parens(toks)
         self.defs = set()
         self.sigs = {}
         self.labels = {}  # label -> signature name
+        self.dropped = {}  # label -> name of a data type that failed
         self.conv_count = 0
+        self.err = None  # the declaration's earliest: (token index, error)
+        # While a data type is read: its name; in a boundary, the recursive
+        # arguments' positions, the constructors' shapes, and whether a
+        # head was not among them.
+        self.data_name = None
+        self.recmap = {}
+        self.arities = {}
+        self.unknown = False
 
-    def base_scope(self):
-        return _Scope((AMBIENT_CLOCK,), (CLOCK,))
+    # -- the cursor ----------------------------------------------------------
 
-    def decl(self, d):
-        match d:
-            case SDefD():
-                return self.def_decl(d)
-            case SDataD():
-                return self.data_decl(d)
-            case SConvD():
-                return self.conv_decl(d)
-        raise TypeError(f"not a declaration: {d!r}")
+    def peek(self, k=0):
+        return self.toks[self.pos + k]
 
-    def decl_name(self, d):
-        match d:
-            case SDefD(name=name) | SDataD(name=name):
-                return name
-            case SConvD():
-                return f"conv{self.conv_count + 1}"
-        raise TypeError(f"not a declaration: {d!r}")
+    def advance(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
 
-    def def_decl(self, d):
-        if d.name in self.defs or d.name in self.sigs or d.name in self.labels:
-            raise ParseError(f"line {d.line}: {d.name!r} is already declared")
-        sc = self.base_scope()
-        doms = []
-        for nm, tyS in d.binders:
-            doms.append(self.term(sc, tyS))
-            sc = sc.push(nm, TERM)
-        ty = self.term(sc, d.ty)
-        body = self.term(sc, d.body)
-        for dom in reversed(doms):
-            ty = Pi(dom, ty)
-            body = Lam(body)
-        self.defs.add(d.name)
-        return Definition(d.name, ty, body, d.expect)
+    def at(self, value):
+        return self.toks[self.pos].value == value
 
-    def conv_decl(self, d):
-        sc = self.base_scope()
-        self.conv_count += 1
-        return ConvCheck(f"conv{self.conv_count}", self.term(sc, d.ty),
-                         self.term(sc, d.lhs), self.term(sc, d.rhs),
-                         d.want_equal)
+    def expect(self, value):
+        tok = self.toks[self.pos]
+        if tok.value != value:
+            self.fail(f"expected {value!r}")
+        self.pos += 1
+        return tok
 
-    # -- terms -------------------------------------------------------------
+    def expect_kind(self, kind):
+        tok = self.toks[self.pos]
+        if tok.kind != kind:
+            self.fail(f"expected {kind!r}")
+        self.pos += 1
+        return tok
 
-    def term(self, sc, s):
-        match s:
-            case SVar(name):
-                hit = sc.lookup(name)
-                if hit is not None:
-                    sort, ix = hit
-                    if sort != TERM:
-                        raise ParseError(
-                            f"{name!r} is a {sort} variable, not a term"
-                        )
-                    return Var(ix)
-                return self.head(sc, name, [])
-            case SU(level):
-                return U(level)
-            case SPi(name, dom, cod):
-                d = self.term(sc, dom)
-                return Pi(d, self.term(sc.push(name or "_", TERM), cod))
-            case SLam(name, body):
-                return Lam(self.term(sc.push(name, TERM), body))
-            case SPLam(name, body):
-                return PLam(self.term(sc.push(name, IVAL), body))
-            case SCLam(name, body):
-                return CLam(self.term(sc.push(name, CLOCK), body))
-            case SForall(name, body):
-                return Forall(self.term(sc.push(name, CLOCK), body))
-            case SLater(tick, clock, body):
-                k = self.clock(sc, clock)
-                return Later(k, self.term(sc.push(tick, TICK), body))
-            case STickLam(tick, clock, body):
-                k = self.clock(sc, clock)
-                return TickLam(k, self.term(sc.push(tick, TICK), body))
-            case SApp():
-                spine = []
-                t = s
-                while isinstance(t, SApp):
-                    spine.append(t.arg)
-                    t = t.fn
-                spine.reverse()
-                if isinstance(t, SVar) and sc.lookup(t.name) is None:
-                    return self.head(sc, t.name, spine)
-                out = self.term(sc, t)
-                for arg in spine:
-                    out = App(out, self.term(sc, arg))
-                return out
-            case SAt(fn, arg):
-                return PApp(self.term(sc, fn), self.ival(sc, arg))
-            case SCApp(fn, clock):
-                return CApp(self.term(sc, fn), self.clock(sc, clock))
-            case STickApp(fn, tick):
-                return TickApp(self.term(sc, fn), self.tick(sc, tick))
-            case SForce(bind, fn, clock, tick):
-                k = self.clock(sc, clock)
-                u = self.tick(sc, tick)
-                inner = self.term(sc.push(bind or "_", CLOCK), fn)
-                return ForceApp(inner, k, u)
-            case SPath(ty, left, right):
-                return PathT(self.term(sc, ty), self.term(sc, left),
-                             self.term(sc, right))
-            case SDFix(clock, fn):
-                return DFix(self.clock(sc, clock), self.term(sc, fn))
-            case SPFix(clock, fn):
-                return PFix(self.clock(sc, clock), self.term(sc, fn))
-            case SComp(ivar, ty, parts, base):
-                if ty is None:
-                    raise ParseError("comp needs a type annotation")
-                sci = sc.push(ivar, IVAL)
-                faces, tube = self.tube_parts(sc, sci, parts)
-                return Comp(self.term(sci, ty), face_join(faces),
-                            System(tube), self.term(sc, base))
-            case SHComp(ivar, ty, parts, base):
-                if ty is None:
-                    raise ParseError("hcomp needs a type annotation")
-                sci = sc.push(ivar, IVAL)
-                faces, tube = self.tube_parts(sc, sci, parts)
-                return HComp(self.term(sc, ty), face_join(faces),
-                             System(tube), self.term(sc, base))
-            case STrans(ivar, ty, face, base):
-                phi = FBOT if face is None else self.face(sc, face)
-                return Trans(self.term(sc.push(ivar, IVAL), ty), phi,
-                             self.term(sc, base))
-            case SSystem(parts):
-                out = []
-                for phi, t in parts:
-                    out.append((self.face(sc, phi), self.term(sc, t)))
-                return System(tuple(out))
-            case SClockElim():
-                return self.clockelim(sc, s)
-            case SClockBind():
-                raise ParseError(
-                    "a clock binder must be forced with '[clock, tick]'"
-                )
-            case SNum() | SMeet() | SJoin() | SNeg() | SFEq():
-                raise ParseError(
-                    "interval or face expression used in term position"
-                )
-            case SDiamond() | STirr():
-                raise ParseError("tick expression used in term position")
-        raise TypeError(f"not a surface term: {s!r}")
+    def fail(self, msg):
+        tok = self.toks[self.pos]
+        got = tok.value or "end of input"
+        raise ParseError(f"{tok.line}:{tok.col}: {msg}, found {got!r}")
 
-    def tube_parts(self, sc, sci, parts):
-        faces, tube = [], []
-        for phi, t in parts:
-            if t is None:
-                raise ParseError("a tube component needs '-> term'")
-            f = self.face(sc, phi)
-            faces.append(f)
-            tube.append((weaken_iv(f, [IVAL]), self.term(sci, t)))
-        return faces, tuple(tube)
+    def error(self, pos, err):
+        """Keep err, found at token pos, unless one before it is kept."""
+        if self.err is None or pos < self.err[0]:
+            self.err = (pos, err)
 
-    def head(self, sc, name, spine):
+    def misplaced(self, pos, mode, msg=None):
+        """Keep the error for a construct at pos that mode cannot hold (msg
+        in term position); what to read it as instead."""
+        self.error(pos, ParseError(_MISPLACED.get(mode, msg)))
+        return _PLACEHOLDER[mode]
+
+    # -- lookahead -----------------------------------------------------------
+
+    def _name_at(self, i):
+        tok = self.toks[i]
+        return tok.kind == "ident" and tok.value not in RESERVED
+
+    def at_name(self, k=0):
+        tok = self.toks[self.pos + k]
+        return tok.kind == "ident" and tok.value not in RESERVED
+
+    def _arg_end(self, i):
+        """The index past the argument atom at token i; None if none starts
+        there, or if its end is not known ahead (`~` before a keyword)."""
+        tok = self.toks[i]
+        if tok.kind == "num" or tok.kind == "ident" \
+                and tok.value not in RESERVED:
+            return i + 1
+        if tok.value == "(":
+            close = self.close[i]
+            return None if close is None else close + 1
+        if tok.value == "~":
+            return i + 2 if self.toks[i + 1].value == "I" \
+                else self._arg_end(i + 1)
+        return None
+
+    def _at_arg_atom(self):
+        tok = self.toks[self.pos]
+        if tok.kind == "ident":
+            return tok.value not in RESERVED
+        return tok.kind == "num" or tok.value == "(" or tok.value == "~"
+
+    def _spine(self, i):
+        """The application at token i when its head is a name: the name's
+        token, the tokens starting its argument atoms (with those inside
+        parentheses around the head, as in `(c a) b`), and the token past
+        them; None for any other head."""
+        toks = self.toks
+        tok = toks[i]
+        if tok.value == "(":
+            close = self.close[i]
+            inner = None if close is None else self._spine(i + 1)
+            if inner is None or inner[2] != close:
+                return None
+            head, args, j = inner[0], inner[1], close + 1
+        elif self._name_at(i) and not _UNIVERSE.match(tok.value):
+            head, args, j = i, [], i + 1
+        else:
+            return None
+        while (end := self._arg_end(j)) is not None:
+            args.append(j)
+            j = end
+        return head, args, j
+
+    def _bare(self, lo, hi):
+        """The name that tokens lo..hi-1 are, in parentheses or not; None
+        when they are something else."""
+        toks, close = self.toks, self.close
+        while hi - lo > 2 and toks[lo].value == "(" and close[lo] == hi - 1:
+            lo += 1
+            hi -= 1
+        tok = toks[lo]
+        if hi - lo == 1 and tok.kind == "ident" \
+                and (tok.value not in RESERVED or tok.value == "I") \
+                and not _UNIVERSE.match(tok.value):
+            return tok.value
+        return None
+
+    def _clock_binder(self, i):
+        """The '(' of a clock binder `(k. t)` at token i, inside any
+        parentheses around it alone; None when there is none."""
+        toks, close = self.toks, self.close
+        while toks[i + 1].value == "(" and close[i] is not None \
+                and close[i + 1] is not None and close[i] == close[i + 1] + 1:
+            i += 1
+        if self._name_at(i + 1) and toks[i + 2].value == ".":
+            return i
+        return None
+
+    def _forced(self, i):
+        """Whether token i starts `[clock, ...`."""
+        return self.toks[i].value == "[" and self._name_at(i + 1) \
+            and self.toks[i + 2].value == ","
+
+    # -- names ---------------------------------------------------------------
+
+    def name(self):
+        if not self.at_name():
+            self.fail("expected a name")
+        return self.advance().value
+
+    def names1(self):
+        out = [self.name()]
+        while self.at_name():
+            out.append(self.advance().value)
+        return out
+
+    def bound(self, sc, sort, pos=None, name=None):
+        """The index of a name of the given sort in scope, read here unless
+        given."""
+        if name is None:
+            pos, name = self.pos, self.name()
+        hit = sc.lookup(name)
+        if hit is not None and hit[0] == sort:
+            return hit[1]
+        self.error(pos, ParseError(
+            f"{name!r} is not {_ARTICLE[sort]} variable in scope"))
+        return 0
+
+    def name_term(self, sc, pos, name):
+        hit = sc.lookup(name)
+        if hit is not None:
+            if hit[0] != TERM:
+                self.error(pos, ParseError(
+                    f"{name!r} is a {hit[0]} variable, not a term"))
+            return Var(hit[1])
         if name in self.defs:
-            out = TopRef(name)
-            for arg in spine:
-                out = App(out, self.term(sc, arg))
-            return out
-        if name in self.sigs:
-            sig = self.sigs[name]
+            return TopRef(name)
+        if name in self.sigs or name in self.labels:
+            return self.applied(sc, pos, name, ())
+        # A constructor of a data type that failed names the data type.
+        self.error(pos, UnboundVariable(f"unbound name {name!r}",
+                                        name=self.dropped.get(name, name)))
+        return _PLACEHOLDER[TERM]
+
+    def applied(self, sc, pos, name, args):
+        """The data type or constructor `name` applied to the argument
+        atoms starting at the tokens `args`."""
+        sig = self.sigs.get(name)
+        cuts = None
+        if sig is not None:
             want = len(sig.params.types)
-            if len(spine) != want:
-                raise ParseError(
-                    f"{name} takes {want} parameters, got {len(spine)}"
-                )
-            return Hit(name, tuple(self.term(sc, a) for a in spine))
-        if name in self.labels:
+            if len(args) != want:
+                self.error(pos, ParseError(
+                    f"{name} takes {want} parameters, got {len(args)}"))
+        else:
             sig = self.sigs[self.labels[name]]
             ctor = sig.constructor(name)
-            p = len(sig.params.types)
             a = len(ctor.args.types)
             r = len(ctor.rec_arities)
-            v = ctor.ivar_count
-            if len(spine) == p + a + r + v:
-                params = tuple(self.term(sc, x) for x in spine[:p])
-                rest = spine[p:]
-            elif len(spine) == a + r + v:
-                params, rest = (), spine
-            else:
-                # Let the checker report the arity error.
-                return Con(sig.name, name,
-                           (), tuple(self.term(sc, x) for x in spine), (), ())
-            return Con(
-                sig.name, name, params,
-                tuple(self.term(sc, x) for x in rest[:a]),
-                tuple(self.term(sc, x) for x in rest[a:a + r]),
-                tuple(self.ival(sc, x) for x in rest[a + r:]),
-            )
-        raise UnboundVariable(f"unbound name {name!r}", name=name)
+            p = len(args) - a - r - ctor.ivar_count
+            # A constructor's parameters may be left out.  With any other
+            # count, the checker reports the arity error.
+            cuts = (p, p + a, p + a + r) \
+                if p in (0, len(sig.params.types)) else None
+        vals = []
+        for k, q in enumerate(args):
+            self.pos = q
+            vals.append(self.atom(sc, IVAL if cuts and k >= cuts[2]
+                                  else TERM))
+        if name in self.sigs:
+            return Hit(name, tuple(vals))
+        if cuts is None:
+            return Con(sig.name, name, (), tuple(vals), (), ())
+        p, pa, par = cuts
+        return Con(sig.name, name, tuple(vals[:p]), tuple(vals[p:pa]),
+                   tuple(vals[pa:par]), tuple(vals[par:]))
 
-    def clockelim(self, sc, s):
-        sig = self.sigs.get(s.hit)
-        if sig is None:
-            raise UnboundVariable(f"unbound name {s.hit!r}", name=s.hit)
-        if len(s.params) != len(sig.params.types):
-            raise ParseError(
-                f"{s.hit} takes {len(sig.params.types)} parameters,"
-                f" got {len(s.params)}"
-            )
-        params = tuple(self.term(sc, x) for x in s.params)
-        scrut = self.term(sc, s.scrut)
-        motive = self.term(sc.push(s.hvar, TERM), s.motive)
-        cases = []
-        for c in s.cases:
-            try:
-                ctor = sig.constructor(c.label)
-            except KeyError:
-                raise ParseError(
-                    f"{s.hit} has no constructor {c.label!r}"
-                ) from None
-            a = len(ctor.args.types)
-            r = len(ctor.rec_arities)
-            v = ctor.ivar_count
-            if len(c.names) != a + 2 * r + v:
-                raise ParseError(
-                    f"case for {c.label} binds {a + 2 * r + v} names,"
-                    f" got {len(c.names)}"
-                )
-            sc2 = sc
-            for nm in c.names[:a + 2 * r]:
-                sc2 = sc2.push(nm, TERM)
-            for nm in c.names[a + 2 * r:]:
-                sc2 = sc2.push(nm, IVAL)
-            cases.append(ElimCase(c.label, a, r, v, self.term(sc2, c.body)))
-        return ClockElim(s.hit, s.n, params, motive, tuple(cases), scrut)
+    # -- terms ---------------------------------------------------------------
 
-    # -- other sorts -------------------------------------------------------
+    def term(self, sc, mode=TERM):
+        start = self.pos
+        value = self.toks[start].value
+        binder = _BINDERS.get(value)
+        wrong = mode is IVAL or mode is _BOUNDARY
+        if binder is not None:
+            make, sort, close = binder
+            self.pos += 1
+            names = self.names1()
+            self.expect(close)
+            inner = sc
+            for nm in names:
+                inner = inner.push(nm, sort)
+            t = self.term(inner)
+            for _ in names:
+                t = make(t)
+        elif value == "tick":
+            self.pos += 1
+            nm = self.name()
+            self.expect(":")
+            k = self.bound(sc, CLOCK)
+            self.expect(".")
+            t = TickLam(k, self.term(sc.push(nm, TICK)))
+        elif value == "(" and self._at_binder_group():
+            doms, inner = self.binder_groups(sc)
+            self.expect("->")
+            t = self.term(inner, _REC_TYPE if mode is _REC_TYPE else TERM)
+            for dom in reversed(doms):
+                t = Pi(dom, t)
+        else:
+            saved = self.err
+            t = self.binary(sc, mode)
+            if not self.at("->"):
+                return t
+            self.pos += 1
+            t = Pi(t, self.term(sc.push("_", TERM),
+                                _REC_TYPE if mode is _REC_TYPE else TERM))
+            if wrong:
+                self.err = saved
+        return self.misplaced(start, mode) if wrong else t
 
-    def clock(self, sc, name):
-        hit = sc.lookup(name)
-        if hit is None or hit[0] != CLOCK:
-            raise ParseError(f"{name!r} is not a clock variable in scope")
-        return hit[1]
+    def _at_binder_group(self):
+        if not self.at("("):
+            return False
+        k = 1
+        while self.at_name(k):
+            k += 1
+        return k > 1 and self.peek(k).value == ":"
 
-    def ival(self, sc, s):
-        match s:
-            case SNum(0):
-                return IZERO
-            case SNum(1):
-                return IONE
-            case SVar(name):
-                hit = sc.lookup(name)
-                if hit is None or hit[0] != IVAL:
-                    raise ParseError(
-                        f"{name!r} is not an interval variable in scope"
-                    )
-                return IVar(hit[1])
-            case SNeg(arg):
-                return INeg(self.ival(sc, arg))
-            case SMeet(left, right):
-                return IMeet(self.ival(sc, left), self.ival(sc, right))
-            case SJoin(left, right):
-                return IJoin(self.ival(sc, left), self.ival(sc, right))
-        raise ParseError(f"expected an interval expression")
-
-    def face(self, sc, s):
-        match s:
-            case SNum(0):
-                return FBOT
-            case SNum(1):
-                return FTOP
-            case SFEq(name, end):
-                hit = sc.lookup(name)
-                if hit is None or hit[0] != IVAL:
-                    raise ParseError(
-                        f"{name!r} is not an interval variable in scope"
-                    )
-                return FEq(hit[1], end)
-            case SMeet(left, right):
-                return FAnd(self.face(sc, left), self.face(sc, right))
-            case SJoin(left, right):
-                return FOr(self.face(sc, left), self.face(sc, right))
-        raise ParseError("expected a face formula")
-
-    def tick(self, sc, s):
-        match s:
-            case SDiamond():
-                return Diamond()
-            case SVar(name):
-                hit = sc.lookup(name)
-                if hit is None or hit[0] != TICK:
-                    raise ParseError(
-                        f"{name!r} is not a tick variable in scope"
-                    )
-                return TickVar(hit[1])
-            case STirr(left, right, at):
-                return Tirr(self.tick(sc, left), self.tick(sc, right),
-                            self.ival(sc, at))
-        raise ParseError("expected a tick expression")
-
-    # -- data declarations -------------------------------------------------
-
-    def data_decl(self, d):
-        if d.name in self.defs or d.name in self.sigs or d.name in self.labels:
-            raise ParseError(f"line {d.line}: {d.name!r} is already declared")
-        sc = self.base_scope()
-        ptypes = []
-        for nm, tyS in d.params:
-            ptypes.append(self.term(sc, tyS))
-            sc = sc.push(nm, TERM)
-        # Syntactic arities first so boundaries may mention any label.
-        arities = {}
-        for c in d.ctors:
-            if c.label in self.labels or c.label in self.defs \
-                    or c.label in self.sigs or c.label in arities:
-                raise ParseError(
-                    f"line {d.line}: {c.label!r} is already declared"
-                )
-            arities[c.label] = self._ctor_shape(d.name, c)
-        ctors = tuple(self.ctor(d.name, sc, c, arities) for c in d.ctors)
-        sig = HitSignature(d.name, Telescope(tuple(ptypes)), d.level, ctors)
-        self.sigs[d.name] = sig
-        for c in d.ctors:
-            self.labels[c.label] = d.name
-        return DataDefinition(sig, d.expect)
-
-    @staticmethod
-    def _rec_target(name, tyS):
-        t = tyS
-        while isinstance(t, SPi):
-            t = t.cod
-        if t == SVar(name):
-            return True
-        while isinstance(t, SApp):
-            t = t.fn
-        return t == SVar(name)
-
-    def _ctor_shape(self, name, c):
-        a = v = 0
-        rec_lens = []
-        for nm, tyS in c.binders:
-            if tyS == SVar("I"):
-                v += 1
-            elif self._rec_target(name, tyS):
-                depth = 0
-                t = tyS
-                while isinstance(t, SPi):
-                    depth += 1
-                    t = t.cod
-                rec_lens.append(depth)
-            else:
-                a += 1
-        return a, len(rec_lens), v, tuple(rec_lens)
-
-    def ctor(self, name, sc_params, c, arities):
-        atypes, recs = [], []
-        recnames, ivnames = [], []
-        sc = sc_params
-        phase = 0
-        for nm, tyS in c.binders:
-            if tyS == SVar("I"):
-                phase = 2
-                ivnames.append(nm)
-            elif self._rec_target(name, tyS):
-                if phase == 2:
-                    raise ParseError(
-                        f"{c.label}: recursive argument {nm!r} after an"
-                        " interval binder"
-                    )
-                phase = 1
-                doms = []
-                sc_r, t = sc, tyS
-                while isinstance(t, SPi):
-                    doms.append(self.term(sc_r, t.dom))
-                    sc_r = sc_r.push(t.name or "_", TERM)
-                    t = t.cod
-                recs.append(Telescope(tuple(doms)))
-                recnames.append(nm)
-            else:
-                if phase != 0:
-                    raise ParseError(
-                        f"{c.label}: ordinary argument {nm!r} after a"
-                        " recursive or interval binder"
-                    )
-                atypes.append(self.term(sc, tyS))
+    def binder_groups(self, sc):
+        """`(x y : A) ...`: a type per name, each read in the scope of the
+        names before it, and the scope past them all."""
+        doms = []
+        while self._at_binder_group():
+            self.pos += 1
+            names = self.names1()
+            self.expect(":")
+            at = self.pos
+            for nm in names:
+                self.pos = at
+                doms.append(self.term(sc))
                 sc = sc.push(nm, TERM)
-        sc_b = sc
-        for nm in ivnames:
-            sc_b = sc_b.push(nm, IVAL)
-        recmap = {nm: j for j, nm in enumerate(recnames)}
-        arrows, bare = [], None
-        afaces = []
-        for phiS, bS in c.boundary:
-            phi = self.face(sc_b, phiS)
-            if bS is None:
+            self.expect(")")
+        return doms, sc
+
+    def binary(self, sc, mode, min_prec=1):
+        """Operands joined by the operators that bind at least as tightly
+        as `min_prec`, by precedence climbing.  The right operand of `@` is
+        an interval atom; the lattice operators join interval expressions
+        only."""
+        start, saved = self.pos, self.err
+        left = self.app(sc, mode)
+        ok = True
+        while True:
+            prec = _TERM_OPS.get(self.toks[self.pos].value)
+            if prec is None or prec < min_prec:
+                return left if ok else _PLACEHOLDER[mode]
+            self.pos += 1
+            if ok and (mode is _BOUNDARY or (mode is IVAL) == (prec == 3)):
+                self.err = saved
+                self.misplaced(start, mode, _IV_IN_TERM)
+                ok = False
+            if prec == 3:
+                right = self.iatom(sc)
+            else:
+                right = self.binary(sc, mode if ok else TERM, prec + 1)
+            if ok:
+                left = PApp(left, right) if prec == 3 else \
+                    (IMeet if prec == 2 else IJoin)(left, right)
+
+    def app(self, sc, mode=TERM):
+        start = self.pos
+        if mode is _REC_TYPE:
+            found = self.head_spine(sc, mode)
+            if found is not None:
+                # The data type applied: its arguments are not elaborated.
+                saved = self.err
+                self.atoms(sc, found[1])
+                self.err, self.pos = saved, found[2]
+                return _RECURSIVE
+            close = self.close[start] if self.at("(") else None
+            if close is not None and self._arg_end(close + 1) is None \
+                    and self.toks[close + 1].value not in _CONTINUES:
+                return self.atom(sc, mode)  # a type in parentheses
+            mode = TERM
+        saved = self.err
+        tok = self.toks[start]
+        j = self._clock_binder(start) if tok.value == "(" else None
+        close = None if j is None else self.close[start]
+        if close is not None and self._forced(close + 1):
+            # `(k. t) [clock, tick]`: t is read under the clock binder.
+            self.pos = j + 3
+            t = self.term(sc.push(self.toks[j + 1].value, CLOCK))
+            self.expect(")")
+            self.pos = close + 1
+        elif mode is IVAL or (
+                # In a term, only a data type or constructor heads a spine
+                # read whole.
+                mode is TERM and tok.kind == "ident"
+                and tok.value not in self.labels
+                and tok.value not in self.sigs
+        ) or (found := self.head_spine(sc, mode)) is None:
+            t = self.atom(sc, mode)
+        else:
+            name, args, end = found
+            if mode is TERM:
+                t = self.applied(sc, start, name, args)
+            elif name in self.recmap:
+                t = BRec(self.recmap[name], tuple(self.atoms(sc, args)))
+            else:
+                t = self.bnd_con(sc, start, name, args)
+            self.pos = end
+        binder = j is not None
+        if mode is not TERM:
+            value = self.toks[self.pos].value
+            if not self._at_arg_atom() and value != "{" and value != "[":
+                return t
+            self.err = saved
+            self.misplaced(start, mode)
+            t = _PLACEHOLDER[TERM]
+        while True:
+            tok = self.toks[self.pos]
+            value = tok.value
+            if tok.kind == "ident" and value not in RESERVED \
+                    or tok.kind == "num" or value == "(" or value == "~":
+                t = App(t, self.atom(sc))
+            elif value == "{":
+                self.pos += 1
+                k = self.bound(sc, CLOCK)
+                self.expect("}")
+                t = CApp(t, k)
+            elif value == "[":
+                t = self.tick_suffix(sc, t, binder)
+            else:
+                return t if mode is TERM else _PLACEHOLDER[mode]
+            binder = False
+
+    def head_spine(self, sc, mode):
+        """The application here when its head is read with all its
+        arguments: a data type or constructor in a term; a recursive
+        argument or a constructor making up a whole boundary term; the data
+        type declared making up the end of a constructor binder's type.
+        The head's name, the tokens starting its arguments, and the token
+        past them; None for any other application."""
+        start = self.pos
+        tok = self.toks[start]
+        if tok.value == "(":
+            close = self.close[start]
+            if close is None or self._arg_end(close + 1) is None:
+                return None  # parentheses with nothing after them
+        elif tok.kind != "ident":
+            return None
+        found = self._spine(start)
+        if found is None:
+            return None
+        head, args, end = found
+        name = self.toks[head].value
+        if mode is TERM:
+            if name not in self.labels and name not in self.sigs \
+                    or sc.lookup(name) is not None:
+                return None
+        elif self.toks[end].value in _CONTINUES or (
+                name != self.data_name if mode is _REC_TYPE
+                else name not in self.recmap and name not in self.arities):
+            return None
+        return name, args, end
+
+    def atoms(self, sc, args, mode=TERM):
+        out = []
+        for q in args:
+            self.pos = q
+            out.append(self.atom(sc, mode))
+        return out
+
+    def tick_suffix(self, sc, t, binder):
+        """`t [u]`, or the forcing `t [clock, u]`; binder: t is a clock
+        binder's body, read under it."""
+        self.expect("[")
+        if self.at_name() and self.peek(1).value == ",":
+            k = self.bound(sc, CLOCK)
+            self.pos += 1
+            u = self.tick_expr(sc)
+            self.expect("]")
+            return ForceApp(t if binder else weaken(t, [CLOCK]), k, u)
+        u = self.tick_expr(sc)
+        if self.at(","):
+            self.pos += 1
+            self.fail("expected a clock name before ','")
+        self.expect("]")
+        if binder:
+            self.fail("a clock binder must be applied to '[clock, tick]'")
+        return TickApp(t, u)
+
+    def tick_expr(self, sc):
+        if self.at("<>"):
+            self.pos += 1
+            return Diamond()
+        if self.at("tirr"):
+            self.pos += 1
+            self.expect("(")
+            u = self.tick_expr(sc)
+            self.expect(",")
+            v = self.tick_expr(sc)
+            self.expect(",")
+            r = self.iexpr(sc)
+            self.expect(")")
+            return Tirr(u, v, r)
+        return TickVar(self.bound(sc, TICK))
+
+    # -- interval expressions and faces --------------------------------------
+
+    def lattice(self, operand, sc, meet, join, min_prec=1):
+        left = operand(sc)
+        while True:
+            prec = _LATTICE_OPS.get(self.toks[self.pos].value)
+            if prec is None or prec < min_prec:
+                return left
+            self.pos += 1
+            right = self.lattice(operand, sc, meet, join, prec + 1)
+            left = (meet if prec == 2 else join)(left, right)
+
+    def iexpr(self, sc):
+        return self.lattice(self.iatom, sc, IMeet, IJoin)
+
+    def endpoint(self, ends, msg):
+        """A number that must be 0 or 1: ends[0] or ends[1]."""
+        pos = self.pos
+        n = int(self.advance().value)
+        if n in (0, 1):
+            return ends[n]
+        self.error(pos, ParseError(msg))
+        return ends[0]
+
+    def iatom(self, sc):
+        tok = self.toks[self.pos]
+        if tok.value == "~":
+            self.pos += 1
+            return INeg(self.iatom(sc))
+        if tok.kind == "num":
+            return self.endpoint((IZERO, IONE), _MISPLACED[IVAL])
+        if tok.value == "(":
+            self.pos += 1
+            t = self.iexpr(sc)
+            self.expect(")")
+            return t
+        return IVar(self.bound(sc, IVAL))
+
+    def face(self, sc):
+        return self.lattice(self.face_atom, sc, FAnd, FOr)
+
+    def face_atom(self, sc):
+        if self.peek().kind == "num":
+            return self.endpoint((FBOT, FTOP), "expected a face formula")
+        self.expect("(")
+        if self.peek().kind == "ident" and self.peek(1).value == "=":
+            pos = self.pos
+            name = self.name()
+            end = self.face_end()
+            return FEq(self.bound(sc, IVAL, pos, name), end)
+        t = self.face(sc)
+        self.expect(")")
+        return t
+
+    def face_end(self):
+        """The rest of `(name = 0)` or `(name = 1)` after the name."""
+        self.expect("=")
+        end = int(self.expect_kind("num").value)
+        if end not in (0, 1):
+            self.fail("a face equation ends in 0 or 1")
+        self.expect(")")
+        return end
+
+    def bracket_parts(self, sc, sci, mode=TERM, bare=None):
+        """`[phi -> t, ...]`, faces read in sc and terms in sci: (face,
+        term or None, the token after the face) for each entry.  An entry
+        without a term has the error `bare`, if given, in place of its
+        face's errors."""
+        self.expect("[")
+        parts = []
+        if self.at("]"):
+            self.pos += 1
+            return parts
+        while True:
+            start, saved = self.pos, self.err
+            phi = self.face(sc)
+            mid = self.pos
+            if self.at("->"):
+                self.pos += 1
+                parts.append((phi, self.term(sci, mode), mid))
+            else:
                 if bare is not None:
-                    raise ParseError(
-                        f"{c.label}: at most one bare face entry"
-                    )
+                    self.err = saved
+                    self.error(start, ParseError(bare))
+                parts.append((phi, None, mid))
+            if self.at(","):
+                self.pos += 1
+                continue
+            self.expect("]")
+            return parts
+
+    # -- atoms ---------------------------------------------------------------
+
+    def atom(self, sc, mode=TERM):
+        start = self.pos
+        tok = self.toks[start]
+        kind, value = tok.kind, tok.value
+        if kind == "ident" and (value not in RESERVED or value == "I"):
+            self.pos += 1
+            m = value[0] == "U" and _UNIVERSE.match(value)
+            if m:
+                return self.misplaced(start, mode) if mode is IVAL \
+                    or mode is _BOUNDARY else U(int(m[1]))
+            if mode is IVAL:
+                return IVar(self.bound(sc, IVAL, start, value))
+            if mode is not _BOUNDARY:
+                return self.name_term(sc, start, value)
+            if value in self.recmap:
+                return BRec(self.recmap[value], ())
+            if value in self.arities:
+                return self.bnd_con(sc, start, value, ())
+            self.unknown = True
+            return self.misplaced(start, mode)
+        if value == "(":
+            self.pos += 1
+            if self.at_name() and self.peek(1).value == ".":
+                nm = self.advance().value
+                self.pos += 1
+                self.term(sc.push(nm, CLOCK))
+                self.expect(")")
+                return self.misplaced(
+                    start, mode, "a clock binder must be forced with"
+                    " '[clock, tick]'")
+            saved = self.err
+            t = self.term(sc, mode)
+            if self.at("="):
+                if self._bare(start + 1, self.pos) is None:
+                    self.fail("a face equation applies to a variable")
+                self.face_end()
+                self.err = saved
+                return self.misplaced(start, mode, _IV_IN_TERM)
+            self.expect(")")
+            return t
+        if mode is IVAL and (kind == "num" or value == "~"):
+            if kind == "num":
+                return self.endpoint((IZERO, IONE), _MISPLACED[IVAL])
+            self.pos += 1
+            return INeg(self.atom(sc, IVAL))
+        if mode is IVAL or mode is _BOUNDARY and value != "hcomp":
+            self.misplaced(start, mode)
+            self.atom(sc)
+            return _PLACEHOLDER[mode]
+        if kind == "num" or value == "~":
+            self.pos += 1
+            if value == "~":
+                self.atom(sc)
+            return self.misplaced(start, TERM, _IV_IN_TERM)
+        if value == "Path":
+            self.pos += 1
+            return PathT(self.atom(sc), self.atom(sc), self.atom(sc))
+        if value == "tirr":
+            self.tick_expr(sc)
+            return self.misplaced(start, TERM,
+                                  "tick expression used in term position")
+        if value in ("dfix", "pfix"):
+            self.pos += 1
+            k = self.bound(sc, CLOCK)
+            return (DFix if value == "dfix" else PFix)(k, self.atom(sc))
+        if value in ("comp", "hcomp"):
+            self.pos += 1
+            self.expect("^")
+            sci = sc.push(self.name(), IVAL)
+            bnd = mode is _BOUNDARY
+            ty = _PLACEHOLDER[TERM]
+            if not self.at("["):
+                if bnd:
+                    self.error(start, ParseError(
+                        "a boundary hcomp carries no type annotation"))
+                ty = self.atom(sci if value == "comp" else sc)
+            elif not bnd:
+                self.error(start, ParseError(
+                    f"{value} needs a type annotation"))
+            saved = self.err
+            parts = self.bracket_parts(
+                sc, sci, mode, None if bnd else "a tube component needs"
+                " '-> term'")
+            base = self.atom(sc, mode)
+            if not bnd:
+                cls = Comp if value == "comp" else HComp
+                parts = [(phi, t) for phi, t, _ in parts if t is not None]
+                return cls(ty, face_join(phi for phi, _ in parts), System(
+                    tuple((weaken_iv(phi, [IVAL]), t) for phi, t in parts)),
+                    base)
+            if len(parts) == 1 and parts[0][1] is not None:
+                return BHComp(parts[0][0], parts[0][1], base)
+            self.err = saved
+            self.error(start, ParseError(
+                "a boundary hcomp has exactly one tube component"))
+            return _PLACEHOLDER[_BOUNDARY]
+        if value == "trans":
+            self.pos += 1
+            self.expect("^")
+            ty = self.atom(sc.push(self.name(), IVAL))
+            phi = FBOT
+            if self.at("["):
+                self.pos += 1
+                phi = self.face(sc)
+                self.expect("]")
+            return Trans(ty, phi, self.atom(sc))
+        if value == "clockelim":
+            return self.clockelim(sc)
+        if kind == "ident":
+            self.fail(f"keyword {value!r} cannot start a term here")
+        if value == "[":
+            parts = self.bracket_parts(sc, sc)
+            if any(t is None for _, t, _ in parts):
+                self.fail("a system component needs '-> term'")
+            return System(tuple((phi, t) for phi, t, _ in parts))
+        if value == "|>":
+            self.pos += 1
+            self.expect("(")
+            nm = self.name()
+            self.expect(":")
+            k = self.bound(sc, CLOCK)
+            self.expect(")")
+            return Later(k, self.atom(sc.push(nm, TICK)))
+        self.fail("expected a term")
+
+    def clockelim(self, sc):
+        start = self.pos
+        self.expect("clockelim")
+        self.expect("^")
+        n = int(self.expect_kind("num").value)
+        hit = self.name()
+        sig = self.sigs.get(hit)
+        if sig is None:
+            self.error(start, UnboundVariable(f"unbound name {hit!r}",
+                                              name=hit))
+        saved = self.err
+        spine = []
+        while not self.at("into"):
+            if not self._at_arg_atom():
+                self.fail("expected an argument or 'into'")
+            spine.append(self.atom(sc))
+        if not spine:
+            self.fail("clockelim needs a scrutinee")
+        if sig is not None and len(spine) - 1 != len(sig.params.types):
+            self.err = saved
+            self.error(start, ParseError(
+                f"{hit} takes {len(sig.params.types)} parameters,"
+                f" got {len(spine) - 1}"))
+        self.expect("into")
+        self.expect("(")
+        hvar = self.name()
+        self.expect(".")
+        motive = self.term(sc.push(hvar, TERM))
+        self.expect(")")
+        self.expect("with")
+        cases = []
+        while self.at("|"):
+            self.pos += 1
+            pos = self.pos
+            label = self.name()
+            names = []
+            while not self.at("=>"):
+                names.append(self.name())
+            self.expect("=>")
+            ctor = None if sig is None else next(
+                (c for c in sig.constructors if c.label == label), None)
+            a, r, v = (len(names), 0, 0) if ctor is None else (
+                len(ctor.args.types), len(ctor.rec_arities), ctor.ivar_count)
+            if sig is not None and ctor is None:
+                self.error(pos, ParseError(
+                    f"{hit} has no constructor {label!r}"))
+            elif ctor is not None and len(names) != a + 2 * r + v:
+                self.error(pos, ParseError(
+                    f"case for {label} binds {a + 2 * r + v} names,"
+                    f" got {len(names)}"))
+            inner = sc
+            for k, nm in enumerate(names):
+                inner = inner.push(nm, TERM if k < a + 2 * r else IVAL)
+            cases.append(ElimCase(label, a, r, v, self.term(inner)))
+        return ClockElim(hit, n, tuple(spine[:-1]), motive, tuple(cases),
+                         spine[-1])
+
+    # -- boundaries ----------------------------------------------------------
+
+    def bnd_con(self, sc, pos, label, args):
+        """Constructor `label` in a boundary, applied to the argument atoms
+        starting at the tokens `args`."""
+        a, r, v, rec_lens = self.arities[label]
+        if len(args) != a + r + v:
+            self.error(pos, ParseError(
+                f"boundary constructor {label} expects {a + r + v}"
+                f" arguments, got {len(args)}"))
+            self.atoms(sc, args)
+            return _PLACEHOLDER[_BOUNDARY]
+        recs = []
+        for k, q in enumerate(args[a:a + r]):
+            m = rec_lens[k]
+            self.pos = q
+            if m == 0:
+                recs.append(self.atom(sc, _BOUNDARY))
+                continue
+            end = self._arg_end(q)
+            name = self._bare(q, end)
+            if name in self.recmap:
+                # A function-valued slot: fill it with the recursive
+                # argument applied to the slot's own binders.
+                recs.append(BRec(self.recmap[name],
+                                 tuple(Var(m - 1 - i) for i in range(m))))
+                self.pos = end
+            else:
+                self.error(q, ParseError(
+                    f"argument {k} of {label} in a boundary must be a"
+                    " recursive argument name"))
+                self.atom(sc)
+        return BCon(label, tuple(self.atoms(sc, args[:a])), tuple(recs),
+                    tuple(self.atoms(sc, args[a + r:], IVAL)))
+
+    def boundary(self, sc, label):
+        """A constructor's boundary `[phi -> M, ..., psi]`, read in sc: its
+        pieces, and its face, which the bare entry, if any, extends."""
+        arrows, faces, bare = [], [], None
+        for phi, t, mid in self.bracket_parts(sc, sc, _BOUNDARY):
+            if t is None:
+                if bare is not None:
+                    self.error(mid, ParseError(
+                        f"{label}: at most one bare face entry"))
                 bare = phi
             else:
                 if bare is not None:
-                    raise ParseError(
-                        f"{c.label}: bare face entries must come last"
-                    )
-                afaces.append(phi)
-                arrows.append((phi, self.bnd(sc_b, recmap, arities, bS)))
+                    self.error(mid, ParseError(
+                        f"{label}: bare face entries must come last"))
+                arrows.append((phi, t))
+                faces.append(phi)
         if bare is not None:
-            afaces.append(bare)
-        face = face_join(afaces)
-        return Constructor(c.label, Telescope(tuple(atypes)), tuple(recs),
-                           len(ivnames), face, tuple(arrows))
+            faces.append(bare)
+        return tuple(arrows), face_join(faces)
 
-    def bnd(self, sc, recmap, arities, s):
-        match s:
-            case SVar(name) if name in recmap:
-                return BRec(recmap[name], ())
-            case SVar(name) if name in arities:
-                return self._bnd_con(sc, recmap, arities, name, [])
-            case SApp():
-                spine = []
-                t = s
-                while isinstance(t, SApp):
-                    spine.append(t.arg)
-                    t = t.fn
-                spine.reverse()
-                if isinstance(t, SVar) and t.name in recmap:
-                    return BRec(recmap[t.name],
-                                tuple(self.term(sc, x) for x in spine))
-                if isinstance(t, SVar) and t.name in arities:
-                    return self._bnd_con(sc, recmap, arities, t.name, spine)
-            case SHComp(ivar, ty, parts, base):
-                if ty is not None:
-                    raise ParseError(
-                        "a boundary hcomp carries no type annotation"
-                    )
-                if len(parts) != 1 or parts[0][1] is None:
-                    raise ParseError(
-                        "a boundary hcomp has exactly one tube component"
-                    )
-                phi = self.face(sc, parts[0][0])
-                tube = self.bnd(sc.push(ivar, IVAL), recmap, arities,
-                                parts[0][1])
-                return BHComp(phi, tube, self.bnd(sc, recmap, arities, base))
-        raise ParseError(
-            "a boundary term is a recursive argument, a constructor, or an"
-            " hcomp"
-        )
+    # -- declarations --------------------------------------------------------
 
-    def _bnd_con(self, sc, recmap, arities, label, spine):
-        a, r, v, rec_lens = arities[label]
-        if len(spine) != a + r + v:
-            raise ParseError(
-                f"boundary constructor {label} expects {a + r + v}"
-                f" arguments, got {len(spine)}"
-            )
-        recs = []
-        for k, x in enumerate(spine[a:a + r]):
-            m = rec_lens[k]
-            if m == 0:
-                recs.append(self.bnd(sc, recmap, arities, x))
-            elif isinstance(x, SVar) and x.name in recmap:
-                # A function-valued slot: fill it with the recursive
-                # argument applied to the slot's own binders.
-                recs.append(BRec(recmap[x.name],
-                                 tuple(Var(m - 1 - q) for q in range(m))))
+    def module(self):
+        decls = []
+        expect = None
+        while True:
+            tok = self.peek()
+            if tok.value in ("--expect-pass", "--expect-fail"):
+                self.pos += 1
+                if expect is not None:
+                    self.fail("duplicate expectation pragma")
+                expect = ("pass",)
+                if tok.value == "--expect-fail":
+                    self.expect("(")
+                    expect = ("fail", self.expect_kind("ident").value)
+                    self.expect(")")
+                    if expect[1] not in ERROR_CLASSES:
+                        raise ParseError(f"{tok.line}:{tok.col}: unknown"
+                                         f" error class {expect[1]!r}")
+            elif tok.value in ("def", "data") or tok.kind == "pragma":
+                conv = tok.kind == "pragma"
+                decls.append(self.decl(None if conv else expect))
+                if not conv:
+                    expect = None
+            elif tok.kind == "eof":
+                break
             else:
-                raise ParseError(
-                    f"argument {k} of {label} in a boundary must be a"
-                    " recursive argument name"
-                )
-        return BCon(
-            label,
-            tuple(self.term(sc, x) for x in spine[:a]),
-            tuple(recs),
-            tuple(self.ival(sc, x) for x in spine[a + r:]),
-        )
+                self.fail("expected a declaration")
+        if expect is not None:
+            raise ParseError("expectation pragma not attached to a declaration")
+        return tuple(decls)
+
+    def decl(self, expect):
+        """The declaration here (a `def`, a `data` or a conversion pragma):
+        its name, expect, and its kernel form, or the earliest error in it
+        other than a syntax error."""
+        self.err = None
+        kw = self.advance()
+        if kw.value == "data":
+            name, d = self.data_decl(kw, expect)
+        elif kw.value == "def":
+            name = self.fresh_name(kw)
+            doms, sc = self.binder_groups(_BASE_SCOPE)
+            self.expect(":")
+            ty = self.term(sc)
+            self.expect(":=")
+            body = self.term(sc)
+            for dom in reversed(doms):
+                ty, body = Pi(dom, ty), Lam(body)
+            if self.err is None:
+                self.defs.add(name)
+            d = Definition(name, ty, body, expect)
+        else:
+            self.conv_count += 1
+            name = f"conv{self.conv_count}"
+            lhs = self.term(_BASE_SCOPE)
+            self.expect("=")
+            rhs = self.term(_BASE_SCOPE)
+            self.expect(":")
+            d = ConvCheck(name, self.term(_BASE_SCOPE), lhs, rhs,
+                          kw.value == "--expect-conv")
+        return name, expect, d if self.err is None else self.err[1]
+
+    def fresh_name(self, kw, taken=()):
+        """A name not declared before; kw is its declaration's keyword."""
+        pos = self.pos
+        name = self.name()
+        if name in self.defs or name in self.sigs or name in self.labels \
+                or name in taken:
+            self.error(pos, ParseError(
+                f"line {kw.line}: {name!r} is already declared"))
+        return name
+
+    def data_decl(self, kw, expect):
+        name = self.fresh_name(kw)
+        ptypes, sc = self.binder_groups(_BASE_SCOPE)
+        level = 0
+        if self.at(":"):
+            self.pos += 1
+            m = _UNIVERSE.match(self.expect_kind("ident").value)
+            if not m:
+                self.fail("expected a universe after ':'")
+            level = int(m[1])
+        self.expect("where")
+        self.data_name = name
+        self.arities = {}
+        ctors = []
+        while self.at("|"):
+            self.pos += 1
+            label = self.fresh_name(kw, self.arities)
+            ctors.append(self.ctor(sc, label))
+        # A boundary that named a head unknown when it was read is read
+        # again, now that every constructor's shape is known.
+        end = self.pos
+        for c in ctors:
+            if c[-1] is not None:
+                bsc, self.recmap, self.pos = c[-1]
+                c[4:6] = self.boundary(bsc, c[0])
+        self.pos = end
+        self.data_name = None
+        sig = HitSignature(name, Telescope(tuple(ptypes)), level, tuple(
+            Constructor(label, Telescope(tuple(atypes)), tuple(recs), v,
+                        face, arrows)
+            for label, atypes, recs, v, arrows, face, _ in ctors))
+        for c in ctors:
+            (self.labels if self.err is None else self.dropped)[c[0]] = name
+        if self.err is None:
+            self.sigs[name] = sig
+        return name, DataDefinition(sig, expect)
+
+    def ctor(self, sc, label):
+        """The rest of a constructor after its label: [label, argument
+        types, recursive arities, interval count, boundary pieces, face,
+        and what it takes to read the boundary again (or None)]."""
+        atypes, recs, recnames, ivnames = [], [], [], []
+        phase = 0
+        while self._at_binder_group():
+            close = self.close[self.pos]
+            self.pos += 1
+            at = self.pos
+            names = self.names1()
+            self.expect(":")
+            lo = self.pos
+            if close is not None and self._bare(lo, close) == "I":
+                phase = 2
+                ivnames += names
+                self.pos = close
+            else:
+                for k, nm in enumerate(names):
+                    self.pos = lo
+                    ty = t = self.term(sc, _REC_TYPE)
+                    doms = []
+                    while type(t) is Pi:
+                        doms.append(t.dom)
+                        t = t.cod
+                    rec = t is _RECURSIVE
+                    if phase > rec:
+                        self.error(at + k, ParseError(
+                            f"{label}: recursive argument {nm!r} after an"
+                            " interval binder" if rec else
+                            f"{label}: ordinary argument {nm!r} after a"
+                            " recursive or interval binder"))
+                    if rec:
+                        phase = 1
+                        recs.append(Telescope(tuple(doms)))
+                        recnames.append(nm)
+                    else:
+                        atypes.append(ty)
+                        sc = sc.push(nm, TERM)
+            self.expect(")")
+        self.arities[label] = (len(atypes), len(recs), len(ivnames),
+                               tuple(len(tele.types) for tele in recs))
+        for nm in ivnames:
+            sc = sc.push(nm, IVAL)
+        self.recmap = {nm: j for j, nm in enumerate(recnames)}
+        if not self.at("["):
+            return [label, atypes, recs, len(ivnames), (), FBOT, None]
+        at, saved = self.pos, self.err
+        self.unknown = False
+        arrows, face = self.boundary(sc, label)
+        again = None
+        if self.unknown:
+            self.err = saved
+            again = (sc, self.recmap, at)
+        return [label, atypes, recs, len(ivnames), arrows, face, again]
 
 
 def surface_module(text):
-    return _Parser(tokenize(text)).module()
+    """The module's declarations, each as (name, expectation, kernel form or
+    the earliest error in it); a syntax error raises `ParseError`.  (The
+    name is from when this returned a surface tree; the benchmark traces
+    it, and `Elaborator.decl`, by name.)"""
+    return Elaborator(tokenize(text)).module()
 
 
 def parse_module(text):
-    elab = Elaborator()
-    return Module(tuple(elab.decl(d) for d in surface_module(text)))
+    """The module, or the first error in its declarations."""
+    decls = []
+    for _, _, d in surface_module(text):
+        if isinstance(d, CcttError):
+            raise d
+        decls.append(d)
+    return Module(tuple(decls))
 
 
 # --------------------------------------------------------------------------

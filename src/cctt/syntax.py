@@ -385,9 +385,6 @@ class Context:
             1 for e in self.entries[pos + 1:] if entry_sort(e) == sort
         )
 
-    def suffix_sorts(self, pos):
-        return [entry_sort(e) for e in self.entries[pos + 1:]]
-
     def term_type(self, ix):
         pos = self.pos_of(TERM, ix)
         # The payload is scoped in the strict prefix: weaken past the entry

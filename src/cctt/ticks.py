@@ -415,15 +415,18 @@ def lookup_clock(env, k):
     return _image(env, 1, k, _ZERO)
 
 
-def clause_subst(ctx, clause):
-    """The identity on ctx, except that each interval variable ix of the
-    clause goes to the endpoint clause[ix]."""
-    n = min(max(clause, default=-1) + 1, ctx.count(IVAL))
+def clause_subst(scope, clause):
+    """The identity on scope (a context, a shape, or None for unchecked),
+    except that each interval variable ix of the clause, a dict, goes to
+    the endpoint clause[ix]."""
+    n = max(clause, default=-1) + 1
+    if scope is not None:
+        n = min(n, scope.count(IVAL) if type(scope) is Context else scope[3])
     ivals = tuple(
         (IONE if clause[ix] else IZERO) if ix in clause else IVar(ix)
         for ix in range(n)
     )
-    return Substitution(ctx, ((), (), (), ivals), (0, 0, 0, n))
+    return Substitution(scope, ((), (), (), ivals), (0, 0, 0, n))
 
 
 def subst_iv(sigma, x):

@@ -14,7 +14,7 @@ from cctt.interval import (
     FAnd, FBOT, FEq, FTOP, INeg, IVar, IZERO, IONE,
 )
 from cctt.parser import (
-    DataDefinition, Elaborator, parse_module, surface_module,
+    DataDefinition, parse_module,
 )
 from cctt.syntax import (
     TERM, App, BCon, BHComp, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
@@ -508,9 +508,7 @@ def fuel_file_state(max_steps):
     """The definitions of `fuel-exhausted.cctt` (all but `spin`), with a
     fresh step count under the given budget."""
     state = CheckState()
-    elab = Elaborator()
-    for sdecl in surface_module(FUEL_FILE.read_text(encoding="utf-8")):
-        decl = elab.decl(sdecl)
+    for decl in parse_module(FUEL_FILE.read_text(encoding="utf-8")).decls:
         if isinstance(decl, DataDefinition):
             state.add_signature(decl.sig)
         elif decl.name != "spin":

@@ -131,6 +131,56 @@ def test_parse_error_pragma_only_counts_as_a_pragma(tmp_path, capsys):
     assert "module" not in out
 
 
+def check_lines(tmp_path, capsys, text):
+    """The verdict lines `cctt check` prints for a file holding text."""
+    src = tmp_path / "m.cctt"
+    src.write_text(text)
+    main(["check", str(src)])
+    lines = capsys.readouterr().out.splitlines()
+    return [line.replace(f"{src}:", "") for line in lines[:-1]]
+
+
+def test_a_syntax_error_fails_the_module_before_any_declaration(
+        tmp_path, capsys):
+    # The scope error in the first declaration is not reported: the whole
+    # module fails on the syntax error in the third.
+    assert check_lines(tmp_path, capsys, "def a : U0 := nope\n"
+                                         "def b : U1 := U0\n"
+                                         "def c : U0 := (\n") \
+        == ["FAIL module  [4:1: expected a term, found 'end of input']"]
+
+
+def test_scope_errors_fail_their_declarations_only(tmp_path, capsys):
+    assert check_lines(tmp_path, capsys,
+                       "def p (A : U0) (x : A) : A := comp^i [] x\n"
+                       "def q (A : U0) (x : A) : A := x {j}\n"
+                       "def r (A : U0) (x : A) : A := x\n") == [
+        "FAIL p  [ParseError: comp needs a type annotation]",
+        "FAIL q  [ParseError: 'j' is not a clock variable in scope]",
+        "PASS r",
+    ]
+
+
+def test_a_scope_error_is_not_a_parse_error(tmp_path, capsys):
+    assert check_lines(tmp_path, capsys, "--expect-fail(ParseError)\n"
+                                         "def a : U0 := nope\n") \
+        == ["FAIL module  [expected a parse error, but the file parsed]"]
+
+
+def test_constructor_parameters_may_be_left_out(tmp_path, capsys):
+    # With any other number of arguments, the checker reports the arity.
+    assert check_lines(
+        tmp_path, capsys,
+        "data list (A : U0) : U0 where | nil | cons (x : A) (xs : list)\n"
+        "def one (A : U0) (a : A) : list A := cons A a (nil A)\n"
+        "def two (A : U0) (a : A) : list A := cons a nil\n"
+        "def bad (A : U0) (a : A) : list A := cons a\n") == [
+        "PASS list", "PASS one", "PASS two",
+        "FAIL bad  [ArityMismatch: cons expects 1 recursive arguments,"
+        " got 0]",
+    ]
+
+
 def test_max_steps_flag_limits_conversion(tmp_path, capsys):
     src = tmp_path / "steps.cctt"
     src.write_text(

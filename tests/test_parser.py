@@ -1,13 +1,16 @@
+import contextlib
+import io
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cctt.cli import Report, check_file
 from cctt.errors import ParseError, UnboundVariable
 from cctt.interval import FEq, FOr, IVar, IZERO
 from cctt.parser import (
-    RESERVED, ConvCheck, DataDefinition, Definition, Module, SApp, SVar,
-    parse_module, print_module, surface_module, tokenize,
+    RESERVED, ConvCheck, DataDefinition, Definition, Module, parse_module,
+    print_module, surface_module, tokenize,
 )
 from cctt.syntax import (
     App, BCon, BRec, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
@@ -216,6 +219,48 @@ class TestData:
             "succ", 0, 1, 0, Con("nat", "succ", (), (), (Var(0),), ())
         )
 
+    # Parentheses around a spine's head, or around a forced clock binder,
+    # do not change how the spine is read.
+    @pytest.mark.parametrize("plain, wrapped", [
+        ("succ zero", "(succ) zero"),
+        ("succ (succ zero)", "(succ) ((succ) zero)"),
+        ("\\n. succ n", "\\n. ((succ) n)"),
+    ])
+    def test_parenthesised_spine_head(self, plain, wrapped):
+        def body(term):
+            src = self.NAT + f"\ndef t : nat -> nat := \\m. {term}"
+            return parse_module(src).decls[1].body
+        assert body(wrapped) == body(plain)
+
+    def test_parenthesised_constructor_with_parameters(self):
+        src = ("data list (A : U0) : U0 where | nil | cons (x : A) (xs : list)"
+               "\ndef one (A : U0) (a : A) : list A := {}")
+        plain = parse_module(src.format("cons A a (nil A)")).decls[1]
+        wrapped = parse_module(src.format("(cons A a) ((nil) A)")).decls[1]
+        assert wrapped == plain
+        assert plain.body.body.body.args == (Var(0),)
+
+    def test_parenthesised_forced_binder(self):
+        src = ("def f (A : U0) (x : forall k. A) : A := {} [k0, <>]")
+        plain = parse_module(src.format("(k. x {k})")).decls[0]
+        wrapped = parse_module(src.format("((k. x {k}))")).decls[0]
+        assert wrapped == plain
+        assert isinstance(plain.body.body.body, ForceApp)
+
+    def test_boundary_naming_a_later_constructor(self):
+        src = ("data d : U0 where | a"
+               " | b (i : I) [(i = 0) -> a, (i = 1) -> c] | c")
+        b = parse_module(src).decls[0].sig.constructors[1]
+        assert b.boundary[1][1] == BCon("c", (), (), ())
+
+    def test_group_binder_types_are_read_per_name(self):
+        # The type of `y` is read with `x` in scope: P is one further out.
+        src = ("data d (P : U0) : U0 where | two (x y : P)\n"
+               "def f (P : U0) (x y : P) : P := y")
+        sig, f = parse_module(src).decls
+        assert sig.sig.constructors[0].args.types == (Var(0), Var(1))
+        assert f.ty == Pi(U(0), Pi(Var(0), Pi(Var(1), Var(2))))
+
     def test_unknown_name(self):
         with pytest.raises(UnboundVariable):
             parse_module("def t : U0 := mystery")
@@ -286,12 +331,14 @@ def test_parse_error_message(src, message):
 
 def test_deep_nat_literal_parses():
     depth = 150
-    src = "def big : nat := " + "succ (" * depth + "zero" + ")" * depth
-    t = surface_module(src)[0].body
+    src = ("data nat : U0 where | zero | succ (m : nat)\n"
+           "def big : nat := " + "succ (" * depth + "zero" + ")" * depth)
+    t = parse_module(src).decls[1].body
     for _ in range(depth):
-        assert isinstance(t, SApp) and t.fn == SVar("succ")
-        t = t.arg
-    assert t == SVar("zero")
+        assert isinstance(t, Con) and len(t.recs) == 1
+        assert t == Con("nat", "succ", (), (), t.recs, ())
+        t = t.recs[0]
+    assert t == Con("nat", "zero", (), (), (), ())
 
 
 # Token values the tokenizer can produce, and starts that put a stream in
@@ -312,10 +359,18 @@ STREAM_STARTS = ["", "def f : U0 := ", "def f (x : U0) : ",
        st.lists(st.sampled_from(TOKEN_VOCABULARY), max_size=40),
        st.sampled_from([" ", "\n"]))
 def test_random_token_streams_never_crash(start, words, sep):
+    # A stream that parses is checked too: every declaration gets its
+    # verdict line, and no exception escapes.
+    text = start + sep.join(words)
     try:
-        surface_module(start + sep.join(words))
+        decls = surface_module(text)
     except ParseError:
-        pass
+        return
+    report = Report()
+    with contextlib.redirect_stdout(io.StringIO()):
+        check_file("stream.cctt", text, 1000, report)
+    assert [decl for _, _, decl in report.lines] \
+        == [name for name, _, _ in decls]
 
 
 ROUND_TRIP_SOURCES = [

@@ -1,16 +1,21 @@
 """The package sources compile without warnings and import only at module
-level, and every function the benchmark's tracer wraps exists."""
+level, and every function the benchmark's tracer wraps exists (the
+parser's on the path a check takes)."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import warnings
 from pathlib import Path
 
 import cctt.cli
 
 SOURCES = sorted(Path(cctt.cli.__file__).resolve().parent.glob("*.py"))
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "perfbench" / "layers.py"
+CORPUS = ROOT / "corpus"
 
 
 def test_sources_compile_without_warnings():
@@ -33,12 +38,17 @@ def test_no_function_local_imports():
     assert not found, sorted(found)
 
 
-def _targets():
-    """The benchmark tracer's `TARGETS`: layer -> traced qualified names."""
+def _layers():
+    """The benchmark's tracer module, `perfbench/layers.py`."""
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return layers.TARGETS
+    return layers
+
+
+def _targets():
+    """The benchmark tracer's `TARGETS`: layer -> traced qualified names."""
+    return _layers().TARGETS
 
 
 def test_traced_functions_exist():
@@ -53,6 +63,24 @@ def test_traced_functions_exist():
             for part in path:
                 owner = getattr(owner, part)
             assert callable(vars(owner).get(attr)), f"cctt.{layer}.{qualname}"
+
+
+def test_traced_parser_functions_are_on_the_checking_path():
+    # The benchmark times the front end by these two names, so each must
+    # run as `cli.check_file` checks a file, not stand beside it.
+    tracer = _layers().Tracer()
+    path = CORPUS / "05-hits" / "spheres.cctt"
+    report = cctt.cli.Report()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cctt.cli.check_file(str(path), path.read_text(encoding="utf-8"),
+                                1_000_000, report)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["parser.surface_module"] == 1
+    assert len(report.lines) > 1
+    assert tracer.calls["parser.Elaborator.decl"] == len(report.lines)
 
 
 # Top-level definitions no other package code names, each with the reason
