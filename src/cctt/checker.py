@@ -9,13 +9,21 @@ checking the head under a fresh clock binder over the forcing residual.
 Definitions and data signatures live in a CheckState whose ambient prelude
 binds one clock constant; `promote` weakens a prelude-scoped body into any
 checking context built over it.
+
+A constructor's boundary pieces are ordinary terms, checked by the ordinary
+rules (as cubicaltt checks a HIT constructor's boundary system; Coquand,
+Huber and Mortberg, "On Higher Inductive Types in Cubical Type Theory",
+LICS 2018): each is checked at the data type in the constructor's
+telescope, with the constructors before it declared; overlapping pieces
+must be convertible on each clause of the overlap; and an eliminator case
+must be convertible, on each piece's face, with the eliminator applied to
+the piece.
 """
 
 from .conversion import (
-    CompProblem, boundary_apply, boundary_equal, conv, conv_tm,
-    conv_under_face, hfill, signature_subst, subst1, subst_clock1,
-    subst_force1, subst_ival1, subst_tick1, whnf,
-    _ONE_IVAL, _case_for, _clam_n, _forall_n, _nlam, _weaken_case,
+    CompProblem, conv, conv_tm, conv_under_face, signature_subst, subst1,
+    subst_clock1, subst_force1, subst_ival1, subst_tick1, whnf,
+    _clam_n, _elim_con, _forall_n, _weaken_case,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
@@ -30,16 +38,16 @@ from .interval import (
     iv_vars,
 )
 from .syntax import (
-    App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
-    Context, DFix, EClock, EFace, EIVar, ETick, EVar, ForceApp,
-    Forall, Fst, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
-    PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, TickApp, TickLam,
-    TickVar, TopRef, Trans, U, Var, ZERO_DEPTH, _bump, _shift_map,
-    rename_term, structural_equal, weaken, weaken_iv,
+    App, CApp, CLam, CLOCK, ClockElim, Comp, Con, Context, DFix, EClock,
+    EFace, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, Lam,
+    Later, PApp, PFix, PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System,
+    TERM, TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var,
+    ZERO_DEPTH, _bump, _shift_map, rename_term, structural_equal, weaken,
+    weaken_iv,
 )
 from .ticks import (
     _tick_vars, apply_mask, clause_subst, mask_renaming, residual_mask,
-    shape, strengthen_term, subst, subst_apply, weakening_renaming,
+    shape, strengthen_term, subst_apply, weakening_renaming,
 )
 
 PRELUDE = Context((EClock(),))
@@ -337,7 +345,19 @@ def _infer_force_app(state, ctx, fn, k, u):
 # Checking
 # --------------------------------------------------------------------------
 
+# The terms `check` takes apart by the head of the expected type; any other
+# is inferred and compared with it.
+_INTRODUCTIONS = frozenset({Lam, Pair, PLam, CLam, TickLam, System, Con})
+
+
 def check(state, ctx, t, expected):
+    if type(t) not in _INTRODUCTIONS:
+        got = infer(state, ctx, t)
+        if not _subtype(state, ctx, got, expected):
+            raise TypeMismatch("types do not match",
+                               expected=whnf(state, ctx, expected),
+                               actual=got)
+        return
     ety = whnf(state, ctx, expected)
     match (t, ety):
         case (Lam(body), Pi(dom, cod)):
@@ -400,7 +420,7 @@ def check(state, ctx, t, expected):
             if not params and sig.params.types:
                 params = ep  # elaborate the omitted parameters
             got = check_constructor_app(state, ctx, sig, label, params,
-                                        args, recs, ivals)
+                                        args, recs, ivals, typed=ep)
             if not conv(state, ctx, U(sig.level), got, ety):
                 raise TypeMismatch("constructor parameters disagree",
                                    expected=ety, actual=got)
@@ -574,7 +594,7 @@ def check_hit_signature(state, sig):
         bctx = bctx.push(EVar(ty))
     delta_ctx = bctx
 
-    seen = []
+    declaring = _Declaring(sig)
     for idx, ctor in enumerate(sig.constructors):
         cctx = delta_ctx
         for j, ty in enumerate(ctor.args.types):
@@ -608,138 +628,87 @@ def check_hit_signature(state, sig):
                     f"face of {ctor.label} mentions interval variable {ix} "
                     f"outside its {ctor.ivar_count} binders"
                 )
-        _check_boundary(state, sig, seen, idx, ctor, cctx)
-        seen.append(ctor.label)
+        declaring.current = idx
+        _check_boundary(state, declaring, ctor, cctx)
     return True
 
 
-def _check_boundary(state, sig, earlier, idx, ctor, cctx):
-    """cctx = prelude, parameters, constructor arguments."""
-    v = ctor.ivar_count
-    ictx = cctx
-    for _ in range(v):
-        ictx = ictx.push(EIVar())
+class _Declaring:
+    """A data signature while the boundary of its constructor number
+    `current` is checked: that constructor and the ones after it are not
+    declared yet.  Anything else is read off the signature."""
 
-    for phi, piece in ctor.boundary:
-        for ix in iv_vars(phi):
-            if ix >= v:
-                raise NonProperEntry(
-                    f"boundary face of {ctor.label} is out of scope"
-                )
-        _check_boundary_term(state, sig, earlier, ctor, ictx, piece)
-    if ctor.boundary or not face_is_false(ctor.face):
-        covering = face_join(phi for phi, _ in ctor.boundary)
-        if not face_entails(ctor.face, covering):
-            raise BoundaryNotCovering(
-                f"boundary of {ctor.label} does not cover its face",
-                face=ctor.face,
+    def __init__(self, sig):
+        self.sig = sig
+        self.current = 0
+
+    def __getattr__(self, name):
+        return getattr(self.sig, name)
+
+    def constructor(self, label):
+        k = self.sig.index_of(label)
+        if k >= self.current:
+            raise ForwardConstructorReference(
+                f"boundary of {self.constructors[self.current].label} refers"
+                f" to {label}, which is not declared before it"
             )
+        return self.constructors[k]
 
-    # Pairwise compatibility on overlaps.
-    pieces = list(ctor.boundary)
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            overlap = FAnd(pieces[i][0], pieces[j][0])
-            for clause in overlap:
-                # The clause's endpoints, put for the constructor's
-                # interval binders.
-                sigma = clause_subst(None, dict(clause))
-                left = boundary_apply(sig, sigma, pieces[i][1])
-                right = boundary_apply(sig, sigma, pieces[j][1])
-                if not boundary_equal(sig, left, right,
-                                      (len(ctor.args.types), 0, 0, v)):
-                    raise BoundaryIncompatible(
-                        f"boundary pieces {i} and {j} of {ctor.label} "
-                        "disagree on their overlap",
-                        face=overlap,
+
+def _check_boundary(state, declaring, ctor, cctx):
+    """Type each boundary piece at the data type, in cctx (prelude,
+    parameters, constructor arguments) extended by the recursive arguments
+    and the interval binders, with the constructors before this one
+    declared; then check that the pieces cover the face and agree where
+    they overlap."""
+    sig = declaring.sig
+    d, a, v = len(sig.params.types), len(ctor.args.types), ctor.ivar_count
+    bctx = cctx
+    for k, arity in enumerate(ctor.rec_arities):
+        scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
+        bctx = bctx.push(EVar(_rec_fn_type(state, bctx, sig, arity,
+                                           scope[:d], scope[d:])))
+    r = len(ctor.rec_arities)
+    hit = Hit(sig.name, tuple(Var(r + d + a - 1 - p) for p in range(d)))
+    for _ in range(v):
+        bctx = bctx.push(EIVar())
+
+    state.signatures[sig.name] = declaring
+    try:
+        for phi, piece in ctor.boundary:
+            for ix in iv_vars(phi):
+                if ix >= v:
+                    raise NonProperEntry(
+                        f"boundary face of {ctor.label} is out of scope"
                     )
+            check(state, bctx, piece, hit)
+        if ctor.boundary or not face_is_false(ctor.face):
+            covering = face_join(phi for phi, _ in ctor.boundary)
+            if not face_entails(ctor.face, covering):
+                raise BoundaryNotCovering(
+                    f"boundary of {ctor.label} does not cover its face",
+                    face=ctor.face,
+                )
 
-
-def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
-    """Type a boundary term in bctx (prelude, parameters, arguments, and
-    any binders pushed while descending)."""
-    d = len(sig.params.types)
-    match M:
-        case BRec(j, uargs):
-            if not (0 <= j < len(ctor.rec_arities)):
-                raise ArityMismatch(
-                    f"recursive variable {j} of {ctor.label} out of range"
-                )
-            arity = ctor.rec_arities[j]
-            if len(uargs) != len(arity.types):
-                raise ArityMismatch(
-                    f"recursive call {j} in {ctor.label} expects "
-                    f"{len(arity.types)} arguments"
-                )
-            # Arity types are scoped over (prelude, parameters, arguments);
-            # weaken past everything pushed since, then feed earlier
-            # arguments in.
-            extra_terms = bctx.count(TERM) - (d + len(ctor.args.types))
-            extra_ivals = bctx.count(IVAL)
-            for q, ty in enumerate(arity.types):
-                ty_w = weaken(ty, [TERM] * extra_terms
-                              + [IVAL] * extra_ivals, cut={TERM: q})
-                ty_i = subst_apply(subst(bctx, terms=uargs[:q]), ty_w)
-                check(state, bctx, uargs[q], ty_i)
-            return
-        case BCon(label, cargs, crecs, civals):
-            try:
-                tidx = sig.index_of(label)
-            except KeyError:
-                raise ForwardConstructorReference(
-                    f"boundary of {ctor.label} names unknown constructor "
-                    f"{label}"
-                )
-            if label not in earlier:
-                raise ForwardConstructorReference(
-                    f"boundary of {ctor.label} refers to {label}, which is "
-                    "not declared before it"
-                )
-            target = sig.constructors[tidx]
-            if (len(cargs) != len(target.args.types)
-                    or len(crecs) != len(target.rec_arities)
-                    or len(civals) != target.ivar_count):
-                raise ArityMismatch(
-                    f"constructor {label} applied with the wrong arity in "
-                    f"the boundary of {ctor.label}"
-                )
-            extra_terms = bctx.count(TERM) - (d + len(ctor.args.types))
-            extra_ivals = bctx.count(IVAL)
-            for q, ty in enumerate(target.args.types):
-                # Scoped (prelude, parameters, target args<q): splice the
-                # binders pushed since the parameters in front of the
-                # argument references.
-                ty_w = weaken(
-                    ty,
-                    [TERM] * (len(ctor.args.types) + extra_terms)
-                    + [IVAL] * extra_ivals,
-                    cut={TERM: q},
-                )
-                ty_i = subst_apply(subst(bctx, terms=cargs[:q]), ty_w)
-                check(state, bctx, cargs[q], ty_i)
-            for k, sub in enumerate(crecs):
-                arity = target.rec_arities[k]
-                inner = bctx
-                for q, ty in enumerate(arity.types):
-                    ty_w = weaken(
-                        ty,
-                        [TERM] * (len(ctor.args.types) + extra_terms)
-                        + [IVAL] * extra_ivals,
-                        cut={TERM: q},
-                    )
-                    ty_i = subst_apply(subst(inner, terms=cargs[:q]), ty_w)
-                    inner = inner.push(EVar(ty_i))
-                _check_boundary_term(state, sig, earlier, ctor, inner, sub)
-            for r in civals:
-                _check_iv(bctx, r)
-            return
-        case BHComp(face, tube, base):
-            _check_iv(bctx, face)
-            _check_boundary_term(state, sig, earlier, ctor,
-                                 bctx.push(EIVar()), tube)
-            _check_boundary_term(state, sig, earlier, ctor, bctx, base)
-            return
-    raise NonProperEntry(f"not a boundary term: {M!r}")
+        # Pairwise compatibility on overlaps.
+        pieces = ctor.boundary
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                overlap = FAnd(pieces[i][0], pieces[j][0])
+                for clause in overlap:
+                    # The clause's endpoints, put for the constructor's
+                    # interval binders.
+                    sigma = clause_subst(bctx, dict(clause))
+                    if not conv(state, bctx, hit,
+                                subst_apply(sigma, pieces[i][1]),
+                                subst_apply(sigma, pieces[j][1])):
+                        raise BoundaryIncompatible(
+                            f"boundary pieces {i} and {j} of {ctor.label} "
+                            "disagree on their overlap",
+                            face=overlap,
+                        )
+    finally:
+        del state.signatures[sig.name]
 
 
 # --------------------------------------------------------------------------
@@ -747,7 +716,9 @@ def _check_boundary_term(state, sig, earlier, ctor, bctx, M):
 # --------------------------------------------------------------------------
 
 def check_constructor_app(state, ctx, sig, label, params, args, recs,
-                          ivals):
+                          ivals, typed=None):
+    """The type of a constructor application; parameters equal to `typed`,
+    those of a type known to be well formed, are not checked again."""
     try:
         ctor = sig.constructor(label)
     except KeyError:
@@ -767,7 +738,8 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
             f"{label} expects {ctor.ivar_count} interval arguments, got "
             f"{len(ivals)}"
         )
-    _check_hit_params(state, ctx, sig, params)
+    if typed is None or not structural_equal(params, typed):
+        _check_hit_params(state, ctx, sig, params)
     for j, ty in enumerate(ctor.args.types):
         ty_i = subst_apply(
             signature_subst(ctx, tuple(params) + tuple(args[:j])), ty
@@ -944,23 +916,40 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         case_ctx = case_ctx.push(EIVar())
 
     case_sorts = [TERM] * (a + 2 * r) + [IVAL] * v
-    scrut_full = _case_scrutinee(elim, sig, ctor, case_ctx, case_sorts)
+    con = _case_con(elim, sig, ctor, case_sorts)
     motive_w = weaken(elim.motive, case_sorts, cut={TERM: 1})
-    expected = subst1(case_ctx, motive_w, scrut_full)
+    expected = subst1(case_ctx, motive_w, _clam_n(n, con))
     check(state, case_ctx, case.body, expected)
+    if not ctor.boundary:
+        return
 
+    # On each piece's face, the case body, its induction hypotheses the
+    # eliminator's own calls, must agree with the eliminator applied to
+    # the piece.
+    params_w = tuple(weaken(p, case_sorts) for p in elim.params)
+    cases_w = tuple(_weaken_case(c, case_sorts) for c in elim.cases)
+
+    def elim_of(arg):
+        return ClockElim(elim.name, n, params_w, motive_w, cases_w, arg)
+
+    body, env = _elim_con(state, case_ctx, elim_of(None), con)
+    body = subst_apply(env, body)
+    sigma = signature_subst(shape(case_ctx, clocks=n),
+                            con.params + con.args + con.recs, con.ivals)
     for phi, piece in ctor.boundary:
-        interp = _Interp(case_ctx, sig, elim, ctor, case_sorts)
-        interpreted = interp.interp(piece, 0, 0)
-        rctx = case_ctx.push(EFace(phi))
-        if not conv(state, rctx, expected, case.body, interpreted):
+        at_piece = elim_of(_clam_n(n, subst_apply(sigma, piece)))
+        if not conv(state, case_ctx.push(EFace(phi)), expected, body,
+                    at_piece):
             raise CaseBoundaryMismatch(
                 f"case for {case.label} disagrees with its boundary",
                 label=case.label, face=phi,
             )
 
 
-def _case_scrutinee(elim, sig, ctor, case_ctx, case_sorts):
+def _case_con(elim, sig, ctor, case_sorts):
+    """The constructor a case stands for, in its case context under the n
+    clocks: its arguments and recursive arguments are the case's binders
+    applied to the clocks."""
     n = elim.n
     a = len(ctor.args.types)
     r = len(ctor.rec_arities)
@@ -974,137 +963,4 @@ def _case_scrutinee(elim, sig, ctor, case_ctx, case_sorts):
     )
     recs = tuple(_capp_n(Var(2 * r - 1 - k), n) for k in range(r))
     ivals = tuple(IVar(v - 1 - q) for q in range(v))
-    return _clam_n(n, Con(sig.name, ctor.label, params, args, recs, ivals))
-
-
-class _Interp:
-    """Boundary interpretation inside an eliminator case context: maps a
-    constructor boundary term to the term the case body must match on the
-    corresponding face."""
-
-    def __init__(self, case_ctx, sig, elim, ctor, case_sorts):
-        self.case_shape = shape(case_ctx)
-        self.sig = sig
-        self.elim = elim
-        self.case_sorts = list(case_sorts)
-        self.n = elim.n
-        self.a = len(ctor.args.types)
-        self.r = len(ctor.rec_arities)
-
-    def _local(self, nest, ivd, clocks=0):
-        """The shape of the case context plus nest term binders, ivd
-        interval binders and `clocks` clocks."""
-        return shape(self.case_shape, terms=nest, clocks=clocks, ivals=ivd)
-
-    def _params_n(self, nest, ivd):
-        """delta applied to the bound clocks, scoped in the case context
-        plus nest term binders, ivd interval binders, and n clocks."""
-        sorts = (self.case_sorts + [TERM] * nest + [IVAL] * ivd
-                 + [CLOCK] * self.n)
-        return [
-            _capp_n(weaken(p, sorts), self.n) for p in self.elim.params
-        ]
-
-    def _mapped(self, t, nest, ivd):
-        """A signature-scoped term (prelude clock, parameters, constructor
-        arguments, nest inner binders) moved under the case context plus n
-        fresh clocks."""
-        n, a, r = self.n, self.a, self.r
-        terms = self._params_n(nest, ivd)
-        terms += [_capp_n(Var(2 * r + a - 1 - j + nest), n)
-                  for j in range(a)]
-        terms += [Var(nest - 1 - s) for s in range(nest)]
-        return subst_apply(
-            signature_subst(self._local(nest, ivd, n), terms), t
-        )
-
-    def _embed(self, M, nest, ivd):
-        """The raw (uninterpreted) boundary term under the clock binders."""
-        n, r = self.n, self.r
-        match M:
-            case BRec(j, uargs):
-                out = _capp_n(Var(2 * r - 1 - j + nest), n)
-                for u in uargs:
-                    out = App(out, self._mapped(u, nest, ivd))
-                return out
-            case BCon(label, cargs, crecs, civals):
-                target = self.sig.constructor(label)
-                recs = []
-                for k, sub in enumerate(crecs):
-                    m2 = len(target.rec_arities[k].types)
-                    recs.append(_nlam(m2, self._embed(sub, nest + m2, ivd)))
-                return Con(
-                    self.sig.name, label,
-                    tuple(self._params_n(nest, ivd)),
-                    tuple(self._mapped(s, nest, ivd) for s in cargs),
-                    tuple(recs),
-                    tuple(civals),
-                )
-            case BHComp(face, tube, base):
-                return HComp(
-                    Hit(self.sig.name, tuple(self._params_n(nest, ivd))),
-                    face,
-                    self._embed(tube, nest, ivd + 1),
-                    self._embed(base, nest, ivd),
-                )
-        raise NonProperEntry(repr(M))
-
-    def interp(self, M, nest, ivd):
-        r = self.r
-        match M:
-            case BRec(j, uargs):
-                out = Var(r - 1 - j + nest)
-                for u in uargs:
-                    out = App(out, self._mapped(u, nest, ivd))
-                return out
-            case BCon(label, cargs, crecs, civals):
-                return self._interp_con(label, cargs, crecs, civals,
-                                        nest, ivd)
-            case BHComp(face, tube, base):
-                return self._interp_hcomp(face, tube, base, nest, ivd)
-        raise NonProperEntry(repr(M))
-
-    def _interp_con(self, label, cargs, crecs, civals, nest, ivd):
-        n = self.n
-        target = self.sig.constructor(label)
-        case2 = _case_for(self.elim, label)
-        gammas = [_clam_n(n, self._mapped(s, nest, ivd)) for s in cargs]
-        xs, ys = [], []
-        for k, sub in enumerate(crecs):
-            m2 = len(target.rec_arities[k].types)
-            xs.append(_clam_n(
-                n, _nlam(m2, self._embed(sub, nest + m2, ivd))
-            ))
-            ys.append(_nlam(m2, self.interp(sub, nest + m2, ivd)))
-        sorts = self.case_sorts + [TERM] * nest + [IVAL] * ivd
-        case2_w = _weaken_case(case2, sorts)
-        sigma = subst(self._local(nest, ivd), terms=gammas + xs + ys,
-                      ivals=civals)
-        return subst_apply(sigma, case2_w.body)
-
-    def _interp_hcomp(self, face, tube, base, nest, ivd):
-        n = self.n
-        a_n = _forall_n(n, Hit(self.sig.name,
-                               tuple(self._params_n(nest, ivd))))
-        raw_tube = _clam_n(n, self._embed(tube, nest, ivd + 1))
-        raw_base = _clam_n(n, self._embed(base, nest, ivd))
-        v_line = hfill(
-            self._local(nest, ivd + 1),
-            weaken(a_n, [IVAL]),
-            weaken_iv(face, [IVAL]),
-            weaken(raw_tube, [IVAL], cut={IVAL: 1}),
-            weaken(raw_base, [IVAL]),
-            IVar(0),
-        )
-        motive_w = weaken(
-            self.elim.motive,
-            self.case_sorts + [TERM] * nest + [IVAL] * ivd,
-            cut={TERM: 1},
-        )
-        motive_line = subst_apply(
-            subst(self._local(nest, ivd), terms=(v_line,), fresh=_ONE_IVAL),
-            motive_w,
-        )
-        return Comp(motive_line, face,
-                    self.interp(tube, nest, ivd + 1),
-                    self.interp(base, nest, ivd))
+    return Con(sig.name, ctor.label, params, args, recs, ivals)

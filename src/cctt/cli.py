@@ -114,7 +114,8 @@ def check_file(path, text, max_steps, report, trace=False):
         conv_ok = None
         if err is None:
             try:
-                if failed and referenced_names(decl) & failed:
+                # A data type's boundaries name the data type itself.
+                if failed and (referenced_names(decl) - {name}) & failed:
                     skip = True
                 else:
                     conv_ok = _run_decl(state, report, path, name, decl,

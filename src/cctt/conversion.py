@@ -5,8 +5,9 @@ functions, pairs, clocks, ticks and paths; the forcing-tick beta rule; the
 diamond-gated unfolding of dfix and pfix; tirr endpoint rules and the
 diamond collapse; demotion of diamond-free forcing applications; the
 composition rules per type head (with comp at a higher inductive type
-decomposed into hcomp over trans); and the reduction rules of the
-induction-under-clocks eliminator.
+decomposed into hcomp over trans); a constructor whose face holds reducing
+to its boundary piece; and the reduction rules of the induction-under-clocks
+eliminator.
 
 Fixed points unfold ONLY at a syntactic diamond; together with the step
 budget this keeps conversion checking terminating in practice (no
@@ -48,13 +49,15 @@ shape (`ticks.shape`) where there is no typing context to read it from.
 `subst1`, `subst_ival1`, `subst_clock1` and `subst_tick1` instantiate one
 variable; `subst_force1` is the forcing beta rule, shared with the checker;
 `signature_subst` instantiates a term scoped in a data type's telescope
-(prelude clock, parameters, arguments, interval binders).
+(prelude clock, parameters, arguments, recursive arguments, interval
+binders): a boundary piece is an ordinary term in that scope, so firing it
+is one substitution.
 """
 
 from dataclasses import dataclass
 
 from .errors import (
-    ArityMismatch, CaseMissing, CcttError, FuelExhausted, IllFormedRedex,
+    CaseMissing, CcttError, FuelExhausted, IllFormedRedex,
 )
 from .interval import (
     FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
@@ -62,7 +65,7 @@ from .interval import (
     iv_substitute,
 )
 from .syntax import (
-    App, BCon, BHComp, BRec, CApp, CLam, CLOCK, ClockElim, Comp, Con,
+    App, CApp, CLam, CLOCK, ClockElim, Comp, Con,
     Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
     FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, Term,
@@ -71,7 +74,7 @@ from .syntax import (
 )
 from .ticks import (
     CForcedTick, bind, clause_subst, close, force, lookup, lookup_clock,
-    shape, subst, subst_apply, subst_iv,
+    shape, subst, subst_apply,
 )
 
 
@@ -290,12 +293,11 @@ def whnf(state, ctx, t):
                 t = reduced
 
             case Con(name, label, params, args, recs, ivals):
-                sig = state.signature(name)
-                ctor = sig.constructor(label)
+                ctor = state.signature(name).constructor(label)
                 # A point constructor (empty face) never fires a boundary.
                 if ctor.face and face_is_true(_ctor_face(ctor, ivals)):
-                    t = _boundary_fire(state, ctx, sig, ctor, params,
-                                       args, recs, ivals)
+                    t = _boundary_fire(ctx, ctor, params, args, recs,
+                                       ivals)
                 else:
                     return _apply_spine(t, spine)
 
@@ -603,201 +605,19 @@ def _ctor_face(ctor, ivals):
     return iv_substitute(ctor.face, _ival_assignment(ivals))
 
 
-def embed_boundary(state, ctx, sig, ctor, bterm, params, args, recs, ivals):
-    """Interpret a boundary term as an ordinary term at a constructor
-    instance."""
-    sigma = signature_subst(ctx, tuple(params) + tuple(args), ivals)
-    return _embed(state, sig, sigma, bterm, params, recs)
-
-
-def _embed(state, sig, sigma, bterm, params, recs):
-    match bterm:
-        case BRec(j, uargs):
-            call = recs[j]
-            for a in uargs:
-                call = App(call, subst_apply(sigma, a))
-            return call
-        case BCon(label, cargs, crecs, civals):
-            target = sig.constructor(label)
-            new_recs = []
-            for k, sub in enumerate(crecs):
-                n = len(target.rec_arities[k].types)
-                body = _embed(
-                    state, sig, sigma.under(TERM, n), sub,
-                    [weaken(q, [TERM] * n) for q in params],
-                    [weaken(r, [TERM] * n) for r in recs],
-                )
-                new_recs.append(_nlam(n, body))
-            return Con(
-                sig.name, label,
-                tuple(params),
-                tuple(subst_apply(sigma, a) for a in cargs),
-                tuple(new_recs),
-                tuple(subst_iv(sigma, r) for r in civals),
-            )
-        case BHComp(face, tube, base):
-            return HComp(
-                Hit(sig.name, tuple(params)),
-                subst_iv(sigma, face),
-                _embed(state, sig, sigma.under(IVAL), tube,
-                       [weaken(q, [IVAL]) for q in params],
-                       [weaken(r, [IVAL]) for r in recs]),
-                _embed(state, sig, sigma, base, params, recs),
-            )
-    raise IllFormedRedex(f"not a boundary term: {bterm!r}")
-
-
-def _nlam(n, body):
-    for _ in range(n):
-        body = Lam(body)
-    return body
-
-
-def _boundary_fire(state, ctx, sig, ctor, params, args, recs, ivals):
-    """The constructor's face is satisfied: reduce to the boundary piece."""
+def _boundary_fire(ctx, ctor, params, args, recs, ivals):
+    """The constructor's face is satisfied: reduce to the boundary piece
+    that holds, at the constructor's parameters and arguments."""
     assignment = _ival_assignment(ivals)
-    for phi, bterm in ctor.boundary:
+    for phi, piece in ctor.boundary:
         if face_is_true(iv_substitute(phi, assignment)):
-            return embed_boundary(state, ctx, sig, ctor, bterm, params,
-                                  args, recs, ivals)
+            return subst_apply(
+                signature_subst(ctx, params + args + recs, ivals), piece
+            )
     raise IllFormedRedex(
         f"constructor face of {ctor.label} satisfied but no boundary piece "
         "fires"
     )
-
-
-# --------------------------------------------------------------------------
-# Boundary-term calculus
-# --------------------------------------------------------------------------
-
-def boundary_subst(sig, target_ctor, N, args, rec_bodies, ivals, past):
-    """Instantiate a constructor application into the boundary term N: its
-    term slots get `args` and `ivals` plugged for the target constructor's
-    telescope and interval binders, and each recursive variable call is
-    replaced by the matching boundary payload.  The application sits in a
-    scope holding `past` variables past the parameters (a count per sort),
-    so N's parameters move past them."""
-    if len(rec_bodies) != len(target_ctor.rec_arities):
-        raise ArityMismatch(
-            f"expected {len(target_ctor.rec_arities)} recursive payloads"
-        )
-
-    def go(sigma, M):
-        match M:
-            case BRec(j, uargs):
-                arity = target_ctor.rec_arities[j]
-                return _bnd_plug(sig, rec_bodies[j],
-                                 [subst_apply(sigma, u) for u in uargs],
-                                 len(arity.types), sigma.depth)
-            case BCon(label, cargs, crecs, civals):
-                arities = sig.constructor(label).rec_arities
-                return BCon(
-                    label,
-                    tuple(subst_apply(sigma, a) for a in cargs),
-                    tuple(go(sigma.under(TERM, len(arity.types)), m)
-                          for arity, m in zip(arities, crecs)),
-                    tuple(subst_iv(sigma, r) for r in civals),
-                )
-            case BHComp(face, tube, base):
-                return BHComp(subst_iv(sigma, face),
-                              go(sigma.under(IVAL), tube), go(sigma, base))
-        raise IllFormedRedex(repr(M))
-
-    return go(subst(None, terms=args, ivals=ivals, fresh=past), N)
-
-
-def boundary_apply(sig, sigma, M):
-    """sigma applied to the terms, interval expressions and faces of the
-    boundary term M, lifted under the binders its parts sit under: the
-    telescope of a recursive argument and the interval variable of a
-    tube."""
-    match M:
-        case BRec(j, uargs):
-            return BRec(j, tuple(subst_apply(sigma, u) for u in uargs))
-        case BCon(label, cargs, crecs, civals):
-            arities = sig.constructor(label).rec_arities
-            return BCon(
-                label,
-                tuple(subst_apply(sigma, a) for a in cargs),
-                tuple(
-                    boundary_apply(sig, sigma.under(TERM, len(a.types)), m)
-                    for a, m in zip(arities, crecs)
-                ),
-                tuple(subst_iv(sigma, r) for r in civals),
-            )
-        case BHComp(face, tube, base):
-            return BHComp(subst_iv(sigma, face),
-                          boundary_apply(sig, sigma.under(IVAL), tube),
-                          boundary_apply(sig, sigma, base))
-    raise IllFormedRedex(f"not a boundary term: {M!r}")
-
-
-def _bnd_plug(sig, body, values, arity, depth):
-    """Plug term values for the bound telescope variables of a recursive
-    boundary payload, met under `depth` binders (a count per sort), past
-    which the rest of the payload moves."""
-    if arity != len(values):
-        raise ArityMismatch("recursive payload arity mismatch")
-    if arity == 0 and not any(depth):
-        return body
-    return boundary_apply(sig, subst(None, terms=values, fresh=depth), body)
-
-
-def boundary_reduce(sig, M, past):
-    """One head reduction of a boundary term, or None.  M's scope holds
-    `past` variables past the parameters, a count per sort."""
-    match M:
-        case BCon(label, cargs, crecs, civals):
-            ctor = sig.constructor(label)
-            if not ctor.face:
-                return None
-            assignment = _ival_assignment(civals)
-            if face_is_true(iv_substitute(ctor.face, assignment)):
-                for phi, piece in ctor.boundary:
-                    if face_is_true(iv_substitute(phi, assignment)):
-                        return boundary_subst(sig, ctor, piece, cargs,
-                                              crecs, civals, past)
-        case BHComp(face, tube, base):
-            if face_is_true(face):
-                # The tube at 1.
-                return boundary_apply(sig, subst(None, ivals=(IONE,)), tube)
-    return None
-
-
-def boundary_equal(sig, M, N, past):
-    """Congruence closure of the boundary reduction rules, for M and N in a
-    scope holding `past` variables past the parameters, a count per
-    sort."""
-    M2 = boundary_reduce(sig, M, past)
-    if M2 is not None:
-        return boundary_equal(sig, M2, N, past)
-    N2 = boundary_reduce(sig, N, past)
-    if N2 is not None:
-        return boundary_equal(sig, M, N2, past)
-    terms, clocks, ticks, ivals = past
-    match (M, N):
-        case (BRec(j1, a1), BRec(j2, a2)):
-            return j1 == j2 and len(a1) == len(a2) and all(
-                structural_equal(x, y) for x, y in zip(a1, a2)
-            )
-        case (BCon(l1, a1, r1, v1), BCon(l2, a2, r2, v2)):
-            if l1 != l2 or len(a1) != len(a2) or len(r1) != len(r2):
-                return False
-            arities = sig.constructor(l1).rec_arities
-            return (
-                v1 == v2
-                and all(structural_equal(x, y) for x, y in zip(a1, a2))
-                and all(boundary_equal(
-                            sig, x, y,
-                            (terms + len(arity.types), clocks, ticks, ivals))
-                        for arity, x, y in zip(arities, r1, r2))
-            )
-        case (BHComp(f1, t1, b1), BHComp(f2, t2, b2)):
-            return (f1 == f2
-                    and boundary_equal(sig, t1, t2,
-                                       (terms, clocks, ticks, ivals + 1))
-                    and boundary_equal(sig, b1, b2, past))
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -828,6 +648,12 @@ def elim_reduce(state, ctx, elim):
 def _clam_n(n, t):
     for _ in range(n):
         t = CLam(t)
+    return t
+
+
+def _nlam(n, t):
+    for _ in range(n):
+        t = Lam(t)
     return t
 
 

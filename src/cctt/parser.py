@@ -13,8 +13,11 @@ The surface language uses named variables.  The parser reads a module in
 one pass straight to the sort-indexed de Bruijn representation of
 `syntax`: each method resolves the names it reads in the scope it is
 given, and splits constructor and data type spines using the data
-signatures declared earlier in the module.  A syntax error fails the
-whole module; any other error fails only its declaration.  The printer
+signatures declared earlier in the module.  A constructor's boundary is
+read to kernel terms over its telescope: a recursive argument is a term
+variable there, but only as the head of a boundary term, never inside an
+ordinary argument.  A syntax error fails the whole module; any other error
+fails only its declaration.  The printer
 emits surface text that reparses to the same kernel declarations.
 Interval expressions and faces are read as their normal forms
 (`interval`) and print as them, so `~~i` prints as `i`.
@@ -26,16 +29,18 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ERROR_CLASSES, CcttError, ParseError, UnboundVariable
+from .errors import (
+    ERROR_CLASSES, ArityMismatch, CcttError, ParseError, UnboundVariable,
+)
 from .interval import (
     FAnd, FBOT, FEq, FOr, FTOP, Face, IJoin, IMeet, INeg, IONE, IVar, IZERO,
     face_join, iv_rename, iv_show,
 )
 from .syntax import (
-    App, BCon, BHComp, BRec, CApp, CLam, ClockElim, Comp, Con, Constructor,
-    DFix, Diamond, ElimCase, ForceApp, Forall, HComp, Hit, HitSignature,
-    Lam, Later, PApp, PFix, PLam, PathT, Pi, System, Telescope, TickApp,
-    TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
+    App, CApp, CLam, ClockElim, Comp, Con, Constructor, DFix, Diamond,
+    ElimCase, ForceApp, Forall, HComp, Hit, HitSignature, Lam, Later, PApp,
+    PFix, PLam, PathT, Pi, System, Telescope, TickApp, TickLam, TickVar,
+    Tirr, TopRef, Trans, U, Var,
     CLOCK, IVAL, TERM, TICK, weaken, weaken_iv,
 )
 
@@ -181,8 +186,7 @@ _MISPLACED = {
                " an hcomp",
 }
 # What a construct with an error is read as, so that the parse goes on.
-_PLACEHOLDER = {TERM: U(0), _REC_TYPE: U(0), IVAL: IZERO,
-                _BOUNDARY: BRec(0, ())}
+_PLACEHOLDER = {TERM: U(0), _REC_TYPE: U(0), IVAL: IZERO, _BOUNDARY: U(0)}
 _ARTICLE = {CLOCK: "a clock", IVAL: "an interval", TICK: "a tick"}
 
 # Binary operators by token value, with their precedence.
@@ -198,6 +202,16 @@ _CONTINUES = frozenset(("@", "/\\", "\\/", "->", "{", "[", "(", "~"))
 # the names.
 _BINDERS = {"\\": (Lam, TERM, "."), "/\\": (CLam, CLOCK, "."),
             "<": (PLam, IVAL, ">"), "forall": (Forall, CLOCK, ".")}
+
+
+class _Boundary(NamedTuple):
+    """What a constructor's boundary is read with: the constructor's label,
+    its recursive arguments by name (each its position and arity), and the
+    data type's parameters as boundary terms see them, past the
+    constructor's arguments and recursive arguments."""
+    label: str
+    recs: dict
+    params: tuple
 
 
 def _matching_parens(toks):
@@ -244,11 +258,11 @@ class Elaborator:
         self.dropped = {}  # label -> name of a data type that failed
         self.conv_count = 0
         self.err = None  # the declaration's earliest: (token index, error)
-        # While a data type is read: its name; in a boundary, the recursive
-        # arguments' positions, the constructors' shapes, and whether a
-        # head was not among them.
+        # While a data type is read: its name; in a boundary, what it is
+        # read with, the constructors' shapes, and whether a head was not
+        # among them.
         self.data_name = None
-        self.recmap = {}
+        self.bnd = None
         self.arities = {}
         self.unknown = False
 
@@ -581,8 +595,9 @@ class Elaborator:
             name, args, end = found
             if mode is TERM:
                 t = self.applied(sc, start, name, args)
-            elif name in self.recmap:
-                t = BRec(self.recmap[name], tuple(self.atoms(sc, args)))
+            elif name in self.bnd.recs:
+                t = self.rec_call(name, [
+                    self.past_recs(u) for u in self.atoms(sc, args)])
             else:
                 t = self.bnd_con(sc, start, name, args)
             self.pos = end
@@ -637,7 +652,7 @@ class Elaborator:
                 return None
         elif self.toks[end].value in _CONTINUES or (
                 name != self.data_name if mode is _REC_TYPE
-                else name not in self.recmap and name not in self.arities):
+                else name not in self.bnd.recs and name not in self.arities):
             return None
         return name, args, end
 
@@ -790,8 +805,8 @@ class Elaborator:
                 return IVar(self.bound(sc, IVAL, start, value))
             if mode is not _BOUNDARY:
                 return self.name_term(sc, start, value)
-            if value in self.recmap:
-                return BRec(self.recmap[value], ())
+            if value in self.bnd.recs:
+                return self.rec_call(value, ())
             if value in self.arities:
                 return self.bnd_con(sc, start, value, ())
             self.unknown = True
@@ -867,7 +882,8 @@ class Elaborator:
                     tuple((weaken_iv(phi, [IVAL]), t) for phi, t in parts)),
                     base)
             if len(parts) == 1 and parts[0][1] is not None:
-                return BHComp(parts[0][0], parts[0][1], base)
+                return HComp(Hit(self.data_name, self.bnd.params),
+                             parts[0][0], parts[0][1], base)
             self.err = saved
             self.error(start, ParseError(
                 "a boundary hcomp has exactly one tube component"))
@@ -960,6 +976,26 @@ class Elaborator:
 
     # -- boundaries ----------------------------------------------------------
 
+    def past_recs(self, t):
+        """t, read in a boundary's scope, moved past the recursive
+        arguments, which that scope leaves out."""
+        return weaken(t, [TERM] * len(self.bnd.recs))
+
+    def rec_call(self, name, args, depth=0):
+        """Recursive argument `name` in a boundary, under `depth` term
+        binders, applied to the terms `args`."""
+        j, arity = self.bnd.recs[name]
+        if len(args) != arity:
+            # A typing error: kept past the last token, so that it stands
+            # for the declaration only when nothing else is wrong there.
+            self.error(len(self.toks), ArityMismatch(
+                f"recursive call {j} in {self.bnd.label} expects {arity}"
+                " arguments"))
+        t = Var(len(self.bnd.recs) - 1 - j + depth)
+        for u in args:
+            t = App(t, u)
+        return t
+
     def bnd_con(self, sc, pos, label, args):
         """Constructor `label` in a boundary, applied to the argument atoms
         starting at the tokens `args`."""
@@ -979,19 +1015,22 @@ class Elaborator:
                 continue
             end = self._arg_end(q)
             name = self._bare(q, end)
-            if name in self.recmap:
-                # A function-valued slot: fill it with the recursive
-                # argument applied to the slot's own binders.
-                recs.append(BRec(self.recmap[name],
-                                 tuple(Var(m - 1 - i) for i in range(m))))
+            if name in self.bnd.recs:
+                # A function-valued slot: the recursive argument, applied
+                # to the slot's own binders.
+                t = self.rec_call(name, [Var(m - 1 - i) for i in range(m)], m)
+                for _ in range(m):
+                    t = Lam(t)
+                recs.append(t)
                 self.pos = end
             else:
                 self.error(q, ParseError(
                     f"argument {k} of {label} in a boundary must be a"
                     " recursive argument name"))
                 self.atom(sc)
-        return BCon(label, tuple(self.atoms(sc, args[:a])), tuple(recs),
-                    tuple(self.atoms(sc, args[a + r:], IVAL)))
+        return Con(self.data_name, label, self.bnd.params,
+                   tuple(map(self.past_recs, self.atoms(sc, args[:a]))),
+                   tuple(recs), tuple(self.atoms(sc, args[a + r:], IVAL)))
 
     def boundary(self, sc, label):
         """A constructor's boundary `[phi -> M, ..., psi]`, read in sc: its
@@ -1109,7 +1148,7 @@ class Elaborator:
         end = self.pos
         for c in ctors:
             if c[-1] is not None:
-                bsc, self.recmap, self.pos = c[-1]
+                bsc, self.bnd, self.pos = c[-1]
                 c[4:6] = self.boundary(bsc, c[0])
         self.pos = end
         self.data_name = None
@@ -1165,9 +1204,15 @@ class Elaborator:
             self.expect(")")
         self.arities[label] = (len(atypes), len(recs), len(ivnames),
                                tuple(len(tele.types) for tele in recs))
+        terms = sc.sorts.count(TERM)  # the parameters and the arguments
+        r = len(recs)
+        self.bnd = _Boundary(
+            label, {nm: (j, len(recs[j].types))
+                    for j, nm in enumerate(recnames)},
+            tuple(Var(r + terms - 1 - p)
+                  for p in range(terms - len(atypes))))
         for nm in ivnames:
             sc = sc.push(nm, IVAL)
-        self.recmap = {nm: j for j, nm in enumerate(recnames)}
         if not self.at("["):
             return [label, atypes, recs, len(ivnames), (), FBOT, None]
         at, saved = self.pos, self.err
@@ -1176,7 +1221,7 @@ class Elaborator:
         again = None
         if self.unknown:
             self.err = saved
-            again = (sc, self.recmap, at)
+            again = (sc, self.bnd, at)
         return [label, atypes, recs, len(ivnames), arrows, face, again]
 
 
@@ -1475,14 +1520,19 @@ def _print_ctor(pr, env, sig, ctor):
             chain.append(f"({bn} : {pr.term(env2, ty)}) -> ")
             env2 = pr.push(env2, TERM, bn)
         parts.append(f"({nm} : {''.join(chain)}{sig.name})")
+    # Boundary pieces see the recursive arguments past the arguments.
+    benv = env
+    for nm in recnames:
+        benv = pr.push(benv, TERM, nm)
     for _ in range(ctor.ivar_count):
         nm = pr.fresh("i")
         parts.append(f"({nm} : I)")
         env = pr.push(env, IVAL, nm)
+        benv = pr.push(benv, IVAL, nm)
     entries = []
     for phi, b in ctor.boundary:
         entries.append(f"{pr.iv(env, phi)} ->"
-                       f" {_print_bnd(pr, env, recnames, sig, b)}")
+                       f" {_print_bnd(pr, benv, recnames, sig, b)}")
     # The bare entry is what the face has beyond the arrows' faces.
     afold = face_join(phi for phi, _ in ctor.boundary)
     bare = Face(ctor.face - afold)
@@ -1496,10 +1546,11 @@ def _print_ctor(pr, env, sig, ctor):
 
 
 def _print_bnd(pr, env, recnames, sig, b, atom=False):
+    """A boundary piece: a constructor of sig without its parameters, a
+    function-valued recursive slot by the recursive argument's name; an
+    hcomp at sig without its type; or a recursive argument applied."""
     match b:
-        case BRec(rec, args):
-            parts = [recnames[rec]] + [pr.atom(env, x) for x in args]
-        case BCon(label, args, recs, ivals):
+        case Con(_, label, _, args, recs, ivals):
             target = sig.constructor(label)
             parts = [label]
             parts += [pr.atom(env, x) for x in args]
@@ -1508,15 +1559,19 @@ def _print_bnd(pr, env, recnames, sig, b, atom=False):
                 if m == 0:
                     parts.append(_print_bnd(pr, env, recnames, sig, x,
                                             atom=True))
-                else:
-                    eta = tuple(Var(m - 1 - q) for q in range(m))
-                    if not (isinstance(x, BRec) and x.args == eta):
-                        raise ValueError(
-                            "boundary term has no surface syntax"
-                        )
-                    parts.append(recnames[x.rec])
+                    continue
+                # Only the eta-expanded recursive argument has a spelling.
+                for _ in range(m):
+                    x = x.body if isinstance(x, Lam) else None
+                for q in range(m):
+                    x = x.fn if isinstance(x, App) \
+                        and x.arg == Var(q) else None
+                if not isinstance(x, Var) or x.ix < m \
+                        or pr.lookup(env, TERM, x.ix - m) not in recnames:
+                    raise ValueError("boundary term has no surface syntax")
+                parts.append(pr.lookup(env, TERM, x.ix - m))
             parts += [pr.iv(env, x) for x in ivals]
-        case BHComp(face, tube, base):
+        case HComp(_, face, tube, base):
             nm = pr.fresh("i")
             env2 = pr.push(env, IVAL, nm)
             parts = [
@@ -1525,7 +1580,7 @@ def _print_bnd(pr, env, recnames, sig, b, atom=False):
                 _print_bnd(pr, env, recnames, sig, base, atom=True),
             ]
         case _:
-            raise ValueError(f"not a boundary term: {b!r}")
+            return (pr.atom if atom else pr.term)(env, b)
     s = " ".join(parts)
     if atom and len(parts) > 1:
         return f"({s})"

@@ -6,6 +6,9 @@ variable of a given sort is an index counting binders of that same sort
 from the inside out, so inserting an entry of one sort never renumbers the
 others.  Face entries bind no variables at all; they only restrict.
 
+A data signature's constructor boundaries are ordinary terms too, scoped in
+the constructor's telescope (`Constructor.boundary`).
+
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
 with `==`, and a renaming maps their literals (`Renaming.iv`).
@@ -342,6 +345,8 @@ class Context:
     # The number of entries of each sort: worked out by the first `count`
     # and carried along by `push`, so that counting is O(1).
     counts: dict = field(default=None, compare=False, repr=False)
+    # The type of each term variable `term_type` was asked for, by index.
+    types: dict = field(default=None, compare=False, repr=False)
 
     def push(self, entry):
         counts = self.counts
@@ -386,11 +391,18 @@ class Context:
         )
 
     def term_type(self, ix):
-        pos = self.pos_of(TERM, ix)
-        # The payload is scoped in the strict prefix: weaken past the entry
-        # itself as well as everything bound after it.
-        sorts = [entry_sort(e) for e in self.entries[pos:]]
-        return weaken(self.entries[pos].ty, sorts)
+        types = self.types
+        if types is None:
+            types = {}
+            object.__setattr__(self, "types", types)
+        ty = types.get(ix)
+        if ty is None:
+            pos = self.pos_of(TERM, ix)
+            # The payload is scoped in the strict prefix: weaken past the
+            # entry itself as well as everything bound after it.
+            sorts = [entry_sort(e) for e in self.entries[pos:]]
+            ty = types[ix] = weaken(self.entries[pos].ty, sorts)
+        return ty
 
     def tick_clock(self, ix):
         """Clock index (valid in the full context) of the ix-th tick."""
@@ -844,40 +856,16 @@ class Telescope:
 
 
 @dataclass(frozen=True)
-class BoundaryTerm:
-    pass
-
-
-@dataclass(frozen=True)
-class BRec(BoundaryTerm):
-    """Application x_j u-bar of the j-th recursive variable."""
-    rec: int
-    args: tuple  # Terms; no recursive variables inside
-
-
-@dataclass(frozen=True)
-class BCon(BoundaryTerm):
-    label: str
-    args: tuple   # Terms
-    recs: tuple   # BoundaryTerms, each binding the rec arity's telescope
-    ivals: tuple  # interval expressions
-
-
-@dataclass(frozen=True)
-class BHComp(BoundaryTerm):
-    face: Face
-    tube: BoundaryTerm  # binds one interval variable
-    base: BoundaryTerm
-
-
-@dataclass(frozen=True)
 class Constructor:
     label: str
     args: Telescope       # over (ambient, Delta)
     rec_arities: tuple    # Telescopes over (ambient, Delta, args)
     ivar_count: int
     face: Face            # over the constructor's interval variables
-    boundary: tuple       # of (Face, BoundaryTerm)
+    # Of (Face, Term): each piece is an ordinary term over the prelude
+    # clock, Delta, args, the recursive arguments (the k-th a term variable
+    # of type (Theta_k) -> H(Delta)) and the interval binders.
+    boundary: tuple
 
 
 @dataclass(frozen=True)

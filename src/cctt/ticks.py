@@ -429,11 +429,6 @@ def clause_subst(scope, clause):
     return Substitution(scope, ((), (), (), ivals), (0, 0, 0, n))
 
 
-def subst_iv(sigma, x):
-    """Apply sigma to an interval expression or a face."""
-    return _iv(sigma, x, sigma.depth)
-
-
 def subst_apply(sigma, t):
     """Apply sigma to a term."""
     return _go(sigma.ready(), t, sigma.depth)

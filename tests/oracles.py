@@ -31,8 +31,12 @@ per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
 `free_indices` collects a term's free indices per sort by a plain
 recursive walk; `bound_of` reads off it the loose-variable bound that
 `syntax.loose_bound` caches on the term.
+
+`token_mutants` makes seeded single-token mutants of a source text, for
+checking that malformed input still gets a verdict per declaration.
 """
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -806,3 +810,31 @@ def bresidual(sigma, clock, u):
                                  forcing=True)
     return (apply_mask(sigma.dom, dom_mask),
             restrict_subst(sigma, cod_mask, dom_mask))
+
+
+# --------------------------------------------------------------------------
+# Source mutants
+# --------------------------------------------------------------------------
+
+def token_mutants(text, rng):
+    """Endless single-token mutants of text, drawn with rng: each deletes,
+    duplicates, swaps with the next one, or replaces by another token of
+    the text one whitespace-separated token.  The whitespace stays, so the
+    other tokens keep their lines."""
+    parts = re.split(r"(\s+)", text)   # tokens at the even positions
+    toks = [k for k in range(0, len(parts), 2) if parts[k]]
+    while True:
+        out = list(parts)
+        at = rng.randrange(len(toks))
+        k = toks[at]
+        op = rng.randrange(4)
+        if op == 0:
+            out[k] = ""
+        elif op == 1:
+            out[k] = f"{parts[k]} {parts[k]}"
+        elif op == 2:
+            j = toks[at + 1] if at + 1 < len(toks) else toks[at - 1]
+            out[k], out[j] = parts[j], parts[k]
+        else:
+            out[k] = parts[rng.choice(toks)]
+        yield "".join(out)

@@ -10,17 +10,18 @@ import pytest
 
 from cctt.checker import CheckState, PRELUDE, check, infer
 from cctt.cli import Report, check_file, main
-from cctt.conversion import boundary_reduce, boundary_subst, conv, whnf
+from cctt.conversion import conv, signature_subst, whnf
 from cctt.errors import FuelExhausted
 from cctt.interval import (
     FAnd, FEq, FTOP, INeg, IVar, IZERO, IONE, face_entails, face_is_false,
 )
 from cctt.syntax import (
-    App, BCon, BHComp, BRec, CApp, CLam, ClockElim, Con, DFix, Diamond,
+    App, CApp, CLam, ClockElim, Con, DFix, Diamond,
     EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, HComp, Hit, Lam,
     Later, PApp, PLam, PathT, Pi, TickApp, TickLam, TickVar, TopRef, U,
     Var, IVAL, TERM, weaken,
 )
+from cctt.ticks import subst_apply
 from oracles import (
     TBOT, TONE, TTOP, TZERO, dm4_equal, face_entails_oracle, iv_tree,
     kernel_face, kernel_iv,
@@ -329,31 +330,14 @@ def test_criterion_8_boundary_calculus():
     piece0 = idem.boundary[0][1]  # union of the recursive argument
     piece1 = idem.boundary[1][1]  # the recursive argument itself
 
-    # Identity instantiation, in idem's own scope (its one interval
-    # binder past the parameters), returns each piece unchanged.
-    own = (0, 0, 0, 1)
-    ident = boundary_subst(sig, idem, piece0, (), [BRec(0, ())], (IVar(0),),
-                           own)
-    ok = ident == piece0
-    ok = ok and boundary_subst(
-        sig, idem, piece1, (), [BRec(0, ())], (IVar(0),), own
-    ) == piece1
+    # Identity instantiation, in idem's own scope (the prelude clock, the
+    # parameter, the recursive argument and the interval binder), returns
+    # each piece unchanged.
+    own = signature_subst((2, 1, 0, 1), (Var(1), Var(0)), (IVar(0),))
+    ok = subst_apply(own, piece0) == piece0
+    ok = ok and subst_apply(own, piece1) == piece1
 
-    # Endpoint reductions of the idempotence constructor.
-    got0 = boundary_reduce(
-        sig, BCon("idem", (), (BRec(0, ()),), (IZERO,)), own
-    )
-    ok = ok and got0 == BCon("union", (), (BRec(0, ()), BRec(0, ())), ())
-    got1 = boundary_reduce(
-        sig, BCon("idem", (), (BRec(0, ()),), (IONE,)), own
-    )
-    ok = ok and got1 == BRec(0, ())
-
-    # A boundary hcomp on a true face reduces to its tube at 1.
-    got = boundary_reduce(sig, BHComp(FTOP, BRec(0, ()), BRec(1, ())), own)
-    ok = ok and got == BRec(0, ())
-
-    # The same endpoint laws hold judgementally for constructor values.
+    # Endpoint reductions of the idempotence constructor fire its pieces.
     state = CheckState()
     state.signatures["pf"] = sig
     ctx = PRELUDE.push(EVar(U(0))).push(EVar(Hit("pf", (Var(0),))))
@@ -361,7 +345,15 @@ def test_criterion_8_boundary_calculus():
     union_xx = Con("pf", "union", (Var(1),), (), (x, x), ())
     at0 = Con("pf", "idem", (Var(1),), (), (x,), (IZERO,))
     at1 = Con("pf", "idem", (Var(1),), (), (x,), (IONE,))
+    ok = ok and whnf(state, ctx, at0) == union_xx
+    ok = ok and whnf(state, ctx, at1) == x
+
+    # An hcomp on the true face reduces to its tube at 1.
     ty = Hit("pf", (Var(1),))
+    at_i = Con("pf", "idem", (Var(1),), (), (x,), (IVar(0),))
+    ok = ok and whnf(state, ctx, HComp(ty, FTOP, at_i, union_xx)) == x
+
+    # The same endpoint laws hold judgementally.
     ok = ok and conv(state, ctx, ty, at0, union_xx)
     ok = ok and conv(state, ctx, ty, at1, x)
     report(8, "boundary calculus", ok)

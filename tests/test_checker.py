@@ -227,58 +227,64 @@ def nat_signature():
     ))
 
 
+# Boundary pieces are scoped in the prelude clock, the parameters, the
+# constructor's arguments, its recursive arguments and its interval binders.
+
 def circle_signature():
-    from cctt.syntax import BCon
     ends = FOr(FEq(0, 0), FEq(0, 1))
+    base = Con("s1", "base", (), (), (), ())
     return HitSignature("s1", Telescope(()), 0, (
         Constructor("base", Telescope(()), (), 0, FBOT, ()),
         Constructor("loop", Telescope(()), (), 1, ends, (
-            (FEq(0, 0), BCon("base", (), (), ())),
-            (FEq(0, 1), BCon("base", (), (), ())),
+            (FEq(0, 0), base),
+            (FEq(0, 1), base),
         )),
     ))
 
 
 def trunc_signature():
-    from cctt.syntax import BRec
     ends = FOr(FEq(0, 0), FEq(0, 1))
     return HitSignature("trunc", Telescope((U(0),)), 0, (
         Constructor("in", Telescope((Var(0),)), (), 0, FBOT, ()),
         Constructor("squash", Telescope(()),
                     (Telescope(()), Telescope(())), 1, ends, (
-                        (FEq(0, 0), BRec(0, ())),
-                        (FEq(0, 1), BRec(1, ())),
+                        (FEq(0, 0), Var(1)),   # x
+                        (FEq(0, 1), Var(0)),   # y
                     )),
     ))
 
 
 def pushout_signature():
-    from cctt.syntax import BCon
     ends = FOr(FEq(0, 0), FEq(0, 1))
     params = Telescope((U(0), U(0), U(0),
                         Pi(Var(0), Var(3)), Pi(Var(1), Var(3))))
+    # A, B, C, f, g past push's argument c.
+    delta = tuple(Var(5 - p) for p in range(5))
     return HitSignature("po", params, 0, (
         Constructor("inl", Telescope((Var(4),)), (), 0, FBOT, ()),
         Constructor("inr", Telescope((Var(3),)), (), 0, FBOT, ()),
         Constructor("push", Telescope((Var(2),)), (), 1, ends, (
-            (FEq(0, 0), BCon("inl", (App(Var(2), Var(0)),), (), ())),
-            (FEq(0, 1), BCon("inr", (App(Var(1), Var(0)),), (), ())),
+            (FEq(0, 0), Con("po", "inl", delta, (App(Var(2), Var(0)),),
+                            (), ())),
+            (FEq(0, 1), Con("po", "inr", delta, (App(Var(1), Var(0)),),
+                            (), ())),
         )),
     ))
 
 
 def powerset_signature():
-    from cctt.syntax import BCon, BRec
     ends = FOr(FEq(0, 0), FEq(0, 1))
+    # idem's piece at 0 is the union of its recursive argument x with
+    # itself; A is past x.
+    union_xx = Con("pf", "union", (Var(1),), (), (Var(0), Var(0)), ())
     return HitSignature("pf", Telescope((U(0),)), 0, (
         Constructor("empty", Telescope(()), (), 0, FBOT, ()),
         Constructor("sing", Telescope((Var(0),)), (), 0, FBOT, ()),
         Constructor("union", Telescope(()),
                     (Telescope(()), Telescope(())), 0, FBOT, ()),
         Constructor("idem", Telescope(()), (Telescope(()),), 1, ends, (
-            (FEq(0, 0), BCon("union", (),
-                             (BRec(0, ()), BRec(0, ())), ())),
-            (FEq(0, 1), BRec(0, ())),
+            (FEq(0, 0), union_xx),
+            (FEq(0, 1), Var(0)),
         )),
     ))
 
@@ -300,10 +306,9 @@ class TestHitSignatures:
         assert check_hit_signature(st(), powerset_signature())
 
     def test_forward_reference_rejected(self):
-        from cctt.syntax import BCon
         bad = HitSignature("bad", Telescope(()), 0, (
             Constructor("early", Telescope(()), (), 1, FEq(0, 0), (
-                (FEq(0, 0), BCon("late", (), (), ())),
+                (FEq(0, 0), Con("bad", "late", (), (), (), ())),
             )),
             Constructor("late", Telescope(()), (), 0, FBOT, ()),
         ))
@@ -311,12 +316,11 @@ class TestHitSignatures:
             check_hit_signature(st(), bad)
 
     def test_non_covering_boundary_rejected(self):
-        from cctt.syntax import BCon
         bad = HitSignature("bad", Telescope(()), 0, (
             Constructor("pt", Telescope(()), (), 0, FBOT, ()),
             Constructor("half", Telescope(()), (), 1,
                         FOr(FEq(0, 0), FEq(0, 1)), (
-                            (FEq(0, 0), BCon("pt", (), (), ())),
+                            (FEq(0, 0), Con("bad", "pt", (), (), (), ())),
                         )),
         ))
         with pytest.raises(BoundaryNotCovering):
@@ -385,6 +389,17 @@ class TestBoundaryVerdicts:
         else:
             with pytest.raises(BoundaryIncompatible):
                 check_hit_signature(st(), sig)
+
+    def test_boundary_hcomp_base_must_agree_with_its_tube(self):
+        # The tube at 0 is seg 0 = a, but the base is b: an ordinary hcomp
+        # with this fault fails, and so does one in a boundary.
+        sig = parse_module(
+            "data t : U0 where | a | b"
+            " | seg (i : I) [(i = 0) -> a, (i = 1) -> b]"
+            " | sq (j : I) [(j = 0) -> hcomp^k [(j = 0) -> seg k] b]"
+        ).decls[0].sig
+        with pytest.raises(BaseBoundaryMismatch):
+            check_hit_signature(st(), sig)
 
     @pytest.mark.parametrize("params, last, ok", [
         # seg 0 is pt a: a parameter, read past sq's argument y.

@@ -6,7 +6,7 @@ import pytest
 from cctt import conversion
 from cctt.checker import CheckState, infer
 from cctt.conversion import (
-    boundary_equal, boundary_reduce, comp_eval, CompProblem, conv, conv_tm,
+    comp_eval, CompProblem, conv, conv_tm,
     conv_under_face, hfill, tick_whnf, whnf,
 )
 from cctt.errors import FuelExhausted, MalformedSubstitution
@@ -17,7 +17,7 @@ from cctt.parser import (
     DataDefinition, parse_module,
 )
 from cctt.syntax import (
-    TERM, App, BCon, BHComp, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
+    TERM, App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
     DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp,
     Forall, Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam,
     Pair, PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam,
@@ -362,8 +362,12 @@ class TestPointConstructors:
             assert state.steps == 1
 
     def test_boundary_reduce_stops_at_point_constructor(self, faces_unread):
-        zero = BCon("zero", (), (), ())
-        assert boundary_reduce(nat_signature(), zero, (0, 0, 0, 0)) is None
+        # Point constructors, as boundary pieces hold them, come back as
+        # they are.
+        state = nat_state()
+        zero = Con("nat", "zero", (), (), (), ())
+        for piece in (zero, Con("nat", "succ", (), (), (zero,), ())):
+            assert whnf(state, PRELUDE, piece) is piece
 
     def test_signature_lookup_by_label(self):
         sig = node_signature()
@@ -378,28 +382,34 @@ class TestBoundaryTubes:
     variable alone."""
 
     @staticmethod
-    def sig():
-        return parse_module(
+    def state():
+        state = StubState()
+        state.signatures["t"] = parse_module(
             "data t : U0 where | a | b"
             " | seg (i : I) [(i = 0) -> a, (i = 1) -> b]"
             " | sq (i : I) [(i = 0) -> hcomp^k [(i = 0) -> seg k] a]"
         ).decls[0].sig
+        return state
 
     def test_constructor_endpoint_keeps_the_tube_variable(self):
         # sq 0 = hcomp^k [1 -> seg k] a = seg 1 = b.
-        sig = self.sig()
-        sq0 = BCon("sq", (), (), (IZERO,))
-        own = (0, 0, 0, 1)   # sq's interval binder
-        assert boundary_equal(sig, sq0, BCon("b", (), (), ()), own)
-        assert not boundary_equal(sig, sq0, BCon("a", (), (), ()), own)
+        t = Hit("t", ())
+        sq0 = Con("t", "sq", (), (), (), (IZERO,))
+        b = Con("t", "b", (), (), (), ())
+        a = Con("t", "a", (), (), (), ())
+        assert conv(self.state(), PRELUDE, t, sq0, b)
+        assert not conv(self.state(), PRELUDE, t, sq0, a)
 
     def test_nested_tube_keeps_its_variable(self):
-        sig = self.sig()
-        a = BCon("a", (), (), ())
-        seg_l = BCon("seg", (), (), (IVar(0),))
-        outer = BHComp(FTOP, BHComp(FEq(0, 1), seg_l, a), a)
-        assert (boundary_reduce(sig, outer, (0, 0, 0, 1))
-                == BHComp(FTOP, seg_l, a))
+        # Under an interval variable l: the outer tube at 1 is an hcomp on
+        # l = 1, whose tube is seg at its own variable.
+        t = Hit("t", ())
+        a = Con("t", "a", (), (), (), ())
+        seg_k = Con("t", "seg", (), (), (), (IVar(0),))
+        inner = HComp(t, FEq(1, 1), seg_k, a)
+        ctx = PRELUDE.push(EIVar())
+        assert (whnf(self.state(), ctx, HComp(t, FTOP, inner, a))
+                == HComp(t, FEq(0, 1), seg_k, a))
 
 
 class TestMachine:

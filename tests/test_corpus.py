@@ -1,19 +1,25 @@
 """The bundled corpus: every expectation holds, every file that
-elaborates survives a parse-print-parse round trip, and the loose-variable
-bound of every term it elaborates to agrees with its free indices."""
+elaborates survives a parse-print-parse round trip, the loose-variable
+bound of every term it elaborates to agrees with its free indices, and
+single-token mutants of its HIT files each get a verdict per
+declaration."""
 
+import contextlib
+import io
+import random
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from cctt.cli import EXPECT_PARSE_ERROR, main
-from cctt.errors import CcttError, UnboundVariable
+from cctt.cli import EXPECT_PARSE_ERROR, Report, check_file, main
+from cctt.errors import CcttError, ParseError, UnboundVariable
 from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module, print_module,
+    surface_module,
 )
 from cctt.syntax import ElimCase, Term, loose_bound
-from oracles import bound_of
+from oracles import bound_of, token_mutants
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILES = sorted(CORPUS.rglob("*.cctt"))
@@ -67,6 +73,8 @@ def _elaborated_terms():
                         yield from ctor.args
                         for arity in ctor.rec_arities:
                             yield from arity
+                        for _, piece in ctor.boundary:
+                            yield piece
 
 
 def _subterms(t):
@@ -95,6 +103,36 @@ def test_loose_bounds_of_the_corpus_agree_with_free_indices():
     assert checked > 1000
 
 
+# The files with data types, eliminators or boundaries, and the negatives
+# about them.
+MUTANT_FILES = sorted(
+    [*CORPUS.glob("05-*/*.cctt")]
+    + [CORPUS / "neg" / f"{stem}.cctt" for stem in (
+        "boundary-incompatible", "boundary-not-covering", "case-missing",
+        "forward-constructor-reference", "incompatible-overlap",
+        "tube-mismatch", "motive-mismatch", "arity-mismatch",
+        "non-proper-entry")])
+
+
+def test_boundary_file_mutants_get_a_verdict_each():
+    rng = random.Random(7)
+    mutants = {path: token_mutants(path.read_text(), rng)
+               for path in MUTANT_FILES}
+    for _ in range(300):
+        path = rng.choice(MUTANT_FILES)
+        text = next(mutants[path])
+        try:
+            names = [name for name, _, _ in surface_module(text)]
+        except ParseError:
+            names = ["module"]
+        if EXPECT_PARSE_ERROR.search(text):
+            names = ["module"]
+        report = Report()
+        with contextlib.redirect_stdout(io.StringIO()):
+            check_file(str(path), text, 100_000, report)
+        assert [decl for _, _, decl in report.lines] == names, text
+
+
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):
     src = tmp_path / "dep.cctt"
     src.write_text(
@@ -107,6 +145,19 @@ def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):
     assert code == 0
     assert f"PASS {src}:broken" in out
     assert f"SKIP {src}:uses" in out
+
+
+def test_a_data_type_is_not_its_own_dependency(tmp_path, capsys):
+    # Its boundary names the data type; a failed data type of the same name
+    # declared before does not make it a dependent.
+    assert check_lines(tmp_path, capsys,
+                       "data t : U0 where | a | b (i : I) [(i = 0) -> z]\n"
+                       "data t : U0 where | a | b (i : I) [(i = 0) -> a]\n"
+                       ) == [
+        "FAIL t  [ParseError: a boundary term is a recursive argument, a"
+        " constructor, or an hcomp]",
+        "PASS t",
+    ]
 
 
 def test_unexpected_failure_sets_exit_code(tmp_path, capsys):

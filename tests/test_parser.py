@@ -13,7 +13,7 @@ from cctt.parser import (
     print_module, surface_module, tokenize,
 )
 from cctt.syntax import (
-    App, BCon, BRec, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
+    App, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
     ForceApp, Forall, Hit, Lam, Later, PApp, PLam, PathT, Pi, System,
     TickApp, TickLam, TickVar, Tirr, TopRef, U, Var,
 )
@@ -173,7 +173,7 @@ class TestData:
         loop = sig.constructors[1]
         assert loop.ivar_count == 1
         assert loop.face == FOr(FEq(0, 0), FEq(0, 1))
-        assert loop.boundary[0][1] == BCon("base", (), (), ())
+        assert loop.boundary[0][1] == Con("s1", "base", (), (), (), ())
 
     def test_bare_face_entry(self):
         src = ("data bad : U0 where | pt"
@@ -194,10 +194,12 @@ class TestData:
         )
         sig = parse_module(src).decls[0].sig
         idem = sig.constructors[3]
-        assert idem.boundary[0][1] == BCon(
-            "union", (), (BRec(0, ()), BRec(0, ())), ()
+        # The recursive argument x is the innermost term variable; A is
+        # past it.
+        assert idem.boundary[0][1] == Con(
+            "pf", "union", (Var(1),), (), (Var(0), Var(0)), ()
         )
-        assert idem.boundary[1][1] == BRec(0, ())
+        assert idem.boundary[1][1] == Var(0)
 
     def test_constructor_spine(self):
         src = self.NAT + "\ndef two : nat := succ (succ zero)"
@@ -251,7 +253,17 @@ class TestData:
         src = ("data d : U0 where | a"
                " | b (i : I) [(i = 0) -> a, (i = 1) -> c] | c")
         b = parse_module(src).decls[0].sig.constructors[1]
-        assert b.boundary[1][1] == BCon("c", (), (), ())
+        assert b.boundary[1][1] == Con("d", "c", (), (), (), ())
+
+    def test_boundary_hides_recursive_arguments_from_ordinary_arguments(
+            self):
+        # An ordinary argument of a constructor in a boundary is read where
+        # the recursive arguments are not in scope.
+        src = ("data d (A : U0) : U0 where | pt"
+               " | p (a : A) (i : I) [(i = 0) -> pt, (i = 1) -> pt]"
+               " | q (r : d) (i : I) [(i = 0) -> r, (i = 1) -> p r i]")
+        with pytest.raises(UnboundVariable, match="unbound name 'r'"):
+            parse_module(src)
 
     def test_group_binder_types_are_read_per_name(self):
         # The type of `y` is read with `x` in scope: P is one further out.
