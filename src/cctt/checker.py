@@ -40,14 +40,13 @@ from .interval import (
 from .syntax import (
     App, CApp, CLam, CLOCK, ClockElim, Comp, Con, Context, DFix, EClock,
     EFace, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, Lam,
-    Later, PApp, PFix, PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System,
-    TERM, TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var,
-    ZERO_DEPTH, _bump, _shift_map, rename_term, structural_equal, weaken,
-    weaken_iv,
+    Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM,
+    TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
+    rename_term, shape, strengthen, structural_equal, weaken, weaken_iv,
 )
 from .ticks import (
-    _tick_vars, apply_mask, clause_subst, mask_renaming, residual_mask,
-    shape, strengthen_term, subst_apply, weakening_renaming,
+    apply_mask, clause_subst, residual_mask, strengthen_term, subst_apply,
+    weakening_subst,
 )
 
 PRELUDE = Context((EClock(),))
@@ -273,25 +272,20 @@ def _fix_premise(state, ctx, k, f):
             f"fixed point clock {k} does not match domain clock "
             f"{dom.clock}"
         )
-    a = _drop_one(fty.cod, TERM)
-    if a is None:
+    try:
+        a = strengthen(fty.cod, TERM)
+    except TickEscape:
         raise TypeMismatch("fixed point result type may not depend on the "
-                           "argument")
-    body = _drop_one(dom.ty, TICK)
-    if body is None:
-        raise TypeMismatch("fixed point domain may not depend on the tick")
+                           "argument") from None
+    try:
+        body = strengthen(dom.ty, TICK)
+    except TickEscape:
+        raise TypeMismatch("fixed point domain may not depend on the "
+                           "tick") from None
     if not conv_tm(state, ctx, body, a):
         raise TypeMismatch("fixed point domain does not match its result",
                            expected=Later(k, weaken(a, [TICK])), actual=dom)
     return dom, a
-
-
-def _drop_one(t, sort):
-    kw = {TERM: "term", TICK: "tick", IVAL: "ival", CLOCK: "clock"}[sort]
-    try:
-        return rename_term(t, Renaming(**{kw: _shift_map(0, -1)}))
-    except TickEscape:
-        return None
 
 
 def _infer_tick_app(state, ctx, fn, u):
@@ -312,13 +306,12 @@ def _infer_tick_app(state, ctx, fn, u):
     if not isinstance(lty, Later):
         raise NotALater("tick application head is not a later type",
                         actual=lty)
-    k_res = mask_renaming(ctx, mask).apply(CLOCK, clock, ZERO_DEPTH)
-    if lty.clock != k_res:
+    # A mask keeps every clock, so the clock keeps its index.
+    if lty.clock != clock:
         raise ClockMismatch(
             "tick application head lives on a different clock"
         )
-    body = rename_term(lty.ty, weakening_renaming(ctx, mask),
-                       _bump(ZERO_DEPTH, TICK))
+    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(TICK))
     return subst_tick1(ctx, body, u)
 
 
@@ -336,8 +329,7 @@ def _infer_force_app(state, ctx, fn, k, u):
         raise ClockMismatch(
             "forcing application head is not on the bound clock"
         )
-    body = rename_term(lty.ty, weakening_renaming(ctx, mask),
-                       _bump(ZERO_DEPTH, CLOCK, TICK))
+    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(CLOCK, TICK))
     return subst_force1(ctx, body, k, u)
 
 

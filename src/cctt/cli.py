@@ -153,6 +153,9 @@ def check_file(path, text, max_steps, report, trace=False):
             continue
         if err is None:
             report.record("PASS", path, name)
+            # A failed declaration of the same name before no longer
+            # stands for this one.
+            failed.discard(name)
         else:
             report.record("FAIL", path, name,
                           f"{err.error_class}: {err.message}")

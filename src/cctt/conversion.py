@@ -23,7 +23,7 @@ there the test would cost more than it saves.
 `whnf` is a Krivine-style environment machine (Krivine, "A call-by-name
 lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
 state is a term, the substitution pending on it (an environment, a
-`ticks.Substitution` whose term entries may be closures) and a stack of
+`syntax.Substitution` whose term entries may be closures) and a stack of
 arguments.  An application pushes its argument, closed over the
 environment, and walks into its function, so a spine is walked in one
 loop; a lambda takes the top argument and a clock lambda the top clock
@@ -41,11 +41,14 @@ closure is not a step.  A term whose class is head-normal with no argument
 pending (a variable, universe, type former, abstraction, pair, `dfix` or
 `pfix`) is returned at once, for the one step the machine would count.
 
-Substitutions are built with `ticks.subst` from payloads per sort (terms,
+Substitutions are built with `syntax.subst` from payloads per sort (terms,
 clock indices, ticks and interval expressions) and a count per sort of
 fresh binders; it checks them against the shape of the scope they map into
 (per sort, the number of variables), read off a context, or given as a
-shape (`ticks.shape`) where there is no typing context to read it from.
+shape (`syntax.shape`) where there is no typing context to read it from.
+Weakening and strengthening are substitutions too, applied by the same
+walk: whether a type line mentions its interval variable
+(`_mentions_ival0`) is whether strengthening it past that variable fails.
 `subst1`, `subst_ival1`, `subst_clock1` and `subst_tick1` instantiate one
 variable; `subst_force1` is the forcing beta rule, shared with the checker;
 `signature_subst` instantiates a term scoped in a data type's telescope
@@ -57,7 +60,7 @@ is one substitution.
 from dataclasses import dataclass
 
 from .errors import (
-    CaseMissing, CcttError, FuelExhausted, IllFormedRedex,
+    CaseMissing, CcttError, FuelExhausted, IllFormedRedex, TickEscape,
 )
 from .interval import (
     FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
@@ -65,16 +68,15 @@ from .interval import (
     iv_substitute,
 )
 from .syntax import (
-    App, CApp, CLam, CLOCK, ClockElim, Comp, Con,
+    App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Comp, Con,
     Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
     FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TERM, TICK, Term,
+    PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Term,
     TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
-    rename_term, structural_equal, weaken, weaken_iv,
+    shape, strengthen, structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
-    CForcedTick, bind, clause_subst, close, force, lookup, lookup_clock,
-    shape, subst, subst_apply,
+    bind, clause_subst, close, force, lookup, lookup_clock, subst_apply,
 )
 
 
@@ -486,19 +488,14 @@ def comp_eval(state, ctx, p):
             return None
 
 
-def _iv_deps(t):
-    found = set()
-
-    def probe(ix):
-        found.add(ix)
-        return ix
-
-    rename_term(t, Renaming(ival=probe))
-    return found
-
-
 def _mentions_ival0(t):
-    return 0 in _iv_deps(t)
+    """Whether interval variable 0 is free in t: whether strengthening t
+    past it fails."""
+    try:
+        strengthen(t, IVAL)
+    except TickEscape:
+        return True
+    return False
 
 
 # --------------------------------------------------------------------------

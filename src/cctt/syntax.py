@@ -1,4 +1,5 @@
-"""Core term language: sorted de Bruijn syntax over five-entry contexts.
+"""Core term language: sorted de Bruijn syntax over five-entry contexts,
+and the simultaneous substitution calculus over it.
 
 Contexts are ordered lists whose entries come in five sorts -- term
 variables, clocks, ticks, interval variables, and face restrictions.  A
@@ -11,7 +12,7 @@ the constructor's telescope (`Constructor.boundary`).
 
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
-with `==`, and a renaming maps their literals (`Renaming.iv`).
+with `==`.
 
 Every term has a loose-variable bound (`loose_bound`), as Lean 4's kernel
 keeps a loose bound-variable range on every expression (de Moura and
@@ -19,21 +20,47 @@ Ullrich, "The Lean 4 Theorem Prover and Programming Language", CADE 2021):
 per sort (term, clock, tick, interval), one more than the largest free
 index, so 0 when the term has no free variable of the sort.  It is worked
 out on first use, without Python recursion, and kept on the term, where
-`==`, `hash`, `repr` and `structural_equal` do not see it.  A renaming
-(`rename_term`, `weaken`, `weaken_tick`) returns a subterm as it is when
-no free variable of it can move: per sort, the bound is at most the
-binders walked under, plus the indices the renaming leaves in place
-(`Renaming.fixed`: all of them for a sort it maps by identity, a shift's
-cut, none for a renaming that checks its variables, so that its check
-still fires).  `ticks` skips the same way when it substitutes.
+`==`, `hash`, `repr` and `structural_equal` do not see it.
+
+A substitution is sort-indexed, as in the calculus: each term, clock, tick
+and interval variable goes to a payload of its own sort.  `subst` builds
+one from the payloads per sort and a per-sort count of fresh binders, and
+checks it against the shape of the scope it maps into (per sort, the
+number of variables; `shape` reads it off a context), or leaves it
+unchecked.  A forcing tick payload names the substituted clock it pairs
+with, and turns a simple tick application it meets into a forcing
+application under a fresh clock.
+
+Substitutions are de Bruijn explicit substitutions in shift-plus-explicit
+form (Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions", 1991):
+per sort, the payloads for the innermost substituted variables, and a
+shift for every variable outside them.  Walking under a binder only raises
+a per-sort depth, a variable lookup indexes a tuple, and a payload is
+weakened past the binders once, when a variable first reaches it.  A term
+payload may be a `Closure`, a term with a substitution pending on it,
+materialised when a variable first reaches it.
+
+A renaming is a substitution whose payloads are variables, applied with
+the same walk (`rename_term`).  Weakening (`weaken`, `weaken_tick`) is a
+shift with no payloads, whose depth is the cut; strengthening
+(`strengthen`, and `ticks.mask_subst` into a residual context) sends each
+dropped variable to `ESCAPE`, and a variable that reaches it raises
+`TickEscape`.
+
+The walk returns a subterm as it is when the substitution cannot change
+it, read off the subterm's loose-variable bound: per sort, every free
+variable is one of the binders walked under, or the substitution leaves
+the sort alone (no payloads, no shift) and the variable lies inside the
+checked scope.  Any other subterm is walked, so a variable outside the
+scope still raises `MalformedSubstitution`.
 """
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from math import inf
 
-from .errors import IllFormedRedex, TickEscape
-from .interval import Face, IExpr, iv_rename
+from .errors import MalformedSubstitution, NotATick, TickEscape
+from .interval import Face, IExpr, IVar, iv_map_vars, iv_rename
 
 # Entry sorts.
 TERM, CLOCK, TICK, IVAL, FACE = "term", "clock", "tick", "ival", "face"
@@ -383,13 +410,6 @@ class Context:
                 seen += 1
         raise IndexError(f"no {sort} entry with index {ix}")
 
-    def index_at(self, pos):
-        """Sort-local index, seen from the full context, of the entry at pos."""
-        sort = entry_sort(self.entries[pos])
-        return sum(
-            1 for e in self.entries[pos + 1:] if entry_sort(e) == sort
-        )
-
     def term_type(self, ix):
         types = self.types
         if types is None:
@@ -565,184 +585,394 @@ def _moves(b, inserted, cut):
 
 
 # --------------------------------------------------------------------------
-# Generic renaming (weakening / strengthening)
+# Simultaneous substitutions
 # --------------------------------------------------------------------------
 
-class Renaming:
-    """Per-sort index maps; each map takes an index *relative to the outer
-    context* (binder-local indices are handled by the traversal).
-
-    `fixed` gives, per sort (term, clock, tick, interval), how many of the
-    outer indices, from 0, the maps leave in place (a shift's cut, say);
-    by default all of them for a sort mapped by identity and none for any
-    other."""
-
-    def __init__(self, term=None, clock=None, tick=None, ival=None,
-                 fixed=None):
-        ident = lambda ix: ix
-        self.maps = {
-            TERM: term or ident,
-            CLOCK: clock or ident,
-            TICK: tick or ident,
-            IVAL: ival or ident,
-        }
-        self.fixed = fixed or tuple(inf if m is None else 0
-                                    for m in (term, clock, tick, ival))
-
-    def apply(self, sort, ix, depth):
-        if ix < depth[sort]:
-            return ix
-        return self.maps[sort](ix - depth[sort]) + depth[sort]
-
-    def iv(self, x, depth):
-        """The interval expression or face x, renamed (every map is
-        injective)."""
-        return iv_rename(x, lambda ix: self.apply(IVAL, ix, depth))
+@dataclass(frozen=True)
+class CForcedTick:
+    """A forcing tick payload: the tick variable goes to `tick` and is
+    paired with the substituted clock variable `clock` (an index among the
+    substitution's clock payloads, from the inside)."""
+    clock: int
+    tick: Tick
 
 
-def _shift_map(cut, by):
-    def go(ix):
-        new = ix + by if ix >= cut else ix
-        if new < 0:
-            raise TickEscape("variable does not survive strengthening")
-        return new
-    return go
+# Variable sorts in the order of a substitution's per-sort tuples, a depth
+# (or shift) that is zero for every sort, and a block without payloads.
+_SORTS = (TERM, CLOCK, TICK, IVAL)
+_ZERO = (0, 0, 0, 0)
+_NO_BLOCK = ((), (), (), ())
+
+# The payload of a variable a strengthening drops: a variable that reaches
+# it raises TickEscape.
+ESCAPE = object()
 
 
-ZERO_DEPTH = {TERM: 0, CLOCK: 0, TICK: 0, IVAL: 0}
+def shape(scope, terms=0, clocks=0, ticks=0, ivals=0):
+    """Per sort (term, clock, tick, interval), the number of variables of
+    `scope`, a context or a shape already, extended by the given numbers of
+    binders; None (an unchecked scope) stays None."""
+    if scope is None:
+        return None
+    if type(scope) is Context:
+        count = scope.count
+        scope = (count(TERM), count(CLOCK), count(TICK), count(IVAL))
+    return (scope[0] + terms, scope[1] + clocks, scope[2] + ticks,
+            scope[3] + ivals)
 
 
-def _bump(depth, *sorts):
-    new = dict(depth)
-    for s in sorts:
-        new[s] += 1
-    return new
+class Substitution:
+    """A simultaneous substitution in shift-plus-explicit form.
+
+    Per sort (term, clock, tick, interval, in that order):
+
+    - `block` holds the payloads for the innermost variables of the sort,
+      innermost first: terms or closures, clock indices, ticks (a
+      `CForcedTick` for a forcing tick) and interval expressions, or
+      `ESCAPE` for a variable that has no image;
+    - the variable j places past the block maps to variable j + `shift`
+      of the scope;
+    - `depth` counts the binders pushed while walking a term: they map to
+      themselves, and everything else moves past them.
+
+    `scope` is the scope the substitution maps into, leaving out pushed
+    binders: a context, whose counts are read when first needed, its
+    shape, or None when variables past the block are not checked.  A
+    variable mapped past the scope raises `MalformedSubstitution`.
+
+    `slack` is worked out when the substitution is first applied: per
+    sort, how many variables past the pushed binders it leaves in place
+    (the scope's, or unboundedly many for an unchecked scope, when the
+    sort has no payloads and no shift; none otherwise).
+    """
+
+    __slots__ = ("scope", "block", "shift", "depth", "slack", "_memo")
+
+    def __init__(self, scope, block, shift=_ZERO, depth=_ZERO):
+        self.scope = scope
+        self.block = block
+        self.shift = shift
+        self.depth = depth
+        self.slack = None
+        self._memo = {}   # (sort, block index, depth) -> weakened payload
+
+    def under(self, *sorts):
+        """The substitution lifted under one more binder of each sort."""
+        depth = list(self.depth)
+        for sort in sorts:
+            depth[_POS[sort]] += 1
+        return Substitution(self.scope, self.block, self.shift,
+                            tuple(depth))
+
+    def sizes(self):
+        """The shape of the scope, or None when it is unchecked."""
+        if type(self.scope) is Context:
+            self.scope = shape(self.scope)
+        return self.scope
+
+    def ready(self):
+        """The substitution, with its slack worked out."""
+        if self.slack is None:
+            (bt, bc, bk, bi), (st, sc, sk, si) = self.block, self.shift
+            nt, nc, nk, ni = self.sizes() or (inf, inf, inf, inf)
+            self.slack = (0 if bt or st else nt, 0 if bc or sc else nc,
+                          0 if bk or sk else nk, 0 if bi or si else ni)
+        return self
+
+    def apply(self, t):
+        """t under the substitution."""
+        return _go(self.ready(), t, self.depth)
 
 
-def rename_tick(u, ren, depth):
+def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=_ZERO):
+    """The substitution sending the innermost variables of each sort to the
+    given payloads, outermost first, and every other variable to itself,
+    moved past `fresh` binders (a count per sort).  The payloads are scoped
+    in `scope` (a context, a shape, or None for unchecked) extended by the
+    fresh binders."""
+    if fresh != _ZERO:
+        scope = shape(scope, *fresh)
+    return Substitution(scope, (tuple(reversed(terms)),
+                                tuple(reversed(clocks)),
+                                tuple(reversed(ticks)),
+                                tuple(reversed(ivals))), fresh)
+
+
+class Closure:
+    """A term together with the substitution pending on it, its
+    environment.  `force` applies the environment once and keeps the
+    result in `term`; it then drops the environment, so that a forced
+    closure holds on to no chain of environments."""
+
+    __slots__ = ("term", "env")
+
+    def __init__(self, term, env):
+        self.term = term
+        self.env = env
+
+    def force(self):
+        if self.env is not None:
+            self.term = self.env.apply(self.term)
+            self.env = None
+        return self.term
+
+
+def _weaken_payload(si, p, depth):
+    """A block payload moved past `depth` binders pushed in the scope; a
+    closure is materialised first."""
+    if type(p) is Closure:
+        p = p.force()
+    if depth == _ZERO:
+        return p
+    if si == 1:
+        return p + depth[1]
+    if si == 3:
+        return weaken_iv(p, [IVAL] * depth[3])
+    sorts = ([TERM] * depth[0] + [CLOCK] * depth[1] + [TICK] * depth[2]
+             + [IVAL] * depth[3])
+    if si == 0:
+        return weaken(p, sorts)
+    if type(p) is CForcedTick:
+        return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
+    return weaken_tick(p, sorts)
+
+
+def _image(sg, si, ix, depth):
+    """Where variable ix of sort si goes under sg at `depth`: the weakened
+    payload of the block, or the index of a variable of the scope (clocks
+    are indices either way)."""
+    k = ix - depth[si]
+    if k < 0:
+        return ix
+    block = sg.block[si]
+    if k < len(block):
+        if si == 1:
+            return block[k] + depth[1]
+        key = (si, k, depth)
+        out = sg._memo.get(key)
+        if out is None:
+            p = block[k]
+            if p is ESCAPE:
+                raise TickEscape(f"{_SORTS[si]} variable {k} does not "
+                                 "survive the residual context")
+            out = sg._memo[key] = _weaken_payload(si, p, depth)
+        return out
+    x = k - len(block) + sg.shift[si]
+    sizes = sg.sizes()
+    if sizes is not None and x >= sizes[si]:
+        raise MalformedSubstitution(
+            f"{_SORTS[si]} variable {ix} is outside the scope"
+        )
+    return x + depth[si]
+
+
+# Per sort, the payload naming variable ix of the scope.
+_VAR = (Var, int, TickVar, IVar)
+
+
+def _iv(sg, x, depth):
+    return iv_map_vars(x, lambda ix: _image(sg, 3, ix, depth))
+
+
+def _tick(sg, u, depth):
     match u:
         case TickVar(ix):
-            return TickVar(ren.apply(TICK, ix, depth))
+            x = _image(sg, 2, ix, depth)
+            if type(x) is int:
+                return TickVar(x)
+            return x.tick if type(x) is CForcedTick else x
         case Diamond():
             return u
         case Tirr(l, r, at):
-            return Tirr(
-                rename_tick(l, ren, depth),
-                rename_tick(r, ren, depth),
-                ren.iv(at, depth),
-            )
-    raise IllFormedRedex(f"not a tick: {u!r}")
+            left = _tick(sg, l, depth)
+            right = _tick(sg, r, depth)
+            if isinstance(left, Diamond) and isinstance(right, Diamond):
+                return Diamond()  # tirr(<>, <>, r) collapses eagerly
+            return Tirr(left, right, _iv(sg, at, depth))
+    raise NotATick(repr(u))
 
 
-def rename_term(t, ren, depth=None):
-    d = ZERO_DEPTH if depth is None else depth
-    go = rename_term
+def _tick_vars(u):
+    match u:
+        case TickVar(ix):
+            return {ix}
+        case Diamond():
+            return set()
+        case Tirr(l, r, _):
+            return _tick_vars(l) | _tick_vars(r)
+    raise NotATick(repr(u))
 
-    # A term none of whose free variables can move is its own image.
-    b = getattr(t, "_loose", None) or loose_bound(t)
-    f = ren.fixed
-    if (b[0] <= d[TERM] + f[0] and b[1] <= d[CLOCK] + f[1]
-            and b[2] <= d[TICK] + f[2] and b[3] <= d[IVAL] + f[3]):
-        return t
 
-    match t:
-        case Var(ix):
-            return Var(ren.apply(TERM, ix, d))
-        case U(_) | TopRef(_):
+def _leftmost_tick_var(u):
+    """The tick variable of u bound furthest out (largest index)."""
+    tvs = _tick_vars(u)
+    return max(tvs) if tvs else None
+
+
+def _go(sg, t, d):
+    """Apply sg, its slack worked out, at depth d (binders pushed per sort)
+    to t."""
+    go = _go
+    if type(t) is Var:
+        ix = t.ix
+        if ix < d[0]:
             return t
-        case Pi(dom, cod):
-            return Pi(go(dom, ren, d), go(cod, ren, _bump(d, TERM)))
-        case Lam(body):
-            return Lam(go(body, ren, _bump(d, TERM)))
+        x = _image(sg, 0, ix, d)
+        return Var(x) if type(x) is int else x
+    # A term sg cannot change is its own image; closed terms, U and TopRef
+    # among them, all end here.
+    b = getattr(t, "_loose", None) or loose_bound(t)
+    s = sg.slack
+    if (b[0] <= d[0] + s[0] and b[1] <= d[1] + s[1]
+            and b[2] <= d[2] + s[2] and b[3] <= d[3] + s[3]):
+        return t
+    match t:
         case App(fn, arg):
-            return App(go(fn, ren, d), go(arg, ren, d))
+            return App(go(sg, fn, d), go(sg, arg, d))
+        case Lam(body):
+            return Lam(go(sg, body, (d[0] + 1, d[1], d[2], d[3])))
+        case Pi(dom, cod):
+            return Pi(go(sg, dom, d),
+                      go(sg, cod, (d[0] + 1, d[1], d[2], d[3])))
         case Sigma(fst, snd):
-            return Sigma(go(fst, ren, d), go(snd, ren, _bump(d, TERM)))
+            return Sigma(go(sg, fst, d),
+                         go(sg, snd, (d[0] + 1, d[1], d[2], d[3])))
         case Pair(fst, snd):
-            return Pair(go(fst, ren, d), go(snd, ren, d))
+            return Pair(go(sg, fst, d), go(sg, snd, d))
         case Fst(arg):
-            return Fst(go(arg, ren, d))
+            return Fst(go(sg, arg, d))
         case Snd(arg):
-            return Snd(go(arg, ren, d))
+            return Snd(go(sg, arg, d))
         case PathT(ty, left, right):
-            return PathT(go(ty, ren, d), go(left, ren, d), go(right, ren, d))
+            return PathT(go(sg, ty, d), go(sg, left, d), go(sg, right, d))
         case PLam(body):
-            return PLam(go(body, ren, _bump(d, IVAL)))
+            return PLam(go(sg, body, (d[0], d[1], d[2], d[3] + 1)))
         case PApp(fn, arg):
-            return PApp(go(fn, ren, d), ren.iv(arg, d))
+            return PApp(go(sg, fn, d), _iv(sg, arg, d))
         case Forall(body):
-            return Forall(go(body, ren, _bump(d, CLOCK)))
+            return Forall(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
         case CLam(body):
-            return CLam(go(body, ren, _bump(d, CLOCK)))
+            return CLam(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
         case CApp(fn, clock):
-            return CApp(go(fn, ren, d), ren.apply(CLOCK, clock, d))
+            k = _image(sg, 1, clock, d)
+            return CApp(go(sg, fn, d), k)
         case Later(clock, ty):
-            return Later(ren.apply(CLOCK, clock, d), go(ty, ren, _bump(d, TICK)))
+            k = _image(sg, 1, clock, d)
+            return Later(k, go(sg, ty, (d[0], d[1], d[2] + 1, d[3])))
         case TickLam(clock, body):
-            return TickLam(
-                ren.apply(CLOCK, clock, d), go(body, ren, _bump(d, TICK))
-            )
+            k = _image(sg, 1, clock, d)
+            return TickLam(k, go(sg, body, (d[0], d[1], d[2] + 1, d[3])))
         case TickApp(fn, tick):
-            return TickApp(go(fn, ren, d), rename_tick(tick, ren, d))
+            return _tick_app(sg, fn, tick, d)
         case ForceApp(fn, clock, tick):
-            return ForceApp(
-                go(fn, ren, _bump(d, CLOCK)),
-                ren.apply(CLOCK, clock, d),
-                rename_tick(tick, ren, d),
-            )
+            k = _image(sg, 1, clock, d)
+            return ForceApp(go(sg, fn, (d[0], d[1] + 1, d[2], d[3])), k,
+                            _tick(sg, tick, d))
         case DFix(clock, fn):
-            return DFix(ren.apply(CLOCK, clock, d), go(fn, ren, d))
+            k = _image(sg, 1, clock, d)
+            return DFix(k, go(sg, fn, d))
         case PFix(clock, fn):
-            return PFix(ren.apply(CLOCK, clock, d), go(fn, ren, d))
+            k = _image(sg, 1, clock, d)
+            return PFix(k, go(sg, fn, d))
         case Comp(ty, face, tube, base):
-            di = _bump(d, IVAL)
-            return Comp(
-                go(ty, ren, di), ren.iv(face, d),
-                go(tube, ren, di), go(base, ren, d),
-            )
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return Comp(go(sg, ty, di), _iv(sg, face, d),
+                        go(sg, tube, di), go(sg, base, d))
         case HComp(ty, face, tube, base):
-            return HComp(
-                go(ty, ren, d), ren.iv(face, d),
-                go(tube, ren, _bump(d, IVAL)), go(base, ren, d),
-            )
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return HComp(go(sg, ty, d), _iv(sg, face, d),
+                         go(sg, tube, di), go(sg, base, d))
         case Trans(ty, face, base):
-            return Trans(
-                go(ty, ren, _bump(d, IVAL)), ren.iv(face, d),
-                go(base, ren, d),
-            )
+            di = (d[0], d[1], d[2], d[3] + 1)
+            return Trans(go(sg, ty, di), _iv(sg, face, d),
+                         go(sg, base, d))
         case Hit(name, params):
-            return Hit(name, tuple(go(p, ren, d) for p in params))
+            return Hit(name, tuple(go(sg, p, d) for p in params))
         case Con(name, label, params, args, recs, ivals):
             return Con(
                 name, label,
-                tuple(go(p, ren, d) for p in params),
-                tuple(go(a, ren, d) for a in args),
-                tuple(go(a, ren, d) for a in recs),
-                tuple(ren.iv(r, d) for r in ivals),
+                tuple(go(sg, p, d) for p in params),
+                tuple(go(sg, a, d) for a in args),
+                tuple(go(sg, a, d) for a in recs),
+                tuple(_iv(sg, r, d) for r in ivals),
             )
         case ClockElim(name, n, params, motive, cases, arg):
             return ClockElim(
                 name, n,
-                tuple(go(p, ren, d) for p in params),
-                go(motive, ren, _bump(d, TERM)),
-                tuple(_rename_case(c, ren, d) for c in cases),
-                go(arg, ren, d),
+                tuple(go(sg, p, d) for p in params),
+                go(sg, motive, (d[0] + 1, d[1], d[2], d[3])),
+                tuple(_subst_case(sg, c, d) for c in cases),
+                go(sg, arg, d),
             )
         case System(parts):
             return System(tuple(
-                (ren.iv(phi, d), go(u, ren, d)) for phi, u in parts
+                (_iv(sg, phi, d), go(sg, u, d)) for phi, u in parts
             ))
-    raise IllFormedRedex(f"not a term: {t!r}")
+    raise MalformedSubstitution(f"not a term: {t!r}")
 
 
-def _rename_case(case, ren, d):
-    inner = dict(d)
-    inner[TERM] += case.n_args + 2 * case.n_recs
-    inner[IVAL] += case.n_ivars
-    return ElimCase(
-        case.label, case.n_args, case.n_recs, case.n_ivars,
-        rename_term(case.body, ren, inner),
-    )
+def _subst_case(sg, case, d):
+    inner = (d[0] + case.n_args + 2 * case.n_recs, d[1], d[2],
+             d[3] + case.n_ivars)
+    return ElimCase(case.label, case.n_args, case.n_recs, case.n_ivars,
+                    _go(sg, case.body, inner))
+
+
+def _tick_app(sg, fn, tick, d):
+    """The A.2 case analysis for (fn [tick]) under sg."""
+    new_tick = _tick(sg, tick, d)
+    leftmost = _leftmost_tick_var(tick)
+    # No tick variables is only possible transiently for ill-scoped input.
+    if leftmost is not None:
+        k = leftmost - d[2]
+        ticks = sg.block[2]
+        if 0 <= k < len(ticks) and type(ticks[k]) is CForcedTick:
+            # A forcing tick payload: the simple application turns into a
+            # forcing application binding a fresh clock for the paired
+            # clock variable.
+            c = ticks[k].clock
+            if not 0 <= c < len(sg.block[1]):
+                raise MalformedSubstitution(
+                    "a forcing tick payload must pair with a substituted "
+                    "clock"
+                )
+            return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn,
+                                _ZERO),
+                            sg.block[1][c] + d[1], new_tick)
+    return TickApp(_go(sg, fn, d), new_tick)
+
+
+def _fresh_clock(sg, k, c, d):
+    """sg at depth d, with its scope extended by a fresh innermost clock
+    that takes the place of clock variable c, which forcing tick payload k
+    pairs with."""
+    # Everything in the scope moves past the pushed binders and the fresh
+    # clock; the pushed binders become explicit payloads.
+    wk = (d[0], d[1] + 1, d[2], d[3])
+    block = []
+    for si in range(4):
+        fresh = wk[si] - d[si]
+        block.append([_VAR[si](ix + fresh) for ix in range(d[si])]
+                     + [_weaken_payload(si, p, wk) for p in sg.block[si]])
+    block[1][d[1] + c] = 0
+    # The clock payloads moved d[1] places out; tick payload k itself is
+    # unused, since fn cannot mention its variable.
+    block[2] = [CForcedTick(p.clock + d[1], p.tick)
+                if type(p) is CForcedTick else p for p in block[2]]
+    block[2][d[2] + k] = TickVar(0)
+    shift = tuple(s + w for s, w in zip(sg.shift, wk))
+    return Substitution(shape(sg.sizes(), *wk), tuple(map(tuple, block)),
+                        shift)
+
+
+# --------------------------------------------------------------------------
+# Renamings: weakening and strengthening
+# --------------------------------------------------------------------------
+
+def rename_term(t, ren):
+    """t under ren, a substitution whose payloads are variables, and
+    `ESCAPE` for a variable it drops."""
+    return ren.apply(t)
 
 
 def weaken(t, inserted, cut=None):
@@ -754,27 +984,28 @@ def weaken(t, inserted, cut=None):
     """
     if not inserted or not _moves(loose_bound(t), inserted, cut):
         return t
-    return rename_term(t, _weakening(inserted, cut))
+    return rename_term(t, _shifting(inserted, cut))
 
 
-def _weakening(inserted, cut):
+def weaken_tick(u, inserted, cut=None):
+    if not inserted or not _moves(_tick_bound(u), inserted, cut):
+        return u
+    sg = _shifting(inserted, cut).ready()
+    return _tick(sg, u, sg.depth)
+
+
+def _shifting(inserted, cut):
     cuts = cut or {}
-    return _shift_renaming(
-        tuple(inserted.count(s) for s in (TERM, CLOCK, TICK, IVAL)),
-        tuple(cuts.get(s, 0) for s in (TERM, CLOCK, TICK, IVAL)),
-    )
+    return _shift_subst(tuple(inserted.count(s) for s in _SORTS),
+                        tuple(cuts.get(s, 0) for s in _SORTS))
 
 
 @lru_cache(maxsize=1024)
-def _shift_renaming(amounts, cuts):
-    """The renaming shifting each sort's indices from its cut on by its
-    amount; one object per shape, since weakening is on the hot path."""
-    term, clock, tick, ival = (
-        _shift_map(c, n) if n else None for n, c in zip(amounts, cuts)
-    )
-    fixed = tuple(c if n else inf for n, c in zip(amounts, cuts))
-    return Renaming(term=term, clock=clock, tick=tick, ival=ival,
-                    fixed=fixed)
+def _shift_subst(shift, cut):
+    """The substitution moving each sort's indices from its cut on out by
+    its shift: no payloads, the cut as the depth.  One object per shape,
+    since weakening is on the hot path."""
+    return Substitution(None, _NO_BLOCK, shift, cut)
 
 
 def weaken_iv(x, inserted, cut=0):
@@ -784,10 +1015,19 @@ def weaken_iv(x, inserted, cut=0):
     return iv_rename(x, lambda ix: ix + by if ix >= cut else ix)
 
 
-def weaken_tick(u, inserted, cut=None):
-    if not inserted or not _moves(_tick_bound(u), inserted, cut):
-        return u
-    return rename_tick(u, _weakening(inserted, cut), ZERO_DEPTH)
+# Per sort but clocks, the strengthening past the innermost variable of
+# the sort: it goes to `ESCAPE`, and every other variable of the sort
+# moves in by one.
+_DROP = {sort: Substitution(None, tuple((ESCAPE,) if s == sort else ()
+                                        for s in _SORTS))
+         for sort in (TERM, TICK, IVAL)}
+
+
+def strengthen(t, sort):
+    """t, scoped under one more innermost variable of `sort` than it
+    mentions, moved out past that variable; TickEscape when t mentions it
+    after all."""
+    return rename_term(t, _DROP[sort])
 
 
 # --------------------------------------------------------------------------

@@ -19,9 +19,14 @@ under the valuation in strong Kleene logic (`iv_kleene`): an expression is
 forced to an endpoint on a face exactly when its Kleene value is that
 endpoint.
 
+`Renamer` renames a term's free variables by plain recursion, a map per
+sort, and skips no subterm; `shifted` weakens with it, and `mask_renamer`
+strengthens into a residual context.
+
 Substitution has two references.  `naive_subst` does what the kernel's
-`ticks.subst` builder does, one variable at a time, by plain recursion over
-the term, with no shifts or explicit substitutions.  The residual
+`syntax.subst` builder does, one variable at a time, by plain recursion
+over the term, with no shifts or explicit substitutions; it moves terms
+between contexts with `Renamer`.  The residual
 operations on substitutions (Operations 1 and 2) keep a substitution of
 their own, `Explicit`: its domain and codomain contexts and one component
 per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
@@ -41,22 +46,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from cctt.errors import MalformedSubstitution, NotATick
+from cctt.errors import MalformedSubstitution, NotATick, TickEscape
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IONE, IVar, IZERO,
-    iv_map_vars,
+    iv_map_vars, iv_rename,
 )
 from cctt.syntax import (
-    CLOCK, FACE, IVAL, TERM, TICK, ZERO_DEPTH,
-    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
-    ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Renaming, Sigma, Snd, System, TickApp, TickLam,
-    TickVar, Tirr, TopRef, Trans, U, Var, entry_sort, rename_term,
-    rename_tick, weaken, weaken_iv, weaken_tick,
+    CLOCK, FACE, IVAL, TERM, TICK,
+    App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
+    Diamond, EClock, ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later,
+    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TickApp, TickLam,
+    TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
 )
-from cctt.ticks import (
-    CForcedTick, apply_mask, mask_renaming, residual_mask,
-)
+from cctt.ticks import apply_mask, residual_mask
 
 # DM4 elements as pairs ordered componentwise; the involution reverses the
 # order and swaps the components, fixing (0,1) and (1,0).
@@ -303,11 +305,184 @@ def face_equal_oracle(phi, psi):
 
 
 # --------------------------------------------------------------------------
-# Substitution, one variable at a time
+# Renaming, by plain recursion
 # --------------------------------------------------------------------------
 
 _SORTS = (TERM, CLOCK, TICK, IVAL)
 
+
+def _zero_depth():
+    return dict.fromkeys(_SORTS, 0)
+
+
+class Renamer:
+    """Rename the free variables of a term: each sort's map takes an index
+    seen from outside every binder to its new index (the identity when
+    None), and may raise for a variable that has none.  The walk is plain
+    recursion and visits every subterm; a subclass may replace what it does
+    at variables and at tick applications."""
+
+    def __init__(self, term=None, clock=None, tick=None, ival=None):
+        self.maps = {TERM: term, CLOCK: clock, TICK: tick, IVAL: ival}
+
+    def var(self, sort, ix, d):
+        f = self.maps[sort]
+        if f is None or ix < d[sort]:
+            return ix
+        return f(ix - d[sort]) + d[sort]
+
+    def term_var(self, ix, d):
+        return Var(self.var(TERM, ix, d))
+
+    def clock(self, k, d):
+        return self.var(CLOCK, k, d)
+
+    def iv(self, x, d):
+        """An interval expression or a face."""
+        return iv_rename(x, lambda ix: self.var(IVAL, ix, d))
+
+    def tick(self, u, d=None):
+        d = d or _zero_depth()
+        match u:
+            case TickVar(ix):
+                return TickVar(self.var(TICK, ix, d))
+            case Diamond():
+                return u
+            case Tirr(l, r, at):
+                return Tirr(self.tick(l, d), self.tick(r, d),
+                            self.iv(at, d))
+        raise NotATick(repr(u))
+
+    def term(self, t, d=None):
+        d = d or _zero_depth()
+        go = self.term
+
+        def under(*sorts):
+            inner = dict(d)
+            for s in sorts:
+                inner[s] += 1
+            return inner
+
+        match t:
+            case Var(ix):
+                return self.term_var(ix, d)
+            case U(_) | TopRef(_):
+                return t
+            case Pi(dom, cod):
+                return Pi(go(dom, d), go(cod, under(TERM)))
+            case Lam(body):
+                return Lam(go(body, under(TERM)))
+            case App(fn, arg):
+                return App(go(fn, d), go(arg, d))
+            case Sigma(fst, snd):
+                return Sigma(go(fst, d), go(snd, under(TERM)))
+            case Pair(fst, snd):
+                return Pair(go(fst, d), go(snd, d))
+            case Fst(arg):
+                return Fst(go(arg, d))
+            case Snd(arg):
+                return Snd(go(arg, d))
+            case PathT(ty, left, right):
+                return PathT(go(ty, d), go(left, d), go(right, d))
+            case PLam(body):
+                return PLam(go(body, under(IVAL)))
+            case PApp(fn, r):
+                return PApp(go(fn, d), self.iv(r, d))
+            case Forall(body):
+                return Forall(go(body, under(CLOCK)))
+            case CLam(body):
+                return CLam(go(body, under(CLOCK)))
+            case CApp(fn, k):
+                return CApp(go(fn, d), self.clock(k, d))
+            case Later(k, ty):
+                return Later(self.clock(k, d), go(ty, under(TICK)))
+            case TickLam(k, body):
+                return TickLam(self.clock(k, d), go(body, under(TICK)))
+            case TickApp(fn, u):
+                return self.tick_app(fn, u, d)
+            case ForceApp(fn, k, u):
+                return ForceApp(go(fn, under(CLOCK)), self.clock(k, d),
+                                self.tick(u, d))
+            case DFix(k, fn):
+                return DFix(self.clock(k, d), go(fn, d))
+            case PFix(k, fn):
+                return PFix(self.clock(k, d), go(fn, d))
+            case Comp(ty, phi, tube, base):
+                return Comp(go(ty, under(IVAL)), self.iv(phi, d),
+                            go(tube, under(IVAL)), go(base, d))
+            case HComp(ty, phi, tube, base):
+                return HComp(go(ty, d), self.iv(phi, d),
+                             go(tube, under(IVAL)), go(base, d))
+            case Trans(ty, phi, base):
+                return Trans(go(ty, under(IVAL)), self.iv(phi, d),
+                             go(base, d))
+            case Hit(name, params):
+                return Hit(name, tuple(go(p, d) for p in params))
+            case Con(name, label, params, args, recs, ivals):
+                return Con(name, label, tuple(go(p, d) for p in params),
+                           tuple(go(a, d) for a in args),
+                           tuple(go(a, d) for a in recs),
+                           tuple(self.iv(r, d) for r in ivals))
+            case ClockElim(name, n, params, motive, cases, arg):
+                def case_body(c):
+                    binders = ([TERM] * (c.n_args + 2 * c.n_recs)
+                               + [IVAL] * c.n_ivars)
+                    return go(c.body, under(*binders))
+                return ClockElim(
+                    name, n, tuple(go(p, d) for p in params),
+                    go(motive, under(TERM)),
+                    tuple(ElimCase(c.label, c.n_args, c.n_recs, c.n_ivars,
+                                   case_body(c)) for c in cases),
+                    go(arg, d),
+                )
+            case System(parts):
+                return System(tuple((self.iv(phi, d), go(u, d))
+                                    for phi, u in parts))
+        raise TypeError(t)
+
+    def tick_app(self, fn, u, d):
+        return TickApp(self.term(fn, d), self.tick(u, d))
+
+
+def shifted(inserted, cut=None):
+    """The renaming that weakens past entries of the sorts `inserted`,
+    `cut` entries in per sort (none by default)."""
+    cut = cut or {}
+
+    def by(sort):
+        n, c = inserted.count(sort), cut.get(sort, 0)
+        return lambda ix: ix + n if ix >= c else ix
+
+    return Renamer(*map(by, _SORTS))
+
+
+def mask_renamer(ctx, mask):
+    """The renaming from ctx into its masked context; a dropped variable
+    raises TickEscape."""
+    tables = {s: {} for s in _SORTS}
+    seen, kept = _zero_depth(), _zero_depth()
+    for e, keep in zip(reversed(ctx.entries), reversed(mask)):
+        sort = entry_sort(e)
+        if sort == FACE:
+            continue
+        if keep:
+            tables[sort][seen[sort]] = kept[sort]
+            kept[sort] += 1
+        seen[sort] += 1
+
+    def remap(sort):
+        def go(ix):
+            if ix not in tables[sort]:
+                raise TickEscape(f"{sort} variable {ix} is dropped")
+            return tables[sort][ix]
+        return go
+
+    return Renamer(*map(remap, _SORTS))
+
+
+# --------------------------------------------------------------------------
+# Substitution, one variable at a time
+# --------------------------------------------------------------------------
 
 def _sorts_of(depth):
     return [s for s in _SORTS for _ in range(depth[s])]
@@ -324,7 +499,7 @@ def _tick_vars(u):
     raise NotATick(repr(u))
 
 
-class _Subst1:
+class _Subst1(Renamer):
     """Replace variable `ix` of `sort` (seen from outside every binder) by
     `payload`, scoped past it, and move the variables of the sort outside
     it in by one.  A clock payload is an index; a tick payload a tick or a
@@ -373,96 +548,15 @@ class _Subst1:
                 return Tirr(left, right, self.iv(at, d))
         raise NotATick(repr(u))
 
-    def term(self, t, d):
-        go = self.term
+    def term_var(self, ix, d):
+        x = self._var(TERM, ix, d)
+        return self._at(d) if x is None else Var(x)
 
-        def under(*sorts):
-            inner = dict(d)
-            for s in sorts:
-                inner[s] += 1
-            return inner
-
-        match t:
-            case Var(ix):
-                x = self._var(TERM, ix, d)
-                return self._at(d) if x is None else Var(x)
-            case U(_) | TopRef(_):
-                return t
-            case Pi(dom, cod):
-                return Pi(go(dom, d), go(cod, under(TERM)))
-            case Lam(body):
-                return Lam(go(body, under(TERM)))
-            case App(fn, arg):
-                return App(go(fn, d), go(arg, d))
-            case Sigma(fst, snd):
-                return Sigma(go(fst, d), go(snd, under(TERM)))
-            case Pair(fst, snd):
-                return Pair(go(fst, d), go(snd, d))
-            case Fst(arg):
-                return Fst(go(arg, d))
-            case Snd(arg):
-                return Snd(go(arg, d))
-            case PathT(ty, left, right):
-                return PathT(go(ty, d), go(left, d), go(right, d))
-            case PLam(body):
-                return PLam(go(body, under(IVAL)))
-            case PApp(fn, r):
-                return PApp(go(fn, d), self.iv(r, d))
-            case Forall(body):
-                return Forall(go(body, under(CLOCK)))
-            case CLam(body):
-                return CLam(go(body, under(CLOCK)))
-            case CApp(fn, k):
-                return CApp(go(fn, d), self.clock(k, d))
-            case Later(k, ty):
-                return Later(self.clock(k, d), go(ty, under(TICK)))
-            case TickLam(k, body):
-                return TickLam(self.clock(k, d), go(body, under(TICK)))
-            case TickApp(fn, u):
-                if (type(self.payload) is CForcedTick
-                        and max(_tick_vars(u), default=None)
-                        == d[TICK] + self.ix):
-                    return self._force(fn, u, d)
-                return TickApp(go(fn, d), self.tick(u, d))
-            case ForceApp(fn, k, u):
-                return ForceApp(go(fn, under(CLOCK)), self.clock(k, d),
-                                self.tick(u, d))
-            case DFix(k, fn):
-                return DFix(self.clock(k, d), go(fn, d))
-            case PFix(k, fn):
-                return PFix(self.clock(k, d), go(fn, d))
-            case Comp(ty, phi, tube, base):
-                return Comp(go(ty, under(IVAL)), self.iv(phi, d),
-                            go(tube, under(IVAL)), go(base, d))
-            case HComp(ty, phi, tube, base):
-                return HComp(go(ty, d), self.iv(phi, d),
-                             go(tube, under(IVAL)), go(base, d))
-            case Trans(ty, phi, base):
-                return Trans(go(ty, under(IVAL)), self.iv(phi, d),
-                             go(base, d))
-            case Hit(name, params):
-                return Hit(name, tuple(go(p, d) for p in params))
-            case Con(name, label, params, args, recs, ivals):
-                return Con(name, label, tuple(go(p, d) for p in params),
-                           tuple(go(a, d) for a in args),
-                           tuple(go(a, d) for a in recs),
-                           tuple(self.iv(r, d) for r in ivals))
-            case ClockElim(name, n, params, motive, cases, arg):
-                def case_body(c):
-                    binders = ([TERM] * (c.n_args + 2 * c.n_recs)
-                               + [IVAL] * c.n_ivars)
-                    return go(c.body, under(*binders))
-                return ClockElim(
-                    name, n, tuple(go(p, d) for p in params),
-                    go(motive, under(TERM)),
-                    tuple(ElimCase(c.label, c.n_args, c.n_recs, c.n_ivars,
-                                   case_body(c)) for c in cases),
-                    go(arg, d),
-                )
-            case System(parts):
-                return System(tuple((self.iv(phi, d), go(u, d))
-                                    for phi, u in parts))
-        raise TypeError(t)
+    def tick_app(self, fn, u, d):
+        if (type(self.payload) is CForcedTick
+                and max(_tick_vars(u), default=None) == d[TICK] + self.ix):
+            return self._force(fn, u, d)
+        return super().tick_app(fn, u, d)
 
     def _force(self, fn, u, d):
         """fn [u] where u's leftmost tick variable is the forcing tick
@@ -479,7 +573,7 @@ class _Subst1:
                 raise ValueError("the forced function mentions its tick")
             return ix - 1 if ix > here else ix
 
-        fn = rename_term(fn, Renaming(clock=clock, tick=tick))
+        fn = Renamer(clock=clock, tick=tick).term(fn)
         return ForceApp(fn, paired, self.tick(u, d))
 
 
@@ -497,13 +591,13 @@ def naive_subst(t, terms=(), clocks=(), ticks=(), ivals=(),
     tick variable, so the variables it replaces stay leftmost)."""
     payloads = dict(zip(_SORTS, (terms, clocks, ticks, ivals)))
     left = {s: len(payloads[s]) for s in _SORTS}
-    t = weaken(t, [s for s, n in zip(_SORTS, fresh) for _ in range(n)],
-               cut=dict(left))
+    t = shifted([s for s, n in zip(_SORTS, fresh) for _ in range(n)],
+                cut=left).term(t)
     for sort in (TICK, TERM, IVAL, CLOCK):
         for p in payloads[sort]:
             left[sort] -= 1
             t = _Subst1(sort, left[sort], _weakened(sort, p, left)).term(
-                t, dict(ZERO_DEPTH))
+                t, _zero_depth())
     return t
 
 
@@ -511,14 +605,14 @@ def _weakened(sort, p, depth):
     """A payload of `sort` moved past `depth` binders, a count per sort."""
     if sort == CLOCK:
         return p + depth[CLOCK]
+    ren = shifted(_sorts_of(depth))
     if sort == IVAL:
-        return weaken_iv(p, [IVAL] * depth[IVAL])
-    sorts = _sorts_of(depth)
+        return ren.iv(p, _zero_depth())
     if sort == TICK:
         if type(p) is CForcedTick:
-            return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
-        return weaken_tick(p, sorts)
-    return weaken(p, sorts)
+            return CForcedTick(p.clock, ren.tick(p.tick))
+        return ren.tick(p)
+    return ren.term(p)
 
 
 # --------------------------------------------------------------------------
@@ -630,7 +724,7 @@ def free_indices(t):
             case _:
                 raise TypeError(t)
 
-    go(t, dict(ZERO_DEPTH))
+    go(t, _zero_depth())
     return found
 
 
@@ -669,7 +763,11 @@ _IDENTITY = {
 def explicit(ctx, entries, comps):
     """The substitution for ctx extended by `entries`, sending the added
     entries to `comps` and every entry of ctx to itself."""
-    ident = tuple(_IDENTITY[entry_sort(e)](ctx.index_at(pos))
+    def index_at(pos):
+        sort = entry_sort(ctx.entries[pos])
+        return sum(1 for e in ctx.entries[pos + 1:] if entry_sort(e) == sort)
+
+    ident = tuple(_IDENTITY[entry_sort(e)](index_at(pos))
                   for pos, e in enumerate(ctx.entries))
     return Explicit(ctx, Context(ctx.entries + tuple(entries)),
                     ident + tuple(comps))
@@ -745,26 +843,25 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
     new_dom = apply_mask(sigma.dom, dom_mask)
     for e in extra_dom:
         new_dom = new_dom.push(e)
-    ren = mask_renaming(sigma.dom, dom_mask)
-    extra = [entry_sort(e) for e in extra_dom]
-    extra_clocks = extra.count(CLOCK)
+    ren = mask_renamer(sigma.dom, dom_mask)
+    extra = shifted([entry_sort(e) for e in extra_dom])
+    d = _zero_depth()
+
+    def clock(k):
+        return extra.var(CLOCK, ren.var(CLOCK, k, d), d)
 
     def conv(comp):
         match comp:
             case ("term", t):
-                return ("term", weaken(rename_term(t, ren), extra))
+                return ("term", extra.term(ren.term(t)))
             case ("clock", k):
-                return ("clock", ren.apply(CLOCK, k, ZERO_DEPTH)
-                        + extra_clocks)
+                return ("clock", clock(k))
             case ("tick", u):
-                return ("tick", weaken_tick(
-                    rename_tick(u, ren, ZERO_DEPTH), extra))
+                return ("tick", extra.tick(ren.tick(u)))
             case ("forced", k, u):
-                return ("forced",
-                        ren.apply(CLOCK, k, ZERO_DEPTH) + extra_clocks,
-                        weaken_tick(rename_tick(u, ren, ZERO_DEPTH), extra))
+                return ("forced", clock(k), extra.tick(ren.tick(u)))
             case ("ival", r):
-                return ("ival", ren.iv(r, ZERO_DEPTH))
+                return ("ival", ren.iv(r, d))
             case ("face",):
                 return comp
         raise MalformedSubstitution(repr(comp))

@@ -160,6 +160,23 @@ def test_a_data_type_is_not_its_own_dependency(tmp_path, capsys):
     ]
 
 
+def test_a_redeclaration_that_checks_is_no_failed_dependency(
+        tmp_path, capsys):
+    # f names the t that checked, not the one that failed before it.
+    assert check_lines(tmp_path, capsys,
+                       "data t : U0 where\n"
+                       "  | a (x : nope)\n"
+                       "\n"
+                       "data t : U0 where\n"
+                       "  | a\n"
+                       "\n"
+                       "def f : t := a\n") == [
+        "FAIL t  [UnboundVariable: unbound name 'nope']",
+        "PASS t",
+        "PASS f",
+    ]
+
+
 def test_unexpected_failure_sets_exit_code(tmp_path, capsys):
     src = tmp_path / "bad.cctt"
     src.write_text("def f (A : U0) (x : A) : U0 := x\n")

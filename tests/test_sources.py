@@ -65,11 +65,10 @@ def test_traced_functions_exist():
             assert callable(vars(owner).get(attr)), f"cctt.{layer}.{qualname}"
 
 
-def test_traced_parser_functions_are_on_the_checking_path():
-    # The benchmark times the front end by these two names, so each must
-    # run as `cli.check_file` checks a file, not stand beside it.
+def _traced_check(path):
+    """The benchmark's tracer, installed while `cli.check_file` checks the
+    corpus file at path, and the report."""
     tracer = _layers().Tracer()
-    path = CORPUS / "05-hits" / "spheres.cctt"
     report = cctt.cli.Report()
     tracer.install()
     try:
@@ -78,9 +77,25 @@ def test_traced_parser_functions_are_on_the_checking_path():
                                 1_000_000, report)
     finally:
         tracer.uninstall()
+    return tracer, report
+
+
+def test_traced_parser_functions_are_on_the_checking_path():
+    # The benchmark times the front end by these two names, so each must
+    # run as `cli.check_file` checks a file, not stand beside it.
+    tracer, report = _traced_check(CORPUS / "05-hits" / "spheres.cctt")
     assert tracer.calls["parser.surface_module"] == 1
     assert len(report.lines) > 1
     assert tracer.calls["parser.Elaborator.decl"] == len(report.lines)
+
+
+def test_traced_substitution_functions_are_on_the_checking_path():
+    # The benchmark times renaming and substitution by these names: each
+    # must be an entry the checker takes, not an alias beside the walker.
+    tracer, report = _traced_check(CORPUS / "03-ticks" / "stream.cctt")
+    assert report.lines and report.failed == 0
+    for name in ("syntax.rename_term", "syntax.weaken", "ticks.subst_apply"):
+        assert tracer.calls[name] > 0, name
 
 
 # Top-level definitions no other package code names, each with the reason
@@ -94,7 +109,7 @@ UNREFERENCED = {
 # package code may use them, and each must still be traced.
 TRACED_ONLY = {
     "identity_subst": "traced as ticks.identity_subst; the checker builds "
-                      "substitutions with ticks.subst",
+                      "substitutions with syntax.subst",
     "face_dnf": "traced as interval.face_dnf; a face is its own clause set",
     "iv_normalize": "traced as interval.iv_normalize; an interval "
                     "expression is its own normal form",

@@ -1,14 +1,14 @@
 import random
-from math import inf
 
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IVar, IZERO, iv_map_vars,
 )
 from cctt.syntax import (
     App, CLOCK, Comp, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
-    Later, PApp, PLam, Pi, Renaming, TERM, TICK, TickApp, TickLam, TickVar,
-    U, Var, loose_bound, rename_term, structural_equal, weaken,
+    Later, PApp, PLam, Pi, TERM, TICK, TickApp, TickLam, TickVar, U, Var,
+    loose_bound, structural_equal, weaken,
 )
+from oracles import Renamer
 from test_acceptance import _instances
 
 i0 = IVar(0)
@@ -51,18 +51,17 @@ def test_structural_equal_is_syntactic_on_binders():
     assert not structural_equal(Lam(Var(0)), Lam(Var(1)))
 
 
-class _LeafRewriting(Renaming):
-    """The identity renaming, except that each interval variable becomes a
-    random expression (most of them equal to it) and each face is built
-    again with its joins and meets taken in reverse order."""
+class _LeafRewriting(Renamer):
+    """The identity renaming, except that each interval variable, bound
+    ones too, becomes a random expression (most of them equal to it) and
+    each face is built again with its joins and meets taken in reverse
+    order."""
 
     def __init__(self, rng):
-        # It rewrites bound interval variables too, so no subterm may be
-        # skipped as one the renaming leaves in place.
-        super().__init__(fixed=(-inf, -inf, -inf, -inf))
+        super().__init__()
         self.rng = rng
 
-    def iv(self, x, depth):
+    def iv(self, x, d):
         if type(x) is Face:
             return _rebuilt_backwards(x)
         return iv_map_vars(x, self._variable)
@@ -97,7 +96,7 @@ def test_structural_equal_agrees_with_canonical_forms():
             # leaves rewritten.
             group = [t, weaken(t, [TERM]), weaken(t, [IVAL]),
                      Comp(weaken(ty, [IVAL]), ends, weaken(t, [IVAL]), t)]
-            group += [rename_term(u, _LeafRewriting(rng)) for u in group]
+            group += [_LeafRewriting(rng).term(u) for u in group]
             terms.append(group)
     seen = set()
     for group in terms:

@@ -3,28 +3,30 @@ import random
 import pytest
 
 from cctt.checker import CheckState, infer
+from cctt.conversion import _mentions_ival0
 from cctt.errors import (
     ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
-    NotATick, TickEscape,
+    NoCommonResidual, NotATick, TickEscape,
 )
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, IJoin, IMeet, INeg, IONE, IVar, IZERO,
 )
 from cctt.syntax import (
-    CLOCK, IVAL, TERM, TICK,
-    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, Diamond, EClock,
-    EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam,
-    Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, Term,
-    TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, loose_bound,
-    weaken,
+    CLOCK, FACE, IVAL, TERM, TICK,
+    App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
+    Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
+    HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
+    System, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
+    loose_bound, subst, weaken,
 )
 from cctt.ticks import (
-    CForcedTick, apply_mask, identity_subst, residual_mask, strengthen_term,
-    subst, subst_apply, timeless, trim_check,
+    apply_mask, identity_subst, residual_mask, strengthen_term, subst_apply,
+    timeless, trim_check,
 )
 from oracles import (
     Forced, Simple, bound_of, bresidual, explicit, free_indices,
-    naive_subst, residual, restrict_subst, validate_substitution,
+    mask_renamer, naive_subst, residual, restrict_subst, shifted,
+    validate_substitution,
 )
 
 KAPPA = EClock()
@@ -502,6 +504,90 @@ def test_generated_cases_cover_every_sort_and_the_forcing_rule():
         promoted += got.count("ForceApp") > repr(t).count("ForceApp")
     assert len(payload_sorts) == 4
     assert promoted >= 10
+
+
+# --------------------------------------------------------------------------
+# Weakening and strengthening against the plain renamer
+# --------------------------------------------------------------------------
+
+def _context_around(rng, t):
+    """A context t is scoped in: t's variables, and a few more, of each
+    sort in a random order behind an outermost clock, each tick on a clock
+    bound before it, and a face here and there."""
+    terms, clocks, ticks, ivals = (b + rng.randrange(2) for b in bound_of(t))
+    sorts = ([TERM] * terms + [CLOCK] * max(clocks - 1, 0) + [TICK] * ticks
+             + [IVAL] * ivals + [FACE] * rng.randrange(2))
+    rng.shuffle(sorts)
+    ctx, bound_clocks = Context((KAPPA,)), 1
+    for sort in sorts:
+        if sort == TICK:
+            ctx = ctx.push(ETick(rng.randrange(bound_clocks)))
+        else:
+            ctx = ctx.push({TERM: EVar(U(0)), CLOCK: KAPPA, IVAL: EIVar(),
+                            FACE: EFace(FEq(0, 1) if ivals else FBOT)}[sort])
+            bound_clocks += sort == CLOCK
+    return ctx
+
+
+def _residual_masks(rng, ctx):
+    """Masks of the residual contexts of a few ticks of ctx: tick
+    variables, a tirr of two on one clock when they have a common
+    residual, and the forcing tick."""
+    masks = [[True] * len(ctx)]
+    n = ctx.count(TICK)
+    for _ in range(3 if n else 0):
+        ix = rng.randrange(n)
+        clock = ctx.tick_clock(ix)
+        masks.append(residual_mask(ctx, TickVar(ix), clock))
+        others = [j for j in range(n) if ctx.tick_clock(j) == clock]
+        u = Tirr(TickVar(ix), TickVar(rng.choice(others)), IVar(0))
+        try:
+            masks.append(residual_mask(ctx, u, clock))
+        except NoCommonResidual:
+            pass
+    return masks
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_weakening_and_strengthening_agree_with_the_plain_renamer(seed):
+    rng = random.Random(seed)
+    t, _, payloads = generated_case(seed)
+    for u in (t, *payloads["terms"]):
+        # Weakening past entries of random sorts at a random cut.
+        b = bound_of(u)
+        inserted = rng.choices((TERM, CLOCK, TICK, IVAL, FACE),
+                               k=rng.randrange(1, 4))
+        cut = {s: rng.randrange(b[k] + 2)
+               for k, s in enumerate((TERM, CLOCK, TICK, IVAL))}
+        assert weaken(u, inserted, cut) == shifted(inserted, cut).term(u)
+        # Strengthening into residual contexts: TickEscape exactly when
+        # the renamer meets a dropped variable.
+        ctx = _context_around(rng, u)
+        for mask in _residual_masks(rng, ctx):
+            try:
+                want = mask_renamer(ctx, mask).term(u)
+            except TickEscape:
+                with pytest.raises(TickEscape):
+                    strengthen_term(ctx, mask, u)
+            else:
+                assert strengthen_term(ctx, mask, u) == want
+        # Whether interval variable 0 is free, by strengthening past it.
+        assert _mentions_ival0(u) == (0 in free_indices(u)[IVAL])
+
+
+def test_generated_strengthenings_keep_some_terms_and_drop_others():
+    kept = escaped = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        t, _, _ = generated_case(seed)
+        ctx = _context_around(rng, t)
+        for mask in _residual_masks(rng, ctx)[1:]:
+            try:
+                strengthen_term(ctx, mask, t)
+                kept += 1
+            except TickEscape:
+                escaped += 1
+    assert kept >= 100 and escaped >= 100, (kept, escaped)
 
 
 # --------------------------------------------------------------------------
