@@ -924,7 +924,7 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     def elim_of(arg):
         return ClockElim(elim.name, n, params_w, motive_w, cases_w, arg)
 
-    body, env = _elim_con(state, case_ctx, elim_of(None), con)
+    body, env = _elim_con(state, case_ctx, elim_of(None), None, con, None)
     body = subst_apply(env, body)
     sigma = signature_subst(shape(case_ctx, clocks=n),
                             con.params + con.args + con.recs, con.ivals)

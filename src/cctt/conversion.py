@@ -24,22 +24,51 @@ there the test would cost more than it saves.
 lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
 state is a term, the substitution pending on it (an environment, a
 `syntax.Substitution` whose term entries may be closures) and a stack of
-arguments.  An application pushes its argument, closed over the
-environment, and walks into its function, so a spine is walked in one
-loop; a lambda takes the top argument and a clock lambda the top clock
-into the environment, without touching the body; a variable bound to a
-closure continues in the closure's term and environment; unfolding a
-definition starts from an empty environment; and the constructor rule of
-the clock eliminator continues in the case body under an environment for
-the case's binders.  Every other head first applies the pending
-environment and then takes its rule.  A closure is materialised at most
-once, when it is part of what `whnf` returns (the head and arguments of a
-neutral term, or a canonical form), so callers see the terms eager
-substitution produced.  One step is counted per application walked,
-lambda taken and definition unfolded, as before; entering a variable's
-closure is not a step.  A term whose class is head-normal with no argument
-pending (a variable, universe, type former, abstraction, pair, `dfix` or
-`pfix`) is returned at once, for the one step the machine would count.
+arguments; it starts from a term or from a closure (`syntax.Closure`, a
+term and its environment), which it unpacks without a step.  An
+application pushes its argument, closed over the environment, and walks
+into its function, so a spine is walked in one loop; a lambda takes the top
+argument and a clock lambda the top clock into the environment, without
+touching the body; a variable bound to a closure continues in the
+closure's term and environment; unfolding a definition starts from an
+empty environment.
+
+The other heads take their rules under the environment as well, reading
+only their small parts under it (a clock, a tick, an interval expression,
+a face).  A path application, a tick application and a projection reduce
+their function or pair under the environment and continue in its body,
+with the interval or tick argument bound, or in its component; a
+diamond-free forcing application continues as a simple tick application
+with its clock bound; a composition whose face holds continues in its tube
+at 1, and a system in the part whose face holds; a constructor whose face
+holds continues in its boundary piece, under the environment sending the
+signature telescope to the constructor's arguments closed over its own;
+and the clock-free eliminator's constructor rule continues in the chosen
+case under the eliminator's environment extended for the case's binders,
+its recursive calls closures over one template per eliminator term
+(`_rec_call`).  The environment is applied to the head itself only where
+a rule builds new terms from its parts or goes under a binder of the head:
+a forcing application with a diamond (its function, under the clock it
+binds), a composition whose face does not hold, transport, an eliminator
+with clocks to peel, and a tick or forcing application under an
+environment holding a forcing tick, which substitution may turn from one
+into the other.
+
+`_whnf_env` returns the head together with the environment pending on it
+(none when arguments are left on the spine); `whnf` applies that
+environment once, so its callers see the terms eager substitution
+produced.  Conversion keeps the pair: two constructors are compared under
+their environments, their arguments pairwise as closures and their
+interval arguments read under them, so a tower of constructors is never
+built; any other head is materialised.  Comparison under a face passes
+each clause's endpoint substitution as the environment of the type and of
+both sides (`conv_under_face`), so only the heads reached are substituted.
+One step is counted per application walked, lambda taken and definition
+unfolded, as before; entering a variable's closure is not a step, so the
+machine takes the same steps on a closure as on its materialisation.  A
+term whose class is head-normal with no argument or environment pending (a
+variable, universe, type former, abstraction, pair, `dfix` or `pfix`) is
+returned at once, for the one step the machine would count.
 
 Substitutions are built with `syntax.subst` from payloads per sort (terms,
 clock indices, ticks and interval expressions) and a count per sort of
@@ -68,7 +97,7 @@ from .interval import (
     iv_substitute,
 )
 from .syntax import (
-    App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Comp, Con,
+    App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Closure, Comp, Con,
     Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
     FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
     PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Term,
@@ -76,7 +105,8 @@ from .syntax import (
     shape, strengthen, structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
-    bind, clause_subst, close, force, lookup, lookup_clock, subst_apply,
+    bind, clause_subst, close, extend, force, has_forcing_tick, image_iv,
+    image_tick, lookup, lookup_clock, subst_apply,
 )
 
 
@@ -123,9 +153,13 @@ def subst_tick1(ctx, body, u):
 def subst_force1(ctx, body, k, u):
     """body, scoped in ctx plus a clock and a tick on it, at the clock k
     and the forcing tick (k, u): the forcing beta rule."""
-    return subst_apply(
-        subst(ctx, clocks=(k,), ticks=(CForcedTick(0, u),)), body
-    )
+    return subst_apply(_forcing_env(ctx, k, u), body)
+
+
+def _forcing_env(ctx, k, u):
+    """The substitution of the forcing beta rule, for a body scoped in ctx
+    plus a clock and a tick on it."""
+    return subst(ctx, clocks=(k,), ticks=(CForcedTick(0, u),))
 
 
 def signature_subst(scope, terms, ivals=()):
@@ -176,13 +210,28 @@ _HEAD_NORMAL = frozenset({
     Hit, DFix, PFix,
 })
 
+# Classes the machine takes its rule for under a pending environment; any
+# other head has the environment applied first.
+_UNDER_ENV = _HEAD_NORMAL | {Fst, Snd, PApp, TickApp, ForceApp, Con,
+                             ClockElim, Comp, HComp, System}
+
 
 def whnf(state, ctx, t):
-    """The weak-head normal form of t in ctx (see the module docstring)."""
-    if type(t) in _HEAD_NORMAL:
+    """The weak-head normal form of t, a term or a closure, in ctx (see the
+    module docstring): the machine's head with its environment applied."""
+    head, env = _whnf_env(state, ctx, t)
+    return head if env is None else subst_apply(env, head)
+
+
+def _whnf_env(state, ctx, t, env=None):
+    """The machine: the weak-head normal form of t (a term or a closure)
+    under env, as a head and the environment pending on it (None when there
+    is none; always None when arguments were left on the spine)."""
+    if type(t) is Closure:
+        t, env = t.term, t.env
+    if env is None and type(t) in _HEAD_NORMAL:
         state.step()
-        return t
-    env = None   # the substitution pending on t; None is the identity
+        return t, None
     spine = []   # arguments, innermost last: closures and clock indices
     while True:
         # The machine's own cases run once per step: they test the type
@@ -212,113 +261,150 @@ def whnf(state, ctx, t):
         if cls is TopRef:
             body = state.definition_body(t.name)
             if body is None:
-                return _apply_spine(t, spine)
+                return _apply_spine(t, spine), None
             t, env = state.promote(body, ctx), None
             continue
-        if env is not None:
+        if cls is Con:
+            ctor = state.signature(t.name).constructor(t.label)
+            # A point constructor (empty face) never fires a boundary.
+            if ctor.face:
+                ivals = _ivals_under(env, t.ivals)
+                if face_is_true(_ctor_face(ctor, ivals)):
+                    t, env = _boundary_fire(ctx, ctor, env, t.params,
+                                            t.args, t.recs, ivals)
+                    continue
+            return _stuck(t, env, spine)
+        if env is not None and (
+                cls not in _UNDER_ENV
+                or cls in (TickApp, ForceApp) and has_forcing_tick(env)):
+            # Applying a forcing tick can turn a simple tick application
+            # into a forcing one, so those heads see it applied.
             t, env = subst_apply(env, t), None
         match t:
-            case Fst(p):
-                p = whnf(state, ctx, p)
-                if isinstance(p, Pair):
-                    t = p.fst
-                else:
-                    return _apply_spine(Fst(p), spine)
-
-            case Snd(p):
-                p = whnf(state, ctx, p)
-                if isinstance(p, Pair):
-                    t = p.snd
-                else:
-                    return _apply_spine(Snd(p), spine)
+            case ClockElim():
+                reduced = elim_reduce(state, ctx, t, env)
+                if reduced is None:
+                    return _stuck(t, env, spine)
+                t, env = reduced
 
             case PApp(fn, r):
-                fn = whnf(state, ctx, fn)
-                if isinstance(fn, PLam):
-                    t = subst_ival1(ctx, fn.body, r)
+                r = image_iv(env, r)
+                fn, fenv = _whnf_env(state, ctx, fn, env)
+                if type(fn) is PLam:
+                    t, env = fn.body, bind(fenv, ctx, IVAL, r)
                     continue
+                fn, env = _materialise(fn, fenv), None
                 unfolded = _pfix_unfold(state, ctx, fn)
                 if unfolded is not None:
-                    t = unfolded
+                    t, env = unfolded
                     continue
                 if r == IZERO or r == IONE:
                     endpoint = _path_endpoint(state, ctx, fn, r == IONE)
                     if endpoint is not None:
                         t = endpoint
                         continue
-                return _apply_spine(PApp(fn, r), spine)
+                return _apply_spine(PApp(fn, r), spine), None
 
             case TickApp(fn, u):
-                u = tick_whnf(u)
-                fn = whnf(state, ctx, fn)
-                if isinstance(fn, TickLam):
-                    t = subst_tick1(ctx, fn.body, u)
+                u = tick_whnf(image_tick(env, u))
+                fn, fenv = _whnf_env(state, ctx, fn, env)
+                if type(fn) is TickLam:
+                    t, env = fn.body, bind(fenv, ctx, TICK, u)
                 else:
-                    return _apply_spine(TickApp(fn, u), spine)
+                    return _apply_spine(
+                        TickApp(_materialise(fn, fenv), u), spine), None
 
             case ForceApp(fn, k, u):
+                tick = u
+                if env is not None:
+                    k, u = lookup_clock(env, k), image_tick(env, u)
                 u = tick_whnf(u)
                 if not tick_has_diamond(u):
-                    # Diamond-free forcing demotes to a simple application.
-                    t = TickApp(subst_clock1(ctx, fn, k), u)
+                    # Diamond-free forcing demotes to a simple application;
+                    # its tick, clock-free, reads the same under the clock.
+                    t, env = TickApp(fn, tick), bind(env, ctx, CLOCK, k)
                     continue
+                # fn binds the clock: it is reduced with env applied.
+                if env is not None:
+                    fn, env = subst_apply(env.under(CLOCK), fn), None
                 fn = whnf(state, ctx.push(EClock()), fn)
                 match fn:
                     case TickLam(_, body):
-                        t = subst_force1(ctx, body, k, u)
+                        t, env = body, _forcing_env(ctx, k, u)
                     case DFix(0, f) if isinstance(u, Diamond):
-                        t = subst_clock1(ctx, App(f, DFix(0, f)), k)
+                        t, env = App(f, DFix(0, f)), bind(None, ctx, CLOCK,
+                                                          k)
                     case _:
-                        return _apply_spine(ForceApp(fn, k, u), spine)
+                        return _apply_spine(ForceApp(fn, k, u), spine), None
 
-            case Comp(ty, face, tube, base):
-                reduced = comp_eval(state, ctx,
-                                    CompProblem(ty, face, tube, base))
+            case Fst(p):
+                p, penv = _whnf_env(state, ctx, p, env)
+                if type(p) is Pair:
+                    t, env = p.fst, penv
+                else:
+                    return _apply_spine(Fst(_materialise(p, penv)),
+                                        spine), None
+
+            case Snd(p):
+                p, penv = _whnf_env(state, ctx, p, env)
+                if type(p) is Pair:
+                    t, env = p.snd, penv
+                else:
+                    return _apply_spine(Snd(_materialise(p, penv)),
+                                        spine), None
+
+            case Comp(_, face, tube, _) | HComp(_, face, tube, _) \
+                    if face_is_true(image_iv(env, face)):
+                # The tube at the end of the line.
+                t, env = tube, bind(env, ctx, IVAL, IONE)
+
+            case System(parts):
+                for phi, u in parts:
+                    if face_is_true(image_iv(env, phi)):
+                        t = u
+                        break
+                else:
+                    return _stuck(t, env, spine)
+
+            case Comp():
+                t = _materialise(t, env)
+                reduced = comp_eval(state, ctx, CompProblem(
+                    t.ty, t.face, t.tube, t.base))
                 if reduced is None:
-                    return _apply_spine(t, spine)
-                t = reduced
+                    return _apply_spine(t, spine), None
+                t, env = reduced, None
 
-            case HComp(ty, face, tube, base):
-                if face_is_true(face):
-                    t = subst_ival1(ctx, tube, IONE)
-                    continue
-                head = whnf(state, ctx, ty)
+            case HComp():
+                t = _materialise(t, env)
+                head = whnf(state, ctx, t.ty)
                 if isinstance(head, (Hit, U)) or is_neutral(head):
-                    return _apply_spine(HComp(head, face, tube, base), spine)
+                    return _apply_spine(HComp(head, t.face, t.tube, t.base),
+                                        spine), None
                 # Other type heads: compose along the constant line.
-                t = Comp(weaken(head, [IVAL]), face, tube, base)
+                t, env = Comp(weaken(head, [IVAL]), t.face, t.tube,
+                              t.base), None
 
             case Trans(ty, face, base):
                 reduced = _trans_step(state, ctx, ty, face, base)
                 if reduced is None:
-                    return _apply_spine(t, spine)
+                    return _apply_spine(t, spine), None
                 t = reduced
 
-            case Con(name, label, params, args, recs, ivals):
-                ctor = state.signature(name).constructor(label)
-                # A point constructor (empty face) never fires a boundary.
-                if ctor.face and face_is_true(_ctor_face(ctor, ivals)):
-                    t = _boundary_fire(ctx, ctor, params, args, recs,
-                                       ivals)
-                else:
-                    return _apply_spine(t, spine)
-
-            case System(parts):
-                for phi, u in parts:
-                    if face_is_true(phi):
-                        t = u
-                        break
-                else:
-                    return _apply_spine(t, spine)
-
-            case ClockElim(_, _, _, _, _, _):
-                reduced = elim_reduce(state, ctx, t)
-                if reduced is None:
-                    return _apply_spine(t, spine)
-                t, env = reduced
-
             case _:
-                return _apply_spine(t, spine)
+                return _stuck(t, env, spine)
+
+
+def _materialise(head, env):
+    """head with env applied."""
+    return head if env is None else subst_apply(env, head)
+
+
+def _stuck(head, env, spine):
+    """The machine's answer for a head no rule applies to: it stays under
+    its environment when no argument is pending."""
+    if not spine:
+        return head, env
+    return _apply_spine(_materialise(head, env), spine), None
 
 
 def _apply_spine(head, spine):
@@ -330,13 +416,14 @@ def _apply_spine(head, spine):
 
 def _pfix_unfold(state, ctx, fn):
     """(kappa.pfix f)[(k, <>)] applied to any path argument unfolds to
-    (f (dfix f))[k/kappa]."""
+    (f (dfix f))[k/kappa], returned as f (dfix f) and the environment
+    sending kappa to k."""
     if not isinstance(fn, ForceApp) or not isinstance(fn.tick, Diamond):
         return None
     inner = whnf(state, ctx.push(EClock()), fn.fn)
     if isinstance(inner, PFix) and inner.clock == 0:
         f = inner.fn
-        return subst_clock1(ctx, App(f, DFix(0, f)), fn.clock)
+        return App(f, DFix(0, f)), bind(None, ctx, CLOCK, fn.clock)
     return None
 
 
@@ -405,10 +492,9 @@ def hfill(scope, ty, face, tube, base, j):
 # --------------------------------------------------------------------------
 
 def comp_eval(state, ctx, p):
-    """One reduction of a comp problem, or None when stuck."""
-    if face_is_true(p.face):
-        return subst_ival1(ctx, p.tube, IONE)
-
+    """One reduction of a comp problem whose face does not hold (the
+    machine takes the tube at 1 itself when it does), or None when
+    stuck."""
     ictx = ctx.push(EIVar())
     head = whnf(state, ictx, p.ty)
 
@@ -602,15 +688,17 @@ def _ctor_face(ctor, ivals):
     return iv_substitute(ctor.face, _ival_assignment(ivals))
 
 
-def _boundary_fire(ctx, ctor, params, args, recs, ivals):
+def _boundary_fire(ctx, ctor, env, params, args, recs, ivals):
     """The constructor's face is satisfied: reduce to the boundary piece
-    that holds, at the constructor's parameters and arguments."""
+    that holds, under the environment sending the signature telescope to
+    the constructor's parameters and arguments (each closed over env, the
+    constructor's own) and to its interval arguments (already read under
+    env)."""
     assignment = _ival_assignment(ivals)
     for phi, piece in ctor.boundary:
         if face_is_true(iv_substitute(phi, assignment)):
-            return subst_apply(
-                signature_subst(ctx, params + args + recs, ivals), piece
-            )
+            terms = tuple(close(env, x) for x in params + args + recs)
+            return piece, signature_subst(ctx, terms, ivals)
     raise IllFormedRedex(
         f"constructor face of {ctor.label} satisfied but no boundary piece "
         "fires"
@@ -621,24 +709,34 @@ def _boundary_fire(ctx, ctor, params, args, recs, ivals):
 # Induction under clocks: reduction
 # --------------------------------------------------------------------------
 
-def elim_reduce(state, ctx, elim):
-    """Reduce an eliminator whose scrutinee is a clock-abstracted
-    constructor or hcomp, to a term and the substitution pending on it (None
-    when there is none); None when neutral."""
+def elim_reduce(state, ctx, elim, env=None):
+    """Reduce an eliminator, under env, whose scrutinee is a
+    clock-abstracted constructor or hcomp, to a term and the environment
+    pending on it (None when there is none); None when neutral.
+
+    Without clocks to peel, the scrutinee is reduced under env and the
+    chosen case continues under env, extended for its binders: the
+    eliminator is never materialised.  With clocks, the scrutinee is
+    reduced under them, so env is applied to the eliminator first."""
+    n = elim.n
+    if n and env is not None:
+        elim, env = subst_apply(env, elim), None
     cur, cctx = elim.arg, ctx
-    for _ in range(elim.n):
+    for _ in range(n):
         cur = whnf(state, cctx, cur)
         if not isinstance(cur, CLam):
             return None
         cctx = cctx.push(EClock())
         cur = cur.body
-    head = whnf(state, cctx, cur)
-    if isinstance(head, Con):
-        return _elim_con(state, ctx, elim, head)
-    if isinstance(head, HComp) and isinstance(
-        whnf(state, cctx, head.ty), Hit
-    ):
-        return _elim_hcomp(state, ctx, elim, head)
+    head, henv = _whnf_env(state, cctx, cur, env)
+    if type(head) is Con:
+        if n:
+            head, henv = _materialise(head, henv), None
+        return _elim_con(state, ctx, elim, env, head, henv)
+    if type(head) is HComp:
+        head = _materialise(head, henv)
+        if isinstance(whnf(state, cctx, head.ty), Hit):
+            return _elim_hcomp(state, ctx, _materialise(elim, env), head)
     return None
 
 
@@ -673,14 +771,51 @@ def _weaken_case(case, sorts):
                     weaken(case.body, sorts, cut=cut))
 
 
-def _elim_con(state, ctx, elim, con):
-    """Constructor rule: the matching case, in the environment sending its
-    binders to the clock-abstracted arguments, the recursively eliminated
-    calls and the interval arguments."""
+def _rec_call(elim, m):
+    """The recursive call of a clock-free eliminator on a recursive argument
+    of arity m, the y of its case, as a term over the eliminator's scope and
+    the recursive argument x (innermost): the eliminator applied to x
+    applied to m bound variables, under m lambdas.  Made once per
+    eliminator term and arity."""
+    calls = elim.__dict__.get("_calls")
+    if calls is None:
+        calls = {}
+        object.__setattr__(elim, "_calls", calls)
+    call = calls.get(m)
+    if call is None:
+        sorts = [TERM] * (m + 1)
+        arg = Var(m)
+        for j in range(m):
+            arg = App(arg, Var(m - 1 - j))
+        call = calls[m] = _nlam(m, ClockElim(
+            elim.name, 0,
+            tuple(weaken(p, sorts) for p in elim.params),
+            weaken(elim.motive, sorts, cut={TERM: 1}),
+            tuple(_weaken_case(c, sorts) for c in elim.cases),
+            arg,
+        ))
+    return call
+
+
+def _elim_con(state, ctx, elim, env, con, cenv):
+    """Constructor rule: the matching case, in env (the eliminator's)
+    extended to send its binders to the clock-abstracted arguments, the
+    recursively eliminated calls and the interval arguments.  con is the
+    constructor under cenv; with clocks to abstract over, neither has an
+    environment pending."""
     sig = state.signature(elim.name)
     ctor = sig.constructor(con.label)
     case = _case_for(elim, con.label)
     n = elim.n
+
+    if not n:
+        xs = [close(cenv, a) for a in con.recs]
+        ys = [Closure(_rec_call(elim, len(arity.types)),
+                      bind(env, ctx, TERM, x))
+              for x, arity in zip(xs, ctor.rec_arities)]
+        gamma = [close(cenv, a) for a in con.args]
+        return case.body, extend(env, ctx, gamma + xs + ys,
+                                 _ivals_under(cenv, con.ivals))
 
     gamma = [_clam_n(n, a) for a in con.args]
     xs = [_clam_n(n, a) for a in con.recs]
@@ -753,7 +888,8 @@ def conv(state, ctx, ty, t, u):
 
 
 def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
-    """Split phi into clauses and compare under each endpoint assignment."""
+    """Split phi into clauses and compare under each endpoint assignment,
+    which stays pending on ty, t and u as their environment."""
     if not _already_restricted:
         for psi in ctx.restriction_faces():
             phi = FAnd(phi, psi)
@@ -765,16 +901,16 @@ def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
     for clause in clauses:
         sigma = clause_subst(ctx, clause)
         rctx = _clause_context(ctx, clause)
-        if not _conv_clause(state, rctx,
-                            subst_apply(sigma, ty),
-                            subst_apply(sigma, t),
-                            subst_apply(sigma, u)):
+        if not _conv_clause(state, rctx, Closure(ty, sigma),
+                            Closure(t, sigma), Closure(u, sigma)):
             return False
     return True
 
 
 def _clause_context(ctx, clause):
     """Same context with face payloads instantiated at the clause."""
+    if not ctx.restriction_faces():
+        return ctx
     entries = []
     for pos, entry in enumerate(ctx.entries):
         if entry_sort(entry) == FACE:
@@ -791,7 +927,13 @@ def _clause_context(ctx, clause):
 
 
 def _conv_clause(state, ctx, ty, t, u):
+    """Type-directed comparison of t and u (terms or closures) at ty (a
+    term or a closure): the type's eta rule, then `conv_tm`."""
     head = whnf(state, ctx, ty)
+    if not isinstance(head, (Pi, Sigma, PathT, Forall, Later)):
+        return conv_tm(state, ctx, t, u)
+    # The eta rule builds terms over t and u.
+    t, u = force(t), force(u)
     match head:
         case Pi(dom, cod):
             inner = ctx.push(EVar(dom))
@@ -826,8 +968,6 @@ def _conv_clause(state, ctx, ty, t, u):
                 TickApp(weaken(t, [TICK]), TickVar(0)),
                 TickApp(weaken(u, [TICK]), TickVar(0)),
             )
-        case _:
-            return conv_tm(state, ctx, t, u)
 
 
 # The type of a term variable bound where untyped comparison has no type to
@@ -836,9 +976,14 @@ _DUMMY = U(0)
 
 
 def conv_tm(state, ctx, t, u):
-    """Untyped comparison of weak-head forms with eta-matching."""
-    t = whnf(state, ctx, t)
-    u = whnf(state, ctx, u)
+    """Untyped comparison of weak-head forms with eta-matching; t and u are
+    terms or closures.  Two constructors are compared under their
+    environments, argument by argument; any other head is materialised."""
+    t, te = _whnf_env(state, ctx, t)
+    u, ue = _whnf_env(state, ctx, u)
+    if type(t) is Con and type(u) is Con:
+        return _conv_con(state, ctx, t, te, u, ue)
+    t, u = _materialise(t, te), _materialise(u, ue)
 
     if isinstance(t, Lam) or isinstance(u, Lam):
         inner = ctx.push(EVar(_DUMMY))
@@ -895,15 +1040,6 @@ def conv_tm(state, ctx, t, u):
             return n1 == n2 and len(p1) == len(p2) and all(
                 conv_tm(state, ctx, a, b) for a, b in zip(p1, p2)
             )
-        case (Con(n1, l1, q1, a1, r1, v1), Con(n2, l2, q2, a2, r2, v2)):
-            return (
-                n1 == n2 and l1 == l2
-                and len(a1) == len(a2) and len(r1) == len(r2)
-                and len(v1) == len(v2)
-                and all(conv_tm(state, ctx, x, y) for x, y in zip(a1, a2))
-                and all(conv_tm(state, ctx, x, y) for x, y in zip(r1, r2))
-                and v1 == v2
-            )
         case (Comp(ty1, f1, tu1, b1), Comp(ty2, f2, tu2, b2)):
             return _conv_comp(state, ctx, (ty1, f1, tu1, b1),
                               (ty2, f2, tu2, b2), hom=False)
@@ -942,6 +1078,25 @@ def conv_tm(state, ctx, t, u):
                     return False
             return True
     return False
+
+
+def _conv_con(state, ctx, t, te, u, ue):
+    """Constructors t under te and u under ue: the arguments and recursive
+    arguments are compared pairwise as closures, the interval arguments as
+    read under the environments."""
+    if (t.name != u.name or t.label != u.label
+            or len(t.args) != len(u.args) or len(t.recs) != len(u.recs)
+            or len(t.ivals) != len(u.ivals)):
+        return False
+    for x, y in zip(t.args + t.recs, u.args + u.recs):
+        if not conv_tm(state, ctx, close(te, x), close(ue, y)):
+            return False
+    return _ivals_under(te, t.ivals) == _ivals_under(ue, u.ivals)
+
+
+def _ivals_under(env, ivals):
+    """A constructor's interval arguments, read under env."""
+    return ivals if env is None else tuple(image_iv(env, r) for r in ivals)
 
 
 def _conv_comp(state, ctx, a, b, hom):

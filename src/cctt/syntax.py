@@ -388,9 +388,6 @@ class Context:
     def __iter__(self):
         return iter(self.entries)
 
-    def sorts(self):
-        return [entry_sort(e) for e in self.entries]
-
     def count(self, sort):
         if self.counts is None:
             counts = dict.fromkeys(_ENTRY_SORT.values(), 0)
@@ -700,9 +697,12 @@ def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=_ZERO):
 
 class Closure:
     """A term together with the substitution pending on it, its
-    environment.  `force` applies the environment once and keeps the
-    result in `term`; it then drops the environment, so that a forced
-    closure holds on to no chain of environments."""
+    environment: a term payload of an environment, and what reduction
+    (`conversion.whnf`) and conversion start from and compare, so that a
+    term is substituted only where they reach it.  `force` applies the
+    environment once and keeps the result in `term`; it then drops the
+    environment, so that a forced closure holds on to no chain of
+    environments."""
 
     __slots__ = ("term", "env")
 

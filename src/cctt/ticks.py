@@ -16,8 +16,11 @@ and interval variable (TL does), so those map to themselves.
 The same substitutions are the environments of the reduction machine in
 `conversion.whnf`: there a term payload may be a `Closure`, a term with the
 substitution pending on it, which is materialised once, when a
-substitution applied to a term reaches it.  `bind`, `close`, `lookup` and
-`lookup_clock` are the machine's environment operations.
+substitution applied to a term reaches it.  `bind`, `extend`, `close`,
+`lookup`, `lookup_clock`, `image_tick` and `image_iv` are the machine's
+environment operations: it reads a variable, a clock, a tick or an
+interval expression under an environment without applying the
+environment to anything else.
 """
 
 from .errors import (
@@ -26,8 +29,8 @@ from .errors import (
 from .interval import IONE, IVar, IZERO
 from .syntax import (
     CLOCK, ESCAPE, FACE, IVAL, TERM, TICK, _NO_BLOCK, _POS, _ZERO,
-    Closure, Context, Diamond, Substitution, TickVar, Tirr, Var, _image,
-    entry_sort, rename_term, subst,
+    CForcedTick, Closure, Context, Diamond, Substitution, TickVar, Tirr, Var,
+    _image, _iv, _tick, entry_sort, rename_term, subst,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -168,15 +171,41 @@ def force(x):
 
 def bind(env, ctx, sort, payload):
     """The environment of a term reduced in ctx, extended by an innermost
-    variable of `sort` sent to `payload`: a term, a closure or a clock
-    index scoped in ctx.  env None is the identity on ctx."""
+    variable of `sort` sent to `payload`: a term, a closure, a clock index,
+    a tick or an interval expression scoped in ctx.  env None is the
+    identity on ctx."""
     si = _POS[sort]
     if env is None:
         block, shift = _NO_BLOCK, _ZERO
     else:
         block, shift = env.block, env.shift
     block = block[:si] + ((payload,) + block[si],) + block[si + 1:]
+    if si == 1 and has_forcing_tick(env):
+        # A forcing tick names its clock by position among the clock
+        # payloads, and the new clock goes in front of them.
+        block = block[:2] + (tuple(
+            CForcedTick(p.clock + 1, p.tick) if type(p) is CForcedTick
+            else p for p in block[2]),) + block[3:]
     return Substitution(ctx, block, shift)
+
+
+def extend(env, ctx, terms=(), ivals=()):
+    """env extended by innermost term and interval variables sent to the
+    payloads given, outermost first, as `subst` takes them."""
+    if env is None:
+        block, shift = _NO_BLOCK, _ZERO
+    else:
+        block, shift = env.block, env.shift
+    return Substitution(ctx, (tuple(reversed(terms)) + block[0], block[1],
+                              block[2], tuple(reversed(ivals)) + block[3]),
+                        shift)
+
+
+def has_forcing_tick(env):
+    """Whether env sends a tick variable to a forcing tick, which turns a
+    simple tick application into a forcing one as it is substituted."""
+    return env is not None and any(type(p) is CForcedTick
+                                   for p in env.block[2])
 
 
 def close(env, t):
@@ -208,6 +237,19 @@ def lookup(env, ix):
 def lookup_clock(env, k):
     """The clock of env's dom that clock k of env's cod stands for."""
     return _image(env, 1, k, _ZERO)
+
+
+def image_tick(env, u):
+    """The tick u, scoped in env's cod, under env (None: the identity)."""
+    return u if env is None else _tick(env, u, _ZERO)
+
+
+def image_iv(env, x):
+    """The interval expression or face x, scoped in env's cod, under env
+    (None: the identity)."""
+    if env is None or not env.block[3] and not env.shift[3]:
+        return x
+    return _iv(env, x, _ZERO)
 
 
 def clause_subst(scope, clause):

@@ -33,6 +33,11 @@ per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
 ("forced", k, u) for a forcing tick on domain clock k, ("ival", r) and
 ("face",).
 
+`reference_whnf` is weak-head reduction by substitution, one redex at a
+time, every redex contracted by `naive_subst`: the rule the kernel's
+environment machine replaced, kept to check the machine against, and
+`reference_normal` reduces under every head with it.
+
 `free_indices` collects a term's free indices per sort by a plain
 recursive walk; `bound_of` reads off it the loose-variable bound that
 `syntax.loose_bound` caches on the term.
@@ -46,17 +51,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from cctt.errors import MalformedSubstitution, NotATick, TickEscape
+from cctt.errors import (
+    CaseMissing, CcttError, FuelExhausted, MalformedSubstitution, NotATick,
+    TickEscape,
+)
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IONE, IVar, IZERO,
-    iv_map_vars, iv_rename,
+    face_is_true, iv_map_vars, iv_rename, iv_substitute,
 )
 from cctt.syntax import (
     CLOCK, FACE, IVAL, TERM, TICK,
     App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
-    Diamond, EClock, ElimCase, ForceApp, Forall, Fst, HComp, Hit, Lam, Later,
-    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TickApp, TickLam,
-    TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
+    Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
+    HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
+    System, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
+    entry_sort,
 )
 from cctt.ticks import apply_mask, residual_mask
 
@@ -613,6 +622,236 @@ def _weakened(sort, p, depth):
             return CForcedTick(p.clock, ren.tick(p.tick))
         return ren.tick(p)
     return ren.term(p)
+
+
+# --------------------------------------------------------------------------
+# Weak-head reduction by substitution
+# --------------------------------------------------------------------------
+
+class OutOfReach(Exception):
+    """A head the reference reduction leaves to the kernel: composition,
+    transport, and the eliminator's hcomp rule."""
+
+
+def _ref_tick(u):
+    """A tick's weak-head form: tirr at an endpoint is that side, and
+    between two diamonds is a diamond."""
+    if type(u) is not Tirr:
+        return u
+    left, right = _ref_tick(u.left), _ref_tick(u.right)
+    if u.at == IZERO:
+        return left
+    if u.at == IONE:
+        return right
+    if type(left) is Diamond and type(right) is Diamond:
+        return Diamond()
+    return Tirr(left, right, u.at)
+
+
+def _has_diamond(u):
+    if type(u) is Tirr:
+        return _has_diamond(u.left) or _has_diamond(u.right)
+    return type(u) is Diamond
+
+
+def reference_whnf(state, ctx, t):
+    """The weak-head normal form of t in ctx, one redex at a time: a beta
+    redex of any sort, the forcing beta rule, a dfix or pfix unfolding, a
+    firing boundary and the eliminator's constructor rule each substitute
+    with `naive_subst`, and nothing is left pending.  `state` gives the
+    definitions, signatures, fuel (a step per redex looked at) and the
+    inference a path endpoint asks for."""
+    while True:
+        state.step()
+        match t:
+            case TopRef(name):
+                body = state.definition_body(name)
+                if body is None:
+                    return t
+                t = state.promote(body, ctx)
+            case App(fn, arg):
+                fn = reference_whnf(state, ctx, fn)
+                if type(fn) is not Lam:
+                    return App(fn, arg)
+                t = naive_subst(fn.body, terms=(arg,))
+            case CApp(fn, k):
+                fn = reference_whnf(state, ctx, fn)
+                if type(fn) is not CLam:
+                    return CApp(fn, k)
+                t = naive_subst(fn.body, clocks=(k,))
+            case Fst(p) | Snd(p):
+                p = reference_whnf(state, ctx, p)
+                if type(p) is not Pair:
+                    return type(t)(p)
+                t = p.fst if type(t) is Fst else p.snd
+            case PApp(fn, r):
+                fn = reference_whnf(state, ctx, fn)
+                if type(fn) is PLam:
+                    t = naive_subst(fn.body, ivals=(r,))
+                    continue
+                if type(fn) is ForceApp and type(fn.tick) is Diamond:
+                    inner = reference_whnf(state, ctx.push(EClock()), fn.fn)
+                    if type(inner) is PFix and inner.clock == 0:
+                        t = naive_subst(App(inner.fn, DFix(0, inner.fn)),
+                                        clocks=(fn.clock,))
+                        continue
+                if r in (IZERO, IONE):
+                    end = _ref_endpoint(state, ctx, fn, r == IONE)
+                    if end is not None:
+                        t = end
+                        continue
+                return PApp(fn, r)
+            case TickApp(fn, u):
+                u = _ref_tick(u)
+                fn = reference_whnf(state, ctx, fn)
+                if type(fn) is not TickLam:
+                    return TickApp(fn, u)
+                t = naive_subst(fn.body, ticks=(u,))
+            case ForceApp(fn, k, u):
+                u = _ref_tick(u)
+                if not _has_diamond(u):
+                    t = TickApp(naive_subst(fn, clocks=(k,)), u)
+                    continue
+                fn = reference_whnf(state, ctx.push(EClock()), fn)
+                if type(fn) is TickLam:
+                    t = naive_subst(fn.body, clocks=(k,),
+                                    ticks=(CForcedTick(0, u),))
+                elif type(fn) is DFix and fn.clock == 0 \
+                        and type(u) is Diamond:
+                    t = naive_subst(App(fn.fn, DFix(0, fn.fn)), clocks=(k,))
+                else:
+                    return ForceApp(fn, k, u)
+            case Con(name, label, params, args, recs, ivals):
+                ctor = state.signature(name).constructor(label)
+                at = dict(enumerate(reversed(ivals)))
+                if not ctor.face or not face_is_true(
+                        iv_substitute(ctor.face, at)):
+                    return t
+                t = next(
+                    naive_subst(piece, terms=params + args + recs,
+                                clocks=(ctx.count(CLOCK) - 1,), ivals=ivals)
+                    for phi, piece in ctor.boundary
+                    if face_is_true(iv_substitute(phi, at)))
+            case ClockElim():
+                reduced = _ref_elim(state, ctx, t)
+                if reduced is None:
+                    return t
+                t = reduced
+            case System(parts):
+                t = next((u for phi, u in parts if face_is_true(phi)), None)
+                if t is None:
+                    return System(parts)
+            case Comp() | HComp() | Trans():
+                raise OutOfReach(type(t).__name__)
+            case _:
+                return t
+
+
+def _ref_endpoint(state, ctx, fn, right):
+    try:
+        ty = reference_whnf(state, ctx, state.infer(ctx, fn))
+    except FuelExhausted:
+        raise
+    except CcttError:
+        return None
+    if type(ty) is PathT:
+        return ty.right if right else ty.left
+    return None
+
+
+def _ref_elim(state, ctx, elim):
+    """The eliminator's constructor rule, building the case's payloads as
+    the rule states them and substituting them all at once."""
+    n, cur, cctx = elim.n, elim.arg, ctx
+    for _ in range(n):
+        cur = reference_whnf(state, cctx, cur)
+        if type(cur) is not CLam:
+            return None
+        cctx, cur = cctx.push(EClock()), cur.body
+    con = reference_whnf(state, cctx, cur)
+    if type(con) is HComp:
+        raise OutOfReach("the eliminator's hcomp rule")
+    if type(con) is not Con:
+        return None
+    case = next((c for c in elim.cases if c.label == con.label), None)
+    if case is None:
+        raise CaseMissing(f"no case for constructor {con.label}")
+    ctor = state.signature(elim.name).constructor(con.label)
+
+    def clam_n(u):
+        for _ in range(n):
+            u = CLam(u)
+        return u
+
+    ys = []
+    for rec, arity in zip(con.recs, ctor.rec_arities):
+        m = len(arity.types)
+        call = shifted([TERM] * m).term(rec)
+        for j in range(m):
+            call = App(call, Var(m - 1 - j))
+        y = ClockElim(
+            elim.name, n,
+            tuple(shifted([TERM] * m).term(p) for p in elim.params),
+            shifted([TERM] * m, {TERM: 1}).term(elim.motive),
+            tuple(ElimCase(c.label, c.n_args, c.n_recs, c.n_ivars,
+                           shifted([TERM] * m,
+                                   {TERM: c.n_args + 2 * c.n_recs,
+                                    IVAL: c.n_ivars}).term(c.body))
+                  for c in elim.cases),
+            clam_n(call))
+        for _ in range(m):
+            y = Lam(y)
+        ys.append(y)
+    payloads = [clam_n(a) for a in con.args + con.recs] + ys
+    return naive_subst(case.body, terms=tuple(payloads), ivals=con.ivals)
+
+
+def reference_normal(state, ctx, t):
+    """t's normal form by `reference_whnf`, reduced under every head and
+    binder; OutOfReach for a neutral eliminator, composition or system."""
+    def go(t, ctx=ctx):
+        return reference_normal(state, ctx, t)
+
+    t = reference_whnf(state, ctx, t)
+    match t:
+        case Var() | U() | TopRef():
+            return t
+        case App(fn, arg):
+            return App(go(fn), go(arg))
+        case CApp(fn, k):
+            return CApp(go(fn), k)
+        case TickApp(fn, u):
+            return TickApp(go(fn), u)
+        case ForceApp(fn, k, u):
+            return ForceApp(go(fn, ctx.push(EClock())), k, u)
+        case PApp(fn, r):
+            return PApp(go(fn), r)
+        case Fst(p) | Snd(p):
+            return type(t)(go(p))
+        case Lam(body):
+            return Lam(go(body, ctx.push(EVar(U(0)))))
+        case CLam(body):
+            return CLam(go(body, ctx.push(EClock())))
+        case TickLam(k, body):
+            return TickLam(k, go(body, ctx.push(ETick(k))))
+        case PLam(body):
+            return PLam(go(body, ctx.push(EIVar())))
+        case Pair(a, b):
+            return Pair(go(a), go(b))
+        case Pi(dom, cod):
+            return Pi(go(dom), go(cod, ctx.push(EVar(dom))))
+        case Forall(body):
+            return Forall(go(body, ctx.push(EClock())))
+        case Later(k, body):
+            return Later(k, go(body, ctx.push(ETick(k))))
+        case DFix(k, fn) | PFix(k, fn):
+            return type(t)(k, go(fn))
+        case Hit(name, params):
+            return Hit(name, tuple(map(go, params)))
+        case Con(name, label, params, args, recs, ivals):
+            return Con(name, label, tuple(map(go, params)),
+                       tuple(map(go, args)), tuple(map(go, recs)), ivals)
+    raise OutOfReach(type(t).__name__)
 
 
 # --------------------------------------------------------------------------

@@ -9,20 +9,24 @@ from cctt.conversion import (
     comp_eval, CompProblem, conv, conv_tm,
     conv_under_face, hfill, tick_whnf, whnf,
 )
-from cctt.errors import FuelExhausted, MalformedSubstitution
+from cctt.errors import CcttError, FuelExhausted, MalformedSubstitution
 from cctt.interval import (
     FAnd, FBOT, FEq, FTOP, INeg, IVar, IZERO, IONE,
 )
 from cctt.parser import (
-    DataDefinition, parse_module,
+    ConvCheck, DataDefinition, Definition, parse_module,
 )
 from cctt.syntax import (
-    TERM, App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context,
-    DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp,
-    Forall, Fst, HComp, Hit, HitSignature, Lam, Later, PApp, PFix, PLam,
-    Pair, PathT, Pi, Sigma, Snd, System, Telescope, TickApp, TickLam,
-    TickVar, Tirr, TopRef, Trans, U, Var, weaken,
+    CLOCK, TERM, App, CApp, CLam, ClockElim, Closure, Comp, Con,
+    Constructor, Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar,
+    ElimCase, ForceApp, Forall, Fst, HComp, Hit, HitSignature, Lam, Later,
+    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, Substitution, System,
+    Telescope, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
+    structural_equal, weaken,
 )
+from cctt.ticks import extend
+from oracles import OutOfReach, naive_subst, reference_normal, reference_whnf
+from test_ticks import generated_case
 
 FUEL_FILE = (Path(__file__).resolve().parent.parent / "corpus" / "neg"
              / "fuel-exhausted.cctt")
@@ -479,6 +483,18 @@ class TestMachine:
                  PApp(weaken(rec_call, [TERM]), IVar(0))),
         ))
 
+    def test_constructor_interval_arguments_are_read_under_the_environment(
+            self):
+        # node's face never holds, so the constructor is compared pending:
+        # its interval argument is the path's, at 0.
+        def node(r):
+            return Con("tree", "node", (), (U(0),), (ZERO,), (r,))
+        t = PApp(PLam(node(IVar(0))), IZERO)
+        ctx = PRELUDE.push(EIVar())
+        assert conv_tm(nat_state(), ctx, t, node(IZERO))
+        assert not conv_tm(nat_state(), ctx, t, node(IVar(0)))
+        assert not conv_tm(nat_state(), ctx, t, node(IONE))
+
     def test_a_variable_outside_the_context_is_rejected(self):
         with pytest.raises(MalformedSubstitution):
             whnf(st(), self.CTX, App(Lam(Var(3)), U(0)))
@@ -555,3 +571,289 @@ class TestFastPaths:
         state = st()
         assert whnf(state, TestMachine.CTX, t) is t
         assert state.steps == 1
+
+
+# --------------------------------------------------------------------------
+# Closures: a term under its environment reduces and compares as the term
+# with the environment applied, and as substitution one redex at a time
+# --------------------------------------------------------------------------
+
+ARITH = """
+data nat : U0 where
+  | zero
+  | succ (m : nat)
+
+def sc : nat -> nat := \\x. succ x
+def c2 : (nat -> nat) -> nat -> nat := \\f. \\x. f (f x)
+def c3 : (nat -> nat) -> nat -> nat := \\f. \\x. f (f (f x))
+def c4 : (nat -> nat) -> nat -> nat := \\f. \\x. f (f (f (f x)))
+def add (m : (nat -> nat) -> nat -> nat) (n : (nat -> nat) -> nat -> nat)
+  : (nat -> nat) -> nat -> nat := \\f. \\x. m f (n f x)
+def mul (m : (nat -> nat) -> nat -> nat) (n : (nat -> nat) -> nat -> nat)
+  : (nat -> nat) -> nat -> nat := \\f. m (n f)
+def sq (n : (nat -> nat) -> nat -> nat) : (nat -> nat) -> nat -> nat :=
+  \\f. n (n f)
+def addE (m : nat) (n : nat) : nat :=
+  clockelim^0 nat m into (h. nat) with
+  | zero => n
+  | succ x y => succ y
+def mulE (m : nat) (n : nat) : nat :=
+  clockelim^0 nat m into (h. nat) with
+  | zero => zero
+  | succ x y => addE n y
+def force (A : U0) (x : forall k. |> (a : k) A) : forall k. A :=
+  /\\k'. (k. x {k}) [k', <>]
+def delay (A : U0) (x : forall k. A) : forall k. |> (a : k) A :=
+  /\\k. tick a : k. x {k}
+"""
+
+
+def lit(n):
+    return "zero" if n == 0 else f"succ ({lit(n - 1)})"
+
+
+def arith_problems(rng):
+    """Conversion problems, each with its answer: Church arithmetic applied
+    to `sc zero` against a numeral, the clock-free eliminator's
+    multiplication against a numeral and against a larger sum, and round
+    trips through force and delay against the variable they start from."""
+    out = []
+    for _ in range(4):
+        a, b = rng.randrange(2, 5), rng.randrange(2, 5)
+        term, value = rng.choice((
+            (f"mul c{a} c{b}", a * b), (f"add c{a} c{b}", a + b),
+            (f"sq c{a}", a * a), (f"add (mul c{a} c{b}) c{b}", a * b + b),
+        ))
+        other = value + rng.choice((0, 0, -1, 1))
+        out.append((f"{term} sc zero", lit(other), "nat", other == value))
+    for _ in range(3):
+        a, b = rng.randrange(5), rng.randrange(5)
+        mul = f"mulE ({lit(a)}) ({lit(b)})"
+        out.append((mul, lit(a * b), "nat", True))
+        out.append((mul, f"addE ({lit(b)}) ({mul})", "nat", b == 0))
+    for depth in (1, 3):
+        chain = "force nat (delay nat (" * depth + "x" + "))" * depth
+        var = rng.choice("xy")
+        out.append((f"\\x. \\y. {chain}", f"\\x. \\y. {var}",
+                    "(x : forall k. nat) -> (y : forall k. nat)"
+                    " -> forall k. nat", var == "x"))
+    return out
+
+
+def arith_module(seed):
+    """A checked state with the definitions of ARITH, and the seed's
+    problems as (type, left, right, answer)."""
+    rng = random.Random(seed)
+    problems = arith_problems(rng)
+    text = ARITH + "".join(
+        f"\n--expect-{'conv' if want else 'not-conv'}\n"
+        f"  {lhs}\n  = {rhs}\n  : {ty}\n"
+        for lhs, rhs, ty, want in problems)
+    state = CheckState()
+    convs = []
+    for decl in parse_module(text).decls:
+        if isinstance(decl, DataDefinition):
+            state.add_signature(decl.sig)
+        elif isinstance(decl, Definition):
+            state.add_definition(decl.name, decl.ty, decl.body)
+        else:
+            assert isinstance(decl, ConvCheck)
+            convs.append((decl.ty, decl.lhs, decl.rhs, decl.want_equal))
+    return state, convs
+
+
+def at_base_type(state, ctx, ty, t, u):
+    """t and u applied to fresh variables (and clocks) until their type is
+    no function (or clock quantifier) type, as conversion does."""
+    while True:
+        head = whnf(state, ctx, ty)
+        if isinstance(head, Pi):
+            ctx, ty = ctx.push(EVar(head.dom)), head.cod
+            t, u = (App(weaken(x, [TERM]), Var(0)) for x in (t, u))
+        elif isinstance(head, Forall):
+            ctx, ty = ctx.push(EClock()), head.body
+            t, u = (CApp(weaken(x, [CLOCK]), 0) for x in (t, u))
+        else:
+            return ctx, t, u
+
+
+def spine_closure(ctx, t):
+    """t as a closure: the term arguments of its application spine go to an
+    environment, each of them such a closure again, and variables take
+    their places."""
+    spine = []
+    head = t
+    while type(head) in (App, CApp):
+        spine.append(head)
+        head = head.fn
+    spine.reverse()
+    terms = [spine_closure(ctx, a.arg) for a in spine if type(a) is App]
+    if not terms:
+        return t
+    n, left = len(terms), len(terms)
+    body = weaken(head, [TERM] * n)
+    for a in spine:
+        if type(a) is App:
+            left -= 1
+            body = App(body, Var(left))
+        else:
+            body = CApp(body, a.clock)
+    return Closure(body, extend(None, ctx, terms=terms))
+
+
+def materialised(x):
+    return x.env.apply(x.term) if type(x) is Closure else x
+
+
+def conv_steps(state, ctx, t, u):
+    before = state.steps
+    return conv_tm(state, ctx, t, u), state.steps - before
+
+
+def reference_verdict(state, ctx, t, u):
+    return structural_equal(reference_normal(state, ctx, t),
+                            reference_normal(state, ctx, u))
+
+
+def machine_closures(state, ctx, t, u, depth=6):
+    """Pairs of a closure the machine leaves pending on a constructor's
+    argument and the argument of u at the same place, down the towers."""
+    for _ in range(depth):
+        head, env = conversion._whnf_env(state, ctx, t)
+        other = whnf(state, ctx, u)
+        if type(head) is not Con or env is None or type(other) is not Con \
+                or head.label != other.label or not head.recs:
+            return
+        t, u = Closure(head.recs[0], env), other.recs[0]
+        yield t, u
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closures_agree_with_materialisation_and_reference(seed):
+    state, convs = arith_module(seed)
+    compared = 0
+    for ty, lhs, rhs, want in convs:
+        assert conv(state, PRELUDE, ty, lhs, rhs) == want
+        ctx, t, u = at_base_type(state, PRELUDE, ty, lhs, rhs)
+        assert reference_verdict(state, ctx, t, u) == want
+        pairs = [(spine_closure(ctx, t), u),
+                 *machine_closures(state, ctx, t, u)]
+        for closure, other in pairs:
+            if type(closure) is not Closure:
+                continue
+            # A fresh copy each time: a closure keeps what forcing it gave.
+            term = materialised(closure)
+            got = conv_steps(state, ctx, closure, other)
+            assert got == conv_steps(state, ctx, term, other)
+            assert got[0] == reference_verdict(state, ctx, term, other)
+            compared += 1
+    assert compared >= 10
+
+
+def _outcome(reduce, state, ctx, t):
+    try:
+        return "term", reduce(state, ctx, t)
+    except FuelExhausted:
+        return "fuel", None
+    except CcttError as err:
+        return "error", err.error_class
+
+
+def _scope_context(sizes):
+    terms, clocks, ticks, ivals = sizes
+    return Context((EClock(),) * clocks + (ETick(0),) * ticks
+                   + (EVar(U(0)),) * terms + (EIVar(),) * ivals)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_generated_closures_reduce_as_their_materialisation(seed):
+    # Random terms under random environments, forcing ticks among them:
+    # the machine started on the closure takes the steps it takes on the
+    # term with the environment applied, and ends where reduction by
+    # substitution, one redex at a time, ends.
+    t, sigma, payloads = generated_case(seed)
+    ctx = _scope_context(sigma.sizes())
+    runs = []
+    for x in (Closure(t, sigma), sigma.apply(t)):
+        state = StubState(max_steps=2000)
+        runs.append((_outcome(whnf, state, ctx, x), state.steps))
+    assert runs[0] == runs[1]
+    if runs[0][0][0] == "fuel":
+        return
+    try:
+        ref = _outcome(reference_whnf, StubState(max_steps=200_000), ctx,
+                       naive_subst(t, **payloads))
+    except OutOfReach:
+        return
+    assert ref == runs[0][0]
+
+
+class TestPendingConstructors:
+    """Comparing towers of constructors applies no environment to a
+    constructor, and the clock-free eliminator's rule applies none to the
+    eliminator: both stay under their environments."""
+
+    KERNEL = ("data nat : U0 where | zero | succ (m : nat)\n"
+              "def sc : nat -> nat := \\x. succ x\n"
+              "def ca : (nat -> nat) -> nat -> nat := \\f. \\x. "
+              + "f (" * 5 + "x" + ")" * 5 + "\n"
+              "def cb : (nat -> nat) -> nat -> nat := \\f. \\x. "
+              + "f (" * 8 + "x" + ")" * 8 + "\n"
+              "def mul (m : (nat -> nat) -> nat -> nat)"
+              " (n : (nat -> nat) -> nat -> nat)"
+              " : (nat -> nat) -> nat -> nat := \\f. m (n f)\n"
+              "--expect-conv mul ca cb sc zero = mul cb ca sc zero : nat\n")
+
+    @staticmethod
+    def substituted(run):
+        """What run returns, and the class of every term a substitution
+        was applied to while it ran."""
+        seen = []
+        real = Substitution.apply
+
+        def counting(sigma, t):
+            seen.append(type(t))
+            return real(sigma, t)
+
+        Substitution.apply = counting
+        try:
+            result = run()
+        finally:
+            Substitution.apply = real
+        return result, seen
+
+    @staticmethod
+    def module(text):
+        state = CheckState()
+        problems = []
+        for decl in parse_module(text).decls:
+            if isinstance(decl, DataDefinition):
+                state.add_signature(decl.sig)
+            elif isinstance(decl, Definition):
+                state.add_definition(decl.name, decl.ty, decl.body)
+            else:
+                problems.append(decl)
+        state.steps = 0
+        return state, problems
+
+    def test_constructor_towers_compare_pending(self):
+        # Both sides unfold to 40 successors, as the benchmark's kernel
+        # files do.
+        state, (problem,) = self.module(self.KERNEL)
+        equal, seen = self.substituted(lambda: conv(
+            state, PRELUDE, problem.ty, problem.lhs, problem.rhs))
+        assert equal
+        assert Con not in seen
+        assert state.steps == 412
+
+    def test_eliminator_rule_applies_no_environment_to_the_eliminator(
+            self):
+        state, _ = self.module(ARITH)
+        mul = parse_module(ARITH + "\n--expect-conv mulE (" + lit(4)
+                           + ") (" + lit(5) + ") = " + lit(20)
+                           + " : nat\n").decls[-1]
+        equal, seen = self.substituted(lambda: conv(
+            state, PRELUDE, mul.ty, mul.lhs, mul.rhs))
+        assert equal
+        assert Con not in seen and ClockElim not in seen
+        assert state.steps == 126

@@ -1,17 +1,22 @@
-"""The bundled corpus: every expectation holds, every file that
-elaborates survives a parse-print-parse round trip, the loose-variable
-bound of every term it elaborates to agrees with its free indices, and
-single-token mutants of its HIT files each get a verdict per
+"""The bundled corpus: every expectation holds, the output of
+`cctt check --corpus corpus` (with and without `--trace-conv`) and the
+steps each file spends are those recorded in `tests/golden`, every file
+that elaborates survives a parse-print-parse round trip, the
+loose-variable bound of every term it elaborates to agrees with its free
+indices, and single-token mutants of its HIT files each get a verdict per
 declaration."""
 
 import contextlib
 import io
+import json
 import random
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from cctt import cli
+from cctt.checker import CheckState
 from cctt.cli import EXPECT_PARSE_ERROR, Report, check_file, main
 from cctt.errors import CcttError, ParseError, UnboundVariable
 from cctt.parser import (
@@ -21,8 +26,10 @@ from cctt.parser import (
 from cctt.syntax import ElimCase, Term, loose_bound
 from oracles import bound_of, token_mutants
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 FILES = sorted(CORPUS.rglob("*.cctt"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_corpus_is_present():
@@ -37,6 +44,44 @@ def test_corpus_all_expectations_met(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL", "SKIP"))]
     assert lines and all(ln.startswith("PASS") for ln in lines)
     assert " 0 failed, 0 skipped" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "corpus-check.txt"),
+    (("--trace-conv",), "corpus-trace-conv.txt"),
+], ids=["plain", "trace-conv"])
+def test_corpus_output_is_the_recorded_one(flags, golden, monkeypatch,
+                                           capsys):
+    # A change to reduction or conversion that keeps every verdict must
+    # keep the report, the normal forms `--trace-conv` prints included.
+    monkeypatch.chdir(ROOT)
+    assert main(["check", "--corpus", "corpus", *flags]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_corpus_steps_are_the_recorded_ones(monkeypatch):
+    # Steps do not depend on the machine: a change that alters them alters
+    # what the kernel computes, and must say so by updating the record.
+    states = []
+
+    class Recording(CheckState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(cli, "CheckState", Recording)
+    steps = {}
+    for path in FILES:
+        states.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            check_file(str(path), path.read_text(encoding="utf-8"),
+                       1_000_000, Report())
+        name = path.relative_to(CORPUS).as_posix()
+        steps[name] = states[0].steps if states else None
+    recorded = json.loads((GOLDEN / "corpus-steps.json").read_text())
+    assert steps == recorded
+    assert steps["neg/fuel-exhausted.cctt"] == 1_000_001
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)

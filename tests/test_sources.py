@@ -117,40 +117,87 @@ TRACED_ONLY = {
 
 
 def _definitions():
-    """Each top-level definition's module, and for each name the top-level
-    definitions of package code naming it (as an AST Name or Attribute;
-    None for code outside any definition)."""
+    """Each definition's module; for each name the definitions of package
+    code naming it (as an AST Name or Attribute; None for code outside any
+    definition); and for each name the definitions reading it as a method
+    (see `_method_reads`).  A definition is a top-level function or class,
+    or a method of a top-level class, held by its qualified name; code
+    inside a method is owned by the method."""
     defined = {}
     named = {}
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    methods = {}
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in SOURCES]
+    stored = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)}
+
+    def note(tree, owner):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, set()).add(owner)
+            elif isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, set()).add(owner)
+        for attr in _method_reads(tree, stored):
+            methods.setdefault(attr, set()).add(owner)
+
+    for path, tree in zip(SOURCES, trees):
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                owner = (path.name, top.name)
+            if isinstance(top, ast.FunctionDef):
                 defined[top.name] = path.name
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    named.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    named.setdefault(node.attr, set()).add(owner)
-    return defined, named
+                note(top, (path.name, top.name))
+            elif isinstance(top, ast.ClassDef):
+                defined[top.name] = path.name
+                for item in top.body:
+                    if isinstance(item, ast.FunctionDef):
+                        qualname = f"{top.name}.{item.name}"
+                        defined[qualname] = path.name
+                        note(item, (path.name, qualname))
+                    else:
+                        note(item, (path.name, top.name))
+                for node in (*top.bases, *top.decorator_list):
+                    note(node, (path.name, top.name))
+            else:
+                note(top, None)
+    return defined, named, methods
+
+
+def _method_reads(tree, stored):
+    """The attribute names tree reads as it would read a method: every
+    attribute it loads, except that a name some package code also stores
+    as an attribute (an instance's field, which may share the name) counts
+    only where it is called."""
+    calls = {id(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and (node.attr not in stored or id(node) in calls)}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_no_dead_definitions():
     # A top-level function or class must be named by package code outside
-    # its own definition, or be listed above.
-    defined, named = _definitions()
-    dead = sorted(
-        f"{module}:{name}" for name, module in defined.items()
-        if not named.get(name, set()) - {(module, name)}
-        and name not in UNREFERENCED and name not in TRACED_ONLY
-    )
-    assert not dead, dead
+    # its own definition, and a method other than a dunder must be read as
+    # one there (of any object: a method shares its name with every other
+    # method of that name), or be listed above.
+    defined, named, methods = _definitions()
+    dead = []
+    for qualname, module in defined.items():
+        cls, _, name = qualname.rpartition(".")
+        users = (methods if cls else named).get(name, set())
+        if _is_dunder(name) or users - {(module, qualname)} \
+                or qualname in UNREFERENCED or qualname in TRACED_ONLY:
+            continue
+        dead.append(f"{module}:{qualname}")
+    assert not dead, sorted(dead)
 
 
 def test_traced_only_definitions_are_traced_and_unused():
-    defined, named = _definitions()
+    defined, named, _ = _definitions()
     traced = {qualname.split(".")[0] for qualnames in _targets().values()
               for qualname in qualnames}
     for name in TRACED_ONLY:
