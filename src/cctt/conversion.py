@@ -45,14 +45,14 @@ holds continues in its boundary piece, under the environment sending the
 signature telescope to the constructor's arguments closed over its own;
 and the clock-free eliminator's constructor rule continues in the chosen
 case under the eliminator's environment extended for the case's binders,
-its recursive calls closures over one template per eliminator term
-(`_rec_call`).  The environment is applied to the head itself only where
-a rule builds new terms from its parts or goes under a binder of the head:
-a forcing application with a diamond (its function, under the clock it
-binds), a composition whose face does not hold, transport, an eliminator
-with clocks to peel, and a tick or forcing application under an
-environment holding a forcing tick, which substitution may turn from one
-into the other.
+each recursive call a closure binding its argument over one template per
+eliminator term and arity (`_rec_template`).  The environment is applied
+to the head itself only where a rule builds new terms from its parts or
+goes under a binder of the head: a forcing application with a diamond
+(its function, under the clock it binds), a composition whose face does
+not hold, transport, an eliminator with clocks to peel, and a tick or
+forcing application under an environment holding a forcing tick, which
+substitution may turn from one into the other.
 
 `_whnf_env` returns the head together with the environment pending on it
 (none when arguments are left on the spine); `whnf` applies that
@@ -105,8 +105,8 @@ from .syntax import (
     shape, strengthen, structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
-    bind, clause_subst, close, extend, force, has_forcing_tick, image_iv,
-    image_tick, lookup, lookup_clock, subst_apply,
+    bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
+    image_iv, image_tick, lookup, lookup_clock, subst_apply,
 )
 
 
@@ -771,29 +771,42 @@ def _weaken_case(case, sorts):
                     weaken(case.body, sorts, cut=cut))
 
 
-def _rec_call(elim, m):
-    """The recursive call of a clock-free eliminator on a recursive argument
-    of arity m, the y of its case, as a term over the eliminator's scope and
-    the recursive argument x (innermost): the eliminator applied to x
-    applied to m bound variables, under m lambdas.  Made once per
-    eliminator term and arity."""
+def _rec_call(elim, x, extra, m):
+    """The recursive call of elim on a recursive argument x of arity m, the
+    y of its case: \\xi-bar. elim(/\\kappa-bar. x xi-bar), elim's fields
+    weakened past the `extra` term variables x's scope adds to elim's and
+    the m bound ones.  x is scoped under elim's clocks."""
+    sorts = [TERM] * (extra + m)
+    call = weaken(x, [TERM] * m)
+    for j in range(m):
+        call = App(call, Var(m - 1 - j))
+    return _nlam(m, ClockElim(
+        elim.name, elim.n,
+        tuple(weaken(p, sorts) for p in elim.params),
+        weaken(elim.motive, sorts, cut={TERM: 1}),
+        tuple(_weaken_case(c, sorts) for c in elim.cases),
+        _clam_n(elim.n, call),
+    ))
+
+
+def _rec_template(elim, m):
+    """The recursive call of the clock-free eliminator elim on an argument
+    x of arity m, bound innermost (`_rec_call`), made once per eliminator
+    term and arity.  The eliminator in it is marked as made from elim past
+    x and its m variables, and reducing it continues in elim's cases
+    (`_elim_con`), so no template is made from a template: an eliminator
+    keeps one per arity however deep the recursion goes."""
     calls = elim.__dict__.get("_calls")
     if calls is None:
         calls = {}
         object.__setattr__(elim, "_calls", calls)
     call = calls.get(m)
     if call is None:
-        sorts = [TERM] * (m + 1)
-        arg = Var(m)
-        for j in range(m):
-            arg = App(arg, Var(m - 1 - j))
-        call = calls[m] = _nlam(m, ClockElim(
-            elim.name, 0,
-            tuple(weaken(p, sorts) for p in elim.params),
-            weaken(elim.motive, sorts, cut={TERM: 1}),
-            tuple(_weaken_case(c, sorts) for c in elim.cases),
-            arg,
-        ))
+        call = calls[m] = _rec_call(elim, Var(0), 1, m)
+        made = call
+        for _ in range(m):
+            made = made.body
+        object.__setattr__(made, "_made_from", (elim, 1 + m))
     return call
 
 
@@ -803,14 +816,23 @@ def _elim_con(state, ctx, elim, env, con, cenv):
     recursively eliminated calls and the interval arguments.  con is the
     constructor under cenv; with clocks to abstract over, neither has an
     environment pending."""
+    n = elim.n
+    if not n:
+        made_from = elim.__dict__.get("_made_from")
+        if made_from is not None:
+            # A recursive call: its fields are those of the eliminator it
+            # was made from, weakened past the variables it binds.
+            elim, k = made_from
+            env = drop_terms(env, ctx, k)
     sig = state.signature(elim.name)
     ctor = sig.constructor(con.label)
     case = _case_for(elim, con.label)
-    n = elim.n
 
     if not n:
+        # Each recursive call is a closure binding its argument, so the
+        # argument stays pending.
         xs = [close(cenv, a) for a in con.recs]
-        ys = [Closure(_rec_call(elim, len(arity.types)),
+        ys = [Closure(_rec_template(elim, len(arity.types)),
                       bind(env, ctx, TERM, x))
               for x, arity in zip(xs, ctor.rec_arities)]
         gamma = [close(cenv, a) for a in con.args]
@@ -819,22 +841,8 @@ def _elim_con(state, ctx, elim, env, con, cenv):
 
     gamma = [_clam_n(n, a) for a in con.args]
     xs = [_clam_n(n, a) for a in con.recs]
-    ys = []
-    for k, arity in enumerate(ctor.rec_arities):
-        m = len(arity.types)
-        # y_k = \xi-bar. elim(/\kappa-bar. x_k xi-bar)
-        call = weaken(con.recs[k], [TERM] * m)
-        for j in range(m):
-            call = App(call, Var(m - 1 - j))
-        sub = ClockElim(
-            elim.name, n,
-            tuple(weaken(p, [TERM] * m) for p in elim.params),
-            weaken(elim.motive, [TERM] * m, cut={TERM: 1}),
-            tuple(_weaken_case(c, [TERM] * m) for c in elim.cases),
-            _clam_n(n, call),
-        )
-        ys.append(_nlam(m, sub))
-
+    ys = [_rec_call(elim, x, 0, len(arity.types))
+          for x, arity in zip(con.recs, ctor.rec_arities)]
     return case.body, subst(ctx, terms=gamma + xs + ys, ivals=con.ivals)
 
 

@@ -16,11 +16,11 @@ and interval variable (TL does), so those map to themselves.
 The same substitutions are the environments of the reduction machine in
 `conversion.whnf`: there a term payload may be a `Closure`, a term with the
 substitution pending on it, which is materialised once, when a
-substitution applied to a term reaches it.  `bind`, `extend`, `close`,
-`lookup`, `lookup_clock`, `image_tick` and `image_iv` are the machine's
-environment operations: it reads a variable, a clock, a tick or an
-interval expression under an environment without applying the
-environment to anything else.
+substitution applied to a term reaches it.  `bind`, `extend`,
+`drop_terms`, `close`, `lookup`, `lookup_clock`, `image_tick` and
+`image_iv` are the machine's environment operations: it reads a variable,
+a clock, a tick or an interval expression under an environment without
+applying the environment to anything else.
 """
 
 from .errors import (
@@ -30,7 +30,7 @@ from .interval import IONE, IVar, IZERO
 from .syntax import (
     CLOCK, ESCAPE, FACE, IVAL, TERM, TICK, _NO_BLOCK, _POS, _ZERO,
     CForcedTick, Closure, Context, Diamond, Substitution, TickVar, Tirr, Var,
-    _image, _iv, _tick, entry_sort, rename_term, subst,
+    _image, _iv, _iv_bound, _tick, entry_sort, rename_term, subst,
 )
 
 TIMELESS = (CLOCK, IVAL, FACE)
@@ -201,6 +201,21 @@ def extend(env, ctx, terms=(), ivals=()):
                         shift)
 
 
+def drop_terms(env, ctx, k):
+    """env (None: the identity on ctx) restricted to the variables of its
+    cod past the k innermost term variables."""
+    if env is None:
+        block, shift = _NO_BLOCK, _ZERO
+    else:
+        block, shift = env.block, env.shift
+    terms = block[0]
+    if k <= len(terms):
+        terms, moved = terms[k:], shift[0]
+    else:
+        terms, moved = (), shift[0] + k - len(terms)
+    return Substitution(ctx, (terms,) + block[1:], (moved,) + shift[1:])
+
+
 def has_forcing_tick(env):
     """Whether env sends a tick variable to a forcing tick, which turns a
     simple tick application into a forcing one as it is substituted."""
@@ -246,9 +261,14 @@ def image_tick(env, u):
 
 def image_iv(env, x):
     """The interval expression or face x, scoped in env's cod, under env
-    (None: the identity)."""
-    if env is None or not env.block[3] and not env.shift[3]:
+    (None: the identity).  Read as the walker reads it: a variable outside
+    env's scope raises `MalformedSubstitution`."""
+    if env is None:
         return x
+    if not env.block[3] and not env.shift[3]:
+        sizes = env.sizes()
+        if sizes is None or _iv_bound(x) <= sizes[3]:
+            return x
     return _iv(env, x, _ZERO)
 
 

@@ -500,6 +500,13 @@ class TestMachine:
             whnf(st(), self.CTX, App(Lam(Var(3)), U(0)))
         with pytest.raises(MalformedSubstitution):
             whnf(st(), self.CTX, App(Lam(Pair(Var(0), Var(3))), U(0)))
+        # The context has no interval variable: the path application's
+        # argument is read under the environment, and that read raises.
+        with pytest.raises(MalformedSubstitution):
+            whnf(st(), self.CTX, App(Lam(PApp(PLam(Var(0)), IVar(0))), U(0)))
+        with pytest.raises(MalformedSubstitution):
+            whnf(st(), self.CTX,
+                 App(Lam(System(((FEq(0, 1), Var(0)),))), U(0)))
 
     def test_step_counts(self):
         state = nat_state()
@@ -857,3 +864,19 @@ class TestPendingConstructors:
         assert equal
         assert Con not in seen and ClockElim not in seen
         assert state.steps == 126
+
+    def test_deep_recursion_keeps_one_template_per_eliminator(self):
+        # A tail-recursive eliminator (motive nat -> nat) passing its
+        # accumulator down 2000 successors.  Each recursive call continues
+        # in the first eliminator's cases, so that eliminator keeps one
+        # template and the template keeps none.
+        cases = (
+            ElimCase("zero", 0, 0, 0, Lam(Var(0))),
+            ElimCase("succ", 0, 1, 0, Lam(App(Var(1), Var(0)))),
+        )
+        root = ClockElim("nat", 0, (), Pi(NAT, NAT), cases, nat_num(2000))
+        state = nat_state()
+        assert whnf(state, PRELUDE, App(root, ZERO)) == ZERO
+        assert state.steps == 8005
+        (template,) = root._calls.values()
+        assert "_calls" not in vars(template)

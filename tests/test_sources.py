@@ -116,19 +116,23 @@ TRACED_ONLY = {
 }
 
 
-def _definitions():
-    """Each definition's module; for each name the definitions of package
-    code naming it (as an AST Name or Attribute; None for code outside any
-    definition); and for each name the definitions reading it as a method
-    (see `_method_reads`).  A definition is a top-level function or class,
-    or a method of a top-level class, held by its qualified name; code
-    inside a method is owned by the method."""
+def _package():
+    """The package sources as (module file name, text) pairs."""
+    return [(path.name, path.read_text(encoding="utf-8")) for path in SOURCES]
+
+
+def _definitions(sources):
+    """Each definition's module; for each name the definitions of code in
+    sources naming it (as an AST Name or Attribute; None for code outside
+    any definition); and for each name the definitions reading it as a
+    method (see `_method_reads`).  A definition is a top-level function or
+    class, or a method of a top-level class, held by its qualified name;
+    code inside a method is owned by the method."""
     defined = {}
     named = {}
     methods = {}
-    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in SOURCES]
-    stored = {node.attr for tree in trees for node in ast.walk(tree)
+    trees = [(module, ast.parse(text, module)) for module, text in sources]
+    stored = {node.attr for _, tree in trees for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)
               and isinstance(node.ctx, ast.Store)}
 
@@ -141,22 +145,22 @@ def _definitions():
         for attr in _method_reads(tree, stored):
             methods.setdefault(attr, set()).add(owner)
 
-    for path, tree in zip(SOURCES, trees):
+    for module, tree in trees:
         for top in tree.body:
             if isinstance(top, ast.FunctionDef):
-                defined[top.name] = path.name
-                note(top, (path.name, top.name))
+                defined[top.name] = module
+                note(top, (module, top.name))
             elif isinstance(top, ast.ClassDef):
-                defined[top.name] = path.name
+                defined[top.name] = module
                 for item in top.body:
                     if isinstance(item, ast.FunctionDef):
                         qualname = f"{top.name}.{item.name}"
-                        defined[qualname] = path.name
-                        note(item, (path.name, qualname))
+                        defined[qualname] = module
+                        note(item, (module, qualname))
                     else:
-                        note(item, (path.name, top.name))
+                        note(item, (module, top.name))
                 for node in (*top.bases, *top.decorator_list):
-                    note(node, (path.name, top.name))
+                    note(node, (module, top.name))
             else:
                 note(top, None)
     return defined, named, methods
@@ -179,25 +183,62 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def test_no_dead_definitions():
-    # A top-level function or class must be named by package code outside
-    # its own definition, and a method other than a dunder must be read as
-    # one there (of any object: a method shares its name with every other
-    # method of that name), or be listed above.
-    defined, named, methods = _definitions()
+def _dead(sources):
+    """The definitions in sources that no code outside their own
+    definition uses, as "module:qualname".  A top-level function or class
+    must be named there (a class's own methods are inside it), and a
+    method other than a dunder must be read as one there (of any object: a
+    method shares its name with every other method of that name)."""
+    defined, named, methods = _definitions(sources)
     dead = []
     for qualname, module in defined.items():
         cls, _, name = qualname.rpartition(".")
         users = (methods if cls else named).get(name, set())
-        if _is_dunder(name) or users - {(module, qualname)} \
-                or qualname in UNREFERENCED or qualname in TRACED_ONLY:
-            continue
-        dead.append(f"{module}:{qualname}")
-    assert not dead, sorted(dead)
+        own = {(module, qualname)} | {
+            (module, inner) for inner in defined
+            if inner.startswith(qualname + ".")}
+        if not _is_dunder(name) and not users - own:
+            dead.append(f"{module}:{qualname}")
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    # Every definition is used outside itself, or listed above.
+    dead = [entry for entry in _dead(_package())
+            if entry.partition(":")[2] not in UNREFERENCED
+            and entry.partition(":")[2] not in TRACED_ONLY]
+    assert not dead, dead
+
+
+def test_dead_definitions_are_found():
+    # A class its own methods alone name, a method that only calls
+    # itself, and a function only its own body names are dead; a dunder,
+    # a method called from elsewhere and a class named outside it are not.
+    sources = [("a.py", """
+class Lonely:
+    def make(self):
+        return Lonely()
+    def __init__(self):
+        pass
+
+class Used:
+    def step(self, n):
+        return self.step(n - 1)
+    def run(self):
+        return 0
+
+def loop(n):
+    return loop(n)
+
+def main():
+    return Used().run()
+"""), ("b.py", "from a import main\nmain()\n")]
+    assert _dead(sources) == ["a.py:Lonely", "a.py:Lonely.make",
+                              "a.py:Used.step", "a.py:loop"]
 
 
 def test_traced_only_definitions_are_traced_and_unused():
-    defined, named, _ = _definitions()
+    defined, named, _ = _definitions(_package())
     traced = {qualname.split(".")[0] for qualnames in _targets().values()
               for qualname in qualnames}
     for name in TRACED_ONLY:
