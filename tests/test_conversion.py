@@ -880,3 +880,29 @@ class TestPendingConstructors:
         assert state.steps == 8005
         (template,) = root._calls.values()
         assert "_calls" not in vars(template)
+
+    ORD = ("data nat : U0 where | zero | succ (m : nat)\n"
+           "data ord : U0 where | oz | os (o : ord) | lim (f : nat -> ord)\n"
+           "def depth (b : nat) (o : ord) : nat :=\n"
+           "  clockelim^0 ord o into (h. nat) with\n"
+           "  | oz => b\n"
+           "  | os x y => succ y\n"
+           "  | lim f g => succ (g (succ b))\n"
+           "def big : ord := lim (\\n. lim (\\m. os (lim (\\k. os oz))))\n")
+
+    @pytest.mark.parametrize("arg, depth, steps", [
+        ("big", 5, 86), ("os big", 6, 94), ("lim (\\n. big)", 6, 102),
+    ])
+    def test_recursive_arguments_of_function_type(self, arg, depth, steps):
+        # lim's recursive call takes an argument: its template is under a
+        # lambda, and the eliminator in it continues in depth's cases, in
+        # depth's environment (b).
+        goal = "zero"
+        for _ in range(depth):
+            goal = f"succ ({goal})"
+        state, (right, wrong) = self.module(
+            self.ORD + f"--expect-conv depth zero ({arg}) = {goal} : nat\n"
+            f"--expect-conv depth zero ({arg}) = succ ({goal}) : nat\n")
+        assert conv(state, PRELUDE, right.ty, right.lhs, right.rhs)
+        assert not conv(state, PRELUDE, wrong.ty, wrong.lhs, wrong.rhs)
+        assert state.steps == steps
