@@ -18,12 +18,26 @@ telescope, with the constructors before it declared; overlapping pieces
 must be convertible on each clause of the overlap; and an eliminator case
 must be convertible, on each piece's face, with the eliminator applied to
 the piece.
+
+Each instantiation of a signature's telescopes has one builder:
+`_check_telescope` checks parameters or constructor arguments against
+their telescope, instantiated at the values before them; `_arity_types`
+instantiates a recursive argument's arity telescope at the parameters and
+arguments, and `_rec_fn_type` folds it into the recursive argument's
+function type (`_pis`), in a constructor application, in a boundary's
+scope and, under the eliminator's clocks, for an eliminator case's
+recursive values; `conversion._weaken_elim` moves an eliminator under a
+case's binders.  A substitution that needs a scope but no typing context
+(the arity entries, the clocks of induction under clocks) is given a shape
+(`syntax.shape`), not a context built for it.
 """
 
+from dataclasses import replace
+
 from .conversion import (
-    CompProblem, conv, conv_tm, conv_under_face, signature_subst, subst1,
-    subst_clock1, subst_force1, subst_ival1, subst_tick1, whnf,
-    _clam_n, _elim_con, _forall_n, _weaken_case,
+    conv, conv_tm, conv_under_face, signature_subst, subst1, subst_clock1,
+    subst_force1, subst_ival1, subst_tick1, whnf,
+    _clam_n, _elim_con, _forall_n, _weaken_elim,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
@@ -224,9 +238,8 @@ def infer(state, ctx, t):
                 weaken(a, [TICK]), TickApp(d, TickVar(0)), App(fw, d)
             ))
 
-        case Comp(ty, face, tube, base):
-            return check_comp(state, ctx,
-                              CompProblem(ty, face, tube, base))
+        case Comp():
+            return check_comp(state, ctx, t)
 
         case HComp(ty, face, tube, base):
             return _check_hcomp(state, ctx, ty, face, tube, base)
@@ -483,7 +496,8 @@ def check_system(state, ctx, parts, ty):
 
 
 def check_comp(state, ctx, p):
-    """Validate a composition problem; returns its type (the line at 1)."""
+    """Validate a composition p (a `Comp`); returns its type (the line at
+    1)."""
     ictx = ctx.push(EIVar())
     check_is_type(state, ictx, p.ty)
     _check_iv(ctx, p.face)
@@ -550,11 +564,13 @@ def _check_trans(state, ctx, ty, face, base):
 # HIT signatures
 # --------------------------------------------------------------------------
 
-def _hit_param_type(state, ctx, sig, p, params):
-    """Type of the p-th parameter, instantiated at the given earlier
-    parameter values (terms in ctx)."""
-    return subst_apply(signature_subst(ctx, params[:p]),
-                       sig.params.types[p])
+def _check_telescope(state, ctx, outer, values, types):
+    """Check values, terms in ctx, against the types of a signature
+    telescope, each instantiated at `outer` (the entries before the
+    telescope) and the values before it."""
+    for j, ty in enumerate(types):
+        check(state, ctx, values[j],
+              subst_apply(signature_subst(ctx, (*outer, *values[:j])), ty))
 
 
 def _check_hit_params(state, ctx, sig, params):
@@ -563,9 +579,7 @@ def _check_hit_params(state, ctx, sig, params):
             f"{sig.name} expects {len(sig.params.types)} parameters, "
             f"got {len(params)}"
         )
-    for p in range(len(params)):
-        check(state, ctx, params[p],
-              _hit_param_type(state, ctx, sig, p, params))
+    _check_telescope(state, ctx, (), params, sig.params.types)
 
 
 def check_hit_signature(state, sig):
@@ -573,45 +587,16 @@ def check_hit_signature(state, sig):
     per-constructor boundaries (labels, typing, covering, compatibility)."""
     if state.signatures.get(sig.name) is not None:
         raise NonProperEntry(f"data type {sig.name} is already declared")
-    bctx = PRELUDE
-    for p, ty in enumerate(sig.params.types):
-        try:
-            check_is_type(state, bctx, ty)
-        except FuelExhausted:
-            raise
-        except CcttError as exc:
-            raise NonProperEntry(
-                f"parameter {p} of {sig.name} is not a type: {exc}"
-            ) from exc
-        bctx = bctx.push(EVar(ty))
-    delta_ctx = bctx
+    delta_ctx = _check_entry_types(state, PRELUDE, sig.params.types,
+                                   "parameter ", sig.name)
 
     declaring = _Declaring(sig)
     for idx, ctor in enumerate(sig.constructors):
-        cctx = delta_ctx
-        for j, ty in enumerate(ctor.args.types):
-            try:
-                check_is_type(state, cctx, ty)
-            except FuelExhausted:
-                raise
-            except CcttError as exc:
-                raise NonProperEntry(
-                    f"argument {j} of {ctor.label} is not a type: {exc}"
-                ) from exc
-            cctx = cctx.push(EVar(ty))
+        cctx = _check_entry_types(state, delta_ctx, ctor.args.types,
+                                  "argument ", ctor.label)
         for k, arity in enumerate(ctor.rec_arities):
-            acx = cctx
-            for q, ty in enumerate(arity.types):
-                try:
-                    check_is_type(state, acx, ty)
-                except FuelExhausted:
-                    raise
-                except CcttError as exc:
-                    raise NonProperEntry(
-                        f"recursive arity {k}.{q} of {ctor.label} is not a "
-                        f"type: {exc}"
-                    ) from exc
-                acx = acx.push(EVar(ty))
+            _check_entry_types(state, cctx, arity.types,
+                               f"recursive arity {k}.", ctor.label)
         if ctor.ivar_count < 0:
             raise NonProperEntry("negative interval arity")
         for ix in iv_vars(ctor.face):
@@ -623,6 +608,23 @@ def check_hit_signature(state, sig):
         declaring.current = idx
         _check_boundary(state, declaring, ctor, cctx)
     return True
+
+
+def _check_entry_types(state, ctx, types, kind, owner):
+    """Check that each of a telescope's types is a type in ctx extended by
+    the ones before it; returns ctx extended by all of them.  A failure is
+    a NonProperEntry naming the entry: its kind, position and owner."""
+    for pos, ty in enumerate(types):
+        try:
+            check_is_type(state, ctx, ty)
+        except FuelExhausted:
+            raise
+        except CcttError as exc:
+            raise NonProperEntry(
+                f"{kind}{pos} of {owner} is not a type: {exc}"
+            ) from exc
+        ctx = ctx.push(EVar(ty))
+    return ctx
 
 
 class _Declaring:
@@ -658,8 +660,8 @@ def _check_boundary(state, declaring, ctor, cctx):
     bctx = cctx
     for k, arity in enumerate(ctor.rec_arities):
         scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
-        bctx = bctx.push(EVar(_rec_fn_type(state, bctx, sig, arity,
-                                           scope[:d], scope[d:])))
+        bctx = bctx.push(EVar(_rec_fn_type(bctx, sig, arity, scope[:d],
+                                           scope[d:])))
     r = len(ctor.rec_arities)
     hit = Hit(sig.name, tuple(Var(r + d + a - 1 - p) for p in range(d)))
     for _ in range(v):
@@ -732,35 +734,42 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
         )
     if typed is None or not structural_equal(params, typed):
         _check_hit_params(state, ctx, sig, params)
-    for j, ty in enumerate(ctor.args.types):
-        ty_i = subst_apply(
-            signature_subst(ctx, tuple(params) + tuple(args[:j])), ty
-        )
-        check(state, ctx, args[j], ty_i)
+    _check_telescope(state, ctx, params, args, ctor.args.types)
     for k, arity in enumerate(ctor.rec_arities):
-        rty = _rec_fn_type(state, ctx, sig, arity, params, args)
-        check(state, ctx, recs[k], rty)
+        check(state, ctx, recs[k],
+              _rec_fn_type(ctx, sig, arity, params, args))
     for r in ivals:
         _check_iv(ctx, r)
     return Hit(sig.name, tuple(params))
 
 
-def _rec_fn_type(state, ctx, sig, arity, params, args):
-    """The type of a recursive argument: a function from the instantiated
-    arity telescope into the data type."""
-    m = len(arity.types)
-    cur = ctx
+def _rec_fn_type(scope, sig, arity, params, args):
+    """The type of a recursive argument: a function from the arity
+    telescope, instantiated at params and args (terms in `scope`, a
+    context or a shape), into the data type."""
+    ret = Hit(sig.name,
+              tuple(weaken(p, [TERM] * len(arity.types)) for p in params))
+    return _pis(_arity_types(scope, arity, (*params, *args)), ret)
+
+
+def _arity_types(scope, arity, outer):
+    """The types of an arity telescope, instantiated at `outer` (the
+    parameters and arguments, terms in `scope`, a context or a shape), each
+    in scope extended by the ones before it."""
     tys = []
-    for q in range(m):
-        terms = [weaken(x, [TERM] * q) for x in (*params, *args)]
+    for q, ty in enumerate(arity.types):
+        terms = [weaken(x, [TERM] * q) for x in outer]
         terms += [Var(q - 1 - s) for s in range(q)]
-        ty_i = subst_apply(signature_subst(cur, terms), arity.types[q])
-        tys.append(ty_i)
-        cur = cur.push(EVar(ty_i))
-    ret = Hit(sig.name, tuple(weaken(p, [TERM] * m) for p in params))
-    for ty_i in reversed(tys):
-        ret = Pi(ty_i, ret)
-    return ret
+        tys.append(subst_apply(signature_subst(shape(scope, terms=q), terms),
+                               ty))
+    return tys
+
+
+def _pis(doms, cod):
+    """The function type from the telescope doms into cod."""
+    for dom in reversed(doms):
+        cod = Pi(dom, cod)
+    return cod
 
 
 # --------------------------------------------------------------------------
@@ -773,12 +782,6 @@ def _capp_n(t, n):
     return t
 
 
-def _push_clocks(ctx, n):
-    for _ in range(n):
-        ctx = ctx.push(EClock())
-    return ctx
-
-
 def check_clock_elim(state, ctx, elim):
     sig = state.signature(elim.name)
     n = elim.n
@@ -789,16 +792,15 @@ def check_clock_elim(state, ctx, elim):
         )
 
     # Parameters: each is clock-abstracted n times over its telescope type.
-    ctx_n = _push_clocks(ctx, n)
-    for p, ty in enumerate(sig.params.types):
-        terms = [_capp_n(weaken(elim.params[q], [CLOCK] * n), n)
-                 for q in range(p)]
-        body = subst_apply(signature_subst(ctx_n, terms), ty)
-        check(state, ctx, elim.params[p], _forall_n(n, body))
-
+    # Under the n clocks, the parameters are applied to them.
+    ctx_n = shape(ctx, clocks=n)
     hit_params_n = tuple(
         _capp_n(weaken(q, [CLOCK] * n), n) for q in elim.params
     )
+    for p, ty in enumerate(sig.params.types):
+        body = subst_apply(signature_subst(ctx_n, hit_params_n[:p]), ty)
+        check(state, ctx, elim.params[p], _forall_n(n, body))
+
     scrut_ty = _forall_n(n, Hit(sig.name, hit_params_n))
     check(state, ctx, elim.arg, scrut_ty)
 
@@ -848,48 +850,28 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         terms = [_capp_n(weaken(p, [TERM] * j + [CLOCK] * n), n)
                  for p in elim.params]
         terms += [_capp_n(Var(j - 1 - i), n) for i in range(j)]
-        body = subst_apply(signature_subst(_push_clocks(cur, n), terms),
+        body = subst_apply(signature_subst(shape(cur, clocks=n), terms),
                            ctor.args.types[j])
         cur = cur.push(EVar(_forall_n(n, body)))
 
     # x binders (clock-abstracted recursive values).
-    for k in range(r):
-        arity = ctor.rec_arities[k]
-        m = len(arity.types)
+    for k, arity in enumerate(ctor.rec_arities):
         shift = a + k
         params_n = [
             _capp_n(weaken(p, [TERM] * shift + [CLOCK] * n), n)
             for p in elim.params
         ]
         gammas_n = [_capp_n(Var(a - 1 - j + k), n) for j in range(a)]
-        inner = _push_clocks(cur, n)
-        tys = []
-        for q in range(m):
-            terms = [weaken(x, [TERM] * q) for x in params_n + gammas_n]
-            terms += [Var(q - 1 - s) for s in range(q)]
-            ty_i = subst_apply(signature_subst(inner, terms), arity.types[q])
-            tys.append(ty_i)
-            inner = inner.push(EVar(ty_i))
-        ret = Hit(sig.name, tuple(weaken(p, [TERM] * m) for p in params_n))
-        for ty_i in reversed(tys):
-            ret = Pi(ty_i, ret)
-        cur = cur.push(EVar(_forall_n(n, ret)))
+        cur = cur.push(EVar(_forall_n(n, _rec_fn_type(
+            shape(cur, clocks=n), sig, arity, params_n, gammas_n))))
 
     # y binders (induction hypotheses).
-    for k in range(r):
-        arity = ctor.rec_arities[k]
+    for k, arity in enumerate(ctor.rec_arities):
         m = len(arity.types)
         shift = a + r + k
         params_w = [weaken(p, [TERM] * shift) for p in elim.params]
         gammas = [Var(a - 1 - j + r + k) for j in range(a)]
-        inner = cur
-        tys = []
-        for q in range(m):
-            terms = [weaken(x, [TERM] * q) for x in params_w + gammas]
-            terms += [Var(q - 1 - s) for s in range(q)]
-            ty_i = subst_apply(signature_subst(inner, terms), arity.types[q])
-            tys.append(ty_i)
-            inner = inner.push(EVar(ty_i))
+        tys = _arity_types(cur, arity, params_w + gammas)
         if n > 0:
             scrut = Var(r - 1)
         else:
@@ -898,10 +880,8 @@ def _check_case(state, ctx, sig, ctor, elim, case):
                 scrut = App(scrut, Var(m - 1 - s))
         motive_w = weaken(elim.motive, [TERM] * (shift + m),
                           cut={TERM: 1})
-        ret = subst1(inner, motive_w, scrut)
-        for ty_i in reversed(tys):
-            ret = Pi(ty_i, ret)
-        cur = cur.push(EVar(ret))
+        cur = cur.push(EVar(_pis(
+            tys, subst1(shape(cur, terms=m), motive_w, scrut))))
 
     case_ctx = cur
     for _ in range(v):
@@ -917,19 +897,15 @@ def _check_case(state, ctx, sig, ctor, elim, case):
 
     # On each piece's face, the case body, its induction hypotheses the
     # eliminator's own calls, must agree with the eliminator applied to
-    # the piece.
-    params_w = tuple(weaken(p, case_sorts) for p in elim.params)
-    cases_w = tuple(_weaken_case(c, case_sorts) for c in elim.cases)
-
-    def elim_of(arg):
-        return ClockElim(elim.name, n, params_w, motive_w, cases_w, arg)
-
-    body, env = _elim_con(state, case_ctx, elim_of(None), None, con, None)
+    # the piece.  The eliminator is weakened into the case context once
+    # for all the pieces.
+    elim_w = _weaken_elim(elim, case_sorts, None)
+    body, env = _elim_con(state, case_ctx, elim_w, None, con, None)
     body = subst_apply(env, body)
     sigma = signature_subst(shape(case_ctx, clocks=n),
                             con.params + con.args + con.recs, con.ivals)
     for phi, piece in ctor.boundary:
-        at_piece = elim_of(_clam_n(n, subst_apply(sigma, piece)))
+        at_piece = replace(elim_w, arg=_clam_n(n, subst_apply(sigma, piece)))
         if not conv(state, case_ctx.push(EFace(phi)), expected, body,
                     at_piece):
             raise CaseBoundaryMismatch(

@@ -62,7 +62,8 @@ their environments, their arguments pairwise as closures and their
 interval arguments read under them, so a tower of constructors is never
 built; any other head is materialised.  Comparison under a face passes
 each clause's endpoint substitution as the environment of the type and of
-both sides (`conv_under_face`), so only the heads reached are substituted.
+both sides (`conv_under_face`, which `conv` calls with the true face), so
+only the heads reached are substituted.
 One step is counted per application walked, lambda taken and definition
 unfolded, as before; entering a variable's closure is not a step, so the
 machine takes the same steps on a closure as on its materialisation.  A
@@ -83,16 +84,17 @@ variable; `subst_force1` is the forcing beta rule, shared with the checker;
 `signature_subst` instantiates a term scoped in a data type's telescope
 (prelude clock, parameters, arguments, recursive arguments, interval
 binders): a boundary piece is an ordinary term in that scope, so firing it
-is one substitution.
+is one substitution.  `_weaken_elim` moves an eliminator under binders, for
+a recursive call, an hcomp's tube and the checker's eliminator cases;
+`_filler` builds the extent and tube system of a filler, which `_fill_fwd`
+composes along a line and `hfill` homogeneously.
 """
-
-from dataclasses import dataclass
 
 from .errors import (
     CaseMissing, CcttError, FuelExhausted, IllFormedRedex, TickEscape,
 )
 from .interval import (
-    FAnd, FEq, FOr, IVar, IJoin, IMeet, INeg, IZERO, IONE,
+    FAnd, FEq, FOr, FTOP, IVar, IJoin, IMeet, INeg, IZERO, IONE,
     face_clauses, face_entails, face_is_true, face_of_equation, face_split,
     iv_substitute,
 )
@@ -100,7 +102,7 @@ from .syntax import (
     App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Closure, Comp, Con,
     Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
     FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Term,
+    PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK,
     TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
     shape, strengthen, structural_equal, subst, weaken, weaken_iv,
 )
@@ -108,14 +110,6 @@ from .ticks import (
     bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
     image_iv, image_tick, lookup, lookup_clock, subst_apply,
 )
-
-
-@dataclass(frozen=True)
-class CompProblem:
-    ty: Term          # type line, binds one interval variable
-    face: object
-    tube: Term        # binds the line variable
-    base: Term
 
 
 def is_neutral(t):
@@ -368,8 +362,7 @@ def _whnf_env(state, ctx, t, env=None):
 
             case Comp():
                 t = _materialise(t, env)
-                reduced = comp_eval(state, ctx, CompProblem(
-                    t.ty, t.face, t.tube, t.base))
+                reduced = comp_eval(state, ctx, t)
                 if reduced is None:
                     return _apply_spine(t, spine), None
                 t, env = reduced, None
@@ -443,21 +436,27 @@ def _path_endpoint(state, ctx, fn, right):
 # Fillers
 # --------------------------------------------------------------------------
 
-def _fill_fwd(scope, line, face, tube, base, r):
-    """Filler value at level r: equals base at r=0 and follows tube on
-    `face`.  line and tube bind the line variable; face, base, r do not.
-    `scope` is a context or a shape."""
-    sigma = subst(scope, ivals=(IMeet(weaken_iv(r, [IVAL]), IVar(0)),),
-                  fresh=_ONE_IVAL)
-    line_cut = subst_apply(sigma, line)
-    tube_cut = subst_apply(sigma, tube)
+def _filler(scope, face, tube, base, r):
+    """What a filler at level r composes: the substitution cutting a line
+    (binding the line variable) at r /\\ i, the extent, and the tube system,
+    which follows tube on `face` and equals base at r=0.  tube binds the
+    line variable; face, base, r do not.  `scope` is a context or a
+    shape."""
+    cut = subst(scope, ivals=(IMeet(weaken_iv(r, [IVAL]), IVar(0)),),
+                fresh=_ONE_IVAL)
     sys = System((
-        (weaken_iv(face, [IVAL]), tube_cut),
+        (weaken_iv(face, [IVAL]), subst_apply(cut, tube)),
         (face_of_equation(weaken_iv(r, [IVAL]), 0),
          weaken(base, [IVAL])),
     ))
-    total = FOr(face, face_of_equation(r, 0))
-    return Comp(line_cut, total, sys, base)
+    return cut, FOr(face, face_of_equation(r, 0)), sys
+
+
+def _fill_fwd(scope, line, face, tube, base, r):
+    """Filler value at level r: equals base at r=0 and follows tube on
+    `face`, along line (which binds the line variable)."""
+    cut, total, sys = _filler(scope, face, tube, base, r)
+    return Comp(subst_apply(cut, line), total, sys, base)
 
 
 def _fill_bwd(scope, line, face, goal, r):
@@ -471,19 +470,8 @@ def _fill_bwd(scope, line, face, goal, r):
 
 def hfill(scope, ty, face, tube, base, j):
     """Filling from hcomp by a connection: equal to base at j=0, to the
-    full hcomp at j=1, and to the tube on `face`.  tube binds one ivar;
-    `scope` is a context or a shape."""
-    tube_cut = subst_apply(
-        subst(scope, ivals=(IMeet(weaken_iv(j, [IVAL]), IVar(0)),),
-              fresh=_ONE_IVAL),
-        tube,
-    )
-    sys = System((
-        (weaken_iv(face, [IVAL]), tube_cut),
-        (face_of_equation(weaken_iv(j, [IVAL]), 0),
-         weaken(base, [IVAL])),
-    ))
-    total = FOr(face, face_of_equation(j, 0))
+    full hcomp at j=1, and to the tube on `face` (`_filler`)."""
+    _, total, sys = _filler(scope, face, tube, base, j)
     return HComp(ty, total, sys, base)
 
 
@@ -492,8 +480,8 @@ def hfill(scope, ty, face, tube, base, j):
 # --------------------------------------------------------------------------
 
 def comp_eval(state, ctx, p):
-    """One reduction of a comp problem whose face does not hold (the
-    machine takes the tube at 1 itself when it does), or None when
+    """One reduction of a composition p (a `Comp`) whose face does not hold
+    (the machine takes the tube at 1 itself when it does), or None when
     stuck."""
     ictx = ctx.push(EIVar())
     head = whnf(state, ictx, p.ty)
@@ -646,7 +634,7 @@ def _ctrans_args(state, ctx, ctor, params_line, face, args):
     """Transport the non-recursive arguments along their telescope lines,
     filling earlier arguments to instantiate the dependencies of later
     ones."""
-    ictx = ctx.push(EIVar())
+    ictx = shape(ctx, ivals=1)
     fills = []    # scoped (ctx, j): the m-th argument's filler at level j
     results = []
     for m, ty in enumerate(ctor.args.types):
@@ -771,22 +759,26 @@ def _weaken_case(case, sorts):
                     weaken(case.body, sorts, cut=cut))
 
 
+def _weaken_elim(elim, sorts, arg):
+    """elim, its parameters, motive and cases weakened past binders of
+    `sorts`, on the scrutinee arg (scoped past them already)."""
+    return ClockElim(elim.name, elim.n,
+                     tuple(weaken(p, sorts) for p in elim.params),
+                     weaken(elim.motive, sorts, cut={TERM: 1}),
+                     tuple(_weaken_case(c, sorts) for c in elim.cases),
+                     arg)
+
+
 def _rec_call(elim, x, extra, m):
     """The recursive call of elim on a recursive argument x of arity m, the
-    y of its case: \\xi-bar. elim(/\\kappa-bar. x xi-bar), elim's fields
-    weakened past the `extra` term variables x's scope adds to elim's and
-    the m bound ones.  x is scoped under elim's clocks."""
-    sorts = [TERM] * (extra + m)
+    y of its case: \\xi-bar. elim(/\\kappa-bar. x xi-bar), elim weakened
+    past the `extra` term variables x's scope adds to elim's and the m
+    bound ones.  x is scoped under elim's clocks."""
     call = weaken(x, [TERM] * m)
     for j in range(m):
         call = App(call, Var(m - 1 - j))
-    return _nlam(m, ClockElim(
-        elim.name, elim.n,
-        tuple(weaken(p, sorts) for p in elim.params),
-        weaken(elim.motive, sorts, cut={TERM: 1}),
-        tuple(_weaken_case(c, sorts) for c in elim.cases),
-        _clam_n(elim.n, call),
-    ))
+    return _nlam(m, _weaken_elim(elim, [TERM] * (extra + m),
+                                 _clam_n(elim.n, call)))
 
 
 def _rec_template(elim, m):
@@ -856,7 +848,7 @@ def _elim_hcomp(state, ctx, elim, hc):
     big_ty = _forall_n(n, hc.ty)
     tube_abs = _clam_n(n, hc.tube)     # scoped (ctx, i)
     base_abs = _clam_n(n, hc.base)
-    v_line = hfill(ctx.push(EIVar()),
+    v_line = hfill(shape(ctx, ivals=1),
                    weaken(big_ty, [IVAL]),
                    weaken_iv(hc.face, [IVAL]),
                    weaken(tube_abs, [IVAL], cut={IVAL: 1}),
@@ -865,13 +857,7 @@ def _elim_hcomp(state, ctx, elim, hc):
     motive_line = subst_apply(
         subst(ctx, terms=(v_line,), fresh=_ONE_IVAL), elim.motive
     )
-    tube = ClockElim(
-        elim.name, n,
-        tuple(weaken(p, [IVAL]) for p in elim.params),
-        weaken(elim.motive, [IVAL]),
-        tuple(_weaken_case(c, [IVAL]) for c in elim.cases),
-        tube_abs,
-    )
+    tube = _weaken_elim(elim, [IVAL], tube_abs)
     base = ClockElim(elim.name, n, elim.params, elim.motive, elim.cases,
                      base_abs)
     return Comp(motive_line, hc.face, tube, base), None
@@ -883,24 +869,16 @@ def _elim_hcomp(state, ctx, elim, hc):
 
 def conv(state, ctx, ty, t, u):
     """Type-directed conversion under the context's face restrictions."""
-    if structural_equal(t, u):
-        return True
-    faces = ctx.restriction_faces()
-    if not faces:
-        return _conv_clause(state, ctx, ty, t, u)
-    restriction = faces[0]
-    for phi in faces[1:]:
-        restriction = FAnd(restriction, phi)
-    return conv_under_face(state, ctx, restriction, ty, t, u,
-                           _already_restricted=True)
+    return structural_equal(t, u) or conv_under_face(state, ctx, FTOP, ty,
+                                                     t, u)
 
 
-def conv_under_face(state, ctx, phi, ty, t, u, _already_restricted=False):
-    """Split phi into clauses and compare under each endpoint assignment,
-    which stays pending on ty, t and u as their environment."""
-    if not _already_restricted:
-        for psi in ctx.restriction_faces():
-            phi = FAnd(phi, psi)
+def conv_under_face(state, ctx, phi, ty, t, u):
+    """Meet phi with the context's face restrictions, split it into
+    clauses and compare under each endpoint assignment, which stays
+    pending on ty, t and u as their environment."""
+    for psi in ctx.restriction_faces():
+        phi = FAnd(phi, psi)
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
     clauses = face_clauses(phi)

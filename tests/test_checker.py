@@ -6,14 +6,16 @@ from cctt.checker import (
     check_constructor_app, check_hit_signature, check_is_type,
     check_system, infer,
 )
-from cctt.conversion import CompProblem, conv, conv_tm, whnf
+from cctt.conversion import conv, conv_tm, whnf
 from cctt.errors import (
     BaseBoundaryMismatch, BoundaryIncompatible, BoundaryNotCovering, CaseBoundaryMismatch,
     ClockMismatch, EndpointMismatch, ForwardConstructorReference,
     IncompatibleOverlap, TickEscape, TypeMismatch, UnboundVariable,
 )
 from cctt.interval import FBOT, FEq, FOr, IVar, IZERO, IONE
-from cctt.parser import parse_module, print_module
+from cctt.parser import (
+    DataDefinition, Definition, parse_module, print_module,
+)
 from cctt.syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
@@ -189,7 +191,7 @@ class TestSystemsAndComposition:
             (FEq(1, 0), Var(4)),
             (FEq(1, 1), PApp(Var(0), IVar(0))),
         ))
-        problem = CompProblem(Var(5), face, tube, PApp(Var(1), IVar(0)))
+        problem = Comp(Var(5), face, tube, PApp(Var(1), IVar(0)))
         assert check_comp(st(), ctx, problem) == Var(5)
 
     def test_transitivity_path(self):
@@ -206,13 +208,13 @@ class TestSystemsAndComposition:
         ctx = self._ctx().push(EIVar())
         face = FEq(0, 0)
         tube = System(((FEq(1, 0), Var(3)),))  # y where x is required
-        problem = CompProblem(Var(5), face, tube, PApp(Var(1), IVar(0)))
+        problem = Comp(Var(5), face, tube, PApp(Var(1), IVar(0)))
         with pytest.raises(BaseBoundaryMismatch):
             check_comp(st(), ctx, problem)
 
     def test_empty_extent_any_tube(self):
         ctx = self._ctx()
-        problem = CompProblem(Var(5), FBOT, Var(3), Var(4))
+        problem = Comp(Var(5), FBOT, Var(3), Var(4))
         assert check_comp(st(), ctx, problem) == Var(5)
 
 
@@ -614,6 +616,73 @@ class TestClockElim:
         got = whnf(state, ctx, term)
         want = Con("trunc", "in", (Var(1),), (Var(0),), (), ())
         assert conv_tm(state, ctx, got, want)
+
+
+# A recursive argument whose arity telescope has two entries, the second
+# (Path A a x) reading the data type's parameter, the constructor's
+# argument and the first entry.
+TREE = (
+    "data nat : U0 where | zero | suc (m : nat)\n"
+    "data tree (A : U0) : U0 where\n"
+    "  | leaf\n"
+    "  | node (a : A) (f : (x : A) -> (y : Path A a x) -> tree)\n"
+)
+
+TREE_DECLS = (
+    # A constructor application whose recursive argument uses its path
+    # at the instantiated type.
+    "def two (A : U0) (a : A) : tree A :=\n"
+    "  node a (\\x. \\p. node (p @ 1) (\\y. \\q. leaf))\n",
+    # The induction hypothesis over the arity.
+    "def size (A : U0) (t : tree A) : nat :=\n"
+    "  clockelim^0 tree A t into (h. nat) with\n"
+    "  | leaf => zero\n"
+    "  | node a f g => suc (g a (<i> a))\n",
+    # The recursive value itself.
+    "def root (A : U0) (t : tree A) : tree A :=\n"
+    "  clockelim^0 tree A t into (h. tree A) with\n"
+    "  | leaf => leaf\n"
+    "  | node a f g => f a (<i> a)\n",
+)
+
+
+def _checked_module(text):
+    """A state with the data types and definitions of text added, and the
+    conversion problems of text."""
+    state = st()
+    problems = []
+    for decl in parse_module(text).decls:
+        if isinstance(decl, DataDefinition):
+            state.add_signature(decl.sig)
+        elif isinstance(decl, Definition):
+            state.add_definition(decl.name, decl.ty, decl.body)
+        else:
+            problems.append(decl)
+    return state, problems
+
+
+class TestDependentArity:
+    """Each place the arity telescope is instantiated (the constructor
+    application, an eliminator case's recursive value and its induction
+    hypothesis) reads the second entry past the first one's binder."""
+
+    @pytest.mark.parametrize("decl", TREE_DECLS,
+                             ids=("constructor", "hypothesis", "value"))
+    def test_declaration_checks(self, decl):
+        state, _ = _checked_module(TREE + decl)
+        name = decl.split()[1]
+        assert name in state.definitions
+
+    def test_eliminators_reduce_through_the_arity(self):
+        state, problems = _checked_module(
+            TREE + "".join(TREE_DECLS)
+            + "--expect-conv size nat (two nat zero) = suc (suc zero) : nat\n"
+            "--expect-conv size nat (two nat zero) = suc zero : nat\n"
+            "--expect-conv root nat (two nat zero)"
+            " = node zero (\\y. \\q. leaf) : tree nat\n")
+        verdicts = [conv(state, PRELUDE, p.ty, p.lhs, p.rhs)
+                    for p in problems]
+        assert verdicts == [True, False, True]
 
 
 class TestKernelErrors:

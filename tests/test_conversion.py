@@ -6,7 +6,7 @@ import pytest
 from cctt import conversion
 from cctt.checker import CheckState, infer
 from cctt.conversion import (
-    comp_eval, CompProblem, conv, conv_tm,
+    comp_eval, conv, conv_tm,
     conv_under_face, hfill, tick_whnf, whnf,
 )
 from cctt.errors import CcttError, FuelExhausted, MalformedSubstitution
@@ -180,7 +180,7 @@ class TestSystemsAndComp:
         ctx = PRELUDE.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
         base = Lam(U(0))
         line = Pi(Var(1), U(1))
-        got = comp_eval(st(), ctx, CompProblem(line, FEq(0, 0), base, base))
+        got = comp_eval(st(), ctx, Comp(line, FEq(0, 0), base, base))
         assert isinstance(got, HComp)
 
     def test_comp_at_varying_pi_is_a_lambda(self):
@@ -189,14 +189,14 @@ class TestSystemsAndComp:
                .push(EVar(PathT(U(0), Var(1), Var(0)))))
         line = Pi(PApp(Var(0), IVar(0)), U(1))
         base = Lam(U(0))
-        got = comp_eval(st(), ctx, CompProblem(line, FBOT, base, base))
+        got = comp_eval(st(), ctx, Comp(line, FBOT, base, base))
         assert isinstance(got, Lam)
         assert isinstance(got.body, Comp)
 
     def test_comp_at_sigma_is_a_pair(self):
         ctx = PRELUDE.push(EVar(U(0)))
         line = Sigma(PApp(PLam(Var(0)), IVar(0)), Var(1))
-        got = comp_eval(st(), ctx, CompProblem(
+        got = comp_eval(st(), ctx, Comp(
             line, FBOT, Pair(Var(0), Var(0)), Pair(Var(0), Var(0))
         ))
         assert isinstance(got, Pair)
