@@ -877,7 +877,8 @@ def conv_under_face(state, ctx, phi, ty, t, u):
     """Meet phi with the context's face restrictions, split it into
     clauses and compare under each endpoint assignment, which stays
     pending on ty, t and u as their environment."""
-    for psi in ctx.restriction_faces():
+    restrictions = ctx.restriction_faces()
+    for psi in restrictions:
         phi = FAnd(phi, psi)
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
@@ -886,7 +887,7 @@ def conv_under_face(state, ctx, phi, ty, t, u):
         return True  # empty extent: vacuously equal
     for clause in clauses:
         sigma = clause_subst(ctx, clause)
-        rctx = _clause_context(ctx, clause)
+        rctx = _clause_context(ctx, clause) if restrictions else ctx
         if not _conv_clause(state, rctx, Closure(ty, sigma),
                             Closure(t, sigma), Closure(u, sigma)):
             return False
@@ -895,8 +896,6 @@ def conv_under_face(state, ctx, phi, ty, t, u):
 
 def _clause_context(ctx, clause):
     """Same context with face payloads instantiated at the clause."""
-    if not ctx.restriction_faces():
-        return ctx
     entries = []
     for pos, entry in enumerate(ctx.entries):
         if entry_sort(entry) == FACE:

@@ -1,13 +1,13 @@
 """Surface syntax: tokenizer, parser to kernel syntax, and printer.
 
-`tokenize` is one pass of one regular expression whose every match is a
-token followed by the whitespace and comments after it, or a newline, so
-lines and columns are counted as it goes and nothing is built for the text
-it skips.  The parser, `Elaborator`, is recursive descent over the token
-list with an index cursor.  Binary operators are parsed by precedence
-climbing, all left associative, from the loosest: `\\/` < `/\\` < `@` <
-application; interval expressions and faces have the two lattice operators
-only.
+`tokenize` is one `findall` of one regular expression whose every match
+is a token and the text skipped after it, so a token is its string, its
+kind follows from its first character (`token_kind`), and only a message
+counts lines, by scanning the text up to its token (`position`).  The
+parser, `Elaborator`, is recursive descent over the token list with an
+index cursor.  Binary operators are parsed by precedence climbing, all
+left associative, from the loosest: `\\/` < `/\\` < `@` < application;
+interval expressions and faces have the two lattice operators only.
 
 The surface language uses named variables.  The parser reads a module in
 one pass straight to the sort-indexed de Bruijn representation of
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -51,54 +52,57 @@ RESERVED = {
 
 _UNIVERSE = re.compile(r"U([0-9]+)$")
 
-# Whitespace other than a newline, and comments: `--` not starting a pragma.
-_SKIP = r"(?:[^\S\n]+|--(?!expect-(?:not-conv|pass|fail|conv))[^\n]*)*"
-_SKIP_RE = re.compile(_SKIP)
-# One token and the skippable text after it.  A newline is a match of its
-# own so that lines are counted as they go by; any other character that
-# starts no token is `bad`.
+# Whitespace, newlines and comments: `--` not starting a pragma.
+_SKIP_RE = re.compile(
+    r"(?:\s+|--(?!expect-(?:not-conv|pass|fail|conv))[^\n]*)*")
+# A token, captured, and the text skipped after it.  The alternatives are
+# tried in order, so a token's first character tells its kind, except that
+# a character that starts no other token is a bad token of its own.
 _TOKEN_RE = re.compile(
-    r"""(?:
-      (?P<pragma>--expect-(?:not-conv|pass|fail|conv))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<num>[0-9]+)
-    | (?P<sym>->|:=|=>|/\\|\\/|\|>|<>|[()\[\]{}<>,.:=|^@~\\])
-    | (?P<nl>\n)
-    | (?P<bad>\S)
-    )""" + _SKIP,
+    r"""(
+      --expect-(?:not-conv|pass|fail|conv)    # pragma
+    | [A-Za-z_][A-Za-z0-9_']*                 # ident
+    | [0-9]+                                  # num
+    | ->|:=|=>|/\\|\\/|\|>|<>|[()\[\]{}<>,.:=|^@~\\]  # sym
+    | \S                                      # bad
+    )""" + _SKIP_RE.pattern,
     re.VERBOSE,
 )
+_SYMBOLS = frozenset(("->", ":=", "=>", "/\\", "\\/", "|>", "<>",
+                      *"()[]{}<>,.:=|^@~\\"))
+_FIRST = {**dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                          "abcdefghijklmnopqrstuvwxyz_", "ident"),
+          **dict.fromkeys("0123456789", "num")}
 
 
-class Token(NamedTuple):
-    kind: str  # "pragma" | "ident" | "num" | "sym" | "eof"
-    value: str
-    line: int
-    col: int
-
-
-# Builds a Token without the Python-level `__new__` of a NamedTuple.
-_token = tuple.__new__
+def token_kind(tok):
+    """What `_TOKEN_RE` matched tok as: "pragma", "ident", "num", "sym",
+    "eof" for the empty string, or None for a bad character."""
+    if tok in _SYMBOLS:
+        return "sym"
+    if tok[:2] == "--":
+        return "pragma"
+    return _FIRST.get(tok[:1], None if tok else "eof")
 
 
 def tokenize(text):
-    toks = []
-    append = toks.append
-    line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end()):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            bol = m.start() + 1
-        elif kind == "bad":
-            pos = m.start()
-            raise ParseError(
-                f"{line}:{pos - bol + 1}: unexpected character {text[pos]!r}"
-            )
-        else:
-            append(_token(Token, (kind, m[kind], line, m.start() - bol + 1)))
-    append(_token(Token, ("eof", "", line, len(text) - bol + 1)))
+    """The token strings of text, ending in "" for the end of input."""
+    toks = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
+    bad = [tok for tok in set(toks) if token_kind(tok) is None]
+    if bad:
+        i = min(map(toks.index, bad))
+        line, col = position(text, i)
+        raise ParseError(f"{line}:{col}: unexpected character {toks[i]!r}")
+    toks.append("")
     return toks
+
+
+def position(text, i):
+    """The line and column of token i of `tokenize(text)`, from 1."""
+    pos = _SKIP_RE.match(text).end()
+    for m in islice(_TOKEN_RE.finditer(text, pos), i):
+        pos = m.end()
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # --------------------------------------------------------------------------
@@ -219,9 +223,9 @@ def _matching_parens(toks):
     close = [None] * len(toks)
     opened = []
     for i, tok in enumerate(toks):
-        if tok.value == "(":
+        if tok == "(":
             opened.append(i)
-        elif tok.value == ")" and opened:
+        elif tok == ")" and opened:
             close[opened.pop()] = i
     return close
 
@@ -230,10 +234,10 @@ class Elaborator:
     """Recursive descent over the tokens of `tokenize`, straight to kernel
     syntax.
 
-    The token list ends in `eof` and every lookahead stops there, so the
-    cursor reads the list by index.  A token's value tells its kind apart
-    (an identifier, a number, a symbol and a pragma never share one), so a
-    keyword or symbol is tested by its value alone.
+    The token list ends in "" and every lookahead stops there, so the
+    cursor reads the list by index.  A keyword or symbol is tested by its
+    string (no two kinds share one), a kind by the module's table `kind`,
+    and a name, an identifier other than a keyword, by the set `names`.
 
     Each method reads one construct in the `_Scope` it is given and returns
     its kernel form, resolving names against the scope and against the
@@ -248,8 +252,12 @@ class Elaborator:
     stands for the earliest such error in it.
     """
 
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, text):
+        self.text = text
+        self.toks = toks = tokenize(text)
+        self.kind = {tok: token_kind(tok) for tok in set(toks)}
+        self.names = {tok for tok, kind in self.kind.items()
+                      if kind == "ident" and tok not in RESERVED}
         self.pos = 0
         self.close = _matching_parens(toks)
         self.defs = set()
@@ -268,35 +276,32 @@ class Elaborator:
 
     # -- the cursor ----------------------------------------------------------
 
-    def peek(self, k=0):
-        return self.toks[self.pos + k]
-
     def advance(self):
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def at(self, value):
-        return self.toks[self.pos].value == value
+        return self.toks[self.pos] == value
 
     def expect(self, value):
         tok = self.toks[self.pos]
-        if tok.value != value:
+        if tok != value:
             self.fail(f"expected {value!r}")
         self.pos += 1
         return tok
 
     def expect_kind(self, kind):
         tok = self.toks[self.pos]
-        if tok.kind != kind:
+        if self.kind[tok] != kind:
             self.fail(f"expected {kind!r}")
         self.pos += 1
         return tok
 
     def fail(self, msg):
-        tok = self.toks[self.pos]
-        got = tok.value or "end of input"
-        raise ParseError(f"{tok.line}:{tok.col}: {msg}, found {got!r}")
+        line, col = position(self.text, self.pos)
+        got = self.toks[self.pos] or "end of input"
+        raise ParseError(f"{line}:{col}: {msg}, found {got!r}")
 
     def error(self, pos, err):
         """Keep err, found at token pos, unless one before it is kept."""
@@ -311,34 +316,24 @@ class Elaborator:
 
     # -- lookahead -----------------------------------------------------------
 
-    def _name_at(self, i):
-        tok = self.toks[i]
-        return tok.kind == "ident" and tok.value not in RESERVED
-
-    def at_name(self, k=0):
-        tok = self.toks[self.pos + k]
-        return tok.kind == "ident" and tok.value not in RESERVED
-
     def _arg_end(self, i):
         """The index past the argument atom at token i; None if none starts
         there, or if its end is not known ahead (`~` before a keyword)."""
         tok = self.toks[i]
-        if tok.kind == "num" or tok.kind == "ident" \
-                and tok.value not in RESERVED:
+        if tok in self.names or self.kind[tok] == "num":
             return i + 1
-        if tok.value == "(":
+        if tok == "(":
             close = self.close[i]
             return None if close is None else close + 1
-        if tok.value == "~":
-            return i + 2 if self.toks[i + 1].value == "I" \
+        if tok == "~":
+            return i + 2 if self.toks[i + 1] == "I" \
                 else self._arg_end(i + 1)
         return None
 
     def _at_arg_atom(self):
         tok = self.toks[self.pos]
-        if tok.kind == "ident":
-            return tok.value not in RESERVED
-        return tok.kind == "num" or tok.value == "(" or tok.value == "~"
+        return tok in self.names or self.kind[tok] == "num" or tok == "(" \
+            or tok == "~"
 
     def _spine(self, i):
         """The application at token i when its head is a name: the name's
@@ -347,13 +342,13 @@ class Elaborator:
         them; None for any other head."""
         toks = self.toks
         tok = toks[i]
-        if tok.value == "(":
+        if tok == "(":
             close = self.close[i]
             inner = None if close is None else self._spine(i + 1)
             if inner is None or inner[2] != close:
                 return None
             head, args, j = inner[0], inner[1], close + 1
-        elif self._name_at(i) and not _UNIVERSE.match(tok.value):
+        elif tok in self.names and not _UNIVERSE.match(tok):
             head, args, j = i, [], i + 1
         else:
             return None
@@ -366,43 +361,42 @@ class Elaborator:
         """The name that tokens lo..hi-1 are, in parentheses or not; None
         when they are something else."""
         toks, close = self.toks, self.close
-        while hi - lo > 2 and toks[lo].value == "(" and close[lo] == hi - 1:
+        while hi - lo > 2 and toks[lo] == "(" and close[lo] == hi - 1:
             lo += 1
             hi -= 1
         tok = toks[lo]
-        if hi - lo == 1 and tok.kind == "ident" \
-                and (tok.value not in RESERVED or tok.value == "I") \
-                and not _UNIVERSE.match(tok.value):
-            return tok.value
+        if hi - lo == 1 and (tok in self.names or tok == "I") \
+                and not _UNIVERSE.match(tok):
+            return tok
         return None
 
     def _clock_binder(self, i):
         """The '(' of a clock binder `(k. t)` at token i, inside any
         parentheses around it alone; None when there is none."""
         toks, close = self.toks, self.close
-        while toks[i + 1].value == "(" and close[i] is not None \
+        while toks[i + 1] == "(" and close[i] is not None \
                 and close[i + 1] is not None and close[i] == close[i + 1] + 1:
             i += 1
-        if self._name_at(i + 1) and toks[i + 2].value == ".":
+        if toks[i + 1] in self.names and toks[i + 2] == ".":
             return i
         return None
 
     def _forced(self, i):
         """Whether token i starts `[clock, ...`."""
-        return self.toks[i].value == "[" and self._name_at(i + 1) \
-            and self.toks[i + 2].value == ","
+        return self.toks[i] == "[" and self.toks[i + 1] in self.names \
+            and self.toks[i + 2] == ","
 
     # -- names ---------------------------------------------------------------
 
     def name(self):
-        if not self.at_name():
+        if self.toks[self.pos] not in self.names:
             self.fail("expected a name")
-        return self.advance().value
+        return self.advance()
 
     def names1(self):
         out = [self.name()]
-        while self.at_name():
-            out.append(self.advance().value)
+        while self.toks[self.pos] in self.names:
+            out.append(self.advance())
         return out
 
     def bound(self, sc, sort, pos=None, name=None):
@@ -470,7 +464,7 @@ class Elaborator:
 
     def term(self, sc, mode=TERM):
         start = self.pos
-        value = self.toks[start].value
+        value = self.toks[start]
         binder = _BINDERS.get(value)
         wrong = mode is IVAL or mode is _BOUNDARY
         if binder is not None:
@@ -513,9 +507,9 @@ class Elaborator:
         if not self.at("("):
             return False
         k = 1
-        while self.at_name(k):
+        while self.toks[self.pos + k] in self.names:
             k += 1
-        return k > 1 and self.peek(k).value == ":"
+        return k > 1 and self.toks[self.pos + k] == ":"
 
     def binder_groups(self, sc):
         """`(x y : A) ...`: a type per name, each read in the scope of the
@@ -542,7 +536,7 @@ class Elaborator:
         left = self.app(sc, mode)
         ok = True
         while True:
-            prec = _TERM_OPS.get(self.toks[self.pos].value)
+            prec = _TERM_OPS.get(self.toks[self.pos])
             if prec is None or prec < min_prec:
                 return left if ok else _PLACEHOLDER[mode]
             self.pos += 1
@@ -570,25 +564,25 @@ class Elaborator:
                 return _RECURSIVE
             close = self.close[start] if self.at("(") else None
             if close is not None and self._arg_end(close + 1) is None \
-                    and self.toks[close + 1].value not in _CONTINUES:
+                    and self.toks[close + 1] not in _CONTINUES:
                 return self.atom(sc, mode)  # a type in parentheses
             mode = TERM
         saved = self.err
         tok = self.toks[start]
-        j = self._clock_binder(start) if tok.value == "(" else None
+        j = self._clock_binder(start) if tok == "(" else None
         close = None if j is None else self.close[start]
         if close is not None and self._forced(close + 1):
             # `(k. t) [clock, tick]`: t is read under the clock binder.
             self.pos = j + 3
-            t = self.term(sc.push(self.toks[j + 1].value, CLOCK))
+            t = self.term(sc.push(self.toks[j + 1], CLOCK))
             self.expect(")")
             self.pos = close + 1
         elif mode is IVAL or (
                 # In a term, only a data type or constructor heads a spine
                 # read whole.
-                mode is TERM and tok.kind == "ident"
-                and tok.value not in self.labels
-                and tok.value not in self.sigs
+                mode is TERM and self.kind[tok] == "ident"
+                and tok not in self.labels
+                and tok not in self.sigs
         ) or (found := self.head_spine(sc, mode)) is None:
             t = self.atom(sc, mode)
         else:
@@ -603,17 +597,15 @@ class Elaborator:
             self.pos = end
         binder = j is not None
         if mode is not TERM:
-            value = self.toks[self.pos].value
-            if not self._at_arg_atom() and value != "{" and value != "[":
+            if not self._at_arg_atom() \
+                    and self.toks[self.pos] not in ("{", "["):
                 return t
             self.err = saved
             self.misplaced(start, mode)
             t = _PLACEHOLDER[TERM]
         while True:
-            tok = self.toks[self.pos]
-            value = tok.value
-            if tok.kind == "ident" and value not in RESERVED \
-                    or tok.kind == "num" or value == "(" or value == "~":
+            value = self.toks[self.pos]
+            if self._at_arg_atom():
                 t = App(t, self.atom(sc))
             elif value == "{":
                 self.pos += 1
@@ -635,22 +627,22 @@ class Elaborator:
         past them; None for any other application."""
         start = self.pos
         tok = self.toks[start]
-        if tok.value == "(":
+        if tok == "(":
             close = self.close[start]
             if close is None or self._arg_end(close + 1) is None:
                 return None  # parentheses with nothing after them
-        elif tok.kind != "ident":
+        elif self.kind[tok] != "ident":
             return None
         found = self._spine(start)
         if found is None:
             return None
         head, args, end = found
-        name = self.toks[head].value
+        name = self.toks[head]
         if mode is TERM:
             if name not in self.labels and name not in self.sigs \
                     or sc.lookup(name) is not None:
                 return None
-        elif self.toks[end].value in _CONTINUES or (
+        elif self.toks[end] in _CONTINUES or (
                 name != self.data_name if mode is _REC_TYPE
                 else name not in self.bnd.recs and name not in self.arities):
             return None
@@ -667,7 +659,8 @@ class Elaborator:
         """`t [u]`, or the forcing `t [clock, u]`; binder: t is a clock
         binder's body, read under it."""
         self.expect("[")
-        if self.at_name() and self.peek(1).value == ",":
+        if self.toks[self.pos] in self.names \
+                and self.toks[self.pos + 1] == ",":
             k = self.bound(sc, CLOCK)
             self.pos += 1
             u = self.tick_expr(sc)
@@ -703,7 +696,7 @@ class Elaborator:
     def lattice(self, operand, sc, meet, join, min_prec=1):
         left = operand(sc)
         while True:
-            prec = _LATTICE_OPS.get(self.toks[self.pos].value)
+            prec = _LATTICE_OPS.get(self.toks[self.pos])
             if prec is None or prec < min_prec:
                 return left
             self.pos += 1
@@ -716,7 +709,7 @@ class Elaborator:
     def endpoint(self, ends, msg):
         """A number that must be 0 or 1: ends[0] or ends[1]."""
         pos = self.pos
-        n = int(self.advance().value)
+        n = int(self.advance())
         if n in (0, 1):
             return ends[n]
         self.error(pos, ParseError(msg))
@@ -724,12 +717,12 @@ class Elaborator:
 
     def iatom(self, sc):
         tok = self.toks[self.pos]
-        if tok.value == "~":
+        if tok == "~":
             self.pos += 1
             return INeg(self.iatom(sc))
-        if tok.kind == "num":
+        if self.kind[tok] == "num":
             return self.endpoint((IZERO, IONE), _MISPLACED[IVAL])
-        if tok.value == "(":
+        if tok == "(":
             self.pos += 1
             t = self.iexpr(sc)
             self.expect(")")
@@ -740,10 +733,11 @@ class Elaborator:
         return self.lattice(self.face_atom, sc, FAnd, FOr)
 
     def face_atom(self, sc):
-        if self.peek().kind == "num":
+        if self.kind[self.toks[self.pos]] == "num":
             return self.endpoint((FBOT, FTOP), "expected a face formula")
         self.expect("(")
-        if self.peek().kind == "ident" and self.peek(1).value == "=":
+        if self.kind[self.toks[self.pos]] == "ident" \
+                and self.toks[self.pos + 1] == "=":
             pos = self.pos
             name = self.name()
             end = self.face_end()
@@ -755,7 +749,7 @@ class Elaborator:
     def face_end(self):
         """The rest of `(name = 0)` or `(name = 1)` after the name."""
         self.expect("=")
-        end = int(self.expect_kind("num").value)
+        end = int(self.expect_kind("num"))
         if end not in (0, 1):
             self.fail("a face equation ends in 0 or 1")
         self.expect(")")
@@ -793,9 +787,9 @@ class Elaborator:
 
     def atom(self, sc, mode=TERM):
         start = self.pos
-        tok = self.toks[start]
-        kind, value = tok.kind, tok.value
-        if kind == "ident" and (value not in RESERVED or value == "I"):
+        value = self.toks[start]
+        kind = self.kind[value]
+        if value in self.names or value == "I":
             self.pos += 1
             m = value[0] == "U" and _UNIVERSE.match(value)
             if m:
@@ -813,8 +807,9 @@ class Elaborator:
             return self.misplaced(start, mode)
         if value == "(":
             self.pos += 1
-            if self.at_name() and self.peek(1).value == ".":
-                nm = self.advance().value
+            if self.toks[self.pos] in self.names \
+                    and self.toks[self.pos + 1] == ".":
+                nm = self.advance()
                 self.pos += 1
                 self.term(sc.push(nm, CLOCK))
                 self.expect(")")
@@ -921,7 +916,7 @@ class Elaborator:
         start = self.pos
         self.expect("clockelim")
         self.expect("^")
-        n = int(self.expect_kind("num").value)
+        n = int(self.expect_kind("num"))
         hit = self.name()
         sig = self.sigs.get(hit)
         if sig is None:
@@ -1058,25 +1053,27 @@ class Elaborator:
         decls = []
         expect = None
         while True:
-            tok = self.peek()
-            if tok.value in ("--expect-pass", "--expect-fail"):
+            at = self.pos
+            tok = self.toks[at]
+            if tok in ("--expect-pass", "--expect-fail"):
                 self.pos += 1
                 if expect is not None:
                     self.fail("duplicate expectation pragma")
                 expect = ("pass",)
-                if tok.value == "--expect-fail":
+                if tok == "--expect-fail":
                     self.expect("(")
-                    expect = ("fail", self.expect_kind("ident").value)
+                    expect = ("fail", self.expect_kind("ident"))
                     self.expect(")")
                     if expect[1] not in ERROR_CLASSES:
-                        raise ParseError(f"{tok.line}:{tok.col}: unknown"
-                                         f" error class {expect[1]!r}")
-            elif tok.value in ("def", "data") or tok.kind == "pragma":
-                conv = tok.kind == "pragma"
+                        line, col = position(self.text, at)
+                        raise ParseError(f"{line}:{col}: unknown error"
+                                         f" class {expect[1]!r}")
+            elif tok in ("def", "data") or self.kind[tok] == "pragma":
+                conv = self.kind[tok] == "pragma"
                 decls.append(self.decl(None if conv else expect))
                 if not conv:
                     expect = None
-            elif tok.kind == "eof":
+            elif tok == "":
                 break
             else:
                 self.fail("expected a declaration")
@@ -1089,11 +1086,12 @@ class Elaborator:
         its name, expect, and its kernel form, or the earliest error in it
         other than a syntax error."""
         self.err = None
+        at = self.pos
         kw = self.advance()
-        if kw.value == "data":
-            name, d = self.data_decl(kw, expect)
-        elif kw.value == "def":
-            name = self.fresh_name(kw)
+        if kw == "data":
+            name, d = self.data_decl(at, expect)
+        elif kw == "def":
+            name = self.fresh_name(at)
             doms, sc = self.binder_groups(_BASE_SCOPE)
             self.expect(":")
             ty = self.term(sc)
@@ -1112,17 +1110,19 @@ class Elaborator:
             rhs = self.term(_BASE_SCOPE)
             self.expect(":")
             d = ConvCheck(name, self.term(_BASE_SCOPE), lhs, rhs,
-                          kw.value == "--expect-conv")
+                          kw == "--expect-conv")
         return name, expect, d if self.err is None else self.err[1]
 
     def fresh_name(self, kw, taken=()):
-        """A name not declared before; kw is its declaration's keyword."""
+        """A name not declared before; kw is the index of its declaration's
+        keyword."""
         pos = self.pos
         name = self.name()
         if name in self.defs or name in self.sigs or name in self.labels \
                 or name in taken:
             self.error(pos, ParseError(
-                f"line {kw.line}: {name!r} is already declared"))
+                f"line {position(self.text, kw)[0]}: {name!r} is already"
+                " declared"))
         return name
 
     def data_decl(self, kw, expect):
@@ -1131,7 +1131,7 @@ class Elaborator:
         level = 0
         if self.at(":"):
             self.pos += 1
-            m = _UNIVERSE.match(self.expect_kind("ident").value)
+            m = _UNIVERSE.match(self.expect_kind("ident"))
             if not m:
                 self.fail("expected a universe after ':'")
             level = int(m[1])
@@ -1229,8 +1229,8 @@ def surface_module(text):
     """The module's declarations, each as (name, expectation, kernel form or
     the earliest error in it); a syntax error raises `ParseError`.  (The
     name is from when this returned a surface tree; the benchmark traces
-    it, and `Elaborator.decl`, by name.)"""
-    return Elaborator(tokenize(text)).module()
+    it, `tokenize` and `Elaborator.decl` by name.)"""
+    return Elaborator(text).module()
 
 
 def parse_module(text):

@@ -44,16 +44,20 @@ recursive walk; `bound_of` reads off it the loose-variable bound that
 
 `token_mutants` makes seeded single-token mutants of a source text, for
 checking that malformed input still gets a verdict per declaration.
+`reference_tokenize` is the tokenizer that counts lines as it goes: every
+newline is a match of its own, and each token carries its kind, line and
+column.
 """
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from cctt.errors import (
     CaseMissing, CcttError, FuelExhausted, MalformedSubstitution, NotATick,
-    TickEscape,
+    ParseError, TickEscape,
 )
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IONE, IVar, IZERO,
@@ -1174,3 +1178,53 @@ def token_mutants(text, rng):
         else:
             out[k] = parts[rng.choice(toks)]
         yield "".join(out)
+
+
+# --------------------------------------------------------------------------
+# Tokens with their positions
+# --------------------------------------------------------------------------
+
+# Whitespace other than a newline, and comments: `--` not starting a pragma.
+_REF_SKIP = r"(?:[^\S\n]+|--(?!expect-(?:not-conv|pass|fail|conv))[^\n]*)*"
+_REF_SKIP_RE = re.compile(_REF_SKIP)
+# One token and the skippable text after it, or a newline; any other
+# character that starts no token is `bad`.
+_REF_TOKEN_RE = re.compile(
+    r"""(?:
+      (?P<pragma>--expect-(?:not-conv|pass|fail|conv))
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<num>[0-9]+)
+    | (?P<sym>->|:=|=>|/\\|\\/|\|>|<>|[()\[\]{}<>,.:=|^@~\\])
+    | (?P<nl>\n)
+    | (?P<bad>\S)
+    )""" + _REF_SKIP,
+    re.VERBOSE,
+)
+
+
+class Token(NamedTuple):
+    kind: str  # "pragma" | "ident" | "num" | "sym" | "eof"
+    value: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text):
+    """text's tokens, ending in an `eof` token; `ParseError` at the first
+    character that starts no token."""
+    toks = []
+    line, bol = 1, 0
+    for m in _REF_TOKEN_RE.finditer(text, _REF_SKIP_RE.match(text).end()):
+        kind = m.lastgroup
+        if kind == "nl":
+            line += 1
+            bol = m.start() + 1
+        elif kind == "bad":
+            pos = m.start()
+            raise ParseError(
+                f"{line}:{pos - bol + 1}: unexpected character {text[pos]!r}"
+            )
+        else:
+            toks.append(Token(kind, m[kind], line, m.start() - bol + 1))
+    toks.append(Token("eof", "", line, len(text) - bol + 1))
+    return toks

@@ -1,6 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +13,31 @@ from cctt.errors import ParseError, UnboundVariable
 from cctt.interval import FEq, FOr, IVar, IZERO
 from cctt.parser import (
     RESERVED, ConvCheck, DataDefinition, Definition, Module, parse_module,
-    print_module, surface_module, tokenize,
+    position, print_module, surface_module, token_kind, tokenize,
 )
 from cctt.syntax import (
     App, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
     ForceApp, Forall, Hit, Lam, Later, PApp, PLam, PathT, Pi, System,
     TickApp, TickLam, TickVar, Tirr, TopRef, U, Var,
 )
-from oracles import kernel_iv
+from oracles import kernel_iv, reference_tokenize
 from test_acceptance import _iv_random
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def _load_workloads():
+    """The benchmark's input generators, `perfbench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
 
 
 def one_def(src):
@@ -29,22 +48,103 @@ def one_def(src):
 
 class TestTokenizer:
     def test_pragmas_beat_comments(self):
-        kinds = [t.kind for t in tokenize("--expect-pass\n-- a comment\nx")]
-        assert kinds == ["pragma", "ident", "eof"]
+        toks = tokenize("--expect-pass\n-- a comment\nx")
+        assert toks == ["--expect-pass", "x", ""]
+        assert list(map(token_kind, toks)) == ["pragma", "ident", "eof"]
 
     def test_symbols(self):
-        values = [t.value for t in tokenize(r"-> := => /\ \/ |> <> < >")]
-        assert values[:-1] == ["->", ":=", "=>", "/\\", "\\/", "|>",
-                               "<>", "<", ">"]
+        toks = tokenize(r"-> := => /\ \/ |> <> < >")
+        assert toks == ["->", ":=", "=>", "/\\", "\\/", "|>", "<>", "<", ">",
+                        ""]
+        assert {token_kind(tok) for tok in toks[:-1]} == {"sym"}
 
     def test_positions(self):
-        toks = tokenize("ab\n  cd")
-        assert (toks[0].line, toks[0].col) == (1, 1)
-        assert (toks[1].line, toks[1].col) == (2, 3)
+        text = "ab\n  cd"
+        assert tokenize(text) == ["ab", "cd", ""]
+        assert position(text, 0) == (1, 1)
+        assert position(text, 1) == (2, 3)
+        assert position(text, 2) == (2, 5)
 
     def test_bad_character(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             tokenize("a ? b")
+        assert str(err.value) == "1:3: unexpected character '?'"
+
+    def test_earliest_bad_character_is_reported(self):
+        # Two bad characters, each also after the other, and one in a
+        # comment before both.
+        text = "x\n-- ? in a comment\n  y $ z ? $"
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert str(err.value) == "3:5: unexpected character '$'"
+        _assert_tokens_agree(text)
+
+    def test_comment_after_blank_lines_at_the_start(self):
+        text = "\n\n  -- a comment\r\n\tdef"
+        assert tokenize(text) == ["def", ""]
+        assert position(text, 0) == (4, 2)
+        _assert_tokens_agree(text)
+
+
+def _assert_tokens_agree(text, every=True):
+    """tokenize and position agree with reference_tokenize on text: the
+    same error, or the same values, kinds, lines and columns.  Unless
+    every, long texts have their positions checked at a stride, since each
+    position is worked out by scanning the text up to its token."""
+    try:
+        ref = reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert str(got.value) == str(err)
+        return
+    toks = tokenize(text)
+    assert toks == [t.value for t in ref]
+    assert list(map(token_kind, toks)) == [t.kind for t in ref]
+    step = 1 if every or len(toks) <= 1000 else len(toks) // 100
+    for i in [*range(0, len(toks), step), len(toks) - 2, len(toks) - 1]:
+        if i >= 0:
+            assert position(text, i) == (ref[i].line, ref[i].col), i
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.rglob("*.cctt")),
+                         ids=lambda p: p.relative_to(CORPUS).as_posix())
+def test_tokens_agree_with_reference_on_corpus(path):
+    _assert_tokens_agree(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["corpus", "reduce", "scale"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tokens_agree_with_reference_on_generated_inputs(workload, seed):
+    for inp in getattr(workloads, workload)(seed, ROOT):
+        _assert_tokens_agree(inp.text, every=False)
+
+
+# Pieces of random tokenizer input: tokens, blanks, comments and pragma-like
+# comments, non-ASCII letters and bad characters.
+TEXT_PIECES = [
+    "x", "y'", "_a1", "U0", "12", "0", "def", "->", ":=", "=>", "/\\",
+    "\\/", "|>", "<>", "(", ")", "[", "]", "{", "}", "<", ">", ",", ".",
+    ":", "=", "|", "^", "@", "~", "\\", "-", "/", " ", "  ", "\t", "\n",
+    "\r\n", "\r", "\n\n", "-- a comment", "--", "---", "--expect-pass",
+    "--expect-fail", "--expect-conv", "--expect-not-conv", "--expect-",
+    "--expect-other", "--expect-passive", "-- --expect-pass", "\u00e9",
+    "caf\u00e9", "\x0c", "\xa0", "\u2028", "?", "$",
+]
+
+
+def test_tokens_agree_with_reference_on_random_texts():
+    rng = random.Random(15)
+    bad = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(TEXT_PIECES)
+                       for _ in range(rng.randrange(1, 25)))
+        try:
+            reference_tokenize(text)
+        except ParseError:
+            bad += 1
+        _assert_tokens_agree(text)
+    assert 300 < bad < 2700  # both outcomes are exercised
 
 
 class TestTerms:
@@ -331,6 +431,8 @@ PARSE_ERRORS = [
     ("def f (x : A) := x", "1:15: expected ':', found ':='"),
     ("def f : U0 := p @ i x", "1:21: expected a declaration, found 'x'"),
     ("def f : U0 := tirr(a, b, i @ j)", "1:28: expected ')', found '@'"),
+    ("def a : U1 := U0\r\n-- a comment\n  --expect-fail(Foo)\ndef b : U1 := U0",
+     "3:3: unknown error class 'Foo'"),
 ]
 
 
@@ -339,6 +441,22 @@ def test_parse_error_message(src, message):
     with pytest.raises(ParseError) as err:
         surface_module(src)
     assert str(err.value) == message
+
+
+# A declaration whose name is taken stands for an error naming its line.
+DUPLICATE_ERRORS = [
+    ("def a : U1 := U0\r\n-- a comment\r\ndef b : U1 := U0\n  def a : U1 := U0",
+     "line 4: 'a' is already declared"),
+    ("def a : U1 := U0\r\n-- a comment\r\n\n  data d : U0 where\n | c\n | c",
+     "line 4: 'c' is already declared"),
+]
+
+
+@pytest.mark.parametrize("src, message", DUPLICATE_ERRORS)
+def test_duplicate_declaration_message(src, message):
+    *_, (_, _, err) = surface_module(src)
+    assert isinstance(err, ParseError)
+    assert str(err) == message
 
 
 def test_deep_nat_literal_parses():

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import cctt.cli
+from oracles import reference_tokenize
 
 SOURCES = sorted(Path(cctt.cli.__file__).resolve().parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +88,16 @@ def test_traced_parser_functions_are_on_the_checking_path():
     assert tracer.calls["parser.surface_module"] == 1
     assert len(report.lines) > 1
     assert tracer.calls["parser.Elaborator.decl"] == len(report.lines)
+
+
+def test_traced_token_count_is_the_modules_tokens():
+    # The benchmark's `parser.tokens` is the length of what `tokenize`
+    # returns: one call per module, one item per token and end of input.
+    path = CORPUS / "05-hits" / "spheres.cctt"
+    tracer, _ = _traced_check(path)
+    assert tracer.calls["parser.tokenize"] == 1
+    text = path.read_text(encoding="utf-8")
+    assert tracer.tokens == len(reference_tokenize(text))
 
 
 def test_traced_substitution_functions_are_on_the_checking_path():
