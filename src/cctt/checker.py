@@ -59,8 +59,7 @@ from .syntax import (
     rename_term, shape, strengthen, structural_equal, weaken, weaken_iv,
 )
 from .ticks import (
-    apply_mask, clause_subst, residual_mask, strengthen_term, subst_apply,
-    weakening_subst,
+    apply_mask, residual_mask, strengthen_term, subst_apply, weakening_subst,
 )
 
 PRELUDE = Context((EClock(),))
@@ -482,17 +481,22 @@ def check_system(state, ctx, parts, ty):
     for phi, u in parts:
         _check_iv(ctx, phi)
         check(state, ctx.push(EFace(phi)), u, ty)
+    if clash := _disagreeing_overlap(state, ctx, parts, ty):
+        i, j, overlap = clash
+        raise IncompatibleOverlap("system parts disagree on their overlap",
+                                  i=i, j=j, face=overlap)
+
+
+def _disagreeing_overlap(state, ctx, parts, ty):
+    """The first two parts (i, j, their overlap) of a system or a boundary
+    that are neither equal terms nor convertible at ty on their overlap."""
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            overlap = FAnd(parts[i][0], parts[j][0])
-            if face_is_false(overlap):
-                continue
-            if not conv_under_face(state, ctx, overlap, ty,
-                                   parts[i][1], parts[j][1]):
-                raise IncompatibleOverlap(
-                    "system parts disagree on their overlap",
-                    i=i, j=j, face=overlap,
-                )
+            (phi, t), (psi, u) = parts[i], parts[j]
+            overlap = FAnd(phi, psi)
+            if not (face_is_false(overlap) or structural_equal(t, u)
+                    or conv_under_face(state, ctx, overlap, ty, t, u)):
+                return i, j, overlap
 
 
 def check_comp(state, ctx, p):
@@ -654,55 +658,51 @@ def _check_boundary(state, declaring, ctor, cctx):
     parameters, constructor arguments) extended by the recursive arguments
     and the interval binders, with the constructors before this one
     declared; then check that the pieces cover the face and agree where
-    they overlap."""
+    they overlap: are equal terms, or else convertible on each clause of
+    the overlap with its endpoints pending on them (`conv_under_face`).
+    The recursive arguments' types are read, not renamed."""
     sig = declaring.sig
-    d, a, v = len(sig.params.types), len(ctor.args.types), ctor.ivar_count
-    bctx = cctx
-    for k, arity in enumerate(ctor.rec_arities):
-        scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
-        bctx = bctx.push(EVar(_rec_fn_type(bctx, sig, arity, scope[:d],
-                                           scope[d:])))
-    r = len(ctor.rec_arities)
-    hit = Hit(sig.name, tuple(Var(r + d + a - 1 - p) for p in range(d)))
-    for _ in range(v):
-        bctx = bctx.push(EIVar())
-
+    bctx, hit = _boundary_context(sig, ctor, cctx)
     state.signatures[sig.name] = declaring
     try:
         for phi, piece in ctor.boundary:
-            for ix in iv_vars(phi):
-                if ix >= v:
-                    raise NonProperEntry(
-                        f"boundary face of {ctor.label} is out of scope"
-                    )
+            if any(ix >= ctor.ivar_count for ix in iv_vars(phi)):
+                raise NonProperEntry(
+                    f"boundary face of {ctor.label} is out of scope")
             check(state, bctx, piece, hit)
         if ctor.boundary or not face_is_false(ctor.face):
             covering = face_join(phi for phi, _ in ctor.boundary)
             if not face_entails(ctor.face, covering):
                 raise BoundaryNotCovering(
                     f"boundary of {ctor.label} does not cover its face",
-                    face=ctor.face,
-                )
-
-        # Pairwise compatibility on overlaps.
-        pieces = ctor.boundary
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                overlap = FAnd(pieces[i][0], pieces[j][0])
-                for clause in overlap:
-                    # The clause's endpoints, put for the constructor's
-                    # interval binders.
-                    sigma = clause_subst(bctx, dict(clause))
-                    if not conv(state, bctx, hit,
-                                subst_apply(sigma, pieces[i][1]),
-                                subst_apply(sigma, pieces[j][1])):
-                        raise BoundaryIncompatible(
-                            f"boundary pieces {i} and {j} of {ctor.label} "
-                            "disagree on their overlap",
-                            face=overlap,
-                        )
+                    face=ctor.face)
+        if clash := _disagreeing_overlap(state, bctx, ctor.boundary, hit):
+            i, j, overlap = clash
+            raise BoundaryIncompatible(
+                f"boundary pieces {i} and {j} of {ctor.label} disagree on"
+                " their overlap", face=overlap)
     finally:
         del state.signatures[sig.name]
+
+
+def _boundary_context(sig, ctor, cctx):
+    """cctx extended by ctor's recursive arguments and interval binders,
+    with their types at its end built for `term_type` to read, and the
+    data type at the parameters there."""
+    d, a = len(sig.params.types), len(ctor.args.types)
+    r = len(ctor.rec_arities)
+    bctx = cctx
+    for k, arity in enumerate(ctor.rec_arities):
+        scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
+        bctx = bctx.push(EVar(_rec_fn_type(bctx, sig, arity, scope[:d],
+                                           scope[d:])))
+    for _ in range(ctor.ivar_count):
+        bctx = bctx.push(EIVar())
+    scope = [Var(r + d + a - 1 - q) for q in range(d + a)]
+    types = {r - 1 - k: _rec_fn_type(bctx, sig, arity, scope[:d], scope[d:])
+             for k, arity in enumerate(ctor.rec_arities)}
+    return (Context(bctx.entries, bctx.counts, types),
+            Hit(sig.name, tuple(scope[:d])))
 
 
 # --------------------------------------------------------------------------

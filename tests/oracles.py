@@ -38,9 +38,16 @@ time, every redex contracted by `naive_subst`: the rule the kernel's
 environment machine replaced, kept to check the machine against, and
 `reference_normal` reduces under every head with it.
 
+`reference_term_type` is the type of a context's term variable renamed
+from its entry's type, as `Context.term_type` finds it when nothing was
+handed to it.
+
 `free_indices` collects a term's free indices per sort by a plain
 recursive walk; `bound_of` reads off it the loose-variable bound that
 `syntax.loose_bound` caches on the term.
+
+`load_workloads` loads the benchmark's input generators, for checking the
+kernel on the inputs it is measured on.
 
 `token_mutants` makes seeded single-token mutants of a source text, for
 checking that malformed input still gets a verdict per declaration.
@@ -49,10 +56,13 @@ newline is a match of its own, and each token carries its kind, line and
 column.
 """
 
+import importlib.util
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from typing import NamedTuple
 
 from cctt.errors import (
@@ -69,7 +79,7 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    entry_sort,
+    entry_sort, weaken,
 )
 from cctt.ticks import apply_mask, residual_mask
 
@@ -859,6 +869,18 @@ def reference_normal(state, ctx, t):
 
 
 # --------------------------------------------------------------------------
+# Variable types, by renaming
+# --------------------------------------------------------------------------
+
+def reference_term_type(ctx, ix):
+    """The type of ctx's term variable ix: its entry's type, scoped in the
+    entries before it, weakened past the entry and everything after it."""
+    pos = ctx.pos_of(TERM, ix)
+    return weaken(ctx.entries[pos].ty,
+                  [entry_sort(e) for e in ctx.entries[pos:]])
+
+
+# --------------------------------------------------------------------------
 # Free variables, by brute force
 # --------------------------------------------------------------------------
 
@@ -1155,6 +1177,20 @@ def bresidual(sigma, clock, u):
 # --------------------------------------------------------------------------
 # Source mutants
 # --------------------------------------------------------------------------
+
+def load_workloads():
+    """The benchmark's input generators, `perfbench/workloads.py`, loaded
+    once and only read."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parent.parent / "perfbench"
+            / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclass looks the module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
 
 def token_mutants(text, rng):
     """Endless single-token mutants of text, drawn with rng: each deletes,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cctt import checker
@@ -10,19 +12,25 @@ from cctt.conversion import conv, conv_tm, whnf
 from cctt.errors import (
     BaseBoundaryMismatch, BoundaryIncompatible, BoundaryNotCovering, CaseBoundaryMismatch,
     ClockMismatch, EndpointMismatch, ForwardConstructorReference,
-    IncompatibleOverlap, TickEscape, TypeMismatch, UnboundVariable,
+    IncompatibleOverlap, ParseError, TickEscape, TypeMismatch,
+    UnboundVariable,
 )
 from cctt.interval import FBOT, FEq, FOr, IVar, IZERO, IONE
 from cctt.parser import (
-    DataDefinition, Definition, parse_module, print_module,
+    DataDefinition, Definition, parse_module, print_module, surface_module,
 )
 from cctt.syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
     Fst, HitSignature, Hit, Lam, Later, PApp, PFix, PLam, PathT, Pi,
     Sigma, Snd,
-    System, Telescope, TickApp, TickLam, TickVar, U, Var, weaken,
+    System, Telescope, TickApp, TickLam, TickVar, U, Var, structural_equal,
+    weaken,
 )
+from oracles import load_workloads, reference_term_type
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+workloads = load_workloads()
 
 
 def st():
@@ -403,6 +411,51 @@ class TestBoundaryVerdicts:
         with pytest.raises(BaseBoundaryMismatch):
             check_hit_signature(st(), sig)
 
+    @pytest.mark.parametrize("pieces", [
+        "[(i = 0) -> seg j, (j = 0) -> seg i]",
+        "[(i = 0) -> seg j, (j = 0) \\/ (j = 1) -> seg (j /\\ ~ i)]",
+    ], ids=("one-clause", "two-clauses"))
+    def test_overlap_convertible_at_its_endpoints(self, pieces, monkeypatch):
+        # The pieces differ as terms; with the overlap's endpoints put in
+        # they are the same point, so they are compared by conversion.
+        faces = []
+
+        def conv_under_face(state, ctx, phi, *rest):
+            faces.append(phi)
+            return checker_conv_under_face(state, ctx, phi, *rest)
+
+        checker_conv_under_face = checker.conv_under_face
+        monkeypatch.setattr(checker, "conv_under_face", conv_under_face)
+        sig = parse_module(
+            "data t : U0 where | a | b"
+            " | seg (i : I) [(i = 0) -> a, (i = 1) -> b]"
+            " | sq (i : I) (j : I) " + pieces
+        ).decls[0].sig
+        assert check_hit_signature(st(), sig)
+        assert len(faces) == 1
+
+    @pytest.mark.parametrize("face, ok", [
+        ("(j = 0)", True),
+        ("(j = 0) \\/ (j = 1)", False),
+    ], ids=("first-clause", "both-clauses"))
+    def test_overlap_disagreeing_on_its_second_clause(self, face, ok):
+        # seg j is a on i = 0, j = 0, where the pieces agree, and b on
+        # i = 0, j = 1, where they do not.
+        sig = parse_module(
+            "data t : U0 where | a | b"
+            " | seg (i : I) [(i = 0) -> a, (i = 1) -> b]"
+            f" | sq (i : I) (j : I) [(i = 0) -> seg j, {face} -> a]"
+        ).decls[0].sig
+        if ok:
+            assert check_hit_signature(st(), sig)
+            return
+        with pytest.raises(BoundaryIncompatible) as info:
+            check_hit_signature(st(), sig)
+        assert str(info.value) == (
+            "boundary pieces 0 and 1 of sq disagree on their overlap"
+            " [face=(((i0=0) /\\ (i1=0)) \\/ ((i0=1) /\\ (i1=0)))]"
+        )
+
     @pytest.mark.parametrize("params, last, ok", [
         # seg 0 is pt a: a parameter, read past sq's argument y.
         ("(A : U0) (a : A)", "pt a", True),
@@ -429,6 +482,42 @@ class TestBoundaryVerdicts:
             "[(i0 = 0) -> pt, ((i1 = 1) \\/ (i0 = 1))]\n"
         )
         assert parse_module(printed) == module
+
+
+def _data_signatures():
+    """The data signatures of the corpus, and of the `scale` generator's
+    `pset` and `cube` inputs for seeds 1-3, each that elaborates."""
+    texts = [path.read_text() for path in sorted(CORPUS.rglob("*.cctt"))]
+    texts += [inp.text for seed in (1, 2, 3)
+              for inp in workloads.scale(seed)
+              if inp.family in ("pset", "cube")]
+    for text in texts:
+        try:
+            decls = surface_module(text)
+        except ParseError:
+            continue
+        for _, _, decl in decls:
+            if isinstance(decl, DataDefinition):
+                yield decl.sig
+
+
+def test_boundary_types_are_the_renamed_ones():
+    # The recursive arguments' types a boundary is checked in are built
+    # with its context; they are the entries' types renamed to its end.
+    recs = 0
+    for sig in _data_signatures():
+        for ctor in sig.constructors:
+            cctx = PRELUDE
+            for ty in (*sig.params.types, *ctor.args.types):
+                cctx = cctx.push(EVar(ty))
+            bctx, _ = checker._boundary_context(sig, ctor, cctx)
+            r = len(ctor.rec_arities)
+            assert sorted(bctx.types) == list(range(r))
+            for ix in range(r):
+                assert structural_equal(bctx.term_type(ix),
+                                        reference_term_type(bctx, ix))
+            recs += r
+    assert recs > 500
 
 
 class TestConstructors:

@@ -159,23 +159,79 @@ MUTANT_FILES = sorted(
         "non-proper-entry")])
 
 
-def test_boundary_file_mutants_get_a_verdict_each():
-    rng = random.Random(7)
+def _verdict_class(status, decl, expect, detail):
+    """The error class a report line stands for: the one raised, `-` for
+    none, `checked` for an expected failure that checked, `parsed` for an
+    expected parse error that parsed and `conv` for a conversion
+    expectation that came out the other way."""
+    if status == "PASS":
+        return expect[1] if expect is not None and expect[0] == "fail" \
+            else "-"
+    if status == "SKIP":
+        return "-"
+    if decl == "module":
+        return "parsed" if detail.endswith("but the file parsed") \
+            else "ParseError"
+    if detail.endswith(", but it checked"):
+        return "checked"
+    if detail == "conversion check came out the other way":
+        return "conv"
+    if detail.startswith("expected ") and ", got " in detail:
+        detail = detail.split(", got ", 1)[1]
+    return detail.split(":", 1)[0]
+
+
+class _DetailReport(Report):
+    """A report that keeps each line's detail too."""
+
+    def __init__(self):
+        super().__init__()
+        self.details = []
+
+    def record(self, status, path, decl, detail=None):
+        super().record(status, path, decl, detail)
+        self.details.append(detail)
+
+
+def boundary_mutants(count, seed=7):
+    """`count` single-token mutants of the boundary files, drawn with
+    `seed`: for each, its file, its declaration names and the verdict lines
+    (mutant number, file, status, declaration, error class) it gets."""
+    rng = random.Random(seed)
     mutants = {path: token_mutants(path.read_text(), rng)
                for path in MUTANT_FILES}
-    for _ in range(300):
+    for n in range(count):
         path = rng.choice(MUTANT_FILES)
         text = next(mutants[path])
         try:
-            names = [name for name, _, _ in surface_module(text)]
+            decls = surface_module(text)
         except ParseError:
-            names = ["module"]
+            decls = [("module", None, None)]
         if EXPECT_PARSE_ERROR.search(text):
-            names = ["module"]
-        report = Report()
+            decls = [("module", None, None)]
+        report = _DetailReport()
         with contextlib.redirect_stdout(io.StringIO()):
             check_file(str(path), text, 100_000, report)
+        name = path.relative_to(CORPUS).as_posix()
+        verdicts = [
+            f"{n} {name} {status} {decl} "
+            f"{_verdict_class(status, decl, expect, detail)}"
+            for (status, _, decl), detail, (_, expect, _) in zip(
+                report.lines, report.details, decls)
+        ]
+        yield text, [name for name, _, _ in decls], report, verdicts
+
+
+def test_boundary_file_mutants_get_a_verdict_each():
+    # Each declaration gets one verdict, and the verdict recorded for it: a
+    # change to boundary checking that keeps the corpus verdicts must keep
+    # each mutant's status and error class too.
+    lines = []
+    for text, names, report, verdicts in boundary_mutants(300):
         assert [decl for _, _, decl in report.lines] == names, text
+        lines += verdicts
+    recorded = (GOLDEN / "boundary-mutants.txt").read_text()
+    assert lines == recorded.splitlines()
 
 
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):

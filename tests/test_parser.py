@@ -1,8 +1,6 @@
 import contextlib
-import importlib.util
 import io
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,24 +18,14 @@ from cctt.syntax import (
     ForceApp, Forall, Hit, Lam, Later, PApp, PLam, PathT, Pi, System,
     TickApp, TickLam, TickVar, Tirr, TopRef, U, Var,
 )
-from oracles import kernel_iv, reference_tokenize
+from oracles import kernel_iv, load_workloads, reference_tokenize
 from test_acceptance import _iv_random
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
 
-def _load_workloads():
-    """The benchmark's input generators, `perfbench/workloads.py`."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks the module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 
 
 def one_def(src):

@@ -1,5 +1,5 @@
-"""The package sources compile without warnings and import only at module
-level, and every function the benchmark's tracer wraps exists (the
+"""The package sources compile without warnings, import only at module
+level and only names they use, and every function the benchmark's tracer wraps exists (the
 parser's on the path a check takes)."""
 
 import ast
@@ -37,6 +37,52 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.add((path.name, fn.name))
     assert not found, sorted(found)
+
+
+def _unused_imports(sources):
+    """The names each module in sources imports but never reads, as
+    "module:name"; a `__future__` import names a feature, not a value."""
+    unused = []
+    for module, text in sources:
+        tree = ast.parse(text, module)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += (f"{module}:{name}" for name in imported - read)
+    return sorted(unused)
+
+
+def test_no_unused_imports():
+    unused = _unused_imports(_package())
+    assert not unused, unused
+
+
+def test_unused_imports_are_found():
+    # Imports never read by the name they bind (local, regex), and one
+    # only an attribute of the same name reads (stale), are unused; a
+    # `__future__` import and a dotted import read by its first part are
+    # not.
+    sources = [("a.py", """
+from __future__ import annotations
+import os.path
+import re as regex
+from .b import (
+    kept, stale, shadowed as local,
+)
+
+def f(x):
+    return kept(x).stale + os.sep
+""")]
+    assert _unused_imports(sources) == ["a.py:local", "a.py:regex",
+                                        "a.py:stale"]
 
 
 def _layers():
