@@ -656,14 +656,12 @@ class _Declaring:
 def _check_boundary(state, declaring, ctor, cctx):
     """Type each boundary piece at the data type, in cctx (prelude,
     parameters, constructor arguments) extended by the recursive arguments
-    and the interval binders, with the constructors before this one
-    declared; then check that the pieces cover the face and agree where
-    they overlap: are equal terms, or else convertible on each clause of
-    the overlap with its endpoints pending on them (`conv_under_face`).
-    The recursive arguments' types are read, not renamed."""
-    sig = declaring.sig
-    bctx, hit = _boundary_context(sig, ctor, cctx)
-    state.signatures[sig.name] = declaring
+    (their types read, not renamed) and the interval binders, with the
+    constructors before this one declared; then check that the pieces
+    cover the face and agree where they overlap: are equal terms, or else
+    convertible with each overlap clause's endpoints pending on them."""
+    bctx, hit = _boundary_context(declaring.sig, ctor, cctx)
+    state.signatures[declaring.name] = declaring
     try:
         for phi, piece in ctor.boundary:
             if any(ix >= ctor.ivar_count for ix in iv_vars(phi)):
@@ -682,7 +680,7 @@ def _check_boundary(state, declaring, ctor, cctx):
                 f"boundary pieces {i} and {j} of {ctor.label} disagree on"
                 " their overlap", face=overlap)
     finally:
-        del state.signatures[sig.name]
+        del state.signatures[declaring.name]
 
 
 def _boundary_context(sig, ctor, cctx):
@@ -747,6 +745,8 @@ def _rec_fn_type(scope, sig, arity, params, args):
     """The type of a recursive argument: a function from the arity
     telescope, instantiated at params and args (terms in `scope`, a
     context or a shape), into the data type."""
+    if not arity.types:
+        return Hit(sig.name, tuple(params))
     ret = Hit(sig.name,
               tuple(weaken(p, [TERM] * len(arity.types)) for p in params))
     return _pis(_arity_types(scope, arity, (*params, *args)), ret)

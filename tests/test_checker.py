@@ -419,12 +419,12 @@ class TestBoundaryVerdicts:
         # The pieces differ as terms; with the overlap's endpoints put in
         # they are the same point, so they are compared by conversion.
         faces = []
+        original = checker.conv_under_face
 
         def conv_under_face(state, ctx, phi, *rest):
             faces.append(phi)
-            return checker_conv_under_face(state, ctx, phi, *rest)
+            return original(state, ctx, phi, *rest)
 
-        checker_conv_under_face = checker.conv_under_face
         monkeypatch.setattr(checker, "conv_under_face", conv_under_face)
         sig = parse_module(
             "data t : U0 where | a | b"

@@ -4,7 +4,7 @@ steps each file spends are those recorded in `tests/golden`, every file
 that elaborates survives a parse-print-parse round trip, the
 loose-variable bound of every term it elaborates to agrees with its free
 indices, and single-token mutants of its HIT files each get a verdict per
-declaration."""
+declaration, the one recorded in `tests/golden`."""
 
 import contextlib
 import io
@@ -193,11 +193,12 @@ class _DetailReport(Report):
         self.details.append(detail)
 
 
-def boundary_mutants(count, seed=7):
-    """`count` single-token mutants of the boundary files, drawn with
-    `seed`: for each, its file, its declaration names and the verdict lines
-    (mutant number, file, status, declaration, error class) it gets."""
-    rng = random.Random(seed)
+def boundary_mutants(count):
+    """The first `count` seeded single-token mutants of the boundary files:
+    for each, its text, its declaration names, its report and the verdict
+    lines (mutant number, file, status, declaration, error class) it
+    gets."""
+    rng = random.Random(7)
     mutants = {path: token_mutants(path.read_text(), rng)
                for path in MUTANT_FILES}
     for n in range(count):
