@@ -610,7 +610,8 @@ def check_hit_signature(state, sig):
                     f"outside its {ctor.ivar_count} binders"
                 )
         declaring.current = idx
-        _check_boundary(state, declaring, ctor, cctx)
+        if ctor.boundary or not face_is_false(ctor.face):
+            _check_boundary(state, declaring, ctor, cctx)
     return True
 
 
@@ -668,12 +669,11 @@ def _check_boundary(state, declaring, ctor, cctx):
                 raise NonProperEntry(
                     f"boundary face of {ctor.label} is out of scope")
             check(state, bctx, piece, hit)
-        if ctor.boundary or not face_is_false(ctor.face):
-            covering = face_join(phi for phi, _ in ctor.boundary)
-            if not face_entails(ctor.face, covering):
-                raise BoundaryNotCovering(
-                    f"boundary of {ctor.label} does not cover its face",
-                    face=ctor.face)
+        covering = face_join(phi for phi, _ in ctor.boundary)
+        if not face_entails(ctor.face, covering):
+            raise BoundaryNotCovering(
+                f"boundary of {ctor.label} does not cover its face",
+                face=ctor.face)
         if clash := _disagreeing_overlap(state, bctx, ctor.boundary, hit):
             i, j, overlap = clash
             raise BoundaryIncompatible(
