@@ -32,8 +32,6 @@ case's binders.  A substitution that needs a scope but no typing context
 (`syntax.shape`), not a context built for it.
 """
 
-from dataclasses import replace
-
 from .conversion import (
     conv, conv_tm, conv_under_face, signature_subst, subst1, subst_clock1,
     subst_force1, subst_ival1, subst_tick1, whnf,
@@ -423,9 +421,12 @@ def check(state, ctx, t, expected):
             sig = state.signature(name)
             if not params and sig.params.types:
                 params = ep  # elaborate the omitted parameters
+            # Parameters equal to the expected type's are well formed, and
+            # the type they give is the expected one.
+            same = params is ep or structural_equal(params, ep)
             got = check_constructor_app(state, ctx, sig, label, params,
-                                        args, recs, ivals, typed=ep)
-            if not conv(state, ctx, U(sig.level), got, ety):
+                                        args, recs, ivals, same)
+            if not same and not conv(state, ctx, U(sig.level), got, ety):
                 raise TypeMismatch("constructor parameters disagree",
                                    expected=ety, actual=got)
             return
@@ -708,9 +709,9 @@ def _boundary_context(sig, ctor, cctx):
 # --------------------------------------------------------------------------
 
 def check_constructor_app(state, ctx, sig, label, params, args, recs,
-                          ivals, typed=None):
-    """The type of a constructor application; parameters equal to `typed`,
-    those of a type known to be well formed, are not checked again."""
+                          ivals, params_known=False):
+    """The type of a constructor application; parameters known to be well
+    formed (`params_known`) are not checked again."""
     try:
         ctor = sig.constructor(label)
     except KeyError:
@@ -730,7 +731,7 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
             f"{label} expects {ctor.ivar_count} interval arguments, got "
             f"{len(ivals)}"
         )
-    if typed is None or not structural_equal(params, typed):
+    if not params_known:
         _check_hit_params(state, ctx, sig, params)
     _check_telescope(state, ctx, params, args, ctor.args.types)
     for k, arity in enumerate(ctor.rec_arities):
@@ -905,7 +906,9 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     sigma = signature_subst(shape(case_ctx, clocks=n),
                             con.params + con.args + con.recs, con.ivals)
     for phi, piece in ctor.boundary:
-        at_piece = replace(elim_w, arg=_clam_n(n, subst_apply(sigma, piece)))
+        at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
+                             elim_w.motive, elim_w.cases,
+                             _clam_n(n, subst_apply(sigma, piece)))
         if not conv(state, case_ctx.push(EFace(phi)), expected, body,
                     at_piece):
             raise CaseBoundaryMismatch(

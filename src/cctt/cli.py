@@ -10,7 +10,6 @@ reports one `PASS|FAIL|SKIP file:decl` line per declaration.  Exit status
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -30,24 +29,23 @@ EXPECT_PARSE_ERROR = re.compile(r"^[ \t]*--expect-fail\(ParseError\)",
                                 re.MULTILINE)
 
 
-def _referenced_names(obj, out):
-    match obj:
-        case TopRef(name):
-            out.add(name)
-        case Hit(name=name) | Con(name=name) | ClockElim(name=name):
-            out.add(name)
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            _referenced_names(getattr(obj, f.name), out)
-    elif isinstance(obj, tuple):
-        for item in obj:
-            _referenced_names(item, out)
-
-
 def referenced_names(*objs):
+    """The top-level names the objects mention, found by walking their
+    record fields and tuples on an explicit stack, so that nesting depth
+    costs no Python frames."""
     out = set()
-    for obj in objs:
-        _referenced_names(obj, out)
+    stack = list(objs)
+    while stack:
+        obj = stack.pop()
+        match obj:
+            case TopRef(name) | Hit(name=name) | Con(name=name) \
+                    | ClockElim(name=name):
+                out.add(name)
+        names = getattr(type(obj), "_fields", None)
+        if names is not None:
+            stack += (getattr(obj, name) for name in names)
+        elif isinstance(obj, tuple):
+            stack += obj
     return out
 
 

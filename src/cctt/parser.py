@@ -26,9 +26,7 @@ Interval expressions and faces are read as their normal forms
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 from .errors import (
     ERROR_CLASSES, ArityMismatch, CcttError, ParseError, UnboundVariable,
@@ -42,7 +40,7 @@ from .syntax import (
     ElimCase, ForceApp, Forall, HComp, Hit, HitSignature, Lam, Later, PApp,
     PFix, PLam, PathT, Pi, System, Telescope, TickApp, TickLam, TickVar,
     Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, TERM, TICK, weaken, weaken_iv,
+    CLOCK, IVAL, TERM, TICK, record, weaken, weaken_iv,
 )
 
 RESERVED = {
@@ -140,7 +138,7 @@ def _unshift1(ix):
 
 # Declarations ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Definition:
     name: str
     ty: object
@@ -148,13 +146,13 @@ class Definition:
     expect: tuple | None
 
 
-@dataclass(frozen=True)
+@record
 class DataDefinition:
     sig: HitSignature
     expect: tuple | None
 
 
-@dataclass(frozen=True)
+@record
 class ConvCheck:
     name: str
     ty: object
@@ -163,7 +161,7 @@ class ConvCheck:
     want_equal: bool
 
 
-@dataclass(frozen=True)
+@record
 class Module:
     decls: tuple
 
@@ -208,7 +206,8 @@ _BINDERS = {"\\": (Lam, TERM, "."), "/\\": (CLam, CLOCK, "."),
             "<": (PLam, IVAL, ">"), "forall": (Forall, CLOCK, ".")}
 
 
-class _Boundary(NamedTuple):
+@record
+class _Boundary:
     """What a constructor's boundary is read with: the constructor's label,
     its recursive arguments by name (each its position and arity), and the
     data type's parameters as boundary terms see them, past the

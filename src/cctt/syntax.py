@@ -10,6 +10,19 @@ others.  Face entries bind no variables at all; they only restrict.
 A data signature's constructor boundaries are ordinary terms too, scoped in
 the constructor's telescope (`Constructor.boundary`).
 
+Every record here (terms, ticks, context entries, contexts, telescopes,
+signatures) and the parser's declarations is a class whose annotations
+name its fields, made immutable by `record`: construction by position,
+`==` and `hash` over the fields, a repr, and the field names in `_fields`
+and `__match_args__`.  Its `__init__` is a closure per number of fields
+that stores through `object.__setattr__`, so attribute reads take the
+same fast path as before.  These classes were frozen dataclasses, and
+`python -X importtime` put about 70% of `import cctt.cli` (the start-up
+of every `cctt check`) in them: `dataclasses` with `inspect`, about
+10 ms, and the generated functions of this module's 43 decorators, about
+33 ms, of a 61 ms import, against 11 ms with `record` (Python 3.11, 2
+CPUs).
+
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
 with `==`.
@@ -55,15 +68,140 @@ checked scope.  Any other subterm is walked, so a variable outside the
 scope still raises `MalformedSubstitution`.
 """
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from math import inf
+from operator import attrgetter
 
 from .errors import MalformedSubstitution, NotATick, TickEscape
 from .interval import Face, IExpr, IVar, iv_map_vars, iv_rename
 
 # Entry sorts.
 TERM, CLOCK, TICK, IVAL, FACE = "term", "clock", "tick", "ival", "face"
+
+
+# --------------------------------------------------------------------------
+# Records
+# --------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+# One `__init__` maker per number of fields: the `__init__` stores its
+# arguments under the field names.  Closures, since a function made by
+# `exec` is what makes `dataclasses` slow to import.
+def _init0():
+    def __init__(self):
+        pass
+    return __init__
+
+
+def _init1(f0):
+    def __init__(self, a):
+        _set(self, f0, a)
+    return __init__
+
+
+def _init2(f0, f1):
+    def __init__(self, a, b):
+        _set(self, f0, a)
+        _set(self, f1, b)
+    return __init__
+
+
+def _init3(f0, f1, f2):
+    def __init__(self, a, b, c):
+        _set(self, f0, a)
+        _set(self, f1, b)
+        _set(self, f2, c)
+    return __init__
+
+
+def _init4(f0, f1, f2, f3):
+    def __init__(self, a, b, c, d):
+        _set(self, f0, a)
+        _set(self, f1, b)
+        _set(self, f2, c)
+        _set(self, f3, d)
+    return __init__
+
+
+def _init5(f0, f1, f2, f3, f4):
+    def __init__(self, a, b, c, d, e):
+        _set(self, f0, a)
+        _set(self, f1, b)
+        _set(self, f2, c)
+        _set(self, f3, d)
+        _set(self, f4, e)
+    return __init__
+
+
+def _init6(f0, f1, f2, f3, f4, f5):
+    def __init__(self, a, b, c, d, e, f):
+        _set(self, f0, a)
+        _set(self, f1, b)
+        _set(self, f2, c)
+        _set(self, f3, d)
+        _set(self, f4, e)
+        _set(self, f5, f)
+    return __init__
+
+
+_INITS = (_init0, _init1, _init2, _init3, _init4, _init5, _init6)
+
+
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set"
+                         f" or delete {name!r}")
+
+
+def _keyword_repr(shown):
+    def __repr__(self):
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{type(self).__qualname__}({parts})"
+    return __repr__
+
+
+def _equality(compared):
+    key = attrgetter(*compared) if compared else lambda self: ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+    return __eq__, __hash__
+
+
+def record(cls=None, *, hidden=()):
+    """Make cls, whose annotations name its fields in order, an immutable
+    record: positional construction (a field with a class-level value may
+    be left out), `==` and `hash` over the fields, a `Name(field=value)`
+    repr unless cls has a repr of its own, and field order in `_fields`
+    and `__match_args__`.  The `hidden` fields are left out of `==`,
+    `hash` and the repr: caches, set through `object.__setattr__`."""
+    if cls is None:
+        return lambda cls: record(cls, hidden=hidden)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    init = _INITS[len(names)](*names)
+    # Named as the fields, for messages and keyword arguments.
+    init.__code__ = init.__code__.replace(co_varnames=("self", *names))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    defaults = []
+    for name in reversed(names):
+        if name not in cls.__dict__:
+            break
+        defaults.insert(0, cls.__dict__[name])
+    init.__defaults__ = tuple(defaults) or None
+    shown = tuple(name for name in names if name not in hidden)
+    cls._fields = cls.__match_args__ = names
+    cls.__init__ = init
+    cls.__eq__, cls.__hash__ = _equality(shown)
+    cls.__setattr__ = cls.__delattr__ = _immutable
+    if cls.__repr__ is object.__repr__:
+        cls.__repr__ = _keyword_repr(shown)
+    return cls
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +212,7 @@ class Tick:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class TickVar(Tick):
     ix: int
 
@@ -82,7 +220,7 @@ class TickVar(Tick):
         return f"a{self.ix}"
 
 
-@dataclass(frozen=True)
+@record
 class Diamond(Tick):
     """Only legal inside forcing-tick applications."""
 
@@ -90,7 +228,7 @@ class Diamond(Tick):
         return "<>"
 
 
-@dataclass(frozen=True)
+@record
 class Tirr(Tick):
     left: Tick
     right: Tick
@@ -108,20 +246,16 @@ class Term:
     __slots__ = ()
 
     # The loose-variable bound, once `loose_bound` has worked it out: it is
-    # then set on the instance, past the dataclass fields.  The leaves know
+    # then set on the instance, past the record's fields.  The leaves know
     # theirs from the start.
     _loose = None
 
     def __repr__(self):
-        parts = ", ".join(repr(getattr(self, f.name)) for f in fields(self))
+        parts = ", ".join(repr(getattr(self, name)) for name in self._fields)
         return f"{type(self).__name__}({parts})"
 
 
-def _td(cls):
-    return dataclass(frozen=True, repr=False)(cls)
-
-
-@_td
+@record
 class Var(Term):
     ix: int
 
@@ -133,7 +267,7 @@ class Var(Term):
         return f"x{self.ix}"
 
 
-@_td
+@record
 class U(Term):
     level: int
 
@@ -143,98 +277,98 @@ class U(Term):
         return f"U{self.level}"
 
 
-@_td
+@record
 class Pi(Term):
     dom: Term
     cod: Term  # binds one term variable
 
 
-@_td
+@record
 class Lam(Term):
     body: Term  # binds one term variable
 
 
-@_td
+@record
 class App(Term):
     fn: Term
     arg: Term
 
 
-@_td
+@record
 class Sigma(Term):
     fst: Term
     snd: Term  # binds one term variable
 
 
-@_td
+@record
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@_td
+@record
 class Fst(Term):
     arg: Term
 
 
-@_td
+@record
 class Snd(Term):
     arg: Term
 
 
-@_td
+@record
 class PathT(Term):
     ty: Term
     left: Term
     right: Term
 
 
-@_td
+@record
 class PLam(Term):
     body: Term  # binds one interval variable
 
 
-@_td
+@record
 class PApp(Term):
     fn: Term
     arg: IExpr
 
 
-@_td
+@record
 class Forall(Term):
     body: Term  # binds one clock
 
 
-@_td
+@record
 class CLam(Term):
     body: Term  # binds one clock
 
 
-@_td
+@record
 class CApp(Term):
     fn: Term
     clock: int
 
 
-@_td
+@record
 class Later(Term):
     clock: int
     ty: Term  # binds one tick on `clock`
 
 
-@_td
+@record
 class TickLam(Term):
     clock: int
     body: Term  # binds one tick on `clock`
 
 
-@_td
+@record
 class TickApp(Term):
     fn: Term
     tick: Tick
 
 
-@_td
+@record
 class ForceApp(Term):
     """Forcing tick application (kappa.fn)[(clock, tick)]; fn binds a clock."""
     fn: Term
@@ -242,19 +376,19 @@ class ForceApp(Term):
     tick: Tick
 
 
-@_td
+@record
 class DFix(Term):
     clock: int
     fn: Term
 
 
-@_td
+@record
 class PFix(Term):
     clock: int
     fn: Term
 
 
-@_td
+@record
 class Comp(Term):
     """comp^i ty [face -> tube] base; ty and tube bind the interval variable."""
     ty: Term
@@ -263,7 +397,7 @@ class Comp(Term):
     base: Term
 
 
-@_td
+@record
 class HComp(Term):
     """Homogeneous composition at a fixed type; tube binds the line variable."""
     ty: Term
@@ -272,7 +406,7 @@ class HComp(Term):
     base: Term
 
 
-@_td
+@record
 class Trans(Term):
     """Transport along a type line (binds the line variable) under a face."""
     ty: Term
@@ -280,13 +414,13 @@ class Trans(Term):
     base: Term
 
 
-@_td
+@record
 class Hit(Term):
     name: str
     params: tuple
 
 
-@_td
+@record
 class Con(Term):
     name: str
     label: str
@@ -296,7 +430,7 @@ class Con(Term):
     ivals: tuple   # interval arguments
 
 
-@_td
+@record
 class ElimCase:
     label: str
     n_args: int   # gamma binders (term sort)
@@ -307,7 +441,7 @@ class ElimCase:
     __repr__ = Term.__repr__
 
 
-@_td
+@record
 class ClockElim(Term):
     """Induction under clocks with an n-ary clock vector (n may be 0)."""
     name: str
@@ -318,12 +452,12 @@ class ClockElim(Term):
     arg: Term
 
 
-@_td
+@record
 class System(Term):
     parts: tuple  # of (Face, Term)
 
 
-@_td
+@record
 class TopRef(Term):
     name: str
 
@@ -334,27 +468,27 @@ class TopRef(Term):
 # Contexts
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EVar:
     ty: Term
 
 
-@dataclass(frozen=True)
+@record
 class EClock:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ETick:
     clock: int  # clock index relative to the prefix before this entry
 
 
-@dataclass(frozen=True)
+@record
 class EIVar:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EFace:
     face: Face
 
@@ -366,14 +500,14 @@ def entry_sort(entry):
     return _ENTRY_SORT[type(entry)]
 
 
-@dataclass(frozen=True)
+@record(hidden=("counts", "types"))
 class Context:
     entries: tuple = ()
     # The number of entries of each sort: worked out by the first `count`
     # and carried along by `push`, so that counting is O(1).
-    counts: dict = field(default=None, compare=False, repr=False)
+    counts: dict = None
     # The type of each term variable `term_type` was asked for, by index.
-    types: dict = field(default=None, compare=False, repr=False)
+    types: dict = None
 
     def push(self, entry):
         counts = self.counts
@@ -585,7 +719,7 @@ def _moves(b, inserted, cut):
 # Simultaneous substitutions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CForcedTick:
     """A forcing tick payload: the tick variable goes to `tick` and is
     paired with the substituted clock variable `clock` (an index among the
@@ -1036,7 +1170,7 @@ def strengthen(t, sort):
 
 # Compared field by field: every term class, eliminator cases and ticks,
 # each with its field names.
-_FIELDS = {cls: tuple(f.name for f in fields(cls))
+_FIELDS = {cls: cls._fields
            for cls in (*Term.__subclasses__(), ElimCase, TickVar, Diamond,
                        Tirr)}
 
@@ -1083,7 +1217,7 @@ def structural_equal(t, u):
 # Telescopes and HIT signatures
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Telescope:
     """Ordered term-variable types; entry k is scoped under entries 0..k-1."""
     types: tuple = ()
@@ -1095,7 +1229,7 @@ class Telescope:
         return iter(self.types)
 
 
-@dataclass(frozen=True)
+@record
 class Constructor:
     label: str
     args: Telescope       # over (ambient, Delta)
@@ -1108,7 +1242,7 @@ class Constructor:
     boundary: tuple
 
 
-@dataclass(frozen=True)
+@record
 class HitSignature:
     name: str
     params: Telescope

@@ -24,8 +24,8 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
     Fst, HitSignature, Hit, Lam, Later, PApp, PFix, PLam, PathT, Pi,
     Sigma, Snd,
-    System, Telescope, TickApp, TickLam, TickVar, U, Var, structural_equal,
-    weaken,
+    System, Telescope, TickApp, TickLam, TickVar, TopRef, U, Var,
+    structural_equal, weaken,
 )
 from oracles import load_workloads, reference_term_type
 
@@ -576,6 +576,31 @@ class TestConstructors:
             (Var(1),), (Var(0),), (), (),
         )
         assert got == Hit("pf", (Var(1),))
+
+    def test_constructor_parameters_against_the_expected_type(self,
+                                                               monkeypatch):
+        state = self._state()
+        state.add_definition("idU", Pi(U(0), U(0)), Lam(Var(0)))
+        ctx = PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ety = Hit("pf", (Var(1),))
+        convs = []
+
+        def counted(state, ctx, ty, t, u):
+            convs.append((t, u))
+            return conv(state, ctx, ty, t, u)
+
+        monkeypatch.setattr(checker, "conv", counted)
+        # Equal parameters give the expected type: nothing to convert.
+        check(state, ctx, Con("pf", "empty", (Var(1),), (), (), ()), ety)
+        check(state, ctx, Con("pf", "empty", (), (), (), ()), ety)
+        assert convs == []
+        # Convertible ones are compared by conversion.
+        idu = App(TopRef("idU"), Var(1))
+        check(state, ctx, Con("pf", "empty", (idu,), (), (), ()), ety)
+        assert convs == [(Hit("pf", (idu,)), ety)]
+        with pytest.raises(TypeMismatch,
+                           match="constructor parameters disagree"):
+            check(state, ctx, Con("pf", "empty", (Var(0),), (), (), ()), ety)
 
 
 def nat_num(k):

@@ -10,7 +10,6 @@ import contextlib
 import io
 import json
 import random
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module, print_module,
     surface_module,
 )
-from cctt.syntax import ElimCase, Term, loose_bound
+from cctt.syntax import Con, ElimCase, Hit, Term, loose_bound
 from oracles import bound_of, token_mutants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,7 +128,7 @@ def _subterms(t):
         u = stack.pop()
         if isinstance(u, Term):
             yield u
-            stack += (getattr(u, f.name) for f in fields(u))
+            stack += (getattr(u, name) for name in u._fields)
         elif isinstance(u, ElimCase):
             stack.append(u.body)
         elif type(u) is tuple:
@@ -233,6 +232,15 @@ def test_boundary_file_mutants_get_a_verdict_each():
         lines += verdicts
     recorded = (GOLDEN / "boundary-mutants.txt").read_text()
     assert lines == recorded.splitlines()
+
+
+def test_referenced_names_walk_deep_terms():
+    # Built directly: the parser cannot read a literal this deep.
+    t = Con("nat", "zero", (), (), (), ())
+    for _ in range(20000):
+        t = Con("nat", "succ", (), (), (t,), ())
+    decl = Definition("big", Hit("nat", ()), t, None)
+    assert cli.referenced_names(decl) == {"nat"}
 
 
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """The package sources compile without warnings, import only at module
-level and only names they use, and every function the benchmark's tracer wraps exists (the
-parser's on the path a check takes)."""
+level and only names they use, `import cctt.cli` loads none of
+`dataclasses`, `inspect` and `typing`, and every function the benchmark's
+tracer wraps exists (the parser's on the path a check takes)."""
 
 import ast
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -37,6 +41,16 @@ def test_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         found.add((path.name, fn.name))
     assert not found, sorted(found)
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # `-S`: a site-packages path file may import `typing` before the test.
+    probe = ("import sys, cctt.cli; print(sorted({'dataclasses', 'inspect',"
+             " 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _unused_imports(sources):

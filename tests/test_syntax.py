@@ -1,12 +1,21 @@
 import random
 
+import pytest
+
+from cctt import parser, syntax
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IVar, IZERO, iv_map_vars,
 )
+from cctt.parser import (
+    ConvCheck, DataDefinition, Definition, Module, _Boundary,
+)
 from cctt.syntax import (
-    App, CLOCK, Comp, Context, EClock, EFace, EIVar, ETick, EVar, IVAL, Lam,
-    Later, PApp, PLam, Pi, TERM, TICK, TickApp, TickLam, TickVar, U, Var,
-    loose_bound, structural_equal, weaken,
+    App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Comp, Con, Constructor,
+    Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
+    ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, Lam, Later, PApp,
+    PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Telescope,
+    Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, loose_bound,
+    structural_equal, weaken,
 )
 from oracles import Renamer
 from test_acceptance import _instances
@@ -184,3 +193,145 @@ def test_later_and_ticklam_store_prefix_relative_clock():
     t = Later(0, TickApp(Var(0), TickVar(0)))
     got = weaken(t, [CLOCK])
     assert got == Later(1, TickApp(Var(0), TickVar(0)))
+
+
+def _records():
+    """One instance of every record class, built afresh on each call."""
+    zero = Con("nat", "zero", (), (), (), ())
+    case = ElimCase("zero", 0, 0, 0, Var(0))
+    ctor = Constructor("zero", Telescope(), (), 0, FBOT, ())
+    sig = HitSignature("nat", Telescope((U(0),)), 0, (ctor,))
+    return [
+        TickVar(1), Diamond(), Tirr(TickVar(0), TickVar(1), IVar(0)),
+        Var(0), U(1), Pi(U(0), Var(0)), Lam(Var(0)), App(Var(1), Var(0)),
+        Sigma(U(0), Var(0)), Pair(Var(0), Var(1)), Fst(Var(0)), Snd(Var(0)),
+        PathT(U(0), Var(0), Var(1)), PLam(Var(0)), PApp(Var(0), IVar(0)),
+        Forall(U(0)), CLam(Var(0)), CApp(Var(0), 0), Later(0, U(0)),
+        TickLam(0, Var(0)), TickApp(Var(0), TickVar(0)),
+        ForceApp(Var(0), 0, Diamond()), DFix(0, Var(0)), PFix(0, Var(0)),
+        Comp(U(0), FEq(0, 1), Var(0), Var(1)),
+        HComp(U(0), FEq(0, 1), Var(0), Var(1)),
+        Trans(U(0), FEq(0, 1), Var(0)), Hit("nat", (U(0),)),
+        Con("nat", "succ", (), (), (zero,), ()), case,
+        ClockElim("nat", 0, (), U(0), (case,), zero),
+        System(((FEq(0, 1), Var(0)),)), TopRef("f"),
+        EVar(U(0)), EClock(), ETick(0), EIVar(), EFace(FEq(0, 1)),
+        Context((EClock(), EVar(U(0)))), CForcedTick(0, Diamond()),
+        Telescope((U(0),)), ctor, sig,
+        Definition("f", U(0), Var(0), None), DataDefinition(sig, ("FAIL",)),
+        ConvCheck("c", U(0), Var(0), Var(1), True), Module(()),
+        _Boundary("succ", {"x": (0, 0)}, ()),
+    ]
+
+
+# Each record's repr and field order, as the frozen dataclasses (and the
+# named tuple `_Boundary`) the records replaced gave them.
+_CTOR = ("Constructor(label='zero', args=Telescope(types=()), rec_arities=(),"
+         " ivar_count=0, face=0F, boundary=())")
+_SIG = (f"HitSignature(name='nat', params=Telescope(types=(U0,)), level=0,"
+        f" constructors=({_CTOR},))")
+_RECORD_CONTRACT = [
+    ("a1", ("ix",)),
+    ("<>", ()),
+    ("tirr(a0, a1, i0)", ("left", "right", "at")),
+    ("x0", ("ix",)),
+    ("U1", ("level",)),
+    ("Pi(U0, x0)", ("dom", "cod")),
+    ("Lam(x0)", ("body",)),
+    ("App(x1, x0)", ("fn", "arg")),
+    ("Sigma(U0, x0)", ("fst", "snd")),
+    ("Pair(x0, x1)", ("fst", "snd")),
+    ("Fst(x0)", ("arg",)),
+    ("Snd(x0)", ("arg",)),
+    ("PathT(U0, x0, x1)", ("ty", "left", "right")),
+    ("PLam(x0)", ("body",)),
+    ("PApp(x0, i0)", ("fn", "arg")),
+    ("Forall(U0)", ("body",)),
+    ("CLam(x0)", ("body",)),
+    ("CApp(x0, 0)", ("fn", "clock")),
+    ("Later(0, U0)", ("clock", "ty")),
+    ("TickLam(0, x0)", ("clock", "body")),
+    ("TickApp(x0, a0)", ("fn", "tick")),
+    ("ForceApp(x0, 0, <>)", ("fn", "clock", "tick")),
+    ("DFix(0, x0)", ("clock", "fn")),
+    ("PFix(0, x0)", ("clock", "fn")),
+    ("Comp(U0, (i0=1), x0, x1)", ("ty", "face", "tube", "base")),
+    ("HComp(U0, (i0=1), x0, x1)", ("ty", "face", "tube", "base")),
+    ("Trans(U0, (i0=1), x0)", ("ty", "face", "base")),
+    ("Hit('nat', (U0,))", ("name", "params")),
+    ("Con('nat', 'succ', (), (), (Con('nat', 'zero', (), (), (), ()),), ())",
+     ("name", "label", "params", "args", "recs", "ivals")),
+    ("ElimCase('zero', 0, 0, 0, x0)",
+     ("label", "n_args", "n_recs", "n_ivars", "body")),
+    ("ClockElim('nat', 0, (), U0, (ElimCase('zero', 0, 0, 0, x0),),"
+     " Con('nat', 'zero', (), (), (), ()))",
+     ("name", "n", "params", "motive", "cases", "arg")),
+    ("System((((i0=1), x0),))", ("parts",)),
+    ("TopRef('f')", ("name",)),
+    ("EVar(ty=U0)", ("ty",)),
+    ("EClock()", ()),
+    ("ETick(clock=0)", ("clock",)),
+    ("EIVar()", ()),
+    ("EFace(face=(i0=1))", ("face",)),
+    ("Context(entries=(EClock(), EVar(ty=U0)))",
+     ("entries", "counts", "types")),
+    ("CForcedTick(clock=0, tick=<>)", ("clock", "tick")),
+    ("Telescope(types=(U0,))", ("types",)),
+    (_CTOR, ("label", "args", "rec_arities", "ivar_count", "face",
+             "boundary")),
+    (_SIG, ("name", "params", "level", "constructors")),
+    ("Definition(name='f', ty=U0, body=x0, expect=None)",
+     ("name", "ty", "body", "expect")),
+    (f"DataDefinition(sig={_SIG}, expect=('FAIL',))", ("sig", "expect")),
+    ("ConvCheck(name='c', ty=U0, lhs=x0, rhs=x1, want_equal=True)",
+     ("name", "ty", "lhs", "rhs", "want_equal")),
+    ("Module(decls=())", ("decls",)),
+    ("_Boundary(label='succ', recs={'x': (0, 0)}, params=())",
+     ("label", "recs", "params")),
+]
+
+
+def _record_classes():
+    return {cls for module in (syntax, parser) for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and "__match_args__" in vars(cls)}
+
+
+def _fill_caches(x):
+    """Fill what a record caches beside its fields."""
+    if isinstance(x, Term):
+        loose_bound(x)
+    elif type(x) is Context:
+        x.count(TERM)
+        x.term_type(0)
+    elif type(x) is HitSignature:
+        x.constructor("zero")
+
+
+def test_records_keep_their_repr_fields_and_equality():
+    records, twins = _records(), _records()
+    assert len(records) == len(_RECORD_CONTRACT)
+    assert {type(x) for x in records} == _record_classes()
+    for x, y, (shown, names) in zip(records, twins, _RECORD_CONTRACT):
+        assert repr(x) == shown
+        assert type(x).__match_args__ == names
+        for _ in range(2):   # before and after x caches what it caches
+            assert x == y and y == x and not x != y
+            if type(x) is not _Boundary:   # its recs is a dict
+                assert hash(x) == hash(y)
+            assert repr(x) == shown
+            _fill_caches(x)
+    for i, x in enumerate(records):
+        for j, y in enumerate(twins):
+            assert (x == y) == (i == j), (x, y)
+
+
+def test_records_cannot_be_assigned():
+    for x in _records():
+        for name in type(x).__match_args__ or ("extra",):
+            before = repr(x)
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+            assert repr(x) == before
