@@ -12,16 +12,16 @@ the constructor's telescope (`Constructor.boundary`).
 
 Every record here (terms, ticks, context entries, contexts, telescopes,
 signatures) and the parser's declarations is a class whose annotations
-name its fields, made immutable by `record`: construction by position,
-`==` and `hash` over the fields, a repr, and the field names in `_fields`
-and `__match_args__`.  Its `__init__` is a closure per number of fields
-that stores through `object.__setattr__`, so attribute reads take the
-same fast path as before.  These classes were frozen dataclasses, and
-`python -X importtime` put about 70% of `import cctt.cli` (the start-up
-of every `cctt check`) in them: `dataclasses` with `inspect`, about
-10 ms, and the generated functions of this module's 43 decorators, about
-33 ms, of a 61 ms import, against 11 ms with `record` (Python 3.11, 2
-CPUs).
+name its fields, made immutable by `record`: construction with the
+fields as arguments, `==` and `hash` over the fields, a repr, and the
+field names in `_fields` and `__match_args__`.  Its `__init__` is a
+closure per number of fields that stores through `object.__setattr__`,
+as a frozen dataclass's does, so field reads stay on the interpreter's
+fast path.  These classes were frozen dataclasses, and `python -X
+importtime` put about 70% of `import cctt.cli` (the start-up of every
+`cctt check`) in them: `dataclasses` with `inspect`, about 10 ms, and
+the generated functions of this module's 43 decorators, about 33 ms, of
+a 61 ms import, against 11 ms with `record` (Python 3.11, 2 CPUs).
 
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
@@ -176,16 +176,17 @@ def _equality(compared):
 
 def record(cls=None, *, hidden=()):
     """Make cls, whose annotations name its fields in order, an immutable
-    record: positional construction (a field with a class-level value may
-    be left out), `==` and `hash` over the fields, a `Name(field=value)`
-    repr unless cls has a repr of its own, and field order in `_fields`
-    and `__match_args__`.  The `hidden` fields are left out of `==`,
-    `hash` and the repr: caches, set through `object.__setattr__`."""
+    record: construction with the fields as arguments (trailing fields
+    with class-level values may be left out), `==` and `hash` over the
+    fields, a `Name(field=value)` repr unless cls has a repr of its own,
+    and field order in `_fields` and `__match_args__`.  The `hidden`
+    fields are left out of `==`, `hash` and the repr: caches, set through
+    `object.__setattr__`."""
     if cls is None:
         return lambda cls: record(cls, hidden=hidden)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     init = _INITS[len(names)](*names)
-    # Named as the fields, for messages and keyword arguments.
+    # Parameters named as the fields, for messages and keyword arguments.
     init.__code__ = init.__code__.replace(co_varnames=("self", *names))
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     defaults = []

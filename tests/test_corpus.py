@@ -22,7 +22,7 @@ from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module, print_module,
     surface_module,
 )
-from cctt.syntax import Con, ElimCase, Hit, Term, loose_bound
+from cctt.syntax import Con, ElimCase, Hit, Term, TopRef, loose_bound
 from oracles import bound_of, token_mutants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,11 +236,11 @@ def test_boundary_file_mutants_get_a_verdict_each():
 
 def test_referenced_names_walk_deep_terms():
     # Built directly: the parser cannot read a literal this deep.
-    t = Con("nat", "zero", (), (), (), ())
+    t = TopRef("z")
     for _ in range(20000):
         t = Con("nat", "succ", (), (), (t,), ())
     decl = Definition("big", Hit("nat", ()), t, None)
-    assert cli.referenced_names(decl) == {"nat"}
+    assert cli.referenced_names(decl) == {"nat", "z"}
 
 
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):
