@@ -335,3 +335,11 @@ def test_records_cannot_be_assigned():
             with pytest.raises(AttributeError):
                 delattr(x, name)
             assert repr(x) == before
+
+
+def test_records_take_their_fields_by_name_and_default():
+    assert App(fn=Var(0), arg=Var(1)) == App(Var(0), Var(1))
+    assert Context() == Context(()) and Context().counts is None
+    assert Telescope().types == ()
+    with pytest.raises(TypeError, match="'arg'"):
+        App(Var(0))
