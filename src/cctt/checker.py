@@ -33,7 +33,7 @@ case's binders.  A substitution that needs a scope but no typing context
 """
 
 from .conversion import (
-    conv, conv_tm, conv_under_face, signature_subst, subst1, subst_clock1,
+    conv, conv_tm, signature_subst, subst1, subst_clock1,
     subst_force1, subst_ival1, subst_tick1, whnf,
     _clam_n, _elim_con, _forall_n, _weaken_elim,
 )
@@ -51,7 +51,7 @@ from .interval import (
 )
 from .syntax import (
     App, CApp, CLam, CLOCK, ClockElim, Comp, Con, Context, DFix, EClock,
-    EFace, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, Lam,
+    EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, Lam,
     Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM,
     TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
     rename_term, shape, strengthen, structural_equal, weaken, weaken_iv,
@@ -481,7 +481,7 @@ def _subtype(state, ctx, a, b):
 def check_system(state, ctx, parts, ty):
     for phi, u in parts:
         _check_iv(ctx, phi)
-        check(state, ctx.push(EFace(phi)), u, ty)
+        check(state, ctx.restrict(phi), u, ty)
     if clash := _disagreeing_overlap(state, ctx, parts, ty):
         i, j, overlap = clash
         raise IncompatibleOverlap("system parts disagree on their overlap",
@@ -495,8 +495,11 @@ def _disagreeing_overlap(state, ctx, parts, ty):
         for j in range(i + 1, len(parts)):
             (phi, t), (psi, u) = parts[i], parts[j]
             overlap = FAnd(phi, psi)
+            # `conv` answers both tests first too, but most pairs of a
+            # boundary pass one of them, and asking here builds no
+            # restricted context for them.
             if not (face_is_false(overlap) or structural_equal(t, u)
-                    or conv_under_face(state, ctx, overlap, ty, t, u)):
+                    or conv(state, ctx.restrict(overlap), ty, t, u)):
                 return i, j, overlap
 
 
@@ -513,7 +516,7 @@ def check_comp(state, ctx, p):
     ty0 = subst_ival1(ctx, p.ty, IZERO)
     check(state, ctx, p.base, ty0)
     tube0 = subst_ival1(ctx, p.tube, IZERO)
-    if not conv_under_face(state, ctx, p.face, ty0, p.base, tube0):
+    if not conv(state, ctx.restrict(p.face), ty0, p.base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent",
             face=p.face,
@@ -523,7 +526,7 @@ def check_comp(state, ctx, p):
 
 def _check_tube(state, ictx, face, tube, line):
     face_w = weaken_iv(face, [IVAL])
-    rctx = ictx.push(EFace(face_w))
+    rctx = ictx.restrict(face_w)
     if isinstance(tube, System):
         covering = face_join(phi for phi, _ in tube.parts)
         if not face_entails(face_w, covering):
@@ -544,7 +547,7 @@ def _check_hcomp(state, ctx, ty, face, tube, base):
         raise TubeMismatch(f"tube does not fit the type: {exc}") from exc
     check(state, ctx, base, ty)
     tube0 = subst_ival1(ctx, tube, IZERO)
-    if not conv_under_face(state, ctx, face, ty, base, tube0):
+    if not conv(state, ctx.restrict(face), ty, base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent", face=face,
         )
@@ -557,8 +560,8 @@ def _check_trans(state, ctx, ty, face, base):
     _check_iv(ctx, face)
     ty0 = subst_ival1(ctx, ty, IZERO)
     # The line must be constant on the extent.
-    if not conv_under_face(state, ictx, weaken_iv(face, [IVAL]), U(0),
-                           ty, weaken(ty0, [IVAL])):
+    if not conv(state, ictx.restrict(weaken_iv(face, [IVAL])), U(0), ty,
+                weaken(ty0, [IVAL])):
         raise TubeMismatch("transport line is not constant on its extent",
                            face=face)
     check(state, ctx, base, ty0)
@@ -700,7 +703,7 @@ def _boundary_context(sig, ctor, cctx):
     scope = [Var(r + d + a - 1 - q) for q in range(d + a)]
     types = {r - 1 - k: _rec_fn_type(bctx, sig, arity, scope[:d], scope[d:])
              for k, arity in enumerate(ctor.rec_arities)}
-    return (Context(bctx.entries, bctx.counts, types),
+    return (Context(bctx.entries, bctx.restriction, bctx.counts, types),
             Hit(sig.name, tuple(scope[:d])))
 
 
@@ -909,7 +912,7 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
                              elim_w.motive, elim_w.cases,
                              _clam_n(n, subst_apply(sigma, piece)))
-        if not conv(state, case_ctx.push(EFace(phi)), expected, body,
+        if not conv(state, case_ctx.restrict(phi), expected, body,
                     at_piece):
             raise CaseBoundaryMismatch(
                 f"case for {case.label} disagrees with its boundary",

@@ -50,10 +50,9 @@ def referenced_names(*objs):
 
 
 class Report:
-    def __init__(self, trace=False):
+    def __init__(self):
         self.lines = []
         self.failed = 0
-        self.trace = trace
 
     def record(self, status, path, decl, detail=None):
         line = f"{status} {path}:{decl}"
@@ -65,8 +64,10 @@ class Report:
             self.failed += 1
 
 
-def _run_decl(state, report, path, name, decl, trace):
-    """Check one elaborated declaration; returns True on success."""
+def _run_decl(state, path, decl, trace):
+    """Check one elaborated declaration: add a definition or a data type
+    to state (None), or check a pragma's conversion and return whether it
+    came out as expected."""
     match decl:
         case Definition(name=name, ty=ty, body=body):
             state.add_definition(name, ty, body)
@@ -116,8 +117,7 @@ def check_file(path, text, max_steps, report, trace=False):
                 if failed and (referenced_names(decl) - {name}) & failed:
                     skip = True
                 else:
-                    conv_ok = _run_decl(state, report, path, name, decl,
-                                        trace)
+                    conv_ok = _run_decl(state, path, decl, trace)
             except CcttError as e:
                 err = e
         if isinstance(err, UnboundVariable) \
@@ -190,7 +190,7 @@ def main(argv=None):
     if args.max_steps < 0:
         print("error: --max-steps must not be negative", file=sys.stderr)
         return 2
-    report = Report(trace=args.trace_conv)
+    report = Report()
     try:
         files = gather_files(args.files, args.corpus)
         for path in files:

@@ -60,10 +60,17 @@ environment once, so its callers see the terms eager substitution
 produced.  Conversion keeps the pair: two constructors are compared under
 their environments, their arguments pairwise as closures and their
 interval arguments read under them, so a tower of constructors is never
-built; any other head is materialised.  Comparison under a face passes
-each clause's endpoint substitution as the environment of the type and of
-both sides (`conv_under_face`, which `conv` calls with the true face), so
-only the heads reached are substituted.
+built; any other head is materialised.
+
+A comparison under a face is a comparison in a restricted context
+(`Context.restrict`): `conv` answers at once where the restriction is
+false, and otherwise compares on each clause of it, with the clause's
+endpoint substitution as the environment of the type and of both sides,
+so only the heads reached are substituted.  A clause is compared with the
+restriction set back to true, which loses nothing: the restriction is the
+meet of every face restricted to, and each clause of a meet contains a
+clause of each face met, so each of them holds on it.
+
 One step is counted per application walked, lambda taken and definition
 unfolded, as before; entering a variable's closure is not a step, so the
 machine takes the same steps on a closure as on its materialisation.  A
@@ -94,17 +101,17 @@ from .errors import (
     CaseMissing, CcttError, FuelExhausted, IllFormedRedex, TickEscape,
 )
 from .interval import (
-    FAnd, FEq, FOr, FTOP, IVar, IJoin, IMeet, INeg, IZERO, IONE,
-    face_clauses, face_entails, face_is_true, face_of_equation, face_split,
-    iv_substitute,
+    FEq, FOr, FTOP, IVar, IJoin, IMeet, INeg, IZERO, IONE,
+    face_clauses, face_entails, face_is_false, face_is_true, face_of_equation,
+    face_split, iv_substitute,
 )
 from .syntax import (
     App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Closure, Comp, Con,
-    Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
-    FACE, Fst, ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix,
-    PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK,
-    TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, entry_sort,
-    shape, strengthen, structural_equal, subst, weaken, weaken_iv,
+    Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase, Fst,
+    ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
+    PathT, Pi, Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar,
+    Tirr, TopRef, Trans, U, Var, shape, strengthen, structural_equal, subst,
+    weaken, weaken_iv,
 )
 from .ticks import (
     bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
@@ -555,8 +562,7 @@ def comp_eval(state, ctx, p):
             return CLam(Comp(body_ty, p.face, tube, base))
 
         case Hit(_, _):
-            return hit_comp_decompose(state, ctx, head, p.face, p.tube,
-                                      p.base)
+            return hit_comp_decompose(ctx, head, p.face, p.tube, p.base)
 
         case _:
             return None
@@ -576,7 +582,7 @@ def _mentions_ival0(t):
 # comp / trans / hcomp at higher inductive types
 # --------------------------------------------------------------------------
 
-def hit_comp_decompose(state, ctx, hit_line, face, tube, base):
+def hit_comp_decompose(ctx, hit_line, face, tube, base):
     """comp at H(delta(i)) = hcomp at H(delta(1)) of the transported sides
     over the transported base."""
     line_at_one = subst_ival1(ctx, hit_line, IONE)
@@ -608,7 +614,7 @@ def _trans_step(state, ctx, ty, face, base):
             if isinstance(b, Con):
                 return _trans_con(state, ctx, head, face, b)
             if isinstance(b, HComp):
-                return _trans_hcomp(state, ctx, head, face, b)
+                return _trans_hcomp(ctx, head, face, b)
             return None
         case _:
             return None
@@ -623,14 +629,14 @@ def _trans_con(state, ctx, hit_line, face, con):
     if ctor.boundary or any(len(a.types) for a in ctor.rec_arities):
         return None
     params_line = hit_line.params  # scoped (ctx, i)
-    new_args = _ctrans_args(state, ctx, ctor, params_line, face, con.args)
+    new_args = _ctrans_args(ctx, ctor, params_line, face, con.args)
     new_recs = tuple(Trans(hit_line, face, r) for r in con.recs)
     params_at_one = tuple(subst_ival1(ctx, q, IONE) for q in params_line)
     return Con(con.name, con.label, params_at_one, tuple(new_args),
                new_recs, con.ivals)
 
 
-def _ctrans_args(state, ctx, ctor, params_line, face, args):
+def _ctrans_args(ctx, ctor, params_line, face, args):
     """Transport the non-recursive arguments along their telescope lines,
     filling earlier arguments to instantiate the dependencies of later
     ones."""
@@ -654,7 +660,7 @@ def _ctrans_args(state, ctx, ctor, params_line, face, args):
     return results
 
 
-def _trans_hcomp(state, ctx, hit_line, face, hc):
+def _trans_hcomp(ctx, hit_line, face, hc):
     """trans commutes with hcomp."""
     at_one = subst_ival1(ctx, hit_line, IONE)
     tube = Trans(weaken(hit_line, [IVAL], cut={IVAL: 1}),
@@ -724,7 +730,7 @@ def elim_reduce(state, ctx, elim, env=None):
     if type(head) is HComp:
         head = _materialise(head, henv)
         if isinstance(whnf(state, cctx, head.ty), Hit):
-            return _elim_hcomp(state, ctx, _materialise(elim, env), head)
+            return _elim_hcomp(ctx, _materialise(elim, env), head)
     return None
 
 
@@ -788,7 +794,7 @@ def _rec_template(elim, m):
     x and its m variables, and reducing it continues in elim's cases
     (`_elim_con`), so no template is made from a template: an eliminator
     keeps one per arity however deep the recursion goes."""
-    calls = elim.__dict__.get("_calls")
+    calls = getattr(elim, "_calls", None)
     if calls is None:
         calls = {}
         object.__setattr__(elim, "_calls", calls)
@@ -810,7 +816,7 @@ def _elim_con(state, ctx, elim, env, con, cenv):
     environment pending."""
     n = elim.n
     if not n:
-        made_from = elim.__dict__.get("_made_from")
+        made_from = getattr(elim, "_made_from", None)
         if made_from is not None:
             # A recursive call: its fields are those of the eliminator it
             # was made from, weakened past the variables it binds.
@@ -838,7 +844,7 @@ def _elim_con(state, ctx, elim, env, con, cenv):
     return case.body, subst(ctx, terms=gamma + xs + ys, ivals=con.ivals)
 
 
-def _elim_hcomp(state, ctx, elim, hc):
+def _elim_hcomp(ctx, elim, hc):
     """hcomp rule: eliminate through the composition by composing in the
     motive over the filling line."""
     n = elim.n
@@ -868,47 +874,23 @@ def _elim_hcomp(state, ctx, elim, hc):
 # --------------------------------------------------------------------------
 
 def conv(state, ctx, ty, t, u):
-    """Type-directed conversion under the context's face restrictions."""
-    return structural_equal(t, u) or conv_under_face(state, ctx, FTOP, ty,
-                                                     t, u)
-
-
-def conv_under_face(state, ctx, phi, ty, t, u):
-    """Meet phi with the context's face restrictions, split it into
-    clauses and compare under each endpoint assignment, which stays
-    pending on ty, t and u as their environment."""
-    restrictions = ctx.restriction_faces()
-    for psi in restrictions:
-        phi = FAnd(phi, psi)
+    """Whether t and u are equal at ty in ctx, under its restriction: at
+    once when the restriction is false or the terms are equal; otherwise
+    on each clause of the restriction, with the clause's endpoints pending
+    on ty, t and u as their environment.  Each clause makes the
+    restriction true, so the clause is compared unrestricted."""
+    phi = ctx.restriction
+    if face_is_false(phi) or structural_equal(t, u):
+        return True
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
-    clauses = face_clauses(phi)
-    if not clauses:
-        return True  # empty extent: vacuously equal
-    for clause in clauses:
+    free = Context(ctx.entries, FTOP, ctx.counts, ctx.types)
+    for clause in face_clauses(phi):
         sigma = clause_subst(ctx, clause)
-        rctx = _clause_context(ctx, clause) if restrictions else ctx
-        if not _conv_clause(state, rctx, Closure(ty, sigma),
+        if not _conv_clause(state, free, Closure(ty, sigma),
                             Closure(t, sigma), Closure(u, sigma)):
             return False
     return True
-
-
-def _clause_context(ctx, clause):
-    """Same context with face payloads instantiated at the clause."""
-    entries = []
-    for pos, entry in enumerate(ctx.entries):
-        if entry_sort(entry) == FACE:
-            shift = sum(1 for e in ctx.entries[pos + 1:]
-                        if entry_sort(e) == IVAL)
-            local = {
-                ix - shift: (IONE if b else IZERO)
-                for ix, b in clause.items() if ix >= shift
-            }
-            entries.append(EFace(iv_substitute(entry.face, local)))
-        else:
-            entries.append(entry)
-    return Context(tuple(entries))
 
 
 def _conv_clause(state, ctx, ty, t, u):
@@ -1094,9 +1076,8 @@ def _conv_comp(state, ctx, a, b, hom):
         return False
     if not conv_tm(state, ctx, b1, b2):
         return False
-    inner = ctx.push(EIVar())
-    return conv_under_face(state, inner, weaken_iv(f1, [IVAL]),
-                           U(0), tu1, tu2)
+    inner = ctx.push(EIVar()).restrict(weaken_iv(f1, [IVAL]))
+    return conv(state, inner, U(0), tu1, tu2)
 
 
 def _system_covers(state, ctx, p1, p2):
@@ -1104,7 +1085,7 @@ def _system_covers(state, ctx, p1, p2):
         for clause in face_split(phi):
             if not any(
                 face_entails(clause, psi)
-                and conv_under_face(state, ctx, clause, U(0), v, w)
+                and conv(state, ctx.restrict(clause), U(0), v, w)
                 for psi, w in p2
             ):
                 return False

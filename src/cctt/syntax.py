@@ -1,11 +1,15 @@
-"""Core term language: sorted de Bruijn syntax over five-entry contexts,
+"""Core term language: sorted de Bruijn syntax over four-sort contexts,
 and the simultaneous substitution calculus over it.
 
-Contexts are ordered lists whose entries come in five sorts -- term
-variables, clocks, ticks, interval variables, and face restrictions.  A
-variable of a given sort is an index counting binders of that same sort
-from the inside out, so inserting an entry of one sort never renumbers the
-others.  Face entries bind no variables at all; they only restrict.
+Contexts are ordered lists whose entries come in four sorts -- term
+variables, clocks, ticks and interval variables -- and a restriction, the
+face phi of a context Gamma, phi (Cohen, Coquand, Huber and Mortberg,
+"Cubical Type Theory", TYPES 2015).  A variable of a given sort is an
+index counting binders of that same sort from the inside out, so
+inserting an entry of one sort never renumbers the others.  The
+restriction binds no variable, so it is no entry: it is one face scoped at
+the context's end, true unless `Context.restrict` meets a face into it,
+and renamed as an interval variable is pushed past it.
 
 A data signature's constructor boundaries are ordinary terms too, scoped in
 the constructor's telescope (`Constructor.boundary`).
@@ -73,10 +77,10 @@ from math import inf
 from operator import attrgetter
 
 from .errors import MalformedSubstitution, NotATick, TickEscape
-from .interval import Face, IExpr, IVar, iv_map_vars, iv_rename
+from .interval import FAnd, FTOP, Face, IExpr, IVar, iv_map_vars, iv_rename
 
 # Entry sorts.
-TERM, CLOCK, TICK, IVAL, FACE = "term", "clock", "tick", "ival", "face"
+TERM, CLOCK, TICK, IVAL = "term", "clock", "tick", "ival"
 
 
 # --------------------------------------------------------------------------
@@ -489,12 +493,7 @@ class EIVar:
     pass
 
 
-@record
-class EFace:
-    face: Face
-
-
-_ENTRY_SORT = {EVar: TERM, EClock: CLOCK, ETick: TICK, EIVar: IVAL, EFace: FACE}
+_ENTRY_SORT = {EVar: TERM, EClock: CLOCK, ETick: TICK, EIVar: IVAL}
 
 
 def entry_sort(entry):
@@ -504,6 +503,8 @@ def entry_sort(entry):
 @record(hidden=("counts", "types"))
 class Context:
     entries: tuple = ()
+    # The face the context is restricted to, scoped at its end.
+    restriction: Face = FTOP
     # The number of entries of each sort: worked out by the first `count`
     # and carried along by `push`, so that counting is O(1).
     counts: dict = None
@@ -515,7 +516,17 @@ class Context:
         if counts is not None:
             counts = counts.copy()
             counts[entry_sort(entry)] += 1
-        return Context(self.entries + (entry,), counts)
+        phi = self.restriction
+        if type(entry) is EIVar and phi != FTOP:
+            phi = weaken_iv(phi, [IVAL])
+        return Context(self.entries + (entry,), phi, counts)
+
+    def restrict(self, phi):
+        """The same entries restricted to phi as well, a face scoped at
+        the end; the caches, which depend on the entries only, are
+        shared."""
+        return Context(self.entries, FAnd(self.restriction, phi),
+                       self.counts, self.types)
 
     def __len__(self):
         return len(self.entries)
@@ -564,18 +575,6 @@ class Context:
             1 for e in self.entries[pos:] if entry_sort(e) == CLOCK
         )
         return entry.clock + extra
-
-    def restriction_faces(self):
-        """All face restrictions, each shifted to the full context."""
-        out = []
-        for pos, e in enumerate(self.entries):
-            if entry_sort(e) == FACE:
-                shift = sum(
-                    1 for x in self.entries[pos + 1:]
-                    if entry_sort(x) == IVAL
-                )
-                out.append(iv_rename(e.face, lambda ix: ix + shift))
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -1169,11 +1168,14 @@ def strengthen(t, sort):
 # Structural equality (alpha-equality)
 # --------------------------------------------------------------------------
 
-# Compared field by field: every term class, eliminator cases and ticks,
-# each with its field names.
-_FIELDS = {cls: cls._fields
-           for cls in (*Term.__subclasses__(), ElimCase, TickVar, Diamond,
-                       Tirr)}
+# Compared field by field: every term class, eliminator cases and the
+# ticks but the diamond (which has no field, and is compared by `==`),
+# each with a getter of its fields and whether it has several (then the
+# getter returns their tuple, else the one field).  Fields are read by
+# name: reading an instance's `__dict__` makes CPython keep a dict on it
+# and read its fields the slow way from then on.
+_FIELDS = {cls: (attrgetter(*cls._fields), len(cls._fields) > 1)
+           for cls in (*Term.__subclasses__(), ElimCase, TickVar, Tirr)}
 
 
 def structural_equal(t, u):
@@ -1190,18 +1192,22 @@ def structural_equal(t, u):
         b = pop()
         a = pop()
         cls = type(a)
-        names = _FIELDS.get(cls)
-        if names is not None:
+        fields = _FIELDS.get(cls)
+        if fields is not None:
             if type(b) is not cls:
                 return False
             # The fields only: a cached loose-variable bound is no part of
             # the term.
-            da, db = a.__dict__, b.__dict__
-            for name in names:
-                x, y = da[name], db[name]
-                if x is not y:
-                    push(x)
-                    push(y)
+            get, several = fields
+            x, y = get(a), get(b)
+            if several:
+                for x, y in zip(x, y):
+                    if x is not y:
+                        push(x)
+                        push(y)
+            elif x is not y:
+                push(x)
+                push(y)
         elif cls is tuple:
             if type(b) is not tuple or len(a) != len(b):
                 return False

@@ -2,7 +2,9 @@
 
 Covers the timeless filter TL, the trimming relation, the mask of the
 maximal residual context of a simple or forcing tick, and strengthening
-into it.
+into it.  TL keeps the clocks, the interval variables and the context's
+restriction, so every residual context keeps the restriction as it is:
+it is scoped over the interval variables alone, and no mask drops one.
 
 The substitution calculus itself lives in `cctt.syntax`: `subst` builds a
 substitution, and `subst_apply` here applies one.  A renaming is a
@@ -28,29 +30,32 @@ from .errors import (
 )
 from .interval import IONE, IVar, IZERO
 from .syntax import (
-    CLOCK, ESCAPE, FACE, IVAL, TERM, TICK, _NO_BLOCK, _POS, _ZERO,
+    CLOCK, ESCAPE, IVAL, TERM, TICK, _NO_BLOCK, _POS, _ZERO,
     CForcedTick, Closure, Context, Diamond, Substitution, TickVar, Tirr, Var,
-    _image, _iv, _iv_bound, _tick, entry_sort, rename_term, subst,
+    _image, _iv, _tick, entry_sort, rename_term, subst,
 )
 
-TIMELESS = (CLOCK, IVAL, FACE)
+TIMELESS = (CLOCK, IVAL)
 
 
 def timeless(ctx):
-    """TL: keep clocks, interval variables, and faces; drop the rest."""
+    """TL: keep clocks, interval variables and the restriction; drop the
+    rest."""
     return Context(tuple(
         e for e in ctx.entries if entry_sort(e) in TIMELESS
-    ))
+    ), ctx.restriction)
 
 
 def trim_check(trimmed, ctx):
-    """True iff `trimmed` arises from ctx by replacing a suffix by its TL."""
+    """True iff `trimmed` arises from ctx by replacing a suffix by its TL
+    (so it has ctx's restriction)."""
     for split in range(len(ctx.entries) + 1):
         candidate = Context(
             ctx.entries[:split]
-            + timeless(Context(ctx.entries[split:])).entries
+            + timeless(Context(ctx.entries[split:])).entries,
+            ctx.restriction,
         )
-        if candidate.entries == trimmed.entries:
+        if candidate == trimmed:
             return True
     return False
 
@@ -58,7 +63,7 @@ def trim_check(trimmed, ctx):
 def apply_mask(ctx, mask):
     return Context(tuple(
         e for e, keep in zip(ctx.entries, mask) if keep
-    ))
+    ), ctx.restriction)
 
 
 def _tickvar_mask(ctx, ix, clock):
@@ -263,13 +268,7 @@ def image_iv(env, x):
     """The interval expression or face x, scoped in env's cod, under env
     (None: the identity).  Read as the walker reads it: a variable outside
     env's scope raises `MalformedSubstitution`."""
-    if env is None:
-        return x
-    if not env.block[3] and not env.shift[3]:
-        sizes = env.sizes()
-        if sizes is None or _iv_bound(x) <= sizes[3]:
-            return x
-    return _iv(env, x, _ZERO)
+    return x if env is None else _iv(env, x, _ZERO)
 
 
 def clause_subst(scope, clause):

@@ -30,8 +30,7 @@ between contexts with `Renamer`.  The residual
 operations on substitutions (Operations 1 and 2) keep a substitution of
 their own, `Explicit`: its domain and codomain contexts and one component
 per codomain entry, as tuples ("term", t), ("clock", k), ("tick", u),
-("forced", k, u) for a forcing tick on domain clock k, ("ival", r) and
-("face",).
+("forced", k, u) for a forcing tick on domain clock k, and ("ival", r).
 
 `reference_whnf` is weak-head reduction by substitution, one redex at a
 time, every redex contracted by `naive_subst`: the rule the kernel's
@@ -74,7 +73,7 @@ from cctt.interval import (
     face_is_true, iv_map_vars, iv_rename, iv_substitute,
 )
 from cctt.syntax import (
-    CLOCK, FACE, IVAL, TERM, TICK,
+    CLOCK, IVAL, TERM, TICK,
     App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
@@ -486,8 +485,6 @@ def mask_renamer(ctx, mask):
     seen, kept = _zero_depth(), _zero_depth()
     for e, keep in zip(reversed(ctx.entries), reversed(mask)):
         sort = entry_sort(e)
-        if sort == FACE:
-            continue
         if keep:
             tables[sort][seen[sort]] = kept[sort]
             kept[sort] += 1
@@ -1013,7 +1010,7 @@ class Explicit:
 
 
 _COMP_SORT = {"term": TERM, "clock": CLOCK, "tick": TICK, "forced": TICK,
-              "ival": IVAL, "face": FACE}
+              "ival": IVAL}
 
 
 _IDENTITY = {
@@ -1021,7 +1018,6 @@ _IDENTITY = {
     CLOCK: lambda ix: ("clock", ix),
     TICK: lambda ix: ("tick", TickVar(ix)),
     IVAL: lambda ix: ("ival", IVar(ix)),
-    FACE: lambda ix: ("face",),
 }
 
 
@@ -1127,8 +1123,6 @@ def restrict_subst(sigma, cod_mask, dom_mask, extra_dom=()):
                 return ("forced", clock(k), extra.tick(ren.tick(u)))
             case ("ival", r):
                 return ("ival", ren.iv(r, d))
-            case ("face",):
-                return comp
         raise MalformedSubstitution(repr(comp))
 
     comps = tuple(

@@ -6,19 +6,19 @@ import pytest
 from cctt import conversion
 from cctt.checker import CheckState, infer
 from cctt.conversion import (
-    comp_eval, conv, conv_tm,
-    conv_under_face, hfill, tick_whnf, whnf,
+    comp_eval, conv, conv_tm, hfill, tick_whnf, whnf,
 )
 from cctt.errors import CcttError, FuelExhausted, MalformedSubstitution
 from cctt.interval import (
-    FAnd, FBOT, FEq, FTOP, INeg, IVar, IZERO, IONE,
+    FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IVar, IZERO, IONE,
+    face_clauses, iv_rename, iv_substitute,
 )
 from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module,
 )
 from cctt.syntax import (
     CLOCK, TERM, App, CApp, CLam, ClockElim, Closure, Comp, Con,
-    Constructor, Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar,
+    Constructor, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, HitSignature, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, Substitution, System,
     Telescope, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
@@ -240,23 +240,44 @@ class TestConv:
         ctx = PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
         phi = FAnd(FEq(0, 0), FEq(0, 1))
         ctx = ctx.push(EIVar())
-        assert conv_under_face(st(), ctx, phi, U(0), Var(0), Var(1))
+        assert conv(st(), ctx.restrict(phi), U(0), Var(0), Var(1))
 
     def test_conversion_under_face_substitutes_endpoints(self):
         # Under (i=1), p @ i == p @ 1.
         ctx = PRELUDE.push(EVar(PathT(U(0), U(0), U(1)))).push(EIVar())
         i = IVar(0)
-        assert conv_under_face(st(), ctx, FEq(0, 1), U(1),
-                               PApp(Var(0), i), PApp(Var(0), IONE))
-        assert not conv_under_face(st(), ctx, FEq(0, 0), U(1),
-                                   PApp(Var(0), i), PApp(Var(0), IONE))
+        assert conv(st(), ctx.restrict(FEq(0, 1)), U(1),
+                    PApp(Var(0), i), PApp(Var(0), IONE))
+        assert not conv(st(), ctx.restrict(FEq(0, 0)), U(1),
+                        PApp(Var(0), i), PApp(Var(0), IONE))
 
     def test_restricted_context_makes_equal(self):
-        # A context face (i=0) identifies p @ i with p @ 0.
+        # A context restricted to (i=0) identifies p @ i with p @ 0, also
+        # under binders pushed after the restriction.
         ctx = (PRELUDE.push(EVar(PathT(U(0), U(0), U(1))))
-               .push(EIVar()).push(EFace(FEq(0, 0))))
+               .push(EIVar()).restrict(FEq(0, 0)))
         assert conv(st(), ctx, U(0), PApp(Var(0), IVar(0)),
                     PApp(Var(0), IZERO))
+        inner = ctx.push(EIVar()).push(EVar(U(0)))
+        assert conv(st(), inner, U(0), PApp(Var(1), IVar(1)),
+                    PApp(Var(1), IZERO))
+        assert not conv(st(), inner, U(0), PApp(Var(1), IVar(0)),
+                        PApp(Var(1), IZERO))
+
+    def test_false_restriction_makes_every_comparison_true(self):
+        # Terms of different types, distinct variables and unequal
+        # universes are all equal where the restriction is false, also
+        # under binders pushed after it; and no step is spent.
+        ctx = PRELUDE.push(EVar(U(0))).push(EIVar()).push(EVar(Var(0)))
+        for phi in (FBOT, FAnd(FEq(0, 0), FEq(0, 1))):
+            state = st()
+            for rctx in (ctx.restrict(phi),
+                         ctx.restrict(phi).push(EIVar()).push(EVar(U(0)))):
+                assert rctx.restriction == FBOT
+                assert conv(state, rctx, U(0), Var(0), Var(1))
+                assert conv(state, rctx, U(1), U(0), Pi(U(0), U(0)))
+                assert conv(state, rctx, Var(1), Lam(Var(0)), Var(0))
+            assert state.steps == 0
 
     def test_forall_eta(self):
         ctx = PRELUDE.push(EVar(Forall(U(0))))
@@ -281,6 +302,83 @@ class TestConv:
 # --------------------------------------------------------------------------
 # The reduction machine: whnf returns the terms eager substitution gave
 # --------------------------------------------------------------------------
+
+# --------------------------------------------------------------------------
+# Comparison in a restricted context, against the clauses substituted
+# --------------------------------------------------------------------------
+
+# A : U0, a b : A, p q : Path A a b, then interval variables i2 i1 i0.
+_PATHS = (PRELUDE.push(EVar(U(0))).push(EVar(Var(0))).push(EVar(Var(1)))
+          .push(EVar(PathT(Var(2), Var(1), Var(0))))
+          .push(EVar(PathT(Var(3), Var(2), Var(1)))))
+_A = Var(4)
+
+
+def _random_face(rng, n, depth=3):
+    """A face over interval variables 0..n-1, built by the kernel's
+    builders from a random formula."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([FBOT, FTOP] + [FEq(ix, end) for ix in range(n)
+                                          for end in (0, 1)])
+    join = FOr if rng.randrange(2) else FAnd
+    return join(_random_face(rng, n, depth - 1),
+                _random_face(rng, n, depth - 1))
+
+
+def _random_point(rng, n):
+    """A point of A: a or b, or p or q at an interval expression over
+    variables 0..n-1."""
+    if rng.random() < 0.2:
+        return Var(rng.choice((2, 3)))
+    r = rng.choice([IZERO, IONE] + [IVar(ix) for ix in range(n)])
+    if rng.random() < 0.5:
+        r = (INeg(r) if rng.random() < 0.3 else
+             rng.choice((IMeet, IJoin))(r, IVar(rng.randrange(n))))
+    return PApp(Var(rng.randrange(2)), r)
+
+
+def _at_clause(t, clause, n):
+    """t with each interval variable of the clause (variable -> endpoint,
+    among the innermost n) sent to its endpoint, by the plain
+    substitution; the others stay where they are."""
+    ivals = tuple((IONE if clause[ix] else IZERO) if ix in clause
+                  else IVar(ix) for ix in reversed(range(n)))
+    return naive_subst(t, ivals=ivals, fresh=(0, 0, 0, n))
+
+
+def test_restriction_clauses_make_every_conjunct_true():
+    # Why a clause is compared in an unrestricted context: each clause of
+    # phi /\ psi contains a clause of psi, so psi holds there.
+    rng = random.Random(20)
+    for _ in range(500):
+        phi, psi = _random_face(rng, 3), _random_face(rng, 3)
+        for clause in face_clauses(FAnd(phi, psi)):
+            ends = {ix: IONE if end else IZERO for ix, end in clause.items()}
+            assert iv_substitute(psi, ends) == FTOP
+            assert iv_substitute(phi, ends) == FTOP
+
+
+def test_restricted_conversion_agrees_with_substituted_clauses():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        # Restricted to psi over the outermost interval variable when it
+        # is pushed, and to phi over all three at the end.
+        psi, phi = _random_face(rng, 1, depth=1), _random_face(rng, 3)
+        ctx = (_PATHS.push(EIVar()).restrict(psi).push(EIVar())
+               .push(EIVar()).restrict(phi))
+        whole = FAnd(iv_rename(psi, lambda ix: ix + 2), phi)
+        assert ctx.restriction == whole
+        t, u = _random_point(rng, 3), _random_point(rng, 3)
+        free = Context(ctx.entries)
+        want = all(conv(st(), free, _A, _at_clause(t, clause, 3),
+                        _at_clause(u, clause, 3))
+                   for clause in face_clauses(whole))
+        assert conv(st(), ctx, _A, t, u) == want, (whole, t, u)
+        if whole not in (FBOT, FTOP):
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
 
 def nat_signature():
     return HitSignature("nat", Telescope(()), 0, (

@@ -1,5 +1,6 @@
 """The package sources compile without warnings, import only at module
-level and only names they use, `import cctt.cli` loads none of
+level and only names they use, read every parameter they take but those
+listed with a reason, `import cctt.cli` loads none of
 `dataclasses`, `inspect` and `typing`, and every function the benchmark's
 tracer wraps exists (the parser's on the path a check takes)."""
 
@@ -97,6 +98,61 @@ def f(x):
 """)]
     assert _unused_imports(sources) == ["a.py:local", "a.py:regex",
                                         "a.py:stale"]
+
+
+def _unused_parameters(sources):
+    """The parameters of each function (or lambda) in sources that its
+    body never reads, as "module:function:parameter".  A read anywhere in
+    the body counts, in a nested function too; a method's `self` or `cls`
+    is passed whether it is read or not."""
+    unused = []
+    for module, text in sources:
+        for fn in ast.walk(ast.parse(text, module)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            args = fn.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None}
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)}
+            name = getattr(fn, "name", "<lambda>")
+            unused += (f"{module}:{name}:{param}"
+                       for param in params - read - {"self", "cls"})
+    return sorted(unused)
+
+
+# Parameters no code reads, each with the reason it stays.
+UNREAD_PARAMETERS = {
+    "syntax.py:_immutable:value": "`__setattr__` is called with the value"
+                                  " to set, `__delattr__` without",
+}
+
+
+def test_no_unused_parameters():
+    unused = [entry for entry in _unused_parameters(_package())
+              if entry not in UNREAD_PARAMETERS]
+    assert not unused, unused
+
+
+def test_unused_parameters_are_found():
+    # Parameters read nowhere (state, flag, rest, z) are unused; self, and
+    # parameters read in a nested function, its defaults or a lambda, are
+    # not.
+    sources = [("a.py", """
+def f(state, ctx, flag=False, *rest, **options):
+    def g(x=ctx):
+        return options["x"] + x
+    return g()
+
+class C:
+    def m(self, k):
+        return (lambda y, z: k + y)(1, 2)
+""")]
+    assert _unused_parameters(sources) == [
+        "a.py:<lambda>:z", "a.py:f:flag", "a.py:f:rest", "a.py:f:state"]
 
 
 def _layers():

@@ -11,7 +11,7 @@ from cctt.parser import (
 )
 from cctt.syntax import (
     App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Comp, Con, Constructor,
-    Context, DFix, Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase,
+    Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase,
     ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, Lam, Later, PApp,
     PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Telescope,
     Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, loose_bound,
@@ -184,9 +184,29 @@ def test_term_type_weakens_by_suffix():
     assert ctx.term_type(1) == Var(2)
 
 
-def test_restriction_faces_shift_to_full_context():
-    ctx = Context((EIVar(), EFace(FEq(0, 1)), EIVar()))
-    assert ctx.restriction_faces() == [FEq(1, 1)]
+def test_restriction_is_renamed_past_interval_variables():
+    # Restricted to (i0 = 1) after one interval variable, then another
+    # pushed: the face names the same variable, now i1.
+    ctx = Context((EIVar(),)).restrict(FEq(0, 1)).push(EIVar())
+    assert ctx.restriction == FEq(1, 1)
+    # Other sorts bind no interval variable.
+    for entry in (EVar(U(0)), EClock(), ETick(0)):
+        assert ctx.push(entry).restriction == FEq(1, 1)
+    assert Context().push(EIVar()).restriction == FTOP
+
+
+def test_restrict_meets_and_shares_what_depends_on_the_entries():
+    ctx = Context((EVar(U(0)), EIVar(), EIVar()))
+    ctx.count(TERM)
+    ctx.term_type(0)
+    phi = ctx.restrict(FEq(0, 1))
+    assert phi.entries is ctx.entries and phi.counts is ctx.counts
+    assert phi.types is ctx.types
+    assert phi.restriction == FEq(0, 1) and ctx.restriction == FTOP
+    both = phi.restrict(FOr(FEq(1, 0), FEq(0, 0)))
+    assert both.restriction == FAnd(FEq(0, 1), FEq(1, 0))
+    assert phi.restrict(FEq(0, 0)).restriction == FBOT
+    assert phi != ctx and phi == Context(ctx.entries, FEq(0, 1))
 
 
 def test_later_and_ticklam_store_prefix_relative_clock():
@@ -215,7 +235,7 @@ def _records():
         Con("nat", "succ", (), (), (zero,), ()), case,
         ClockElim("nat", 0, (), U(0), (case,), zero),
         System(((FEq(0, 1), Var(0)),)), TopRef("f"),
-        EVar(U(0)), EClock(), ETick(0), EIVar(), EFace(FEq(0, 1)),
+        EVar(U(0)), EClock(), ETick(0), EIVar(),
         Context((EClock(), EVar(U(0)))), CForcedTick(0, Diamond()),
         Telescope((U(0),)), ctor, sig,
         Definition("f", U(0), Var(0), None), DataDefinition(sig, ("FAIL",)),
@@ -272,9 +292,8 @@ _RECORD_CONTRACT = [
     ("EClock()", ()),
     ("ETick(clock=0)", ("clock",)),
     ("EIVar()", ()),
-    ("EFace(face=(i0=1))", ("face",)),
-    ("Context(entries=(EClock(), EVar(ty=U0)))",
-     ("entries", "counts", "types")),
+    ("Context(entries=(EClock(), EVar(ty=U0)), restriction=1F)",
+     ("entries", "restriction", "counts", "types")),
     ("CForcedTick(clock=0, tick=<>)", ("clock", "tick")),
     ("Telescope(types=(U0,))", ("types",)),
     (_CTOR, ("label", "args", "rec_arities", "ivar_count", "face",
@@ -340,6 +359,7 @@ def test_records_cannot_be_assigned():
 def test_records_take_their_fields_by_name_and_default():
     assert App(fn=Var(0), arg=Var(1)) == App(Var(0), Var(1))
     assert Context() == Context(()) and Context().counts is None
+    assert Context().restriction == FTOP
     assert Telescope().types == ()
     with pytest.raises(TypeError, match="'arg'"):
         App(Var(0))

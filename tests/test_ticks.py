@@ -12,9 +12,9 @@ from cctt.interval import (
     FAnd, FBOT, FEq, FOr, IJoin, IMeet, INeg, IONE, IVar, IZERO,
 )
 from cctt.syntax import (
-    CLOCK, FACE, IVAL, TERM, TICK,
+    CLOCK, IVAL, TERM, TICK,
     App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
-    Diamond, EClock, EFace, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
+    Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
     loose_bound, subst, weaken,
@@ -55,6 +55,23 @@ class TestTimelessAndTrim:
     def test_timeless_keeps_clocks_intervals_faces(self):
         ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar())
         assert timeless(ctx).entries == (KAPPA, EIVar())
+        # The restriction is no entry, and TL keeps it.
+        restricted = timeless(ctx.restrict(FEq(0, 1)))
+        assert restricted == Context((KAPPA, EIVar()), FEq(0, 1))
+
+    def test_masks_keep_the_restriction(self):
+        ctx = ctx_of(KAPPA, EIVar(), EVar(U(0)), ETick(0), EIVar(),
+                     EVar(U(0))).restrict(FEq(1, 0))
+        assert simple_residual(ctx, TickVar(0), 0) == Context(
+            (KAPPA, EIVar(), EVar(U(0)), EIVar()), FEq(1, 0))
+        assert forcing_residual(ctx, 0, Diamond()) == ctx
+
+    def test_trim_check_keeps_the_restriction(self):
+        ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar()).restrict(FEq(0, 1))
+        assert trim_check(timeless(ctx), ctx)
+        assert trim_check(ctx_of(KAPPA, EVar(U(0)), EIVar()).restrict(
+            FEq(0, 1)), ctx)
+        assert not trim_check(ctx_of(KAPPA, EVar(U(0)), EIVar()), ctx)
 
     def test_trim_check_accepts_suffix_replacement(self):
         ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar())
@@ -513,18 +530,21 @@ def test_generated_cases_cover_every_sort_and_the_forcing_rule():
 def _context_around(rng, t):
     """A context t is scoped in: t's variables, and a few more, of each
     sort in a random order behind an outermost clock, each tick on a clock
-    bound before it, and a face here and there."""
+    bound before it, and now and then restricted part way."""
     terms, clocks, ticks, ivals = (b + rng.randrange(2) for b in bound_of(t))
     sorts = ([TERM] * terms + [CLOCK] * max(clocks - 1, 0) + [TICK] * ticks
-             + [IVAL] * ivals + [FACE] * rng.randrange(2))
+             + [IVAL] * ivals)
     rng.shuffle(sorts)
+    restrict_at = rng.randrange(2 * len(sorts) + 1)
     ctx, bound_clocks = Context((KAPPA,)), 1
-    for sort in sorts:
+    for pos, sort in enumerate(sorts):
+        if pos == restrict_at:
+            ctx = ctx.restrict(FEq(0, 1) if ctx.count(IVAL) else FBOT)
         if sort == TICK:
             ctx = ctx.push(ETick(rng.randrange(bound_clocks)))
         else:
-            ctx = ctx.push({TERM: EVar(U(0)), CLOCK: KAPPA, IVAL: EIVar(),
-                            FACE: EFace(FEq(0, 1) if ivals else FBOT)}[sort])
+            ctx = ctx.push({TERM: EVar(U(0)), CLOCK: KAPPA,
+                            IVAL: EIVar()}[sort])
             bound_clocks += sort == CLOCK
     return ctx
 
@@ -555,7 +575,7 @@ def test_weakening_and_strengthening_agree_with_the_plain_renamer(seed):
     for u in (t, *payloads["terms"]):
         # Weakening past entries of random sorts at a random cut.
         b = bound_of(u)
-        inserted = rng.choices((TERM, CLOCK, TICK, IVAL, FACE),
+        inserted = rng.choices((TERM, CLOCK, TICK, IVAL),
                                k=rng.randrange(1, 4))
         cut = {s: rng.randrange(b[k] + 2)
                for k, s in enumerate((TERM, CLOCK, TICK, IVAL))}
@@ -564,6 +584,7 @@ def test_weakening_and_strengthening_agree_with_the_plain_renamer(seed):
         # the renamer meets a dropped variable.
         ctx = _context_around(rng, u)
         for mask in _residual_masks(rng, ctx):
+            assert apply_mask(ctx, mask).restriction == ctx.restriction
             try:
                 want = mask_renamer(ctx, mask).term(u)
             except TickEscape:
