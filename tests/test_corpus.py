@@ -7,6 +7,7 @@ indices, and single-token mutants of its HIT files each get a verdict per
 declaration, the one recorded in `tests/golden`."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -23,7 +24,7 @@ from cctt.parser import (
     surface_module,
 )
 from cctt.syntax import Con, ElimCase, Hit, Term, TopRef, loose_bound
-from oracles import bound_of, token_mutants
+from oracles import bound_of, load_workloads, token_mutants
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -234,6 +235,59 @@ def test_boundary_file_mutants_get_a_verdict_each():
     assert lines == recorded.splitlines()
 
 
+def _elaborations(label, text):
+    """A line per declaration of text: its name, its expectation, and the
+    SHA-256 of the repr of its kernel form, or its error class and message;
+    one `module` line for a syntax error."""
+    try:
+        decls = surface_module(text)
+    except ParseError as err:
+        return [f"{label} module - ParseError: {err}"]
+    lines = []
+    for name, expect, d in decls:
+        want = "-" if expect is None else ":".join(expect)
+        if isinstance(d, CcttError):
+            got = f"{d.error_class}: {d.message}"
+        else:
+            got = hashlib.sha256(repr(d).encode()).hexdigest()
+        lines.append(f"{label} {name} {want} {got}")
+    return lines
+
+
+def elaboration_lines():
+    """What `tests/golden/elaborations.txt` records: the elaborations of
+    every corpus file and of the seed-1 and seed-2 inputs of the `reduce`
+    and `scale` workloads, then the detail of every verdict other than
+    PASS of the first 300 boundary mutants.  The 300-deep `paren300` input
+    is left out, as it could not be parsed when the record was made."""
+    lines = []
+    for path in FILES:
+        lines += _elaborations(path.relative_to(CORPUS).as_posix(),
+                               path.read_text(encoding="utf-8"))
+    workloads = load_workloads()
+    for workload in ("reduce", "scale"):
+        for seed in (1, 2):
+            for inp in getattr(workloads, workload)(seed, ROOT):
+                if not inp.path.endswith("paren300.cctt"):
+                    lines += _elaborations(f"seed{seed}:{inp.path}",
+                                           inp.text)
+    for n, (_, _, report, _) in enumerate(boundary_mutants(300)):
+        for (status, path, decl), detail in zip(report.lines,
+                                                report.details):
+            if status != "PASS":
+                name = Path(path).relative_to(CORPUS).as_posix()
+                lines.append(f"mutant {n} {name} {status} {decl} {detail}")
+    return lines
+
+
+def test_elaborations_are_the_recorded_ones():
+    # The parser's output, errors and their positions included, pinned
+    # declaration by declaration.  `python tests/test_corpus.py` rewrites
+    # the record.
+    recorded = (GOLDEN / "elaborations.txt").read_text(encoding="utf-8")
+    assert elaboration_lines() == recorded.splitlines()
+
+
 def test_referenced_names_walk_deep_terms():
     # Built directly: the parser cannot read a literal this deep.
     t = TopRef("z")
@@ -423,3 +477,8 @@ def test_conversion_trace_is_deterministic(capsys):
     assert "TRACE" in traces[0]
     assert "object at" not in traces[0]
     assert traces[0] == traces[1]
+
+
+if __name__ == "__main__":
+    (GOLDEN / "elaborations.txt").write_text(
+        "\n".join(elaboration_lines()) + "\n", encoding="utf-8")
