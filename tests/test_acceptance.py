@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from cctt.checker import CheckState, PRELUDE, check, infer
-from cctt.cli import Report, check_file, main
+from cctt.__main__ import main
+from cctt.cli import Report, check_file
 from cctt.conversion import conv, signature_subst, whnf
 from cctt.errors import FuelExhausted
 from cctt.interval import (

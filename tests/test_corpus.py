@@ -17,7 +17,8 @@ import pytest
 
 from cctt import cli
 from cctt.checker import CheckState
-from cctt.cli import EXPECT_PARSE_ERROR, Report, check_file, main
+from cctt.__main__ import main
+from cctt.cli import EXPECT_PARSE_ERROR, Report, check_file
 from cctt.errors import CcttError, ParseError, UnboundVariable
 from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module, print_module,
@@ -289,12 +290,31 @@ def test_elaborations_are_the_recorded_ones():
 
 
 def test_referenced_names_walk_deep_terms():
-    # Built directly: the parser cannot read a literal this deep.
+    # Built directly, to test the walk alone.
     t = TopRef("z")
     for _ in range(20000):
         t = Con("nat", "succ", (), (), (t,), ())
     decl = Definition("big", Hit("nat", ()), t, None)
     assert cli.referenced_names(decl) == {"nat", "z"}
+
+
+def deep_literal_file(depth=300):
+    """A file shaped as the `scale` workload's `paren300.cctt`: a `succ`
+    literal with depth - 1 nested parentheses."""
+    return ("data nat : U0 where\n  | zero\n  | succ (m : nat)\n\n"
+            "--expect-pass\ndef big : nat := "
+            + "succ (" * (depth - 1) + "succ zero" + ")" * (depth - 1) + "\n")
+
+
+def test_a_deep_literal_checks_and_the_next_file_too(tmp_path, capsys):
+    deep, good = tmp_path / "deep.cctt", tmp_path / "good.cctt"
+    deep.write_text(deep_literal_file())
+    good.write_text("def g (A : U0) (x : A) : A := x\n")
+    assert main(["check", str(deep), str(good)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"PASS {deep}:nat", f"PASS {deep}:big",
+                     f"PASS {good}:g",
+                     "3 declarations: 3 passed, 0 failed, 0 skipped"]
 
 
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The package sources compile without warnings, import only at module
 level and only names they use, read every parameter they take but those
-listed with a reason, `import cctt.cli` loads none of
+listed with a reason, `import cctt.cli` loads none of `argparse`,
 `dataclasses`, `inspect` and `typing`, and every function the benchmark's
 tracer wraps exists (the parser's on the path a check takes)."""
 
@@ -9,6 +9,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -44,10 +45,11 @@ def test_no_function_local_imports():
     assert not found, sorted(found)
 
 
-def test_cli_imports_no_dataclasses_inspect_or_typing():
+def test_cli_imports_no_argparse_dataclasses_inspect_or_typing():
     # `-S`: a site-packages path file may import `typing` before the test.
-    probe = ("import sys, cctt.cli; print(sorted({'dataclasses', 'inspect',"
-             " 'typing'} & set(sys.modules)))")
+    # The command line, which needs `argparse`, is `cctt.__main__`.
+    probe = ("import sys, cctt.cli; print(sorted({'argparse', 'dataclasses',"
+             " 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, check=True)
@@ -214,6 +216,56 @@ def test_traced_token_count_is_the_modules_tokens():
     assert tracer.calls["parser.tokenize"] == 1
     text = path.read_text(encoding="utf-8")
     assert tracer.tokens == len(reference_tokenize(text))
+
+
+# Checks the 300-deep `succ` literal of the `scale` workload's
+# `paren300.cctt` at the default recursion limit, with the benchmark's
+# tracer installed and without, and prints each run's verdict lines and
+# steps.
+TRACED_DEPTH_PROBE = """
+import contextlib, importlib.util, io, json, sys
+import cctt.cli
+sys.path.insert(0, sys.argv[2])
+from test_corpus import deep_literal_file
+spec = importlib.util.spec_from_file_location("layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+states = []
+class Recording(cctt.cli.CheckState):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        states.append(self)
+cctt.cli.CheckState = Recording
+runs = []
+for traced in (True, False):
+    tracer = layers.Tracer()
+    if traced:
+        tracer.install()
+    report = cctt.cli.Report()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cctt.cli.check_file("deep.cctt", deep_literal_file(), 10**6,
+                                report)
+    finally:
+        if traced:
+            tracer.uninstall()
+    runs.append([report.lines, states.pop().steps])
+print(json.dumps([sys.getrecursionlimit(), runs]))
+"""
+
+
+def test_deep_literal_checks_alike_traced_and_untraced():
+    # The benchmark's traced pass compares its verdicts and steps with the
+    # untraced pass's, so both must finish, at the default recursion limit.
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_DEPTH_PROBE, str(LAYERS),
+         str(ROOT / "tests")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True)
+    limit, (traced, untraced) = json.loads(proc.stdout)
+    assert limit == 1000
+    assert traced == untraced
+    assert [status for status, _, _ in traced[0]] == ["PASS", "PASS"]
 
 
 def test_traced_substitution_functions_are_on_the_checking_path():
