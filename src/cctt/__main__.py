@@ -1,9 +1,9 @@
 """Batch checker command line.
 
 `cctt check FILE... [--corpus DIR] [--max-steps N] [--trace-conv]`, or
-`python -m cctt check ...`, checks each file's declarations in order
-against the ambient-clock context and reports one `PASS|FAIL|SKIP
-file:decl` line per declaration (`cli.check_file`).  Exit status 0 means
+`python -m cctt check ...`, checks each file's declarations in order,
+each in the empty context, and reports one `PASS|FAIL|SKIP file:decl` line
+per declaration (`cli.check_file`).  Exit status 0 means
 every expectation was met, 1 means some expectation was violated, 2 means
 a usage or I/O problem.
 """

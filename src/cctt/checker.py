@@ -6,9 +6,9 @@ subtype of U m for n <= m).  Tick applications are typed by strengthening
 the head into the maximal residual context; forcing applications by
 checking the head under a fresh clock binder over the forcing residual.
 
-Definitions and data signatures live in a CheckState whose ambient prelude
-binds one clock constant; `promote` weakens a prelude-scoped body into any
-checking context built over it.
+Definitions and data signatures live in a CheckState.  They are closed
+terms, checked in the empty context: the clock constant k0 is
+`syntax.K0`, no variable, so a definition is used in any context as it is.
 
 A constructor's boundary pieces are ordinary terms, checked by the ordinary
 rules (as cubicaltt checks a HIT constructor's boundary system; Coquand,
@@ -33,8 +33,8 @@ case's binders.  A substitution that needs a scope but no typing context
 """
 
 from .conversion import (
-    conv, conv_tm, signature_subst, subst1, subst_clock1,
-    subst_force1, subst_ival1, subst_tick1, whnf,
+    conv, conv_tm, subst1, subst_clock1, subst_force1, subst_ival1,
+    subst_tick1, whnf,
     _clam_n, _elim_con, _forall_n, _weaken_elim,
 )
 from .errors import (
@@ -51,16 +51,14 @@ from .interval import (
 )
 from .syntax import (
     App, CApp, CLam, CLOCK, ClockElim, Comp, Con, Context, DFix, EClock,
-    EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, Lam,
+    EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, K0, Lam,
     Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM,
     TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
-    rename_term, shape, strengthen, structural_equal, weaken, weaken_iv,
+    rename_term, shape, strengthen, structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
     apply_mask, residual_mask, strengthen_term, subst_apply, weakening_subst,
 )
-
-PRELUDE = Context((EClock(),))
 
 
 class CheckState:
@@ -94,20 +92,14 @@ class CheckState:
         entry = self.definitions.get(name)
         return entry[0] if entry else None
 
-    def promote(self, t, ctx):
-        """Weaken a prelude-scoped term into a context built over it.  Its
-        only free variable is the prelude clock, which only the clocks
-        bound after the prelude move."""
-        return weaken(t, [CLOCK] * (ctx.count(CLOCK) - PRELUDE.count(CLOCK)))
-
     def infer(self, ctx, t):
         """The type of t in ctx, for `conversion`, which the checker
         imports."""
         return infer(self, ctx, t)
 
     def add_definition(self, name, ty, body):
-        check_is_type(self, PRELUDE, ty)
-        check(self, PRELUDE, body, ty)
+        check_is_type(self, Context(), ty)
+        check(self, Context(), body, ty)
         self.definitions[name] = (ty, body)
 
     def add_signature(self, sig):
@@ -129,7 +121,7 @@ def _check_iv(ctx, x):
 
 
 def _check_clock(ctx, k):
-    if not (0 <= k < ctx.count(CLOCK)):
+    if k != K0 and not 0 <= k < ctx.count(CLOCK):
         raise ClockMismatch(f"clock {k} is not in scope")
 
 
@@ -149,7 +141,7 @@ def infer(state, ctx, t):
             ty = state.definition_type(name)
             if ty is None:
                 raise UnboundVariable(f"no definition named {name}", name=name)
-            return state.promote(ty, ctx)
+            return ty
 
         case U(n):
             return U(n + 1)
@@ -578,7 +570,7 @@ def _check_telescope(state, ctx, outer, values, types):
     telescope) and the values before it."""
     for j, ty in enumerate(types):
         check(state, ctx, values[j],
-              subst_apply(signature_subst(ctx, (*outer, *values[:j])), ty))
+              subst_apply(subst(ctx, terms=(*outer, *values[:j])), ty))
 
 
 def _check_hit_params(state, ctx, sig, params):
@@ -595,7 +587,7 @@ def check_hit_signature(state, sig):
     per-constructor boundaries (labels, typing, covering, compatibility)."""
     if state.signatures.get(sig.name) is not None:
         raise NonProperEntry(f"data type {sig.name} is already declared")
-    delta_ctx = _check_entry_types(state, PRELUDE, sig.params.types,
+    delta_ctx = _check_entry_types(state, Context(), sig.params.types,
                                    "parameter ", sig.name)
 
     declaring = _Declaring(sig)
@@ -659,8 +651,8 @@ class _Declaring:
 
 
 def _check_boundary(state, declaring, ctor, cctx):
-    """Type each boundary piece at the data type, in cctx (prelude,
-    parameters, constructor arguments) extended by the recursive arguments
+    """Type each boundary piece at the data type, in cctx (parameters,
+    constructor arguments) extended by the recursive arguments
     (their types read, not renamed) and the interval binders, with the
     constructors before this one declared; then check that the pieces
     cover the face and agree where they overlap: are equal terms, or else
@@ -764,8 +756,7 @@ def _arity_types(scope, arity, outer):
     for q, ty in enumerate(arity.types):
         terms = [weaken(x, [TERM] * q) for x in outer]
         terms += [Var(q - 1 - s) for s in range(q)]
-        tys.append(subst_apply(signature_subst(shape(scope, terms=q), terms),
-                               ty))
+        tys.append(subst_apply(subst(shape(scope, terms=q), terms=terms), ty))
     return tys
 
 
@@ -802,7 +793,7 @@ def check_clock_elim(state, ctx, elim):
         _capp_n(weaken(q, [CLOCK] * n), n) for q in elim.params
     )
     for p, ty in enumerate(sig.params.types):
-        body = subst_apply(signature_subst(ctx_n, hit_params_n[:p]), ty)
+        body = subst_apply(subst(ctx_n, terms=hit_params_n[:p]), ty)
         check(state, ctx, elim.params[p], _forall_n(n, body))
 
     scrut_ty = _forall_n(n, Hit(sig.name, hit_params_n))
@@ -854,7 +845,7 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         terms = [_capp_n(weaken(p, [TERM] * j + [CLOCK] * n), n)
                  for p in elim.params]
         terms += [_capp_n(Var(j - 1 - i), n) for i in range(j)]
-        body = subst_apply(signature_subst(shape(cur, clocks=n), terms),
+        body = subst_apply(subst(shape(cur, clocks=n), terms=terms),
                            ctor.args.types[j])
         cur = cur.push(EVar(_forall_n(n, body)))
 
@@ -906,8 +897,8 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     elim_w = _weaken_elim(elim, case_sorts, None)
     body, env = _elim_con(state, case_ctx, elim_w, None, con, None)
     body = subst_apply(env, body)
-    sigma = signature_subst(shape(case_ctx, clocks=n),
-                            con.params + con.args + con.recs, con.ivals)
+    sigma = subst(shape(case_ctx, clocks=n),
+                  terms=con.params + con.args + con.recs, ivals=con.ivals)
     for phi, piece in ctor.boundary:
         at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
                              elim_w.motive, elim_w.cases,

@@ -1,19 +1,19 @@
 """Batch checking: `check_file` checks one file's declarations in order
-against the ambient-clock context and reports one `PASS|FAIL|SKIP
-file:decl` line per declaration.  The command line is `cctt.__main__`.
+in the empty context and reports one `PASS|FAIL|SKIP file:decl` line per
+declaration.  The command line is `cctt.__main__`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .checker import CheckState, PRELUDE, check, check_is_type
+from .checker import CheckState, check, check_is_type
 from .conversion import conv, whnf
 from .errors import CcttError, ParseError, UnboundVariable
 from .parser import (
     ConvCheck, DataDefinition, Definition, surface_module,
 )
-from .syntax import ClockElim, Con, Hit, TopRef
+from .syntax import ClockElim, Con, Context, Hit, TopRef
 
 
 # A file that must not parse says so in a pragma at the start of a line;
@@ -70,14 +70,15 @@ def _run_decl(state, path, decl, trace):
             return None
         case ConvCheck(name=name, ty=ty, lhs=lhs, rhs=rhs,
                        want_equal=want):
-            check_is_type(state, PRELUDE, ty)
-            check(state, PRELUDE, lhs, ty)
-            check(state, PRELUDE, rhs, ty)
-            got = conv(state, PRELUDE, ty, lhs, rhs)
+            ctx = Context()
+            check_is_type(state, ctx, ty)
+            check(state, ctx, lhs, ty)
+            check(state, ctx, rhs, ty)
+            got = conv(state, ctx, ty, lhs, rhs)
             if trace:
                 print(f"TRACE {path}:{name}:"
-                      f" {whnf(state, PRELUDE, lhs)!r}"
-                      f" ~ {whnf(state, PRELUDE, rhs)!r}")
+                      f" {whnf(state, ctx, lhs)!r}"
+                      f" ~ {whnf(state, ctx, rhs)!r}")
             return got == want
     raise TypeError(f"not a declaration: {decl!r}")
 

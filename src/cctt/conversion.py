@@ -87,11 +87,10 @@ Weakening and strengthening are substitutions too, applied by the same
 walk: whether a type line mentions its interval variable
 (`_mentions_ival0`) is whether strengthening it past that variable fails.
 `subst1`, `subst_ival1`, `subst_clock1` and `subst_tick1` instantiate one
-variable; `subst_force1` is the forcing beta rule, shared with the checker;
-`signature_subst` instantiates a term scoped in a data type's telescope
-(prelude clock, parameters, arguments, recursive arguments, interval
-binders): a boundary piece is an ordinary term in that scope, so firing it
-is one substitution.  `_weaken_elim` moves an eliminator under binders, for
+variable; `subst_force1` is the forcing beta rule, shared with the checker.
+A boundary piece is an ordinary term scoped in its data type's telescope
+(parameters, arguments, recursive arguments, interval binders), so firing
+it is one `subst`.  `_weaken_elim` moves an eliminator under binders, for
 a recursive call, an hcomp's tube and the checker's eliminator cases;
 `_filler` builds the extent and tube system of a filler, which `_fill_fwd`
 composes along a line and `hfill` homogeneously.
@@ -161,15 +160,6 @@ def _forcing_env(ctx, k, u):
     """The substitution of the forcing beta rule, for a body scoped in ctx
     plus a clock and a tick on it."""
     return subst(ctx, clocks=(k,), ticks=(CForcedTick(0, u),))
-
-
-def signature_subst(scope, terms, ivals=()):
-    """The substitution for a term scoped in a signature telescope: the
-    prelude clock goes to the outermost clock of `scope`, then parameters
-    and arguments to `terms` and interval binders to `ivals`, all scoped
-    in `scope` (a context or a shape)."""
-    return subst(scope, terms=terms, clocks=(shape(scope)[1] - 1,),
-                 ivals=ivals)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +253,7 @@ def _whnf_env(state, ctx, t, env=None):
             body = state.definition_body(t.name)
             if body is None:
                 return _apply_spine(t, spine), None
-            t, env = state.promote(body, ctx), None
+            t, env = body, None
             continue
         if cls is Con:
             ctor = state.signature(t.name).constructor(t.label)
@@ -644,9 +634,9 @@ def _ctrans_args(ctx, ctor, params_line, face, args):
     fills = []    # scoped (ctx, j): the m-th argument's filler at level j
     results = []
     for m, ty in enumerate(ctor.args.types):
-        # ty is scoped (prelude clock, Delta, args<m).
+        # ty is scoped (Delta, args<m).
         line = subst_apply(
-            signature_subst(ictx, params_line + tuple(fills[:m])), ty
+            subst(ictx, terms=params_line + tuple(fills[:m])), ty
         )
         fills.append(_fill_fwd(
             ictx,
@@ -692,7 +682,7 @@ def _boundary_fire(ctx, ctor, env, params, args, recs, ivals):
     for phi, piece in ctor.boundary:
         if face_is_true(iv_substitute(phi, assignment)):
             terms = tuple(close(env, x) for x in params + args + recs)
-            return piece, signature_subst(ctx, terms, ivals)
+            return piece, subst(ctx, terms=terms, ivals=ivals)
     raise IllFormedRedex(
         f"constructor face of {ctor.label} satisfied but no boundary piece "
         "fires"

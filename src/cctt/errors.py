@@ -57,6 +57,7 @@ class NotALater(CcttError): pass
 class TypeMismatch(CcttError): pass
 class EndpointMismatch(CcttError): pass
 class IncompatibleOverlap(CcttError): pass
+class FaceTooLarge(CcttError): pass
 class TubeMismatch(CcttError): pass
 class BaseBoundaryMismatch(CcttError): pass
 class ArityMismatch(CcttError): pass

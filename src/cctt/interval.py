@@ -21,6 +21,12 @@ and face entailment compares clauses by subset.
 Variables are de Bruijn indices of the interval sort.
 """
 
+from .errors import FaceTooLarge
+
+# A meet or join forming more clauses raises `FaceTooLarge`: far above the
+# 28 of the largest normal form in the corpus and the benchmark's inputs.
+MAX_CLAUSES = 1024
+
 
 class IExpr(frozenset):
     """An interval expression in normal form.  Build it with `IVar`,
@@ -91,6 +97,8 @@ def meet(x, y):
         return x
     if x == _TOP or not y:
         return y
+    if len(x) * len(y) > MAX_CLAUSES:
+        raise FaceTooLarge(f"a meet of {len(x) * len(y)} clauses")
     clauses = (c | d for c in x for d in y)
     if type(x) is Face:
         clauses = filter(_consistent, clauses)
@@ -103,6 +111,8 @@ def join(x, y):
         return x
     if not x or y == _TOP:
         return y
+    if len(x) + len(y) > MAX_CLAUSES:
+        raise FaceTooLarge(f"a join of {len(x) + len(y)} clauses")
     return _absorb(type(x), x | y)
 
 

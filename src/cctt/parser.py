@@ -32,18 +32,19 @@ from itertools import compress, count, islice
 from operator import itemgetter
 
 from .errors import (
-    ERROR_CLASSES, ArityMismatch, CcttError, ParseError, UnboundVariable,
+    ERROR_CLASSES, ArityMismatch, CcttError, FaceTooLarge, ParseError,
+    UnboundVariable,
 )
 from .interval import (
-    FAnd, FBOT, FEq, FOr, FTOP, Face, IJoin, IMeet, INeg, IONE, IVar, IZERO,
-    face_join, iv_rename, iv_show,
+    FBOT, FEq, FOr, FTOP, Face, IJoin, IMeet, INeg, IONE, IVar, IZERO,
+    face_join, iv_rename, iv_show, join, meet,
 )
 from .syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Constructor, DFix, Diamond,
     ElimCase, ForceApp, Forall, HComp, Hit, HitSignature, Lam, Later, PApp,
     PFix, PLam, PathT, Pi, System, Telescope, TickApp, TickLam, TickVar,
     Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, TERM, TICK, record, weaken, weaken_iv,
+    CLOCK, IVAL, K0, TERM, TICK, record, weaken, weaken_iv,
 )
 
 RESERVED = {
@@ -161,8 +162,7 @@ class Module:
     decls: tuple
 
 
-AMBIENT_CLOCK = "k0"
-_BASE_SCOPE = ((AMBIENT_CLOCK,), (CLOCK,))
+K0_NAME = "k0"
 
 # What a term's tokens are read as, besides a term (TERM) and an interval
 # expression (IVAL, a constructor's interval arguments): a boundary term,
@@ -317,6 +317,14 @@ class Elaborator:
         if self.err is None or pos < self.err[0]:
             self.err = (pos, err)
 
+    def lattice(self, pos, op, *args):
+        """op(*args), or 0 for a FaceTooLarge, kept as the error at pos."""
+        try:
+            return op(*args)
+        except FaceTooLarge as err:
+            self.error(pos, err)
+            return type(args[0])()
+
     def misplaced(self, pos, mode, msg=None):
         """Keep the error for a construct at pos that mode cannot hold (msg
         in term position); what to read it as instead."""
@@ -339,6 +347,8 @@ class Elaborator:
             pos, name = self.pos, self.name()
         if name in sc[0] and sc[1][sc[0].index(name)] == sort:
             return sc[1][:sc[0].index(name)].count(sort)
+        if name == K0_NAME and sort == CLOCK and name not in sc[0]:
+            return K0
         self.error(pos, ParseError(
             f"{name!r} is not {_ARTICLE[sort]} variable in scope"))
         return 0
@@ -690,7 +700,8 @@ class Elaborator:
                     pos, mode = pos + 2, TERM
                     continue
                 elif mode is IVAL and value == "~":
-                    stack.append((_F_WRAP, (INeg,), start, TERM, _NOTHING))
+                    neg = partial(self.lattice, start, INeg)
+                    stack.append((_F_WRAP, (neg,), start, TERM, _NOTHING))
                     continue
                 elif mode is IVAL and self.kind[value] == "num":
                     self.pos = start
@@ -824,7 +835,8 @@ class Elaborator:
                     # operand and an arrow's codomain by frames of their
                     # own.
                     if fr[7] and fr[4]:
-                        t = (IMeet if fr[7] == 2 else IJoin)(fr[5], t)
+                        t = self.lattice(pos, IMeet if fr[7] == 2 else IJoin,
+                                         fr[5], t)
                     while (prec := _TERM_OPS.get(toks[pos])) is not None \
                             and prec >= fr[8]:
                         pos += 1
@@ -996,15 +1008,15 @@ class Elaborator:
             while True:
                 while stack and stack[-1] is _NOT:
                     stack.pop()
-                    x = INeg(x)
+                    x = self.lattice(self.pos, INeg, x)
                 if atom and not stack:
                     return x
                 prec = _LATTICE_OPS.get(toks[self.pos])
                 while stack and stack[-1] is not _OPEN \
                         and (prec is None or stack[-1][1] >= prec):
                     left, op = stack.pop()
-                    x = (FAnd if face else IMeet)(left, x) if op == 2 \
-                        else (FOr if face else IJoin)(left, x)
+                    x = self.lattice(self.pos, meet if op == 2 else join,
+                                     left, x)
                 if prec is not None:
                     self.pos += 1
                     stack.append((x, prec))
@@ -1261,7 +1273,7 @@ class Elaborator:
             name, d = self.data_decl(at, expect)
         elif kw == "def":
             name = self.fresh_name(at)
-            doms, sc = self.binder_groups(_BASE_SCOPE)
+            doms, sc = self.binder_groups(((), ()))
             self.expect(":")
             ty = self.read(sc)
             self.expect(":=")
@@ -1274,11 +1286,11 @@ class Elaborator:
         else:
             self.conv_count += 1
             name = f"conv{self.conv_count}"
-            lhs = self.read(_BASE_SCOPE)
+            lhs = self.read(((), ()))
             self.expect("=")
-            rhs = self.read(_BASE_SCOPE)
+            rhs = self.read(((), ()))
             self.expect(":")
-            d = ConvCheck(name, self.read(_BASE_SCOPE), lhs, rhs,
+            d = ConvCheck(name, self.read(((), ())), lhs, rhs,
                           kw == "--expect-conv")
         return name, expect, d if self.err is None else self.err[1]
 
@@ -1295,7 +1307,7 @@ class Elaborator:
 
     def data_decl(self, kw, expect):
         name = self.fresh_name(kw)
-        ptypes, sc = self.binder_groups(_BASE_SCOPE)
+        ptypes, sc = self.binder_groups(((), ()))
         level = 0
         if self.at(":"):
             self.pos += 1
@@ -1424,6 +1436,8 @@ def parse_module(text):
 _PRINTED_BINDERS = {make: (tok + " " * tok.isalpha(), sort, closer)
                     for tok, (make, sort, closer) in _BINDERS.items()}
 _PREFIX = {TERM: "x", IVAL: "i", CLOCK: "k"}
+# The names in scope per sort, innermost last, where a declaration starts.
+_NO_NAMES = {TERM: (), CLOCK: (), TICK: (), IVAL: ()}
 
 
 class _Printer:
@@ -1442,12 +1456,12 @@ class _Printer:
 
     @staticmethod
     def lookup(env, sort, ix):
-        return env[sort][-1 - ix]
+        return K0_NAME if ix == K0 else env[sort][-1 - ix]
 
     @staticmethod
     def push(env, sort, name):
         out = dict(env)
-        out[sort] = out[sort] + [name]
+        out[sort] = out[sort] + (name,)
         return out
 
     def atom(self, env, t):
@@ -1597,10 +1611,6 @@ class _Printer:
         return iv_show(x, literal)
 
 
-def _base_env():
-    return {TERM: [], CLOCK: [AMBIENT_CLOCK], TICK: [], IVAL: []}
-
-
 def _expect_line(expect):
     if expect is None:
         return None
@@ -1610,7 +1620,7 @@ def _expect_line(expect):
 
 
 def print_module(module):
-    taken = {AMBIENT_CLOCK, "I"} | set(RESERVED)
+    taken = {K0_NAME, "I"} | set(RESERVED)
     for d in module.decls:
         match d:
             case Definition(name=name):
@@ -1626,14 +1636,14 @@ def print_module(module):
                 lines = []
                 if (p := _expect_line(expect)) is not None:
                     lines.append(p)
-                env = _base_env()
+                env = _NO_NAMES
                 lines.append(f"def {name} : {pr.term(env, ty)}"
                              f" := {pr.term(env, body)}")
                 chunks.append("\n".join(lines))
             case DataDefinition(sig, expect):
                 chunks.append(_print_data(pr, sig, expect))
             case ConvCheck(_, ty, lhs, rhs, want):
-                env = _base_env()
+                env = _NO_NAMES
                 kw = "--expect-conv" if want else "--expect-not-conv"
                 chunks.append(f"{kw} {pr.term(env, lhs)} ="
                               f" {pr.term(env, rhs)} : {pr.term(env, ty)}")
@@ -1644,7 +1654,7 @@ def _print_data(pr, sig, expect):
     lines = []
     if (p := _expect_line(expect)) is not None:
         lines.append(p)
-    env = _base_env()
+    env = _NO_NAMES
     params = []
     for ty in sig.params.types:
         nm = pr.fresh("p")

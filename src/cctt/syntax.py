@@ -82,6 +82,10 @@ from .interval import FAnd, FTOP, Face, IExpr, IVar, iv_map_vars, iv_rename
 # Entry sorts.
 TERM, CLOCK, TICK, IVAL = "term", "clock", "tick", "ival"
 
+# The clock constant k0, which no binder binds: walks under binders and
+# loose bounds (k + 1 = 0) leave it alone, and so does `_shift_clock`.
+K0 = -1
+
 
 # --------------------------------------------------------------------------
 # Records
@@ -568,13 +572,10 @@ class Context:
         return ty
 
     def tick_clock(self, ix):
-        """Clock index (valid in the full context) of the ix-th tick."""
+        """The clock of the ix-th tick, valid in the full context."""
         pos = self.pos_of(TICK, ix)
-        entry = self.entries[pos]
-        extra = sum(
-            1 for e in self.entries[pos:] if entry_sort(e) == CLOCK
-        )
-        return entry.clock + extra
+        return _shift_clock(self.entries[pos].clock, sum(
+            1 for e in self.entries[pos:] if entry_sort(e) == CLOCK))
 
 
 # --------------------------------------------------------------------------
@@ -851,6 +852,11 @@ class Closure:
         return self.term
 
 
+def _shift_clock(k, by):
+    """The clock k moved past `by` clock binders: K0 stays."""
+    return k + by if k >= 0 else k
+
+
 def _weaken_payload(si, p, depth):
     """A block payload moved past `depth` binders pushed in the scope; a
     closure is materialised first."""
@@ -859,7 +865,7 @@ def _weaken_payload(si, p, depth):
     if depth == _ZERO:
         return p
     if si == 1:
-        return p + depth[1]
+        return _shift_clock(p, depth[1])
     if si == 3:
         return weaken_iv(p, [IVAL] * depth[3])
     sorts = ([TERM] * depth[0] + [CLOCK] * depth[1] + [TICK] * depth[2]
@@ -881,7 +887,7 @@ def _image(sg, si, ix, depth):
     block = sg.block[si]
     if k < len(block):
         if si == 1:
-            return block[k] + depth[1]
+            return _shift_clock(block[k], depth[1])
         key = (si, k, depth)
         out = sg._memo.get(key)
         if out is None:
@@ -1072,7 +1078,7 @@ def _tick_app(sg, fn, tick, d):
                 )
             return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn,
                                 _ZERO),
-                            sg.block[1][c] + d[1], new_tick)
+                            _shift_clock(sg.block[1][c], d[1]), new_tick)
     return TickApp(_go(sg, fn, d), new_tick)
 
 
@@ -1239,13 +1245,13 @@ class Telescope:
 @record
 class Constructor:
     label: str
-    args: Telescope       # over (ambient, Delta)
-    rec_arities: tuple    # Telescopes over (ambient, Delta, args)
+    args: Telescope       # over Delta
+    rec_arities: tuple    # Telescopes over (Delta, args)
     ivar_count: int
     face: Face            # over the constructor's interval variables
-    # Of (Face, Term): each piece is an ordinary term over the prelude
-    # clock, Delta, args, the recursive arguments (the k-th a term variable
-    # of type (Theta_k) -> H(Delta)) and the interval binders.
+    # Of (Face, Term): each piece is an ordinary term over Delta, args, the
+    # recursive arguments (the k-th a term variable of type
+    # (Theta_k) -> H(Delta)) and the interval binders.
     boundary: tuple
 
 

@@ -73,7 +73,7 @@ from cctt.interval import (
     face_is_true, iv_map_vars, iv_rename, iv_substitute,
 )
 from cctt.syntax import (
-    CLOCK, IVAL, TERM, TICK,
+    CLOCK, IVAL, K0, TERM, TICK,
     App, CApp, CForcedTick, CLam, ClockElim, Comp, Con, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
@@ -522,7 +522,7 @@ def _tick_vars(u):
 class _Subst1(Renamer):
     """Replace variable `ix` of `sort` (seen from outside every binder) by
     `payload`, scoped past it, and move the variables of the sort outside
-    it in by one.  A clock payload is an index; a tick payload a tick or a
+    it in by one.  A clock payload is an index or K0; a tick payload a tick or a
     `CForcedTick`, whose clock is an index of the scope."""
 
     def __init__(self, sort, ix, payload):
@@ -624,7 +624,7 @@ def naive_subst(t, terms=(), clocks=(), ticks=(), ivals=(),
 def _weakened(sort, p, depth):
     """A payload of `sort` moved past `depth` binders, a count per sort."""
     if sort == CLOCK:
-        return p + depth[CLOCK]
+        return p if p == K0 else p + depth[CLOCK]
     ren = shifted(_sorts_of(depth))
     if sort == IVAL:
         return ren.iv(p, _zero_depth())
@@ -679,7 +679,7 @@ def reference_whnf(state, ctx, t):
                 body = state.definition_body(name)
                 if body is None:
                     return t
-                t = state.promote(body, ctx)
+                t = body
             case App(fn, arg):
                 fn = reference_whnf(state, ctx, fn)
                 if type(fn) is not Lam:
@@ -740,7 +740,7 @@ def reference_whnf(state, ctx, t):
                     return t
                 t = next(
                     naive_subst(piece, terms=params + args + recs,
-                                clocks=(ctx.count(CLOCK) - 1,), ivals=ivals)
+                                ivals=ivals)
                     for phi, piece in ctor.boundary
                     if face_is_true(iv_substitute(phi, at)))
             case ClockElim():

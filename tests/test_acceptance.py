@@ -8,19 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from cctt.checker import CheckState, PRELUDE, check, infer
+from cctt.checker import CheckState, check, infer
 from cctt.__main__ import main
 from cctt.cli import Report, check_file
-from cctt.conversion import conv, signature_subst, whnf
+from cctt.conversion import conv, whnf
 from cctt.errors import FuelExhausted
 from cctt.interval import (
     FAnd, FEq, FTOP, INeg, IVar, IZERO, IONE, face_entails, face_is_false,
 )
 from cctt.syntax import (
-    App, CApp, CLam, ClockElim, Con, DFix, Diamond,
-    EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, HComp, Hit, Lam,
-    Later, PApp, PLam, PathT, Pi, TickApp, TickLam, TickVar, TopRef, U,
-    Var, IVAL, TERM, weaken,
+    App, CApp, CLam, ClockElim, Con, Context, DFix, Diamond,
+    EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, HComp, Hit, K0,
+    Lam, Later, PApp, PLam, PathT, Pi, TickApp, TickLam, TickVar, TopRef, U,
+    Var, IVAL, TERM, subst, weaken,
 )
 from cctt.ticks import subst_apply
 from oracles import (
@@ -32,6 +32,7 @@ from test_checker import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+EMPTY = Context()
 
 
 def report(number, label, ok):
@@ -255,10 +256,10 @@ def test_criterion_4_guardedness_gate():
     ok = all_pass(rep)
     state = CheckState(max_steps=5_000)
     state.definitions["loop"] = (
-        U(0), ForceApp(DFix(0, Lam(TopRef("loop"))), 0, Diamond())
+        U(0), ForceApp(DFix(0, Lam(TopRef("loop"))), K0, Diamond())
     )
     try:
-        whnf(state, PRELUDE, TopRef("loop"))
+        whnf(state, EMPTY, TopRef("loop"))
         ok = False
     except FuelExhausted:
         pass
@@ -299,7 +300,7 @@ def test_criterion_7_induction_under_clocks(capsys):
     # The eliminator commutes with hcomp into a composition in the motive.
     state = CheckState()
     state.signatures["s1"] = circle_signature()
-    ctx = PRELUDE.push(EIVar())
+    ctx = EMPTY.push(EIVar())
     phi = FEq(0, 0)
     base = Con("s1", "base", (), (), (), ())
     loop_j = Con("s1", "loop", (), (), (), (IVar(0),))
@@ -319,7 +320,7 @@ def test_criterion_7_induction_under_clocks(capsys):
     state2 = CheckState()
     state2.signatures["nat"] = nat_signature()
     four = nat_add(nat_num(2), nat_num(2))
-    ok = ok and conv(state2, PRELUDE, Hit("nat", ()), four, nat_num(4))
+    ok = ok and conv(state2, EMPTY, Hit("nat", ()), four, nat_num(4))
     report(7, "induction under clocks", ok)
 
 
@@ -331,17 +332,17 @@ def test_criterion_8_boundary_calculus():
     piece0 = idem.boundary[0][1]  # union of the recursive argument
     piece1 = idem.boundary[1][1]  # the recursive argument itself
 
-    # Identity instantiation, in idem's own scope (the prelude clock, the
-    # parameter, the recursive argument and the interval binder), returns
-    # each piece unchanged.
-    own = signature_subst((2, 1, 0, 1), (Var(1), Var(0)), (IVar(0),))
+    # Identity instantiation, in idem's own scope (the parameter, the
+    # recursive argument and the interval binder), returns each piece
+    # unchanged.
+    own = subst((2, 0, 0, 1), terms=(Var(1), Var(0)), ivals=(IVar(0),))
     ok = subst_apply(own, piece0) == piece0
     ok = ok and subst_apply(own, piece1) == piece1
 
     # Endpoint reductions of the idempotence constructor fire its pieces.
     state = CheckState()
     state.signatures["pf"] = sig
-    ctx = PRELUDE.push(EVar(U(0))).push(EVar(Hit("pf", (Var(0),))))
+    ctx = EMPTY.push(EVar(U(0))).push(EVar(Hit("pf", (Var(0),))))
     x = Var(0)
     union_xx = Con("pf", "union", (Var(1),), (), (x, x), ())
     at0 = Con("pf", "idem", (Var(1),), (), (x,), (IZERO,))
@@ -363,27 +364,27 @@ def test_criterion_8_boundary_calculus():
 # -- criterion 9: meta-properties at desk scale ----------------------------
 
 def _instances(rng):
-    """A stream of (ctx, term, type) triples over the prelude."""
+    """A stream of (ctx, term, type) triples."""
     a = U(0)
     match rng.randrange(4):
         case 0:
             m, n = rng.randrange(4), rng.randrange(4)
-            yield PRELUDE, nat_add(nat_num(m), nat_num(n)), Hit("nat", ())
+            yield EMPTY, nat_add(nat_num(m), nat_num(n)), Hit("nat", ())
         case 1:
-            ctx = PRELUDE.push(EVar(a)).push(EVar(Var(0)))
+            ctx = EMPTY.push(EVar(a)).push(EVar(Var(0)))
             t = Var(0)
             for _ in range(rng.randrange(1, 5)):
                 t = App(App(TopRef("idf"), Var(1)), t)
             yield ctx, t, Var(1)
         case 2:
-            ctx = (PRELUDE.push(EVar(a)).push(EVar(Var(0)))
+            ctx = (EMPTY.push(EVar(a)).push(EVar(Var(0)))
                    .push(EVar(Var(1)))
                    .push(EVar(PathT(Var(2), Var(1), Var(0))))
                    .push(EIVar()))
             r = rng.choice([IZERO, IONE, IVar(0), INeg(IVar(0))])
             yield ctx, PApp(Var(0), r), Var(3)
         case 3:
-            ctx = (PRELUDE.push(EVar(a))
+            ctx = (EMPTY.push(EVar(a))
                    .push(EVar(Forall(Later(0, Var(0)))))
                    .push(EClock()))
             t = ForceApp(CApp(Var(0), 0), 0, Diamond())

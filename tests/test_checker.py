@@ -4,7 +4,7 @@ import pytest
 
 from cctt import checker
 from cctt.checker import (
-    CheckState, PRELUDE, check, check_clock_elim, check_comp,
+    CheckState, check, check_clock_elim, check_comp,
     check_constructor_app, check_hit_signature, check_is_type,
     check_system, infer,
 )
@@ -22,7 +22,7 @@ from cctt.parser import (
 from cctt.syntax import (
     App, CApp, CLam, ClockElim, Comp, Con, Constructor, Context, DFix,
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall,
-    Fst, HitSignature, Hit, Lam, Later, PApp, PFix, PLam, PathT, Pi,
+    Fst, HitSignature, Hit, K0, Lam, Later, PApp, PFix, PLam, PathT, Pi,
     Sigma, Snd,
     System, Telescope, TickApp, TickLam, TickVar, TopRef, U, Var,
     structural_equal, weaken,
@@ -33,6 +33,9 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 workloads = load_workloads()
 
 
+EMPTY = Context()
+
+
 def st():
     return CheckState(max_steps=500_000)
 
@@ -40,31 +43,31 @@ def st():
 class TestBasicInference:
     def test_variable_across_tick(self):
         # x declared left of the tick is usable to its right.
-        ctx = PRELUDE.push(EVar(U(0))).push(ETick(0)).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(ETick(K0)).push(EVar(Var(0)))
         assert infer(st(), ctx, Var(1)) == U(0)
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
-            infer(st(), PRELUDE, Var(0))
+            infer(st(), EMPTY, Var(0))
 
     def test_universe_hierarchy(self):
-        assert infer(st(), PRELUDE, U(0)) == U(1)
-        assert check_is_type(st(), PRELUDE, U(3)) == 4
+        assert infer(st(), EMPTY, U(0)) == U(1)
+        assert check_is_type(st(), EMPTY, U(3)) == 4
 
     def test_pi_formation_level(self):
-        assert infer(st(), PRELUDE, Pi(U(0), U(1))) == U(2)
+        assert infer(st(), EMPTY, Pi(U(0), U(1))) == U(2)
 
     def test_cumulativity(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         check(st(), ctx, Var(0), U(2))  # a U0 code is also a U2 code
 
     def test_application(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
         ctx = ctx.push(EVar(Var(1)))
         assert infer(st(), ctx, App(Var(1), Var(0))) == U(0)
 
     def test_pair_projections(self):
-        ctx = PRELUDE.push(EVar(Sigma(U(0), Var(0))))
+        ctx = EMPTY.push(EVar(Sigma(U(0), Var(0))))
         assert infer(st(), ctx, Fst(Var(0))) == U(0)
         snd_ty = infer(st(), ctx, Snd(Var(0)))
         assert conv_tm(st(), ctx, snd_ty, Fst(Var(0)))
@@ -72,83 +75,95 @@ class TestBasicInference:
 
 class TestTickTyping:
     def test_simple_tick_application(self):
-        # kappa, A, x : |>A, alpha : kappa |- x [alpha] : A.
-        ctx = (PRELUDE.push(EVar(U(0)))
-               .push(EVar(Later(0, Var(0)))).push(ETick(0)))
+        # A, x : |>A, alpha : k0 |- x [alpha] : A.
+        ctx = (EMPTY.push(EVar(U(0)))
+               .push(EVar(Later(K0, Var(0)))).push(ETick(K0)))
         got = infer(st(), ctx, TickApp(Var(0), TickVar(0)))
         assert got == Var(1)
 
     def test_tick_escape(self):
         # x declared right of the tick cannot feed an application at it.
-        ctx = (PRELUDE.push(EVar(U(0))).push(ETick(0))
-               .push(EVar(Later(0, Var(0)))))
+        ctx = (EMPTY.push(EVar(U(0))).push(ETick(K0))
+               .push(EVar(Later(K0, Var(0)))))
         with pytest.raises(TickEscape):
             infer(st(), ctx, TickApp(Var(0), TickVar(0)))
 
     def test_unit_into_later(self):
-        # \x. tick a : kappa. x  :  A -> |> A.
-        ctx = PRELUDE.push(EVar(U(0)))
-        term = Lam(TickLam(0, Var(0)))
-        ty = Pi(Var(0), Later(0, Var(1)))
+        # \x. tick a : k0. x  :  A -> |> A.
+        ctx = EMPTY.push(EVar(U(0)))
+        term = Lam(TickLam(K0, Var(0)))
+        ty = Pi(Var(0), Later(K0, Var(1)))
         check(st(), ctx, term, ty)
 
     def test_dependent_applicative(self):
         # \f.\y. tick a. (f [a]) (y [a]).
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
-        fn_ty = Later(0, Pi(Var(1), App(Var(1), Var(0))))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
+        fn_ty = Later(K0, Pi(Var(1), App(Var(1), Var(0))))
         ty = Pi(
             fn_ty,
-            Pi(Later(0, Var(2)),
-               Later(0, App(Var(2), TickApp(Var(0), TickVar(0))))),
+            Pi(Later(K0, Var(2)),
+               Later(K0, App(Var(2), TickApp(Var(0), TickVar(0))))),
         )
-        term = Lam(Lam(TickLam(0, App(
+        term = Lam(Lam(TickLam(K0, App(
             TickApp(Var(1), TickVar(0)), TickApp(Var(0), TickVar(0))
         ))))
         check(st(), ctx, term, ty)
 
     def test_force(self):
         # \x. /\k'. (k. x {k}) [(k', <>)]  :  (forall k. |>A) -> forall k. A
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         term = Lam(CLam(ForceApp(CApp(Var(0), 0), 0, Diamond())))
         ty = Pi(Forall(Later(0, Var(0))), Forall(Var(1)))
         check(st(), ctx, term, ty)
 
     def test_dfix_type(self):
-        ctx = (PRELUDE.push(EVar(U(0)))
-               .push(EVar(Pi(Later(0, Var(0)), Var(1)))))
-        got = whnf(st(), ctx, infer(st(), ctx, DFix(0, Var(0))))
-        assert got == Later(0, Var(1))
+        ctx = (EMPTY.push(EVar(U(0)))
+               .push(EVar(Pi(Later(K0, Var(0)), Var(1)))))
+        got = whnf(st(), ctx, infer(st(), ctx, DFix(K0, Var(0))))
+        assert got == Later(K0, Var(1))
 
     def test_pfix_type(self):
-        ctx = (PRELUDE.push(EVar(U(0)))
-               .push(EVar(Pi(Later(0, Var(0)), Var(1)))))
-        got = whnf(st(), ctx, infer(st(), ctx, PFix(0, Var(0))))
+        ctx = (EMPTY.push(EVar(U(0)))
+               .push(EVar(Pi(Later(K0, Var(0)), Var(1)))))
+        got = whnf(st(), ctx, infer(st(), ctx, PFix(K0, Var(0))))
         assert isinstance(got, Later)
-        inner = whnf(st(), ctx.push(ETick(0)), got.ty)
+        inner = whnf(st(), ctx.push(ETick(K0)), got.ty)
         assert isinstance(inner, PathT)
-        assert inner.left == TickApp(DFix(0, Var(0)), TickVar(0))
-        assert inner.right == App(Var(0), DFix(0, Var(0)))
+        assert inner.left == TickApp(DFix(K0, Var(0)), TickVar(0))
+        assert inner.right == App(Var(0), DFix(K0, Var(0)))
+
+    def test_clock_constant_and_negative_clocks(self):
+        # The constant is a clock in every context, and only that negative
+        # index is.
+        ctx = EMPTY.push(EVar(U(0)))
+        assert infer(st(), ctx, Later(K0, Var(0))) == U(0)
+        for clock in (-2, 0):
+            with pytest.raises(ClockMismatch):
+                infer(st(), ctx, Later(clock, Var(0)))
+        with pytest.raises(ClockMismatch):
+            infer(st(), EMPTY.push(EClock()).push(EVar(Forall(U(0)))),
+                  CApp(Var(0), -2))
 
     def test_dfix_wrong_clock(self):
-        ctx = (PRELUDE.push(EClock()).push(EVar(U(0)))
+        ctx = (EMPTY.push(EClock()).push(EVar(U(0)))
                .push(EVar(Pi(Later(0, Var(0)), Var(1)))))
         with pytest.raises(ClockMismatch):
-            infer(st(), ctx, DFix(1, Var(0)))
+            infer(st(), ctx, DFix(K0, Var(0)))
 
 
 class TestPaths:
     def _path_ctx(self):
-        # kappa, A, x, y : A, p : Path A x y.
-        return (PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        # A, x, y : A, p : Path A x y.
+        return (EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
                 .push(EVar(Var(1)))
                 .push(EVar(PathT(Var(2), Var(1), Var(0)))))
 
     def test_refl_checks(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
         check(st(), ctx, PLam(Var(0)), PathT(Var(1), Var(0), Var(0)))
 
     def test_endpoint_mismatch(self):
-        ctx = (PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = (EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
                .push(EVar(Var(1))))
         with pytest.raises(EndpointMismatch):
             check(st(), ctx, PLam(Var(1)),
@@ -161,7 +176,7 @@ class TestPaths:
 
     def test_funext(self):
         # fields: A, B : U0, f g : A -> B, p : (x:A) -> Path B (f x) (g x)
-        ctx = (PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ctx = (EMPTY.push(EVar(U(0))).push(EVar(U(0)))
                .push(EVar(Pi(Var(1), Var(1))))
                .push(EVar(Pi(Var(2), Var(2))))
                .push(EVar(Pi(Var(3), PathT(
@@ -174,8 +189,8 @@ class TestPaths:
 
 class TestSystemsAndComposition:
     def _ctx(self):
-        # kappa, A, x, y, z, p : Path A x y, q : Path A y z.
-        ctx = PRELUDE.push(EVar(U(0)))
+        # A, x, y, z, p : Path A x y, q : Path A y z.
+        ctx = EMPTY.push(EVar(U(0)))
         ctx = ctx.push(EVar(Var(0))).push(EVar(Var(1))).push(EVar(Var(2)))
         ctx = ctx.push(EVar(PathT(Var(3), Var(2), Var(1))))
         ctx = ctx.push(EVar(PathT(Var(4), Var(2), Var(1))))
@@ -237,8 +252,8 @@ def nat_signature():
     ))
 
 
-# Boundary pieces are scoped in the prelude clock, the parameters, the
-# constructor's arguments, its recursive arguments and its interval binders.
+# Boundary pieces are scoped in the parameters, the constructor's
+# arguments, its recursive arguments and its interval binders.
 
 def circle_signature():
     ends = FOr(FEq(0, 0), FEq(0, 1))
@@ -510,7 +525,7 @@ def test_boundary_types_are_the_renamed_ones():
     recs = 0
     for sig in _data_signatures():
         for ctor in sig.constructors:
-            cctx = PRELUDE
+            cctx = EMPTY
             for ty in (*sig.params.types, *ctor.args.types):
                 cctx = cctx.push(EVar(ty))
             bctx, _ = checker._boundary_context(sig, ctor, cctx)
@@ -535,19 +550,19 @@ class TestConstructors:
     def test_point_constructor(self):
         state = self._state()
         z = Con("nat", "zero", (), (), (), ())
-        assert infer(state, PRELUDE, z) == Hit("nat", ())
+        assert infer(state, EMPTY, z) == Hit("nat", ())
 
     def test_loop_endpoints_reduce(self):
         state = self._state()
         base = Con("s1", "base", (), (), (), ())
         at0 = Con("s1", "loop", (), (), (), (IZERO,))
-        assert whnf(state, PRELUDE, at0) == base
+        assert whnf(state, EMPTY, at0) == base
         at1 = Con("s1", "loop", (), (), (), (IONE,))
-        assert whnf(state, PRELUDE, at1) == base
+        assert whnf(state, EMPTY, at1) == base
 
     def test_idem_endpoints(self):
         state = self._state()
-        ctx = (PRELUDE.push(EVar(U(0)))
+        ctx = (EMPTY.push(EVar(U(0)))
                .push(EVar(Hit("pf", (Var(0),)))))
         x = Var(0)
         at0 = Con("pf", "idem", (Var(1),), (), (x,), (IZERO,))
@@ -558,8 +573,8 @@ class TestConstructors:
 
     def test_push_endpoint(self):
         state = self._state()
-        # kappa, A B C : U0, f : C -> A, g : C -> B, c : C.
-        ctx = (PRELUDE.push(EVar(U(0))).push(EVar(U(0))).push(EVar(U(0)))
+        # A B C : U0, f : C -> A, g : C -> B, c : C.
+        ctx = (EMPTY.push(EVar(U(0))).push(EVar(U(0))).push(EVar(U(0)))
                .push(EVar(Pi(Var(0), Var(3))))
                .push(EVar(Pi(Var(1), Var(3))))
                .push(EVar(Var(2))))
@@ -573,7 +588,7 @@ class TestConstructors:
 
     def test_constructor_app_types(self):
         state = self._state()
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
         got = check_constructor_app(
             state, ctx, state.signatures["pf"], "sing",
             (Var(1),), (Var(0),), (), (),
@@ -584,7 +599,7 @@ class TestConstructors:
                                                                monkeypatch):
         state = self._state()
         state.add_definition("idU", Pi(U(0), U(0)), Lam(Var(0)))
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(U(0)))
         ety = Hit("pf", (Var(1),))
         convs = []
 
@@ -638,17 +653,17 @@ class TestClockElim:
         state = self._state()
         two = nat_num(2)
         term = nat_add(two, two)
-        assert check_clock_elim(state, PRELUDE, term) == Hit("nat", ())
+        assert check_clock_elim(state, EMPTY, term) == Hit("nat", ())
 
     def test_two_plus_two(self):
         state = self._state()
         term = nat_add(nat_num(2), nat_num(2))
-        assert conv_tm(state, PRELUDE, term, nat_num(4))
-        assert not conv_tm(state, PRELUDE, term, nat_num(3))
+        assert conv_tm(state, EMPTY, term, nat_num(4))
+        assert not conv_tm(state, EMPTY, term, nat_num(3))
 
     def test_circle_identity_elim(self):
         state = self._state()
-        ctx = PRELUDE.push(EVar(Hit("s1", ())))
+        ctx = EMPTY.push(EVar(Hit("s1", ())))
         term = ClockElim(
             "s1", 0, (), Hit("s1", ()),
             (
@@ -662,8 +677,8 @@ class TestClockElim:
 
     def test_trunc_identity_elim(self):
         state = self._state()
-        # kappa, A : U0, u : trunc A.
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Hit("trunc", (Var(0),))))
+        # A : U0, u : trunc A.
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Hit("trunc", (Var(0),))))
         term = ClockElim(
             "trunc", 0, (Var(1),), Hit("trunc", (Var(2),)),
             (
@@ -679,7 +694,7 @@ class TestClockElim:
 
     def test_squash_case_missing_endpoint(self):
         state = self._state()
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Hit("trunc", (Var(0),))))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Hit("trunc", (Var(0),))))
         term = ClockElim(
             "trunc", 0, (Var(1),), Hit("trunc", (Var(2),)),
             (
@@ -695,8 +710,8 @@ class TestClockElim:
 
     def test_trunc_elim_under_one_clock(self):
         state = self._state()
-        # kappa, A : U0, u : forall k. trunc A.
-        ctx = PRELUDE.push(EVar(U(0)))
+        # A : U0, u : forall k. trunc A.
+        ctx = EMPTY.push(EVar(U(0)))
         scrut_ty = Forall(Hit("trunc", (Var(0),)))
         ctx = ctx.push(EVar(scrut_ty))
         term = ClockElim(
@@ -704,7 +719,7 @@ class TestClockElim:
             (
                 ElimCase("in", 1, 0, 0,
                          Con("trunc", "in", (Var(2),),
-                             (CApp(Var(0), 0),), (), ())),
+                             (CApp(Var(0), K0),), (), ())),
                 ElimCase("squash", 0, 2, 1,
                          Con("trunc", "squash", (Var(5),), (),
                              (Var(1), Var(0)), (IVar(0),))),
@@ -715,14 +730,14 @@ class TestClockElim:
 
     def test_elim_beta_agrees_with_case(self):
         state = self._state()
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
         scrut = CLam(Con("trunc", "in", (Var(1),), (Var(0),), (), ()))
         term = ClockElim(
             "trunc", 1, (CLam(Var(1)),), Hit("trunc", (Var(2),)),
             (
                 ElimCase("in", 1, 0, 0,
                          Con("trunc", "in", (Var(2),),
-                             (CApp(Var(0), 0),), (), ())),
+                             (CApp(Var(0), K0),), (), ())),
                 ElimCase("squash", 0, 2, 1,
                          Con("trunc", "squash", (Var(5),), (),
                              (Var(1), Var(0)), (IVar(0),))),
@@ -797,7 +812,7 @@ class TestDependentArity:
             "--expect-conv size nat (two nat zero) = suc zero : nat\n"
             "--expect-conv root nat (two nat zero)"
             " = node zero (\\y. \\q. leaf) : tree nat\n")
-        verdicts = [conv(state, PRELUDE, p.ty, p.lhs, p.rhs)
+        verdicts = [conv(state, EMPTY, p.ty, p.lhs, p.rhs)
                     for p in problems]
         assert verdicts == [True, False, True]
 
@@ -820,4 +835,4 @@ class TestKernelErrors:
         state = st()
         state.signatures["nat"] = nat_signature()
         with pytest.raises(AttributeError):
-            check_clock_elim(state, PRELUDE, nat_add(nat_num(1), nat_num(1)))
+            check_clock_elim(state, EMPTY, nat_add(nat_num(1), nat_num(1)))

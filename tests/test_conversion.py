@@ -17,7 +17,7 @@ from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module,
 )
 from cctt.syntax import (
-    CLOCK, TERM, App, CApp, CLam, ClockElim, Closure, Comp, Con,
+    CLOCK, K0, TERM, App, CApp, CLam, ClockElim, Closure, Comp, Con,
     Constructor, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, HitSignature, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, Substitution, System,
@@ -54,14 +54,11 @@ class StubState:
     def definition_body(self, name):
         return self.definitions.get(name)
 
-    def promote(self, body, ctx):
-        return body
-
     def infer(self, ctx, t):
         return infer(self, ctx, t)
 
 
-PRELUDE = Context((EClock(),))
+EMPTY = Context()
 
 
 def st():
@@ -71,27 +68,28 @@ def st():
 class TestWhnfBeta:
     def test_lambda_beta(self):
         t = App(Lam(Var(0)), U(0))
-        assert whnf(st(), PRELUDE, t) == U(0)
+        assert whnf(st(), EMPTY, t) == U(0)
 
     def test_pair_projections(self):
-        assert whnf(st(), PRELUDE, Fst(Pair(U(0), U(1)))) == U(0)
-        assert whnf(st(), PRELUDE, Snd(Pair(U(0), U(1)))) == U(1)
+        assert whnf(st(), EMPTY, Fst(Pair(U(0), U(1)))) == U(0)
+        assert whnf(st(), EMPTY, Snd(Pair(U(0), U(1)))) == U(1)
 
     def test_path_beta(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         t = PApp(PLam(Var(0)), IONE)
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_clock_beta(self):
-        ctx = PRELUDE.push(EClock())
-        t = CApp(CLam(CApp(Var(0), 0)), 1)  # ill-typed Var, scoping only
+        ctx = EMPTY.push(EClock())
         ctx2 = ctx.push(EVar(U(0)))
         got = whnf(st(), ctx2, App(Lam(CApp(CLam(Later(0, U(0))), 0)), U(0)))
         assert got == Later(0, U(0))
+        got = whnf(st(), ctx2, CApp(CLam(Later(0, U(0))), K0))
+        assert got == Later(K0, U(0))
 
     def test_tick_beta(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(ETick(0))
-        t = TickApp(TickLam(0, Var(0)), TickVar(0))
+        ctx = EMPTY.push(EVar(U(0))).push(ETick(K0))
+        t = TickApp(TickLam(K0, Var(0)), TickVar(0))
         assert whnf(st(), ctx, t) == Var(0)
 
 
@@ -104,43 +102,43 @@ class TestTicksAndFixpoints:
 
     def test_dfix_does_not_unfold_on_tick_variable(self):
         # x : later A -> A in context; dfix f [alpha] must stay stuck.
-        ctx = PRELUDE.push(EVar(Pi(Later(0, U(0)), U(0)))).push(ETick(0))
-        t = TickApp(DFix(0, Var(0)), TickVar(0))
+        ctx = EMPTY.push(EVar(Pi(Later(K0, U(0)), U(0)))).push(ETick(K0))
+        t = TickApp(DFix(K0, Var(0)), TickVar(0))
         got = whnf(st(), ctx, t)
         assert isinstance(got, TickApp)
         assert isinstance(got.fn, DFix)
 
     def test_dfix_unfolds_on_diamond(self):
-        ctx = PRELUDE.push(EVar(Pi(Later(0, U(0)), U(0))))
-        t = ForceApp(DFix(0, Var(0)), 0, Diamond())
+        ctx = EMPTY.push(EVar(Pi(Later(K0, U(0)), U(0))))
+        t = ForceApp(DFix(0, Var(0)), K0, Diamond())
         got = whnf(st(), ctx, t)
-        assert got == App(Var(0), DFix(0, Var(0)))
+        assert got == App(Var(0), DFix(K0, Var(0)))
 
     def test_pfix_unfolds_on_diamond_under_path_application(self):
-        ctx = PRELUDE.push(EVar(Pi(Later(0, U(0)), U(0))))
-        t = PApp(ForceApp(PFix(0, Var(0)), 0, Diamond()), IVar0 := IZERO)
+        ctx = EMPTY.push(EVar(Pi(Later(K0, U(0)), U(0))))
+        t = PApp(ForceApp(PFix(0, Var(0)), K0, Diamond()), IVar0 := IZERO)
         got = whnf(st(), ctx, t)
-        assert got == App(Var(0), DFix(0, Var(0)))
+        assert got == App(Var(0), DFix(K0, Var(0)))
 
     def test_diamond_free_forcing_demotes(self):
         # (kappa. f) [(kappa0, alpha)] with a plain tick becomes f [alpha].
-        ctx = PRELUDE.push(ETick(0)).push(EVar(Later(0, U(0))))
-        t = ForceApp(Var(0), 0, TickVar(0))
+        ctx = EMPTY.push(ETick(K0)).push(EVar(Later(K0, U(0))))
+        t = ForceApp(Var(0), K0, TickVar(0))
         got = whnf(st(), ctx, t)
         assert got == TickApp(Var(0), TickVar(0))
 
     def test_forcing_beta(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         fn = TickLam(0, Var(0))  # under fresh clock binder
-        t = ForceApp(fn, 0, Diamond())
+        t = ForceApp(fn, K0, Diamond())
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_forcing_a_neutral_is_stuck(self):
         # Forcing dfix f [alpha] does not unfold: the head under the clock
         # binder is a tick application, not a fixed point.
         f = Lam(ForceApp(TickApp(Var(0), TickVar(0)), 0, Diamond()))
-        loop = ForceApp(DFix(0, f), 0, Diamond())
-        ctx = PRELUDE.push(ETick(0))
+        loop = ForceApp(DFix(0, f), K0, Diamond())
+        ctx = EMPTY.push(ETick(K0))
         got = whnf(st(), ctx, loop)
         assert isinstance(got, ForceApp)
 
@@ -150,34 +148,34 @@ class TestTicksAndFixpoints:
         from cctt.syntax import TopRef
         state = StubState(max_steps=5_000)
         state.definitions["loop"] = ForceApp(
-            DFix(0, Lam(TopRef("loop"))), 0, Diamond()
+            DFix(0, Lam(TopRef("loop"))), K0, Diamond()
         )
         with pytest.raises(FuelExhausted):
-            whnf(state, PRELUDE, TopRef("loop"))
+            whnf(state, EMPTY, TopRef("loop"))
 
 
 class TestSystemsAndComp:
     def test_system_picks_true_part(self):
         t = System(((FEq(0, 0), U(0)), (FTOP, U(1))))
-        assert whnf(st(), PRELUDE.push(EIVar()), t) == U(1)
+        assert whnf(st(), EMPTY.push(EIVar()), t) == U(1)
 
     def test_comp_on_true_face_is_tube_at_one(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         t = Comp(U(0), FTOP, Var(0), Var(0))
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_hcomp_on_true_face_is_tube_at_one(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         t = HComp(U(0), FTOP, Var(0), Var(0))
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_trans_constant_line_is_identity(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
         t = Trans(Var(1), FEq(0, 0), Var(0))
         assert whnf(st(), ctx, t) == Var(0)
 
     def test_comp_along_constant_line_is_homogeneous(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
         base = Lam(U(0))
         line = Pi(Var(1), U(1))
         got = comp_eval(st(), ctx, Comp(line, FEq(0, 0), base, base))
@@ -185,7 +183,7 @@ class TestSystemsAndComp:
 
     def test_comp_at_varying_pi_is_a_lambda(self):
         # p : Path U0 A B gives a genuinely varying domain line.
-        ctx = (PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ctx = (EMPTY.push(EVar(U(0))).push(EVar(U(0)))
                .push(EVar(PathT(U(0), Var(1), Var(0)))))
         line = Pi(PApp(Var(0), IVar(0)), U(1))
         base = Lam(U(0))
@@ -194,7 +192,7 @@ class TestSystemsAndComp:
         assert isinstance(got.body, Comp)
 
     def test_comp_at_sigma_is_a_pair(self):
-        ctx = PRELUDE.push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0)))
         line = Sigma(PApp(PLam(Var(0)), IVar(0)), Var(1))
         got = comp_eval(st(), ctx, Comp(
             line, FBOT, Pair(Var(0), Var(0)), Pair(Var(0), Var(0))
@@ -202,7 +200,7 @@ class TestSystemsAndComp:
         assert isinstance(got, Pair)
 
     def test_hfill_endpoints(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(Var(0)))
         ty, base = Var(1), Var(0)
         tube = Var(0)
         state = st()
@@ -216,35 +214,35 @@ class TestSystemsAndComp:
 class TestConv:
     def test_eta_function(self):
         # f == \x. f x at a Pi type.
-        ctx = PRELUDE.push(EVar(Pi(U(0), U(0))))
+        ctx = EMPTY.push(EVar(Pi(U(0), U(0))))
         lhs = Var(0)
         rhs = Lam(App(Var(1), Var(0)))
         assert conv(st(), ctx, Pi(U(0), U(0)), lhs, rhs)
 
     def test_eta_pair(self):
-        ctx = PRELUDE.push(EVar(Sigma(U(0), U(0))))
+        ctx = EMPTY.push(EVar(Sigma(U(0), U(0))))
         assert conv(st(), ctx, Sigma(U(0), U(0)),
                     Var(0), Pair(Fst(Var(0)), Snd(Var(0))))
 
     def test_path_application_normalizes_interval(self):
-        ctx = PRELUDE.push(EVar(PathT(U(0), U(0), U(0)))).push(EIVar())
+        ctx = EMPTY.push(EVar(PathT(U(0), U(0), U(0)))).push(EIVar())
         i = IVar(0)
         assert conv_tm(st(), ctx,
                        PApp(Var(0), INeg(INeg(i))), PApp(Var(0), i))
 
     def test_distinct_variables_differ(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(U(0)))
         assert not conv_tm(st(), ctx, Var(0), Var(1))
 
     def test_conversion_under_unsatisfiable_face_is_vacuous(self):
-        ctx = PRELUDE.push(EVar(U(0))).push(EVar(U(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EVar(U(0)))
         phi = FAnd(FEq(0, 0), FEq(0, 1))
         ctx = ctx.push(EIVar())
         assert conv(st(), ctx.restrict(phi), U(0), Var(0), Var(1))
 
     def test_conversion_under_face_substitutes_endpoints(self):
         # Under (i=1), p @ i == p @ 1.
-        ctx = PRELUDE.push(EVar(PathT(U(0), U(0), U(1)))).push(EIVar())
+        ctx = EMPTY.push(EVar(PathT(U(0), U(0), U(1)))).push(EIVar())
         i = IVar(0)
         assert conv(st(), ctx.restrict(FEq(0, 1)), U(1),
                     PApp(Var(0), i), PApp(Var(0), IONE))
@@ -254,7 +252,7 @@ class TestConv:
     def test_restricted_context_makes_equal(self):
         # A context restricted to (i=0) identifies p @ i with p @ 0, also
         # under binders pushed after the restriction.
-        ctx = (PRELUDE.push(EVar(PathT(U(0), U(0), U(1))))
+        ctx = (EMPTY.push(EVar(PathT(U(0), U(0), U(1))))
                .push(EIVar()).restrict(FEq(0, 0)))
         assert conv(st(), ctx, U(0), PApp(Var(0), IVar(0)),
                     PApp(Var(0), IZERO))
@@ -268,7 +266,7 @@ class TestConv:
         # Terms of different types, distinct variables and unequal
         # universes are all equal where the restriction is false, also
         # under binders pushed after it; and no step is spent.
-        ctx = PRELUDE.push(EVar(U(0))).push(EIVar()).push(EVar(Var(0)))
+        ctx = EMPTY.push(EVar(U(0))).push(EIVar()).push(EVar(Var(0)))
         for phi in (FBOT, FAnd(FEq(0, 0), FEq(0, 1))):
             state = st()
             for rctx in (ctx.restrict(phi),
@@ -280,23 +278,23 @@ class TestConv:
             assert state.steps == 0
 
     def test_forall_eta(self):
-        ctx = PRELUDE.push(EVar(Forall(U(0))))
+        ctx = EMPTY.push(EVar(Forall(U(0))))
         assert conv(st(), ctx, Forall(U(0)),
                     Var(0), CLam(CApp(Var(0), 0)))
 
     def test_later_eta(self):
-        ctx = PRELUDE.push(EVar(Later(0, U(0))))
-        assert conv(st(), ctx, Later(0, U(0)),
-                    Var(0), TickLam(0, TickApp(Var(0), TickVar(0))))
+        ctx = EMPTY.push(EVar(Later(K0, U(0))))
+        assert conv(st(), ctx, Later(K0, U(0)),
+                    Var(0), TickLam(K0, TickApp(Var(0), TickVar(0))))
 
     def test_dfix_not_equal_to_unfolding_under_tick(self):
         # Guardedness: under a fresh tick, dfix f [alpha] differs from
         # f (dfix f).
-        fty = Pi(Later(0, U(0)), U(0))
-        ctx = PRELUDE.push(EVar(fty))
-        lhs = DFix(0, Var(0))
-        rhs = TickLam(0, App(Var(0), DFix(0, Var(0))))
-        assert not conv(st(), ctx, Later(0, U(0)), lhs, rhs)
+        fty = Pi(Later(K0, U(0)), U(0))
+        ctx = EMPTY.push(EVar(fty))
+        lhs = DFix(K0, Var(0))
+        rhs = TickLam(K0, App(Var(0), DFix(K0, Var(0))))
+        assert not conv(st(), ctx, Later(K0, U(0)), lhs, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +306,7 @@ class TestConv:
 # --------------------------------------------------------------------------
 
 # A : U0, a b : A, p q : Path A a b, then interval variables i2 i1 i0.
-_PATHS = (PRELUDE.push(EVar(U(0))).push(EVar(Var(0))).push(EVar(Var(1)))
+_PATHS = (EMPTY.push(EVar(U(0))).push(EVar(Var(0))).push(EVar(Var(1)))
           .push(EVar(PathT(Var(2), Var(1), Var(0))))
           .push(EVar(PathT(Var(3), Var(2), Var(1)))))
 _A = Var(4)
@@ -460,7 +458,7 @@ class TestPointConstructors:
     def test_whnf_returns_point_constructor(self, faces_unread):
         for t in (ZERO, nat_num(1)):
             state = nat_state()
-            assert whnf(state, PRELUDE, t) is t
+            assert whnf(state, EMPTY, t) is t
             assert state.steps == 1
 
     def test_boundary_reduce_stops_at_point_constructor(self, faces_unread):
@@ -469,7 +467,7 @@ class TestPointConstructors:
         state = nat_state()
         zero = Con("nat", "zero", (), (), (), ())
         for piece in (zero, Con("nat", "succ", (), (), (zero,), ())):
-            assert whnf(state, PRELUDE, piece) is piece
+            assert whnf(state, EMPTY, piece) is piece
 
     def test_signature_lookup_by_label(self):
         sig = node_signature()
@@ -499,8 +497,8 @@ class TestBoundaryTubes:
         sq0 = Con("t", "sq", (), (), (), (IZERO,))
         b = Con("t", "b", (), (), (), ())
         a = Con("t", "a", (), (), (), ())
-        assert conv(self.state(), PRELUDE, t, sq0, b)
-        assert not conv(self.state(), PRELUDE, t, sq0, a)
+        assert conv(self.state(), EMPTY, t, sq0, b)
+        assert not conv(self.state(), EMPTY, t, sq0, a)
 
     def test_nested_tube_keeps_its_variable(self):
         # Under an interval variable l: the outer tube at 1 is an hcomp on
@@ -509,14 +507,14 @@ class TestBoundaryTubes:
         a = Con("t", "a", (), (), (), ())
         seg_k = Con("t", "seg", (), (), (), (IVar(0),))
         inner = HComp(t, FEq(1, 1), seg_k, a)
-        ctx = PRELUDE.push(EIVar())
+        ctx = EMPTY.push(EIVar())
         assert (whnf(self.state(), ctx, HComp(t, FTOP, inner, a))
                 == HComp(t, FEq(0, 1), seg_k, a))
 
 
 class TestMachine:
-    # x0 : U0 -> U0 -> U0, x1 : U0 in the prelude.
-    CTX = PRELUDE.push(EVar(U(0))).push(EVar(Pi(U(0), Pi(U(0), U(0)))))
+    # x0 : U0 -> U0 -> U0, x1 : U0.
+    CTX = EMPTY.push(EVar(U(0))).push(EVar(Pi(U(0), Pi(U(0), U(0)))))
 
     def test_partial_application_returns_the_rest_of_the_lambdas(self):
         arg = App(Var(0), Var(1))
@@ -555,15 +553,15 @@ class TestMachine:
         assert state.steps == 13
 
     def test_clock_application_inside_a_spine(self):
-        ctx = PRELUDE.push(EClock()).push(EVar(U(0))).push(EVar(U(0)))
+        ctx = EMPTY.push(EClock()).push(EVar(U(0))).push(EVar(U(0)))
         fn = CLam(Lam(Later(0, App(Var(0), Var(2)))))
-        t = App(CApp(fn, 1), Var(1))
-        assert whnf(st(), ctx, t) == Later(1, App(Var(1), Var(1)))
+        t = App(CApp(fn, K0), Var(1))
+        assert whnf(st(), ctx, t) == Later(K0, App(Var(1), Var(1)))
 
     def test_clock_elim_on_a_constructor(self):
         # xs : forall k. tree; the node case uses its argument, the
         # recursive argument, the recursive call and the interval variable.
-        ctx = PRELUDE.push(EVar(Forall(Hit("tree", ())))).push(EIVar())
+        ctx = EMPTY.push(EVar(Forall(Hit("tree", ())))).push(EIVar())
         cases = (
             ElimCase("leaf", 0, 0, 0, U(0)),
             ElimCase("node", 1, 1, 1, Lam(Pair(
@@ -588,7 +586,7 @@ class TestMachine:
         def node(r):
             return Con("tree", "node", (), (U(0),), (ZERO,), (r,))
         t = PApp(PLam(node(IVar(0))), IZERO)
-        ctx = PRELUDE.push(EIVar())
+        ctx = EMPTY.push(EIVar())
         assert conv_tm(nat_state(), ctx, t, node(IZERO))
         assert not conv_tm(nat_state(), ctx, t, node(IVar(0)))
         assert not conv_tm(nat_state(), ctx, t, node(IONE))
@@ -609,17 +607,17 @@ class TestMachine:
     def test_step_counts(self):
         state = nat_state()
         t = App(App(App(App(ADD, church(2)), church(3)), SC), ZERO)
-        assert whnf(state, PRELUDE, t) == Con(
+        assert whnf(state, EMPTY, t) == Con(
             "nat", "succ", (), (),
             (App(SC, App(App(church(3), SC), ZERO)),), (),
         )
         assert state.steps == 15
-        assert conv(state, PRELUDE, NAT, t, nat_num(5))
+        assert conv(state, EMPTY, NAT, t, nat_num(5))
         assert state.steps == 54
         sq = App(App(App(SQ, church(3)), SC), ZERO)
-        assert not conv(state, PRELUDE, NAT, sq, nat_num(8))
+        assert not conv(state, EMPTY, NAT, sq, nat_num(8))
         assert state.steps == 117
-        assert conv(state, PRELUDE, NAT, sq, nat_num(9))
+        assert conv(state, EMPTY, NAT, sq, nat_num(9))
         assert state.steps == 182
 
     @pytest.mark.parametrize("seed", range(12))
@@ -630,9 +628,9 @@ class TestMachine:
             term, value = church_expr(rng, 3)
         applied = App(App(term, SC), ZERO)
         state = nat_state()
-        assert conv(state, PRELUDE, NAT, applied, nat_num(value))
+        assert conv(state, EMPTY, NAT, applied, nat_num(value))
         other = value + 1 if value == 0 or rng.random() < 0.5 else value - 1
-        assert not conv(state, PRELUDE, NAT, applied, nat_num(other))
+        assert not conv(state, EMPTY, NAT, applied, nat_num(other))
 
 
 def fuel_file_state(max_steps):
@@ -656,12 +654,12 @@ class TestFastPaths:
     def test_equal_terms_convert_without_reducing(self):
         # Reducing s5 idf zero takes over a million steps.
         state = fuel_file_state(max_steps=100)
-        assert conv(state, PRELUDE, NAT, s5_idf_zero(), s5_idf_zero())
+        assert conv(state, EMPTY, NAT, s5_idf_zero(), s5_idf_zero())
         assert state.steps == 0
 
     def test_unequal_terms_still_reduce(self):
         state = fuel_file_state(max_steps=10_000)
-        ctx = PRELUDE.push(EVar(Pi(NAT, U(0))))
+        ctx = EMPTY.push(EVar(Pi(NAT, U(0))))
         with pytest.raises(FuelExhausted):
             conv(state, ctx, U(0), App(Var(0), ZERO),
                  App(Var(0), s5_idf_zero()))
@@ -669,8 +667,8 @@ class TestFastPaths:
     @pytest.mark.parametrize("t", [
         Var(0), U(0), Pi(U(0), U(0)), Sigma(U(0), U(0)), Lam(Var(0)),
         Pair(Var(0), Var(1)), PLam(Var(0)), CLam(Var(0)),
-        TickLam(0, Var(0)), PathT(U(0), Var(0), Var(0)), Forall(U(0)),
-        Later(0, U(0)), NAT, DFix(0, Var(0)), PFix(0, Var(0)),
+        TickLam(K0, Var(0)), PathT(U(0), Var(0), Var(0)), Forall(U(0)),
+        Later(K0, U(0)), NAT, DFix(K0, Var(0)), PFix(K0, Var(0)),
     ], ids=lambda t: type(t).__name__)
     def test_head_normal_input_costs_one_step(self, t):
         state = st()
@@ -838,8 +836,8 @@ def test_closures_agree_with_materialisation_and_reference(seed):
     state, convs = arith_module(seed)
     compared = 0
     for ty, lhs, rhs, want in convs:
-        assert conv(state, PRELUDE, ty, lhs, rhs) == want
-        ctx, t, u = at_base_type(state, PRELUDE, ty, lhs, rhs)
+        assert conv(state, EMPTY, ty, lhs, rhs) == want
+        ctx, t, u = at_base_type(state, EMPTY, ty, lhs, rhs)
         assert reference_verdict(state, ctx, t, u) == want
         pairs = [(spine_closure(ctx, t), u),
                  *machine_closures(state, ctx, t, u)]
@@ -946,7 +944,7 @@ class TestPendingConstructors:
         # files do.
         state, (problem,) = self.module(self.KERNEL)
         equal, seen = self.substituted(lambda: conv(
-            state, PRELUDE, problem.ty, problem.lhs, problem.rhs))
+            state, EMPTY, problem.ty, problem.lhs, problem.rhs))
         assert equal
         assert Con not in seen
         assert state.steps == 412
@@ -958,7 +956,7 @@ class TestPendingConstructors:
                            + ") (" + lit(5) + ") = " + lit(20)
                            + " : nat\n").decls[-1]
         equal, seen = self.substituted(lambda: conv(
-            state, PRELUDE, mul.ty, mul.lhs, mul.rhs))
+            state, EMPTY, mul.ty, mul.lhs, mul.rhs))
         assert equal
         assert Con not in seen and ClockElim not in seen
         assert state.steps == 126
@@ -974,7 +972,7 @@ class TestPendingConstructors:
         )
         root = ClockElim("nat", 0, (), Pi(NAT, NAT), cases, nat_num(2000))
         state = nat_state()
-        assert whnf(state, PRELUDE, App(root, ZERO)) == ZERO
+        assert whnf(state, EMPTY, App(root, ZERO)) == ZERO
         assert state.steps == 8005
         (template,) = root._calls.values()
         assert "_calls" not in vars(template)
@@ -1001,6 +999,6 @@ class TestPendingConstructors:
         state, (right, wrong) = self.module(
             self.ORD + f"--expect-conv depth zero ({arg}) = {goal} : nat\n"
             f"--expect-conv depth zero ({arg}) = succ ({goal}) : nat\n")
-        assert conv(state, PRELUDE, right.ty, right.lhs, right.rhs)
-        assert not conv(state, PRELUDE, wrong.ty, wrong.lhs, wrong.rhs)
+        assert conv(state, EMPTY, right.ty, right.lhs, right.rhs)
+        assert not conv(state, EMPTY, wrong.ty, wrong.lhs, wrong.rhs)
         assert state.steps == steps

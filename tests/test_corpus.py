@@ -10,7 +10,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -47,17 +51,29 @@ def test_corpus_all_expectations_met(capsys):
     assert " 0 failed, 0 skipped" in out.splitlines()[-1]
 
 
-@pytest.mark.parametrize("flags, golden", [
-    ((), "corpus-check.txt"),
-    (("--trace-conv",), "corpus-trace-conv.txt"),
-], ids=["plain", "trace-conv"])
-def test_corpus_output_is_the_recorded_one(flags, golden, monkeypatch,
-                                           capsys):
+# The flags of each recorded `cctt check --corpus corpus` run, and the
+# file in `tests/golden` that records its output.
+CORPUS_RUNS = [((), "corpus-check.txt"),
+               (("--trace-conv",), "corpus-trace-conv.txt")]
+
+
+def corpus_output(flags):
+    """The exit code and output of `cctt check --corpus corpus` with the
+    given flags, run from the repository's root."""
+    out = io.StringIO()
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out):
+        code = main(["check", "--corpus", "corpus", *flags])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("flags, golden", CORPUS_RUNS,
+                         ids=["plain", "trace-conv"])
+def test_corpus_output_is_the_recorded_one(flags, golden):
     # A change to reduction or conversion that keeps every verdict must
     # keep the report, the normal forms `--trace-conv` prints included.
-    monkeypatch.chdir(ROOT)
-    assert main(["check", "--corpus", "corpus", *flags]) == 0
-    out = capsys.readouterr().out
+    # `python tests/test_corpus.py` rewrites the record.
+    code, out = corpus_output(flags)
+    assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
@@ -317,6 +333,92 @@ def test_a_deep_literal_checks_and_the_next_file_too(tmp_path, capsys):
                      "3 declarations: 3 passed, 0 failed, 0 skipped"]
 
 
+def face_file(n):
+    """A data type whose constructor's face is the meet of n joins
+    `(i = 0) \\/ (j = 0)` over distinct variables: its normal form has 2^n
+    clauses."""
+    ivs = " ".join(f"(i{j} : I)" for j in range(2 * n))
+    face = " /\\ ".join(f"((i{2 * j} = 0) \\/ (i{2 * j + 1} = 0))"
+                        for j in range(n))
+    return f"data d : U0 where\n  | pt\n  | c {ivs} [{face}]\n"
+
+
+def test_a_face_too_large_fails_at_once_and_the_next_file_is_checked(
+        tmp_path):
+    # 14 conjuncts: the normal form would have 16384 clauses, which took
+    # more than 150 s to absorb before faces were bounded.  In a process of
+    # its own, so that the time taken is the whole run's.
+    big, good = tmp_path / "big.cctt", tmp_path / "good.cctt"
+    big.write_text(face_file(14))
+    good.write_text("def g (A : U0) (x : A) : A := x\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cctt", "check", str(big), str(good)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60)
+    took = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    assert lines[0].startswith(f"FAIL {big}:d  [FaceTooLarge: ")
+    assert lines[1:] == [f"PASS {good}:g",
+                         "2 declarations: 1 passed, 1 failed, 0 skipped"]
+    assert took < 5
+
+
+# The clock constant k0 in definitions used under a clock binder, applied
+# at k0, forced, and given as a clock argument under another clock binder,
+# and a user's binder named k0, which shadows it.
+K0_FILE = """\
+def u0 (A : U0) (x : A) : |> (a : k0) A := tick a : k0. x
+
+def w (A : U0) (x : A) : forall k. |> (a : k0) A := /\\k. u0 A x
+
+--expect-conv \\A. \\x. w A x {k0} = \\A. \\x. tick a : k0. x
+  : (A : U0) -> A -> |> (a : k0) A
+--expect-not-conv \\A. \\x. \\y. w A x {k0} = \\A. \\x. \\y. tick a : k0. y
+  : (A : U0) -> A -> A -> |> (a : k0) A
+
+def d (A : U0) (x : A) : forall k. |> (a : k) (|> (b : k0) A)
+  := /\\k. tick a : k. u0 A x
+
+--expect-conv \\A. \\x. /\\k'. (k. d A x {k}) [k', <>] = \\A. \\x. /\\k'. u0 A x
+  : (A : U0) -> A -> forall k. |> (b : k0) A
+--expect-not-conv \\A. \\x. \\y. /\\k'. (k. d A x {k}) [k', <>]
+  = \\A. \\x. \\y. /\\k'. u0 A y : (A : U0) -> A -> A -> forall k. |> (b : k0) A
+
+def both (A : U0) (x : forall k. A) : forall k. forall k'. A
+  := /\\k. /\\k'. x {k}
+
+--expect-conv \\A. \\x. both A x {k0} = \\A. \\x. /\\k'. x {k0}
+  : (A : U0) -> (forall k. A) -> forall k'. A
+--expect-not-conv \\A. \\x. both A x {k0} = \\A. \\x. /\\k'. x {k'}
+  : (A : U0) -> (forall k. A) -> forall k'. A
+
+def T (A : U0) : forall k. U0 := /\\k. forall k'. |> (a : k) A
+
+def e (A : U0) (x : |> (a : k0) A) : T A {k0} := /\\k'. x
+
+--expect-fail(TypeMismatch)
+def f (A : U0) (x : forall k. |> (a : k) A) : T A {k0} := /\\k'. x {k'}
+
+def s (A : U0) (x : forall k. A) : forall k. A := /\\k0. x {k0}
+
+--expect-conv s = \\A. \\x. x : (A : U0) -> (forall k. A) -> forall k. A
+--expect-not-conv s = \\A. \\x. /\\k. x {k0}
+  : (A : U0) -> (forall k. A) -> forall k. A
+"""
+
+
+def test_the_clock_constant_under_clock_binders_and_forcing(tmp_path,
+                                                            capsys):
+    # Each verdict is the one the checker gave when k0 was the clock
+    # variable of an ambient context.
+    assert check_lines(tmp_path, capsys, K0_FILE) == [
+        "PASS u0", "PASS w", "PASS conv1", "PASS conv2", "PASS d",
+        "PASS conv3", "PASS conv4", "PASS both", "PASS conv5", "PASS conv6",
+        "PASS T", "PASS e", "PASS f", "PASS s", "PASS conv7", "PASS conv8"]
+
+
 def test_dependents_of_a_failure_are_skipped(tmp_path, capsys):
     src = tmp_path / "dep.cctt"
     src.write_text(
@@ -500,5 +602,9 @@ def test_conversion_trace_is_deterministic(capsys):
 
 
 if __name__ == "__main__":
+    # Rewrite the records of `corpus_output` and `elaboration_lines`.
+    for flags, golden in CORPUS_RUNS:
+        (GOLDEN / golden).write_text(corpus_output(flags)[1],
+                                     encoding="utf-8")
     (GOLDEN / "elaborations.txt").write_text(
         "\n".join(elaboration_lines()) + "\n", encoding="utf-8")

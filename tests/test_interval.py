@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cctt.errors import FaceTooLarge
 from cctt.interval import (
-    FAnd, FEq, FOr, FBOT, FTOP,
+    FAnd, FEq, FOr, FBOT, FTOP, MAX_CLAUSES,
     IJoin, IMeet, INeg, IVar, IZERO, IONE,
     face_clauses, face_dnf, face_entails, face_is_false,
     face_is_true, face_of_equation, iv_substitute, iv_vars,
@@ -266,3 +267,22 @@ def test_substitution_by_reversal_and_meet():
                                        {1: INeg(i)}))
     assert (iv_substitute(FOr(FAnd(FEq(0, 0), FEq(1, 0)), FEq(2, 1)),
                           {1: INeg(i)}) == FEq(2, 1))
+
+
+def test_normal_forms_past_the_limit_are_not_built():
+    # A meet of joins over distinct variables doubles its clauses with
+    # each conjunct, up to the limit and no further.
+    phi, ors, n = FTOP, IZERO, 0
+    while 2 * len(phi) <= MAX_CLAUSES:
+        phi = FAnd(phi, FOr(FEq(2 * n, 0), FEq(2 * n + 1, 0)))
+        ors = IJoin(ors, IMeet(IVar(2 * n), IVar(2 * n + 1)))
+        n += 1
+    assert len(phi) == MAX_CLAUSES
+    with pytest.raises(FaceTooLarge):
+        FAnd(phi, FOr(FEq(2 * n, 0), FEq(2 * n + 1, 0)))
+    with pytest.raises(FaceTooLarge):
+        FOr(phi, FEq(2 * n, 1))
+    # The reversal of a join of n meets is a meet of n joins.
+    assert len(INeg(ors)) == MAX_CLAUSES
+    with pytest.raises(FaceTooLarge):
+        INeg(IJoin(ors, IMeet(IVar(2 * n), IVar(2 * n + 1))))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cctt.cli import Report, check_file
-from cctt.errors import ParseError, UnboundVariable
+from cctt.errors import FaceTooLarge, ParseError, UnboundVariable
 from cctt.interval import FEq, FOr, IVar, IZERO
 from cctt.parser import (
     RESERVED, ConvCheck, DataDefinition, Definition, Module, parse_module,
@@ -16,7 +16,7 @@ from cctt.parser import (
 )
 from cctt.syntax import (
     App, CApp, CLam, Comp, Con, DFix, Diamond, ElimCase,
-    ForceApp, Forall, Hit, Lam, Later, PApp, PLam, PathT, Pi, System,
+    ForceApp, Forall, Hit, K0, Lam, Later, PApp, PLam, PathT, Pi, System,
     TickApp, TickLam, TickVar, Tirr, TopRef, U, Var,
 )
 from oracles import kernel_iv, load_workloads, reference_tokenize
@@ -169,7 +169,7 @@ class TestTerms:
         d = one_def(
             "def f (A : U0) (x : forall k. A) : A := x {k0}"
         )
-        assert d.body.body.body == CApp(Var(0), 0)
+        assert d.body.body.body == CApp(Var(0), K0)
 
     def test_later_and_tick(self):
         d = one_def(
@@ -184,7 +184,7 @@ class TestTerms:
             "def g (A : U0) (y : |> (a : k0) A) (f : |> (a : k0) A -> A)"
             " : U0 := A"
         )
-        assert d.ty.cod.dom == Later(0, Var(0))
+        assert d.ty.cod.dom == Later(K0, Var(0))
 
     def test_forcing(self):
         d = one_def(
@@ -208,7 +208,7 @@ class TestTerms:
             "def l (A : U0) (f : |> (a : k0) A -> A)"
             " : |> (a : k0) A := dfix k0 f"
         )
-        assert d.body.body.body == DFix(0, Var(0))
+        assert d.body.body.body == DFix(K0, Var(0))
 
     def test_comp_face_out_of_scope(self):
         with pytest.raises(ParseError):
@@ -599,7 +599,29 @@ ROUND_TRIP_SOURCES = [
      "def plus2 (m : nat) : nat := clockelim^0 nat m into (h. nat) with"
      " | zero => succ (succ zero) | succ x y => succ y"),
     ("data bad : U0 where | pt | half (i : I) [(i = 0) -> pt, (i = 1)]"),
+    ("def s (A : U0) (x : forall k. |> (a : k0) A)"
+     " : forall k. |> (a : k0) A := /\\k0. tick b : k0. x {k0}"),
 ]
+
+
+# Eleven meets joined and eleven joins met, over 22 interval variables:
+# the normal form of either, or of the reversal of the first, has 2048
+# clauses.
+_IVS = " ".join(f"i{j}" for j in range(22))
+_JOINED = " \\/ ".join(f"(i{2 * j} /\\ i{2 * j + 1})" for j in range(11))
+_MET = " /\\ ".join(f"(i{2 * j} \\/ i{2 * j + 1})" for j in range(11))
+
+
+@pytest.mark.parametrize("body", [
+    f"seg ({_MET})", f"seg (~({_JOINED}))",
+    f"(\\x. x) @ ({_MET})", f"(\\x. x) @ ~({_JOINED})",
+], ids=["operator", "reversal", "path-operator", "path-reversal"])
+def test_a_normal_form_too_large_fails_its_declaration_only(body):
+    decls = surface_module("data line : U0 where | pt | seg (i : I)\n"
+                           f"def t : U0 := <{_IVS}> {body}\n"
+                           "def g : U1 := U0\n")
+    assert [type(d) for _, _, d in decls] == [
+        DataDefinition, FaceTooLarge, Definition]
 
 
 class TestRoundTrip:
@@ -608,6 +630,26 @@ class TestRoundTrip:
         mod = parse_module(src)
         printed = print_module(mod)
         assert parse_module(printed) == mod
+
+
+def test_printer_names_the_clock_constant_k0_and_no_binder():
+    # A user's binder named k0 shadows the constant; printed, it gets a
+    # fresh name, so the constant's name is not captured.
+    d = one_def("def s (x : forall k. |> (a : k0) U0) : forall k. U0"
+                " := /\\k0. (k. x {k}) [k0, <>]")
+    assert d.ty.dom == Forall(Later(K0, U(0)))
+    assert d.body.body == CLam(ForceApp(CApp(Var(0), 0), 0, Diamond()))
+    assert print_module(Module((d,))) == (
+        "def s : (x0 : forall k1. |> (a0 : k0) U0) -> forall k2. U0"
+        " := \\x1. /\\k3. (k4. x1 {k4}) [k3, <>]\n")
+
+
+def test_k0_is_read_as_the_clock_constant_only_where_a_clock_is():
+    # In term position k0 is an ordinary name, unbound until declared.
+    (_, _, f), _, (_, _, g) = surface_module(
+        "def f : U1 := k0\ndef k0 : U1 := U0\ndef g : U1 := k0\n")
+    assert isinstance(f, UnboundVariable)
+    assert g.body == TopRef("k0")
 
 
 def test_generated_interval_expressions_round_trip():

@@ -12,11 +12,12 @@ from cctt.parser import (
 from cctt.syntax import (
     App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Comp, Con, Constructor,
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase,
-    ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, Lam, Later, PApp,
-    PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK, Telescope,
-    Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var, loose_bound,
-    structural_equal, weaken,
+    ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, K0, Lam, Later,
+    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK,
+    Telescope, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
+    loose_bound, structural_equal, subst, weaken,
 )
+from cctt.ticks import bind, lookup_clock
 from oracles import Renamer
 from test_acceptance import _instances
 
@@ -175,6 +176,57 @@ def test_tick_clock_counts_intervening_clocks():
     # The outer tick's clock gains an index for the clock bound after it.
     assert ctx.tick_clock(1) == 1
     assert ctx.tick_clock(0) == 0
+
+
+def test_tick_clock_of_the_clock_constant_is_the_constant():
+    ctx = Context((ETick(K0), EClock(), ETick(0), EClock()))
+    assert ctx.tick_clock(1) == K0
+    assert ctx.tick_clock(0) == 1
+
+
+def _k0_term(x, k, a, i):
+    """The clock constant in each place a clock goes, under a binder of
+    each sort, next to the free variables x (term), k (clock), a (tick) and
+    i (interval), so that a walk reaches every place."""
+    k = k if k == K0 else k + 1
+    x, a, i = Var(x + 1), TickVar(a + 1), IVar(i + 1)
+    parts = (CApp(x, K0), CApp(x, k), DFix(K0, x), PFix(K0, x),
+             Later(K0, PApp(x, i)), TickLam(K0, TickApp(x, TickVar(0))),
+             TickApp(x, a), ForceApp(CApp(x, k if k == K0 else k + 1), K0, a))
+    return Lam(CLam(TickLam(K0, PLam(Hit("h", parts)))))
+
+
+@pytest.mark.parametrize("sort", [TERM, CLOCK, TICK, IVAL])
+def test_clock_constant_comes_through_weakening(sort):
+    moved = [int(s == sort) for s in (TERM, CLOCK, TICK, IVAL)]
+    assert weaken(_k0_term(0, 0, 0, 0), [sort]) == _k0_term(*moved)
+
+
+def test_clock_constant_comes_through_substitution():
+    # Each sort's variable 0 goes to its variable 1.
+    sigma = subst((2, 2, 2, 2), terms=(Var(1),), clocks=(1,),
+                  ticks=(TickVar(1),), ivals=(IVar(1),))
+    assert sigma.apply(_k0_term(0, 0, 0, 0)) == _k0_term(1, 1, 1, 1)
+
+
+def test_clock_constant_as_a_clock_payload_stays_under_clock_binders():
+    # No binder moves the constant, however deep it is substituted.
+    assert subst(None, clocks=(K0,)).apply(_k0_term(0, 0, 0, 0)) \
+        == _k0_term(0, K0, 0, 0)
+    # A forcing tick paired with k0: the tick application it reaches
+    # under a clock binder is forced at k0.
+    sigma = subst(None, clocks=(K0,), ticks=(CForcedTick(0, Diamond()),))
+    assert sigma.apply(CLam(TickApp(Var(0), TickVar(0)))) \
+        == CLam(ForceApp(Var(0), K0, Diamond()))
+
+
+def test_lookup_clock_of_the_clock_constant():
+    # Clock 1 goes to k0 and clock 0 to the scope's one clock.
+    scope = (0, 1, 0, 0)
+    env = bind(bind(None, scope, CLOCK, K0), scope, CLOCK, 0)
+    assert lookup_clock(env, K0) == K0
+    assert lookup_clock(env, 1) == K0
+    assert lookup_clock(env, 0) == 0
 
 
 def test_term_type_weakens_by_suffix():
