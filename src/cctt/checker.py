@@ -27,9 +27,10 @@ arguments, and `_rec_fn_type` folds it into the recursive argument's
 function type (`_pis`), in a constructor application, in a boundary's
 scope and, under the eliminator's clocks, for an eliminator case's
 recursive values; `conversion._weaken_elim` moves an eliminator under a
-case's binders.  A substitution that needs a scope but no typing context
-(the arity entries, the clocks of induction under clocks) is given a shape
-(`syntax.shape`), not a context built for it.
+case's binders.  A substitution is given the shape of its scope, a
+context's `counts`; one that needs a scope but no typing context (the
+arity entries, the clocks of induction under clocks) gets a shape extended
+by `syntax.shape`, not a context built for it.
 """
 
 from .conversion import (
@@ -50,11 +51,12 @@ from .interval import (
     iv_vars,
 )
 from .syntax import (
-    App, CApp, CLam, CLOCK, ClockElim, Comp, Con, Context, DFix, EClock,
-    EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, IVAL, K0, Lam,
-    Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM,
-    TICK, TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
-    rename_term, shape, strengthen, structural_equal, subst, weaken, weaken_iv,
+    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, EClock, EIVar,
+    ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, I1, K0, K1, Lam, Later,
+    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, T1, TERM, TICK,
+    TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
+    rename_term, shape, strengthen, structural_equal, subst, weaken,
+    weaken_iv,
 )
 from .ticks import (
     apply_mask, residual_mask, strengthen_term, subst_apply, weakening_subst,
@@ -114,14 +116,14 @@ class CheckState:
 def _check_iv(ctx, x):
     """x, an interval expression or a face, mentions only variables of
     ctx."""
-    bound = ctx.count(IVAL)
+    bound = ctx.counts[3]
     for ix in iv_vars(x):
         if ix >= bound:
             raise UnboundVariable(f"interval variable {ix} is not in scope")
 
 
 def _check_clock(ctx, k):
-    if k != K0 and not 0 <= k < ctx.count(CLOCK):
+    if k != K0 and not 0 <= k < ctx.counts[1]:
         raise ClockMismatch(f"clock {k} is not in scope")
 
 
@@ -176,7 +178,7 @@ def infer(state, ctx, t):
                     "application head is not a function", actual=fty
                 )
             check(state, ctx, arg, fty.dom)
-            return subst1(ctx, fty.cod, arg)
+            return subst1(ctx.counts, fty.cod, arg)
 
         case Fst(p):
             pty = whnf(state, ctx, infer(state, ctx, p))
@@ -188,7 +190,7 @@ def infer(state, ctx, t):
             pty = whnf(state, ctx, infer(state, ctx, p))
             if not isinstance(pty, Sigma):
                 raise NotAFunction("projection from a non-pair", actual=pty)
-            return subst1(ctx, pty.snd, Fst(p))
+            return subst1(ctx.counts, pty.snd, Fst(p))
 
         case PApp(fn, r):
             _check_iv(ctx, r)
@@ -207,7 +209,7 @@ def infer(state, ctx, t):
                     "clock application head is not clock-quantified",
                     actual=fty,
                 )
-            return subst_clock1(ctx, fty.body, k)
+            return subst_clock1(ctx.counts, fty.body, k)
 
         case TickApp(fn, u):
             return _infer_tick_app(state, ctx, fn, u)
@@ -221,10 +223,10 @@ def infer(state, ctx, t):
 
         case PFix(k, f):
             _, a = _fix_premise(state, ctx, k, f)
-            fw = weaken(f, [TICK])
+            fw = weaken(f, K1)
             d = DFix(k, fw)
             return Later(k, PathT(
-                weaken(a, [TICK]), TickApp(d, TickVar(0)), App(fw, d)
+                weaken(a, K1), TickApp(d, TickVar(0)), App(fw, d)
             ))
 
         case Comp():
@@ -286,7 +288,7 @@ def _fix_premise(state, ctx, k, f):
                            "tick") from None
     if not conv_tm(state, ctx, body, a):
         raise TypeMismatch("fixed point domain does not match its result",
-                           expected=Later(k, weaken(a, [TICK])), actual=dom)
+                           expected=Later(k, weaken(a, K1)), actual=dom)
     return dom, a
 
 
@@ -313,8 +315,8 @@ def _infer_tick_app(state, ctx, fn, u):
         raise ClockMismatch(
             "tick application head lives on a different clock"
         )
-    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(TICK))
-    return subst_tick1(ctx, body, u)
+    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(K1))
+    return subst_tick1(ctx.counts, body, u)
 
 
 def _infer_force_app(state, ctx, fn, k, u):
@@ -331,8 +333,9 @@ def _infer_force_app(state, ctx, fn, k, u):
         raise ClockMismatch(
             "forcing application head is not on the bound clock"
         )
-    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(CLOCK, TICK))
-    return subst_force1(ctx, body, k, u)
+    body = rename_term(lty.ty,
+                       weakening_subst(ctx, mask).under((0, 1, 1, 0)))
+    return subst_force1(ctx.counts, body, k, u)
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +367,7 @@ def check(state, ctx, t, expected):
 
         case (Pair(fst, snd), Sigma(a, b)):
             check(state, ctx, fst, a)
-            check(state, ctx, snd, subst1(ctx, b, fst))
+            check(state, ctx, snd, subst1(ctx.counts, b, fst))
             return
 
         case (Pair(_, _), _):
@@ -433,12 +436,12 @@ def check(state, ctx, t, expected):
 
 def _check_path_lam(state, ctx, body, a, left, right):
     ictx = ctx.push(EIVar())
-    check(state, ictx, body, weaken(a, [IVAL]))
-    at0 = subst_ival1(ctx, body, IZERO)
+    check(state, ictx, body, weaken(a, I1))
+    at0 = subst_ival1(ctx.counts, body, IZERO)
     if not conv(state, ctx, a, at0, left):
         raise EndpointMismatch("left endpoint disagrees",
                                expected=left, actual=at0)
-    at1 = subst_ival1(ctx, body, IONE)
+    at1 = subst_ival1(ctx.counts, body, IONE)
     if not conv(state, ctx, a, at1, right):
         raise EndpointMismatch("right endpoint disagrees",
                                expected=right, actual=at1)
@@ -505,19 +508,19 @@ def check_comp(state, ctx, p):
         _check_tube(state, ictx, p.face, p.tube, p.ty)
     except TypeMismatch as exc:
         raise TubeMismatch(f"tube does not fit the line: {exc}") from exc
-    ty0 = subst_ival1(ctx, p.ty, IZERO)
+    ty0 = subst_ival1(ctx.counts, p.ty, IZERO)
     check(state, ctx, p.base, ty0)
-    tube0 = subst_ival1(ctx, p.tube, IZERO)
+    tube0 = subst_ival1(ctx.counts, p.tube, IZERO)
     if not conv(state, ctx.restrict(p.face), ty0, p.base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent",
             face=p.face,
         )
-    return subst_ival1(ctx, p.ty, IONE)
+    return subst_ival1(ctx.counts, p.ty, IONE)
 
 
 def _check_tube(state, ictx, face, tube, line):
-    face_w = weaken_iv(face, [IVAL])
+    face_w = weaken_iv(face, I1)
     rctx = ictx.restrict(face_w)
     if isinstance(tube, System):
         covering = face_join(phi for phi, _ in tube.parts)
@@ -534,11 +537,11 @@ def _check_hcomp(state, ctx, ty, face, tube, base):
     _check_iv(ctx, face)
     ictx = ctx.push(EIVar())
     try:
-        _check_tube(state, ictx, face, tube, weaken(ty, [IVAL]))
+        _check_tube(state, ictx, face, tube, weaken(ty, I1))
     except TypeMismatch as exc:
         raise TubeMismatch(f"tube does not fit the type: {exc}") from exc
     check(state, ctx, base, ty)
-    tube0 = subst_ival1(ctx, tube, IZERO)
+    tube0 = subst_ival1(ctx.counts, tube, IZERO)
     if not conv(state, ctx.restrict(face), ty, base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent", face=face,
@@ -550,14 +553,14 @@ def _check_trans(state, ctx, ty, face, base):
     ictx = ctx.push(EIVar())
     check_is_type(state, ictx, ty)
     _check_iv(ctx, face)
-    ty0 = subst_ival1(ctx, ty, IZERO)
+    ty0 = subst_ival1(ctx.counts, ty, IZERO)
     # The line must be constant on the extent.
-    if not conv(state, ictx.restrict(weaken_iv(face, [IVAL])), U(0), ty,
-                weaken(ty0, [IVAL])):
+    if not conv(state, ictx.restrict(weaken_iv(face, I1)), U(0), ty,
+                weaken(ty0, I1)):
         raise TubeMismatch("transport line is not constant on its extent",
                            face=face)
     check(state, ctx, base, ty0)
-    return subst_ival1(ctx, ty, IONE)
+    return subst_ival1(ctx.counts, ty, IONE)
 
 
 # --------------------------------------------------------------------------
@@ -570,7 +573,8 @@ def _check_telescope(state, ctx, outer, values, types):
     telescope) and the values before it."""
     for j, ty in enumerate(types):
         check(state, ctx, values[j],
-              subst_apply(subst(ctx, terms=(*outer, *values[:j])), ty))
+              subst_apply(subst(ctx.counts, terms=(*outer, *values[:j])),
+                          ty))
 
 
 def _check_hit_params(state, ctx, sig, params):
@@ -688,12 +692,13 @@ def _boundary_context(sig, ctor, cctx):
     bctx = cctx
     for k, arity in enumerate(ctor.rec_arities):
         scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
-        bctx = bctx.push(EVar(_rec_fn_type(bctx, sig, arity, scope[:d],
-                                           scope[d:])))
+        bctx = bctx.push(EVar(_rec_fn_type(bctx.counts, sig, arity,
+                                           scope[:d], scope[d:])))
     for _ in range(ctor.ivar_count):
         bctx = bctx.push(EIVar())
     scope = [Var(r + d + a - 1 - q) for q in range(d + a)]
-    types = {r - 1 - k: _rec_fn_type(bctx, sig, arity, scope[:d], scope[d:])
+    types = {r - 1 - k: _rec_fn_type(bctx.counts, sig, arity, scope[:d],
+                                     scope[d:])
              for k, arity in enumerate(ctor.rec_arities)}
     return (Context(bctx.entries, bctx.restriction, bctx.counts, types),
             Hit(sig.name, tuple(scope[:d])))
@@ -731,7 +736,7 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
     _check_telescope(state, ctx, params, args, ctor.args.types)
     for k, arity in enumerate(ctor.rec_arities):
         check(state, ctx, recs[k],
-              _rec_fn_type(ctx, sig, arity, params, args))
+              _rec_fn_type(ctx.counts, sig, arity, params, args))
     for r in ivals:
         _check_iv(ctx, r)
     return Hit(sig.name, tuple(params))
@@ -739,24 +744,25 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
 
 def _rec_fn_type(scope, sig, arity, params, args):
     """The type of a recursive argument: a function from the arity
-    telescope, instantiated at params and args (terms in `scope`, a
-    context or a shape), into the data type."""
+    telescope, instantiated at params and args (terms in a context of shape
+    `scope`), into the data type."""
     if not arity.types:
         return Hit(sig.name, tuple(params))
-    ret = Hit(sig.name,
-              tuple(weaken(p, [TERM] * len(arity.types)) for p in params))
+    by = (len(arity.types), 0, 0, 0)
+    ret = Hit(sig.name, tuple(weaken(p, by) for p in params))
     return _pis(_arity_types(scope, arity, (*params, *args)), ret)
 
 
 def _arity_types(scope, arity, outer):
     """The types of an arity telescope, instantiated at `outer` (the
-    parameters and arguments, terms in `scope`, a context or a shape), each
-    in scope extended by the ones before it."""
+    parameters and arguments, terms in a context of shape `scope`), each in
+    scope extended by the ones before it."""
     tys = []
     for q, ty in enumerate(arity.types):
-        terms = [weaken(x, [TERM] * q) for x in outer]
+        by = (q, 0, 0, 0)
+        terms = [weaken(x, by) for x in outer]
         terms += [Var(q - 1 - s) for s in range(q)]
-        tys.append(subst_apply(subst(shape(scope, terms=q), terms=terms), ty))
+        tys.append(subst_apply(subst(shape(scope, by), terms=terms), ty))
     return tys
 
 
@@ -788,10 +794,9 @@ def check_clock_elim(state, ctx, elim):
 
     # Parameters: each is clock-abstracted n times over its telescope type.
     # Under the n clocks, the parameters are applied to them.
-    ctx_n = shape(ctx, clocks=n)
-    hit_params_n = tuple(
-        _capp_n(weaken(q, [CLOCK] * n), n) for q in elim.params
-    )
+    clocks = (0, n, 0, 0)
+    ctx_n = shape(ctx.counts, clocks)
+    hit_params_n = tuple(_capp_n(weaken(q, clocks), n) for q in elim.params)
     for p, ty in enumerate(sig.params.types):
         body = subst_apply(subst(ctx_n, terms=hit_params_n[:p]), ty)
         check(state, ctx, elim.params[p], _forall_n(n, body))
@@ -830,7 +835,7 @@ def check_clock_elim(state, ctx, elim):
             )
         _check_case(state, ctx, sig, ctor, elim, case)
 
-    return subst1(ctx, elim.motive, elim.arg)
+    return subst1(ctx.counts, elim.motive, elim.arg)
 
 
 def _check_case(state, ctx, sig, ctor, elim, case):
@@ -839,53 +844,50 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     r = len(ctor.rec_arities)
     v = ctor.ivar_count
 
+    clocks = (0, n, 0, 0)
     cur = ctx
     # gamma binders.
     for j in range(a):
-        terms = [_capp_n(weaken(p, [TERM] * j + [CLOCK] * n), n)
-                 for p in elim.params]
+        terms = [_capp_n(weaken(p, (j, n, 0, 0)), n) for p in elim.params]
         terms += [_capp_n(Var(j - 1 - i), n) for i in range(j)]
-        body = subst_apply(subst(shape(cur, clocks=n), terms=terms),
+        body = subst_apply(subst(shape(cur.counts, clocks), terms=terms),
                            ctor.args.types[j])
         cur = cur.push(EVar(_forall_n(n, body)))
 
     # x binders (clock-abstracted recursive values).
     for k, arity in enumerate(ctor.rec_arities):
         shift = a + k
-        params_n = [
-            _capp_n(weaken(p, [TERM] * shift + [CLOCK] * n), n)
-            for p in elim.params
-        ]
+        params_n = [_capp_n(weaken(p, (shift, n, 0, 0)), n)
+                    for p in elim.params]
         gammas_n = [_capp_n(Var(a - 1 - j + k), n) for j in range(a)]
         cur = cur.push(EVar(_forall_n(n, _rec_fn_type(
-            shape(cur, clocks=n), sig, arity, params_n, gammas_n))))
+            shape(cur.counts, clocks), sig, arity, params_n, gammas_n))))
 
     # y binders (induction hypotheses).
     for k, arity in enumerate(ctor.rec_arities):
         m = len(arity.types)
         shift = a + r + k
-        params_w = [weaken(p, [TERM] * shift) for p in elim.params]
+        params_w = [weaken(p, (shift, 0, 0, 0)) for p in elim.params]
         gammas = [Var(a - 1 - j + r + k) for j in range(a)]
-        tys = _arity_types(cur, arity, params_w + gammas)
+        tys = _arity_types(cur.counts, arity, params_w + gammas)
         if n > 0:
             scrut = Var(r - 1)
         else:
             scrut = Var(r - 1 + m)
             for s in range(m):
                 scrut = App(scrut, Var(m - 1 - s))
-        motive_w = weaken(elim.motive, [TERM] * (shift + m),
-                          cut={TERM: 1})
+        motive_w = weaken(elim.motive, (shift + m, 0, 0, 0), T1)
         cur = cur.push(EVar(_pis(
-            tys, subst1(shape(cur, terms=m), motive_w, scrut))))
+            tys, subst1(shape(cur.counts, (m, 0, 0, 0)), motive_w, scrut))))
 
     case_ctx = cur
     for _ in range(v):
         case_ctx = case_ctx.push(EIVar())
 
-    case_sorts = [TERM] * (a + 2 * r) + [IVAL] * v
-    con = _case_con(elim, sig, ctor, case_sorts)
-    motive_w = weaken(elim.motive, case_sorts, cut={TERM: 1})
-    expected = subst1(case_ctx, motive_w, _clam_n(n, con))
+    binders = (a + 2 * r, 0, 0, v)
+    con = _case_con(elim, sig, ctor, binders)
+    motive_w = weaken(elim.motive, binders, T1)
+    expected = subst1(case_ctx.counts, motive_w, _clam_n(n, con))
     check(state, case_ctx, case.body, expected)
     if not ctor.boundary:
         return
@@ -894,10 +896,10 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     # eliminator's own calls, must agree with the eliminator applied to
     # the piece.  The eliminator is weakened into the case context once
     # for all the pieces.
-    elim_w = _weaken_elim(elim, case_sorts, None)
+    elim_w = _weaken_elim(elim, binders, None)
     body, env = _elim_con(state, case_ctx, elim_w, None, con, None)
     body = subst_apply(env, body)
-    sigma = subst(shape(case_ctx, clocks=n),
+    sigma = subst(shape(case_ctx.counts, clocks),
                   terms=con.params + con.args + con.recs, ivals=con.ivals)
     for phi, piece in ctor.boundary:
         at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
@@ -911,18 +913,16 @@ def _check_case(state, ctx, sig, ctor, elim, case):
             )
 
 
-def _case_con(elim, sig, ctor, case_sorts):
-    """The constructor a case stands for, in its case context under the n
-    clocks: its arguments and recursive arguments are the case's binders
-    applied to the clocks."""
+def _case_con(elim, sig, ctor, binders):
+    """The constructor a case stands for, in its case context (`binders`
+    past the eliminator's) under the n clocks: its arguments and recursive
+    arguments are the case's binders applied to the clocks."""
     n = elim.n
     a = len(ctor.args.types)
     r = len(ctor.rec_arities)
     v = ctor.ivar_count
-    params = tuple(
-        _capp_n(weaken(p, case_sorts + [CLOCK] * n), n)
-        for p in elim.params
-    )
+    params = tuple(_capp_n(weaken(p, shape(binders, (0, n, 0, 0))), n)
+                   for p in elim.params)
     args = tuple(
         _capp_n(Var(2 * r + a - 1 - j), n) for j in range(a)
     )

@@ -79,10 +79,10 @@ variable, universe, type former, abstraction, pair, `dfix` or `pfix`) is
 returned at once, for the one step the machine would count.
 
 Substitutions are built with `syntax.subst` from payloads per sort (terms,
-clock indices, ticks and interval expressions) and a count per sort of
-fresh binders; it checks them against the shape of the scope they map into
-(per sort, the number of variables), read off a context, or given as a
-shape (`syntax.shape`) where there is no typing context to read it from.
+clock indices, ticks and interval expressions) and a count of fresh
+binders; it checks them against the shape of the scope they map into (per
+sort, the number of variables): a context's `counts`, or a shape extended
+by `syntax.shape` where there is no typing context to read it from.
 Weakening and strengthening are substitutions too, applied by the same
 walk: whether a type line mentions its interval variable
 (`_mentions_ival0`) is whether strengthening it past that variable fails.
@@ -109,8 +109,8 @@ from .syntax import (
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase, Fst,
     ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar,
-    Tirr, TopRef, Trans, U, Var, shape, strengthen, structural_equal, subst,
-    weaken, weaken_iv,
+    Tirr, TopRef, Trans, U, Var, C1, I1, T1, K1, shape, strengthen,
+    structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
     bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
@@ -130,36 +130,35 @@ def is_neutral(t):
 # Substitution helpers
 # --------------------------------------------------------------------------
 
-# Per sort, the count of one fresh interval binder.
-_ONE_IVAL = (0, 0, 0, 1)
+# Each takes the shape of the scope it substitutes into (a context's
+# `counts`), or None for unchecked.
+
+def subst1(scope, body, arg):
+    return subst_apply(subst(scope, terms=(arg,)), body)
 
 
-def subst1(ctx, body, arg):
-    return subst_apply(subst(ctx, terms=(arg,)), body)
+def subst_ival1(scope, body, r):
+    return subst_apply(subst(scope, ivals=(r,)), body)
 
 
-def subst_ival1(ctx, body, r):
-    return subst_apply(subst(ctx, ivals=(r,)), body)
+def subst_clock1(scope, body, k):
+    return subst_apply(subst(scope, clocks=(k,)), body)
 
 
-def subst_clock1(ctx, body, k):
-    return subst_apply(subst(ctx, clocks=(k,)), body)
+def subst_tick1(scope, body, u):
+    return subst_apply(subst(scope, ticks=(u,)), body)
 
 
-def subst_tick1(ctx, body, u):
-    return subst_apply(subst(ctx, ticks=(u,)), body)
-
-
-def subst_force1(ctx, body, k, u):
-    """body, scoped in ctx plus a clock and a tick on it, at the clock k
+def subst_force1(scope, body, k, u):
+    """body, scoped in scope plus a clock and a tick on it, at the clock k
     and the forcing tick (k, u): the forcing beta rule."""
-    return subst_apply(_forcing_env(ctx, k, u), body)
+    return subst_apply(_forcing_env(scope, k, u), body)
 
 
-def _forcing_env(ctx, k, u):
-    """The substitution of the forcing beta rule, for a body scoped in ctx
-    plus a clock and a tick on it."""
-    return subst(ctx, clocks=(k,), ticks=(CForcedTick(0, u),))
+def _forcing_env(scope, k, u):
+    """The substitution of the forcing beta rule, for a body scoped in
+    scope plus a clock and a tick on it."""
+    return subst(scope, clocks=(k,), ticks=(CForcedTick(0, u),))
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def _whnf_env(state, ctx, t, env=None):
             t = t.fn
             continue
         if cls is Lam and spine and type(spine[-1]) is not int:
-            env = bind(env, ctx, TERM, spine.pop())
+            env = bind(env, ctx.counts, TERM, spine.pop())
             t = t.body
             continue
         if cls is CApp:
@@ -246,7 +245,7 @@ def _whnf_env(state, ctx, t, env=None):
             t = t.fn
             continue
         if cls is CLam and spine and type(spine[-1]) is int:
-            env = bind(env, ctx, CLOCK, spine.pop())
+            env = bind(env, ctx.counts, CLOCK, spine.pop())
             t = t.body
             continue
         if cls is TopRef:
@@ -261,7 +260,7 @@ def _whnf_env(state, ctx, t, env=None):
             if ctor.face:
                 ivals = _ivals_under(env, t.ivals)
                 if face_is_true(_ctor_face(ctor, ivals)):
-                    t, env = _boundary_fire(ctx, ctor, env, t.params,
+                    t, env = _boundary_fire(ctx.counts, ctor, env, t.params,
                                             t.args, t.recs, ivals)
                     continue
             return _stuck(t, env, spine)
@@ -282,7 +281,7 @@ def _whnf_env(state, ctx, t, env=None):
                 r = image_iv(env, r)
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is PLam:
-                    t, env = fn.body, bind(fenv, ctx, IVAL, r)
+                    t, env = fn.body, bind(fenv, ctx.counts, IVAL, r)
                     continue
                 fn, env = _materialise(fn, fenv), None
                 unfolded = _pfix_unfold(state, ctx, fn)
@@ -300,7 +299,7 @@ def _whnf_env(state, ctx, t, env=None):
                 u = tick_whnf(image_tick(env, u))
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is TickLam:
-                    t, env = fn.body, bind(fenv, ctx, TICK, u)
+                    t, env = fn.body, bind(fenv, ctx.counts, TICK, u)
                 else:
                     return _apply_spine(
                         TickApp(_materialise(fn, fenv), u), spine), None
@@ -313,18 +312,18 @@ def _whnf_env(state, ctx, t, env=None):
                 if not tick_has_diamond(u):
                     # Diamond-free forcing demotes to a simple application;
                     # its tick, clock-free, reads the same under the clock.
-                    t, env = TickApp(fn, tick), bind(env, ctx, CLOCK, k)
+                    t, env = TickApp(fn, tick), bind(env, ctx.counts, CLOCK, k)
                     continue
                 # fn binds the clock: it is reduced with env applied.
                 if env is not None:
-                    fn, env = subst_apply(env.under(CLOCK), fn), None
+                    fn, env = subst_apply(env.under(C1), fn), None
                 fn = whnf(state, ctx.push(EClock()), fn)
                 match fn:
                     case TickLam(_, body):
-                        t, env = body, _forcing_env(ctx, k, u)
+                        t, env = body, _forcing_env(ctx.counts, k, u)
                     case DFix(0, f) if isinstance(u, Diamond):
-                        t, env = App(f, DFix(0, f)), bind(None, ctx, CLOCK,
-                                                          k)
+                        t, env = App(f, DFix(0, f)), bind(
+                            None, ctx.counts, CLOCK, k)
                     case _:
                         return _apply_spine(ForceApp(fn, k, u), spine), None
 
@@ -347,7 +346,7 @@ def _whnf_env(state, ctx, t, env=None):
             case Comp(_, face, tube, _) | HComp(_, face, tube, _) \
                     if face_is_true(image_iv(env, face)):
                 # The tube at the end of the line.
-                t, env = tube, bind(env, ctx, IVAL, IONE)
+                t, env = tube, bind(env, ctx.counts, IVAL, IONE)
 
             case System(parts):
                 for phi, u in parts:
@@ -371,7 +370,7 @@ def _whnf_env(state, ctx, t, env=None):
                     return _apply_spine(HComp(head, t.face, t.tube, t.base),
                                         spine), None
                 # Other type heads: compose along the constant line.
-                t, env = Comp(weaken(head, [IVAL]), t.face, t.tube,
+                t, env = Comp(weaken(head, I1), t.face, t.tube,
                               t.base), None
 
             case Trans(ty, face, base):
@@ -413,7 +412,7 @@ def _pfix_unfold(state, ctx, fn):
     inner = whnf(state, ctx.push(EClock()), fn.fn)
     if isinstance(inner, PFix) and inner.clock == 0:
         f = inner.fn
-        return App(f, DFix(0, f)), bind(None, ctx, CLOCK, fn.clock)
+        return App(f, DFix(0, f)), bind(None, ctx.counts, CLOCK, fn.clock)
     return None
 
 
@@ -437,14 +436,11 @@ def _filler(scope, face, tube, base, r):
     """What a filler at level r composes: the substitution cutting a line
     (binding the line variable) at r /\\ i, the extent, and the tube system,
     which follows tube on `face` and equals base at r=0.  tube binds the
-    line variable; face, base, r do not.  `scope` is a context or a
-    shape."""
-    cut = subst(scope, ivals=(IMeet(weaken_iv(r, [IVAL]), IVar(0)),),
-                fresh=_ONE_IVAL)
+    line variable; face, base, r do not.  `scope` is a shape."""
+    cut = subst(scope, ivals=(IMeet(weaken_iv(r, I1), IVar(0)),), fresh=I1)
     sys = System((
-        (weaken_iv(face, [IVAL]), subst_apply(cut, tube)),
-        (face_of_equation(weaken_iv(r, [IVAL]), 0),
-         weaken(base, [IVAL])),
+        (weaken_iv(face, I1), subst_apply(cut, tube)),
+        (face_of_equation(weaken_iv(r, I1), 0), weaken(base, I1)),
     ))
     return cut, FOr(face, face_of_equation(r, 0)), sys
 
@@ -459,10 +455,10 @@ def _fill_fwd(scope, line, face, tube, base, r):
 def _fill_bwd(scope, line, face, goal, r):
     """Backward transport: value at level r, equal to `goal` at r=1 and
     constant on `face`."""
-    rj = IJoin(weaken_iv(r, [IVAL]), INeg(IVar(0)))
-    line_cut = subst_apply(subst(scope, ivals=(rj,), fresh=_ONE_IVAL), line)
+    rj = IJoin(weaken_iv(r, I1), INeg(IVar(0)))
+    line_cut = subst_apply(subst(scope, ivals=(rj,), fresh=I1), line)
     phi = FOr(face, face_of_equation(r, 1))
-    return Comp(line_cut, phi, weaken(goal, [IVAL]), goal)
+    return Comp(line_cut, phi, weaken(goal, I1), goal)
 
 
 def hfill(scope, ty, face, tube, base, j):
@@ -483,42 +479,43 @@ def comp_eval(state, ctx, p):
     ictx = ctx.push(EIVar())
     head = whnf(state, ictx, p.ty)
 
+    scope = ctx.counts
     if not _mentions_ival0(head):
         # Constant line: the problem is homogeneous.
-        dropped = subst_ival1(ctx, head, IZERO)
+        dropped = subst_ival1(scope, head, IZERO)
         return HComp(dropped, p.face, p.tube, p.base)
 
     match head:
         case Pi(dom, cod):
             # \v. comp^i cod[w(i)/x] [face -> tube (w i)] (base (w 0))
-            v_scope = shape(ctx, terms=1)
-            dom_v = weaken(dom, [TERM])                 # (ctx, v, i)
-            line_i = weaken(dom, [TERM, IVAL], cut={IVAL: 1})
-            w_i = _fill_bwd(shape(v_scope, ivals=1), line_i,
-                            weaken_iv(p.face, [IVAL]),
+            v_scope = shape(scope, T1)
+            dom_v = weaken(dom, T1)                 # (ctx, v, i)
+            line_i = weaken(dom, (1, 0, 0, 1), I1)
+            w_i = _fill_bwd(shape(v_scope, I1), line_i,
+                            weaken_iv(p.face, I1),
                             Var(0), IVar(0))
             cod_line = subst_apply(
                 subst(v_scope, terms=(w_i,), ivals=(IVar(0),),
-                      fresh=_ONE_IVAL),
-                weaken(cod, [TERM], cut={TERM: 1}),
+                      fresh=I1),
+                weaken(cod, T1, T1),
             )
-            tube_v = App(weaken(p.tube, [TERM]), w_i)
+            tube_v = App(weaken(p.tube, T1), w_i)
             w_0 = _fill_bwd(v_scope, dom_v, p.face, Var(0), IZERO)
-            base_v = App(weaken(p.base, [TERM]), w_0)
+            base_v = App(weaken(p.base, T1), w_0)
             return Lam(Comp(cod_line, p.face, tube_v, base_v))
 
         case Sigma(fst, snd):
             c1 = _fill_fwd(
-                ictx,
-                weaken(fst, [IVAL], cut={IVAL: 1}),
-                weaken_iv(p.face, [IVAL]),
-                Fst(weaken(p.tube, [IVAL], cut={IVAL: 1})),
-                Fst(weaken(p.base, [IVAL])),
+                ictx.counts,
+                weaken(fst, I1, I1),
+                weaken_iv(p.face, I1),
+                Fst(weaken(p.tube, I1, I1)),
+                Fst(weaken(p.base, I1)),
                 IVar(0),
             )
             first = Comp(fst, p.face, Fst(p.tube), Fst(p.base))
             snd_line = subst_apply(
-                subst(ctx, terms=(c1,), ivals=(IVar(0),), fresh=_ONE_IVAL),
+                subst(scope, terms=(c1,), ivals=(IVar(0),), fresh=I1),
                 snd,
             )
             second = Comp(snd_line, p.face, Snd(p.tube), Snd(p.base))
@@ -526,15 +523,15 @@ def comp_eval(state, ctx, p):
 
         case PathT(a, left, right):
             # <k> comp^i a [face -> tube@k, k=0 -> a0, k=1 -> a1] (base@k)
-            ln = weaken(a, [IVAL], cut={IVAL: 1})       # (ctx, k, i)
-            phi2 = weaken_iv(p.face, [IVAL, IVAL])
+            ln = weaken(a, I1, I1)       # (ctx, k, i)
+            phi2 = weaken_iv(p.face, (0, 0, 0, 2))
             sys = System((
-                (phi2, PApp(weaken(p.tube, [IVAL], cut={IVAL: 1}), IVar(1))),
-                (FEq(1, 0), weaken(left, [IVAL], cut={IVAL: 1})),
-                (FEq(1, 1), weaken(right, [IVAL], cut={IVAL: 1})),
+                (phi2, PApp(weaken(p.tube, I1, I1), IVar(1))),
+                (FEq(1, 0), weaken(left, I1, I1)),
+                (FEq(1, 1), weaken(right, I1, I1)),
             ))
-            base = PApp(weaken(p.base, [IVAL]), IVar(0))
-            total = FOr(weaken_iv(p.face, [IVAL]),
+            base = PApp(weaken(p.base, I1), IVar(0))
+            total = FOr(weaken_iv(p.face, I1),
                         FOr(FEq(0, 0), FEq(0, 1)))
             return PLam(Comp(ln, total, sys, base))
 
@@ -542,17 +539,17 @@ def comp_eval(state, ctx, p):
         # keeps its indices: the tick (or clock) and the line variable are
         # of different sorts, so their order does not matter.
         case Later(clock, body_ty):
-            tube = TickApp(weaken(p.tube, [TICK]), TickVar(0))
-            base = TickApp(weaken(p.base, [TICK]), TickVar(0))
+            tube = TickApp(weaken(p.tube, K1), TickVar(0))
+            base = TickApp(weaken(p.base, K1), TickVar(0))
             return TickLam(clock, Comp(body_ty, p.face, tube, base))
 
         case Forall(body_ty):
-            tube = CApp(weaken(p.tube, [CLOCK]), 0)
-            base = CApp(weaken(p.base, [CLOCK]), 0)
+            tube = CApp(weaken(p.tube, C1), 0)
+            base = CApp(weaken(p.base, C1), 0)
             return CLam(Comp(body_ty, p.face, tube, base))
 
         case Hit(_, _):
-            return hit_comp_decompose(ctx, head, p.face, p.tube, p.base)
+            return hit_comp_decompose(scope, head, p.face, p.tube, p.base)
 
         case _:
             return None
@@ -572,16 +569,16 @@ def _mentions_ival0(t):
 # comp / trans / hcomp at higher inductive types
 # --------------------------------------------------------------------------
 
-def hit_comp_decompose(ctx, hit_line, face, tube, base):
+def hit_comp_decompose(scope, hit_line, face, tube, base):
     """comp at H(delta(i)) = hcomp at H(delta(1)) of the transported sides
     over the transported base."""
-    line_at_one = subst_ival1(ctx, hit_line, IONE)
+    line_at_one = subst_ival1(scope, hit_line, IONE)
     # v, scoped in (ctx, j): trans^k H(delta[j \/ k]) (face \/ j=1) (tube j)
     vk_line = subst_apply(
-        subst(ctx, ivals=(IJoin(IVar(1), IVar(0)),), fresh=(0, 0, 0, 2)),
+        subst(scope, ivals=(IJoin(IVar(1), IVar(0)),), fresh=(0, 0, 0, 2)),
         hit_line,
     )
-    v = Trans(vk_line, FOr(weaken_iv(face, [IVAL]), FEq(0, 1)), tube)
+    v = Trans(vk_line, FOr(weaken_iv(face, I1), FEq(0, 1)), tube)
     return HComp(line_at_one, face, v, Trans(hit_line, face, base))
 
 
@@ -598,19 +595,19 @@ def _trans_step(state, ctx, ty, face, base):
     match head:
         case Pi(_, _) | Sigma(_, _) | PathT(_, _, _) | Later(_, _) \
                 | Forall(_):
-            return Comp(head, face, weaken(base, [IVAL]), base)
+            return Comp(head, face, weaken(base, I1), base)
         case Hit(_, _):
             b = whnf(state, ctx, base)
             if isinstance(b, Con):
-                return _trans_con(state, ctx, head, face, b)
+                return _trans_con(state, ctx.counts, head, face, b)
             if isinstance(b, HComp):
-                return _trans_hcomp(ctx, head, face, b)
+                return _trans_hcomp(ctx.counts, head, face, b)
             return None
         case _:
             return None
 
 
-def _trans_con(state, ctx, hit_line, face, con):
+def _trans_con(state, scope, hit_line, face, con):
     """Push transport inside a point constructor.  Path constructors and
     constructors with higher-order recursive arguments stay stuck along
     genuinely varying parameter lines."""
@@ -619,42 +616,41 @@ def _trans_con(state, ctx, hit_line, face, con):
     if ctor.boundary or any(len(a.types) for a in ctor.rec_arities):
         return None
     params_line = hit_line.params  # scoped (ctx, i)
-    new_args = _ctrans_args(ctx, ctor, params_line, face, con.args)
+    new_args = _ctrans_args(scope, ctor, params_line, face, con.args)
     new_recs = tuple(Trans(hit_line, face, r) for r in con.recs)
-    params_at_one = tuple(subst_ival1(ctx, q, IONE) for q in params_line)
+    params_at_one = tuple(subst_ival1(scope, q, IONE) for q in params_line)
     return Con(con.name, con.label, params_at_one, tuple(new_args),
                new_recs, con.ivals)
 
 
-def _ctrans_args(ctx, ctor, params_line, face, args):
+def _ctrans_args(scope, ctor, params_line, face, args):
     """Transport the non-recursive arguments along their telescope lines,
     filling earlier arguments to instantiate the dependencies of later
     ones."""
-    ictx = shape(ctx, ivals=1)
+    iscope = shape(scope, I1)
     fills = []    # scoped (ctx, j): the m-th argument's filler at level j
     results = []
     for m, ty in enumerate(ctor.args.types):
         # ty is scoped (Delta, args<m).
         line = subst_apply(
-            subst(ictx, terms=params_line + tuple(fills[:m])), ty
+            subst(iscope, terms=params_line + tuple(fills[:m])), ty
         )
         fills.append(_fill_fwd(
-            ictx,
-            weaken(line, [IVAL], cut={IVAL: 1}),
-            weaken_iv(face, [IVAL]),
-            weaken(args[m], [IVAL, IVAL]),
-            weaken(args[m], [IVAL]),
+            iscope,
+            weaken(line, I1, I1),
+            weaken_iv(face, I1),
+            weaken(args[m], (0, 0, 0, 2)),
+            weaken(args[m], I1),
             IVar(0),
         ))
         results.append(Trans(line, face, args[m]))
     return results
 
 
-def _trans_hcomp(ctx, hit_line, face, hc):
+def _trans_hcomp(scope, hit_line, face, hc):
     """trans commutes with hcomp."""
-    at_one = subst_ival1(ctx, hit_line, IONE)
-    tube = Trans(weaken(hit_line, [IVAL], cut={IVAL: 1}),
-                 weaken_iv(face, [IVAL]), hc.tube)
+    at_one = subst_ival1(scope, hit_line, IONE)
+    tube = Trans(weaken(hit_line, I1, I1), weaken_iv(face, I1), hc.tube)
     return HComp(at_one, hc.face, tube, Trans(hit_line, face, hc.base))
 
 
@@ -672,7 +668,7 @@ def _ctor_face(ctor, ivals):
     return iv_substitute(ctor.face, _ival_assignment(ivals))
 
 
-def _boundary_fire(ctx, ctor, env, params, args, recs, ivals):
+def _boundary_fire(scope, ctor, env, params, args, recs, ivals):
     """The constructor's face is satisfied: reduce to the boundary piece
     that holds, under the environment sending the signature telescope to
     the constructor's parameters and arguments (each closed over env, the
@@ -682,7 +678,7 @@ def _boundary_fire(ctx, ctor, env, params, args, recs, ivals):
     for phi, piece in ctor.boundary:
         if face_is_true(iv_substitute(phi, assignment)):
             terms = tuple(close(env, x) for x in params + args + recs)
-            return piece, subst(ctx, terms=terms, ivals=ivals)
+            return piece, subst(scope, terms=terms, ivals=ivals)
     raise IllFormedRedex(
         f"constructor face of {ctor.label} satisfied but no boundary piece "
         "fires"
@@ -720,7 +716,7 @@ def elim_reduce(state, ctx, elim, env=None):
     if type(head) is HComp:
         head = _materialise(head, henv)
         if isinstance(whnf(state, cctx, head.ty), Hit):
-            return _elim_hcomp(ctx, _materialise(elim, env), head)
+            return _elim_hcomp(ctx.counts, _materialise(elim, env), head)
     return None
 
 
@@ -749,19 +745,19 @@ def _case_for(elim, label):
     raise CaseMissing(f"no case for constructor {label}")
 
 
-def _weaken_case(case, sorts):
-    cut = {TERM: case.n_args + 2 * case.n_recs, IVAL: case.n_ivars}
+def _weaken_case(case, by):
+    cut = (case.n_args + 2 * case.n_recs, 0, 0, case.n_ivars)
     return ElimCase(case.label, case.n_args, case.n_recs, case.n_ivars,
-                    weaken(case.body, sorts, cut=cut))
+                    weaken(case.body, by, cut))
 
 
-def _weaken_elim(elim, sorts, arg):
-    """elim, its parameters, motive and cases weakened past binders of
-    `sorts`, on the scrutinee arg (scoped past them already)."""
+def _weaken_elim(elim, by, arg):
+    """elim, its parameters, motive and cases weakened past `by` binders,
+    on the scrutinee arg (scoped past them already)."""
     return ClockElim(elim.name, elim.n,
-                     tuple(weaken(p, sorts) for p in elim.params),
-                     weaken(elim.motive, sorts, cut={TERM: 1}),
-                     tuple(_weaken_case(c, sorts) for c in elim.cases),
+                     tuple(weaken(p, by) for p in elim.params),
+                     weaken(elim.motive, by, T1),
+                     tuple(_weaken_case(c, by) for c in elim.cases),
                      arg)
 
 
@@ -770,10 +766,10 @@ def _rec_call(elim, x, extra, m):
     y of its case: \\xi-bar. elim(/\\kappa-bar. x xi-bar), elim weakened
     past the `extra` term variables x's scope adds to elim's and the m
     bound ones.  x is scoped under elim's clocks."""
-    call = weaken(x, [TERM] * m)
+    call = weaken(x, (m, 0, 0, 0))
     for j in range(m):
         call = App(call, Var(m - 1 - j))
-    return _nlam(m, _weaken_elim(elim, [TERM] * (extra + m),
+    return _nlam(m, _weaken_elim(elim, (extra + m, 0, 0, 0),
                                  _clam_n(elim.n, call)))
 
 
@@ -811,7 +807,7 @@ def _elim_con(state, ctx, elim, env, con, cenv):
             # A recursive call: its fields are those of the eliminator it
             # was made from, weakened past the variables it binds.
             elim, k = made_from
-            env = drop_terms(env, ctx, k)
+            env = drop_terms(env, ctx.counts, k)
     sig = state.signature(elim.name)
     ctor = sig.constructor(con.label)
     case = _case_for(elim, con.label)
@@ -820,21 +816,23 @@ def _elim_con(state, ctx, elim, env, con, cenv):
         # Each recursive call is a closure binding its argument, so the
         # argument stays pending.
         xs = [close(cenv, a) for a in con.recs]
+        scope = ctx.counts
         ys = [Closure(_rec_template(elim, len(arity.types)),
-                      bind(env, ctx, TERM, x))
+                      bind(env, scope, TERM, x))
               for x, arity in zip(xs, ctor.rec_arities)]
         gamma = [close(cenv, a) for a in con.args]
-        return case.body, extend(env, ctx, gamma + xs + ys,
+        return case.body, extend(env, scope, gamma + xs + ys,
                                  _ivals_under(cenv, con.ivals))
 
     gamma = [_clam_n(n, a) for a in con.args]
     xs = [_clam_n(n, a) for a in con.recs]
     ys = [_rec_call(elim, x, 0, len(arity.types))
           for x, arity in zip(con.recs, ctor.rec_arities)]
-    return case.body, subst(ctx, terms=gamma + xs + ys, ivals=con.ivals)
+    return case.body, subst(ctx.counts, terms=gamma + xs + ys,
+                            ivals=con.ivals)
 
 
-def _elim_hcomp(ctx, elim, hc):
+def _elim_hcomp(scope, elim, hc):
     """hcomp rule: eliminate through the composition by composing in the
     motive over the filling line."""
     n = elim.n
@@ -844,16 +842,16 @@ def _elim_hcomp(ctx, elim, hc):
     big_ty = _forall_n(n, hc.ty)
     tube_abs = _clam_n(n, hc.tube)     # scoped (ctx, i)
     base_abs = _clam_n(n, hc.base)
-    v_line = hfill(shape(ctx, ivals=1),
-                   weaken(big_ty, [IVAL]),
-                   weaken_iv(hc.face, [IVAL]),
-                   weaken(tube_abs, [IVAL], cut={IVAL: 1}),
-                   weaken(base_abs, [IVAL]),
+    v_line = hfill(shape(scope, I1),
+                   weaken(big_ty, I1),
+                   weaken_iv(hc.face, I1),
+                   weaken(tube_abs, I1, I1),
+                   weaken(base_abs, I1),
                    IVar(0))
     motive_line = subst_apply(
-        subst(ctx, terms=(v_line,), fresh=_ONE_IVAL), elim.motive
+        subst(scope, terms=(v_line,), fresh=I1), elim.motive
     )
-    tube = _weaken_elim(elim, [IVAL], tube_abs)
+    tube = _weaken_elim(elim, I1, tube_abs)
     base = ClockElim(elim.name, n, elim.params, elim.motive, elim.cases,
                      base_abs)
     return Comp(motive_line, hc.face, tube, base), None
@@ -876,7 +874,7 @@ def conv(state, ctx, ty, t, u):
         return _conv_clause(state, ctx, ty, t, u)
     free = Context(ctx.entries, FTOP, ctx.counts, ctx.types)
     for clause in face_clauses(phi):
-        sigma = clause_subst(ctx, clause)
+        sigma = clause_subst(ctx.counts, clause)
         if not _conv_clause(state, free, Closure(ty, sigma),
                             Closure(t, sigma), Closure(u, sigma)):
             return False
@@ -896,34 +894,34 @@ def _conv_clause(state, ctx, ty, t, u):
             inner = ctx.push(EVar(dom))
             return _conv_clause(
                 state, inner, cod,
-                App(weaken(t, [TERM]), Var(0)),
-                App(weaken(u, [TERM]), Var(0)),
+                App(weaken(t, T1), Var(0)),
+                App(weaken(u, T1), Var(0)),
             )
         case Sigma(fst, snd):
             if not _conv_clause(state, ctx, fst, Fst(t), Fst(u)):
                 return False
-            return _conv_clause(state, ctx, subst1(ctx, snd, Fst(t)),
+            return _conv_clause(state, ctx, subst1(ctx.counts, snd, Fst(t)),
                                 Snd(t), Snd(u))
         case PathT(a, _, _):
             inner = ctx.push(EIVar())
             return _conv_clause(
-                state, inner, weaken(a, [IVAL]),
-                PApp(weaken(t, [IVAL]), IVar(0)),
-                PApp(weaken(u, [IVAL]), IVar(0)),
+                state, inner, weaken(a, I1),
+                PApp(weaken(t, I1), IVar(0)),
+                PApp(weaken(u, I1), IVar(0)),
             )
         case Forall(body):
             inner = ctx.push(EClock())
             return _conv_clause(
                 state, inner, body,
-                CApp(weaken(t, [CLOCK]), 0),
-                CApp(weaken(u, [CLOCK]), 0),
+                CApp(weaken(t, C1), 0),
+                CApp(weaken(u, C1), 0),
             )
         case Later(clock, body):
             inner = ctx.push(ETick(clock))
             return _conv_clause(
                 state, inner, body,
-                TickApp(weaken(t, [TICK]), TickVar(0)),
-                TickApp(weaken(u, [TICK]), TickVar(0)),
+                TickApp(weaken(t, K1), TickVar(0)),
+                TickApp(weaken(u, K1), TickVar(0)),
             )
 
 
@@ -1066,7 +1064,7 @@ def _conv_comp(state, ctx, a, b, hom):
         return False
     if not conv_tm(state, ctx, b1, b2):
         return False
-    inner = ctx.push(EIVar()).restrict(weaken_iv(f1, [IVAL]))
+    inner = ctx.push(EIVar()).restrict(weaken_iv(f1, I1))
     return conv(state, inner, U(0), tu1, tu2)
 
 
@@ -1098,22 +1096,22 @@ def tick_conv(u, v):
 def _eta_app(t):
     if isinstance(t, Lam):
         return t.body
-    return App(weaken(t, [TERM]), Var(0))
+    return App(weaken(t, T1), Var(0))
 
 
 def _eta_papp(t):
     if isinstance(t, PLam):
         return t.body
-    return PApp(weaken(t, [IVAL]), IVar(0))
+    return PApp(weaken(t, I1), IVar(0))
 
 
 def _eta_capp(t):
     if isinstance(t, CLam):
         return t.body
-    return CApp(weaken(t, [CLOCK]), 0)
+    return CApp(weaken(t, C1), 0)
 
 
 def _eta_tapp(t):
     if isinstance(t, TickLam):
         return t.body
-    return TickApp(weaken(t, [TICK]), TickVar(0))
+    return TickApp(weaken(t, K1), TickVar(0))

@@ -23,8 +23,9 @@ Variables are de Bruijn indices of the interval sort.
 
 from .errors import FaceTooLarge
 
-# A meet or join forming more clauses raises `FaceTooLarge`: far above the
-# 28 of the largest normal form in the corpus and the benchmark's inputs.
+# A meet or a join (`face_join` too) forming more clauses raises
+# `FaceTooLarge`: far above the 28 of the largest normal form in the
+# corpus and the benchmark's inputs.
 MAX_CLAUSES = 1024
 
 
@@ -136,7 +137,10 @@ def iv_normalize(r):
 
 def face_join(faces):
     """The join of any number of faces, absorbed once."""
-    return _absorb(Face, (c for phi in faces for c in phi))
+    clauses = [c for phi in faces for c in phi]
+    if len(clauses) > MAX_CLAUSES:
+        raise FaceTooLarge(f"a join of {len(clauses)} clauses")
+    return _absorb(Face, clauses)
 
 
 def face_dnf(phi):

@@ -44,7 +44,7 @@ from .syntax import (
     ElimCase, ForceApp, Forall, HComp, Hit, HitSignature, Lam, Later, PApp,
     PFix, PLam, PathT, Pi, System, Telescope, TickApp, TickLam, TickVar,
     Tirr, TopRef, Trans, U, Var,
-    CLOCK, IVAL, K0, TERM, TICK, record, weaken, weaken_iv,
+    C1, CLOCK, I1, IVAL, K0, TERM, TICK, record, weaken, weaken_iv,
 )
 
 RESERVED = {
@@ -323,7 +323,7 @@ class Elaborator:
             return op(*args)
         except FaceTooLarge as err:
             self.error(pos, err)
-            return type(args[0])()
+            return FBOT if op is face_join else type(args[0])()
 
     def misplaced(self, pos, mode, msg=None):
         """Keep the error for a construct at pos that mode cannot hold (msg
@@ -924,7 +924,7 @@ class Elaborator:
             self.pos += 1
             u = self.tick_expr(sc)
             self.expect("]")
-            return ForceApp(t if binder else weaken(t, [CLOCK]), k, u)
+            return ForceApp(t if binder else weaken(t, C1), k, u)
         u = self.tick_expr(sc)
         if self.at(","):
             self.fail("expected a clock name before ','", self.pos + 1)
@@ -1110,8 +1110,9 @@ class Elaborator:
         if not bnd:
             parts = [(phi, t) for phi, t, _ in parts if t is not None]
             return (Comp if value == "comp" else HComp)(
-                ty, face_join(phi for phi, _ in parts), System(tuple(
-                    (weaken_iv(phi, [IVAL]), t) for phi, t in parts)), base)
+                ty, self.lattice(start, face_join, [phi for phi, _ in parts]),
+                System(tuple(
+                    (weaken_iv(phi, I1), t) for phi, t in parts)), base)
         if len(parts) == 1 and parts[0][1] is not None:
             return HComp(Hit(self.data_name, self.bnd.params),
                          parts[0][0], parts[0][1], base)
@@ -1184,7 +1185,7 @@ class Elaborator:
     def past_recs(self, t):
         """t, read in a boundary's scope, moved past the recursive
         arguments, which that scope leaves out."""
-        return weaken(t, [TERM] * len(self.bnd.recs))
+        return weaken(t, (len(self.bnd.recs), 0, 0, 0))
 
     def rec_call(self, name, args, depth=0):
         """Recursive argument `name` in a boundary, under `depth` term
@@ -1204,7 +1205,7 @@ class Elaborator:
     def boundary(self, sc, label):
         """A constructor's boundary `[phi -> M, ..., psi]`, read in sc: its
         pieces, and its face, which the bare entry, if any, extends."""
-        arrows, faces, bare = [], [], None
+        arrows, faces, bare, start = [], [], None, self.pos
         for phi, t, mid in self.bracket_parts(sc, sc, _BOUNDARY):
             if t is None:
                 if bare is not None:
@@ -1219,7 +1220,7 @@ class Elaborator:
                 faces.append(phi)
         if bare is not None:
             faces.append(bare)
-        return tuple(arrows), face_join(faces)
+        return tuple(arrows), self.lattice(start, face_join, faces)
 
     # -- declarations --------------------------------------------------------
 

@@ -39,14 +39,20 @@ index, so 0 when the term has no free variable of the sort.  It is worked
 out on first use, without Python recursion, and kept on the term, where
 `==`, `hash`, `repr` and `structural_equal` do not see it.
 
+Every count of binders, entries or variables is one 4-tuple, a count per
+sort in the order (term, clock, tick, interval): how far `weaken` moves a
+term and its cut, a substitution's shift and depth, `Context.counts`, and
+the shape of a scope (per sort, the number of variables, so the next
+index).  `ZERO`, `T1`, `C1`, `K1` (a tick) and `I1` are the counts of no
+binder and of one of each sort.
+
 A substitution is sort-indexed, as in the calculus: each term, clock, tick
 and interval variable goes to a payload of its own sort.  `subst` builds
-one from the payloads per sort and a per-sort count of fresh binders, and
-checks it against the shape of the scope it maps into (per sort, the
-number of variables; `shape` reads it off a context), or leaves it
-unchecked.  A forcing tick payload names the substituted clock it pairs
-with, and turns a simple tick application it meets into a forcing
-application under a fresh clock.
+one from the payloads per sort and a count of fresh binders, and checks it
+against the shape of the scope it maps into (a context's `counts`, or
+`shape` extending one), or leaves it unchecked.  A forcing tick payload
+names the substituted clock it pairs with, and turns a simple tick
+application it meets into a forcing application under a fresh clock.
 
 Substitutions are de Bruijn explicit substitutions in shift-plus-explicit
 form (Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions", 1991):
@@ -59,7 +65,7 @@ materialised when a variable first reaches it.
 
 A renaming is a substitution whose payloads are variables, applied with
 the same walk (`rename_term`).  Weakening (`weaken`, `weaken_tick`) is a
-shift with no payloads, whose depth is the cut; strengthening
+shift with no payloads, whose depth is the cut, both counts; strengthening
 (`strengthen`, and `ticks.mask_subst` into a residual context) sends each
 dropped variable to `ESCAPE`, and a variable that reaches it raises
 `TickEscape`.
@@ -81,6 +87,13 @@ from .interval import FAnd, FTOP, Face, IExpr, IVar, iv_map_vars, iv_rename
 
 # Entry sorts.
 TERM, CLOCK, TICK, IVAL = "term", "clock", "tick", "ival"
+
+# Counts per sort (term, clock, tick, interval), see above: no binder, and
+# one binder of each sort (K1 is a tick).
+ZERO = (0, 0, 0, 0)
+T1, C1, K1, I1 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+# The position of each sort in a count.
+_POS = {TERM: 0, CLOCK: 1, TICK: 2, IVAL: 3}
 
 # The clock constant k0, which no binder binds: walks under binders and
 # loose bounds (k + 1 = 0) leave it alone, and so does `_shift_clock`.
@@ -280,7 +293,7 @@ class Var(Term):
 class U(Term):
     level: int
 
-    _loose = (0, 0, 0, 0)
+    _loose = ZERO
 
     def __repr__(self):
         return f"U{self.level}"
@@ -470,7 +483,7 @@ class System(Term):
 class TopRef(Term):
     name: str
 
-    _loose = (0, 0, 0, 0)
+    _loose = ZERO
 
 
 # --------------------------------------------------------------------------
@@ -498,53 +511,60 @@ class EIVar:
 
 
 _ENTRY_SORT = {EVar: TERM, EClock: CLOCK, ETick: TICK, EIVar: IVAL}
+# Per entry class, the count of the one variable it binds.
+_UNIT = {EVar: T1, EClock: C1, ETick: K1, EIVar: I1}
 
 
 def entry_sort(entry):
     return _ENTRY_SORT[type(entry)]
 
 
-@record(hidden=("counts", "types"))
+def _count(entries):
+    """Per sort, the number of the entries."""
+    kinds = [type(e) for e in entries]
+    return (kinds.count(EVar), kinds.count(EClock), kinds.count(ETick),
+            kinds.count(EIVar))
+
+
+@record(hidden=("_counts", "types"))
 class Context:
     entries: tuple = ()
     # The face the context is restricted to, scoped at its end.
     restriction: Face = FTOP
-    # The number of entries of each sort: worked out by the first `count`
-    # and carried along by `push`, so that counting is O(1).
-    counts: dict = None
+    # `counts`, once worked out; carried along by `push` and `restrict`.
+    _counts: tuple = None
     # The type of each term variable `term_type` was asked for, by index.
     types: dict = None
 
+    @property
+    def counts(self):
+        """Per sort, the number of entries: the context's shape, and the
+        next index of each sort.  Worked out on first use and kept."""
+        counts = self._counts
+        if counts is None:
+            counts = _count(self.entries)
+            object.__setattr__(self, "_counts", counts)
+        return counts
+
     def push(self, entry):
-        counts = self.counts
-        if counts is not None:
-            counts = counts.copy()
-            counts[entry_sort(entry)] += 1
+        by = _UNIT[type(entry)]
         phi = self.restriction
-        if type(entry) is EIVar and phi != FTOP:
-            phi = weaken_iv(phi, [IVAL])
-        return Context(self.entries + (entry,), phi, counts)
+        if by is I1 and phi != FTOP:
+            phi = weaken_iv(phi, I1)
+        return Context(self.entries + (entry,), phi, shape(self.counts, by))
 
     def restrict(self, phi):
         """The same entries restricted to phi as well, a face scoped at
         the end; the caches, which depend on the entries only, are
         shared."""
         return Context(self.entries, FAnd(self.restriction, phi),
-                       self.counts, self.types)
+                       self._counts, self.types)
 
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def count(self, sort):
-        if self.counts is None:
-            counts = dict.fromkeys(_ENTRY_SORT.values(), 0)
-            for e in self.entries:
-                counts[entry_sort(e)] += 1
-            object.__setattr__(self, "counts", counts)
-        return self.counts[sort]
 
     def pos_of(self, sort, ix):
         """Absolute position (0 = outermost) of the ix-th entry of `sort`
@@ -567,30 +587,24 @@ class Context:
             pos = self.pos_of(TERM, ix)
             # The payload is scoped in the strict prefix: weaken past the
             # entry itself as well as everything bound after it.
-            sorts = [entry_sort(e) for e in self.entries[pos:]]
-            ty = types[ix] = weaken(self.entries[pos].ty, sorts)
+            ty = types[ix] = weaken(self.entries[pos].ty,
+                                    _count(self.entries[pos:]))
         return ty
 
     def tick_clock(self, ix):
         """The clock of the ix-th tick, valid in the full context."""
         pos = self.pos_of(TICK, ix)
-        return _shift_clock(self.entries[pos].clock, sum(
-            1 for e in self.entries[pos:] if entry_sort(e) == CLOCK))
+        return _shift_clock(self.entries[pos].clock,
+                            _count(self.entries[pos:])[1])
 
 
 # --------------------------------------------------------------------------
 # Loose-variable bounds
 # --------------------------------------------------------------------------
 
-# Per sort (term, clock, tick, interval): the binders a term former puts
-# around a subterm, and the bound of a closed term.
-_NONE = (0, 0, 0, 0)
-_T1, _C1, _K1, _I1 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 # The bound of anything that is not a well-formed term: no walk skips it,
 # so the walker meets it and reports it as it always has.
 _WILD = (inf, inf, inf, inf)
-# A bound's position of each sort that binds variables.
-_POS = {TERM: 0, CLOCK: 1, TICK: 2, IVAL: 3}
 
 
 def _iv_bound(x):
@@ -603,7 +617,7 @@ def _tick_bound(u):
         case TickVar(ix):
             return (0, 0, ix + 1, 0)
         case Diamond():
-            return _NONE
+            return ZERO
         case Tirr(l, r, at):
             left, right = _tick_bound(l), _tick_bound(r)
             return (0, 0, max(left[2], right[2]),
@@ -617,55 +631,55 @@ def _parts(t):
     binders t puts around it."""
     match t:
         case Pi(a, b) | Sigma(a, b):
-            return _NONE, ((a, _NONE), (b, _T1))
+            return ZERO, ((a, ZERO), (b, T1))
         case Lam(body):
-            return _NONE, ((body, _T1),)
+            return ZERO, ((body, T1),)
         case App(a, b) | Pair(a, b):
-            return _NONE, ((a, _NONE), (b, _NONE))
+            return ZERO, ((a, ZERO), (b, ZERO))
         case Fst(a) | Snd(a):
-            return _NONE, ((a, _NONE),)
+            return ZERO, ((a, ZERO),)
         case PathT(a, left, right):
-            return _NONE, ((a, _NONE), (left, _NONE), (right, _NONE))
+            return ZERO, ((a, ZERO), (left, ZERO), (right, ZERO))
         case PLam(body):
-            return _NONE, ((body, _I1),)
+            return ZERO, ((body, I1),)
         case PApp(fn, r):
-            return (0, 0, 0, _iv_bound(r)), ((fn, _NONE),)
+            return (0, 0, 0, _iv_bound(r)), ((fn, ZERO),)
         case Forall(body) | CLam(body):
-            return _NONE, ((body, _C1),)
+            return ZERO, ((body, C1),)
         case CApp(fn, k) | DFix(k, fn) | PFix(k, fn):
-            return (0, k + 1, 0, 0), ((fn, _NONE),)
+            return (0, k + 1, 0, 0), ((fn, ZERO),)
         case Later(k, body) | TickLam(k, body):
-            return (0, k + 1, 0, 0), ((body, _K1),)
+            return (0, k + 1, 0, 0), ((body, K1),)
         case TickApp(fn, u):
-            return _tick_bound(u), ((fn, _NONE),)
+            return _tick_bound(u), ((fn, ZERO),)
         case ForceApp(fn, k, u):
             _, _, ticks, ivals = _tick_bound(u)
-            return (0, k + 1, ticks, ivals), ((fn, _C1),)
+            return (0, k + 1, ticks, ivals), ((fn, C1),)
         case Comp(ty, face, tube, base):
             return (0, 0, 0, _iv_bound(face)), \
-                ((ty, _I1), (tube, _I1), (base, _NONE))
+                ((ty, I1), (tube, I1), (base, ZERO))
         case HComp(ty, face, tube, base):
             return (0, 0, 0, _iv_bound(face)), \
-                ((ty, _NONE), (tube, _I1), (base, _NONE))
+                ((ty, ZERO), (tube, I1), (base, ZERO))
         case Trans(ty, face, base):
-            return (0, 0, 0, _iv_bound(face)), ((ty, _I1), (base, _NONE))
+            return (0, 0, 0, _iv_bound(face)), ((ty, I1), (base, ZERO))
         case Hit(_, params):
-            return _NONE, tuple((p, _NONE) for p in params)
+            return ZERO, tuple((p, ZERO) for p in params)
         case Con(_, _, params, args, recs, ivals):
             return (0, 0, 0, max(map(_iv_bound, ivals), default=0)), \
-                tuple((u, _NONE) for u in (*params, *args, *recs))
+                tuple((u, ZERO) for u in (*params, *args, *recs))
         case ClockElim(_, _, params, motive, cases, arg):
-            return _NONE, (
-                *((p, _NONE) for p in params),
-                (motive, _T1),
+            return ZERO, (
+                *((p, ZERO) for p in params),
+                (motive, T1),
                 *((c.body, (c.n_args + 2 * c.n_recs, 0, 0, c.n_ivars))
                   for c in cases),
-                (arg, _NONE),
+                (arg, ZERO),
             )
         case System(parts):
             return (0, 0, 0, max((_iv_bound(phi) for phi, _ in parts),
                                  default=0)), \
-                tuple((u, _NONE) for _, u in parts)
+                tuple((u, ZERO) for _, u in parts)
     return _WILD, ()
 
 
@@ -706,16 +720,6 @@ def loose_bound(t):
     return t._loose
 
 
-def _moves(b, inserted, cut):
-    """Whether inserting entries of the sorts `inserted`, `cut` entries
-    in per sort, moves a free variable of a term whose bound is b."""
-    for s in inserted:
-        pos = _POS.get(s)   # a face entry binds no variable
-        if pos is not None and b[pos] > (cut.get(s, 0) if cut else 0):
-            return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # Simultaneous substitutions
 # --------------------------------------------------------------------------
@@ -729,10 +733,9 @@ class CForcedTick:
     tick: Tick
 
 
-# Variable sorts in the order of a substitution's per-sort tuples, a depth
-# (or shift) that is zero for every sort, and a block without payloads.
+# Variable sorts in the order of a substitution's per-sort tuples, and a
+# block without payloads.
 _SORTS = (TERM, CLOCK, TICK, IVAL)
-_ZERO = (0, 0, 0, 0)
 _NO_BLOCK = ((), (), (), ())
 
 # The payload of a variable a strengthening drops: a variable that reaches
@@ -740,17 +743,14 @@ _NO_BLOCK = ((), (), (), ())
 ESCAPE = object()
 
 
-def shape(scope, terms=0, clocks=0, ticks=0, ivals=0):
-    """Per sort (term, clock, tick, interval), the number of variables of
-    `scope`, a context or a shape already, extended by the given numbers of
-    binders; None (an unchecked scope) stays None."""
+def shape(scope, by):
+    """The count `scope` plus `by`, per sort: a shape (per sort, a number
+    of variables) extended by `by` binders; None (an unchecked scope)
+    stays None."""
     if scope is None:
         return None
-    if type(scope) is Context:
-        count = scope.count
-        scope = (count(TERM), count(CLOCK), count(TICK), count(IVAL))
-    return (scope[0] + terms, scope[1] + clocks, scope[2] + ticks,
-            scope[3] + ivals)
+    return (scope[0] + by[0], scope[1] + by[1], scope[2] + by[2],
+            scope[3] + by[3])
 
 
 class Substitution:
@@ -767,10 +767,10 @@ class Substitution:
     - `depth` counts the binders pushed while walking a term: they map to
       themselves, and everything else moves past them.
 
-    `scope` is the scope the substitution maps into, leaving out pushed
-    binders: a context, whose counts are read when first needed, its
-    shape, or None when variables past the block are not checked.  A
-    variable mapped past the scope raises `MalformedSubstitution`.
+    `scope` is the shape of the scope the substitution maps into, leaving
+    out pushed binders, or None when variables past the block are not
+    checked.  A variable mapped past the scope raises
+    `MalformedSubstitution`.
 
     `slack` is worked out when the substitution is first applied: per
     sort, how many variables past the pushed binders it leaves in place
@@ -780,7 +780,7 @@ class Substitution:
 
     __slots__ = ("scope", "block", "shift", "depth", "slack", "_memo")
 
-    def __init__(self, scope, block, shift=_ZERO, depth=_ZERO):
+    def __init__(self, scope, block, shift=ZERO, depth=ZERO):
         self.scope = scope
         self.block = block
         self.shift = shift
@@ -788,25 +788,16 @@ class Substitution:
         self.slack = None
         self._memo = {}   # (sort, block index, depth) -> weakened payload
 
-    def under(self, *sorts):
-        """The substitution lifted under one more binder of each sort."""
-        depth = list(self.depth)
-        for sort in sorts:
-            depth[_POS[sort]] += 1
+    def under(self, by):
+        """The substitution lifted under `by` more binders."""
         return Substitution(self.scope, self.block, self.shift,
-                            tuple(depth))
-
-    def sizes(self):
-        """The shape of the scope, or None when it is unchecked."""
-        if type(self.scope) is Context:
-            self.scope = shape(self.scope)
-        return self.scope
+                            shape(self.depth, by))
 
     def ready(self):
         """The substitution, with its slack worked out."""
         if self.slack is None:
             (bt, bc, bk, bi), (st, sc, sk, si) = self.block, self.shift
-            nt, nc, nk, ni = self.sizes() or (inf, inf, inf, inf)
+            nt, nc, nk, ni = self.scope or (inf, inf, inf, inf)
             self.slack = (0 if bt or st else nt, 0 if bc or sc else nc,
                           0 if bk or sk else nk, 0 if bi or si else ni)
         return self
@@ -816,14 +807,13 @@ class Substitution:
         return _go(self.ready(), t, self.depth)
 
 
-def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=_ZERO):
+def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=ZERO):
     """The substitution sending the innermost variables of each sort to the
     given payloads, outermost first, and every other variable to itself,
-    moved past `fresh` binders (a count per sort).  The payloads are scoped
-    in `scope` (a context, a shape, or None for unchecked) extended by the
-    fresh binders."""
-    if fresh != _ZERO:
-        scope = shape(scope, *fresh)
+    moved past `fresh` binders.  The payloads are scoped in `scope` (a
+    shape, or None for unchecked) extended by the fresh binders."""
+    if fresh != ZERO:
+        scope = shape(scope, fresh)
     return Substitution(scope, (tuple(reversed(terms)),
                                 tuple(reversed(clocks)),
                                 tuple(reversed(ticks)),
@@ -862,19 +852,17 @@ def _weaken_payload(si, p, depth):
     closure is materialised first."""
     if type(p) is Closure:
         p = p.force()
-    if depth == _ZERO:
+    if depth == ZERO:
         return p
+    if si == 0:
+        return weaken(p, depth)
     if si == 1:
         return _shift_clock(p, depth[1])
     if si == 3:
-        return weaken_iv(p, [IVAL] * depth[3])
-    sorts = ([TERM] * depth[0] + [CLOCK] * depth[1] + [TICK] * depth[2]
-             + [IVAL] * depth[3])
-    if si == 0:
-        return weaken(p, sorts)
+        return weaken_iv(p, depth)
     if type(p) is CForcedTick:
-        return CForcedTick(p.clock, weaken_tick(p.tick, sorts))
-    return weaken_tick(p, sorts)
+        return CForcedTick(p.clock, weaken_tick(p.tick, depth))
+    return weaken_tick(p, depth)
 
 
 def _image(sg, si, ix, depth):
@@ -898,8 +886,8 @@ def _image(sg, si, ix, depth):
             out = sg._memo[key] = _weaken_payload(si, p, depth)
         return out
     x = k - len(block) + sg.shift[si]
-    sizes = sg.sizes()
-    if sizes is not None and x >= sizes[si]:
+    scope = sg.scope
+    if scope is not None and x >= scope[si]:
         raise MalformedSubstitution(
             f"{_SORTS[si]} variable {ix} is outside the scope"
         )
@@ -1077,7 +1065,7 @@ def _tick_app(sg, fn, tick, d):
                     "clock"
                 )
             return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn,
-                                _ZERO),
+                                ZERO),
                             _shift_clock(sg.block[1][c], d[1]), new_tick)
     return TickApp(_go(sg, fn, d), new_tick)
 
@@ -1101,7 +1089,7 @@ def _fresh_clock(sg, k, c, d):
                 if type(p) is CForcedTick else p for p in block[2]]
     block[2][d[2] + k] = TickVar(0)
     shift = tuple(s + w for s, w in zip(sg.shift, wk))
-    return Substitution(shape(sg.sizes(), *wk), tuple(map(tuple, block)),
+    return Substitution(shape(sg.scope, wk), tuple(map(tuple, block)),
                         shift)
 
 
@@ -1115,29 +1103,19 @@ def rename_term(t, ren):
     return ren.apply(t)
 
 
-def weaken(t, inserted, cut=None):
-    """Shift t's indices to account for entries inserted into its context.
-
-    `inserted` is the sort list of the new entries.  `cut` gives, per sort,
-    how many innermost entries sit between the term and the insertion point
-    (all zero when inserting at the inner end).
-    """
-    if not inserted or not _moves(loose_bound(t), inserted, cut):
-        return t
-    return rename_term(t, _shifting(inserted, cut))
+def weaken(t, by, cut=ZERO):
+    """t moved past `by` binders inserted into its context, `cut` binders
+    in: per sort, the innermost entries that stay between t and the new
+    ones (none by default).  t itself when no free variable moves."""
+    for n, b, c in zip(by, loose_bound(t), cut):
+        if n and b > c:
+            return rename_term(t, _shift_subst(by, cut))
+    return t
 
 
-def weaken_tick(u, inserted, cut=None):
-    if not inserted or not _moves(_tick_bound(u), inserted, cut):
-        return u
-    sg = _shifting(inserted, cut).ready()
-    return _tick(sg, u, sg.depth)
-
-
-def _shifting(inserted, cut):
-    cuts = cut or {}
-    return _shift_subst(tuple(inserted.count(s) for s in _SORTS),
-                        tuple(cuts.get(s, 0) for s in _SORTS))
+def weaken_tick(u, by, cut=ZERO):
+    """The tick u moved as `weaken` moves a term."""
+    return _tick(_shift_subst(by, cut).ready(), u, cut)
 
 
 @lru_cache(maxsize=1024)
@@ -1148,11 +1126,11 @@ def _shift_subst(shift, cut):
     return Substitution(None, _NO_BLOCK, shift, cut)
 
 
-def weaken_iv(x, inserted, cut=0):
-    """The interval expression or face x, weakened past the interval
-    binders among `inserted`, `cut` binders in."""
-    by = sum(1 for s in inserted if s == IVAL)
-    return iv_rename(x, lambda ix: ix + by if ix >= cut else ix)
+def weaken_iv(x, by, cut=ZERO):
+    """The interval expression or face x moved as `weaken` moves a term:
+    past by[3] interval binders, cut[3] in."""
+    n, c = by[3], cut[3]
+    return iv_rename(x, lambda ix: ix + n if ix >= c else ix)
 
 
 # Per sort but clocks, the strengthening past the innermost variable of

@@ -22,7 +22,8 @@ substitution applied to a term reaches it.  `bind`, `extend`,
 `drop_terms`, `close`, `lookup`, `lookup_clock`, `image_tick` and
 `image_iv` are the machine's environment operations: it reads a variable,
 a clock, a tick or an interval expression under an environment without
-applying the environment to anything else.
+applying the environment to anything else.  Those that build an
+environment take the shape of its scope, a context's `counts`.
 """
 
 from .errors import (
@@ -30,9 +31,9 @@ from .errors import (
 )
 from .interval import IONE, IVar, IZERO
 from .syntax import (
-    CLOCK, ESCAPE, IVAL, TERM, TICK, _NO_BLOCK, _POS, _ZERO,
-    CForcedTick, Closure, Context, Diamond, Substitution, TickVar, Tirr, Var,
-    _image, _iv, _tick, entry_sort, rename_term, subst,
+    CLOCK, ESCAPE, IVAL, TICK, ZERO, _NO_BLOCK, _POS,
+    CForcedTick, Closure, Context, Diamond, ETick, EVar, Substitution,
+    TickVar, Tirr, Var, _image, _iv, _tick, entry_sort, rename_term, subst,
 )
 
 TIMELESS = (CLOCK, IVAL)
@@ -115,35 +116,34 @@ def residual_mask(ctx, u, clock, forcing=False):
 # --------------------------------------------------------------------------
 
 def _kept(ctx, mask):
-    """Per sort (term, tick): the indices in ctx of the variables the mask
-    keeps, innermost first, and the number of variables of ctx.  A mask
-    keeps every clock and interval variable, since TL does."""
-    kept = {TERM: [], TICK: []}
-    count = {TERM: 0, TICK: 0}
+    """The indices in ctx of the term variables and of the tick variables
+    the mask keeps, innermost first.  A mask keeps every clock and interval
+    variable, since TL does."""
+    kept = {EVar: [], ETick: []}
+    seen = {EVar: 0, ETick: 0}
     for e, keep in zip(reversed(ctx.entries), reversed(mask)):
-        sort = entry_sort(e)
-        if sort in kept:
+        cls = type(e)
+        if cls in kept:
             if keep:
-                kept[sort].append(count[sort])
-            count[sort] += 1
-    return kept, count
+                kept[cls].append(seen[cls])
+            seen[cls] += 1
+    return kept[EVar], kept[ETick]
 
 
 def mask_subst(ctx, mask):
     """The strengthening from ctx into the masked context: each kept term
     or tick variable goes to its index there and each dropped one to
     `ESCAPE`, so that a term mentioning one raises TickEscape."""
-    kept, count = _kept(ctx, mask)
-    blocks = {}
-    for sort, var in ((TERM, Var), (TICK, TickVar)):
-        block = [ESCAPE] * count[sort]
-        for new, old in enumerate(kept[sort]):
-            block[old] = var(new)
-        blocks[sort] = tuple(block)
-    nt, nk = len(kept[TERM]), len(kept[TICK])
-    return Substitution((nt, ctx.count(CLOCK), nk, ctx.count(IVAL)),
-                        (blocks[TERM], (), blocks[TICK], ()),
-                        (nt, 0, nk, 0))
+    nt, nc, nk, ni = ctx.counts
+    terms, ticks = [ESCAPE] * nt, [ESCAPE] * nk
+    kept_terms, kept_ticks = _kept(ctx, mask)
+    for new, old in enumerate(kept_terms):
+        terms[old] = Var(new)
+    for new, old in enumerate(kept_ticks):
+        ticks[old] = TickVar(new)
+    kt, kk = len(kept_terms), len(kept_ticks)
+    return Substitution((kt, nc, kk, ni), (tuple(terms), (), tuple(ticks), ()),
+                        (kt, 0, kk, 0))
 
 
 def strengthen_term(ctx, mask, t):
@@ -153,11 +153,11 @@ def strengthen_term(ctx, mask, t):
 def weakening_subst(ctx, mask):
     """The weakening from the masked context back into ctx: each term and
     tick variable goes to its index in ctx."""
-    kept, count = _kept(ctx, mask)
+    terms, ticks = _kept(ctx, mask)
+    scope = ctx.counts
     return Substitution(
-        ctx, (tuple(map(Var, kept[TERM])), (),
-              tuple(map(TickVar, kept[TICK])), ()),
-        (count[TERM], 0, count[TICK], 0))
+        scope, (tuple(map(Var, terms)), (), tuple(map(TickVar, ticks)), ()),
+        (scope[0], 0, scope[2], 0))
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def weakening_subst(ctx, mask):
 # --------------------------------------------------------------------------
 
 def identity_subst(ctx):
-    return subst(ctx)
+    return subst(ctx.counts)
 
 
 def force(x):
@@ -174,14 +174,14 @@ def force(x):
     return x.force() if type(x) is Closure else x
 
 
-def bind(env, ctx, sort, payload):
-    """The environment of a term reduced in ctx, extended by an innermost
-    variable of `sort` sent to `payload`: a term, a closure, a clock index,
-    a tick or an interval expression scoped in ctx.  env None is the
-    identity on ctx."""
+def bind(env, scope, sort, payload):
+    """The environment of a term reduced in a context of shape `scope`,
+    extended by an innermost variable of `sort` sent to `payload`: a term,
+    a closure, a clock index, a tick or an interval expression scoped
+    there.  env None is the identity on the scope."""
     si = _POS[sort]
     if env is None:
-        block, shift = _NO_BLOCK, _ZERO
+        block, shift = _NO_BLOCK, ZERO
     else:
         block, shift = env.block, env.shift
     block = block[:si] + ((payload,) + block[si],) + block[si + 1:]
@@ -191,26 +191,26 @@ def bind(env, ctx, sort, payload):
         block = block[:2] + (tuple(
             CForcedTick(p.clock + 1, p.tick) if type(p) is CForcedTick
             else p for p in block[2]),) + block[3:]
-    return Substitution(ctx, block, shift)
+    return Substitution(scope, block, shift)
 
 
-def extend(env, ctx, terms=(), ivals=()):
+def extend(env, scope, terms=(), ivals=()):
     """env extended by innermost term and interval variables sent to the
     payloads given, outermost first, as `subst` takes them."""
     if env is None:
-        block, shift = _NO_BLOCK, _ZERO
+        block, shift = _NO_BLOCK, ZERO
     else:
         block, shift = env.block, env.shift
-    return Substitution(ctx, (tuple(reversed(terms)) + block[0], block[1],
-                              block[2], tuple(reversed(ivals)) + block[3]),
+    return Substitution(scope, (tuple(reversed(terms)) + block[0], block[1],
+                                block[2], tuple(reversed(ivals)) + block[3]),
                         shift)
 
 
-def drop_terms(env, ctx, k):
-    """env (None: the identity on ctx) restricted to the variables of its
-    cod past the k innermost term variables."""
+def drop_terms(env, scope, k):
+    """env (None: the identity on the scope) restricted to the variables of
+    its cod past the k innermost term variables."""
     if env is None:
-        block, shift = _NO_BLOCK, _ZERO
+        block, shift = _NO_BLOCK, ZERO
     else:
         block, shift = env.block, env.shift
     terms = block[0]
@@ -218,7 +218,7 @@ def drop_terms(env, ctx, k):
         terms, moved = terms[k:], shift[0]
     else:
         terms, moved = (), shift[0] + k - len(terms)
-    return Substitution(ctx, (terms,) + block[1:], (moved,) + shift[1:])
+    return Substitution(scope, (terms,) + block[1:], (moved,) + shift[1:])
 
 
 def has_forcing_tick(env):
@@ -238,7 +238,7 @@ def close(env, t):
         block = env.block[0]
         if t.ix < len(block):
             return block[t.ix]
-        return Var(_image(env, 0, t.ix, _ZERO))
+        return Var(_image(env, 0, t.ix, ZERO))
     return Closure(t, env)
 
 
@@ -251,33 +251,33 @@ def lookup(env, ix):
         if type(p) is Closure:
             return p.term, p.env
         return p, None
-    return Var(_image(env, 0, ix, _ZERO)), None
+    return Var(_image(env, 0, ix, ZERO)), None
 
 
 def lookup_clock(env, k):
     """The clock of env's dom that clock k of env's cod stands for."""
-    return _image(env, 1, k, _ZERO)
+    return _image(env, 1, k, ZERO)
 
 
 def image_tick(env, u):
     """The tick u, scoped in env's cod, under env (None: the identity)."""
-    return u if env is None else _tick(env, u, _ZERO)
+    return u if env is None else _tick(env, u, ZERO)
 
 
 def image_iv(env, x):
     """The interval expression or face x, scoped in env's cod, under env
     (None: the identity).  Read as the walker reads it: a variable outside
     env's scope raises `MalformedSubstitution`."""
-    return x if env is None else _iv(env, x, _ZERO)
+    return x if env is None else _iv(env, x, ZERO)
 
 
 def clause_subst(scope, clause):
-    """The identity on scope (a context, a shape, or None for unchecked),
-    except that each interval variable ix of the clause, a dict, goes to
-    the endpoint clause[ix]."""
+    """The identity on scope (a shape, or None for unchecked), except that
+    each interval variable ix of the clause, a dict, goes to the endpoint
+    clause[ix]."""
     n = max(clause, default=-1) + 1
     if scope is not None:
-        n = min(n, scope.count(IVAL) if type(scope) is Context else scope[3])
+        n = min(n, scope[3])
     ivals = tuple(
         (IONE if clause[ix] else IZERO) if ix in clause else IVar(ix)
         for ix in range(n)

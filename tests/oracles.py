@@ -78,7 +78,7 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    entry_sort, weaken,
+    entry_sort,
 )
 from cctt.ticks import apply_mask, residual_mask
 
@@ -873,8 +873,8 @@ def reference_term_type(ctx, ix):
     """The type of ctx's term variable ix: its entry's type, scoped in the
     entries before it, weakened past the entry and everything after it."""
     pos = ctx.pos_of(TERM, ix)
-    return weaken(ctx.entries[pos].ty,
-                  [entry_sort(e) for e in ctx.entries[pos:]])
+    return shifted([entry_sort(e) for e in ctx.entries[pos:]]).term(
+        ctx.entries[pos].ty)
 
 
 # --------------------------------------------------------------------------

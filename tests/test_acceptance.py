@@ -20,7 +20,7 @@ from cctt.syntax import (
     App, CApp, CLam, ClockElim, Con, Context, DFix, Diamond,
     EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, HComp, Hit, K0,
     Lam, Later, PApp, PLam, PathT, Pi, TickApp, TickLam, TickVar, TopRef, U,
-    Var, IVAL, TERM, subst, weaken,
+    Var, I1, T1, subst, weaken,
 )
 from cctt.ticks import subst_apply
 from oracles import (
@@ -409,9 +409,9 @@ def test_criterion_9_meta_properties(capsys):
                 check(state, ctx, whnf(state, ctx, t), got)
                 sr += 1
                 # Weakening: a fresh entry changes nothing.
-                sort = TERM if rng.randrange(2) else IVAL
-                wctx = ctx.push(EVar(U(0)) if sort == TERM else EIVar())
-                check(state, wctx, weaken(t, [sort]), weaken(ty, [sort]))
+                by = T1 if rng.randrange(2) else I1
+                wctx = ctx.push(EVar(U(0)) if by is T1 else EIVar())
+                check(state, wctx, weaken(t, by), weaken(ty, by))
                 wk += 1
             except FuelExhausted:
                 ok = False

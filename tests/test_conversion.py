@@ -17,7 +17,7 @@ from cctt.parser import (
     ConvCheck, DataDefinition, Definition, parse_module,
 )
 from cctt.syntax import (
-    CLOCK, K0, TERM, App, CApp, CLam, ClockElim, Closure, Comp, Con,
+    C1, K0, T1, App, CApp, CLam, ClockElim, Closure, Comp, Con,
     Constructor, Context, DFix, Diamond, EClock, EIVar, ETick, EVar,
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, HitSignature, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, Substitution, System,
@@ -204,9 +204,9 @@ class TestSystemsAndComp:
         ty, base = Var(1), Var(0)
         tube = Var(0)
         state = st()
-        at0 = hfill(ctx, ty, FBOT, tube, base, IZERO)
+        at0 = hfill(ctx.counts, ty, FBOT, tube, base, IZERO)
         assert whnf(state, ctx, at0) == base
-        at1 = hfill(ctx, ty, FBOT, tube, base, IONE)
+        at1 = hfill(ctx.counts, ty, FBOT, tube, base, IONE)
         got = whnf(state, ctx, at1)
         assert isinstance(got, HComp)
 
@@ -576,7 +576,7 @@ class TestMachine:
         assert whnf(nat_state(), ctx, t) == Lam(Pair(
             CLam(U(1)),
             Pair(CLam(CApp(Var(1), 0)),
-                 PApp(weaken(rec_call, [TERM]), IVar(0))),
+                 PApp(weaken(rec_call, T1), IVar(0))),
         ))
 
     def test_constructor_interval_arguments_are_read_under_the_environment(
@@ -772,10 +772,10 @@ def at_base_type(state, ctx, ty, t, u):
         head = whnf(state, ctx, ty)
         if isinstance(head, Pi):
             ctx, ty = ctx.push(EVar(head.dom)), head.cod
-            t, u = (App(weaken(x, [TERM]), Var(0)) for x in (t, u))
+            t, u = (App(weaken(x, T1), Var(0)) for x in (t, u))
         elif isinstance(head, Forall):
             ctx, ty = ctx.push(EClock()), head.body
-            t, u = (CApp(weaken(x, [CLOCK]), 0) for x in (t, u))
+            t, u = (CApp(weaken(x, C1), 0) for x in (t, u))
         else:
             return ctx, t, u
 
@@ -794,14 +794,14 @@ def spine_closure(ctx, t):
     if not terms:
         return t
     n, left = len(terms), len(terms)
-    body = weaken(head, [TERM] * n)
+    body = weaken(head, (n, 0, 0, 0))
     for a in spine:
         if type(a) is App:
             left -= 1
             body = App(body, Var(left))
         else:
             body = CApp(body, a.clock)
-    return Closure(body, extend(None, ctx, terms=terms))
+    return Closure(body, extend(None, ctx.counts, terms=terms))
 
 
 def materialised(x):
@@ -875,7 +875,7 @@ def test_generated_closures_reduce_as_their_materialisation(seed):
     # term with the environment applied, and ends where reduction by
     # substitution, one redex at a time, ends.
     t, sigma, payloads = generated_case(seed)
-    ctx = _scope_context(sigma.sizes())
+    ctx = _scope_context(sigma.scope)
     runs = []
     for x in (Closure(t, sigma), sigma.apply(t)):
         state = StubState(max_steps=2000)

@@ -365,6 +365,24 @@ def test_a_face_too_large_fails_at_once_and_the_next_file_is_checked(
     assert took < 5
 
 
+def test_a_tube_join_too_large_fails_its_declaration_only(tmp_path, capsys):
+    # Two tube faces of ten conjuncts, one at each endpoint: each normal
+    # form has 1024 clauses, and their join, the composition's extent,
+    # 2048.
+    def face(end):
+        return " /\\ ".join(f"((i{2 * j} = {end}) \\/ (i{2 * j + 1} = {end}))"
+                             for j in range(10))
+    ivs = " ".join(f"i{j}" for j in range(20))
+    src = tmp_path / "tube.cctt"
+    src.write_text(f"def d (A : U0) (x : A) : A :=\n  <{ivs}> comp^k A"
+                   f" [{face(0)} -> x, {face(1)} -> x] x\n\n"
+                   "def g (A : U0) (x : A) : A := x\n")
+    assert main(["check", str(src)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL {src}:d  [FaceTooLarge: a join of 2048 clauses]",
+        f"PASS {src}:g", "2 declarations: 1 passed, 1 failed, 0 skipped"]
+
+
 # The clock constant k0 in definitions used under a clock binder, applied
 # at k0, forced, and given as a clock argument under another clock binder,
 # and a user's binder named k0, which shadows it.

@@ -7,10 +7,10 @@ from cctt.errors import FaceTooLarge
 from cctt.interval import (
     FAnd, FEq, FOr, FBOT, FTOP, MAX_CLAUSES,
     IJoin, IMeet, INeg, IVar, IZERO, IONE,
-    face_clauses, face_dnf, face_entails, face_is_false,
+    face_clauses, face_dnf, face_entails, face_is_false, face_join,
     face_is_true, face_of_equation, iv_substitute, iv_vars,
 )
-from cctt.syntax import IVAL, weaken_iv
+from cctt.syntax import weaken_iv
 from oracles import (
     DM4, TBOT, TONE, TTOP, TZERO, dm4_equal, dm4_eval, dm4_table,
     face_clauses_oracle, face_entails_oracle, face_equal_oracle, face_eval,
@@ -246,7 +246,7 @@ def test_kernel_faces_agree_with_tree_oracle(p, q, sub, cut, by):
     meet, join = face_tree(FAnd(kp, kq)), face_tree(FOr(kp, kq))
     kernel_sub = {n: kernel_iv(r) for n, r in sub.items()}
     substituted = face_tree(iv_substitute(kp, kernel_sub))
-    weakened = face_tree(weaken_iv(kp, [IVAL] * by, cut))
+    weakened = face_tree(weaken_iv(kp, (0, 0, 0, by), (0, 0, 0, cut)))
     shift = {n: ("var", n + by if n >= cut else n) for n in range(VARS)}
     for v in face_valuations(range(VARS + by)):
         at_p, at_q = face_eval(p, v), face_eval(q, v)
@@ -286,3 +286,10 @@ def test_normal_forms_past_the_limit_are_not_built():
     assert len(INeg(ors)) == MAX_CLAUSES
     with pytest.raises(FaceTooLarge):
         INeg(IJoin(ors, IMeet(IVar(2 * n), IVar(2 * n + 1))))
+    # Faces joined all at once are bounded by the clauses given, as a join
+    # of two is.
+    assert face_join((phi, FBOT)) == phi
+    with pytest.raises(FaceTooLarge, match=f"of {MAX_CLAUSES + 1} clauses"):
+        face_join((phi, FEq(2 * n, 1)))
+    with pytest.raises(FaceTooLarge, match=f"of {MAX_CLAUSES + 1} clauses"):
+        face_join(FEq(j, 0) for j in range(MAX_CLAUSES + 1))

@@ -624,6 +624,19 @@ def test_a_normal_form_too_large_fails_its_declaration_only(body):
         DataDefinition, FaceTooLarge, Definition]
 
 
+def test_a_boundary_join_too_large_fails_its_declaration_only():
+    # Two pieces on faces of ten conjuncts, one at each endpoint: their
+    # join, the constructor's face, has 2048 clauses.
+    faces = [" /\\ ".join(f"((i{2 * j} = {end}) \\/ (i{2 * j + 1} = {end}))"
+                          for j in range(10)) for end in (0, 1)]
+    ivs = " ".join(f"(i{j} : I)" for j in range(20))
+    decls = surface_module(
+        f"data d : U0 where | pt | c {ivs} [{faces[0]} -> pt,"
+        f" {faces[1]} -> pt]\ndef g : U1 := U0\n")
+    assert [type(d) for _, _, d in decls] == [FaceTooLarge, Definition]
+    assert str(decls[0][2]) == "a join of 2048 clauses"
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
     def test_parse_print_parse(self, src):

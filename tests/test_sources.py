@@ -1,8 +1,9 @@
 """The package sources compile without warnings, import only at module
 level and only names they use, read every parameter they take but those
 listed with a reason, `import cctt.cli` loads none of `argparse`,
-`dataclasses`, `inspect` and `typing`, and every function the benchmark's
-tracer wraps exists (the parser's on the path a check takes)."""
+`dataclasses`, `inspect` and `typing`, every function the benchmark's
+tracer wraps exists (the parser's on the path a check takes), and every
+count of binders given to a weakening or a lift is a tuple of counts."""
 
 import ast
 import contextlib
@@ -100,6 +101,54 @@ def f(x):
 """)]
     assert _unused_imports(sources) == ["a.py:local", "a.py:regex",
                                         "a.py:stale"]
+
+
+# The functions, and the method, that take counts of binders: a 4-tuple,
+# one count per sort.
+_COUNTED = {"weaken", "weaken_tick", "weaken_iv", "under"}
+
+
+def _counts_spelled_otherwise(sources):
+    """The calls in sources, as "module:line", that give a function of
+    `_COUNTED` a count built from a list display, a dict or a sort name
+    rather than a tuple of counts."""
+    found = []
+    for module, text in sources:
+        for node in ast.walk(ast.parse(text, module)):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else \
+                getattr(fn, "id", None)
+            if name not in _COUNTED:
+                continue
+            counts = [*(node.args if name == "under" else node.args[1:]),
+                      *(k.value for k in node.keywords)]
+            if any(isinstance(x, (ast.List, ast.ListComp, ast.Dict,
+                                  ast.DictComp))
+                   or isinstance(x, ast.Name)
+                   and x.id in ("TERM", "CLOCK", "TICK", "IVAL")
+                   for count in counts for x in ast.walk(count)):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_counts_of_binders_are_tuples():
+    found = _counts_spelled_otherwise(_package())
+    assert not found, found
+
+
+def test_counts_spelled_otherwise_are_found():
+    sources = [("a.py", """
+weaken(t, I1, I1)
+weaken(t, [IVAL])
+weaken_iv(phi, [TERM] * n + [IVAL], cut={IVAL: 1})
+weaken_tick(u, (0, 0, 1, 0), cut=dict(zip(SORTS, [0, 1, 0, 0])))
+env.under(C1)
+env.under(CLOCK, TICK)
+""")]
+    assert _counts_spelled_otherwise(sources) == [
+        "a.py:3", "a.py:4", "a.py:5", "a.py:7"]
 
 
 def _unused_parameters(sources):

@@ -10,6 +10,7 @@ from cctt.parser import (
     ConvCheck, DataDefinition, Definition, Module, _Boundary,
 )
 from cctt.syntax import (
+    C1, I1, K1, T1,
     App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Comp, Con, Constructor,
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase,
     ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, K0, Lam, Later,
@@ -17,7 +18,7 @@ from cctt.syntax import (
     Telescope, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
     loose_bound, structural_equal, subst, weaken,
 )
-from cctt.ticks import bind, lookup_clock
+from cctt.ticks import apply_mask, bind, lookup_clock, timeless
 from oracles import Renamer
 from test_acceptance import _instances
 
@@ -26,27 +27,27 @@ i0 = IVar(0)
 
 def test_weaken_shifts_only_matching_sort():
     t = App(Var(1), PApp(Var(0), IVar(0)))
-    assert weaken(t, [TERM]) == App(Var(2), PApp(Var(1), IVar(0)))
-    assert weaken(t, [IVAL]) == App(Var(1), PApp(Var(0), IVar(1)))
-    assert weaken(t, [CLOCK]) == t
+    assert weaken(t, T1) == App(Var(2), PApp(Var(1), IVar(0)))
+    assert weaken(t, I1) == App(Var(1), PApp(Var(0), IVar(1)))
+    assert weaken(t, C1) == t
 
 
 def test_weaken_respects_binders():
     t = Lam(App(Var(0), Var(1)))
-    assert weaken(t, [TERM]) == Lam(App(Var(0), Var(2)))
+    assert weaken(t, T1) == Lam(App(Var(0), Var(2)))
 
 
 def test_weaken_cut_keeps_inner_entries():
     # One interval variable sits between the term and the insertion point.
     t = PApp(Var(0), IMeet(IVar(0), IVar(1)))
-    got = weaken(t, [IVAL], cut={IVAL: 1})
+    got = weaken(t, I1, I1)
     assert got == PApp(Var(0), IMeet(IVar(0), IVar(2)))
 
 
 def test_weaken_tick_binders():
     t = TickLam(0, TickApp(Var(0), TickVar(1)))
-    assert weaken(t, [TICK]) == TickLam(0, TickApp(Var(0), TickVar(2)))
-    assert weaken(t, [CLOCK]) == TickLam(1, TickApp(Var(0), TickVar(1)))
+    assert weaken(t, K1) == TickLam(0, TickApp(Var(0), TickVar(2)))
+    assert weaken(t, C1) == TickLam(1, TickApp(Var(0), TickVar(1)))
 
 
 def test_structural_equal_normalizes_interval_leaves():
@@ -104,8 +105,8 @@ def test_structural_equal_agrees_with_canonical_forms():
             # The instance, its weakenings, and a composition that gives it
             # a face and an interval binder; then copies of each with their
             # leaves rewritten.
-            group = [t, weaken(t, [TERM]), weaken(t, [IVAL]),
-                     Comp(weaken(ty, [IVAL]), ends, weaken(t, [IVAL]), t)]
+            group = [t, weaken(t, T1), weaken(t, I1),
+                     Comp(weaken(ty, I1), ends, weaken(t, I1), t)]
             group += [_LeafRewriting(rng).term(u) for u in group]
             terms.append(group)
     seen = set()
@@ -149,11 +150,11 @@ def test_cached_bound_is_no_part_of_the_term():
 
 def test_weaken_returns_a_term_it_cannot_move():
     t = Lam(App(Var(0), PApp(Var(1), IVar(0))))
-    assert weaken(t, [CLOCK, TICK]) is t
-    assert weaken(t, [TERM], cut={TERM: 1}) is t
-    assert weaken(t, [TERM]) == Lam(App(Var(0), PApp(Var(2), IVar(0))))
-    assert weaken(t, [IVAL], cut={IVAL: 1}) is t
-    assert weaken(t, [IVAL]) == Lam(App(Var(0), PApp(Var(1), IVar(1))))
+    assert weaken(t, (0, 1, 1, 0)) is t
+    assert weaken(t, T1, T1) is t
+    assert weaken(t, T1) == Lam(App(Var(0), PApp(Var(2), IVar(0))))
+    assert weaken(t, I1, I1) is t
+    assert weaken(t, I1) == Lam(App(Var(0), PApp(Var(1), IVar(1))))
 
 
 def test_context_positions_and_types():
@@ -164,8 +165,7 @@ def test_context_positions_and_types():
         EIVar(),
         EVar(Pi(U(0), U(0))),
     ))
-    assert ctx.count(TERM) == 2
-    assert ctx.count(CLOCK) == 1
+    assert ctx.counts == (2, 1, 1, 1)
     assert ctx.term_type(0) == Pi(U(0), U(0))
     assert ctx.term_type(1) == U(0)
     assert ctx.tick_clock(0) == 0
@@ -198,8 +198,8 @@ def _k0_term(x, k, a, i):
 
 @pytest.mark.parametrize("sort", [TERM, CLOCK, TICK, IVAL])
 def test_clock_constant_comes_through_weakening(sort):
-    moved = [int(s == sort) for s in (TERM, CLOCK, TICK, IVAL)]
-    assert weaken(_k0_term(0, 0, 0, 0), [sort]) == _k0_term(*moved)
+    by = tuple(int(s == sort) for s in (TERM, CLOCK, TICK, IVAL))
+    assert weaken(_k0_term(0, 0, 0, 0), by) == _k0_term(*by)
 
 
 def test_clock_constant_comes_through_substitution():
@@ -249,7 +249,7 @@ def test_restriction_is_renamed_past_interval_variables():
 
 def test_restrict_meets_and_shares_what_depends_on_the_entries():
     ctx = Context((EVar(U(0)), EIVar(), EIVar()))
-    ctx.count(TERM)
+    assert ctx.counts == (1, 0, 0, 2)
     ctx.term_type(0)
     phi = ctx.restrict(FEq(0, 1))
     assert phi.entries is ctx.entries and phi.counts is ctx.counts
@@ -261,9 +261,34 @@ def test_restrict_meets_and_shares_what_depends_on_the_entries():
     assert phi != ctx and phi == Context(ctx.entries, FEq(0, 1))
 
 
+def _recount(entries):
+    sorts = [syntax.entry_sort(e) for e in entries]
+    return tuple(sorts.count(s) for s in (TERM, CLOCK, TICK, IVAL))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counts_carried_along_are_the_counted_ones(seed):
+    # Entries of every sort pushed, restrictions, and contexts built from
+    # entries (the timeless part, a masked one), pushed onto in turn.
+    rng = random.Random(seed)
+    ctx = Context()
+    for _ in range(40):
+        step = rng.randrange(7)
+        if step < 4:
+            ctx = ctx.push((EVar(U(0)), EClock(), ETick(K0), EIVar())[step])
+        elif step == 4:
+            ctx = ctx.restrict(FEq(0, 1) if ctx.counts[3] else FBOT)
+        else:
+            mask = [rng.randrange(2) == 1 for _ in ctx]
+            ctx = timeless(ctx) if step == 5 else apply_mask(ctx, mask)
+            assert ctx._counts is None   # worked out when first read
+        assert ctx.counts == Context(ctx.entries).counts \
+            == _recount(ctx.entries)
+
+
 def test_later_and_ticklam_store_prefix_relative_clock():
     t = Later(0, TickApp(Var(0), TickVar(0)))
-    got = weaken(t, [CLOCK])
+    got = weaken(t, C1)
     assert got == Later(1, TickApp(Var(0), TickVar(0)))
 
 
@@ -345,7 +370,7 @@ _RECORD_CONTRACT = [
     ("ETick(clock=0)", ("clock",)),
     ("EIVar()", ()),
     ("Context(entries=(EClock(), EVar(ty=U0)), restriction=1F)",
-     ("entries", "restriction", "counts", "types")),
+     ("entries", "restriction", "_counts", "types")),
     ("CForcedTick(clock=0, tick=<>)", ("clock", "tick")),
     ("Telescope(types=(U0,))", ("types",)),
     (_CTOR, ("label", "args", "rec_arities", "ivar_count", "face",
@@ -373,7 +398,7 @@ def _fill_caches(x):
     if isinstance(x, Term):
         loose_bound(x)
     elif type(x) is Context:
-        x.count(TERM)
+        x.counts
         x.term_type(0)
     elif type(x) is HitSignature:
         x.constructor("zero")
@@ -410,7 +435,7 @@ def test_records_cannot_be_assigned():
 
 def test_records_take_their_fields_by_name_and_default():
     assert App(fn=Var(0), arg=Var(1)) == App(Var(0), Var(1))
-    assert Context() == Context(()) and Context().counts is None
+    assert Context() == Context(()) and Context().counts == (0, 0, 0, 0)
     assert Context().restriction == FTOP
     assert Telescope().types == ()
     with pytest.raises(TypeError, match="'arg'"):

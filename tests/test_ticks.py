@@ -17,7 +17,7 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    loose_bound, subst, weaken,
+    loose_bound, subst, weaken, weaken_iv, weaken_tick,
 )
 from cctt.ticks import (
     apply_mask, identity_subst, residual_mask, strengthen_term, subst_apply,
@@ -139,19 +139,19 @@ class TestSubstitution:
 
     def test_beta_substitution(self):
         ctx = ctx_of(EVar(U(0)))
-        sigma = subst(ctx, terms=(Var(0),))
+        sigma = subst(ctx.counts, terms=(Var(0),))
         body = App(Var(0), Var(1))
         assert subst_apply(sigma, body) == App(Var(0), Var(0))
 
     def test_binders_shift_payloads(self):
         ctx = ctx_of(EVar(U(0)))
-        sigma = subst(ctx, terms=(Var(0),))
+        sigma = subst(ctx.counts, terms=(Var(0),))
         body = Lam(App(Var(1), Var(2)))
         assert subst_apply(sigma, body) == Lam(App(Var(1), Var(1)))
 
     def test_simple_tick_component_keeps_simple_application(self):
         ctx = ctx_of(KAPPA, ETick(0))
-        sigma = subst(ctx, ticks=(TickVar(0),))
+        sigma = subst(ctx.counts, ticks=(TickVar(0),))
         t = TickApp(Var(0), TickVar(0))  # ill-scoped Var irrelevant here
         with pytest.raises(MalformedSubstitution):
             # no term component exists: Var(0) has nothing to map to
@@ -161,7 +161,7 @@ class TestSubstitution:
         # t [alpha] under [(<> : kappa') / (alpha : kappa)] becomes
         # (kappa. t') [(kappa', <>)].
         ctx = ctx_of(KAPPA, EVar(Later(0, U(0))))
-        sigma = subst(ctx, **FORCE_DIAMOND)
+        sigma = subst(ctx.counts, **FORCE_DIAMOND)
         t = TickApp(Var(0), TickVar(0))
         got = subst_apply(sigma, t)
         assert isinstance(got, ForceApp)
@@ -180,13 +180,13 @@ class TestSubstitution:
         ))
         # The kernel's forcing tick names its clock: one with no clock
         # payload to pair with cannot be promoted.
-        sigma = subst(ctx, ticks=(CForcedTick(0, Diamond()),))
+        sigma = subst(ctx.counts, ticks=(CForcedTick(0, Diamond()),))
         with pytest.raises(MalformedSubstitution, match="pair"):
             subst_apply(sigma, TickApp(DFix(0, U(0)), TickVar(0)))
 
     def test_tirr_diamond_collapse(self):
         ctx = ctx_of(KAPPA, EVar(U(0)))
-        sigma = subst(ctx, **FORCE_DIAMOND)
+        sigma = subst(ctx.counts, **FORCE_DIAMOND)
         t = TickApp(Var(0), Tirr(TickVar(0), TickVar(0), IVar(0)))
         got = subst_apply(sigma, t)
         assert isinstance(got, ForceApp)
@@ -217,7 +217,7 @@ class TestShiftedSubstitution:
          PLam(ForceApp(PApp(Var(0), IVar(0)), 0, Diamond()))),
     ])
     def test_forcing_component_under_binders(self, term, expected):
-        sigma = subst(self.FORCING_CTX, **FORCE_DIAMOND)
+        sigma = subst(self.FORCING_CTX.counts, **FORCE_DIAMOND)
         assert subst_apply(sigma, term) == expected
 
     @pytest.mark.parametrize("payloads, term, expected", [
@@ -239,9 +239,9 @@ class TestShiftedSubstitution:
         assert subst_apply(subst(None, **payloads), term) == expected
 
     @pytest.mark.parametrize("sigma, term, message", [
-        (subst(FORCING_CTX, terms=(U(0),)), Var(2), "term variable 2"),
-        (subst(FORCING_CTX, terms=(U(0),)), Lam(Var(3)), "term variable 3"),
-        (subst(FORCING_CTX, terms=(U(0),)), CApp(Var(0), 1),
+        (subst(FORCING_CTX.counts, terms=(U(0),)), Var(2), "term variable 2"),
+        (subst(FORCING_CTX.counts, terms=(U(0),)), Lam(Var(3)), "term variable 3"),
+        (subst(FORCING_CTX.counts, terms=(U(0),)), CApp(Var(0), 1),
          "clock variable 1"),
         (identity_subst(FORCING_CTX), TickApp(Var(0), TickVar(0)),
          "tick variable 0"),
@@ -251,13 +251,13 @@ class TestShiftedSubstitution:
         # subterm holding the variable is walked, not skipped.
         (identity_subst(FORCING_CTX), Lam(Pi(U(0), Var(9))),
          "term variable 9"),
-        (subst(FORCING_CTX, ticks=(TickVar(0),)), Lam(Pi(U(0), Var(3))),
+        (subst(FORCING_CTX.counts, ticks=(TickVar(0),)), Lam(Pi(U(0), Var(3))),
          "term variable 3"),
         (identity_subst(FORCING_CTX), CLam(Lam(CApp(Var(0), 2))),
          "clock variable 2"),
-        (subst(FORCING_CTX, terms=(U(0),)),
+        (subst(FORCING_CTX.counts, terms=(U(0),)),
          TickLam(0, Lam(TickApp(Var(2), TickVar(1)))), "tick variable 1"),
-        (subst(FORCING_CTX, clocks=(0,)),
+        (subst(FORCING_CTX.counts, clocks=(0,)),
          PLam(Lam(PApp(Var(0), IVar(1)))), "ival variable 1"),
     ])
     def test_index_outside_the_context_raises(self, sigma, term, message):
@@ -265,7 +265,7 @@ class TestShiftedSubstitution:
             subst_apply(sigma, term)
 
     def test_index_inside_the_context_is_kept(self):
-        sigma = subst(self.FORCING_CTX, terms=(U(0),))
+        sigma = subst(self.FORCING_CTX.counts, terms=(U(0),))
         assert subst_apply(sigma, Lam(App(Var(2), Var(1)))) == \
             Lam(App(Var(1), U(0)))
 
@@ -539,7 +539,7 @@ def _context_around(rng, t):
     ctx, bound_clocks = Context((KAPPA,)), 1
     for pos, sort in enumerate(sorts):
         if pos == restrict_at:
-            ctx = ctx.restrict(FEq(0, 1) if ctx.count(IVAL) else FBOT)
+            ctx = ctx.restrict(FEq(0, 1) if ctx.counts[3] else FBOT)
         if sort == TICK:
             ctx = ctx.push(ETick(rng.randrange(bound_clocks)))
         else:
@@ -554,7 +554,7 @@ def _residual_masks(rng, ctx):
     variables, a tirr of two on one clock when they have a common
     residual, and the forcing tick."""
     masks = [[True] * len(ctx)]
-    n = ctx.count(TICK)
+    n = ctx.counts[2]
     for _ in range(3 if n else 0):
         ix = rng.randrange(n)
         clock = ctx.tick_clock(ix)
@@ -579,7 +579,16 @@ def test_weakening_and_strengthening_agree_with_the_plain_renamer(seed):
                                k=rng.randrange(1, 4))
         cut = {s: rng.randrange(b[k] + 2)
                for k, s in enumerate((TERM, CLOCK, TICK, IVAL))}
-        assert weaken(u, inserted, cut) == shifted(inserted, cut).term(u)
+        # The kernel takes both as counts per sort.
+        by = tuple(inserted.count(s) for s in (TERM, CLOCK, TICK, IVAL))
+        ren, below = shifted(inserted, cut), tuple(cut.values())
+        assert weaken(u, by, below) == ren.term(u)
+        # The tick and interval payloads, by the same counts and cut.
+        for p in payloads["ticks"]:
+            p = p.tick if type(p) is CForcedTick else p
+            assert weaken_tick(p, by, below) == ren.tick(p)
+        for r in payloads["ivals"]:
+            assert weaken_iv(r, by, below) == ren.iv(r, {IVAL: 0})
         # Strengthening into residual contexts: TickEscape exactly when
         # the renamer meets a dropped variable.
         ctx = _context_around(rng, u)
@@ -671,7 +680,7 @@ def test_every_walker_takes_every_term_former(cls):
     assert loose_bound(t) == bound_of(t)
     # Renaming: weakening past one entry of every sort moves every free
     # variable out by one.
-    moved = weaken(t, [TERM, CLOCK, TICK, IVAL])
+    moved = weaken(t, (1, 1, 1, 1))
     assert free_indices(moved) == {s: {ix + 1 for ix in found[s]}
                                    for s in found}
     assert (moved is t) == (bound_of(t) == (0, 0, 0, 0))
