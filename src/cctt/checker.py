@@ -19,24 +19,40 @@ must be convertible on each clause of the overlap; and an eliminator case
 must be convertible, on each piece's face, with the eliminator applied to
 the piece.
 
+Types are checked through closures (Coquand, "An algorithm for
+type-checking dependent types", SCP 1996): `infer` returns a term or a
+`syntax.Closure`, and `check` takes either as the expected type.  An
+application, projection, clock, tick or forcing application reads the type
+of its head as the machine leaves it, a head and the environment pending
+on it (`conversion._whnf_env`), and returns the codomain pending under
+that environment extended by the argument (`ticks.bind`); so do an
+eliminator's motive, the endpoints and lines of paths and compositions,
+and each type of a telescope.  `Context.term_type` returns a variable's
+type pending under the shift past the entries after it.  A type that comes
+out equal to the one expected is found so by `syntax.closure_equal`, which
+reads variables through the environments and answers as
+`structural_equal` does on the materialised terms.  A closure is
+materialised only where a term must exist: a context entry, a term built
+around it, an error's payload, and the weak-head normal form `whnf` gives.
+
 Each instantiation of a signature's telescopes has one builder:
 `_check_telescope` checks parameters or constructor arguments against
-their telescope, instantiated at the values before them; `_arity_types`
-instantiates a recursive argument's arity telescope at the parameters and
-arguments, and `_rec_fn_type` folds it into the recursive argument's
-function type (`_pis`), in a constructor application, in a boundary's
-scope and, under the eliminator's clocks, for an eliminator case's
-recursive values; `conversion._weaken_elim` moves an eliminator under a
-case's binders.  A substitution is given the shape of its scope, a
-context's `counts`; one that needs a scope but no typing context (the
-arity entries, the clocks of induction under clocks) gets a shape extended
-by `syntax.shape`, not a context built for it.
+their telescope, each type pending on the values before it
+(`_telescope_type`); `_rec_fn_type` gives a recursive argument's function
+type, its arity telescope folded (`_pis`) in the signature's scope and
+pending on the parameters and arguments, in a constructor application, in
+a boundary's scope and, under the eliminator's clocks, for an eliminator
+case's recursive values; `_arity_types` materialises an arity telescope
+for a case's induction hypotheses; `conversion._weaken_elim` moves an
+eliminator under a case's binders.  A substitution is given the shape of
+its scope, a context's `counts`; one that needs a scope but no typing
+context (the clocks of induction under clocks) gets a shape extended by
+`syntax.shape`, not a context built for it.
 """
 
 from .conversion import (
-    conv, conv_tm, subst1, subst_clock1, subst_force1, subst_ival1,
-    subst_tick1, whnf,
-    _clam_n, _elim_con, _forall_n, _weaken_elim,
+    conv, conv_tm, whnf,
+    _clam_n, _elim_con, _forall_n, _materialise, _weaken_elim, _whnf_env,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
@@ -51,15 +67,16 @@ from .interval import (
     iv_vars,
 )
 from .syntax import (
-    App, CApp, CLam, ClockElim, Comp, Con, Context, DFix, EClock, EIVar,
-    ETick, EVar, ForceApp, Forall, Fst, HComp, Hit, I1, K0, K1, Lam, Later,
-    PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, T1, TERM, TICK,
-    TickApp, TickLam, TickVar, TopRef, Trans, U, Var, _tick_vars,
-    rename_term, shape, strengthen, structural_equal, subst, weaken,
-    weaken_iv,
+    App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Closure, Comp, Con,
+    Context, DFix, EClock, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp,
+    Hit, I1, IVAL, K0, K1, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi,
+    Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar, TopRef,
+    Trans, U, Var, ZERO, _POS, _tick_vars, closure_equal, loose_bound, shape,
+    strengthen, structural_equal, subst, weaken, weaken_iv,
 )
 from .ticks import (
-    apply_mask, residual_mask, strengthen_term, subst_apply, weakening_subst,
+    apply_mask, bind, close, extend, force, residual_mask, strengthen_term,
+    weakening_subst,
 )
 
 
@@ -172,44 +189,44 @@ def infer(state, ctx, t):
             return U(sig.level)
 
         case App(fn, arg):
-            fty = whnf(state, ctx, infer(state, ctx, fn))
+            fty, env = _whnf_env(state, ctx, infer(state, ctx, fn))
             if not isinstance(fty, Pi):
-                raise NotAFunction(
-                    "application head is not a function", actual=fty
-                )
-            check(state, ctx, arg, fty.dom)
-            return subst1(ctx.counts, fty.cod, arg)
+                raise NotAFunction("application head is not a function",
+                                   actual=_materialise(fty, env))
+            check(state, ctx, arg, close(env, fty.dom))
+            return _instance(fty.cod, env, ctx.counts, TERM, arg)
 
         case Fst(p):
-            pty = whnf(state, ctx, infer(state, ctx, p))
+            pty, env = _whnf_env(state, ctx, infer(state, ctx, p))
             if not isinstance(pty, Sigma):
-                raise NotAFunction("projection from a non-pair", actual=pty)
-            return pty.fst
+                raise NotAFunction("projection from a non-pair",
+                                   actual=_materialise(pty, env))
+            return close(env, pty.fst)
 
         case Snd(p):
-            pty = whnf(state, ctx, infer(state, ctx, p))
+            pty, env = _whnf_env(state, ctx, infer(state, ctx, p))
             if not isinstance(pty, Sigma):
-                raise NotAFunction("projection from a non-pair", actual=pty)
-            return subst1(ctx.counts, pty.snd, Fst(p))
+                raise NotAFunction("projection from a non-pair",
+                                   actual=_materialise(pty, env))
+            return _instance(pty.snd, env, ctx.counts, TERM, Fst(p))
 
         case PApp(fn, r):
             _check_iv(ctx, r)
-            fty = whnf(state, ctx, infer(state, ctx, fn))
+            fty, env = _whnf_env(state, ctx, infer(state, ctx, fn))
             if not isinstance(fty, PathT):
-                raise NotAFunction(
-                    "path application head is not a path", actual=fty
-                )
-            return fty.ty
+                raise NotAFunction("path application head is not a path",
+                                   actual=_materialise(fty, env))
+            return close(env, fty.ty)
 
         case CApp(fn, k):
             _check_clock(ctx, k)
-            fty = whnf(state, ctx, infer(state, ctx, fn))
+            fty, env = _whnf_env(state, ctx, infer(state, ctx, fn))
             if not isinstance(fty, Forall):
                 raise NotAFunction(
                     "clock application head is not clock-quantified",
-                    actual=fty,
+                    actual=_materialise(fty, env),
                 )
-            return subst_clock1(ctx.counts, fty.body, k)
+            return _instance(fty.body, env, ctx.counts, CLOCK, k)
 
         case TickApp(fn, u):
             return _infer_tick_app(state, ctx, fn, u)
@@ -250,6 +267,17 @@ def infer(state, ctx, t):
         f"cannot infer a type for {type(t).__name__}; an annotation is "
         "required", actual=t,
     )
+
+
+def _instance(body, env, scope, sort, payload):
+    """The type body, scoped under env's cod (None: a context of shape
+    `scope`) and one innermost variable of `sort`, with that variable sent
+    to `payload`: a closure, or body itself when it is closed, or when env
+    is None and body does not mention the variable."""
+    b = loose_bound(body)
+    if b == ZERO or env is None and not b[_POS[sort]]:
+        return body
+    return Closure(body, bind(env, scope, sort, payload))
 
 
 def check_is_type(state, ctx, t):
@@ -315,8 +343,9 @@ def _infer_tick_app(state, ctx, fn, u):
         raise ClockMismatch(
             "tick application head lives on a different clock"
         )
-    body = rename_term(lty.ty, weakening_subst(ctx, mask).under(K1))
-    return subst_tick1(ctx.counts, body, u)
+    # Back from the residual context, with the later's tick sent to u.
+    return Closure(lty.ty, bind(weakening_subst(ctx, mask), ctx.counts,
+                                TICK, u))
 
 
 def _infer_force_app(state, ctx, fn, k, u):
@@ -333,9 +362,11 @@ def _infer_force_app(state, ctx, fn, k, u):
         raise ClockMismatch(
             "forcing application head is not on the bound clock"
         )
-    body = rename_term(lty.ty,
-                       weakening_subst(ctx, mask).under((0, 1, 1, 0)))
-    return subst_force1(ctx.counts, body, k, u)
+    # Back from the residual context, with the bound clock sent to k and
+    # the later's tick to the forcing tick (k, u): the forcing beta rule.
+    scope = ctx.counts
+    env = bind(weakening_subst(ctx, mask), scope, CLOCK, k)
+    return Closure(lty.ty, bind(env, scope, TICK, CForcedTick(0, u)))
 
 
 # --------------------------------------------------------------------------
@@ -348,12 +379,13 @@ _INTRODUCTIONS = frozenset({Lam, Pair, PLam, CLam, TickLam, System, Con})
 
 
 def check(state, ctx, t, expected):
+    """Check t against `expected`, a term or a closure."""
     if type(t) not in _INTRODUCTIONS:
         got = infer(state, ctx, t)
         if not _subtype(state, ctx, got, expected):
             raise TypeMismatch("types do not match",
                                expected=whnf(state, ctx, expected),
-                               actual=got)
+                               actual=force(got))
         return
     ety = whnf(state, ctx, expected)
     match (t, ety):
@@ -367,7 +399,7 @@ def check(state, ctx, t, expected):
 
         case (Pair(fst, snd), Sigma(a, b)):
             check(state, ctx, fst, a)
-            check(state, ctx, snd, subst1(ctx.counts, b, fst))
+            check(state, ctx, snd, _instance(b, None, ctx.counts, TERM, fst))
             return
 
         case (Pair(_, _), _):
@@ -430,27 +462,28 @@ def check(state, ctx, t, expected):
             got = infer(state, ctx, t)
             if not _subtype(state, ctx, got, ety):
                 raise TypeMismatch("types do not match",
-                                   expected=ety, actual=got)
+                                   expected=ety, actual=force(got))
             return
 
 
 def _check_path_lam(state, ctx, body, a, left, right):
     ictx = ctx.push(EIVar())
     check(state, ictx, body, weaken(a, I1))
-    at0 = subst_ival1(ctx.counts, body, IZERO)
+    at0 = _instance(body, None, ctx.counts, IVAL, IZERO)
     if not conv(state, ctx, a, at0, left):
         raise EndpointMismatch("left endpoint disagrees",
-                               expected=left, actual=at0)
-    at1 = subst_ival1(ctx.counts, body, IONE)
+                               expected=left, actual=force(at0))
+    at1 = _instance(body, None, ctx.counts, IVAL, IONE)
     if not conv(state, ctx, a, at1, right):
         raise EndpointMismatch("right endpoint disagrees",
-                               expected=right, actual=at1)
+                               expected=right, actual=force(at1))
 
 
 def _subtype(state, ctx, a, b):
     """Cumulative subtyping: U n <= U m for n <= m, congruently under the
-    usual type formers, conversion elsewhere."""
-    if structural_equal(a, b):
+    usual type formers, conversion elsewhere.  a and b are terms or
+    closures."""
+    if closure_equal(a, b):
         return True
     a = whnf(state, ctx, a)
     b = whnf(state, ctx, b)
@@ -508,15 +541,16 @@ def check_comp(state, ctx, p):
         _check_tube(state, ictx, p.face, p.tube, p.ty)
     except TypeMismatch as exc:
         raise TubeMismatch(f"tube does not fit the line: {exc}") from exc
-    ty0 = subst_ival1(ctx.counts, p.ty, IZERO)
+    scope = ctx.counts
+    ty0 = _instance(p.ty, None, scope, IVAL, IZERO)
     check(state, ctx, p.base, ty0)
-    tube0 = subst_ival1(ctx.counts, p.tube, IZERO)
+    tube0 = _instance(p.tube, None, scope, IVAL, IZERO)
     if not conv(state, ctx.restrict(p.face), ty0, p.base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent",
             face=p.face,
         )
-    return subst_ival1(ctx.counts, p.ty, IONE)
+    return _instance(p.ty, None, scope, IVAL, IONE)
 
 
 def _check_tube(state, ictx, face, tube, line):
@@ -541,7 +575,7 @@ def _check_hcomp(state, ctx, ty, face, tube, base):
     except TypeMismatch as exc:
         raise TubeMismatch(f"tube does not fit the type: {exc}") from exc
     check(state, ctx, base, ty)
-    tube0 = subst_ival1(ctx.counts, tube, IZERO)
+    tube0 = _instance(tube, None, ctx.counts, IVAL, IZERO)
     if not conv(state, ctx.restrict(face), ty, base, tube0):
         raise BaseBoundaryMismatch(
             "base disagrees with the tube at 0 on the extent", face=face,
@@ -553,14 +587,15 @@ def _check_trans(state, ctx, ty, face, base):
     ictx = ctx.push(EIVar())
     check_is_type(state, ictx, ty)
     _check_iv(ctx, face)
-    ty0 = subst_ival1(ctx.counts, ty, IZERO)
-    # The line must be constant on the extent.
-    if not conv(state, ictx.restrict(weaken_iv(face, I1)), U(0), ty,
-                weaken(ty0, I1)):
+    scope = ctx.counts
+    # The line must be constant on the extent: equal to its start, ty at
+    # 0 moved back under the line variable.
+    start = Closure(ty, subst(scope, ivals=(IZERO,), fresh=I1))
+    if not conv(state, ictx.restrict(weaken_iv(face, I1)), U(0), ty, start):
         raise TubeMismatch("transport line is not constant on its extent",
                            face=face)
-    check(state, ctx, base, ty0)
-    return subst_ival1(ctx.counts, ty, IONE)
+    check(state, ctx, base, _instance(ty, None, scope, IVAL, IZERO))
+    return _instance(ty, None, scope, IVAL, IONE)
 
 
 # --------------------------------------------------------------------------
@@ -570,11 +605,20 @@ def _check_trans(state, ctx, ty, face, base):
 def _check_telescope(state, ctx, outer, values, types):
     """Check values, terms in ctx, against the types of a signature
     telescope, each instantiated at `outer` (the entries before the
-    telescope) and the values before it."""
+    telescope) and the values before it, pending on it as a closure."""
+    scope = ctx.counts
     for j, ty in enumerate(types):
         check(state, ctx, values[j],
-              subst_apply(subst(ctx.counts, terms=(*outer, *values[:j])),
-                          ty))
+              _telescope_type(ty, scope, (*outer, *values[:j])))
+
+
+def _telescope_type(ty, scope, values):
+    """A telescope's type, scoped in the entries before it, at `values`
+    for them (terms in a context of shape `scope`, outermost first): a
+    closure, or ty itself when it mentions none of them."""
+    if loose_bound(ty)[0]:
+        return Closure(ty, extend(None, scope, values))
+    return ty
 
 
 def _check_hit_params(state, ctx, sig, params):
@@ -635,14 +679,15 @@ def _check_entry_types(state, ctx, types, kind, owner):
 class _Declaring:
     """A data signature while the boundary of its constructor number
     `current` is checked: that constructor and the ones after it are not
-    declared yet.  Anything else is read off the signature."""
+    declared yet."""
 
     def __init__(self, sig):
         self.sig = sig
+        self.name = sig.name
+        self.params = sig.params
+        self.level = sig.level
+        self.constructors = sig.constructors
         self.current = 0
-
-    def __getattr__(self, name):
-        return getattr(self.sig, name)
 
     def constructor(self, label):
         k = self.sig.index_of(label)
@@ -685,23 +730,18 @@ def _check_boundary(state, declaring, ctor, cctx):
 
 def _boundary_context(sig, ctor, cctx):
     """cctx extended by ctor's recursive arguments and interval binders,
-    with their types at its end built for `term_type` to read, and the
-    data type at the parameters there."""
+    and the data type at the parameters there."""
     d, a = len(sig.params.types), len(ctor.args.types)
     r = len(ctor.rec_arities)
     bctx = cctx
     for k, arity in enumerate(ctor.rec_arities):
         scope = [Var(k + d + a - 1 - q) for q in range(d + a)]
-        bctx = bctx.push(EVar(_rec_fn_type(bctx.counts, sig, arity,
-                                           scope[:d], scope[d:])))
+        bctx = bctx.push(EVar(force(_rec_fn_type(
+            bctx.counts, sig, arity, scope[:d], scope[d:]))))
     for _ in range(ctor.ivar_count):
         bctx = bctx.push(EIVar())
-    scope = [Var(r + d + a - 1 - q) for q in range(d + a)]
-    types = {r - 1 - k: _rec_fn_type(bctx.counts, sig, arity, scope[:d],
-                                     scope[d:])
-             for k, arity in enumerate(ctor.rec_arities)}
-    return (Context(bctx.entries, bctx.restriction, bctx.counts, types),
-            Hit(sig.name, tuple(scope[:d])))
+    return bctx, Hit(sig.name,
+                     tuple(Var(r + d + a - 1 - q) for q in range(d)))
 
 
 # --------------------------------------------------------------------------
@@ -745,25 +785,27 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
 def _rec_fn_type(scope, sig, arity, params, args):
     """The type of a recursive argument: a function from the arity
     telescope, instantiated at params and args (terms in a context of shape
-    `scope`), into the data type."""
+    `scope`), into the data type.  Unless the arity is empty, it is a
+    closure: the function type in the signature's scope (parameters,
+    arguments), pending on params and args."""
     if not arity.types:
         return Hit(sig.name, tuple(params))
-    by = (len(arity.types), 0, 0, 0)
-    ret = Hit(sig.name, tuple(weaken(p, by) for p in params))
-    return _pis(_arity_types(scope, arity, (*params, *args)), ret)
+    # The function type in the signature's scope (parameters, arguments).
+    d, m = len(params), len(arity.types)
+    outer = d + len(args)
+    ret = Hit(sig.name, tuple(Var(m + outer - 1 - q) for q in range(d)))
+    return Closure(_pis(arity.types, ret),
+                   extend(None, scope, (*params, *args)))
 
 
 def _arity_types(scope, arity, outer):
     """The types of an arity telescope, instantiated at `outer` (the
     parameters and arguments, terms in a context of shape `scope`), each in
-    scope extended by the ones before it."""
-    tys = []
-    for q, ty in enumerate(arity.types):
-        by = (q, 0, 0, 0)
-        terms = [weaken(x, by) for x in outer]
-        terms += [Var(q - 1 - s) for s in range(q)]
-        tys.append(subst_apply(subst(shape(scope, by), terms=terms), ty))
-    return tys
+    scope extended by the ones before it, materialised for a context
+    entry."""
+    env = extend(None, scope, outer)
+    return [force(Closure(ty, env.under((q, 0, 0, 0))))
+            for q, ty in enumerate(arity.types)]
 
 
 def _pis(doms, cod):
@@ -798,8 +840,9 @@ def check_clock_elim(state, ctx, elim):
     ctx_n = shape(ctx.counts, clocks)
     hit_params_n = tuple(_capp_n(weaken(q, clocks), n) for q in elim.params)
     for p, ty in enumerate(sig.params.types):
-        body = subst_apply(subst(ctx_n, terms=hit_params_n[:p]), ty)
-        check(state, ctx, elim.params[p], _forall_n(n, body))
+        body = _telescope_type(ty, ctx_n, hit_params_n[:p])
+        check(state, ctx, elim.params[p],
+              _forall_n(n, force(body)) if n else body)
 
     scrut_ty = _forall_n(n, Hit(sig.name, hit_params_n))
     check(state, ctx, elim.arg, scrut_ty)
@@ -835,7 +878,7 @@ def check_clock_elim(state, ctx, elim):
             )
         _check_case(state, ctx, sig, ctor, elim, case)
 
-    return subst1(ctx.counts, elim.motive, elim.arg)
+    return _instance(elim.motive, None, ctx.counts, TERM, elim.arg)
 
 
 def _check_case(state, ctx, sig, ctor, elim, case):
@@ -850,9 +893,9 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     for j in range(a):
         terms = [_capp_n(weaken(p, (j, n, 0, 0)), n) for p in elim.params]
         terms += [_capp_n(Var(j - 1 - i), n) for i in range(j)]
-        body = subst_apply(subst(shape(cur.counts, clocks), terms=terms),
-                           ctor.args.types[j])
-        cur = cur.push(EVar(_forall_n(n, body)))
+        body = _telescope_type(ctor.args.types[j], shape(cur.counts, clocks),
+                               terms)
+        cur = cur.push(EVar(_forall_n(n, force(body))))
 
     # x binders (clock-abstracted recursive values).
     for k, arity in enumerate(ctor.rec_arities):
@@ -860,8 +903,8 @@ def _check_case(state, ctx, sig, ctor, elim, case):
         params_n = [_capp_n(weaken(p, (shift, n, 0, 0)), n)
                     for p in elim.params]
         gammas_n = [_capp_n(Var(a - 1 - j + k), n) for j in range(a)]
-        cur = cur.push(EVar(_forall_n(n, _rec_fn_type(
-            shape(cur.counts, clocks), sig, arity, params_n, gammas_n))))
+        cur = cur.push(EVar(_forall_n(n, force(_rec_fn_type(
+            shape(cur.counts, clocks), sig, arity, params_n, gammas_n)))))
 
     # y binders (induction hypotheses).
     for k, arity in enumerate(ctor.rec_arities):
@@ -876,9 +919,10 @@ def _check_case(state, ctx, sig, ctor, elim, case):
             scrut = Var(r - 1 + m)
             for s in range(m):
                 scrut = App(scrut, Var(m - 1 - s))
-        motive_w = weaken(elim.motive, (shift + m, 0, 0, 0), T1)
-        cur = cur.push(EVar(_pis(
-            tys, subst1(shape(cur.counts, (m, 0, 0, 0)), motive_w, scrut))))
+        # The motive at scrut, moved past the binders before it.
+        motive = Closure(elim.motive, subst(ctx.counts, terms=(scrut,),
+                                            fresh=(shift + m, 0, 0, 0)))
+        cur = cur.push(EVar(_pis(tys, force(motive))))
 
     case_ctx = cur
     for _ in range(v):
@@ -886,8 +930,9 @@ def _check_case(state, ctx, sig, ctor, elim, case):
 
     binders = (a + 2 * r, 0, 0, v)
     con = _case_con(elim, sig, ctor, binders)
-    motive_w = weaken(elim.motive, binders, T1)
-    expected = subst1(case_ctx.counts, motive_w, _clam_n(n, con))
+    expected = Closure(elim.motive, subst(ctx.counts,
+                                          terms=(_clam_n(n, con),),
+                                          fresh=binders))
     check(state, case_ctx, case.body, expected)
     if not ctor.boundary:
         return
@@ -897,14 +942,13 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     # the piece.  The eliminator is weakened into the case context once
     # for all the pieces.
     elim_w = _weaken_elim(elim, binders, None)
-    body, env = _elim_con(state, case_ctx, elim_w, None, con, None)
-    body = subst_apply(env, body)
+    body = Closure(*_elim_con(state, case_ctx, elim_w, None, con, None))
     sigma = subst(shape(case_ctx.counts, clocks),
                   terms=con.params + con.args + con.recs, ivals=con.ivals)
     for phi, piece in ctor.boundary:
         at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
                              elim_w.motive, elim_w.cases,
-                             _clam_n(n, subst_apply(sigma, piece)))
+                             _clam_n(n, force(Closure(piece, sigma))))
         if not conv(state, case_ctx.restrict(phi), expected, body,
                     at_piece):
             raise CaseBoundaryMismatch(

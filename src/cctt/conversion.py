@@ -13,12 +13,13 @@ Fixed points unfold ONLY at a syntactic diamond; together with the step
 budget this keeps conversion checking terminating in practice (no
 normalization theorem is available for the theory).
 
-Conversion asks syntactic equality first (`syntax.structural_equal`, as the
-quick check of Lean 4's `is_def_eq` does): most comparisons the checker
-makes are between terms that are already equal, and they are answered
-without reducing anything or spending a step.  `conv` asks on entry;
-`conv_tm`, which compares weak-head forms part by part, does not, since
-there the test would cost more than it saves.
+Conversion asks syntactic equality first (`syntax.closure_equal`, which is
+`structural_equal` on the terms closures stand for, read without building
+them; as the quick check of Lean 4's `is_def_eq` does): most comparisons
+the checker makes are between terms that are already equal, and they are
+answered without reducing anything or spending a step.  `conv` asks on
+entry; `conv_tm`, which compares weak-head forms part by part, does not,
+since there the test would cost more than it saves.
 
 `whnf` is a Krivine-style environment machine (Krivine, "A call-by-name
 lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
@@ -74,9 +75,10 @@ clause of each face met, so each of them holds on it.
 One step is counted per application walked, lambda taken and definition
 unfolded, as before; entering a variable's closure is not a step, so the
 machine takes the same steps on a closure as on its materialisation.  A
-term whose class is head-normal with no argument or environment pending (a
-variable, universe, type former, abstraction, pair, `dfix` or `pfix`) is
-returned at once, for the one step the machine would count.
+term whose class is head-normal with no argument pending (a universe, type
+former, abstraction, pair, `dfix` or `pfix`, or a variable with no
+environment) is returned at once, with its environment, for the one step
+the machine would count.
 
 Substitutions are built with `syntax.subst` from payloads per sort (terms,
 clock indices, ticks and interval expressions) and a count of fresh
@@ -86,8 +88,12 @@ by `syntax.shape` where there is no typing context to read it from.
 Weakening and strengthening are substitutions too, applied by the same
 walk: whether a type line mentions its interval variable
 (`_mentions_ival0`) is whether strengthening it past that variable fails.
-`subst1`, `subst_ival1`, `subst_clock1` and `subst_tick1` instantiate one
-variable; `subst_force1` is the forcing beta rule, shared with the checker.
+`subst_ival1` instantiates a line at an endpoint, where a composition rule
+builds a term from it; `_forcing_env` is the forcing beta rule's
+environment.  The checker builds no term this way: its codomains, motives
+and telescopes stay pending on it as closures, and `whnf`, `conv` and
+`conv_tm` take those as they take terms.  The Σ eta rule's second
+component type stays pending the same way.
 A boundary piece is an ordinary term scoped in its data type's telescope
 (parameters, arguments, recursive arguments, interval binders), so firing
 it is one `subst`.  `_weaken_elim` moves an eliminator under binders, for
@@ -109,8 +115,8 @@ from .syntax import (
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase, Fst,
     ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar,
-    Tirr, TopRef, Trans, U, Var, C1, I1, T1, K1, shape, strengthen,
-    structural_equal, subst, weaken, weaken_iv,
+    Tirr, TopRef, Trans, U, Var, C1, I1, T1, K1, closure_equal, shape,
+    strengthen, subst, weaken, weaken_iv,
 )
 from .ticks import (
     bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
@@ -133,26 +139,8 @@ def is_neutral(t):
 # Each takes the shape of the scope it substitutes into (a context's
 # `counts`), or None for unchecked.
 
-def subst1(scope, body, arg):
-    return subst_apply(subst(scope, terms=(arg,)), body)
-
-
 def subst_ival1(scope, body, r):
     return subst_apply(subst(scope, ivals=(r,)), body)
-
-
-def subst_clock1(scope, body, k):
-    return subst_apply(subst(scope, clocks=(k,)), body)
-
-
-def subst_tick1(scope, body, u):
-    return subst_apply(subst(scope, ticks=(u,)), body)
-
-
-def subst_force1(scope, body, k, u):
-    """body, scoped in scope plus a clock and a tick on it, at the clock k
-    and the forcing tick (k, u): the forcing beta rule."""
-    return subst_apply(_forcing_env(scope, k, u), body)
 
 
 def _forcing_env(scope, k, u):
@@ -219,9 +207,10 @@ def _whnf_env(state, ctx, t, env=None):
     is none; always None when arguments were left on the spine)."""
     if type(t) is Closure:
         t, env = t.term, t.env
-    if env is None and type(t) in _HEAD_NORMAL:
+    cls = type(t)
+    if cls in _HEAD_NORMAL and (env is None or cls is not Var):
         state.step()
-        return t, None
+        return t, env
     spine = []   # arguments, innermost last: closures and clock indices
     while True:
         # The machine's own cases run once per step: they test the type
@@ -863,16 +852,19 @@ def _elim_hcomp(scope, elim, hc):
 
 def conv(state, ctx, ty, t, u):
     """Whether t and u are equal at ty in ctx, under its restriction: at
-    once when the restriction is false or the terms are equal; otherwise
-    on each clause of the restriction, with the clause's endpoints pending
-    on ty, t and u as their environment.  Each clause makes the
-    restriction true, so the clause is compared unrestricted."""
+    once when the restriction is false or the terms are equal
+    (`closure_equal`, since each of ty, t and u may be a term or a
+    closure); otherwise on each clause of the restriction, with the
+    clause's endpoints pending on ty, t and u, materialised, as their
+    environment.  Each clause makes the restriction true, so the clause is
+    compared unrestricted."""
     phi = ctx.restriction
-    if face_is_false(phi) or structural_equal(t, u):
+    if face_is_false(phi) or closure_equal(t, u):
         return True
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
-    free = Context(ctx.entries, FTOP, ctx.counts, ctx.types)
+    free = Context(ctx.entries, FTOP, ctx.counts, ctx._terms)
+    ty, t, u = force(ty), force(t), force(u)
     for clause in face_clauses(phi):
         sigma = clause_subst(ctx.counts, clause)
         if not _conv_clause(state, free, Closure(ty, sigma),
@@ -900,8 +892,8 @@ def _conv_clause(state, ctx, ty, t, u):
         case Sigma(fst, snd):
             if not _conv_clause(state, ctx, fst, Fst(t), Fst(u)):
                 return False
-            return _conv_clause(state, ctx, subst1(ctx.counts, snd, Fst(t)),
-                                Snd(t), Snd(u))
+            snd = Closure(snd, bind(None, ctx.counts, TERM, Fst(t)))
+            return _conv_clause(state, ctx, snd, Snd(t), Snd(u))
         case PathT(a, _, _):
             inner = ctx.push(EIVar())
             return _conv_clause(

@@ -80,7 +80,7 @@ from cctt.syntax import (
     System, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
     entry_sort,
 )
-from cctt.ticks import apply_mask, residual_mask
+from cctt.ticks import apply_mask, force, residual_mask
 
 # DM4 elements as pairs ordered componentwise; the involution reverses the
 # order and swaps the components, fixing (0,1) and (1,0).
@@ -760,7 +760,9 @@ def reference_whnf(state, ctx, t):
 
 def _ref_endpoint(state, ctx, fn, right):
     try:
-        ty = reference_whnf(state, ctx, state.infer(ctx, fn))
+        # The checker's type may be pending on an environment: the
+        # reference reduces the term it stands for.
+        ty = reference_whnf(state, ctx, force(state.infer(ctx, fn)))
     except FuelExhausted:
         raise
     except CcttError:

@@ -27,6 +27,7 @@ from cctt.syntax import (
     System, Telescope, TickApp, TickLam, TickVar, TopRef, U, Var,
     structural_equal, weaken,
 )
+from cctt.ticks import force
 from oracles import load_workloads, reference_term_type
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -66,6 +67,25 @@ class TestBasicInference:
         ctx = ctx.push(EVar(Var(1)))
         assert infer(st(), ctx, App(Var(1), Var(0))) == U(0)
 
+    def test_mismatch_against_pending_types_prints_terms(self):
+        # A : U0, B : A -> U0, g : (x : A) -> B x -> U0, a : A.  The
+        # codomain of g a and the domain of its next argument stay pending
+        # on a; the errors carry and print them materialised.
+        ctx = (EMPTY.push(EVar(U(0))).push(EVar(Pi(Var(0), U(0))))
+               .push(EVar(Pi(Var(1), Pi(App(Var(1), Var(0)), U(0)))))
+               .push(EVar(Var(2))))
+        g_a = App(Var(1), Var(0))
+        cases = [(g_a, U(0), U(0), Pi(App(Var(2), Var(0)), U(0))),
+                 (App(g_a, Var(0)), U(0), App(Var(2), Var(0)), Var(3))]
+        for t, ty, expected, actual in cases:
+            with pytest.raises(TypeMismatch) as err:
+                check(st(), ctx, t, ty)
+            assert err.value.payload == {"expected": expected,
+                                         "actual": actual}
+            assert "Closure" not in str(err.value)
+            assert f"expected={expected!r}, actual={actual!r}" \
+                in str(err.value)
+
     def test_pair_projections(self):
         ctx = EMPTY.push(EVar(Sigma(U(0), Var(0))))
         assert infer(st(), ctx, Fst(Var(0))) == U(0)
@@ -79,7 +99,7 @@ class TestTickTyping:
         ctx = (EMPTY.push(EVar(U(0)))
                .push(EVar(Later(K0, Var(0)))).push(ETick(K0)))
         got = infer(st(), ctx, TickApp(Var(0), TickVar(0)))
-        assert got == Var(1)
+        assert force(got) == Var(1)
 
     def test_tick_escape(self):
         # x declared right of the tick cannot feed an application at it.
@@ -521,7 +541,8 @@ def _data_signatures():
 
 def test_boundary_types_are_the_renamed_ones():
     # The recursive arguments' types a boundary is checked in are built
-    # with its context; they are the entries' types renamed to its end.
+    # once, as its entries, and read off them: materialised, they are the
+    # entries' types renamed to its end.
     recs = 0
     for sig in _data_signatures():
         for ctor in sig.constructors:
@@ -530,9 +551,8 @@ def test_boundary_types_are_the_renamed_ones():
                 cctx = cctx.push(EVar(ty))
             bctx, _ = checker._boundary_context(sig, ctor, cctx)
             r = len(ctor.rec_arities)
-            assert sorted(bctx.types) == list(range(r))
             for ix in range(r):
-                assert structural_equal(bctx.term_type(ix),
+                assert structural_equal(force(bctx.term_type(ix)),
                                         reference_term_type(bctx, ix))
             recs += r
     assert recs > 500
@@ -690,7 +710,7 @@ class TestClockElim:
             ),
             Var(0),
         )
-        assert infer(state, ctx, term) == Hit("trunc", (Var(1),))
+        assert force(infer(state, ctx, term)) == Hit("trunc", (Var(1),))
 
     def test_squash_case_missing_endpoint(self):
         state = self._state()
@@ -726,7 +746,7 @@ class TestClockElim:
             ),
             Var(0),
         )
-        assert infer(state, ctx, term) == Hit("trunc", (Var(1),))
+        assert force(infer(state, ctx, term)) == Hit("trunc", (Var(1),))
 
     def test_elim_beta_agrees_with_case(self):
         state = self._state()

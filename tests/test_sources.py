@@ -2,8 +2,9 @@
 level and only names they use, read every parameter they take but those
 listed with a reason, `import cctt.cli` loads none of `argparse`,
 `dataclasses`, `inspect` and `typing`, every function the benchmark's
-tracer wraps exists (the parser's on the path a check takes), and every
-count of binders given to a weakening or a lift is a tuple of counts."""
+tracer wraps exists (the parser's on the path a check takes), every
+count of binders given to a weakening or a lift is a tuple of counts, and
+the checker instantiates no term eagerly."""
 
 import ast
 import contextlib
@@ -149,6 +150,58 @@ env.under(CLOCK, TICK)
 """)]
     assert _counts_spelled_otherwise(sources) == [
         "a.py:3", "a.py:4", "a.py:5", "a.py:7"]
+
+
+# The helpers that instantiate a variable of a term by walking it.
+_EAGER = {"subst1", "subst_ival1", "subst_clock1", "subst_tick1",
+          "subst_force1"}
+
+
+def _called(call):
+    fn = call.func
+    return fn.attr if isinstance(fn, ast.Attribute) else \
+        getattr(fn, "id", None)
+
+
+def _eager_instantiations(sources):
+    """The calls in sources, as "module:line", that instantiate a term
+    eagerly: a helper of `_EAGER`, or `subst_apply` applying a substitution
+    built in place by `subst`."""
+    found = []
+    for module, text in sources:
+        for node in ast.walk(ast.parse(text, module)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called(node)
+            if name in _EAGER or name == "subst_apply" and any(
+                    isinstance(x, ast.Call) and _called(x) == "subst"
+                    for x in node.args[:1]):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_checker_instantiates_nothing_eagerly():
+    # The checker's codomains, motives, telescopes and endpoints stay
+    # pending, as closures.
+    found = _eager_instantiations(
+        [(module, text) for module, text in _package()
+         if module == "checker.py"])
+    assert not found, found
+
+
+def test_eager_instantiations_are_found():
+    sources = [("a.py", """
+subst1(ctx.counts, fty.cod, arg)
+conversion.subst_ival1(scope, body, IZERO)
+subst_clock1(scope, t, k); subst_tick1(scope, t, u)
+subst_force1(scope, body, k, u)
+subst_apply(subst(ctx.counts, terms=outer), ty)
+ticks.subst_apply(syntax.subst(scope, ivals=(r,)), t)
+subst_apply(env, body)
+Closure(ty, subst(scope, ivals=(IZERO,), fresh=I1))
+""")]
+    assert _eager_instantiations(sources) == [
+        "a.py:2", "a.py:3", "a.py:4", "a.py:4", "a.py:5", "a.py:6", "a.py:7"]
 
 
 def _unused_parameters(sources):

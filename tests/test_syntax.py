@@ -3,24 +3,29 @@ import random
 import pytest
 
 from cctt import parser, syntax
+from cctt.errors import CcttError
 from cctt.interval import (
-    FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IVar, IZERO, iv_map_vars,
+    FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IONE, IVar, IZERO,
+    iv_map_vars,
 )
 from cctt.parser import (
     ConvCheck, DataDefinition, Definition, Module, _Boundary,
 )
 from cctt.syntax import (
     C1, I1, K1, T1,
-    App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Comp, Con, Constructor,
+    App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Closure, Comp, Con,
+    Constructor,
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase,
     ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, K0, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK,
-    Telescope, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    loose_bound, structural_equal, subst, weaken,
+    Substitution, Telescope, Term, TickApp, TickLam, TickVar, Tirr, TopRef,
+    Trans, U, Var, ZERO, _shift_subst, closure_equal, loose_bound,
+    structural_equal, subst, weaken,
 )
-from cctt.ticks import apply_mask, bind, lookup_clock, timeless
-from oracles import Renamer
+from cctt.ticks import apply_mask, bind, force, lookup_clock, timeless
+from oracles import Renamer, reference_term_type
 from test_acceptance import _instances
+from test_ticks import _Terms, generated_case
 
 i0 = IVar(0)
 
@@ -131,6 +136,106 @@ def test_structural_equal_walks_deep_spines():
     assert not structural_equal(spines(Var(0), 5000), spines(Var(2), 5000))
 
 
+def _mutants(x):
+    """Every copy of x with one node changed: a variable, clock or tick
+    variable index moved by one, the diamond made a tick variable, an
+    interval expression or face replaced by an endpoint, or a subterm
+    replaced by U1."""
+    if isinstance(x, Term) and x != U(1):
+        yield U(1)
+    if type(x) is int:
+        yield x + 1
+    elif type(x) is Diamond:
+        yield TickVar(0)
+    elif isinstance(x, Face):
+        yield FBOT if x == FTOP else FTOP
+    elif isinstance(x, frozenset):
+        yield IZERO if x == IONE else IONE
+    elif type(x) is tuple:
+        for k, y in enumerate(x):
+            for z in _mutants(y):
+                yield x[:k] + (z,) + x[k + 1:]
+    elif hasattr(type(x), "_fields"):
+        fields = [getattr(x, name) for name in x._fields]
+        for k, y in enumerate(fields):
+            for z in _mutants(y):
+                yield type(x)(*fields[:k], z, *fields[k + 1:])
+
+
+def _with_closure_payloads(sigma, shift):
+    """sigma with each term payload pending, as a closure, on the identity
+    of sigma's scope or on a shift by `shift`."""
+    terms = tuple(
+        Closure(p, subst(sigma.scope) if k % 2 else _shift_subst(shift, ZERO))
+        for k, p in enumerate(sigma.block[0]))
+    return Substitution(sigma.scope, (terms,) + sigma.block[1:], sigma.shift)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closure_equal_is_structural_equal_of_the_materialised_terms(seed):
+    # Random terms under random environments, with term, clock, forcing
+    # tick and interval payloads, the term payloads also as closures; and
+    # a shift pending on a term, as `term_type` leaves it.  Compared with
+    # the materialised term, with single-node mutants of it, and with
+    # closures of single-node mutants of the term.
+    rng = random.Random(seed)
+    t, sigma, _ = generated_case(seed)
+    m = sigma.apply(t)
+    by = tuple(rng.randrange(2) for _ in range(4))
+    cases = [(t, lambda: sigma),
+             (t, lambda: _with_closure_payloads(sigma, by)),
+             (m, lambda: _shift_subst(by, ZERO))]
+    for body, env in cases:
+        want = env().apply(body)
+        assert closure_equal(Closure(body, env()), want)
+        assert closure_equal(want, Closure(body, env()))
+        assert closure_equal(Closure(body, env()), Closure(body, env()))
+        mutants = list(_mutants(want))
+        for x in rng.sample(mutants, min(25, len(mutants))):
+            same = structural_equal(want, x)
+            assert closure_equal(Closure(body, env()), x) == same, x
+            assert closure_equal(x, Closure(body, env())) == same, x
+        mutants = list(_mutants(body))
+        for x in rng.sample(mutants, min(25, len(mutants))):
+            try:
+                got = env().apply(x)
+            except CcttError:
+                continue   # an ill-scoped mutant has no materialisation
+            same = structural_equal(got, want)
+            assert closure_equal(Closure(x, env()), want) == same, x
+            assert closure_equal(Closure(x, env()),
+                                 Closure(body, env())) == same, x
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_term_type_materialises_as_the_renamed_entry_type(seed):
+    # Random contexts: entries of every sort, term entries of random types
+    # scoped in the entries before them, restrictions, and contexts built
+    # from entries (the timeless part), pushed onto in turn.  Each term
+    # variable's type, materialised, is its entry's type renamed to the
+    # end, on the context and on one built afresh from its entries.
+    rng = random.Random(seed)
+    gen = _Terms(rng)
+    ctx = Context((EClock(),))
+    for _ in range(30):
+        step = rng.randrange(8)
+        if step < 4:
+            ty = gen.term(list(ctx.counts), depth=3)
+            ctx = ctx.push((EVar(ty), EClock(), ETick(0), EIVar())[step])
+        elif step < 6:
+            ctx = ctx.push(EVar(gen.term(list(ctx.counts), depth=3)))
+        elif step == 6:
+            ctx = ctx.restrict(FEq(0, 1) if ctx.counts[3] else FBOT)
+        else:
+            ctx = timeless(ctx)
+        for c in (ctx, Context(ctx.entries, ctx.restriction)):
+            for ix in range(ctx.counts[0]):
+                assert structural_equal(force(c.term_type(ix)),
+                                        reference_term_type(c, ix))
+        with pytest.raises(IndexError):
+            ctx.term_type(ctx.counts[0])
+
+
 def test_cached_bound_is_no_part_of_the_term():
     def build():
         return Lam(App(PApp(Var(1), IMeet(i0, IVar(2))),
@@ -231,9 +336,11 @@ def test_lookup_clock_of_the_clock_constant():
 
 def test_term_type_weakens_by_suffix():
     ctx = Context((EVar(U(0)), EVar(Var(0)), EVar(Var(1))))
-    # Each entry's payload is shifted past the entries after it.
-    assert ctx.term_type(0) == Var(2)
-    assert ctx.term_type(1) == Var(2)
+    # Each entry's payload is shifted past the entries after it, the shift
+    # pending on it until it is forced.
+    assert type(ctx.term_type(0)) is Closure
+    assert force(ctx.term_type(0)) == Var(2)
+    assert force(ctx.term_type(1)) == Var(2)
 
 
 def test_restriction_is_renamed_past_interval_variables():
@@ -253,7 +360,7 @@ def test_restrict_meets_and_shares_what_depends_on_the_entries():
     ctx.term_type(0)
     phi = ctx.restrict(FEq(0, 1))
     assert phi.entries is ctx.entries and phi.counts is ctx.counts
-    assert phi.types is ctx.types
+    assert phi._terms is ctx._terms
     assert phi.restriction == FEq(0, 1) and ctx.restriction == FTOP
     both = phi.restrict(FOr(FEq(1, 0), FEq(0, 0)))
     assert both.restriction == FAnd(FEq(0, 1), FEq(1, 0))
@@ -370,7 +477,7 @@ _RECORD_CONTRACT = [
     ("ETick(clock=0)", ("clock",)),
     ("EIVar()", ()),
     ("Context(entries=(EClock(), EVar(ty=U0)), restriction=1F)",
-     ("entries", "restriction", "_counts", "types")),
+     ("entries", "restriction", "_counts", "_terms")),
     ("CForcedTick(clock=0, tick=<>)", ("clock", "tick")),
     ("Telescope(types=(U0,))", ("types",)),
     (_CTOR, ("label", "args", "rec_arities", "ivar_count", "face",
