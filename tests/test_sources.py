@@ -109,6 +109,13 @@ def f(x):
 _COUNTED = {"weaken", "weaken_tick", "weaken_iv", "under"}
 
 
+def _called(call):
+    """The name a call calls: a function's, or an attribute's."""
+    fn = call.func
+    return fn.attr if isinstance(fn, ast.Attribute) else \
+        getattr(fn, "id", None)
+
+
 def _counts_spelled_otherwise(sources):
     """The calls in sources, as "module:line", that give a function of
     `_COUNTED` a count built from a list display, a dict or a sort name
@@ -118,9 +125,7 @@ def _counts_spelled_otherwise(sources):
         for node in ast.walk(ast.parse(text, module)):
             if not isinstance(node, ast.Call):
                 continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else \
-                getattr(fn, "id", None)
+            name = _called(node)
             if name not in _COUNTED:
                 continue
             counts = [*(node.args if name == "under" else node.args[1:]),
@@ -155,12 +160,6 @@ env.under(CLOCK, TICK)
 # The helpers that instantiate a variable of a term by walking it.
 _EAGER = {"subst1", "subst_ival1", "subst_clock1", "subst_tick1",
           "subst_force1"}
-
-
-def _called(call):
-    fn = call.func
-    return fn.attr if isinstance(fn, ast.Attribute) else \
-        getattr(fn, "id", None)
 
 
 def _eager_instantiations(sources):
