@@ -22,12 +22,14 @@ the piece.
 Types are checked through closures (Coquand, "An algorithm for
 type-checking dependent types", SCP 1996): `infer` returns a term or a
 `syntax.Closure`, and `check` takes either as the expected type.  An
-application, projection, clock, tick or forcing application reads the type
-of its head as the machine leaves it, a head and the environment pending
-on it (`conversion._whnf_env`), and returns the codomain pending under
-that environment extended by the argument (`ticks.bind`); so do an
-eliminator's motive, the endpoints and lines of paths and compositions,
-and each type of a telescope.  `Context.term_type` returns a variable's
+application, projection, path or clock application reads the type of its
+head as the machine leaves it, a head and the environment pending on it
+(`conversion._whnf_env`), and returns the codomain pending under that
+environment extended by the argument (`ticks.bind`); a tick or forcing
+application returns its later type pending under the weakening back from
+the residual context, extended by the tick; an eliminator's motive, the
+endpoints and lines of paths and compositions, and each type of a
+telescope stay pending too.  `Context.term_type` returns a variable's
 type pending under the shift past the entries after it.  A type that comes
 out equal to the one expected is found so by `syntax.closure_equal`, which
 reads variables through the environments and answers as
