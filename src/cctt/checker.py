@@ -22,39 +22,35 @@ the piece.
 Types are checked through closures (Coquand, "An algorithm for
 type-checking dependent types", SCP 1996): `infer` returns a term or a
 `syntax.Closure`, and `check` takes either as the expected type.  An
-application, projection, path or clock application reads the type of its
-head as the machine leaves it, a head and the environment pending on it
-(`conversion._whnf_env`), and returns the codomain pending under that
-environment extended by the argument (`ticks.bind`); a tick or forcing
-application returns its later type pending under the weakening back from
-the residual context, extended by the tick; an eliminator's motive, the
-endpoints and lines of paths and compositions, and each type of a
-telescope stay pending too.  `Context.term_type` returns a variable's
-type pending under the shift past the entries after it.  A type that comes
-out equal to the one expected is found so by `syntax.closure_equal`, which
-reads variables through the environments and answers as
-`structural_equal` does on the materialised terms.  A closure is
-materialised only where a term must exist: a context entry, a term built
-around it, an error's payload, and the weak-head normal form `whnf` gives.
+application, projection, path, clock, tick or forcing application reads
+the type of its head as the machine leaves it, a head and its environment
+(`conversion._whnf_env`), and returns the codomain or later type pending
+under that environment, extended by the argument or, for a tick, composed
+with the weakening back from the residual context (`syntax.then`).  A
+motive, the endpoints and lines of paths and compositions, and the types
+of a telescope stay pending too, and `Context.term_type` leaves a
+variable's type pending under the shift past the entries after it.
+`syntax.closure_equal` finds a type equal to the one expected without
+materialising either.  A closure is materialised only where a term must
+exist: a context entry, a term built around it, an error's payload, the
+form `whnf` gives, and a forcing application's later type that may
+mention its tick.
 
 Each instantiation of a signature's telescopes has one builder:
 `_check_telescope` checks parameters or constructor arguments against
 their telescope, each type pending on the values before it
 (`_telescope_type`); `_rec_fn_type` gives a recursive argument's function
-type, its arity telescope folded (`_pis`) in the signature's scope and
-pending on the parameters and arguments, in a constructor application, in
-a boundary's scope and, under the eliminator's clocks, for an eliminator
-case's recursive values; `_arity_types` materialises an arity telescope
-for a case's induction hypotheses; `conversion._weaken_elim` moves an
-eliminator under a case's binders.  A substitution is given the shape of
-its scope, a context's `counts`; one that needs a scope but no typing
-context (the clocks of induction under clocks) gets a shape extended by
-`syntax.shape`, not a context built for it.
+type, its arity telescope folded (`_pis`), pending on the parameters and
+arguments; `_arity_types` materialises an arity telescope for a case's
+induction hypotheses.  An eliminator is read in a case's context under
+the shift past the case's binders.  A substitution is given the shape of
+its scope, a context's `counts`, or a shape extended by `syntax.shape`.
 """
 
 from .conversion import (
-    conv, conv_tm, whnf,
-    _clam_n, _elim_con, _forall_n, _materialise, _weaken_elim, _whnf_env,
+    conv, conv_tm, fuel_exhausted, whnf,
+    _clam_n, _clock_under, _elim_con, _forall_n, _materialise, _rec_call,
+    _whnf_env,
 )
 from .errors import (
     ArityMismatch, BaseBoundaryMismatch, BoundaryIncompatible,
@@ -73,11 +69,12 @@ from .syntax import (
     Context, DFix, EClock, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp,
     Hit, I1, IVAL, K0, K1, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi,
     Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar, TopRef,
-    Trans, U, Var, ZERO, _POS, _tick_vars, closure_equal, loose_bound, shape,
-    strengthen, structural_equal, subst, weaken, weaken_iv,
+    Trans, U, Var, ZERO, _POS, _shift_subst, _tick_vars, close, closure_equal,
+    loose_bound, shape, strengthen, structural_equal, subst, then, weaken,
+    weaken_iv,
 )
 from .ticks import (
-    apply_mask, bind, close, extend, force, residual_mask, strengthen_term,
+    apply_mask, bind, extend, force, residual_mask, strengthen_term,
     weakening_subst,
 )
 
@@ -95,9 +92,7 @@ class CheckState:
     def step(self):
         self.steps += 1
         if self.steps > self.max_steps:
-            raise FuelExhausted(
-                f"exceeded the step budget of {self.max_steps}"
-            )
+            fuel_exhausted(self)
 
     def signature(self, name):
         try:
@@ -336,18 +331,19 @@ def _infer_tick_app(state, ctx, fn, u):
     mask = residual_mask(ctx, u, clock, forcing=False)
     rctx = apply_mask(ctx, mask)
     fn_res = strengthen_term(ctx, mask, fn)
-    lty = whnf(state, rctx, infer(state, rctx, fn_res))
-    if not isinstance(lty, Later):
+    lty, env = _whnf_env(state, rctx, infer(state, rctx, fn_res))
+    if type(lty) is not Later:
         raise NotALater("tick application head is not a later type",
-                        actual=lty)
+                        actual=_materialise(lty, env))
     # A mask keeps every clock, so the clock keeps its index.
-    if lty.clock != clock:
+    if _clock_under(env, lty.clock) != clock:
         raise ClockMismatch(
             "tick application head lives on a different clock"
         )
-    # Back from the residual context, with the later's tick sent to u.
-    return Closure(lty.ty, bind(weakening_subst(ctx, mask), ctx.counts,
-                                TICK, u))
+    # Under the head type's environment and back from the residual
+    # context, with the later's tick sent to u.
+    return Closure(lty.ty, bind(then(env, weakening_subst(ctx, mask)),
+                                ctx.counts, TICK, u))
 
 
 def _infer_force_app(state, ctx, fn, k, u):
@@ -356,19 +352,26 @@ def _infer_force_app(state, ctx, fn, k, u):
     rctx = apply_mask(ctx, mask)
     fn_res = strengthen_term(ctx.push(EClock()), mask + [True], fn)
     rctx_k = rctx.push(EClock())
-    lty = whnf(state, rctx_k, infer(state, rctx_k, fn_res))
-    if not isinstance(lty, Later):
+    lty, env = _whnf_env(state, rctx_k, infer(state, rctx_k, fn_res))
+    if type(lty) is not Later:
         raise NotALater("forcing application head is not a later type",
-                        actual=lty)
-    if lty.clock != 0:
+                        actual=_materialise(lty, env))
+    if _clock_under(env, lty.clock) != 0:
         raise ClockMismatch(
             "forcing application head is not on the bound clock"
         )
     # Back from the residual context, with the bound clock sent to k and
     # the later's tick to the forcing tick (k, u): the forcing beta rule.
+    # A type that mentions no tick stays under the head type's
+    # environment; one that may mention the later's tick is materialised,
+    # since the forcing tick turns a tick application on it into a forcing
+    # one, abstracting the clock again.
     scope = ctx.counts
-    env = bind(weakening_subst(ctx, mask), scope, CLOCK, k)
-    return Closure(lty.ty, bind(env, scope, TICK, CForcedTick(0, u)))
+    back = bind(weakening_subst(ctx, mask), scope, CLOCK, k)
+    if not loose_bound(lty.ty)[2]:
+        return Closure(lty.ty, then(env, back))
+    return Closure(_materialise(lty, env).ty,
+                   bind(back, scope, TICK, CForcedTick(0, u)))
 
 
 # --------------------------------------------------------------------------
@@ -941,16 +944,15 @@ def _check_case(state, ctx, sig, ctor, elim, case):
 
     # On each piece's face, the case body, its induction hypotheses the
     # eliminator's own calls, must agree with the eliminator applied to
-    # the piece.  The eliminator is weakened into the case context once
-    # for all the pieces.
-    elim_w = _weaken_elim(elim, binders, None)
-    body = Closure(*_elim_con(state, case_ctx, elim_w, None, con, None))
-    sigma = subst(shape(case_ctx.counts, clocks),
+    # the piece.  The eliminator is read in the case context under the
+    # shift past the case's binders.
+    scope, past = case_ctx.counts, _shift_subst(binders, ZERO)
+    body = Closure(*_elim_con(state, case_ctx, elim, past, con, None))
+    sigma = subst(shape(scope, clocks),
                   terms=con.params + con.args + con.recs, ivals=con.ivals)
     for phi, piece in ctor.boundary:
-        at_piece = ClockElim(elim_w.name, elim_w.n, elim_w.params,
-                             elim_w.motive, elim_w.cases,
-                             _clam_n(n, force(Closure(piece, sigma))))
+        at_piece = _rec_call(elim, past, scope,
+                             _clam_n(n, force(Closure(piece, sigma))), 0)
         if not conv(state, case_ctx.restrict(phi), expected, body,
                     at_piece):
             raise CaseBoundaryMismatch(

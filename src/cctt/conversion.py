@@ -2,105 +2,58 @@
 
 Weak-head normalization implements the judgemental equalities: beta for
 functions, pairs, clocks, ticks and paths; the forcing-tick beta rule; the
-diamond-gated unfolding of dfix and pfix; tirr endpoint rules and the
-diamond collapse; demotion of diamond-free forcing applications; the
-composition rules per type head (with comp at a higher inductive type
-decomposed into hcomp over trans); a constructor whose face holds reducing
-to its boundary piece; and the reduction rules of the induction-under-clocks
-eliminator.
-
-Fixed points unfold ONLY at a syntactic diamond; together with the step
-budget this keeps conversion checking terminating in practice (no
-normalization theorem is available for the theory).
-
-Conversion asks syntactic equality first (`syntax.closure_equal`, which is
-`structural_equal` on the terms closures stand for, read without building
-them; as the quick check of Lean 4's `is_def_eq` does): most comparisons
-the checker makes are between terms that are already equal, and they are
-answered without reducing anything or spending a step.  `conv` asks on
-entry; `conv_tm`, which compares weak-head forms part by part, does not,
-since there the test would cost more than it saves.
+diamond-gated unfolding of dfix and pfix (which, with the step budget,
+keeps conversion terminating in practice: the theory has no normalization
+theorem); tirr endpoint rules and the diamond collapse; demotion of
+diamond-free forcing applications; composition per type head (at a higher
+inductive type, hcomp over trans); a constructor whose face holds reducing
+to its boundary piece; and the rules of induction under clocks.  `conv`
+asks syntactic equality first (`syntax.closure_equal`), as Lean 4's
+`is_def_eq` does: most comparisons the checker makes are of equal terms.
 
 `whnf` is a Krivine-style environment machine (Krivine, "A call-by-name
-lambda-calculus machine", 2007) behind a term-in, term-out interface.  Its
-state is a term, the substitution pending on it (an environment, a
-`syntax.Substitution` whose term entries may be closures) and a stack of
-arguments; it starts from a term or from a closure (`syntax.Closure`, a
-term and its environment), which it unpacks without a step.  An
-application pushes its argument, closed over the environment, and walks
-into its function, so a spine is walked in one loop; a lambda takes the top
-argument and a clock lambda the top clock into the environment, without
-touching the body; a variable bound to a closure continues in the
-closure's term and environment; unfolding a definition starts from an
-empty environment.
+lambda-calculus machine", 2007): a term, the substitution pending on it
+(its environment, term payloads closures) and a stack of arguments.
+`_whnf_env` returns the head and its environment, which `whnf` applies
+once.  An application pushes its argument closed over the environment, an
+abstraction takes the top one into it, a variable continues in what it
+stands for, and the other heads read their small parts (a clock, tick,
+interval or face) under it.  A head left with arguments is the application
+spelled with variables, under the environment sending them to the head and
+the arguments.  A step is counted, in the loop, per application walked,
+abstraction taken and definition unfolded; entering a closure is none, so a
+closure and its materialisation take the same steps.
 
-The other heads take their rules under the environment as well, reading
-only their small parts under it (a clock, a tick, an interval expression,
-a face).  A path application, a tick application and a projection reduce
-their function or pair under the environment and continue in its body,
-with the interval or tick argument bound, or in its component; a
-diamond-free forcing application continues as a simple tick application
-with its clock bound; a composition whose face holds continues in its tube
-at 1, and a system in the part whose face holds; a constructor whose face
-holds continues in its boundary piece, under the environment sending the
-signature telescope to the constructor's arguments closed over its own;
-and the clock-free eliminator's constructor rule continues in the chosen
-case under the eliminator's environment extended for the case's binders,
-each recursive call a closure binding its argument over one template per
-eliminator term and arity (`_rec_template`).  The environment is applied
-to the head itself only where a rule builds new terms from its parts or
-goes under a binder of the head: a forcing application with a diamond
-(its function, under the clock it binds), a composition whose face does
-not hold, transport, an eliminator with clocks to peel, and a tick or
-forcing application under an environment holding a forcing tick, which
-substitution may turn from one into the other.
+The machine goes under a binder of the term without applying anything, as
+Coquand's algorithm compares under a binder by a fresh variable (Coquand,
+"An algorithm for type-checking dependent types", SCP 1996): `ticks.lift`
+sends the new variable to itself and leaves each payload's move past it
+pending (`syntax.then`).  So forcing with a diamond reduces its function
+under its environment lifted past the clock, and a tick-free body of the
+tick abstraction reached continues with the clock sent to k; `clockelim^n`
+peels its clocks under its environment; a recursive call is the
+eliminator's own fields on a new scrutinee variable (`ticks.bind_at`); eta
+at a binder type compares both sides applied to the bound variable
+(`_eta`); and `conv_tm` compares constructors, abstractions and stuck
+applications part by part, as closures.  An environment is still applied
+where a rule builds terms from the head's parts: composition, transport, a
+path application's stuck function, a tick or forcing application under a
+forcing tick, a tick abstraction forced whose body uses a tick, a
+constructor under an eliminator's clocks, and `conv_tm`'s other heads.
 
-`_whnf_env` returns the head together with the environment pending on it
-(none when arguments are left on the spine); `whnf` applies that
-environment once, so its callers see the terms eager substitution
-produced.  Conversion keeps the pair: two constructors are compared under
-their environments, their arguments pairwise as closures and their
-interval arguments read under them, so a tower of constructors is never
-built; any other head is materialised.
-
-A comparison under a face is a comparison in a restricted context
-(`Context.restrict`): `conv` answers at once where the restriction is
-false, and otherwise compares on each clause of it, with the clause's
-endpoint substitution as the environment of the type and of both sides,
-so only the heads reached are substituted.  A clause is compared with the
-restriction set back to true, which loses nothing: the restriction is the
-meet of every face restricted to, and each clause of a meet contains a
-clause of each face met, so each of them holds on it.
-
-One step is counted per application walked, lambda taken and definition
-unfolded, as before; entering a variable's closure is not a step, so the
-machine takes the same steps on a closure as on its materialisation.  A
-term whose class is head-normal with no argument pending (a universe, type
-former, abstraction, pair, `dfix` or `pfix`, or a variable with no
-environment) is returned at once, with its environment, for the one step
-the machine would count.
-
-Substitutions are built with `syntax.subst` from payloads per sort (terms,
-clock indices, ticks and interval expressions) and a count of fresh
-binders; it checks them against the shape of the scope they map into (per
-sort, the number of variables): a context's `counts`, or a shape extended
-by `syntax.shape` where there is no typing context to read it from.
-Weakening and strengthening are substitutions too, applied by the same
-walk: whether a type line mentions its interval variable
-(`_mentions_ival0`) is whether strengthening it past that variable fails.
-`subst_ival1` instantiates a line at an endpoint, where a composition rule
-builds a term from it; `_forcing_env` is the forcing beta rule's
-environment.  The checker builds no term this way: its codomains, motives
-and telescopes stay pending on it as closures, and `whnf`, `conv` and
-`conv_tm` take those as they take terms.  The Σ eta rule's second
-component type stays pending the same way.
-A boundary piece is an ordinary term scoped in its data type's telescope
-(parameters, arguments, recursive arguments, interval binders), so firing
-it is one `subst`.  `_weaken_elim` moves an eliminator under binders, for
-a recursive call, an hcomp's tube and the checker's eliminator cases;
-`_filler` builds the extent and tube system of a filler, which `_fill_fwd`
-composes along a line and `hfill` homogeneously.
+A comparison under a face is one in a restricted context: `conv` answers
+at once where the restriction is false, and otherwise compares on each of
+its clauses, with the clause's endpoints as the environment of the type
+and both sides and the restriction set back to true (each clause of a meet
+contains a clause of each face met).  Whether a type line mentions its
+interval variable (`_mentions_ival0`) is whether strengthening it past
+that variable fails.  A boundary piece is scoped in its data type's
+telescope, so firing it is one `subst`; `_filler` builds the extent and
+tube system of a filler, which `_fill_fwd` composes along a line and
+`hfill` homogeneously.
 """
+
+from functools import lru_cache
 
 from .errors import (
     CaseMissing, CcttError, FuelExhausted, IllFormedRedex, TickEscape,
@@ -114,13 +67,14 @@ from .syntax import (
     App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Closure, Comp, Con,
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase, Fst,
     ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
-    PathT, Pi, Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar,
-    Tirr, TopRef, Trans, U, Var, C1, I1, T1, K1, closure_equal, shape,
-    strengthen, subst, weaken, weaken_iv,
+    PathT, Pi, Sigma, Snd, Substitution, System, TERM, TICK, TickApp, TickLam,
+    TickVar, Tirr, TopRef, Trans, U, Var, ZERO, C1, I1, T1, K1,
+    _shift_subst, close, closure_equal, loose_bound, shape, strengthen, subst,
+    then, weaken, weaken_iv,
 )
 from .ticks import (
-    bind, clause_subst, close, drop_terms, extend, force, has_forcing_tick,
-    image_iv, image_tick, lookup, lookup_clock, subst_apply,
+    bind, bind_at, clause_subst, extend, force, has_forcing_tick, image_iv,
+    image_tick, lift, lookup, lookup_clock, subst_apply,
 )
 
 
@@ -141,12 +95,6 @@ def is_neutral(t):
 
 def subst_ival1(scope, body, r):
     return subst_apply(subst(scope, ivals=(r,)), body)
-
-
-def _forcing_env(scope, k, u):
-    """The substitution of the forcing beta rule, for a body scoped in
-    scope plus a clock and a tick on it."""
-    return subst(scope, clocks=(k,), ticks=(CForcedTick(0, u),))
 
 
 # --------------------------------------------------------------------------
@@ -201,15 +149,22 @@ def whnf(state, ctx, t):
     return head if env is None else subst_apply(env, head)
 
 
+def fuel_exhausted(state):
+    raise FuelExhausted(f"exceeded the step budget of {state.max_steps}")
+
+
 def _whnf_env(state, ctx, t, env=None):
     """The machine: the weak-head normal form of t (a term or a closure)
     under env, as a head and the environment pending on it (None when there
-    is none; always None when arguments were left on the spine)."""
+    is none)."""
     if type(t) is Closure:
         t, env = t.term, t.env
     cls = type(t)
+    limit = state.max_steps
     if cls in _HEAD_NORMAL and (env is None or cls is not Var):
-        state.step()
+        state.steps += 1
+        if state.steps > limit:
+            fuel_exhausted(state)
         return t, env
     spine = []   # arguments, innermost last: closures and clock indices
     while True:
@@ -219,7 +174,9 @@ def _whnf_env(state, ctx, t, env=None):
         if cls is Var and env is not None:
             t, env = lookup(env, t.ix)  # not a step
             continue
-        state.step()
+        state.steps += 1
+        if state.steps > limit:
+            fuel_exhausted(state)
         if cls is App:
             spine.append(close(env, t.arg))
             t = t.fn
@@ -240,7 +197,7 @@ def _whnf_env(state, ctx, t, env=None):
         if cls is TopRef:
             body = state.definition_body(t.name)
             if body is None:
-                return _apply_spine(t, spine), None
+                return _stuck(t, None, spine)
             t, env = body, None
             continue
         if cls is Con:
@@ -280,9 +237,9 @@ def _whnf_env(state, ctx, t, env=None):
                 if r == IZERO or r == IONE:
                     endpoint = _path_endpoint(state, ctx, fn, r == IONE)
                     if endpoint is not None:
-                        t = endpoint
+                        t, env = endpoint
                         continue
-                return _apply_spine(PApp(fn, r), spine), None
+                return _stuck(PApp(fn, r), None, spine)
 
             case TickApp(fn, u):
                 u = tick_whnf(image_tick(env, u))
@@ -290,8 +247,8 @@ def _whnf_env(state, ctx, t, env=None):
                 if type(fn) is TickLam:
                     t, env = fn.body, bind(fenv, ctx.counts, TICK, u)
                 else:
-                    return _apply_spine(
-                        TickApp(_materialise(fn, fenv), u), spine), None
+                    return _stuck(TickApp(_materialise(fn, fenv), u), None,
+                                  spine)
 
             case ForceApp(fn, k, u):
                 tick = u
@@ -303,34 +260,42 @@ def _whnf_env(state, ctx, t, env=None):
                     # its tick, clock-free, reads the same under the clock.
                     t, env = TickApp(fn, tick), bind(env, ctx.counts, CLOCK, k)
                     continue
-                # fn binds the clock: it is reduced with env applied.
-                if env is not None:
-                    fn, env = subst_apply(env.under(C1), fn), None
-                fn = whnf(state, ctx.push(EClock()), fn)
-                match fn:
-                    case TickLam(_, body):
-                        t, env = body, _forcing_env(ctx.counts, k, u)
-                    case DFix(0, f) if isinstance(u, Diamond):
-                        t, env = App(f, DFix(0, f)), bind(
-                            None, ctx.counts, CLOCK, k)
-                    case _:
-                        return _apply_spine(ForceApp(fn, k, u), spine), None
+                # fn binds the clock: it is reduced under env lifted past
+                # it, and what it reduces to continues with the clock sent
+                # to k.
+                inner = ctx.push(EClock())
+                fn, fenv = _whnf_env(state, inner, fn, lift(env, CLOCK))
+                if type(fn) is TickLam and not loose_bound(fn.body)[2]:
+                    # The body, tick-free, reads the clock as k.
+                    t, env = fn.body, then(
+                        fenv, bind(None, ctx.counts, CLOCK, k))
+                elif type(fn) is TickLam:
+                    # The forcing tick turns a tick application on the
+                    # bound tick into a forcing one, abstracting the clock
+                    # again: it is substituted into the body built.
+                    t, env = _materialise(fn, fenv).body, subst(
+                        ctx.counts, clocks=(k,), ticks=(CForcedTick(0, u),))
+                elif type(fn) is DFix and type(u) is Diamond \
+                        and _clock_under(fenv, fn.clock) == 0:
+                    t, env = App(fn.fn, fn), then(
+                        fenv, bind(None, ctx.counts, CLOCK, k))
+                else:
+                    return _stuck(ForceApp(_materialise(fn, fenv), k, u),
+                                  None, spine)
 
             case Fst(p):
                 p, penv = _whnf_env(state, ctx, p, env)
                 if type(p) is Pair:
                     t, env = p.fst, penv
                 else:
-                    return _apply_spine(Fst(_materialise(p, penv)),
-                                        spine), None
+                    return _stuck(Fst(_materialise(p, penv)), None, spine)
 
             case Snd(p):
                 p, penv = _whnf_env(state, ctx, p, env)
                 if type(p) is Pair:
                     t, env = p.snd, penv
                 else:
-                    return _apply_spine(Snd(_materialise(p, penv)),
-                                        spine), None
+                    return _stuck(Snd(_materialise(p, penv)), None, spine)
 
             case Comp(_, face, tube, _) | HComp(_, face, tube, _) \
                     if face_is_true(image_iv(env, face)):
@@ -349,15 +314,15 @@ def _whnf_env(state, ctx, t, env=None):
                 t = _materialise(t, env)
                 reduced = comp_eval(state, ctx, t)
                 if reduced is None:
-                    return _apply_spine(t, spine), None
+                    return _stuck(t, None, spine)
                 t, env = reduced, None
 
             case HComp():
                 t = _materialise(t, env)
                 head = whnf(state, ctx, t.ty)
                 if isinstance(head, (Hit, U)) or is_neutral(head):
-                    return _apply_spine(HComp(head, t.face, t.tube, t.base),
-                                        spine), None
+                    return _stuck(HComp(head, t.face, t.tube, t.base), None,
+                                  spine)
                 # Other type heads: compose along the constant line.
                 t, env = Comp(weaken(head, I1), t.face, t.tube,
                               t.base), None
@@ -365,7 +330,7 @@ def _whnf_env(state, ctx, t, env=None):
             case Trans(ty, face, base):
                 reduced = _trans_step(state, ctx, ty, face, base)
                 if reduced is None:
-                    return _apply_spine(t, spine), None
+                    return _stuck(t, None, spine)
                 t = reduced
 
             case _:
@@ -377,19 +342,30 @@ def _materialise(head, env):
     return head if env is None else subst_apply(env, head)
 
 
+def _clock_under(env, k):
+    """The clock k under env (None: the identity)."""
+    return k if env is None else lookup_clock(env, k)
+
+
 def _stuck(head, env, spine):
-    """The machine's answer for a head no rule applies to: it stays under
-    its environment when no argument is pending."""
+    """The machine's answer for a head under env that no rule applies to,
+    with the arguments left on the spine: the head under env, or else the
+    head, variable n, applied to the n term arguments (variables n-1 to 0)
+    and to the clocks, under the environment sending the variables to
+    them."""
     if not spine:
         return head, env
-    return _apply_spine(_materialise(head, env), spine), None
-
-
-def _apply_spine(head, spine):
-    """head applied to the pending arguments, each one materialised."""
-    for arg in reversed(spine):
-        head = CApp(head, arg) if type(arg) is int else App(head, force(arg))
-    return head
+    terms = [x for x in spine if type(x) is not int]
+    n = len(terms)
+    t = Var(n)
+    for x in reversed(spine):
+        if type(x) is int:
+            t = CApp(t, x)
+        else:
+            n -= 1
+            t = App(t, Var(n))
+    terms.append(head if env is None else Closure(head, env))
+    return t, Substitution(None, (tuple(terms), (), (), ()))
 
 
 def _pfix_unfold(state, ctx, fn):
@@ -406,14 +382,16 @@ def _pfix_unfold(state, ctx, fn):
 
 
 def _path_endpoint(state, ctx, fn, right):
+    """The endpoint of the path fn, read off its type: a term and the
+    environment pending on it, or None."""
     try:
-        ty = whnf(state, ctx, state.infer(ctx, fn))
+        ty, env = _whnf_env(state, ctx, state.infer(ctx, fn))
     except FuelExhausted:
         raise
     except CcttError:
         return None
-    if isinstance(ty, PathT):
-        return ty.right if right else ty.left
+    if type(ty) is PathT:
+        return (ty.right if right else ty.left), env
     return None
 
 
@@ -681,32 +659,38 @@ def _boundary_fire(scope, ctor, env, params, args, recs, ivals):
 def elim_reduce(state, ctx, elim, env=None):
     """Reduce an eliminator, under env, whose scrutinee is a
     clock-abstracted constructor or hcomp, to a term and the environment
-    pending on it (None when there is none); None when neutral.
-
-    Without clocks to peel, the scrutinee is reduced under env and the
-    chosen case continues under env, extended for its binders: the
-    eliminator is never materialised.  With clocks, the scrutinee is
-    reduced under them, so env is applied to the eliminator first."""
-    n = elim.n
-    if n and env is not None:
-        elim, env = subst_apply(env, elim), None
-    cur, cctx = elim.arg, ctx
-    for _ in range(n):
-        cur = whnf(state, cctx, cur)
-        if not isinstance(cur, CLam):
-            return None
-        cctx = cctx.push(EClock())
-        cur = cur.body
-    head, henv = _whnf_env(state, cctx, cur, env)
+    pending on it (None when there is none); None when neutral.  The
+    eliminator stays under env: its clocks are peeled under env lifted
+    past each (`_peel`), and the chosen case continues under env, extended
+    for its binders."""
+    if elim.n:
+        head, henv, cctx = _peel(state, ctx, elim, env)
+    else:
+        head, henv = _whnf_env(state, ctx, elim.arg, env)
+        cctx = ctx
     if type(head) is Con:
-        if n:
-            head, henv = _materialise(head, henv), None
         return _elim_con(state, ctx, elim, env, head, henv)
     if type(head) is HComp:
-        head = _materialise(head, henv)
-        if isinstance(whnf(state, cctx, head.ty), Hit):
-            return _elim_hcomp(ctx.counts, _materialise(elim, env), head)
+        return _elim_hcomp(state, ctx, cctx, elim, env, head, henv)
     return None
+
+
+def _peel(state, ctx, elim, env):
+    """The weak-head form of elim's scrutinee under its clocks, with its
+    environment, and the context under them.  A constructor is
+    materialised, since the case takes its arguments abstracted over the
+    clocks."""
+    cur, cctx = elim.arg, ctx
+    for _ in range(elim.n):
+        cur, env = _whnf_env(state, cctx, cur, env)
+        if type(cur) is not CLam:
+            return None, None, cctx
+        cctx = cctx.push(EClock())
+        cur, env = cur.body, lift(env, CLOCK)
+    head, env = _whnf_env(state, cctx, cur, env)
+    if type(head) is Con:
+        head, env = _materialise(head, env), None
+    return head, env, cctx
 
 
 def _clam_n(n, t):
@@ -750,81 +734,78 @@ def _weaken_elim(elim, by, arg):
                      arg)
 
 
-def _rec_call(elim, x, extra, m):
-    """The recursive call of elim on a recursive argument x of arity m, the
-    y of its case: \\xi-bar. elim(/\\kappa-bar. x xi-bar), elim weakened
-    past the `extra` term variables x's scope adds to elim's and the m
-    bound ones.  x is scoped under elim's clocks."""
-    call = weaken(x, (m, 0, 0, 0))
+@lru_cache(maxsize=None)
+def _slot(ix):
+    """The scrutinee variable of the recursive calls `_rec_call` makes, one
+    object per index, so that a recursive call is known by its scrutinee."""
+    return Var(ix)
+
+
+def _fields_bound(elim):
+    """One more than the largest term variable elim's parameters, motive
+    and cases mention."""
+    return max(0, loose_bound(elim.motive)[0] - 1,
+               *(loose_bound(p)[0] for p in elim.params),
+               *(loose_bound(c.body)[0] - c.n_args - 2 * c.n_recs
+                 for c in elim.cases))
+
+
+def _rec_call(elim, env, scope, x, m):
+    """The recursive call of elim, under env, on x, a recursive argument of
+    arity m (clock-abstracted when elim has clocks), scoped in a context of
+    shape `scope`: \\xi-bar. elim(/\\kappa-bar. x xi-bar).  With no
+    arity, it is elim's own fields on a term variable past all they
+    mention, bound to x (`bind_at`), so nothing is weakened and the
+    environment keeps its size however deep the recursion goes.  With one,
+    the fields are weakened past x and the variables the call binds."""
+    if not m:
+        arg = elim.arg
+        if not (type(arg) is Var and _slot(arg.ix) is arg):
+            # Not a recursive call made here already, which is its own.
+            arg = _slot(_fields_bound(elim))
+            elim = ClockElim(elim.name, elim.n, elim.params, elim.motive,
+                             elim.cases, arg)
+        return Closure(elim, bind_at(env, scope, arg.ix, x))
+    if elim.n:
+        raise IllFormedRedex("induction under clocks over a recursive "
+                             "argument of function type")
+    call = Var(m)
     for j in range(m):
         call = App(call, Var(m - 1 - j))
-    return _nlam(m, _weaken_elim(elim, (extra + m, 0, 0, 0),
-                                 _clam_n(elim.n, call)))
-
-
-def _rec_template(elim, m):
-    """The recursive call of the clock-free eliminator elim on an argument
-    x of arity m, bound innermost (`_rec_call`), made once per eliminator
-    term and arity.  The eliminator in it is marked as made from elim past
-    x and its m variables, and reducing it continues in elim's cases
-    (`_elim_con`), so no template is made from a template: an eliminator
-    keeps one per arity however deep the recursion goes."""
-    calls = getattr(elim, "_calls", None)
-    if calls is None:
-        calls = {}
-        object.__setattr__(elim, "_calls", calls)
-    call = calls.get(m)
-    if call is None:
-        call = calls[m] = _rec_call(elim, Var(0), 1, m)
-        made = call
-        for _ in range(m):
-            made = made.body
-        object.__setattr__(made, "_made_from", (elim, 1 + m))
-    return call
+    return Closure(_nlam(m, _weaken_elim(elim, (1 + m, 0, 0, 0), call)),
+                   bind(env, scope, TERM, x))
 
 
 def _elim_con(state, ctx, elim, env, con, cenv):
     """Constructor rule: the matching case, in env (the eliminator's)
     extended to send its binders to the clock-abstracted arguments, the
-    recursively eliminated calls and the interval arguments.  con is the
-    constructor under cenv; with clocks to abstract over, neither has an
-    environment pending."""
+    recursive calls and the interval arguments.  con is the constructor
+    under cenv; with clocks to abstract over, cenv is None."""
     n = elim.n
-    if not n:
-        made_from = getattr(elim, "_made_from", None)
-        if made_from is not None:
-            # A recursive call: its fields are those of the eliminator it
-            # was made from, weakened past the variables it binds.
-            elim, k = made_from
-            env = drop_terms(env, ctx.counts, k)
-    sig = state.signature(elim.name)
-    ctor = sig.constructor(con.label)
+    ctor = state.signature(elim.name).constructor(con.label)
     case = _case_for(elim, con.label)
-
-    if not n:
-        # Each recursive call is a closure binding its argument, so the
-        # argument stays pending.
-        xs = [close(cenv, a) for a in con.recs]
-        scope = ctx.counts
-        ys = [Closure(_rec_template(elim, len(arity.types)),
-                      bind(env, scope, TERM, x))
-              for x, arity in zip(xs, ctor.rec_arities)]
+    if n:
+        gamma = [_clam_n(n, a) for a in con.args]
+        xs = [_clam_n(n, a) for a in con.recs]
+    else:
         gamma = [close(cenv, a) for a in con.args]
-        return case.body, extend(env, scope, gamma + xs + ys,
-                                 _ivals_under(cenv, con.ivals))
-
-    gamma = [_clam_n(n, a) for a in con.args]
-    xs = [_clam_n(n, a) for a in con.recs]
-    ys = [_rec_call(elim, x, 0, len(arity.types))
-          for x, arity in zip(con.recs, ctor.rec_arities)]
-    return case.body, subst(ctx.counts, terms=gamma + xs + ys,
-                            ivals=con.ivals)
+        xs = [close(cenv, a) for a in con.recs]
+    scope = ctx.counts
+    ys = [_rec_call(elim, env, scope, x, len(arity.types))
+          for x, arity in zip(xs, ctor.rec_arities)]
+    return case.body, extend(env, scope, gamma + xs + ys,
+                             _ivals_under(cenv, con.ivals))
 
 
-def _elim_hcomp(scope, elim, hc):
-    """hcomp rule: eliminate through the composition by composing in the
-    motive over the filling line."""
+def _elim_hcomp(state, ctx, cctx, elim, env, hc, henv):
+    """hcomp rule, when the hcomp's type is a data type: eliminate through
+    the composition by composing in the motive over the filling line."""
+    hc = _materialise(hc, henv)
+    if not isinstance(whnf(state, cctx, hc.ty), Hit):
+        return None
+    elim = _materialise(elim, env)
     n = elim.n
+    scope = ctx.counts
     # The hcomp's fields live under the n peeled clock binders, but its
     # face is clock-free and the others get re-abstracted, so the per-sort
     # indices line up without renumbering.
@@ -875,80 +856,124 @@ def conv(state, ctx, ty, t, u):
 
 def _conv_clause(state, ctx, ty, t, u):
     """Type-directed comparison of t and u (terms or closures) at ty (a
-    term or a closure): the type's eta rule, then `conv_tm`."""
-    head = whnf(state, ctx, ty)
-    if not isinstance(head, (Pi, Sigma, PathT, Forall, Later)):
-        return conv_tm(state, ctx, t, u)
-    # The eta rule builds terms over t and u.
-    t, u = force(t), force(u)
-    match head:
+    term or a closure): the type's eta rule, then `conv_tm`.  Eta compares
+    both sides applied to the bound variable, or projected, each pending
+    (`_eta`, `_project`)."""
+    match whnf(state, ctx, ty):
         case Pi(dom, cod):
-            inner = ctx.push(EVar(dom))
-            return _conv_clause(
-                state, inner, cod,
-                App(weaken(t, T1), Var(0)),
-                App(weaken(u, T1), Var(0)),
-            )
+            return _conv_clause(state, ctx.push(EVar(dom)), cod,
+                                _eta(t, T1), _eta(u, T1))
         case Sigma(fst, snd):
-            if not _conv_clause(state, ctx, fst, Fst(t), Fst(u)):
+            if not _conv_clause(state, ctx, fst, _project(_FST, t),
+                                _project(_FST, u)):
                 return False
-            snd = Closure(snd, bind(None, ctx.counts, TERM, Fst(t)))
-            return _conv_clause(state, ctx, snd, Snd(t), Snd(u))
+            snd = Closure(snd, bind(None, ctx.counts, TERM,
+                                    _project(_FST, t)))
+            return _conv_clause(state, ctx, snd, _project(_SND, t),
+                                _project(_SND, u))
         case PathT(a, _, _):
-            inner = ctx.push(EIVar())
-            return _conv_clause(
-                state, inner, weaken(a, I1),
-                PApp(weaken(t, I1), IVar(0)),
-                PApp(weaken(u, I1), IVar(0)),
-            )
+            return _conv_clause(state, ctx.push(EIVar()),
+                                Closure(a, _shift_subst(I1, ZERO)),
+                                _eta(t, I1), _eta(u, I1))
         case Forall(body):
-            inner = ctx.push(EClock())
-            return _conv_clause(
-                state, inner, body,
-                CApp(weaken(t, C1), 0),
-                CApp(weaken(u, C1), 0),
-            )
+            return _conv_clause(state, ctx.push(EClock()), body,
+                                _eta(t, C1), _eta(u, C1))
         case Later(clock, body):
-            inner = ctx.push(ETick(clock))
-            return _conv_clause(
-                state, inner, body,
-                TickApp(weaken(t, K1), TickVar(0)),
-                TickApp(weaken(u, K1), TickVar(0)),
-            )
+            return _conv_clause(state, ctx.push(ETick(clock)), body,
+                                _eta(t, K1), _eta(u, K1))
+    return conv_tm(state, ctx, t, u)
+
+
+# A side applied to the variable of one more binder (`_eta`), and a pair's
+# projections (`_project`): term variable 0 stands for the side.
+_ETA = {T1: App(Var(0), Var(1)), I1: PApp(Var(0), IVar(0)),
+        C1: CApp(Var(0), 0), K1: TickApp(Var(0), TickVar(0))}
+_FST, _SND = Fst(Var(0)), Snd(Var(0))
+
+
+def _project(proj, x):
+    """proj of x, a term or a closure: pending."""
+    return Closure(proj, Substitution(None, ((x,), (), (), ())))
+
+
+def _eta(x, by):
+    """x, a term or a closure, moved past one binder (`by`, a count) and
+    applied to its variable: pending, the shift composed into x's
+    environment (`then`)."""
+    shift = _shift_subst(by, ZERO)
+    x = Closure(x.term, then(x.env, shift)) if type(x) is Closure \
+        else Closure(x, shift)
+    terms = (x, Var(0)) if by is T1 else (x,)
+    return Closure(_ETA[by], Substitution(None, (terms, (), (), ())))
 
 
 # The type of a term variable bound where untyped comparison has no type to
 # give.
 _DUMMY = U(0)
 
+# Per abstraction, the count and the sort of its binder, and its context
+# entry (a tick's is on the abstraction's clock).
+_ABSTRACTIONS = {Lam: (T1, TERM, EVar(_DUMMY)), PLam: (I1, IVAL, EIVar()),
+                 CLam: (C1, CLOCK, EClock()), TickLam: (K1, TICK, None)}
+
 
 def conv_tm(state, ctx, t, u):
     """Untyped comparison of weak-head forms with eta-matching; t and u are
     terms or closures.  Two constructors are compared under their
-    environments, argument by argument; any other head is materialised."""
+    environments, argument by argument; an abstraction's body under its
+    environment lifted past the binder, against the other side applied to
+    the bound variable (`_opened`); pairs by their projections; two stuck
+    applications function against function and argument against argument,
+    as closures; any other two heads materialised, part by part
+    (`_conv_rigid`).  The recursion keeps few locals: its depth is the
+    input's, and so is the Python stack's."""
     t, te = _whnf_env(state, ctx, t)
     u, ue = _whnf_env(state, ctx, u)
-    if type(t) is Con and type(u) is Con:
+    tc, uc = type(t), type(u)
+    if tc is Con and uc is Con:
         return _conv_con(state, ctx, t, te, u, ue)
-    t, u = _materialise(t, te), _materialise(u, ue)
+    if tc in _ABSTRACTIONS or uc in _ABSTRACTIONS:
+        ctx, t, u = _opened(ctx, t, te, u, ue)
+        return conv_tm(state, ctx, t, u)
+    if tc is Pair or uc is Pair:
+        t, u = close(te, t), close(ue, u)
+        return (conv_tm(state, ctx, _project(_FST, t), _project(_FST, u))
+                and conv_tm(state, ctx, _project(_SND, t), _project(_SND, u)))
+    if tc is not uc:
+        return False
+    if tc is App:
+        return (conv_tm(state, ctx, close(te, t.fn), close(ue, u.fn))
+                and conv_tm(state, ctx, close(te, t.arg), close(ue, u.arg)))
+    if tc is CApp:
+        return (_clock_under(te, t.clock) == _clock_under(ue, u.clock)
+                and conv_tm(state, ctx, close(te, t.fn), close(ue, u.fn)))
+    return _conv_rigid(state, ctx, _materialise(t, te), _materialise(u, ue))
 
-    if isinstance(t, Lam) or isinstance(u, Lam):
-        inner = ctx.push(EVar(_DUMMY))
-        return conv_tm(state, inner, _eta_app(t), _eta_app(u))
-    if isinstance(t, PLam) or isinstance(u, PLam):
-        inner = ctx.push(EIVar())
-        return conv_tm(state, inner, _eta_papp(t), _eta_papp(u))
-    if isinstance(t, CLam) or isinstance(u, CLam):
-        inner = ctx.push(EClock())
-        return conv_tm(state, inner, _eta_capp(t), _eta_capp(u))
-    if isinstance(t, TickLam) or isinstance(u, TickLam):
-        clock = t.clock if isinstance(t, TickLam) else u.clock
-        inner = ctx.push(ETick(clock))
-        return conv_tm(state, inner, _eta_tapp(t), _eta_tapp(u))
-    if isinstance(t, Pair) or isinstance(u, Pair):
-        return (conv_tm(state, ctx, Fst(t), Fst(u))
-                and conv_tm(state, ctx, Snd(t), Snd(u)))
 
+def _opened(ctx, t, te, u, ue):
+    """The context one binder in and the two sides under it, for the
+    first abstraction kind (in `_ABSTRACTIONS` order) either side is: an
+    abstraction's body under its environment lifted past the binder, and a
+    side of another kind applied to the bound variable (eta)."""
+    cls = next(c for c in _ABSTRACTIONS if type(t) is c or type(u) is c)
+    by, sort, entry = _ABSTRACTIONS[cls]
+    if entry is None:
+        x, xe = (t, te) if type(t) is cls else (u, ue)
+        entry = ETick(_clock_under(xe, x.clock))
+    ctx, sides = ctx.push(entry), []
+    for x, env in ((t, te), (u, ue)):
+        if type(x) is not cls:
+            sides.append(_eta(close(env, x), by))
+        elif env is None:
+            sides.append(x.body)
+        else:
+            sides.append(Closure(x.body, lift(env, sort)))
+    return ctx, *sides
+
+
+def _conv_rigid(state, ctx, t, u):
+    """Two materialised weak-head forms of the same class that are no
+    constructors, abstractions, pairs or applications, part by part."""
     match (t, u):
         case (Var(i1), Var(i2)):
             return i1 == i2
@@ -967,15 +992,10 @@ def conv_tm(state, ctx, t, u):
             return conv_tm(state, ctx.push(EClock()), b1, b2)
         case (Later(k1, b1), Later(k2, b2)):
             return k1 == k2 and conv_tm(state, ctx.push(ETick(k1)), b1, b2)
-        case (App(f1, a1), App(f2, a2)):
-            return (conv_tm(state, ctx, f1, f2)
-                    and conv_tm(state, ctx, a1, a2))
         case (Fst(p1), Fst(p2)) | (Snd(p1), Snd(p2)):
             return conv_tm(state, ctx, p1, p2)
         case (PApp(f1, r1), PApp(f2, r2)):
             return conv_tm(state, ctx, f1, f2) and r1 == r2
-        case (CApp(f1, k1), CApp(f2, k2)):
-            return k1 == k2 and conv_tm(state, ctx, f1, f2)
         case (TickApp(f1, u1), TickApp(f2, u2)):
             return conv_tm(state, ctx, f1, f2) and tick_conv(u1, u2)
         case (ForceApp(f1, k1, u1), ForceApp(f2, k2, u2)):
@@ -1083,27 +1103,3 @@ def tick_conv(u, v):
             return (tick_conv(l1, l2) and tick_conv(r1, r2)
                     and a1 == a2)
     return False
-
-
-def _eta_app(t):
-    if isinstance(t, Lam):
-        return t.body
-    return App(weaken(t, T1), Var(0))
-
-
-def _eta_papp(t):
-    if isinstance(t, PLam):
-        return t.body
-    return PApp(weaken(t, I1), IVar(0))
-
-
-def _eta_capp(t):
-    if isinstance(t, CLam):
-        return t.body
-    return CApp(weaken(t, C1), 0)
-
-
-def _eta_tapp(t):
-    if isinstance(t, TickLam):
-        return t.body
-    return TickApp(weaken(t, K1), TickVar(0))

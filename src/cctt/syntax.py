@@ -8,79 +8,57 @@ face phi of a context Gamma, phi (Cohen, Coquand, Huber and Mortberg,
 index counting binders of that same sort from the inside out, so
 inserting an entry of one sort never renumbers the others.  The
 restriction binds no variable, so it is no entry: it is one face scoped at
-the context's end, true unless `Context.restrict` meets a face into it,
-and renamed as an interval variable is pushed past it.  A context keeps,
-per term variable, its entry's type and the counts of the entries before
-it, so `Context.term_type` finds the shift to the context's end without a
-scan and leaves it pending on the type, a `Closure`.
+the context's end, true unless `Context.restrict` meets a face into it.
+A context keeps, per term variable, its entry's type and the counts of the
+entries before it, so `Context.term_type` leaves the shift to the
+context's end pending on the type, a `Closure`.  A data signature's
+constructor boundaries are ordinary terms, scoped in the constructor's
+telescope.
 
-A data signature's constructor boundaries are ordinary terms too, scoped in
-the constructor's telescope (`Constructor.boundary`).
-
-Every record here (terms, ticks, context entries, contexts, telescopes,
-signatures) and the parser's declarations is a class whose annotations
-name its fields, made immutable by `record`: construction with the
-fields as arguments, `==` and `hash` over the fields, a repr, and the
-field names in `_fields` and `__match_args__`.  Its `__init__` is a
-closure per number of fields that stores through `object.__setattr__`,
-as a frozen dataclass's does, so field reads stay on the interpreter's
-fast path.  These classes were frozen dataclasses, and `python -X
-importtime` put about 70% of `import cctt.cli` (the start-up of every
-`cctt check`) in them: `dataclasses` with `inspect`, about 10 ms, and
-the generated functions of this module's 43 decorators, about 33 ms, of
-a 61 ms import, against 11 ms with `record` (Python 3.11, 2 CPUs).
+Every record here and the parser's declarations is a class whose
+annotations name its fields, made immutable by `record`: construction with
+the fields as arguments, `==` and `hash` over the fields, a repr, and the
+field names in `_fields` and `__match_args__`.  Its `__init__` is a closure
+per number of fields that stores through `object.__setattr__`, so that
+`import cctt.cli` loads neither `dataclasses` nor `inspect` (11 ms against
+61 ms with frozen dataclasses, Python 3.11, 2 CPUs).
 
 Interval expressions and faces are held as their normal forms
 (`cctt.interval`), so alpha-equality (`structural_equal`) compares them
-with `==`.  `closure_equal` gives the same answer on the terms closures
-stand for, reading their variables through the environments rather than
-materialising them.
-
-Every term has a loose-variable bound (`loose_bound`), as Lean 4's kernel
-keeps a loose bound-variable range on every expression (de Moura and
-Ullrich, "The Lean 4 Theorem Prover and Programming Language", CADE 2021):
-per sort (term, clock, tick, interval), one more than the largest free
-index, so 0 when the term has no free variable of the sort.  It is worked
-out on first use, without Python recursion, and kept on the term, where
-`==`, `hash`, `repr` and `structural_equal` do not see it.
+with `==`; `closure_equal` answers as it does on the terms closures stand
+for, reading their variables through the environments.  Every term has a
+loose-variable bound (`loose_bound`), as Lean 4's kernel keeps one (de
+Moura and Ullrich, CADE 2021): per sort, one more than the largest free
+index, worked out once without recursion and kept on the term, out of
+sight of `==`, `hash`, `repr` and `structural_equal`.
 
 Every count of binders, entries or variables is one 4-tuple, a count per
 sort in the order (term, clock, tick, interval): how far `weaken` moves a
 term and its cut, a substitution's shift and depth, `Context.counts`, and
-the shape of a scope (per sort, the number of variables, so the next
-index).  `ZERO`, `T1`, `C1`, `K1` (a tick) and `I1` are the counts of no
-binder and of one of each sort.
+the shape of a scope (per sort, the number of variables).  `ZERO`, `T1`,
+`C1`, `K1` (a tick) and `I1` are the counts of no binder and of one of
+each sort.
 
-A substitution is sort-indexed, as in the calculus: each term, clock, tick
-and interval variable goes to a payload of its own sort.  `subst` builds
-one from the payloads per sort and a count of fresh binders, and checks it
-against the shape of the scope it maps into (a context's `counts`, or
-`shape` extending one), or leaves it unchecked.  A forcing tick payload
-names the substituted clock it pairs with, and turns a simple tick
-application it meets into a forcing application under a fresh clock.
+A substitution sends each variable to a payload of its own sort, in
+shift-plus-explicit form (Abadi, Cardelli, Curien and Lévy, "Explicit
+Substitutions", 1991): per sort, the payloads for the innermost variables,
+and a shift for every variable outside them.  `subst` builds one and
+checks it against the shape of the scope it maps into.  Walking under a
+binder only raises a per-sort depth, and a payload is weakened past the
+binders once, when a variable first reaches it; a term payload may be a
+`Closure`, a term with a substitution pending on it, materialised then.
+The walk returns a subterm as it is when its loose bound shows the
+substitution cannot change it.  A forcing tick payload names the
+substituted clock it pairs with, and turns a simple tick application it
+meets into a forcing application under a fresh clock.  `then` composes two
+substitutions when the result is first read, each term payload's
+environment continuing, again pending, in the second.
 
-Substitutions are de Bruijn explicit substitutions in shift-plus-explicit
-form (Abadi, Cardelli, Curien and Lévy, "Explicit Substitutions", 1991):
-per sort, the payloads for the innermost substituted variables, and a
-shift for every variable outside them.  Walking under a binder only raises
-a per-sort depth, a variable lookup indexes a tuple, and a payload is
-weakened past the binders once, when a variable first reaches it.  A term
-payload may be a `Closure`, a term with a substitution pending on it,
-materialised when a variable first reaches it.
-
-A renaming is a substitution whose payloads are variables, applied with
-the same walk (`rename_term`).  Weakening (`weaken`, `weaken_tick`) is a
-shift with no payloads, whose depth is the cut, both counts; strengthening
-(`strengthen`, and `ticks.mask_subst` into a residual context) sends each
-dropped variable to `ESCAPE`, and a variable that reaches it raises
-`TickEscape`.
-
-The walk returns a subterm as it is when the substitution cannot change
-it, read off the subterm's loose-variable bound: per sort, every free
-variable is one of the binders walked under, or the substitution leaves
-the sort alone (no payloads, no shift) and the variable lies inside the
-checked scope.  Any other subterm is walked, so a variable outside the
-scope still raises `MalformedSubstitution`.
+A renaming is a substitution whose payloads are variables (`rename_term`).
+Weakening (`weaken`, `weaken_tick`) is a shift with no payloads, whose
+depth is the cut; strengthening (`strengthen`, and `ticks.mask_subst`)
+sends each dropped variable to `ESCAPE`, and a variable that reaches it
+raises `TickEscape`.
 """
 
 from functools import cached_property, lru_cache
@@ -841,6 +819,106 @@ class Substitution:
         return _go(self.ready(), t, self.depth)
 
 
+class _Then(Substitution):
+    """One substitution followed by another, composed (`_compose`) when a
+    field is first read."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, first, second):
+        self.pair = (first, second)
+
+    def __getattr__(self, name):
+        # Reached only for a field not set yet.
+        pair = self.pair
+        if pair is None:
+            raise AttributeError(name)
+        fields = _compose(*pair)   # may raise, leaving it to compose again
+        self.pair = None
+        Substitution.__init__(self, *fields)
+        return getattr(self, name)
+
+
+def then(env, second):
+    """env, then second (each a substitution at depth zero with no forcing
+    tick, or None for the identity): a substitution composed when first
+    read, its term payloads closures continuing in second.  Two pending
+    substitutions with no term payloads between them compose at once, so a
+    shift followed by what instantiates the variables it added vanishes."""
+    if env is None:
+        return second
+    if second is None:
+        return env
+    pair = env.pair if type(env) is _Then else None
+    if pair is not None and not pair[1].block[0] and not second.block[0]:
+        second = _small(pair[1], second)
+        if second is None:
+            return pair[0]
+        env = pair[0]
+    return _Then(env, second)
+
+
+def _small(first, second):
+    """first then second, neither with term payloads, composed now (None
+    for the identity): two shifts add up."""
+    if second.block is _NO_BLOCK and first.block is _NO_BLOCK:
+        by = shape(first.shift, second.shift)
+        return None if by == ZERO else _shift_subst(by, ZERO)
+    fields = _compose(first, second)
+    if fields[1:] == (((), (), (), ()), ZERO):
+        return None
+    return Substitution(*fields)
+
+
+def _compose(sg, tau):
+    """The fields of sg followed by tau, both at depth zero: per sort, sg's
+    payloads under tau and then the payloads of tau past sg's shift.  A term
+    payload stays pending: a closure whose environment continues in tau."""
+    mine, theirs = sg.block, tau.block
+    ss, ts = sg.shift, tau.shift
+    blocks, shift = [], []
+    for si in range(4):
+        out, t, s = mine[si], theirs[si], ss[si]
+        if out:
+            out = tuple(_then_payload(si, p, tau) for p in out)
+        if s < len(t):
+            out += t[s:]
+            shift.append(ts[si])
+        else:
+            shift.append(s - len(t) + ts[si])
+        blocks.append(out)
+    return tau.scope, tuple(blocks), tuple(shift)
+
+
+def _then_payload(si, p, tau):
+    """A payload p, scoped in tau's cod, under tau; a term stays pending."""
+    if si == 0:
+        if type(p) is Closure:
+            return Closure(p.term, then(p.env, tau))
+        return close(tau, p)
+    if si == 1:
+        return _image(tau, 1, p, ZERO)
+    if si == 3:
+        return _iv(tau, p, ZERO)
+    if type(p) is CForcedTick:
+        return CForcedTick(p.clock, _tick(tau, p.tick, ZERO))
+    return _tick(tau, p, ZERO)
+
+
+def close(env, t):
+    """The entry for t, scoped in env's cod, as an argument scoped in env's
+    dom: t itself when env is None, the entry a variable stands for (once
+    env is composed), and otherwise a closure."""
+    if env is None:
+        return t
+    if type(t) is Var and (type(env) is not _Then or env.pair is None):
+        block = env.block[0]
+        if t.ix < len(block):
+            return block[t.ix]
+        return Var(_image(env, 0, t.ix, ZERO))
+    return Closure(t, env)
+
+
 def subst(scope, terms=(), clocks=(), ticks=(), ivals=(), fresh=ZERO):
     """The substitution sending the innermost variables of each sort to the
     given payloads, outermost first, and every other variable to itself,
@@ -882,12 +960,8 @@ def _shift_clock(k, by):
 
 
 def _weaken_payload(si, p, depth):
-    """A block payload moved past `depth` binders pushed in the scope; a
-    closure is materialised first."""
-    if type(p) is Closure:
-        p = p.force()
-    if depth == ZERO:
-        return p
+    """A block payload, a term or a clock, tick or interval payload, moved
+    past `depth` binders pushed in the scope."""
     if si == 0:
         return weaken(p, depth)
     if si == 1:
@@ -917,7 +991,10 @@ def _image(sg, si, ix, depth):
             if p is ESCAPE:
                 raise TickEscape(f"{_SORTS[si]} variable {k} does not "
                                  "survive the residual context")
-            out = sg._memo[key] = _weaken_payload(si, p, depth)
+            if type(p) is Closure:
+                p = p.force()
+            out = sg._memo[key] = p if depth == ZERO else \
+                _weaken_payload(si, p, depth)
         return out
     x = k - len(block) + sg.shift[si]
     scope = sg.scope
@@ -1115,7 +1192,8 @@ def _fresh_clock(sg, k, c, d):
     for si in range(4):
         fresh = wk[si] - d[si]
         block.append([_VAR[si](ix + fresh) for ix in range(d[si])]
-                     + [_weaken_payload(si, p, wk) for p in sg.block[si]])
+                     + [_weaken_payload(si, p.force() if type(p) is Closure
+                                        else p, wk) for p in sg.block[si]])
     block[1][d[1] + c] = 0
     # The clock payloads moved d[1] places out; tick payload k itself is
     # unused, since fn cannot mention its variable.

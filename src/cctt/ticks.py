@@ -1,29 +1,25 @@
-"""Context discipline for ticks and clocks.
+"""Context discipline for ticks and clocks, and the machine's
+environments.
 
 Covers the timeless filter TL, the trimming relation, the mask of the
 maximal residual context of a simple or forcing tick, and strengthening
 into it.  TL keeps the clocks, the interval variables and the context's
 restriction, so every residual context keeps the restriction as it is:
 it is scoped over the interval variables alone, and no mask drops one.
+Strengthening into a residual mask is a renaming (`mask_subst`): each kept
+term or tick variable goes to its new index, and each dropped one to the
+escape payload, which raises `TickEscape` when a variable reaches it;
+`weakening_subst` goes back.
 
-The substitution calculus itself lives in `cctt.syntax`: `subst` builds a
-substitution, and `subst_apply` here applies one.  A renaming is a
-substitution whose payloads are variables, so strengthening into a
-residual mask is one too (`mask_subst`): each kept term or tick variable
-goes to its new index, and each dropped one to the escape payload, which
-raises `TickEscape` when a variable reaches it.  A mask keeps every clock
-and interval variable (TL does), so those map to themselves.
-`weakening_subst` goes back from the residual context.
-
-The same substitutions are the environments of the reduction machine in
-`conversion.whnf`: there a term payload may be a `Closure`, a term with the
-substitution pending on it, which is materialised once, when a
-substitution applied to a term reaches it.  `bind`, `extend`,
-`drop_terms`, `close`, `lookup`, `lookup_clock`, `image_tick` and
-`image_iv` are the machine's environment operations: it reads a variable,
-a clock, a tick or an interval expression under an environment without
-applying the environment to anything else.  Those that build an
-environment take the shape of its scope, a context's `counts`.
+The substitutions of `cctt.syntax` are the environments of the reduction
+machine in `conversion.whnf`, their term payloads closures.
+`syntax.close`, `lookup`, `lookup_clock`, `image_tick` and `image_iv` read
+a term, a variable, a clock, a tick or an interval expression under an
+environment without applying it to anything else; `bind`, `extend` and
+`bind_at` extend one, and `lift` takes one under a binder of the term it
+is pending on, leaving each payload's move past the binder pending
+(`syntax.then`).  Those that build an environment take the shape of its
+scope, a context's `counts`.
 """
 
 from .errors import (
@@ -31,9 +27,10 @@ from .errors import (
 )
 from .interval import IONE, IVar, IZERO
 from .syntax import (
-    CLOCK, ESCAPE, IVAL, TICK, ZERO, _NO_BLOCK, _POS,
+    C1, CLOCK, ESCAPE, I1, IVAL, K1, T1, TERM, TICK, ZERO, _NO_BLOCK, _POS,
     CForcedTick, Closure, Context, Diamond, ETick, EVar, Substitution,
-    TickVar, Tirr, Var, _image, _iv, _tick, entry_sort, rename_term, subst,
+    TickVar, Tirr, Var, _compose, _image, _iv, _shift_subst, _tick,
+    entry_sort, rename_term, shape, subst,
 )
 
 TIMELESS = (CLOCK, IVAL)
@@ -206,19 +203,35 @@ def extend(env, scope, terms=(), ivals=()):
                         shift)
 
 
-def drop_terms(env, scope, k):
-    """env (None: the identity on the scope) restricted to the variables of
-    its cod past the k innermost term variables."""
+# Per sort, the count of one binder and its variable.
+_UNIT = {TERM: T1, CLOCK: C1, TICK: K1, IVAL: I1}
+_VAR0 = {TERM: Var(0), CLOCK: 0, TICK: TickVar(0), IVAL: IVar(0)}
+
+
+def lift(env, sort):
+    """env (None: the identity) lifted under one binder of `sort`: the new
+    variable goes to itself and every other to its image moved past it,
+    each term payload pending (`then`)."""
+    if env is None:
+        return None
+    by = _UNIT[sort]
+    return bind(Substitution(*_compose(env, _shift_subst(by, ZERO))),
+                shape(env.scope, by), sort, _VAR0[sort])
+
+
+def bind_at(env, scope, ix, payload):
+    """env (None: the identity on `scope`) with term variable ix sent to
+    payload, the variables below it as env sends them, and none past it:
+    a term whose other term variables are all below ix is read under it
+    with ix bound, and nothing is weakened."""
     if env is None:
         block, shift = _NO_BLOCK, ZERO
     else:
         block, shift = env.block, env.shift
-    terms = block[0]
-    if k <= len(terms):
-        terms, moved = terms[k:], shift[0]
-    else:
-        terms, moved = (), shift[0] + k - len(terms)
-    return Substitution(scope, (terms,) + block[1:], (moved,) + shift[1:])
+    terms = block[0][:ix]
+    terms += tuple(Var(j - len(block[0]) + shift[0])
+                   for j in range(len(terms), ix))
+    return Substitution(scope, (terms + (payload,),) + block[1:], shift)
 
 
 def has_forcing_tick(env):
@@ -226,20 +239,6 @@ def has_forcing_tick(env):
     simple tick application into a forcing one as it is substituted."""
     return env is not None and any(type(p) is CForcedTick
                                    for p in env.block[2])
-
-
-def close(env, t):
-    """The entry for t, scoped in env's cod, as an argument scoped in env's
-    dom: t itself when env is None, the entry a variable stands for, and
-    otherwise a closure."""
-    if env is None:
-        return t
-    if type(t) is Var:
-        block = env.block[0]
-        if t.ix < len(block):
-            return block[t.ix]
-        return Var(_image(env, 0, t.ix, ZERO))
-    return Closure(t, env)
 
 
 def lookup(env, ix):

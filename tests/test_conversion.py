@@ -26,6 +26,7 @@ from cctt.syntax import (
 )
 from cctt.ticks import extend
 from oracles import OutOfReach, naive_subst, reference_normal, reference_whnf
+from test_syntax import _mutants
 from test_ticks import generated_case
 
 FUEL_FILE = (Path(__file__).resolve().parent.parent / "corpus" / "neg"
@@ -891,6 +892,58 @@ def test_generated_closures_reduce_as_their_materialisation(seed):
     assert ref == runs[0][0]
 
 
+def _outcome_both_ways(ctx, ty, t, u):
+    """conv's verdicts on t, u and on u, t, each with a fresh budget of
+    300 steps, or None for one that raised (an ill-scoped mutant, the
+    budget spent)."""
+    out = []
+    for a, b in ((t, u), (u, t)):
+        try:
+            out.append(conv(StubState(max_steps=300), ctx, ty, a, b))
+        except CcttError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conversion_is_symmetric_and_a_closure_is_its_materialisation(seed):
+    # The arithmetic module's conversions, and the closures the machine
+    # leaves pending in them, give the same verdict both ways round; a
+    # closure compared with its own materialisation is equal at once,
+    # without a step.  So are generated terms under their environments,
+    # forcing ticks among them, against their materialisations and against
+    # single-node mutants of those.
+    state, convs = arith_module(seed)
+    for ty, lhs, rhs, want in convs:
+        assert conv(state, EMPTY, ty, lhs, rhs) == want
+        assert conv(state, EMPTY, ty, rhs, lhs) == want
+        ctx, t, u = at_base_type(state, EMPTY, ty, lhs, rhs)
+        for closure, other in [(spine_closure(ctx, t), u),
+                               *machine_closures(state, ctx, t, u)]:
+            if type(closure) is not Closure:
+                continue
+            term = materialised(closure)
+            before = state.steps
+            assert conv(state, ctx, U(0), closure, term)
+            assert conv(state, ctx, U(0), term, closure)
+            assert state.steps == before
+            assert conv_tm(state, ctx, closure, other) == \
+                conv_tm(state, ctx, other, closure)
+    rng = random.Random(seed)
+    for case in range(25 * seed, 25 * seed + 25):
+        t, sigma, _ = generated_case(case)
+        ctx = _scope_context(sigma.scope)
+        m = sigma.apply(t)
+        state = StubState()
+        assert conv(state, ctx, U(0), Closure(t, sigma), m)
+        assert conv(state, ctx, U(0), m, Closure(t, sigma))
+        assert state.steps == 0
+        mutants = list(_mutants(m))
+        for x in rng.sample(mutants, min(4, len(mutants))):
+            a, b = _outcome_both_ways(ctx, U(0), Closure(t, sigma), x)
+            assert a == b, (case, x)
+
+
 class TestPendingConstructors:
     """Comparing towers of constructors applies no environment to a
     constructor, and the clock-free eliminator's rule applies none to the
@@ -961,21 +1014,55 @@ class TestPendingConstructors:
         assert Con not in seen and ClockElim not in seen
         assert state.steps == 126
 
-    def test_deep_recursion_keeps_one_template_per_eliminator(self):
+    def test_forcing_with_a_diamond_and_eta_apply_no_environment(self):
+        # Three force/delay round trips at a type of functions into a
+        # clock quantifier: eta applies both sides to fresh variables and
+        # a clock, pending, and each forcing with a diamond reduces its
+        # function under its environment lifted past the clock, so no
+        # substitution is applied to any term.
+        state, _ = self.module(ARITH)
+        chain = "force nat (delay nat (" * 3 + "x" + "))" * 3
+        decl = parse_module(
+            ARITH + f"\n--expect-conv\n  \\x. \\y. {chain}\n"
+            "  = \\x. \\y. x\n"
+            "  : (x : forall k. nat) -> (y : forall k. nat) -> forall k. nat"
+            "\n").decls[-1]
+        equal, seen = self.substituted(lambda: conv(
+            state, EMPTY, decl.ty, decl.lhs, decl.rhs))
+        assert equal
+        assert seen == []
+        assert state.steps == 66
+
+    def test_deep_recursion_keeps_one_eliminator_and_its_environment_size(
+            self):
         # A tail-recursive eliminator (motive nat -> nat) passing its
-        # accumulator down 2000 successors.  Each recursive call continues
-        # in the first eliminator's cases, so that eliminator keeps one
-        # template and the template keeps none.
+        # accumulator down 2000 successors.  The first recursive call is
+        # the eliminator's own fields on a new scrutinee variable, and each
+        # deeper call is that same term again, so two eliminators are
+        # reduced in all, and the environment they reduce under keeps its
+        # size however deep the recursion goes.
         cases = (
             ElimCase("zero", 0, 0, 0, Lam(Var(0))),
             ElimCase("succ", 0, 1, 0, Lam(App(Var(1), Var(0)))),
         )
         root = ClockElim("nat", 0, (), Pi(NAT, NAT), cases, nat_num(2000))
         state = nat_state()
-        assert whnf(state, EMPTY, App(root, ZERO)) == ZERO
+        seen, sizes = set(), set()
+        real = conversion._elim_con
+
+        def recording(state, ctx, elim, env, con, cenv):
+            seen.add(id(elim))
+            sizes.add(0 if env is None else len(env.block[0]))
+            return real(state, ctx, elim, env, con, cenv)
+
+        conversion._elim_con = recording
+        try:
+            assert whnf(state, EMPTY, App(root, ZERO)) == ZERO
+        finally:
+            conversion._elim_con = real
         assert state.steps == 8005
-        (template,) = root._calls.values()
-        assert "_calls" not in vars(template)
+        assert len(seen) == 2
+        assert max(sizes) <= 2
 
     ORD = ("data nat : U0 where | zero | succ (m : nat)\n"
            "data ord : U0 where | oz | os (o : ord) | lim (f : nat -> ord)\n"

@@ -4,7 +4,8 @@ listed with a reason, `import cctt.cli` loads none of `argparse`,
 `dataclasses`, `inspect` and `typing`, every function the benchmark's
 tracer wraps exists (the parser's on the path a check takes), every
 count of binders given to a weakening or a lift is a tuple of counts, and
-the checker instantiates no term eagerly."""
+the checker instantiates no term eagerly, and conversion's comparisons
+and eliminator rule materialise none."""
 
 import ast
 import contextlib
@@ -203,6 +204,60 @@ Closure(ty, subst(scope, ivals=(IZERO,), fresh=I1))
         "a.py:2", "a.py:3", "a.py:4", "a.py:4", "a.py:5", "a.py:6", "a.py:7"]
 
 
+# The functions of `conversion` that compare or reduce under environments,
+# and the calls that would materialise a term there.
+_PENDING = {"_conv_clause", "_conv_con", "elim_reduce", "_elim_con"}
+_MATERIALISING = {"weaken", "subst_apply", "_materialise", "force"}
+
+
+def _materialisations(sources):
+    """The calls in sources, as "module:function:line", that a function of
+    `_PENDING` makes to a function of `_MATERIALISING`."""
+    found = []
+    for module, text in sources:
+        for fn in ast.walk(ast.parse(text, module)):
+            if isinstance(fn, ast.FunctionDef) and fn.name in _PENDING:
+                found += sorted(
+                    (node.lineno, f"{module}:{fn.name}:{node.lineno}")
+                    for node in ast.walk(fn) if isinstance(node, ast.Call)
+                    and _called(node) in _MATERIALISING)
+    return [call for _, call in found]
+
+
+def test_conversion_materialises_nothing_under_environments():
+    # Eta at a binder type compares both sides applied to the bound
+    # variable, pending; constructors are compared, and eliminators
+    # reduced, under their environments.
+    found = _materialisations(
+        [(module, text) for module, text in _package()
+         if module == "conversion.py"])
+    assert not found, found
+
+
+def test_materialisations_are_found():
+    # The calls these functions made before they worked under
+    # environments.
+    sources = [("a.py", """
+def _conv_clause(state, ctx, ty, t, u):
+    t, u = force(t), force(u)
+    return App(weaken(t, T1), Var(0))
+
+def elim_reduce(state, ctx, elim, env=None):
+    if n and env is not None:
+        elim, env = subst_apply(env, elim), None
+    return _elim_hcomp(ctx.counts, _materialise(elim, env), head)
+
+def _elim_con(state, ctx, elim, env, con, cenv):
+    return conversion.force(x)
+
+def conv_tm(state, ctx, t, u):
+    return _materialise(t, te)
+""")]
+    assert _materialisations(sources) == [
+        "a.py:_conv_clause:3", "a.py:_conv_clause:3", "a.py:_conv_clause:4",
+        "a.py:elim_reduce:8", "a.py:elim_reduce:9", "a.py:_elim_con:12"]
+
+
 def _unused_parameters(sources):
     """The parameters of each function (or lambda) in sources that its
     body never reads, as "module:function:parameter".  A read anywhere in
@@ -383,6 +438,9 @@ def test_traced_substitution_functions_are_on_the_checking_path():
 UNREFERENCED = {
     "parse_module": "the tests' entry point to the parser",
     "print_module": "the printer of the print/parse round trip",
+    "CheckState.step": "one step of the reference machine in"
+                       " tests/oracles.py; the kernel's machine counts its"
+                       " steps inline",
 }
 
 # Top-level definitions kept only because the benchmark traces them: no
