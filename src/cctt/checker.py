@@ -933,7 +933,7 @@ def _check_case(state, ctx, sig, ctor, elim, case):
     for _ in range(v):
         case_ctx = case_ctx.push(EIVar())
 
-    binders = (a + 2 * r, 0, 0, v)
+    binders = case.binders
     con = _case_con(elim, sig, ctor, binders)
     expected = Closure(elim.motive, subst(ctx.counts,
                                           terms=(_clam_n(n, con),),

@@ -65,7 +65,7 @@ from .interval import (
 )
 from .syntax import (
     App, CApp, CForcedTick, CLam, CLOCK, ClockElim, Closure, Comp, Con,
-    Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase, Fst,
+    Context, DFix, Diamond, EClock, EIVar, ETick, EVar, Fst,
     ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Sigma, Snd, Substitution, System, TERM, TICK, TickApp, TickLam,
     TickVar, Tirr, TopRef, Trans, U, Var, ZERO, C1, I1, T1, K1,
@@ -719,9 +719,7 @@ def _case_for(elim, label):
 
 
 def _weaken_case(case, by):
-    cut = (case.n_args + 2 * case.n_recs, 0, 0, case.n_ivars)
-    return ElimCase(case.label, case.n_args, case.n_recs, case.n_ivars,
-                    weaken(case.body, by, cut))
+    return case.with_body(weaken(case.body, by, case.binders))
 
 
 def _weaken_elim(elim, by, arg):
@@ -746,8 +744,7 @@ def _fields_bound(elim):
     and cases mention."""
     return max(0, loose_bound(elim.motive)[0] - 1,
                *(loose_bound(p)[0] for p in elim.params),
-               *(loose_bound(c.body)[0] - c.n_args - 2 * c.n_recs
-                 for c in elim.cases))
+               *(loose_bound(c.body)[0] - c.binders[0] for c in elim.cases))
 
 
 def _rec_call(elim, env, scope, x, m):
@@ -934,7 +931,7 @@ def conv_tm(state, ctx, t, u):
         return _conv_con(state, ctx, t, te, u, ue)
     if tc in _ABSTRACTIONS or uc in _ABSTRACTIONS:
         ctx, t, u = _opened(ctx, t, te, u, ue)
-        return conv_tm(state, ctx, t, u)
+        return ctx is not None and conv_tm(state, ctx, t, u)
     if tc is Pair or uc is Pair:
         t, u = close(te, t), close(ue, u)
         return (conv_tm(state, ctx, _project(_FST, t), _project(_FST, u))
@@ -954,12 +951,16 @@ def _opened(ctx, t, te, u, ue):
     """The context one binder in and the two sides under it, for the
     first abstraction kind (in `_ABSTRACTIONS` order) either side is: an
     abstraction's body under its environment lifted past the binder, and a
-    side of another kind applied to the bound variable (eta)."""
+    side of another kind applied to the bound variable (eta).  Two tick
+    abstractions on different clocks differ: then all three are None."""
     cls = next(c for c in _ABSTRACTIONS if type(t) is c or type(u) is c)
     by, sort, entry = _ABSTRACTIONS[cls]
     if entry is None:
         x, xe = (t, te) if type(t) is cls else (u, ue)
-        entry = ETick(_clock_under(xe, x.clock))
+        k = _clock_under(xe, x.clock)
+        if type(t) is type(u) and _clock_under(ue, u.clock) != k:
+            return None, None, None
+        entry = ETick(k)
     ctx, sides = ctx.push(entry), []
     for x, env in ((t, te), (u, ue)):
         if type(x) is not cls:
@@ -1037,9 +1038,9 @@ def _conv_rigid(state, ctx, t, u):
                         (y.label, y.n_args, y.n_recs, y.n_ivars):
                     return False
                 inner = ctx
-                for _ in range(x.n_args + 2 * x.n_recs):
+                for _ in range(x.binders[0]):
                     inner = inner.push(EVar(_DUMMY))
-                for _ in range(x.n_ivars):
+                for _ in range(x.binders[3]):
                     inner = inner.push(EIVar())
                 if not conv_tm(state, inner, x.body, y.body):
                     return False

@@ -1163,20 +1163,23 @@ class Elaborator:
             self.pos += 1
             ctor = None if sig is None else next(
                 (c for c in sig.constructors if c.label == label), None)
-            a, r, v = (len(names), 0, 0) if ctor is None else (
+            counts = (len(names), 0, 0) if ctor is None else (
                 len(ctor.args.types), len(ctor.rec_arities), ctor.ivar_count)
+            # The case without its body yet: the names it binds.
+            blank = ElimCase(label, *counts, None)
+            terms, _, _, ivals = blank.binders
             if sig is not None and ctor is None:
                 self.error(pos, ParseError(
                     f"{hit} has no constructor {label!r}"))
-            elif ctor is not None and len(names) != a + 2 * r + v:
+            elif ctor is not None and len(names) != terms + ivals:
                 self.error(pos, ParseError(
-                    f"case for {label} binds {a + 2 * r + v} names,"
+                    f"case for {label} binds {terms + ivals} names,"
                     f" got {len(names)}"))
             inner = sc
             for k, nm in enumerate(names):
                 inner = (nm,) + inner[0], \
-                    (TERM if k < a + 2 * r else IVAL,) + inner[1]
-            cases.append(ElimCase(label, a, r, v, self.read(inner)))
+                    (TERM if k < terms else IVAL,) + inner[1]
+            cases.append(blank.with_body(self.read(inner)))
         return ClockElim(hit, n, tuple(spine[:-1]), motive, tuple(cases),
                          spine[-1])
 
@@ -1579,11 +1582,11 @@ class _Printer:
     def _case(self, env, c):
         names = []
         env2 = env
-        for _ in range(c.n_args + 2 * c.n_recs):
+        for _ in range(c.binders[0]):
             nm = self.fresh("x")
             names.append(nm)
             env2 = self.push(env2, TERM, nm)
-        for _ in range(c.n_ivars):
+        for _ in range(c.binders[3]):
             nm = self.fresh("i")
             names.append(nm)
             env2 = self.push(env2, IVAL, nm)

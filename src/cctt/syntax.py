@@ -32,6 +32,12 @@ Moura and Ullrich, CADE 2021): per sort, one more than the largest free
 index, worked out once without recursion and kept on the term, out of
 sight of `==`, `hash`, `repr` and `structural_equal`.
 
+Each term former's fields, and the binders around its subterms, are
+written down once, in the binder table (`_WALKED`); the loose bound,
+substitution and `closure_equal` read them there (Allais, Atkey, Chapman,
+McBride and McKinna, "A type and scope safe universe of syntaxes with
+binding", ICFP 2018).
+
 Every count of binders, entries or variables is one 4-tuple, a count per
 sort in the order (term, clock, tick, interval): how far `weaken` moves a
 term and its cut, a substitution's shift and depth, `Context.counts`, and
@@ -445,6 +451,18 @@ class ElimCase:
 
     __repr__ = Term.__repr__
 
+    @property
+    def binders(self):
+        """The count of the binders around the body: the arguments, the
+        recursive arguments and their induction hypotheses (terms), and
+        the interval variables."""
+        return (self.n_args + 2 * self.n_recs, 0, 0, self.n_ivars)
+
+    def with_body(self, body):
+        """The same case with `body` for its body."""
+        return ElimCase(self.label, self.n_args, self.n_recs, self.n_ivars,
+                        body)
+
 
 @record
 class ClockElim(Term):
@@ -467,6 +485,67 @@ class TopRef(Term):
     name: str
 
     _loose = ZERO
+
+
+# --------------------------------------------------------------------------
+# The binder table
+# --------------------------------------------------------------------------
+
+# Per term class but the leaves (`Var`, `U`, `TopRef`), one entry per field
+# in field order: what the field holds and, for a subterm, the count of the
+# binders the former puts around it.  A field holds a subterm, a clock, a
+# tick, an interval expression or face, a value the walks leave as it is
+# (a name, a label, a count), a tuple of subterms, a tuple of interval
+# expressions, eliminator cases (each under its own `ElimCase.binders`), or
+# a system's parts (a face and a subterm each).  Every generic walk reads
+# its fields and binders here: `loose_bound` (`_parts`), substitution
+# (`_go`) and `closure_equal`.
+_SUB, _CLK, _TCK, _IVL, _SAME, _SUBS, _IVLS, _CASES, _PARTS = range(9)
+_WALKED = {
+    Pi: ((_SUB, ZERO), (_SUB, T1)),
+    Lam: ((_SUB, T1),),
+    App: ((_SUB, ZERO), (_SUB, ZERO)),
+    Sigma: ((_SUB, ZERO), (_SUB, T1)),
+    Pair: ((_SUB, ZERO), (_SUB, ZERO)),
+    Fst: ((_SUB, ZERO),),
+    Snd: ((_SUB, ZERO),),
+    PathT: ((_SUB, ZERO), (_SUB, ZERO), (_SUB, ZERO)),
+    PLam: ((_SUB, I1),),
+    PApp: ((_SUB, ZERO), (_IVL, None)),
+    Forall: ((_SUB, C1),),
+    CLam: ((_SUB, C1),),
+    CApp: ((_SUB, ZERO), (_CLK, None)),
+    Later: ((_CLK, None), (_SUB, K1)),
+    TickLam: ((_CLK, None), (_SUB, K1)),
+    TickApp: ((_SUB, ZERO), (_TCK, None)),
+    ForceApp: ((_SUB, C1), (_CLK, None), (_TCK, None)),
+    DFix: ((_CLK, None), (_SUB, ZERO)),
+    PFix: ((_CLK, None), (_SUB, ZERO)),
+    Comp: ((_SUB, I1), (_IVL, None), (_SUB, I1), (_SUB, ZERO)),
+    HComp: ((_SUB, ZERO), (_IVL, None), (_SUB, I1), (_SUB, ZERO)),
+    Trans: ((_SUB, I1), (_IVL, None), (_SUB, ZERO)),
+    Hit: ((_SAME, None), (_SUBS, None)),
+    Con: ((_SAME, None), (_SAME, None), (_SUBS, None), (_SUBS, None),
+          (_SUBS, None), (_IVLS, None)),
+    ClockElim: ((_SAME, None), (_SAME, None), (_SUBS, None), (_SUB, T1),
+                (_CASES, None), (_SUB, ZERO)),
+    System: ((_PARTS, None),),
+}
+
+# Per record class a walk reads (every term class, eliminator cases and the
+# ticks but the diamond, which has no field and is compared by `==`), a
+# getter of its fields and whether it has several (then the getter returns
+# their tuple, else the one field).  Fields are read by name: reading an
+# instance's `__dict__` makes CPython keep a dict on it and read its fields
+# the slow way from then on.
+_FIELDS = {cls: (attrgetter(*cls._fields), len(cls._fields) > 1)
+           for cls in (*Term.__subclasses__(), ElimCase, TickVar, Tirr)}
+
+
+def _values(t):
+    """The fields of t, a record `_FIELDS` knows, as a tuple."""
+    get, several = _FIELDS[type(t)]
+    return get(t) if several else (get(t),)
 
 
 # --------------------------------------------------------------------------
@@ -638,61 +717,38 @@ def _tick_bound(u):
 
 
 def _parts(t):
-    """The bound of what t, not a leaf, holds directly (clocks, a tick,
+    """The bound of what t, not a leaf, holds directly (a clock, a tick,
     interval expressions and faces), and t's subterms, each with the
-    binders t puts around it."""
-    match t:
-        case Pi(a, b) | Sigma(a, b):
-            return ZERO, ((a, ZERO), (b, T1))
-        case Lam(body):
-            return ZERO, ((body, T1),)
-        case App(a, b) | Pair(a, b):
-            return ZERO, ((a, ZERO), (b, ZERO))
-        case Fst(a) | Snd(a):
-            return ZERO, ((a, ZERO),)
-        case PathT(a, left, right):
-            return ZERO, ((a, ZERO), (left, ZERO), (right, ZERO))
-        case PLam(body):
-            return ZERO, ((body, I1),)
-        case PApp(fn, r):
-            return (0, 0, 0, _iv_bound(r)), ((fn, ZERO),)
-        case Forall(body) | CLam(body):
-            return ZERO, ((body, C1),)
-        case CApp(fn, k) | DFix(k, fn) | PFix(k, fn):
-            return (0, k + 1, 0, 0), ((fn, ZERO),)
-        case Later(k, body) | TickLam(k, body):
-            return (0, k + 1, 0, 0), ((body, K1),)
-        case TickApp(fn, u):
-            return _tick_bound(u), ((fn, ZERO),)
-        case ForceApp(fn, k, u):
-            _, _, ticks, ivals = _tick_bound(u)
-            return (0, k + 1, ticks, ivals), ((fn, C1),)
-        case Comp(ty, face, tube, base):
-            return (0, 0, 0, _iv_bound(face)), \
-                ((ty, I1), (tube, I1), (base, ZERO))
-        case HComp(ty, face, tube, base):
-            return (0, 0, 0, _iv_bound(face)), \
-                ((ty, ZERO), (tube, I1), (base, ZERO))
-        case Trans(ty, face, base):
-            return (0, 0, 0, _iv_bound(face)), ((ty, I1), (base, ZERO))
-        case Hit(_, params):
-            return ZERO, tuple((p, ZERO) for p in params)
-        case Con(_, _, params, args, recs, ivals):
-            return (0, 0, 0, max(map(_iv_bound, ivals), default=0)), \
-                tuple((u, ZERO) for u in (*params, *args, *recs))
-        case ClockElim(_, _, params, motive, cases, arg):
-            return ZERO, (
-                *((p, ZERO) for p in params),
-                (motive, T1),
-                *((c.body, (c.n_args + 2 * c.n_recs, 0, 0, c.n_ivars))
-                  for c in cases),
-                (arg, ZERO),
-            )
-        case System(parts):
-            return (0, 0, 0, max((_iv_bound(phi) for phi, _ in parts),
-                                 default=0)), \
-                tuple((u, ZERO) for _, u in parts)
-    return _WILD, ()
+    binders t puts around it, as t's row of `_WALKED` gives them."""
+    row = _WALKED.get(type(t))
+    if row is None:
+        return _WILD, ()
+    clocks = ticks = ivals = 0
+    subterms = []
+    for (kind, by), x in zip(row, _values(t)):
+        if kind is _SUB:
+            subterms.append((x, by))
+        elif kind is _SUBS:
+            subterms += ((u, ZERO) for u in x)
+        elif kind is _CASES:
+            subterms += ((c.body, c.binders) for c in x)
+        elif kind is _CLK:
+            clocks = x + 1
+        elif kind is _TCK:
+            b = _tick_bound(x)
+            if b is _WILD:
+                return _WILD, ()
+            ticks, ivals = b[2], max(ivals, b[3])
+        elif kind is _IVL:
+            ivals = max(ivals, _iv_bound(x))
+        elif kind is _IVLS:
+            for r in x:
+                ivals = max(ivals, _iv_bound(r))
+        elif kind is _PARTS:
+            for phi, u in x:
+                ivals = max(ivals, _iv_bound(phi))
+                subterms.append((u, ZERO))
+    return (0, clocks, ticks, ivals), subterms
 
 
 def loose_bound(t):
@@ -1050,8 +1106,9 @@ def _leftmost_tick_var(u):
 
 def _go(sg, t, d):
     """Apply sg, its slack worked out, at depth d (binders pushed per sort)
-    to t."""
-    go = _go
+    to t: a variable is read through sg, a tick application goes to
+    `_tick_app`, and any other term is rebuilt field by field as its row of
+    `_WALKED` says."""
     if type(t) is Var:
         ix = t.ix
         if ix < d[0]:
@@ -1065,120 +1122,65 @@ def _go(sg, t, d):
     if (b[0] <= d[0] + s[0] and b[1] <= d[1] + s[1]
             and b[2] <= d[2] + s[2] and b[3] <= d[3] + s[3]):
         return t
-    match t:
-        case App(fn, arg):
-            return App(go(sg, fn, d), go(sg, arg, d))
-        case Lam(body):
-            return Lam(go(sg, body, (d[0] + 1, d[1], d[2], d[3])))
-        case Pi(dom, cod):
-            return Pi(go(sg, dom, d),
-                      go(sg, cod, (d[0] + 1, d[1], d[2], d[3])))
-        case Sigma(fst, snd):
-            return Sigma(go(sg, fst, d),
-                         go(sg, snd, (d[0] + 1, d[1], d[2], d[3])))
-        case Pair(fst, snd):
-            return Pair(go(sg, fst, d), go(sg, snd, d))
-        case Fst(arg):
-            return Fst(go(sg, arg, d))
-        case Snd(arg):
-            return Snd(go(sg, arg, d))
-        case PathT(ty, left, right):
-            return PathT(go(sg, ty, d), go(sg, left, d), go(sg, right, d))
-        case PLam(body):
-            return PLam(go(sg, body, (d[0], d[1], d[2], d[3] + 1)))
-        case PApp(fn, arg):
-            return PApp(go(sg, fn, d), _iv(sg, arg, d))
-        case Forall(body):
-            return Forall(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
-        case CLam(body):
-            return CLam(go(sg, body, (d[0], d[1] + 1, d[2], d[3])))
-        case CApp(fn, clock):
-            k = _image(sg, 1, clock, d)
-            return CApp(go(sg, fn, d), k)
-        case Later(clock, ty):
-            k = _image(sg, 1, clock, d)
-            return Later(k, go(sg, ty, (d[0], d[1], d[2] + 1, d[3])))
-        case TickLam(clock, body):
-            k = _image(sg, 1, clock, d)
-            return TickLam(k, go(sg, body, (d[0], d[1], d[2] + 1, d[3])))
-        case TickApp(fn, tick):
-            return _tick_app(sg, fn, tick, d)
-        case ForceApp(fn, clock, tick):
-            k = _image(sg, 1, clock, d)
-            return ForceApp(go(sg, fn, (d[0], d[1] + 1, d[2], d[3])), k,
-                            _tick(sg, tick, d))
-        case DFix(clock, fn):
-            k = _image(sg, 1, clock, d)
-            return DFix(k, go(sg, fn, d))
-        case PFix(clock, fn):
-            k = _image(sg, 1, clock, d)
-            return PFix(k, go(sg, fn, d))
-        case Comp(ty, face, tube, base):
-            di = (d[0], d[1], d[2], d[3] + 1)
-            return Comp(go(sg, ty, di), _iv(sg, face, d),
-                        go(sg, tube, di), go(sg, base, d))
-        case HComp(ty, face, tube, base):
-            di = (d[0], d[1], d[2], d[3] + 1)
-            return HComp(go(sg, ty, d), _iv(sg, face, d),
-                         go(sg, tube, di), go(sg, base, d))
-        case Trans(ty, face, base):
-            di = (d[0], d[1], d[2], d[3] + 1)
-            return Trans(go(sg, ty, di), _iv(sg, face, d),
-                         go(sg, base, d))
-        case Hit(name, params):
-            return Hit(name, tuple(go(sg, p, d) for p in params))
-        case Con(name, label, params, args, recs, ivals):
-            return Con(
-                name, label,
-                tuple(go(sg, p, d) for p in params),
-                tuple(go(sg, a, d) for a in args),
-                tuple(go(sg, a, d) for a in recs),
-                tuple(_iv(sg, r, d) for r in ivals),
-            )
-        case ClockElim(name, n, params, motive, cases, arg):
-            return ClockElim(
-                name, n,
-                tuple(go(sg, p, d) for p in params),
-                go(sg, motive, (d[0] + 1, d[1], d[2], d[3])),
-                tuple(_subst_case(sg, c, d) for c in cases),
-                go(sg, arg, d),
-            )
-        case System(parts):
-            return System(tuple(
-                (_iv(sg, phi, d), go(sg, u, d)) for phi, u in parts
-            ))
-    raise MalformedSubstitution(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is TickApp:
+        return _tick_app(sg, t.fn, t.tick, d)
+    row = _WALKED.get(cls)
+    if row is None:
+        raise MalformedSubstitution(f"not a term: {t!r}")
+    out = []
+    for (kind, by), x in zip(row, _values(t)):
+        if kind is _SUB:
+            out.append(_go(sg, x, d if by is ZERO else (
+                d[0] + by[0], d[1] + by[1], d[2] + by[2], d[3] + by[3])))
+        elif kind is _CLK:
+            out.append(_image(sg, 1, x, d))
+        elif kind is _TCK:
+            out.append(_tick(sg, x, d))
+        elif kind is _IVL:
+            out.append(_iv(sg, x, d))
+        elif kind is _SAME:
+            out.append(x)
+        elif kind is _SUBS:
+            out.append(tuple(_go(sg, u, d) for u in x))
+        elif kind is _IVLS:
+            out.append(tuple(_iv(sg, r, d) for r in x))
+        elif kind is _CASES:
+            out.append(tuple(c.with_body(_go(sg, c.body, shape(d, c.binders)))
+                             for c in x))
+        else:
+            out.append(tuple((_iv(sg, phi, d), _go(sg, u, d))
+                             for phi, u in x))
+    return cls(*out)
 
 
-def _subst_case(sg, case, d):
-    inner = (d[0] + case.n_args + 2 * case.n_recs, d[1], d[2],
-             d[3] + case.n_ivars)
-    return ElimCase(case.label, case.n_args, case.n_recs, case.n_ivars,
-                    _go(sg, case.body, inner))
-
-
-def _tick_app(sg, fn, tick, d):
-    """The A.2 case analysis for (fn [tick]) under sg."""
-    new_tick = _tick(sg, tick, d)
-    leftmost = _leftmost_tick_var(tick)
+def _forced_payload(sg, u, d):
+    """The index in sg's tick block of the forcing tick payload that the
+    leftmost variable of the tick u reaches at depth d, or None."""
+    leftmost = _leftmost_tick_var(u)
     # No tick variables is only possible transiently for ill-scoped input.
     if leftmost is not None:
         k = leftmost - d[2]
         ticks = sg.block[2]
         if 0 <= k < len(ticks) and type(ticks[k]) is CForcedTick:
-            # A forcing tick payload: the simple application turns into a
-            # forcing application binding a fresh clock for the paired
-            # clock variable.
-            c = ticks[k].clock
-            if not 0 <= c < len(sg.block[1]):
-                raise MalformedSubstitution(
-                    "a forcing tick payload must pair with a substituted "
-                    "clock"
-                )
-            return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn,
-                                ZERO),
-                            _shift_clock(sg.block[1][c], d[1]), new_tick)
-    return TickApp(_go(sg, fn, d), new_tick)
+            return k
+    return None
+
+
+def _tick_app(sg, fn, tick, d):
+    """The A.2 case analysis for (fn [tick]) under sg."""
+    new_tick = _tick(sg, tick, d)
+    k = _forced_payload(sg, tick, d)
+    if k is None:
+        return TickApp(_go(sg, fn, d), new_tick)
+    # A forcing tick payload: the simple application turns into a forcing
+    # application binding a fresh clock for the paired clock variable.
+    c = sg.block[2][k].clock
+    if not 0 <= c < len(sg.block[1]):
+        raise MalformedSubstitution(
+            "a forcing tick payload must pair with a substituted clock")
+    return ForceApp(_go(_fresh_clock(sg, k, c, d).ready(), fn, ZERO),
+                    _shift_clock(sg.block[1][c], d[1]), new_tick)
 
 
 def _fresh_clock(sg, k, c, d):
@@ -1264,16 +1266,6 @@ def strengthen(t, sort):
 # Structural equality (alpha-equality)
 # --------------------------------------------------------------------------
 
-# Compared field by field: every term class, eliminator cases and the
-# ticks but the diamond (which has no field, and is compared by `==`),
-# each with a getter of its fields and whether it has several (then the
-# getter returns their tuple, else the one field).  Fields are read by
-# name: reading an instance's `__dict__` makes CPython keep a dict on it
-# and read its fields the slow way from then on.
-_FIELDS = {cls: (attrgetter(*cls._fields), len(cls._fields) > 1)
-           for cls in (*Term.__subclasses__(), ElimCase, TickVar, Tirr)}
-
-
 def structural_equal(t, u):
     """Whether t and u are equal: alpha-equality, since variables are de
     Bruijn indices and interval expressions and faces are normal forms.
@@ -1316,44 +1308,6 @@ def structural_equal(t, u):
     return True
 
 
-# What `closure_equal` compares in each field of a term class it walks, in
-# field order: a subterm under the binders given, a clock, a tick, an
-# interval expression or face, a value compared as it is (a name, a label,
-# a count), a tuple of subterms, a tuple of interval expressions,
-# eliminator cases, or a system's parts.
-_SUB, _CLK, _TCK, _IVL, _SAME, _SUBS, _IVLS, _CASES, _PARTS = range(9)
-_WALKED = {
-    Pi: ((_SUB, ZERO), (_SUB, T1)),
-    Lam: ((_SUB, T1),),
-    App: ((_SUB, ZERO), (_SUB, ZERO)),
-    Sigma: ((_SUB, ZERO), (_SUB, T1)),
-    Pair: ((_SUB, ZERO), (_SUB, ZERO)),
-    Fst: ((_SUB, ZERO),),
-    Snd: ((_SUB, ZERO),),
-    PathT: ((_SUB, ZERO), (_SUB, ZERO), (_SUB, ZERO)),
-    PLam: ((_SUB, I1),),
-    PApp: ((_SUB, ZERO), (_IVL, None)),
-    Forall: ((_SUB, C1),),
-    CLam: ((_SUB, C1),),
-    CApp: ((_SUB, ZERO), (_CLK, None)),
-    Later: ((_CLK, None), (_SUB, K1)),
-    TickLam: ((_CLK, None), (_SUB, K1)),
-    TickApp: ((_SUB, ZERO), (_TCK, None)),
-    ForceApp: ((_SUB, C1), (_CLK, None), (_TCK, None)),
-    DFix: ((_CLK, None), (_SUB, ZERO)),
-    PFix: ((_CLK, None), (_SUB, ZERO)),
-    Comp: ((_SUB, I1), (_IVL, None), (_SUB, I1), (_SUB, ZERO)),
-    HComp: ((_SUB, ZERO), (_IVL, None), (_SUB, I1), (_SUB, ZERO)),
-    Trans: ((_SUB, I1), (_IVL, None), (_SUB, ZERO)),
-    Hit: ((_SAME, None), (_SUBS, None)),
-    Con: ((_SAME, None), (_SAME, None), (_SUBS, None), (_SUBS, None),
-          (_SUBS, None), (_IVLS, None)),
-    ClockElim: ((_SAME, None), (_SAME, None), (_SUBS, None), (_SUB, T1),
-                (_CASES, None), (_SUB, ZERO)),
-    System: ((_PARTS, None),),
-}
-
-
 def closure_equal(t, u):
     """Whether t and u, terms or closures, are equal once materialised:
     the answer `structural_equal` gives on the terms their environments
@@ -1389,11 +1343,7 @@ def closure_equal(t, u):
         walked = _WALKED.get(cls)
         if walked is None:
             raise MalformedSubstitution(f"not a term: {a!r}")
-        get, several = _FIELDS[cls]
-        xs, ys = get(a), get(b)
-        if not several:
-            xs, ys = (xs,), (ys,)
-        for (kind, by), x, y in zip(walked, xs, ys):
+        for (kind, by), x, y in zip(walked, _values(a), _values(b)):
             if kind is _SUB:
                 if by is ZERO:
                     push((x, sa, da, wa, y, sb, db, wb))
@@ -1425,7 +1375,7 @@ def closure_equal(t, u):
                     if (p.label, p.n_args, p.n_recs, p.n_ivars) != \
                             (q.label, q.n_args, q.n_recs, q.n_ivars):
                         return False
-                    inner = (p.n_args + 2 * p.n_recs, 0, 0, p.n_ivars)
+                    inner = p.binders
                     push((p.body, sa, shape(da, inner), wa,
                           q.body, sb, shape(db, inner), wb))
             else:
@@ -1495,21 +1445,10 @@ def _settle(t, sg, d, w):
             and (not w[0] or b[0] <= d[0]) and (not w[1] or b[1] <= d[1])
             and (not w[2] or b[2] <= d[2]) and (not w[3] or b[3] <= d[3])):
         return t, None, ZERO, ZERO
-    if type(t) is TickApp:
-        leftmost = _leftmost_tick_var(t.tick)
-        if leftmost is not None:
-            k = leftmost - d[2]
-            ticks = sg.block[2]
-            if 0 <= k < len(ticks) and type(ticks[k]) is CForcedTick:
-                return _side_term(t, sg, d, w), None, ZERO, ZERO
+    if type(t) is TickApp and _forced_payload(sg, t.tick, d) is not None:
+        # Materialised, to be compared as built.
+        return weaken(_go(sg, t, d), w, d), None, ZERO, ZERO
     return t, sg, d, w
-
-
-def _side_term(t, sg, d, w):
-    """The term a side of `closure_equal` stands for."""
-    if sg is not None:
-        t = _go(sg, t, d)
-    return weaken(t, w, d) if w != ZERO else t
 
 
 def _side_clock(k, sg, d, w):

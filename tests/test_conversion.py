@@ -22,7 +22,7 @@ from cctt.syntax import (
     ElimCase, ForceApp, Forall, Fst, HComp, Hit, HitSignature, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, Substitution, System,
     Telescope, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    structural_equal, weaken,
+    _CLK, _IVL, _IVLS, _SAME, _TCK, _WALKED, structural_equal, weaken,
 )
 from cctt.ticks import extend
 from oracles import OutOfReach, naive_subst, reference_normal, reference_whnf
@@ -299,6 +299,80 @@ class TestConv:
 
 
 # --------------------------------------------------------------------------
+# Every field that is not a subterm matters to conversion
+# --------------------------------------------------------------------------
+
+def _point_signature(name):
+    """A data type with two point constructors, `tt` and `ff`."""
+    return HitSignature(name, Telescope(()), 0, tuple(
+        Constructor(label, Telescope(()), (), 0, FBOT, ())
+        for label in ("tt", "ff")))
+
+
+# Two clocks, a tick on each, a term variable and two interval variables.
+_FIELD_CTX = Context((EClock(), EClock(), ETick(0), ETick(1), EVar(U(0)),
+                      EIVar(), EIVar()))
+_X = Var(0)
+_BOOL_ELIM = ClockElim("bool", 0, (), U(0),
+                       (ElimCase("tt", 0, 0, 0, U(0)),
+                        ElimCase("ff", 0, 0, 0, U(0))), _X)
+
+# Per field of a binder-table row that holds a clock, a tick, an interval
+# expression or face, interval arguments, or a value compared as it is: a
+# head-normal or stuck term, and another value for that field.  A type
+# line that mentions its variable keeps a Kan former from reducing, and a
+# forcing keeps its diamond, since a diamond-free one is a tick
+# application.
+_FIELD_PAIRS = {
+    (PApp, "arg"): (PApp(_X, IVar(0)), IVar(1)),
+    (CApp, "clock"): (CApp(_X, 0), 1),
+    (Later, "clock"): (Later(0, U(0)), 1),
+    (TickLam, "clock"): (TickLam(0, U(0)), 1),
+    (TickApp, "tick"): (TickApp(_X, TickVar(0)), TickVar(1)),
+    (ForceApp, "clock"): (ForceApp(CApp(_X, 0), 0, Diamond()), 1),
+    (ForceApp, "tick"): (ForceApp(CApp(_X, 0), 0, Diamond()),
+                         Tirr(Diamond(), TickVar(0), IVar(0))),
+    (DFix, "clock"): (DFix(0, _X), 1),
+    (PFix, "clock"): (PFix(0, _X), 1),
+    (Comp, "face"): (Comp(PApp(_X, IVar(0)), FEq(0, 0), _X, _X), FEq(0, 1)),
+    (HComp, "face"): (HComp(_X, FEq(0, 0), _X, _X), FEq(0, 1)),
+    (Trans, "face"): (Trans(PApp(_X, IVar(0)), FEq(0, 0), _X), FEq(0, 1)),
+    (Hit, "name"): (Hit("bool", ()), "bool2"),
+    (Con, "name"): (Con("bool", "tt", (), (), (), ()), "bool2"),
+    (Con, "label"): (Con("bool", "tt", (), (), (), ()), "ff"),
+    (Con, "ivals"): (Con("tree", "node", (), (U(0),), (_X,), (IVar(0),)),
+                     (IVar(1),)),
+    (ClockElim, "name"): (_BOOL_ELIM, "bool2"),
+    (ClockElim, "n"): (_BOOL_ELIM, 1),
+}
+
+# The fields the rules make irrelevant, or whose pair cannot be built
+# head-normal or stuck, each with its reason.  None: tick irrelevance is
+# the `tirr` tick's path, not a conversion rule, so ticks are compared.
+_FIELDS_NOT_TOLD_APART = {}
+
+
+def test_every_non_subterm_field_matters_to_conversion():
+    fields = {(cls, name) for cls, row in _WALKED.items()
+              for (kind, _), name in zip(row, cls._fields)
+              if kind in (_CLK, _TCK, _IVL, _SAME, _IVLS)}
+    assert fields == set(_FIELD_PAIRS) | set(_FIELDS_NOT_TOLD_APART)
+    assert not set(_FIELD_PAIRS) & set(_FIELDS_NOT_TOLD_APART)
+    state = nat_state()
+    for name in ("bool", "bool2"):
+        state.signatures[name] = _point_signature(name)
+    for (cls, name), (t, other) in _FIELD_PAIRS.items():
+        values = [getattr(t, f) for f in cls._fields]
+        k = cls._fields.index(name)
+        assert type(t) is cls and values[k] != other
+        u = cls(*values[:k], other, *values[k + 1:])
+        for x in (t, u):
+            assert whnf(state, _FIELD_CTX, x) == x, x
+        assert not conv_tm(state, _FIELD_CTX, t, u), (t, u)
+        assert not conv_tm(state, _FIELD_CTX, u, t), (u, t)
+
+
+# --------------------------------------------------------------------------
 # The reduction machine: whnf returns the terms eager substitution gave
 # --------------------------------------------------------------------------
 
@@ -438,8 +512,8 @@ def church_expr(rng, depth):
     return App(App(MUL, a), b), va * vb
 
 
-def nat_state():
-    state = StubState()
+def nat_state(max_steps=200_000):
+    state = StubState(max_steps)
     state.signatures["nat"] = nat_signature()
     state.signatures["tree"] = node_signature()
     return state
@@ -879,13 +953,13 @@ def test_generated_closures_reduce_as_their_materialisation(seed):
     ctx = _scope_context(sigma.scope)
     runs = []
     for x in (Closure(t, sigma), sigma.apply(t)):
-        state = StubState(max_steps=2000)
+        state = nat_state(max_steps=2000)
         runs.append((_outcome(whnf, state, ctx, x), state.steps))
     assert runs[0] == runs[1]
     if runs[0][0][0] == "fuel":
         return
     try:
-        ref = _outcome(reference_whnf, StubState(max_steps=200_000), ctx,
+        ref = _outcome(reference_whnf, nat_state(), ctx,
                        naive_subst(t, **payloads))
     except OutOfReach:
         return
@@ -899,7 +973,7 @@ def _outcome_both_ways(ctx, ty, t, u):
     out = []
     for a, b in ((t, u), (u, t)):
         try:
-            out.append(conv(StubState(max_steps=300), ctx, ty, a, b))
+            out.append(conv(nat_state(max_steps=300), ctx, ty, a, b))
         except CcttError:
             out.append(None)
     return out
@@ -934,7 +1008,7 @@ def test_conversion_is_symmetric_and_a_closure_is_its_materialisation(seed):
         t, sigma, _ = generated_case(case)
         ctx = _scope_context(sigma.scope)
         m = sigma.apply(t)
-        state = StubState()
+        state = nat_state()
         assert conv(state, ctx, U(0), Closure(t, sigma), m)
         assert conv(state, ctx, U(0), m, Closure(t, sigma))
         assert state.steps == 0

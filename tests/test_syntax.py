@@ -5,7 +5,7 @@ import pytest
 from cctt import parser, syntax
 from cctt.errors import CcttError
 from cctt.interval import (
-    FAnd, FBOT, FEq, FOr, FTOP, Face, IMeet, INeg, IONE, IVar, IZERO,
+    FAnd, FBOT, FEq, FOr, FTOP, Face, IExpr, IMeet, INeg, IONE, IVar, IZERO,
     iv_map_vars,
 )
 from cctt.parser import (
@@ -18,8 +18,9 @@ from cctt.syntax import (
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, ElimCase,
     ForceApp, Forall, Fst, HComp, Hit, HitSignature, IVAL, K0, Lam, Later,
     PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd, System, TERM, TICK,
-    Substitution, Telescope, Term, TickApp, TickLam, TickVar, Tirr, TopRef,
-    Trans, U, Var, ZERO, _shift_subst, closure_equal, loose_bound,
+    Substitution, Telescope, Term, Tick, TickApp, TickLam, TickVar, Tirr,
+    TopRef, Trans, U, Var, ZERO, _CASES, _CLK, _IVL, _IVLS, _PARTS, _SAME,
+    _SUB, _SUBS, _TCK, _WALKED, _shift_subst, closure_equal, loose_bound,
     structural_equal, subst, weaken,
 )
 from cctt.ticks import apply_mask, bind, force, lookup_clock, timeless
@@ -547,3 +548,29 @@ def test_records_take_their_fields_by_name_and_default():
     assert Telescope().types == ()
     with pytest.raises(TypeError, match="'arg'"):
         App(Var(0))
+
+
+# The kinds of binder-table entry a field may have, by its annotation; an
+# `int` is a clock when the field is named so.
+_KINDS = {Term: {_SUB}, Tick: {_TCK}, IExpr: {_IVL}, Face: {_IVL},
+          str: {_SAME}, int: {_SAME}, tuple: {_SUBS, _IVLS, _CASES, _PARTS}}
+
+
+def test_binder_table_describes_every_field_of_every_former():
+    # Every term class but the leaves, which know their bound from the
+    # start, has a row: one entry per field, of the kind its annotation
+    # says, and a count of binders for a subterm only.
+    leaves = {Var, U, TopRef}
+    assert set(_WALKED) == set(Term.__subclasses__()) - leaves
+    for cls in leaves:
+        assert "_loose" in vars(cls)
+    for cls, row in _WALKED.items():
+        assert len(row) == len(cls._fields), cls
+        for (kind, by), name in zip(row, cls._fields):
+            ann = cls.__annotations__[name]
+            want = {_CLK} if ann is int and name == "clock" else _KINDS[ann]
+            assert kind in want, (cls, name)
+            if kind is _SUB:
+                assert len(by) == 4 and sum(by) <= 1, (cls, name)
+            else:
+                assert by is None, (cls, name)

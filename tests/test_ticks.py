@@ -17,7 +17,7 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    loose_bound, subst, weaken, weaken_iv, weaken_tick,
+    _WALKED, loose_bound, subst, weaken, weaken_iv, weaken_tick,
 )
 from cctt.ticks import (
     apply_mask, identity_subst, residual_mask, strengthen_term, subst_apply,
@@ -361,10 +361,14 @@ def _face(rng, n):
 
 class _Terms:
     """Random terms over a scope of n = [terms, clocks, ticks, ivals]
-    variables.  The tick variables in `forced` go to forcing ticks, and
-    tick applications on them are frequent; the function applied to a tick
-    whose leftmost variable is one of them does not mention that
-    variable, since it is typed in a residual without it."""
+    variables, of every term former.  The tick variables in `forced` go to
+    forcing ticks, and tick applications on them are frequent; the
+    function applied to a tick whose leftmost variable is one of them does
+    not mention that variable, since it is typed in a residual without it.
+    Data types, constructors and eliminators are named after `tree`
+    (`test_conversion.node_signature`), whose `node` takes an argument, a
+    recursive argument and an interval variable, so that reduction finds
+    their signature; their parameters are not the signature's."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -408,7 +412,7 @@ class _Terms:
         if live and rng.random() < 0.3:
             f = rng.choice(live)
             return TickApp(go(avoid=avoid | {f}), self.tick(n, avoid, f))
-        kind = rng.randrange(15)
+        kind = rng.randrange(25)
         if kind == 0:
             return rng.choice(leaves)
         if kind == 1:
@@ -448,6 +452,37 @@ class _Terms:
             inner = bump(3)
             return Comp(go(inner), _face(rng, n[3]),
                         System(((_face(rng, inner[3]), go(inner)),)), go())
+        if kind == 15:
+            return Sigma(go(), go(bump(0)))
+        if kind == 16:
+            return Pair(go(), go())
+        if kind == 17:
+            return rng.choice((Fst, Snd))(go())
+        if kind == 18:
+            return PathT(go(), go(), go())
+        if kind == 19 and n[1]:
+            return PFix(rng.randrange(n[1]), go())
+        if kind == 20:
+            return Trans(go(bump(3)), _face(rng, n[3]), go())
+        if kind == 21:
+            return Hit("tree", tuple(go() for _ in range(rng.randrange(2))))
+        if kind == 22:
+            return Con("tree", "node",
+                       tuple(go() for _ in range(rng.randrange(2))),
+                       (go(),), (go(),), (_ival(rng, n[3]),))
+        if kind == 23:
+            # A node case binds its argument, its recursive argument and
+            # that one's induction hypothesis, and an interval variable.
+            node = [n[0] + 3, n[1], n[2], n[3] + 1]
+            return ClockElim(
+                "tree", 0, tuple(go() for _ in range(rng.randrange(2))),
+                go(bump(0)),
+                (ElimCase("leaf", 0, 0, 0, go()),
+                 ElimCase("node", 1, 1, 1, go(node))),
+                go())
+        if kind == 24:
+            return System(tuple((_face(rng, n[3]), go())
+                                for _ in range(rng.randrange(1, 3))))
         return rng.choice(leaves)
 
 
@@ -510,16 +545,27 @@ def test_loose_bound_agrees_with_free_indices(seed):
         assert loose_bound(u) == bound_of(u), u
 
 
+def _classes(x):
+    """The classes of x and of every record and tuple inside it."""
+    inner = x if type(x) is tuple else \
+        [getattr(x, name) for name in getattr(type(x), "_fields", ())]
+    return {type(x)}.union(*map(_classes, inner))
+
+
 def test_generated_cases_cover_every_sort_and_the_forcing_rule():
     payload_sorts = set()
+    formers = set()
     promoted = 0
     for seed in SEEDS:
         t, sigma, payloads = generated_case(seed)
         payload_sorts |= {k for k in ("terms", "clocks", "ticks", "ivals")
                           if payloads[k]}
+        formers |= _classes(t)
         got = repr(subst_apply(sigma, t))
         promoted += got.count("ForceApp") > repr(t).count("ForceApp")
     assert len(payload_sorts) == 4
+    # Every former the walks read off the binder table is substituted.
+    assert set(_WALKED) <= formers, set(_WALKED) - formers
     assert promoted >= 10
 
 
