@@ -36,6 +36,17 @@ exist: a context entry, a term built around it, an error's payload, the
 form `whnf` gives, and a forcing application's later type that may
 mention its tick.
 
+The input's common nestings are read in loops, so that their depth costs
+heap, not a Python frame a level (Coquand's algorithm reads a telescope
+the same way): `infer` reads a telescope of Π, Σ, ∀ and ▷ types, checking
+each domain and pushing each binder, and walks an application spine to its
+head once, then checks each argument along the head's telescope; `check`
+goes on in the same loop with an abstraction's body and a pair's second
+component, so a `\\x.` nest against a Π telescope is one loop; and
+`check_constructor_app` checks a chain of constructors, each a recursive
+argument of the one before, on an explicit stack.  Each loop takes the
+steps the recursion took and raises the first error it raised.
+
 Each instantiation of a signature's telescopes has one builder:
 `_check_telescope` checks parameters or constructor arguments against
 their telescope, each type pending on the values before it
@@ -88,11 +99,6 @@ class CheckState:
         self.steps = 0
         self.signatures = {}
         self.definitions = {}
-
-    def step(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            fuel_exhausted(self)
 
     def signature(self, name):
         try:
@@ -162,10 +168,30 @@ def infer(state, ctx, t):
         case U(n):
             return U(n + 1)
 
-        case Pi(dom, cod) | Sigma(dom, cod):
-            n1 = check_is_type(state, ctx, dom)
-            n2 = check_is_type(state, ctx.push(EVar(dom)), cod)
-            return U(max(n1, n2))
+        case Pi() | Sigma() | Forall() | Later():
+            # A telescope of these in one loop: each domain is checked, and
+            # each binder pushed in turn.  An inner one costs the step
+            # `check_is_type` takes on its universe: charged at the end,
+            # where the recursion charged it.
+            level, inner = 0, -1
+            while True:
+                cls = type(t)
+                if cls is Pi or cls is Sigma:
+                    level = max(level, check_is_type(state, ctx, t.dom))
+                    ctx, t = ctx.push(EVar(t.dom)), t.cod
+                elif cls is Forall:
+                    ctx, t = ctx.push(EClock()), t.body
+                elif cls is Later:
+                    _check_clock(ctx, t.clock)
+                    ctx, t = ctx.push(ETick(t.clock)), t.ty
+                else:
+                    break
+                inner += 1
+            level = max(level, check_is_type(state, ctx, t))
+            state.steps += inner
+            if state.steps > state.max_steps:
+                fuel_exhausted(state)
+            return U(level)
 
         case PathT(a, left, right):
             n = check_is_type(state, ctx, a)
@@ -173,25 +199,27 @@ def infer(state, ctx, t):
             check(state, ctx, right, a)
             return U(n)
 
-        case Forall(body):
-            return U(check_is_type(state, ctx.push(EClock()), body))
-
-        case Later(clock, body):
-            _check_clock(ctx, clock)
-            return U(check_is_type(state, ctx.push(ETick(clock)), body))
-
         case Hit(name, params):
             sig = state.signature(name)
             _check_hit_params(state, ctx, sig, params)
             return U(sig.level)
 
-        case App(fn, arg):
-            fty, env = _whnf_env(state, ctx, infer(state, ctx, fn))
-            if not isinstance(fty, Pi):
-                raise NotAFunction("application head is not a function",
-                                   actual=_materialise(fty, env))
-            check(state, ctx, arg, close(env, fty.dom))
-            return _instance(fty.cod, env, ctx.counts, TERM, arg)
+        case App():
+            # The spine is walked to its head once; then each argument, the
+            # innermost first, is checked along the head's telescope.
+            args = []
+            while type(t) is App:
+                args.append(t.arg)
+                t = t.fn
+            ty = infer(state, ctx, t)
+            for arg in reversed(args):
+                fty, env = _whnf_env(state, ctx, ty)
+                if type(fty) is not Pi:
+                    raise NotAFunction("application head is not a function",
+                                       actual=_materialise(fty, env))
+                check(state, ctx, arg, close(env, fty.dom))
+                ty = _instance(fty.cod, env, ctx.counts, TERM, arg)
+            return ty
 
         case Fst(p):
             pty, env = _whnf_env(state, ctx, infer(state, ctx, p))
@@ -384,91 +412,82 @@ _INTRODUCTIONS = frozenset({Lam, Pair, PLam, CLam, TickLam, System, Con})
 
 
 def check(state, ctx, t, expected):
-    """Check t against `expected`, a term or a closure."""
-    if type(t) not in _INTRODUCTIONS:
-        got = infer(state, ctx, t)
-        if not _subtype(state, ctx, got, expected):
-            raise TypeMismatch("types do not match",
-                               expected=whnf(state, ctx, expected),
-                               actual=force(got))
-        return
-    ety = whnf(state, ctx, expected)
-    match (t, ety):
-        case (Lam(body), Pi(dom, cod)):
-            check(state, ctx.push(EVar(dom)), body, cod)
-            return
-
-        case (Lam(_), _):
-            raise TypeMismatch("function against a non-function type",
-                               expected=ety, actual=t)
-
-        case (Pair(fst, snd), Sigma(a, b)):
-            check(state, ctx, fst, a)
-            check(state, ctx, snd, _instance(b, None, ctx.counts, TERM, fst))
-            return
-
-        case (Pair(_, _), _):
-            raise TypeMismatch("pair against a non-pair type",
-                               expected=ety, actual=t)
-
-        case (PLam(body), PathT(a, left, right)):
-            _check_path_lam(state, ctx, body, a, left, right)
-            return
-
-        case (PLam(_), _):
-            raise TypeMismatch("path abstraction against a non-path type",
-                               expected=ety, actual=t)
-
-        case (CLam(body), Forall(bty)):
-            check(state, ctx.push(EClock()), body, bty)
-            return
-
-        case (CLam(_), _):
-            raise TypeMismatch(
-                "clock abstraction against an unquantified type",
-                expected=ety, actual=t,
-            )
-
-        case (TickLam(clock, body), Later(clock2, bty)):
-            if clock != clock2:
-                raise ClockMismatch(
-                    f"tick abstraction on clock {clock} against a later "
-                    f"type on clock {clock2}"
-                )
-            check(state, ctx.push(ETick(clock)), body, bty)
-            return
-
-        case (TickLam(_, _), _):
-            raise TypeMismatch("tick abstraction against a non-later type",
-                               expected=ety, actual=t)
-
-        case (System(parts), _):
-            check_system(state, ctx, parts, ety)
-            return
-
-        case (Con(name, label, params, args, recs, ivals), Hit(n2, ep)):
-            if name != n2:
-                raise TypeMismatch("constructor of a different data type",
-                                   expected=ety, actual=t)
-            sig = state.signature(name)
-            if not params and sig.params.types:
-                params = ep  # elaborate the omitted parameters
-            # Parameters equal to the expected type's are well formed, and
-            # the type they give is the expected one.
-            same = params is ep or structural_equal(params, ep)
-            got = check_constructor_app(state, ctx, sig, label, params,
-                                        args, recs, ivals, same)
-            if not same and not conv(state, ctx, U(sig.level), got, ety):
-                raise TypeMismatch("constructor parameters disagree",
-                                   expected=ety, actual=got)
-            return
-
-        case _:
+    """Check t against `expected`, a term or a closure.  A body checked
+    last, under an abstraction or as a pair's second component, is checked
+    in the same loop: a `\\x.` nest against a Π telescope pushes each domain
+    and goes on with the codomain."""
+    while True:
+        if type(t) not in _INTRODUCTIONS:
             got = infer(state, ctx, t)
-            if not _subtype(state, ctx, got, ety):
+            if not _subtype(state, ctx, got, expected):
                 raise TypeMismatch("types do not match",
-                                   expected=ety, actual=force(got))
+                                   expected=whnf(state, ctx, expected),
+                                   actual=force(got))
             return
+        ety = whnf(state, ctx, expected)
+        match (t, ety):
+            case (Lam(body), Pi(dom, cod)):
+                ctx, t, expected = ctx.push(EVar(dom)), body, cod
+
+            case (Lam(_), _):
+                raise TypeMismatch("function against a non-function type",
+                                   expected=ety, actual=t)
+
+            case (Pair(fst, snd), Sigma(a, b)):
+                check(state, ctx, fst, a)
+                t, expected = snd, _instance(b, None, ctx.counts, TERM, fst)
+
+            case (Pair(_, _), _):
+                raise TypeMismatch("pair against a non-pair type",
+                                   expected=ety, actual=t)
+
+            case (PLam(body), PathT(a, left, right)):
+                _check_path_lam(state, ctx, body, a, left, right)
+                return
+
+            case (PLam(_), _):
+                raise TypeMismatch("path abstraction against a non-path type",
+                                   expected=ety, actual=t)
+
+            case (CLam(body), Forall(bty)):
+                ctx, t, expected = ctx.push(EClock()), body, bty
+
+            case (CLam(_), _):
+                raise TypeMismatch(
+                    "clock abstraction against an unquantified type",
+                    expected=ety, actual=t,
+                )
+
+            case (TickLam(clock, body), Later(clock2, bty)):
+                if clock != clock2:
+                    raise ClockMismatch(
+                        f"tick abstraction on clock {clock} against a later "
+                        f"type on clock {clock2}"
+                    )
+                ctx, t, expected = ctx.push(ETick(clock)), body, bty
+
+            case (TickLam(_, _), _):
+                raise TypeMismatch("tick abstraction against a non-later "
+                                   "type", expected=ety, actual=t)
+
+            case (System(parts), _):
+                check_system(state, ctx, parts, ety)
+                return
+
+            case (Con(name, label, params, args, recs, ivals), Hit(n2, _)):
+                if name != n2:
+                    raise TypeMismatch("constructor of a different data type",
+                                       expected=ety, actual=t)
+                check_constructor_app(state, ctx, state.signature(name),
+                                      label, params, args, recs, ivals, ety)
+                return
+
+            case _:
+                got = infer(state, ctx, t)
+                if not _subtype(state, ctx, got, ety):
+                    raise TypeMismatch("types do not match",
+                                       expected=ety, actual=force(got))
+                return
 
 
 def _check_path_lam(state, ctx, body, a, left, right):
@@ -754,37 +773,86 @@ def _boundary_context(sig, ctor, cctx):
 # --------------------------------------------------------------------------
 
 def check_constructor_app(state, ctx, sig, label, params, args, recs,
-                          ivals, params_known=False):
-    """The type of a constructor application; parameters known to be well
-    formed (`params_known`) are not checked again."""
-    try:
-        ctor = sig.constructor(label)
-    except KeyError:
-        raise UnboundVariable(f"{sig.name} has no constructor {label}")
-    if len(args) != len(ctor.args.types):
-        raise ArityMismatch(
-            f"{label} expects {len(ctor.args.types)} arguments, got "
-            f"{len(args)}"
-        )
-    if len(recs) != len(ctor.rec_arities):
-        raise ArityMismatch(
-            f"{label} expects {len(ctor.rec_arities)} recursive arguments, "
-            f"got {len(recs)}"
-        )
-    if len(ivals) != ctor.ivar_count:
-        raise ArityMismatch(
-            f"{label} expects {ctor.ivar_count} interval arguments, got "
-            f"{len(ivals)}"
-        )
-    if not params_known:
-        _check_hit_params(state, ctx, sig, params)
-    _check_telescope(state, ctx, params, args, ctor.args.types)
-    for k, arity in enumerate(ctor.rec_arities):
-        check(state, ctx, recs[k],
-              _rec_fn_type(ctx.counts, sig, arity, params, args))
-    for r in ivals:
-        _check_iv(ctx, r)
-    return Hit(sig.name, tuple(params))
+                          ivals, expected=None):
+    """The type of a constructor application of the data type `sig`: the
+    data type at its parameters.  Against `expected`, the data type `check`
+    found (a `Hit`), omitted parameters are the expected ones, parameters
+    equal to them (the same or `structural_equal`) are taken as well formed
+    and the type as the expected one, and others are checked and the type
+    compared by `conv`.
+
+    A recursive argument of empty arity that is a constructor is checked
+    in the same loop, on an explicit stack, and charged the step `whnf`
+    takes on its expected type.  Errors come in the recursion's order: a
+    constructor's arguments, its recursive arguments depth first, then its
+    interval arguments and its parameters' agreement."""
+    stack = []   # (term, expected type), or (ivals, (type, expected))
+    result = None
+    while True:
+        if expected is not None:
+            ep = expected.params
+            if not params and sig.params.types:
+                params = ep  # elaborate the omitted parameters
+            same = params is ep or structural_equal(params, ep)
+        else:
+            same = False
+        try:
+            ctor = sig.constructor(label)
+        except KeyError:
+            raise UnboundVariable(f"{sig.name} has no constructor {label}")
+        if len(args) != len(ctor.args.types):
+            raise ArityMismatch(
+                f"{label} expects {len(ctor.args.types)} arguments, got "
+                f"{len(args)}"
+            )
+        if len(recs) != len(ctor.rec_arities):
+            raise ArityMismatch(
+                f"{label} expects {len(ctor.rec_arities)} recursive "
+                f"arguments, got {len(recs)}"
+            )
+        if len(ivals) != ctor.ivar_count:
+            raise ArityMismatch(
+                f"{label} expects {ctor.ivar_count} interval arguments, got "
+                f"{len(ivals)}"
+            )
+        if not same:
+            _check_hit_params(state, ctx, sig, params)
+        _check_telescope(state, ctx, params, args, ctor.args.types)
+        got = expected if same else Hit(sig.name, tuple(params))
+        if result is None:
+            result = got
+        if ivals or not same:
+            stack.append((ivals, (got, expected)))
+        for k in range(len(recs) - 1, -1, -1):
+            arity = ctor.rec_arities[k]
+            stack.append((recs[k], _rec_fn_type(ctx.counts, sig, arity,
+                                                params, args)
+                          if arity.types else got))
+        # The next pending check that is not a constructor of this loop.
+        while True:
+            if not stack:
+                return result
+            t, expected = stack.pop()
+            if type(t) is tuple:
+                for r in t:
+                    _check_iv(ctx, r)
+                got, expected = expected
+                if got is not expected and expected is not None \
+                        and not conv(state, ctx, U(sig.level), got, expected):
+                    raise TypeMismatch("constructor parameters disagree",
+                                       expected=expected, actual=got)
+            elif type(t) is Con and type(expected) is Hit:
+                state.steps += 1
+                if state.steps > state.max_steps:
+                    fuel_exhausted(state)
+                if t.name != expected.name:
+                    raise TypeMismatch("constructor of a different data type",
+                                       expected=expected, actual=t)
+                label, params, args = t.label, t.params, t.args
+                recs, ivals = t.recs, t.ivals
+                break
+            else:
+                check(state, ctx, t, expected)
 
 
 def _rec_fn_type(scope, sig, arity, params, args):

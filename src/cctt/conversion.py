@@ -68,9 +68,9 @@ from .syntax import (
     Context, DFix, Diamond, EClock, EIVar, ETick, EVar, Fst,
     ForceApp, Forall, HComp, Hit, IVAL, Lam, Later, PApp, PFix, PLam, Pair,
     PathT, Pi, Sigma, Snd, Substitution, System, TERM, TICK, TickApp, TickLam,
-    TickVar, Tirr, TopRef, Trans, U, Var, ZERO, C1, I1, T1, K1,
-    _shift_subst, close, closure_equal, loose_bound, shape, strengthen, subst,
-    then, weaken, weaken_iv,
+    TickVar, Tirr, TopRef, Trans, U, Var, ZERO, C1, I1, T1, K1, _SORTS,
+    _WALKED, _shift_subst, close, closure_equal, loose_bound, shape,
+    strengthen, subst, then, weaken, weaken_iv,
 )
 from .ticks import (
     bind, bind_at, clause_subst, extend, force, has_forcing_tick, image_iv,
@@ -167,22 +167,46 @@ def _whnf_env(state, ctx, t, env=None):
             fuel_exhausted(state)
         return t, env
     spine = []   # arguments, innermost last: closures and clock indices
+    counts = ctx.counts
     while True:
         # The machine's own cases run once per step: they test the type
-        # directly rather than through `match`.
+        # directly rather than through `match`, and the commonest read and
+        # extend the environment inline (as `ticks.lookup`, `syntax.close`
+        # and `ticks.bind` would).
         cls = type(t)
         if cls is Var and env is not None:
-            t, env = lookup(env, t.ix)  # not a step
+            block = env.block[0]   # not a step
+            if t.ix < len(block):
+                t = block[t.ix]
+                if type(t) is Closure:
+                    t, env = t.term, t.env
+                else:
+                    env = None
+            else:
+                t, env = lookup(env, t.ix)
             continue
         state.steps += 1
         if state.steps > limit:
             fuel_exhausted(state)
         if cls is App:
-            spine.append(close(env, t.arg))
+            x = t.arg
+            if env is not None:
+                if type(x) is not Var:
+                    x = Closure(x, env)
+                elif type(env) is Substitution and x.ix < len(env.block[0]):
+                    x = env.block[0][x.ix]
+                else:
+                    x = close(env, x)
+            spine.append(x)
             t = t.fn
             continue
         if cls is Lam and spine and type(spine[-1]) is not int:
-            env = bind(env, ctx.counts, TERM, spine.pop())
+            if env is None:
+                env = Substitution(counts, ((spine.pop(),), (), (), ()))
+            else:
+                block = env.block
+                env = Substitution(counts, ((spine.pop(),) + block[0],
+                                            *block[1:]), env.shift)
             t = t.body
             continue
         if cls is CApp:
@@ -191,7 +215,7 @@ def _whnf_env(state, ctx, t, env=None):
             t = t.fn
             continue
         if cls is CLam and spine and type(spine[-1]) is int:
-            env = bind(env, ctx.counts, CLOCK, spine.pop())
+            env = bind(env, counts, CLOCK, spine.pop())
             t = t.body
             continue
         if cls is TopRef:
@@ -206,7 +230,7 @@ def _whnf_env(state, ctx, t, env=None):
             if ctor.face:
                 ivals = _ivals_under(env, t.ivals)
                 if face_is_true(_ctor_face(ctor, ivals)):
-                    t, env = _boundary_fire(ctx.counts, ctor, env, t.params,
+                    t, env = _boundary_fire(counts, ctor, env, t.params,
                                             t.args, t.recs, ivals)
                     continue
             return _stuck(t, env, spine)
@@ -227,7 +251,7 @@ def _whnf_env(state, ctx, t, env=None):
                 r = image_iv(env, r)
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is PLam:
-                    t, env = fn.body, bind(fenv, ctx.counts, IVAL, r)
+                    t, env = fn.body, bind(fenv, counts, IVAL, r)
                     continue
                 fn, env = _materialise(fn, fenv), None
                 unfolded = _pfix_unfold(state, ctx, fn)
@@ -245,7 +269,7 @@ def _whnf_env(state, ctx, t, env=None):
                 u = tick_whnf(image_tick(env, u))
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is TickLam:
-                    t, env = fn.body, bind(fenv, ctx.counts, TICK, u)
+                    t, env = fn.body, bind(fenv, counts, TICK, u)
                 else:
                     return _stuck(TickApp(_materialise(fn, fenv), u), None,
                                   spine)
@@ -258,7 +282,7 @@ def _whnf_env(state, ctx, t, env=None):
                 if not tick_has_diamond(u):
                     # Diamond-free forcing demotes to a simple application;
                     # its tick, clock-free, reads the same under the clock.
-                    t, env = TickApp(fn, tick), bind(env, ctx.counts, CLOCK, k)
+                    t, env = TickApp(fn, tick), bind(env, counts, CLOCK, k)
                     continue
                 # fn binds the clock: it is reduced under env lifted past
                 # it, and what it reduces to continues with the clock sent
@@ -268,17 +292,17 @@ def _whnf_env(state, ctx, t, env=None):
                 if type(fn) is TickLam and not loose_bound(fn.body)[2]:
                     # The body, tick-free, reads the clock as k.
                     t, env = fn.body, then(
-                        fenv, bind(None, ctx.counts, CLOCK, k))
+                        fenv, bind(None, counts, CLOCK, k))
                 elif type(fn) is TickLam:
                     # The forcing tick turns a tick application on the
                     # bound tick into a forcing one, abstracting the clock
                     # again: it is substituted into the body built.
                     t, env = _materialise(fn, fenv).body, subst(
-                        ctx.counts, clocks=(k,), ticks=(CForcedTick(0, u),))
+                        counts, clocks=(k,), ticks=(CForcedTick(0, u),))
                 elif type(fn) is DFix and type(u) is Diamond \
                         and _clock_under(fenv, fn.clock) == 0:
                     t, env = App(fn.fn, fn), then(
-                        fenv, bind(None, ctx.counts, CLOCK, k))
+                        fenv, bind(None, counts, CLOCK, k))
                 else:
                     return _stuck(ForceApp(_materialise(fn, fenv), k, u),
                                   None, spine)
@@ -300,7 +324,7 @@ def _whnf_env(state, ctx, t, env=None):
             case Comp(_, face, tube, _) | HComp(_, face, tube, _) \
                     if face_is_true(image_iv(env, face)):
                 # The tube at the end of the line.
-                t, env = tube, bind(env, ctx.counts, IVAL, IONE)
+                t, env = tube, bind(env, counts, IVAL, IONE)
 
             case System(parts):
                 for phi, u in parts:
@@ -908,10 +932,21 @@ def _eta(x, by):
 # give.
 _DUMMY = U(0)
 
-# Per abstraction, the count and the sort of its binder, and its context
-# entry (a tick's is on the abstraction's clock).
-_ABSTRACTIONS = {Lam: (T1, TERM, EVar(_DUMMY)), PLam: (I1, IVAL, EIVar()),
-                 CLam: (C1, CLOCK, EClock()), TickLam: (K1, TICK, None)}
+# Per sort, the context entry of a binder of it where the comparison has no
+# type to give (a tick's is on its abstraction's clock: none here).
+_ENTRY = {TERM: EVar(_DUMMY), CLOCK: EClock(), TICK: None, IVAL: EIVar()}
+
+
+def _abstraction(cls):
+    """The count and the sort of the binder of the abstraction class cls,
+    as its body's entry in `syntax._WALKED` gives them, and its entry."""
+    by = _WALKED[cls][-1][1]
+    sort = _SORTS[by.index(1)]
+    return by, sort, _ENTRY[sort]
+
+
+# Per abstraction, in the order `_opened` tries them.
+_ABSTRACTIONS = {cls: _abstraction(cls) for cls in (Lam, PLam, CLam, TickLam)}
 
 
 def conv_tm(state, ctx, t, u):

@@ -854,7 +854,8 @@ class Substitution:
         self.shift = shift
         self.depth = depth
         self.slack = None
-        self._memo = {}   # (sort, block index, depth) -> weakened payload
+        # (sort, block index, depth) -> weakened payload; made on first use.
+        self._memo = None
 
     def under(self, by):
         """The substitution lifted under `by` more binders."""
@@ -1041,7 +1042,10 @@ def _image(sg, si, ix, depth):
         if si == 1:
             return _shift_clock(block[k], depth[1])
         key = (si, k, depth)
-        out = sg._memo.get(key)
+        memo = sg._memo
+        if memo is None:
+            memo = sg._memo = {}
+        out = memo.get(key)
         if out is None:
             p = block[k]
             if p is ESCAPE:
@@ -1049,7 +1053,7 @@ def _image(sg, si, ix, depth):
                                  "survive the residual context")
             if type(p) is Closure:
                 p = p.force()
-            out = sg._memo[key] = p if depth == ZERO else \
+            out = memo[key] = p if depth == ZERO else \
                 _weaken_payload(si, p, depth)
         return out
     x = k - len(block) + sg.shift[si]

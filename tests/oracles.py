@@ -665,6 +665,13 @@ def _has_diamond(u):
     return type(u) is Diamond
 
 
+def _step(state):
+    """Charge one step of the reference machine to state's fuel."""
+    state.steps += 1
+    if state.steps > state.max_steps:
+        raise FuelExhausted(f"exceeded the step budget of {state.max_steps}")
+
+
 def reference_whnf(state, ctx, t):
     """The weak-head normal form of t in ctx, one redex at a time: a beta
     redex of any sort, the forcing beta rule, a dfix or pfix unfolding, a
@@ -673,7 +680,7 @@ def reference_whnf(state, ctx, t):
     definitions, signatures, fuel (a step per redex looked at) and the
     inference a path endpoint asks for."""
     while True:
-        state.step()
+        _step(state)
         match t:
             case TopRef(name):
                 body = state.definition_body(name)

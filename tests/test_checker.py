@@ -11,7 +11,7 @@ from cctt.checker import (
 from cctt.conversion import conv, conv_tm, whnf
 from cctt.errors import (
     BaseBoundaryMismatch, BoundaryIncompatible, BoundaryNotCovering, CaseBoundaryMismatch,
-    ClockMismatch, EndpointMismatch, ForwardConstructorReference,
+    CcttError, ClockMismatch, EndpointMismatch, ForwardConstructorReference,
     IncompatibleOverlap, ParseError, TickEscape, TypeMismatch,
     UnboundVariable,
 )
@@ -614,6 +614,36 @@ class TestConstructors:
             (Var(1),), (Var(0),), (), (),
         )
         assert got == Hit("pf", (Var(1),))
+
+    def test_a_chain_raises_its_errors_in_the_order_of_the_recursion(self):
+        # A chain of constructors is checked in one loop; an error is still
+        # the first one met checking each constructor's arguments, then its
+        # recursive arguments depth first, then its interval arguments.
+        state = self._state()
+        state.signatures["tree"] = HitSignature("tree", Telescope(()), 0, (
+            Constructor("leaf", Telescope(()), (), 0, FBOT, ()),
+            Constructor("node", Telescope((U(0),)), (Telescope(()),), 1,
+                        FBOT, ()),
+        ))
+        ty, leaf = Hit("tree", ()), Con("tree", "leaf", (), (), (), ())
+
+        def node(arg, rec, r):
+            return Con("tree", "node", (), (arg,), (rec,), (IVar(r),))
+
+        ctx = EMPTY.push(EIVar())
+        zero = Con("nat", "zero", (), (), (), ())
+        cases = [
+            (node(U(0), node(ty, leaf, 3), 4), "types do not match"),
+            (node(ty, node(U(0), leaf, 3), 4), "types do not match"),
+            (node(ty, node(ty, zero, 3), 4),
+             "constructor of a different data type"),
+            (node(ty, node(ty, leaf, 3), 4), "interval variable 3 is not"),
+            (node(ty, node(ty, leaf, 0), 4), "interval variable 4 is not"),
+        ]
+        for t, message in cases:
+            with pytest.raises(CcttError, match=message):
+                check(state, ctx, t, ty)
+        check(state, ctx, node(ty, node(ty, leaf, 0), 0), ty)
 
     def test_constructor_parameters_against_the_expected_type(self,
                                                                monkeypatch):

@@ -8,7 +8,9 @@ from cctt.checker import CheckState, infer
 from cctt.conversion import (
     comp_eval, conv, conv_tm, hfill, tick_whnf, whnf,
 )
-from cctt.errors import CcttError, FuelExhausted, MalformedSubstitution
+from cctt.errors import (
+    CcttError, FuelExhausted, MalformedSubstitution, UnboundVariable,
+)
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IVar, IZERO, IONE,
     face_clauses, iv_rename, iv_substitute,
@@ -44,13 +46,11 @@ class StubState:
         self.signatures = {}
         self.definitions = {}
 
-    def step(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise FuelExhausted(f"exceeded {self.max_steps} steps")
-
     def signature(self, name):
-        return self.signatures[name]
+        try:
+            return self.signatures[name]
+        except KeyError:
+            raise UnboundVariable(f"no data type named {name}", name=name)
 
     def definition_body(self, name):
         return self.definitions.get(name)
@@ -60,6 +60,15 @@ class StubState:
 
 
 EMPTY = Context()
+
+
+@pytest.mark.parametrize("make", [StubState, CheckState])
+def test_whnf_of_a_constructor_of_an_undeclared_data_type_is_an_error(make):
+    # The stub answers an unknown data type as the checker's state does, so
+    # a test that catches `CcttError` sees an error, not a traceback.
+    with pytest.raises(CcttError) as raised:
+        whnf(make(), EMPTY, Con("nat", "zero", (), (), (), ()))
+    assert type(raised.value) is UnboundVariable
 
 
 def st():

@@ -333,6 +333,70 @@ def test_a_deep_literal_checks_and_the_next_file_too(tmp_path, capsys):
                      "3 declarations: 3 passed, 0 failed, 0 skipped"]
 
 
+NAT_BOOL = ("data nat : U0 where\n  | zero\n  | succ (m : nat)\n\n"
+            "data bool : U0 where\n  | tt\n  | ff\n\n")
+
+
+def succ_chain(depth, end):
+    """`depth` nested `succ` constructors around `end`."""
+    return "succ (" * (depth - 1) + f"succ {end}" + ")" * (depth - 1)
+
+
+# Inputs the checker reads in loops, each followed by a well-typed
+# declaration: a telescope, a constructor chain, a `\x.` nest against a
+# telescope, clock and tick abstractions against ∀ and ▷ telescopes, and
+# constructor chains ill-typed at the bottom, under a constructor of
+# another data type or a universe.
+DEEP_CHECKS = {
+    "arrow": "def deep : U1 := " + " -> ".join(["U0"] * 2000)
+             + "\n\ndef after : U1 := U0 -> U0\n",
+    "literal": NAT_BOOL + "def deep : nat := " + succ_chain(3000, "zero")
+               + "\n\ndef after : nat := succ zero\n",
+    "lambdas": "def deep : " + " -> ".join(["U0"] * 501) + " := "
+               + "\\x. " * 500 + "x\n\ndef after : U0 -> U0 := \\x. x\n",
+    "clocks": "def deep : " + "forall k. " * 1000 + "U1 := "
+              + "/\\k. " * 1000 + "U0\n\ndef after : U1 := U0\n",
+    "ticks": "def deep : " + "|> (a : k0) " * 1000 + "U1 := "
+             + "tick a : k0. " * 1000 + "U0\n\ndef after : U1 := U0\n",
+    **{f"{end}{depth}": NAT_BOOL + "def deep : nat := "
+       + succ_chain(depth, end) + "\n\ndef after : nat := zero\n"
+       for end in ("tt", "U0") for depth in (10, 1000)},
+}
+
+
+def test_deep_inputs_check_at_the_default_recursion_limit(tmp_path):
+    # In a process of its own, at Python's default recursion limit, which
+    # the parent of the checker's loops exceeded on each of these.
+    paths = []
+    for name, text in DEEP_CHECKS.items():
+        paths.append(tmp_path / f"{name}.cctt")
+        paths[-1].write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cctt", "check", *map(str, paths)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
+    verdicts = {}
+    for line in proc.stdout.splitlines()[:-1]:
+        status, _, rest = line.partition(" ")
+        where, _, detail = rest.partition("  ")
+        path, _, decl = where.rpartition(":")
+        verdicts[Path(path).stem, decl] = (status, detail)
+    for name in DEEP_CHECKS:
+        assert verdicts[name, "after"] == ("PASS", ""), name
+    for name in ("arrow", "literal", "lambdas", "clocks", "ticks"):
+        assert verdicts[name, "deep"] == ("PASS", ""), name
+    # An error deep down is the one a short chain gets.
+    for end, message in (("tt", "constructor of a different data type"),
+                         ("U0", "types do not match")):
+        fail = ("FAIL", f"[TypeMismatch: {message}]")
+        assert verdicts[f"{end}10", "deep"] == fail
+        assert verdicts[f"{end}1000", "deep"] == fail
+    assert proc.stdout.splitlines()[-1] == (
+        "28 declarations: 24 passed, 4 failed, 0 skipped")
+    assert proc.returncode == 1
+
+
 def face_file(n):
     """A data type whose constructor's face is the meet of n joins
     `(i = 0) \\/ (j = 0)` over distinct variables: its normal form has 2^n

@@ -340,6 +340,25 @@ def test_traced_functions_exist():
             assert callable(vars(owner).get(attr)), f"cctt.{layer}.{qualname}"
 
 
+# The frames of the functions on the input's recursion: their locals and
+# their evaluation stack.  A larger frame moved `reduce`'s timings by more
+# than the work it saved (CHANGES.md, the FOUND line on `conv_tm`'s frame
+# size), so a change that grows one of these comes with a measurement:
+# alternating benchmark pairs, then the new figure here.  The stack sizes
+# are CPython 3.11's; another version's compiler gives others.
+FRAMES = {"conv_tm": (8, 9), "_conv_con": (8, 10), "_whnf_env": (32, 10)}
+
+
+def test_frames_on_the_recursion_keep_their_size():
+    conversion = importlib.import_module("cctt.conversion")
+    sizes = {name: (code.co_nlocals, code.co_stacksize)
+             for name in FRAMES
+             for code in [getattr(conversion, name).__code__]}
+    if sys.version_info[:2] != (3, 11):
+        sizes = {name: (n, FRAMES[name][1]) for name, (n, _) in sizes.items()}
+    assert sizes == FRAMES
+
+
 def _traced_check(path):
     """The benchmark's tracer, installed while `cli.check_file` checks the
     corpus file at path, and the report."""
@@ -438,9 +457,6 @@ def test_traced_substitution_functions_are_on_the_checking_path():
 UNREFERENCED = {
     "parse_module": "the tests' entry point to the parser",
     "print_module": "the printer of the print/parse round trip",
-    "CheckState.step": "one step of the reference machine in"
-                       " tests/oracles.py; the kernel's machine counts its"
-                       " steps inline",
 }
 
 # Top-level definitions kept only because the benchmark traces them: no
