@@ -41,11 +41,11 @@ heap, not a Python frame a level (Coquand's algorithm reads a telescope
 the same way): `infer` reads a telescope of Π, Σ, ∀ and ▷ types, checking
 each domain and pushing each binder, and walks an application spine to its
 head once, then checks each argument along the head's telescope; `check`
-goes on in the same loop with an abstraction's body and a pair's second
-component, so a `\\x.` nest against a Π telescope is one loop; and
-`check_constructor_app` checks a chain of constructors, each a recursive
-argument of the one before, on an explicit stack.  Each loop takes the
-steps the recursion took and raises the first error it raised.
+goes on in the same loop with an abstraction's body, so a `\\x.` nest
+against a Π telescope is one loop; and `check_constructor_app` checks a
+chain of constructors, each a recursive argument of the one before, on an
+explicit stack.  Each loop takes the steps the recursion took and raises
+the first error it raised.
 
 Each instantiation of a signature's telescopes has one builder:
 `_check_telescope` checks parameters or constructor arguments against
@@ -177,8 +177,9 @@ def infer(state, ctx, t):
             while True:
                 cls = type(t)
                 if cls is Pi or cls is Sigma:
-                    level = max(level, check_is_type(state, ctx, t.dom))
-                    ctx, t = ctx.push(EVar(t.dom)), t.cod
+                    dom, cod = (t.dom, t.cod) if cls is Pi else (t.fst, t.snd)
+                    level = max(level, check_is_type(state, ctx, dom))
+                    ctx, t = ctx.push(EVar(dom)), cod
                 elif cls is Forall:
                     ctx, t = ctx.push(EClock()), t.body
                 elif cls is Later:
@@ -412,10 +413,9 @@ _INTRODUCTIONS = frozenset({Lam, Pair, PLam, CLam, TickLam, System, Con})
 
 
 def check(state, ctx, t, expected):
-    """Check t against `expected`, a term or a closure.  A body checked
-    last, under an abstraction or as a pair's second component, is checked
-    in the same loop: a `\\x.` nest against a Π telescope pushes each domain
-    and goes on with the codomain."""
+    """Check t against `expected`, a term or a closure.  An abstraction's
+    body is checked in the same loop: a `\\x.` nest against a Π telescope
+    pushes each domain and goes on with the codomain."""
     while True:
         if type(t) not in _INTRODUCTIONS:
             got = infer(state, ctx, t)
@@ -435,7 +435,9 @@ def check(state, ctx, t, expected):
 
             case (Pair(fst, snd), Sigma(a, b)):
                 check(state, ctx, fst, a)
-                t, expected = snd, _instance(b, None, ctx.counts, TERM, fst)
+                check(state, ctx, snd,
+                      _instance(b, None, ctx.counts, TERM, fst))
+                return
 
             case (Pair(_, _), _):
                 raise TypeMismatch("pair against a non-pair type",
@@ -786,7 +788,7 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
     takes on its expected type.  Errors come in the recursion's order: a
     constructor's arguments, its recursive arguments depth first, then its
     interval arguments and its parameters' agreement."""
-    stack = []   # (term, expected type), or (ivals, (type, expected))
+    stack = []   # (term, expected type), or (_AGREE, ivals, type, expected)
     result = None
     while True:
         if expected is not None:
@@ -822,7 +824,7 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
         if result is None:
             result = got
         if ivals or not same:
-            stack.append((ivals, (got, expected)))
+            stack.append((_AGREE, ivals, got, expected))
         for k in range(len(recs) - 1, -1, -1):
             arity = ctor.rec_arities[k]
             stack.append((recs[k], _rec_fn_type(ctx.counts, sig, arity,
@@ -832,16 +834,18 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
         while True:
             if not stack:
                 return result
-            t, expected = stack.pop()
-            if type(t) is tuple:
-                for r in t:
+            frame = stack.pop()
+            if frame[0] is _AGREE:
+                _, ivals, got, expected = frame
+                for r in ivals:
                     _check_iv(ctx, r)
-                got, expected = expected
                 if got is not expected and expected is not None \
                         and not conv(state, ctx, U(sig.level), got, expected):
                     raise TypeMismatch("constructor parameters disagree",
                                        expected=expected, actual=got)
-            elif type(t) is Con and type(expected) is Hit:
+                continue
+            t, expected = frame
+            if type(t) is Con and type(expected) is Hit:
                 state.steps += 1
                 if state.steps > state.max_steps:
                     fuel_exhausted(state)
@@ -851,8 +855,13 @@ def check_constructor_app(state, ctx, sig, label, params, args, recs,
                 label, params, args = t.label, t.params, t.args
                 recs, ivals = t.recs, t.ivals
                 break
-            else:
-                check(state, ctx, t, expected)
+            check(state, ctx, t, expected)
+
+
+# The frame of `check_constructor_app`'s stack that checks a constructor's
+# interval arguments and the agreement of its type with the expected one,
+# once its recursive arguments are checked.
+_AGREE = object()
 
 
 def _rec_fn_type(scope, sig, arity, params, args):

@@ -167,46 +167,22 @@ def _whnf_env(state, ctx, t, env=None):
             fuel_exhausted(state)
         return t, env
     spine = []   # arguments, innermost last: closures and clock indices
-    counts = ctx.counts
     while True:
         # The machine's own cases run once per step: they test the type
-        # directly rather than through `match`, and the commonest read and
-        # extend the environment inline (as `ticks.lookup`, `syntax.close`
-        # and `ticks.bind` would).
+        # directly rather than through `match`.
         cls = type(t)
         if cls is Var and env is not None:
-            block = env.block[0]   # not a step
-            if t.ix < len(block):
-                t = block[t.ix]
-                if type(t) is Closure:
-                    t, env = t.term, t.env
-                else:
-                    env = None
-            else:
-                t, env = lookup(env, t.ix)
+            t, env = lookup(env, t.ix)  # not a step
             continue
         state.steps += 1
         if state.steps > limit:
             fuel_exhausted(state)
         if cls is App:
-            x = t.arg
-            if env is not None:
-                if type(x) is not Var:
-                    x = Closure(x, env)
-                elif type(env) is Substitution and x.ix < len(env.block[0]):
-                    x = env.block[0][x.ix]
-                else:
-                    x = close(env, x)
-            spine.append(x)
+            spine.append(close(env, t.arg))
             t = t.fn
             continue
         if cls is Lam and spine and type(spine[-1]) is not int:
-            if env is None:
-                env = Substitution(counts, ((spine.pop(),), (), (), ()))
-            else:
-                block = env.block
-                env = Substitution(counts, ((spine.pop(),) + block[0],
-                                            *block[1:]), env.shift)
+            env = bind(env, ctx.counts, TERM, spine.pop())
             t = t.body
             continue
         if cls is CApp:
@@ -215,7 +191,7 @@ def _whnf_env(state, ctx, t, env=None):
             t = t.fn
             continue
         if cls is CLam and spine and type(spine[-1]) is int:
-            env = bind(env, counts, CLOCK, spine.pop())
+            env = bind(env, ctx.counts, CLOCK, spine.pop())
             t = t.body
             continue
         if cls is TopRef:
@@ -230,7 +206,7 @@ def _whnf_env(state, ctx, t, env=None):
             if ctor.face:
                 ivals = _ivals_under(env, t.ivals)
                 if face_is_true(_ctor_face(ctor, ivals)):
-                    t, env = _boundary_fire(counts, ctor, env, t.params,
+                    t, env = _boundary_fire(ctx.counts, ctor, env, t.params,
                                             t.args, t.recs, ivals)
                     continue
             return _stuck(t, env, spine)
@@ -251,7 +227,7 @@ def _whnf_env(state, ctx, t, env=None):
                 r = image_iv(env, r)
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is PLam:
-                    t, env = fn.body, bind(fenv, counts, IVAL, r)
+                    t, env = fn.body, bind(fenv, ctx.counts, IVAL, r)
                     continue
                 fn, env = _materialise(fn, fenv), None
                 unfolded = _pfix_unfold(state, ctx, fn)
@@ -269,7 +245,7 @@ def _whnf_env(state, ctx, t, env=None):
                 u = tick_whnf(image_tick(env, u))
                 fn, fenv = _whnf_env(state, ctx, fn, env)
                 if type(fn) is TickLam:
-                    t, env = fn.body, bind(fenv, counts, TICK, u)
+                    t, env = fn.body, bind(fenv, ctx.counts, TICK, u)
                 else:
                     return _stuck(TickApp(_materialise(fn, fenv), u), None,
                                   spine)
@@ -282,7 +258,7 @@ def _whnf_env(state, ctx, t, env=None):
                 if not tick_has_diamond(u):
                     # Diamond-free forcing demotes to a simple application;
                     # its tick, clock-free, reads the same under the clock.
-                    t, env = TickApp(fn, tick), bind(env, counts, CLOCK, k)
+                    t, env = TickApp(fn, tick), bind(env, ctx.counts, CLOCK, k)
                     continue
                 # fn binds the clock: it is reduced under env lifted past
                 # it, and what it reduces to continues with the clock sent
@@ -292,17 +268,17 @@ def _whnf_env(state, ctx, t, env=None):
                 if type(fn) is TickLam and not loose_bound(fn.body)[2]:
                     # The body, tick-free, reads the clock as k.
                     t, env = fn.body, then(
-                        fenv, bind(None, counts, CLOCK, k))
+                        fenv, bind(None, ctx.counts, CLOCK, k))
                 elif type(fn) is TickLam:
                     # The forcing tick turns a tick application on the
                     # bound tick into a forcing one, abstracting the clock
                     # again: it is substituted into the body built.
                     t, env = _materialise(fn, fenv).body, subst(
-                        counts, clocks=(k,), ticks=(CForcedTick(0, u),))
+                        ctx.counts, clocks=(k,), ticks=(CForcedTick(0, u),))
                 elif type(fn) is DFix and type(u) is Diamond \
                         and _clock_under(fenv, fn.clock) == 0:
                     t, env = App(fn.fn, fn), then(
-                        fenv, bind(None, counts, CLOCK, k))
+                        fenv, bind(None, ctx.counts, CLOCK, k))
                 else:
                     return _stuck(ForceApp(_materialise(fn, fenv), k, u),
                                   None, spine)
@@ -324,7 +300,7 @@ def _whnf_env(state, ctx, t, env=None):
             case Comp(_, face, tube, _) | HComp(_, face, tube, _) \
                     if face_is_true(image_iv(env, face)):
                 # The tube at the end of the line.
-                t, env = tube, bind(env, counts, IVAL, IONE)
+                t, env = tube, bind(env, ctx.counts, IVAL, IONE)
 
             case System(parts):
                 for phi, u in parts:

@@ -854,8 +854,7 @@ class Substitution:
         self.shift = shift
         self.depth = depth
         self.slack = None
-        # (sort, block index, depth) -> weakened payload; made on first use.
-        self._memo = None
+        self._memo = {}   # (sort, block index, depth) -> weakened payload
 
     def under(self, by):
         """The substitution lifted under `by` more binders."""
@@ -1042,10 +1041,7 @@ def _image(sg, si, ix, depth):
         if si == 1:
             return _shift_clock(block[k], depth[1])
         key = (si, k, depth)
-        memo = sg._memo
-        if memo is None:
-            memo = sg._memo = {}
-        out = memo.get(key)
+        out = sg._memo.get(key)
         if out is None:
             p = block[k]
             if p is ESCAPE:
@@ -1053,7 +1049,7 @@ def _image(sg, si, ix, depth):
                                  "survive the residual context")
             if type(p) is Closure:
                 p = p.force()
-            out = memo[key] = p if depth == ZERO else \
+            out = sg._memo[key] = p if depth == ZERO else \
                 _weaken_payload(si, p, depth)
         return out
     x = k - len(block) + sg.shift[si]

@@ -58,6 +58,29 @@ class TestBasicInference:
     def test_pi_formation_level(self):
         assert infer(st(), EMPTY, Pi(U(0), U(1))) == U(2)
 
+    def test_telescopes_take_the_levels_steps_and_errors_of_the_recursion(
+            self):
+        # infer reads a telescope of Π, Σ, ∀ and ▷ types in one loop; each
+        # case gives the level or error and the steps that the recursive
+        # rule, one infer call a former, gave.
+        cases = [
+            (Sigma(U(0), Var(0)), U(1), 2),
+            (Pi(U(0), Sigma(Var(0), Forall(Later(0, Pi(Var(1), U(1)))))),
+             U(2), 8),
+            (Pi(U(0), Sigma(Var(0), Forall(Later(1, Pi(Var(1), U(1)))))),
+             "clock 1 is not in scope", 2),
+            (Sigma(U(0), Pi(Var(0), Forall(Pi(Var(0), U(0))))),
+             "expected a type", 3),
+        ]
+        for t, want, steps in cases:
+            state = st()
+            if isinstance(want, str):
+                with pytest.raises(CcttError, match=want):
+                    infer(state, EMPTY, t)
+            else:
+                assert infer(state, EMPTY, t) == want
+            assert state.steps == steps
+
     def test_cumulativity(self):
         ctx = EMPTY.push(EVar(U(0)))
         check(st(), ctx, Var(0), U(2))  # a U0 code is also a U2 code

@@ -358,6 +358,8 @@ DEEP_CHECKS = {
               + "/\\k. " * 1000 + "U0\n\ndef after : U1 := U0\n",
     "ticks": "def deep : " + "|> (a : k0) " * 1000 + "U1 := "
              + "tick a : k0. " * 1000 + "U0\n\ndef after : U1 := U0\n",
+    "spine": "def deep (A : U0) (a : A) (f : " + " -> ".join(["A"] * 2001)
+             + ") : A := f" + " a" * 2000 + "\n\ndef after : U1 := U0\n",
     **{f"{end}{depth}": NAT_BOOL + "def deep : nat := "
        + succ_chain(depth, end) + "\n\ndef after : nat := zero\n"
        for end in ("tt", "U0") for depth in (10, 1000)},
@@ -384,7 +386,7 @@ def test_deep_inputs_check_at_the_default_recursion_limit(tmp_path):
         verdicts[Path(path).stem, decl] = (status, detail)
     for name in DEEP_CHECKS:
         assert verdicts[name, "after"] == ("PASS", ""), name
-    for name in ("arrow", "literal", "lambdas", "clocks", "ticks"):
+    for name in ("arrow", "literal", "lambdas", "clocks", "ticks", "spine"):
         assert verdicts[name, "deep"] == ("PASS", ""), name
     # An error deep down is the one a short chain gets.
     for end, message in (("tt", "constructor of a different data type"),
@@ -393,7 +395,7 @@ def test_deep_inputs_check_at_the_default_recursion_limit(tmp_path):
         assert verdicts[f"{end}10", "deep"] == fail
         assert verdicts[f"{end}1000", "deep"] == fail
     assert proc.stdout.splitlines()[-1] == (
-        "28 declarations: 24 passed, 4 failed, 0 skipped")
+        "30 declarations: 26 passed, 4 failed, 0 skipped")
     assert proc.returncode == 1
 
 
