@@ -60,7 +60,7 @@ its scope, a context's `counts`, or a shape extended by `syntax.shape`.
 
 from .conversion import (
     conv, conv_tm, fuel_exhausted, whnf,
-    _clam_n, _clock_under, _elim_con, _forall_n, _materialise, _rec_call,
+    _clam_n, _elim_con, _forall_n, _materialise, _rec_call,
     _whnf_env,
 )
 from .errors import (
@@ -76,18 +76,15 @@ from .interval import (
     iv_vars,
 )
 from .syntax import (
-    App, CApp, CForcedTick, CLOCK, CLam, ClockElim, Closure, Comp, Con,
+    App, C1, CApp, CForcedTick, CLOCK, CLam, ClockElim, Closure, Comp, Con,
     Context, DFix, EClock, EIVar, ETick, EVar, ForceApp, Forall, Fst, HComp,
     Hit, I1, IVAL, K0, K1, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi,
     Sigma, Snd, System, TERM, TICK, TickApp, TickLam, TickVar, TopRef,
     Trans, U, Var, ZERO, _POS, _shift_subst, _tick_vars, close, closure_equal,
-    loose_bound, shape, strengthen, structural_equal, subst, then, weaken,
-    weaken_iv,
+    loose_bound, rename_term, shape, strengthen, structural_equal, subst,
+    then, weaken, weaken_iv,
 )
-from .ticks import (
-    apply_mask, bind, extend, force, residual_mask, strengthen_term,
-    weakening_subst,
-)
+from .ticks import bind, extend, force, lookup_clock, residual, residual_mask
 
 
 class CheckState:
@@ -357,38 +354,18 @@ def _infer_tick_app(state, ctx, fn, u):
         clock = ctx.tick_clock(some)
     except IndexError:
         raise UnboundVariable(f"tick variable {some} is not in scope")
-    mask = residual_mask(ctx, u, clock, forcing=False)
-    rctx = apply_mask(ctx, mask)
-    fn_res = strengthen_term(ctx, mask, fn)
-    lty, env = _whnf_env(state, rctx, infer(state, rctx, fn_res))
-    if type(lty) is not Later:
-        raise NotALater("tick application head is not a later type",
-                        actual=_materialise(lty, env))
-    # A mask keeps every clock, so the clock keeps its index.
-    if _clock_under(env, lty.clock) != clock:
-        raise ClockMismatch(
-            "tick application head lives on a different clock"
-        )
+    lty, env, back = _later_head(state, ctx, fn,
+                                 residual_mask(ctx, u, clock), clock)
     # Under the head type's environment and back from the residual
     # context, with the later's tick sent to u.
-    return Closure(lty.ty, bind(then(env, weakening_subst(ctx, mask)),
-                                ctx.counts, TICK, u))
+    return Closure(lty.ty, bind(then(env, back), ctx.counts, TICK, u))
 
 
 def _infer_force_app(state, ctx, fn, k, u):
     _check_clock(ctx, k)
-    mask = residual_mask(ctx, u, k, forcing=True)
-    rctx = apply_mask(ctx, mask)
-    fn_res = strengthen_term(ctx.push(EClock()), mask + [True], fn)
-    rctx_k = rctx.push(EClock())
-    lty, env = _whnf_env(state, rctx_k, infer(state, rctx_k, fn_res))
-    if type(lty) is not Later:
-        raise NotALater("forcing application head is not a later type",
-                        actual=_materialise(lty, env))
-    if _clock_under(env, lty.clock) != 0:
-        raise ClockMismatch(
-            "forcing application head is not on the bound clock"
-        )
+    # The head binds a clock, and its later is on that clock, 0.
+    lty, env, back = _later_head(state, ctx, fn, residual_mask(
+        ctx, u, k, forcing=True), 0, forcing=True)
     # Back from the residual context, with the bound clock sent to k and
     # the later's tick to the forcing tick (k, u): the forcing beta rule.
     # A type that mentions no tick stays under the head type's
@@ -396,11 +373,35 @@ def _infer_force_app(state, ctx, fn, k, u):
     # since the forcing tick turns a tick application on it into a forcing
     # one, abstracting the clock again.
     scope = ctx.counts
-    back = bind(weakening_subst(ctx, mask), scope, CLOCK, k)
+    back = bind(back, scope, CLOCK, k)
     if not loose_bound(lty.ty)[2]:
         return Closure(lty.ty, then(env, back))
     return Closure(_materialise(lty, env).ty,
                    bind(back, scope, TICK, CForcedTick(0, u)))
+
+
+def _later_head(state, ctx, fn, mask, clock, forcing=False):
+    """The head fn of a tick application, inferred in the residual context
+    of the tick's mask, and its type in whnf, a later type on `clock`.
+    The head of a forcing application binds a clock: it is inferred with
+    the clock pushed.  Gives the later, its environment and the weakening
+    from the residual context back into ctx."""
+    rctx, into, back = residual(ctx, mask, C1 if forcing else ZERO)
+    if forcing:
+        rctx = rctx.push(EClock())
+    lty, env = _whnf_env(state, rctx, infer(state, rctx,
+                                             rename_term(fn, into)))
+    kind = "forcing" if forcing else "tick"
+    if type(lty) is not Later:
+        raise NotALater(f"{kind} application head is not a later type",
+                        actual=_materialise(lty, env))
+    # A residual keeps every clock, so the clock keeps its index.
+    if lookup_clock(env, lty.clock) != clock:
+        raise ClockMismatch(
+            "forcing application head is not on the bound clock"
+            if forcing else "tick application head lives on a different clock"
+        )
+    return lty, env, back
 
 
 # --------------------------------------------------------------------------

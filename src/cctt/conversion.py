@@ -276,7 +276,7 @@ def _whnf_env(state, ctx, t, env=None):
                     t, env = _materialise(fn, fenv).body, subst(
                         ctx.counts, clocks=(k,), ticks=(CForcedTick(0, u),))
                 elif type(fn) is DFix and type(u) is Diamond \
-                        and _clock_under(fenv, fn.clock) == 0:
+                        and lookup_clock(fenv, fn.clock) == 0:
                     t, env = App(fn.fn, fn), then(
                         fenv, bind(None, ctx.counts, CLOCK, k))
                 else:
@@ -340,11 +340,6 @@ def _whnf_env(state, ctx, t, env=None):
 def _materialise(head, env):
     """head with env applied."""
     return head if env is None else subst_apply(env, head)
-
-
-def _clock_under(env, k):
-    """The clock k under env (None: the identity)."""
-    return k if env is None else lookup_clock(env, k)
 
 
 def _stuck(head, env, spine):
@@ -841,7 +836,7 @@ def conv(state, ctx, ty, t, u):
         return True
     if face_is_true(phi):
         return _conv_clause(state, ctx, ty, t, u)
-    free = Context(ctx.entries, FTOP, ctx.counts, ctx._terms)
+    free = Context(ctx.entries, FTOP, ctx.counts)
     ty, t, u = force(ty), force(t), force(u)
     for clause in face_clauses(phi):
         sigma = clause_subst(ctx.counts, clause)
@@ -953,7 +948,7 @@ def conv_tm(state, ctx, t, u):
         return (conv_tm(state, ctx, close(te, t.fn), close(ue, u.fn))
                 and conv_tm(state, ctx, close(te, t.arg), close(ue, u.arg)))
     if tc is CApp:
-        return (_clock_under(te, t.clock) == _clock_under(ue, u.clock)
+        return (lookup_clock(te, t.clock) == lookup_clock(ue, u.clock)
                 and conv_tm(state, ctx, close(te, t.fn), close(ue, u.fn)))
     return _conv_rigid(state, ctx, _materialise(t, te), _materialise(u, ue))
 
@@ -968,8 +963,8 @@ def _opened(ctx, t, te, u, ue):
     by, sort, entry = _ABSTRACTIONS[cls]
     if entry is None:
         x, xe = (t, te) if type(t) is cls else (u, ue)
-        k = _clock_under(xe, x.clock)
-        if type(t) is type(u) and _clock_under(ue, u.clock) != k:
+        k = lookup_clock(xe, x.clock)
+        if type(t) is type(u) and lookup_clock(ue, u.clock) != k:
             return None, None, None
         entry = ETick(k)
     ctx, sides = ctx.push(entry), []

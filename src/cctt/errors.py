@@ -33,7 +33,6 @@ class NonProperEntry(CcttError): pass
 
 class NotATick(CcttError): pass
 class ClockMismatch(CcttError): pass
-class NoCommonResidual(CcttError): pass
 class DiamondOutsideForcing(CcttError): pass
 class MalformedSubstitution(CcttError): pass
 class TickEscape(CcttError): pass

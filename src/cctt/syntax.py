@@ -9,11 +9,8 @@ index counting binders of that same sort from the inside out, so
 inserting an entry of one sort never renumbers the others.  The
 restriction binds no variable, so it is no entry: it is one face scoped at
 the context's end, true unless `Context.restrict` meets a face into it.
-A context keeps, per term variable, its entry's type and the counts of the
-entries before it, so `Context.term_type` leaves the shift to the
-context's end pending on the type, a `Closure`.  A data signature's
-constructor boundaries are ordinary terms, scoped in the constructor's
-telescope.
+A data signature's constructor boundaries are ordinary terms, scoped in
+the constructor's telescope.
 
 Every record here and the parser's declarations is a class whose
 annotations name its fields, made immutable by `record`: construction with
@@ -62,7 +59,7 @@ environment continuing, again pending, in the second.
 
 A renaming is a substitution whose payloads are variables (`rename_term`).
 Weakening (`weaken`, `weaken_tick`) is a shift with no payloads, whose
-depth is the cut; strengthening (`strengthen`, and `ticks.mask_subst`)
+depth is the cut; strengthening (`strengthen`, and `ticks.residual`)
 sends each dropped variable to `ESCAPE`, and a variable that reaches it
 raises `TickEscape`.
 """
@@ -588,17 +585,13 @@ def _count(entries):
             kinds.count(EIVar))
 
 
-@record(hidden=("_counts", "_terms"))
+@record(hidden=("_counts",))
 class Context:
     entries: tuple = ()
     # The face the context is restricted to, scoped at its end.
     restriction: Face = FTOP
     # `counts`, once worked out; carried along by `push` and `restrict`.
     _counts: tuple = None
-    # Per term variable, outermost first: its entry's type and the counts
-    # of the entries before it.  Extended by `push`; worked out once, on
-    # first use, for a context built from its entries.
-    _terms: tuple = None
 
     @property
     def counts(self):
@@ -611,26 +604,18 @@ class Context:
         return counts
 
     def push(self, entry):
-        cls = type(entry)
-        by = _UNIT[cls]
+        by = _UNIT[type(entry)]
         phi = self.restriction
         if by is I1 and phi != FTOP:
             phi = weaken_iv(phi, I1)
-        counts = self.counts
-        terms = self._terms
-        if terms is None:
-            terms = self._term_table()
-        if cls is EVar:
-            terms += ((entry.ty, counts),)
-        return Context(self.entries + (entry,), phi, shape(counts, by),
-                       terms)
+        return Context(self.entries + (entry,), phi, shape(self.counts, by))
 
     def restrict(self, phi):
         """The same entries restricted to phi as well, a face scoped at
-        the end; the tables, which depend on the entries only, are
+        the end; the counts, which depend on the entries only, are
         shared."""
         return Context(self.entries, FAnd(self.restriction, phi),
-                       self._counts, self._terms)
+                       self._counts)
 
     def __len__(self):
         return len(self.entries)
@@ -641,44 +626,27 @@ class Context:
     def pos_of(self, sort, ix):
         """Absolute position (0 = outermost) of the ix-th entry of `sort`
         counted from the inside."""
+        entries = self.entries
         seen = 0
-        for pos in range(len(self.entries) - 1, -1, -1):
-            if entry_sort(self.entries[pos]) == sort:
+        for pos in range(len(entries) - 1, -1, -1):
+            if _ENTRY_SORT[type(entries[pos])] == sort:
                 if seen == ix:
                     return pos
                 seen += 1
         raise IndexError(f"no {sort} entry with index {ix}")
-
-    def _term_table(self):
-        """`_terms`, worked out from the entries and kept."""
-        terms, before = [], ZERO
-        for e in self.entries:
-            if type(e) is EVar:
-                terms.append((e.ty, before))
-            before = shape(before, _UNIT[type(e)])
-        terms = tuple(terms)
-        object.__setattr__(self, "_terms", terms)
-        return terms
 
     def term_type(self, ix):
         """The type of term variable ix, scoped in the whole context: its
         entry's type (scoped in the entries before it) pending under the
         shift past the entry and everything after it, a `Closure`, or the
         type itself where that shift moves none of its variables."""
-        terms = self._terms
-        if terms is None:
-            terms = self._term_table()
-        if not 0 <= ix < len(terms):
-            raise IndexError(f"no term entry with index {ix}")
-        ty, before = terms[-1 - ix]
+        pos = self.pos_of(TERM, ix)
+        ty = self.entries[pos].ty
         b = ty._loose or loose_bound(ty)
         if b == ZERO:
             return ty
-        now = self.counts
-        by = (now[0] - before[0], now[1] - before[1], now[2] - before[2],
-              now[3] - before[3])
-        if (by[0] and b[0] or by[1] and b[1] or by[2] and b[2]
-                or by[3] and b[3]):
+        by = _count(self.entries[pos:])   # by[0] counts the entry itself
+        if b[0] or by[1] and b[1] or by[2] and b[2] or by[3] and b[3]:
             return Closure(ty, _shift_subst(by, ZERO))
         return ty
 

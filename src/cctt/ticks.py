@@ -1,15 +1,21 @@
 """Context discipline for ticks and clocks, and the machine's
 environments.
 
-Covers the timeless filter TL, the trimming relation, the mask of the
-maximal residual context of a simple or forcing tick, and strengthening
-into it.  TL keeps the clocks, the interval variables and the context's
-restriction, so every residual context keeps the restriction as it is:
-it is scoped over the interval variables alone, and no mask drops one.
-Strengthening into a residual mask is a renaming (`mask_subst`): each kept
-term or tick variable goes to its new index, and each dropped one to the
-escape payload, which raises `TickEscape` when a variable reaches it;
-`weakening_subst` goes back.
+A tick application `t [u]` is typed in the maximal residual context of
+the tick u: the cut at the outermost tick variable u mentions.  The cut at
+position p keeps every entry before p, drops p (a tick) and, after p,
+keeps only the clocks and interval variables (the timeless filter TL).
+`residual_mask` checks that each tick variable of u is in scope and on the
+application's clock, and gives the cut as a mask, one boolean per entry; a
+forcing tick `<>` mentions none and keeps every entry, and a `tirr` of two
+ticks is cut at the outer of the two.  Every residual context keeps the
+context's restriction as it is: it is scoped over the interval variables
+alone, and no cut drops one.
+
+A cut drops only the innermost term and tick variables, so `residual`
+strengthens into the residual context by sending those to the escape
+payload, which raises `TickEscape` when a variable reaches it, and moving
+the rest in past them; it weakens back by the shift past them.
 
 The substitutions of `cctt.syntax` are the environments of the reduction
 machine in `conversion.whnf`, their term payloads closures.
@@ -22,40 +28,15 @@ is pending on, leaving each payload's move past the binder pending
 scope, a context's `counts`.
 """
 
-from .errors import (
-    ClockMismatch, DiamondOutsideForcing, NoCommonResidual, NotATick,
-)
+from .errors import ClockMismatch, DiamondOutsideForcing, NotATick
 from .interval import IONE, IVar, IZERO
 from .syntax import (
     C1, CLOCK, ESCAPE, I1, IVAL, K1, T1, TERM, TICK, ZERO, _NO_BLOCK, _POS,
-    CForcedTick, Closure, Context, Diamond, ETick, EVar, Substitution,
-    TickVar, Tirr, Var, _compose, _image, _iv, _shift_subst, _tick,
-    entry_sort, rename_term, shape, subst,
+    CForcedTick, Closure, Context, Diamond, Substitution, TickVar, Tirr, Var,
+    _compose, _image, _iv, _shift_subst, _tick, entry_sort, shape, subst,
 )
 
 TIMELESS = (CLOCK, IVAL)
-
-
-def timeless(ctx):
-    """TL: keep clocks, interval variables and the restriction; drop the
-    rest."""
-    return Context(tuple(
-        e for e in ctx.entries if entry_sort(e) in TIMELESS
-    ), ctx.restriction)
-
-
-def trim_check(trimmed, ctx):
-    """True iff `trimmed` arises from ctx by replacing a suffix by its TL
-    (so it has ctx's restriction)."""
-    for split in range(len(ctx.entries) + 1):
-        candidate = Context(
-            ctx.entries[:split]
-            + timeless(Context(ctx.entries[split:])).entries,
-            ctx.restriction,
-        )
-        if candidate == trimmed:
-            return True
-    return False
 
 
 def apply_mask(ctx, mask):
@@ -64,97 +45,57 @@ def apply_mask(ctx, mask):
     ), ctx.restriction)
 
 
-def _tickvar_mask(ctx, ix, clock):
-    """Mask of the maximal residual for tick variable ix on `clock`."""
-    try:
-        pos = ctx.pos_of(TICK, ix)
-    except IndexError:
-        raise NotATick(f"tick variable {ix} is not in scope")
-    if ctx.tick_clock(ix) != clock:
-        raise ClockMismatch(
-            f"tick variable {ix} is on clock {ctx.tick_clock(ix)}, "
-            f"expected {clock}"
-        )
-    mask = [True] * pos + [False]
-    mask += [entry_sort(e) in TIMELESS for e in ctx.entries[pos + 1:]]
-    return mask
-
-
-def _tick_mask(ctx, u, clock, forcing):
+def _outermost(ctx, u, clock, forcing):
+    """The position of the outermost tick variable in u, each checked to
+    be in scope and on `clock`, left to right; past the last entry when u
+    mentions none."""
     match u:
         case TickVar(ix):
-            return _tickvar_mask(ctx, ix, clock)
+            try:
+                pos = ctx.pos_of(TICK, ix)
+            except IndexError:
+                raise NotATick(f"tick variable {ix} is not in scope")
+            if ctx.tick_clock(ix) != clock:
+                raise ClockMismatch(
+                    f"tick variable {ix} is on clock {ctx.tick_clock(ix)}, "
+                    f"expected {clock}"
+                )
+            return pos
         case Diamond():
             if not forcing:
                 raise DiamondOutsideForcing(
                     "the forcing tick <> cannot appear in simple position"
                 )
-            return [True] * len(ctx.entries)
+            return len(ctx.entries)
         case Tirr(l, r, _):
-            ml = _tick_mask(ctx, l, clock, forcing)
-            mr = _tick_mask(ctx, r, clock, forcing)
-            both = [a and b for a, b in zip(ml, mr)]
-            left = apply_mask(ctx, both)
-            if not (trim_check(left, apply_mask(ctx, ml))
-                    and trim_check(left, apply_mask(ctx, mr))):
-                raise NoCommonResidual(
-                    "tirr operands admit no common residual context"
-                )
-            return both
+            return min(_outermost(ctx, l, clock, forcing),
+                       _outermost(ctx, r, clock, forcing))
     raise NotATick(f"not a tick: {u!r}")
 
 
 def residual_mask(ctx, u, clock, forcing=False):
-    return _tick_mask(ctx, u, clock, forcing)
+    """The mask of the maximal residual context of the tick u on `clock`:
+    the cut at its outermost tick variable, or every entry when it
+    mentions none (`<>`, in forcing position)."""
+    cut = _outermost(ctx, u, clock, forcing)
+    return [pos < cut or pos > cut and entry_sort(e) in TIMELESS
+            for pos, e in enumerate(ctx.entries)]
 
 
-# --------------------------------------------------------------------------
-# Strengthening into a residual context, and weakening back
-# --------------------------------------------------------------------------
-
-def _kept(ctx, mask):
-    """The indices in ctx of the term variables and of the tick variables
-    the mask keeps, innermost first.  A mask keeps every clock and interval
-    variable, since TL does."""
-    kept = {EVar: [], ETick: []}
-    seen = {EVar: 0, ETick: 0}
-    for e, keep in zip(reversed(ctx.entries), reversed(mask)):
-        cls = type(e)
-        if cls in kept:
-            if keep:
-                kept[cls].append(seen[cls])
-            seen[cls] += 1
-    return kept[EVar], kept[ETick]
-
-
-def mask_subst(ctx, mask):
-    """The strengthening from ctx into the masked context: each kept term
-    or tick variable goes to its index there and each dropped one to
-    `ESCAPE`, so that a term mentioning one raises TickEscape."""
-    nt, nc, nk, ni = ctx.counts
-    terms, ticks = [ESCAPE] * nt, [ESCAPE] * nk
-    kept_terms, kept_ticks = _kept(ctx, mask)
-    for new, old in enumerate(kept_terms):
-        terms[old] = Var(new)
-    for new, old in enumerate(kept_ticks):
-        ticks[old] = TickVar(new)
-    kt, kk = len(kept_terms), len(kept_ticks)
-    return Substitution((kt, nc, kk, ni), (tuple(terms), (), tuple(ticks), ()),
-                        (kt, 0, kk, 0))
-
-
-def strengthen_term(ctx, mask, t):
-    return rename_term(t, mask_subst(ctx, mask))
-
-
-def weakening_subst(ctx, mask):
-    """The weakening from the masked context back into ctx: each term and
-    tick variable goes to its index in ctx."""
-    terms, ticks = _kept(ctx, mask)
-    scope = ctx.counts
-    return Substitution(
-        scope, (tuple(map(Var, terms)), (), tuple(map(TickVar, ticks)), ()),
-        (scope[0], 0, scope[2], 0))
+def residual(ctx, mask, by=ZERO):
+    """The residual context a cut's mask keeps, the strengthening from ctx
+    into it and the weakening back.  The cut drops the innermost nt term
+    and nk tick variables: the strengthening sends those to `ESCAPE` and
+    moves the others in past them, and the weakening back is the shift by
+    (nt, 0, nk, 0).  The strengthening's scope is the residual context
+    past `by` more clock or interval binders, those of the term it is
+    applied to."""
+    rctx = apply_mask(ctx, mask)
+    nt = ctx.counts[0] - rctx.counts[0]
+    nk = ctx.counts[2] - rctx.counts[2]
+    into = Substitution(shape(rctx.counts, by),
+                        ((ESCAPE,) * nt, (), (ESCAPE,) * nk, ()))
+    return rctx, into, Substitution(ctx.counts, _NO_BLOCK, (nt, 0, nk, 0))
 
 
 # --------------------------------------------------------------------------
@@ -254,8 +195,9 @@ def lookup(env, ix):
 
 
 def lookup_clock(env, k):
-    """The clock of env's dom that clock k of env's cod stands for."""
-    return _image(env, 1, k, ZERO)
+    """The clock of env's dom that clock k of env's cod stands for (env
+    None: the identity)."""
+    return k if env is None else _image(env, 1, k, ZERO)
 
 
 def image_tick(env, u):

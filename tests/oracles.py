@@ -23,6 +23,12 @@ endpoint.
 sort, and skips no subterm; `shifted` weakens with it, and `mask_renamer`
 strengthens into a residual context.
 
+`reference_tick_mask` is the residual mask of a tick as the kernel once
+built it, by a general mask algebra: a tick variable's mask, every entry
+for `<>`, and for a `tirr` the intersection of its operands' masks,
+checked by the trimming relation (`trim_check`: a suffix replaced by its
+timeless part TL, `timeless`) to arise from each, or `NoCommonResidual`.
+
 Substitution has two references.  `naive_subst` does what the kernel's
 `syntax.subst` builder does, one variable at a time, by plain recursion
 over the term, with no shifts or explicit substitutions; it moves terms
@@ -65,8 +71,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from cctt.errors import (
-    CaseMissing, CcttError, FuelExhausted, MalformedSubstitution, NotATick,
-    ParseError, TickEscape,
+    CaseMissing, CcttError, ClockMismatch, DiamondOutsideForcing,
+    FuelExhausted, MalformedSubstitution, NotATick, ParseError, TickEscape,
 )
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, FTOP, IJoin, IMeet, INeg, IONE, IVar, IZERO,
@@ -498,6 +504,70 @@ def mask_renamer(ctx, mask):
         return go
 
     return Renamer(*map(remap, _SORTS))
+
+
+# --------------------------------------------------------------------------
+# Residual masks by intersection and trimming
+# --------------------------------------------------------------------------
+
+class NoCommonResidual(Exception):
+    """The operands of a tirr admit no common residual context."""
+
+
+def timeless(ctx):
+    """TL: keep clocks, interval variables and the restriction; drop the
+    rest."""
+    return Context(tuple(e for e in ctx.entries
+                         if entry_sort(e) in (CLOCK, IVAL)), ctx.restriction)
+
+
+def trim_check(trimmed, ctx):
+    """True iff `trimmed` arises from ctx by replacing a suffix by its TL
+    (so it has ctx's restriction)."""
+    for split in range(len(ctx.entries) + 1):
+        candidate = Context(
+            ctx.entries[:split]
+            + timeless(Context(ctx.entries[split:])).entries,
+            ctx.restriction,
+        )
+        if candidate == trimmed:
+            return True
+    return False
+
+
+def reference_tick_mask(ctx, u, clock, forcing=False):
+    """The residual mask of the tick u on `clock`, by intersection."""
+    match u:
+        case TickVar(ix):
+            try:
+                pos = ctx.pos_of(TICK, ix)
+            except IndexError:
+                raise NotATick(f"tick variable {ix} is not in scope")
+            if ctx.tick_clock(ix) != clock:
+                raise ClockMismatch(
+                    f"tick variable {ix} is on clock {ctx.tick_clock(ix)}, "
+                    f"expected {clock}"
+                )
+            return [True] * pos + [False] + [
+                entry_sort(e) in (CLOCK, IVAL) for e in ctx.entries[pos + 1:]]
+        case Diamond():
+            if not forcing:
+                raise DiamondOutsideForcing(
+                    "the forcing tick <> cannot appear in simple position"
+                )
+            return [True] * len(ctx.entries)
+        case Tirr(l, r, _):
+            ml = reference_tick_mask(ctx, l, clock, forcing)
+            mr = reference_tick_mask(ctx, r, clock, forcing)
+            both = [a and b for a, b in zip(ml, mr)]
+            left = apply_mask(ctx, both)
+            if not (trim_check(left, apply_mask(ctx, ml))
+                    and trim_check(left, apply_mask(ctx, mr))):
+                raise NoCommonResidual(
+                    "tirr operands admit no common residual context"
+                )
+            return both
+    raise NotATick(f"not a tick: {u!r}")
 
 
 # --------------------------------------------------------------------------

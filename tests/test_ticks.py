@@ -5,8 +5,8 @@ import pytest
 from cctt.checker import CheckState, infer
 from cctt.conversion import _mentions_ival0
 from cctt.errors import (
-    ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
-    NoCommonResidual, NotATick, TickEscape,
+    CcttError, ClockMismatch, DiamondOutsideForcing, MalformedSubstitution,
+    NotATick, TickEscape,
 )
 from cctt.interval import (
     FAnd, FBOT, FEq, FOr, IJoin, IMeet, INeg, IONE, IVar, IZERO,
@@ -17,16 +17,18 @@ from cctt.syntax import (
     Diamond, EClock, EIVar, ETick, EVar, ElimCase, ForceApp, Forall, Fst,
     HComp, Hit, Lam, Later, PApp, PFix, PLam, Pair, PathT, Pi, Sigma, Snd,
     System, Term, TickApp, TickLam, TickVar, Tirr, TopRef, Trans, U, Var,
-    _WALKED, loose_bound, subst, weaken, weaken_iv, weaken_tick,
+    C1, _WALKED, entry_sort, loose_bound, rename_term, subst, weaken,
+    weaken_iv, weaken_tick,
 )
+from cctt import ticks
 from cctt.ticks import (
-    apply_mask, identity_subst, residual_mask, strengthen_term, subst_apply,
-    timeless, trim_check,
+    apply_mask, identity_subst, image_iv, image_tick, lookup_clock,
+    residual_mask, subst_apply,
 )
 from oracles import (
     Forced, Simple, bound_of, bresidual, explicit, free_indices,
-    mask_renamer, naive_subst, residual, restrict_subst, shifted,
-    validate_substitution,
+    mask_renamer, naive_subst, reference_tick_mask, residual,
+    restrict_subst, shifted, timeless, validate_substitution,
 )
 
 KAPPA = EClock()
@@ -44,6 +46,11 @@ def simple_residual(ctx, u, clock):
 def forcing_residual(ctx, clock, u):
     """The maximal residual context for a forcing tick (clock, u)."""
     return apply_mask(ctx, residual_mask(ctx, u, clock, forcing=True))
+
+
+def into_residual(ctx, mask, t):
+    """t strengthened from ctx into the residual context of the mask."""
+    return rename_term(t, ticks.residual(ctx, mask)[1])
 
 
 # The substitution of the forcing beta rule: the clock and the tick
@@ -65,23 +72,6 @@ class TestTimelessAndTrim:
         assert simple_residual(ctx, TickVar(0), 0) == Context(
             (KAPPA, EIVar(), EVar(U(0)), EIVar()), FEq(1, 0))
         assert forcing_residual(ctx, 0, Diamond()) == ctx
-
-    def test_trim_check_keeps_the_restriction(self):
-        ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar()).restrict(FEq(0, 1))
-        assert trim_check(timeless(ctx), ctx)
-        assert trim_check(ctx_of(KAPPA, EVar(U(0)), EIVar()).restrict(
-            FEq(0, 1)), ctx)
-        assert not trim_check(ctx_of(KAPPA, EVar(U(0)), EIVar()), ctx)
-
-    def test_trim_check_accepts_suffix_replacement(self):
-        ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EIVar())
-        trimmed = ctx_of(KAPPA, EVar(U(0)), EIVar())
-        assert trim_check(trimmed, ctx)
-
-    def test_trim_check_rejects_non_suffix(self):
-        ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EVar(U(0)))
-        bad = ctx_of(KAPPA, ETick(0), EVar(U(0)))
-        assert not trim_check(bad, ctx)
 
 
 class TestTickJudgements:
@@ -313,12 +303,12 @@ class TestStrengthening:
     def test_variable_escaping_under_binders_raises(self, term):
         mask = residual_mask(self.CTX, TickVar(0), 0)
         with pytest.raises(TickEscape):
-            strengthen_term(self.CTX, mask, term)
+            into_residual(self.CTX, mask, term)
 
     def test_variable_kept_under_binders_is_renamed(self):
         ctx = ctx_of(KAPPA, EVar(U(0)), ETick(0), EVar(U(0)))
         mask = residual_mask(ctx, TickVar(0), 0)
-        assert strengthen_term(ctx, mask, Lam(App(Var(0), Var(2)))) == \
+        assert into_residual(ctx, mask, Lam(App(Var(0), Var(2)))) == \
             Lam(App(Var(0), Var(1)))
 
     def test_escaping_variable_raises(self):
@@ -597,8 +587,7 @@ def _context_around(rng, t):
 
 def _residual_masks(rng, ctx):
     """Masks of the residual contexts of a few ticks of ctx: tick
-    variables, a tirr of two on one clock when they have a common
-    residual, and the forcing tick."""
+    variables, a tirr of two on one clock, and the forcing tick."""
     masks = [[True] * len(ctx)]
     n = ctx.counts[2]
     for _ in range(3 if n else 0):
@@ -607,10 +596,7 @@ def _residual_masks(rng, ctx):
         masks.append(residual_mask(ctx, TickVar(ix), clock))
         others = [j for j in range(n) if ctx.tick_clock(j) == clock]
         u = Tirr(TickVar(ix), TickVar(rng.choice(others)), IVar(0))
-        try:
-            masks.append(residual_mask(ctx, u, clock))
-        except NoCommonResidual:
-            pass
+        masks.append(residual_mask(ctx, u, clock))
     return masks
 
 
@@ -644,9 +630,9 @@ def test_weakening_and_strengthening_agree_with_the_plain_renamer(seed):
                 want = mask_renamer(ctx, mask).term(u)
             except TickEscape:
                 with pytest.raises(TickEscape):
-                    strengthen_term(ctx, mask, u)
+                    into_residual(ctx, mask, u)
             else:
-                assert strengthen_term(ctx, mask, u) == want
+                assert into_residual(ctx, mask, u) == want
         # Whether interval variable 0 is free, by strengthening past it.
         assert _mentions_ival0(u) == (0 in free_indices(u)[IVAL])
 
@@ -659,11 +645,155 @@ def test_generated_strengthenings_keep_some_terms_and_drop_others():
         ctx = _context_around(rng, t)
         for mask in _residual_masks(rng, ctx)[1:]:
             try:
-                strengthen_term(ctx, mask, t)
+                into_residual(ctx, mask, t)
                 kept += 1
             except TickEscape:
                 escaped += 1
     assert kept >= 100 and escaped >= 100, (kept, escaped)
+
+
+# --------------------------------------------------------------------------
+# The residual context of a tick is the cut at its outermost tick
+# --------------------------------------------------------------------------
+
+def _tick_context(rng):
+    """Entries of every sort behind an outermost clock, up to three clocks
+    in all, each tick on a clock bound before it, and now and then
+    restricted part way."""
+    ctx = Context((KAPPA,))
+    for _ in range(rng.randrange(9)):
+        if rng.random() < 0.1:
+            ctx = ctx.restrict(FEq(0, 1) if ctx.counts[3] else FBOT)
+        entry = rng.choice((EVar(U(0)), KAPPA, ETick(0), ETick(0), EIVar()))
+        if type(entry) is EClock and ctx.counts[1] == 3:
+            entry = EIVar()
+        if type(entry) is ETick:
+            entry = ETick(rng.randrange(ctx.counts[1]))
+        ctx = ctx.push(entry)
+    return ctx
+
+
+def _any_tick(rng, ctx, depth=3):
+    """A tick variable (now and then one out of scope), `<>`, a tirr of
+    two nested to `depth`, or now and then a term that is no tick."""
+    n = ctx.counts[2]
+    if depth and rng.random() < 0.4:
+        return Tirr(_any_tick(rng, ctx, depth - 1),
+                    _any_tick(rng, ctx, depth - 1), IVar(0))
+    if rng.random() < 0.15:
+        return Diamond()
+    if rng.random() < 0.03:
+        return U(0)
+    return TickVar(rng.randrange(n + 1) if rng.random() < 0.1 or not n
+                   else rng.randrange(n))
+
+
+def _cut(ctx, u):
+    """The mask of the cut at the outermost tick variable of u, worked out
+    from the entries: everything before it, and after it the clocks and
+    interval variables; every entry when u mentions none."""
+    ticks_inside_out = [pos for pos, e in enumerate(ctx.entries)
+                        if type(e) is ETick][::-1]
+    cut = min((ticks_inside_out[ix] for ix in _tick_var_ixs(u)),
+              default=len(ctx))
+    return [pos < cut or pos > cut and type(e) in (EClock, EIVar)
+            for pos, e in enumerate(ctx.entries)]
+
+
+def _tick_var_ixs(u):
+    if type(u) is Tirr:
+        return _tick_var_ixs(u.left) | _tick_var_ixs(u.right)
+    return {u.ix} if type(u) is TickVar else set()
+
+
+def _outcome(f, *args):
+    """What f gives, or the class and message of the error it raises."""
+    try:
+        return f(*args)
+    except CcttError as err:
+        return type(err), err.message
+
+
+def _escaping(f, *args):
+    """What f gives, or TickEscape when it raises that."""
+    try:
+        return f(*args)
+    except TickEscape:
+        return TickEscape
+
+
+RESIDUAL_SEEDS = range(300)
+
+
+@pytest.mark.parametrize("seed", RESIDUAL_SEEDS)
+def test_residual_mask_is_the_cut_at_the_outermost_tick(seed):
+    rng = random.Random(seed)
+    ctx = _tick_context(rng)
+    gen = _Terms(rng)
+    for _ in range(4):
+        u = _any_tick(rng, ctx)
+        clocks = [ctx.tick_clock(ix) for ix in _tick_var_ixs(u)
+                  if ix < ctx.counts[2]]
+        clock = rng.choice(clocks) if clocks and rng.random() < 0.8 \
+            else rng.randrange(ctx.counts[1])
+        forcing = rng.random() < 0.5
+        # The same mask, or the same error with the same message, as the
+        # intersection of masks checked by trimming, which never finds a
+        # tirr without a common residual.
+        got = _outcome(residual_mask, ctx, u, clock, forcing)
+        assert got == _outcome(reference_tick_mask, ctx, u, clock, forcing)
+        if type(got) is not list:
+            continue
+        assert got == _cut(ctx, u)
+        rctx, into, back = ticks.residual(ctx, got)
+        assert rctx == apply_mask(ctx, got)
+        # The strengthening is the renaming into the residual context, of
+        # a term scoped in ctx and of one under a clock binder more, as
+        # the head of a forcing application is.
+        t = gen.term(list(ctx.counts), depth=3)
+        assert _escaping(rename_term, t, into) \
+            == _escaping(mask_renamer(ctx, got).term, t)
+        inner = ctx.push(KAPPA)
+        t = gen.term(list(inner.counts), depth=3)
+        assert _escaping(rename_term, t, ticks.residual(ctx, got, C1)[1]) \
+            == _escaping(mask_renamer(inner, got + [True]).term, t)
+        # The weakening back sends each kept variable to its index in ctx.
+        for sort in (TERM, CLOCK, TICK, IVAL):
+            full = [ix for ix, pos in enumerate(_positions(ctx, sort))
+                    if got[pos]]
+            var, image = _READ[sort]
+            for new, old in enumerate(full):
+                assert image(back, var(new)) == var(old)
+
+
+def _positions(ctx, sort):
+    """The positions of the entries of `sort`, innermost first."""
+    return [pos for pos in range(len(ctx) - 1, -1, -1)
+            if entry_sort(ctx.entries[pos]) == sort]
+
+
+# Per sort, the variable of an index and its image under a substitution.
+_READ = {TERM: (Var, subst_apply), CLOCK: (int, lookup_clock),
+         TICK: (TickVar, image_tick), IVAL: (IVar, image_iv)}
+
+
+def test_generated_ticks_reach_every_outcome():
+    outcomes, tirrs = set(), 0
+    for seed in RESIDUAL_SEEDS:
+        rng = random.Random(seed)
+        ctx = _tick_context(rng)
+        for _ in range(40):
+            u = _any_tick(rng, ctx)
+            clock = rng.randrange(ctx.counts[1])
+            got = _outcome(residual_mask, ctx, u, clock, rng.random() < 0.5)
+            if type(got) is list:
+                outcomes.add("cut" if False in got else "all")
+                tirrs += type(u) is Tirr
+            else:
+                outcomes.add(got[0])
+    assert outcomes == {"cut", "all", NotATick, ClockMismatch,
+                        DiamondOutsideForcing}
+    assert tirrs >= 100
 
 
 # --------------------------------------------------------------------------
